@@ -4,7 +4,8 @@ package forkbase_test
 // (§6) — each wraps the corresponding experiment of internal/bench so
 // `go test -bench .` regenerates the full study (output goes to the
 // benchmark log), plus focused micro-benchmarks for the operations the
-// tables measure. See EXPERIMENTS.md for the paper-vs-measured record.
+// tables measure. Performance claims cite the repository benchmark
+// instead; see benchmark/README.md.
 
 import (
 	"context"

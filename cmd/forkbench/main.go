@@ -1,7 +1,7 @@
 // Command forkbench regenerates the tables and figures of the ForkBase
 // paper's evaluation (§6). Each experiment prints the rows or series of
-// the corresponding table/figure; see EXPERIMENTS.md for the mapping
-// and the comparison against the published results.
+// the corresponding table/figure. Performance claims cite the
+// repository benchmark instead; see benchmark/README.md.
 //
 // Usage:
 //

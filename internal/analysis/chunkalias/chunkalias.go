@@ -1,5 +1,6 @@
 // Package chunkalias flags reuse of a []byte buffer after it has been
-// handed to chunk.New.
+// handed to chunk.New (or to chunk.DecodeOwned, which keeps its
+// argument the same way).
 //
 // Invariant (PR 6): chunk.New takes ownership of its payload slice —
 // the cid is the SHA-256 of exactly those bytes, and both ends of the
@@ -102,6 +103,10 @@ func (s *scan) assign(as *ast.AssignStmt) {
 	}
 }
 
+// handoffArg maps the chunk functions that keep a caller's buffer to
+// the index of that argument.
+var handoffArg = map[string]int{"New": 1, "DecodeOwned": 0}
+
 func (s *scan) call(call *ast.CallExpr) {
 	// Builtin mutators.
 	if id, ok := call.Fun.(*ast.Ident); ok {
@@ -126,15 +131,16 @@ func (s *scan) call(call *ast.CallExpr) {
 			return
 		}
 	}
-	// Handoff: chunk.New(type, payload).
+	// Handoff: chunk.New(type, payload) and chunk.DecodeOwned(buf).
 	fn := calleeFunc(s.pass, call)
-	if fn == nil || fn.Name() != "New" || fn.Pkg() == nil || fn.Pkg().Name() != "chunk" {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "chunk" {
 		return
 	}
-	if len(call.Args) != 2 {
+	i, ok := handoffArg[fn.Name()]
+	if !ok || len(call.Args) != i+1 {
 		return
 	}
-	if id, ok := call.Args[1].(*ast.Ident); ok {
+	if id, ok := call.Args[i].(*ast.Ident); ok {
 		if obj := s.pass.TypesInfo.ObjectOf(id); obj != nil && isByteSlice(obj.Type()) {
 			s.handed[obj] = s.pass.Fset.Position(call.Pos()).Line
 		}

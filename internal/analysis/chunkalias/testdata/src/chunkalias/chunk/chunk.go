@@ -9,4 +9,6 @@ type Chunk struct {
 
 func New(t byte, data []byte) *Chunk { return &Chunk{t: t, data: data} }
 
+func DecodeOwned(b []byte) (*Chunk, error) { return New(b[0], b[1:]), nil }
+
 func (c *Chunk) Data() []byte { return c.data }

@@ -36,6 +36,14 @@ func badResliceReuse() []*chunk.Chunk {
 	return out
 }
 
+func badReuseAfterDecodeOwned(read func([]byte)) *chunk.Chunk {
+	rec := make([]byte, 64)
+	read(rec)
+	c, _ := chunk.DecodeOwned(rec)
+	copy(rec, "next record") // want `copy into "rec" after chunk\.New took ownership`
+	return c
+}
+
 // okFreshCopy is the POS-tree builder pattern: hand over a copy, keep
 // recycling the scratch buffer.
 func okFreshCopy(scratch []byte) []*chunk.Chunk {

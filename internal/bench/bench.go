@@ -9,7 +9,8 @@
 // paper's ("paper"). Absolute numbers differ from the publication — the
 // substrate here is an in-process simulation — but the comparisons'
 // shapes (who wins, by roughly what factor, where crossovers fall) are
-// the reproduction target; see EXPERIMENTS.md.
+// the reproduction target. Performance claims cite the repository
+// benchmark instead; see benchmark/README.md.
 package bench
 
 import (

@@ -56,10 +56,20 @@ func NewTable() *Table {
 
 // record journals one applied mutation; callers hold t.mu.
 func (t *Table) record(op Op) error {
+	return t.recordIn(nil, op)
+}
+
+// recordIn is record into an open batch scope: the op takes its place
+// in journal order now, under t.mu, and reaches the file with the
+// scope's End. A nil scope records through the table's own sink.
+func (t *Table) recordIn(b *Batch, op Op) error {
 	if t.sink == nil {
 		return nil
 	}
 	op.Key = []byte(t.key)
+	if b != nil {
+		return b.Record(op)
+	}
 	return t.sink.Record(op)
 }
 
@@ -91,6 +101,16 @@ func (t *Table) UpdateTagged(branch string, uid types.UID, guard *types.UID) err
 	}
 	t.tagged[branch] = uid
 	return t.record(Op{Kind: OpUpdateTagged, Branch: branch, UID: uid})
+}
+
+// UpdateTaggedIn is an unguarded UpdateTagged whose journal record
+// joins the batch scope b instead of being flushed on its own. The
+// head moves now; the record is durable once b.End returns.
+func (t *Table) UpdateTaggedIn(b *Batch, branch string, uid types.UID) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tagged[branch] = uid
+	return t.recordIn(b, Op{Kind: OpUpdateTagged, Branch: branch, UID: uid})
 }
 
 // Fork creates newBranch pointing at uid. It fails if newBranch exists.

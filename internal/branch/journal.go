@@ -24,6 +24,22 @@
 // because every record is replay-idempotent: ops carry resulting uids,
 // never conditions, so re-applying an ordered prefix over a state that
 // already contains it converges to the same state.
+//
+// Appends are group-committed. Every record first joins an in-memory
+// pending buffer, in apply order; a flush then runs the write-ahead
+// barrier once and hands the whole buffer to the file in one write
+// (one fsync under Sync). Record flushes at once — a batch of one —
+// while a Batch defers the flush to its End. Four things hold however
+// writers interleave: (1) WAL byte order is apply order across all
+// writers, because there is one buffer and every flush takes all of
+// it — a Record landing while a Batch is open carries the batch's
+// pending prefix to disk with it and can not overtake an older record
+// of its key; (2) a record is in the file before the Record or End
+// that flushed it — and hence the engine call that caused it —
+// returns; (3) a torn or failed batch write leaves a frame-exact
+// prefix: recovery stops at the first incomplete frame, and a failed
+// write is rolled back to the last frame of the previous flush; (4)
+// SnapshotEvery counts records, not flushes.
 package branch
 
 import (
@@ -85,6 +101,14 @@ type Sink interface {
 	Record(op Op) error
 }
 
+// walFile is what the journal needs of its WAL handle; tests put a
+// failing writer behind it.
+type walFile interface {
+	io.WriteCloser
+	Truncate(size int64) error
+	Sync() error
+}
+
 // journal file names, living beside the chunk log's segments.
 const (
 	walName     = "meta.wal"
@@ -105,23 +129,24 @@ var ErrJournalCorrupt = errors.New("branch: metadata snapshot corrupt")
 
 // JournalOptions configures OpenJournal.
 type JournalOptions struct {
-	// Sync fsyncs the WAL after every record, making each metadata
-	// mutation power-loss durable. Default false: records are written
-	// straight to the file (never buffered in-process), so an unclean
-	// process stop loses nothing, only an OS crash can.
+	// Sync fsyncs the WAL after every flush (a record, or a batch of
+	// them), making each metadata mutation power-loss durable before
+	// its caller returns. Default false: records still reach the file
+	// before their caller returns, so an unclean process stop loses
+	// nothing a caller was told of, only an OS crash can.
 	Sync bool
 	// SnapshotEvery is the number of records between snapshot+truncate
 	// compactions. 0 means DefaultSnapshotEvery; negative disables
 	// compaction (the WAL grows until Compact is called explicitly).
 	SnapshotEvery int
-	// Barrier, when set, runs before each record is appended. The
-	// store layer points it at the chunk log's Flush so the journal
-	// obeys write-ahead ordering relative to the data it names: a head
-	// recorded in the WAL always resolves to chunks at least as
-	// durable as the record itself.
+	// Barrier, when set, runs before each flush appends its records.
+	// The store layer points it at the chunk log's Flush so the
+	// journal obeys write-ahead ordering relative to the data it
+	// names: a head recorded in the WAL always resolves to chunks at
+	// least as durable as the record itself.
 	Barrier func() error
-	// FsyncHist, when set, receives the duration of every per-record
-	// fsync (Sync mode only) — the journal's contribution to write
+	// FsyncHist, when set, receives the duration of every fsync (Sync
+	// mode only; one per flush) — the journal's contribution to write
 	// latency, exported through the owning DB's metric registry.
 	FsyncHist *obs.Histogram
 }
@@ -133,7 +158,7 @@ type JournalOptions struct {
 type Journal struct {
 	mu    sync.Mutex
 	dir   string
-	f     *os.File
+	f     walFile
 	opts  JournalOptions
 	every int
 
@@ -141,6 +166,15 @@ type Journal struct {
 	walBytes  int64
 	snapBytes int64
 	sinceSnap int
+	// pending holds the frames of npending records that are folded
+	// into state but not yet in the file, in apply order.
+	pending  []byte
+	npending int
+	// lost counts flushes that failed, lostErr is the last failure: a
+	// Batch whose records another writer's flush carried — and lost —
+	// learns of it at End.
+	lost    uint64
+	lostErr error
 	// broken is set when a failed append could not be rolled back: the
 	// WAL then ends in a partial frame that would silently cut replay
 	// short, so no further record may pretend to be durable.
@@ -299,56 +333,145 @@ func (j *Journal) Restore() (*Space, []types.UID) {
 	return sp, pins
 }
 
-// Record implements Sink: the op is folded into the shadow state and
-// appended to the WAL (after the Barrier, preserving write-ahead
-// ordering against the chunk log). Every SnapshotEvery records the
-// journal compacts itself. The caller's in-memory mutation stands even
-// when the append fails — the failure mode equals a crash just before
-// the op, which recovery already tolerates — so the error is purely a
-// durability report.
+// Record implements Sink: the op is folded into the shadow state,
+// joins the pending buffer and is flushed to the WAL at once, behind
+// whatever an open Batch left pending. The caller's in-memory mutation
+// stands even when the flush fails — the failure mode equals a crash
+// just before the op, which recovery already tolerates — so the error
+// is purely a durability report.
 func (j *Journal) Record(op Op) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.appendLocked(op)
+	return j.flushLocked()
+}
+
+// Batch is a group-commit scope: its records join the journal's
+// pending buffer and reach the file with the scope's End — or sooner,
+// carried by another writer's flush — under one barrier, one write and
+// one fsync. The nil Batch, which a nil Journal begins, records
+// through the table's own sink and ends as a no-op.
+type Batch struct {
+	j    *Journal
+	lost uint64 // j.lost at Begin
+}
+
+// Begin opens a batch scope. Scopes may overlap, across goroutines or
+// within one; each End flushes everything pending.
+func (j *Journal) Begin() *Batch {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return &Batch{j: j, lost: j.lost}
+}
+
+// Record implements Sink: the op is applied and left pending.
+func (b *Batch) Record(op Op) error {
+	b.j.mu.Lock()
+	defer b.j.mu.Unlock()
+	b.j.appendLocked(op)
+	return nil
+}
+
+// End flushes the pending records and reports whether any flush since
+// Begin — this one, or one that carried this scope's records for
+// another writer — failed. The engine call that opened the scope must
+// not return before End does.
+func (b *Batch) End() error {
+	if b == nil {
+		return nil
+	}
+	j := b.j
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.flushLocked(); err != nil {
+		return err
+	}
+	if j.lost != b.lost {
+		return j.lostErr
+	}
+	return nil
+}
+
+// maxIdlePending bounds the pending buffer kept between flushes; one
+// oversized batch must not pin its buffer for the journal's lifetime.
+const maxIdlePending = 64 << 10
+
+// appendLocked folds op into the shadow state and frames it onto the
+// pending buffer.
+func (j *Journal) appendLocked(op Op) {
 	j.state.apply(op)
+	at := len(j.pending)
+	j.pending = appendOp(append(j.pending, make([]byte, 8)...), op)
+	body := j.pending[at+8:]
+	binary.LittleEndian.PutUint32(j.pending[at:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(j.pending[at+4:], uint32(len(body)))
+	j.npending++
+}
+
+// flushLocked moves the pending records to the WAL: the Barrier first
+// (write-ahead ordering against the chunk log), then one write, one
+// fsync under Sync, and a compaction every SnapshotEvery records.
+// Whether it succeeds or not the buffer is empty afterwards — records
+// that missed the file live on in the shadow state, and the next
+// snapshot captures them.
+func (j *Journal) flushLocked() error {
+	if j.npending == 0 {
+		return nil
+	}
+	frames, n := j.pending, j.npending
+	j.pending, j.npending = frames[:0], 0
+	if cap(frames) > maxIdlePending {
+		j.pending = nil
+	}
+	err := j.writeLocked(frames, n)
+	if err != nil {
+		j.lost++
+		j.lostErr = err
+	}
+	return err
+}
+
+func (j *Journal) writeLocked(frames []byte, n int) error {
 	if j.opts.Barrier != nil {
+		//forkvet:allow lockhold — the barrier and the write below run under j.mu on purpose: journal order is apply order, so a flush must be in the file before the next record may follow it (PR 4, batched in PR 15)
 		if err := j.opts.Barrier(); err != nil {
 			return fmt.Errorf("branch: journal barrier: %w", err)
 		}
 	}
 	if j.broken != nil {
 		// Self-heal: the shadow state has kept tracking every mutation
-		// (including this one, applied above), so a successful snapshot
-		// + truncate both captures the backlog and removes the partial
-		// frame that poisoned the WAL. compactLocked clears broken.
+		// (including these, applied before they were framed), so a
+		// successful snapshot + truncate both captures the backlog and
+		// removes the partial frame that poisoned the WAL.
+		// compactLocked clears broken.
 		if cerr := j.compactLocked(); cerr != nil {
 			return fmt.Errorf("branch: journal unusable after append failure: %w", j.broken)
 		}
-		return nil // this op is durable via the fresh snapshot
+		return nil // these ops are durable via the fresh snapshot
 	}
-	body := encodeOp(op)
-	frame := make([]byte, 8, 8+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(body)))
-	frame = append(frame, body...)
-	if _, err := j.f.Write(frame); err != nil {
-		// Roll the file back to the last intact frame: a partial frame
-		// left in place would make replay stop there, silently cutting
-		// off every record appended after the disk recovered. If even
-		// the rollback fails, poison the journal — pretending later
-		// appends are durable would be a lie.
+	if _, err := j.f.Write(frames); err != nil {
+		// Roll the file back to the last intact frame of the previous
+		// flush: a partial frame left in place would make replay stop
+		// there, silently cutting off every record appended after the
+		// disk recovered. If even the rollback fails, poison the
+		// journal — pretending later appends are durable would be a
+		// lie.
 		if terr := j.f.Truncate(j.walBytes); terr != nil {
 			j.broken = fmt.Errorf("append: %v, rollback: %w", err, terr)
 		}
 		return fmt.Errorf("branch: journal append: %w", err)
 	}
-	// The frame is in the file whatever Sync says below; account for it
-	// now, or a later rollback would truncate at a stale offset and
-	// tear an already-written record.
-	j.walBytes += int64(len(frame))
-	j.sinceSnap++
+	// The frames are in the file whatever Sync says below; account for
+	// them now, or a later rollback would truncate at a stale offset
+	// and tear an already-written record.
+	j.walBytes += int64(len(frames))
+	j.sinceSnap += n
 	if j.opts.Sync {
 		start := time.Now()
-		//forkvet:allow lockhold — fsync under j.mu is the point: journal order is apply order, so the barrier must complete before the next Record (PR 4)
+		//forkvet:allow lockhold — fsync under j.mu is the point: journal order is apply order, so the barrier must complete before the next flush (PR 4)
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("branch: journal sync: %w", err)
 		}
@@ -363,10 +486,15 @@ func (j *Journal) Record(op Op) error {
 }
 
 // Compact forces a snapshot+truncate compaction now, regardless of the
-// SnapshotEvery cadence.
+// SnapshotEvery cadence. Records an open Batch left pending are flushed
+// first: the snapshot is cut from the shadow state, which already holds
+// them, and must not name a head ahead of the write-ahead barrier.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.flushLocked(); err != nil {
+		return err
+	}
 	return j.compactLocked()
 }
 
@@ -436,8 +564,9 @@ func (j *Journal) hook(event string) {
 	}
 }
 
-// Close closes the WAL handle. The journal has no in-process buffering,
-// so nothing is lost by closing without Compact.
+// Close closes the WAL handle. Nothing stays buffered in-process past
+// the call that recorded it, so nothing is lost by closing without
+// Compact.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -488,14 +617,11 @@ func (j *Journal) Stats() JournalStats {
 
 // --- codecs ----------------------------------------------------------
 
-// encodeOp serializes one op:
+// appendOp serializes one op onto b:
 //
 //	u8 kind | u32 klen | key | u32 blen | branch | u32 nlen | name |
 //	uid (32B) | u32 nbases | nbases × 32B
-func encodeOp(op Op) []byte {
-	n := 1 + 4 + len(op.Key) + 4 + len(op.Branch) + 4 + len(op.Name) +
-		len(op.UID) + 4 + len(op.Bases)*len(op.UID)
-	b := make([]byte, 0, n)
+func appendOp(b []byte, op Op) []byte {
 	b = append(b, byte(op.Kind))
 	b = appendBytes(b, op.Key)
 	b = appendBytes(b, []byte(op.Branch))

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
+	"forkbase/internal/obs"
 	"forkbase/internal/types"
 )
 
@@ -447,4 +449,379 @@ func snapshotDir(t *testing.T, dir string) string {
 		}
 	}
 	return to
+}
+
+// --- batch scopes ----------------------------------------------------
+
+// walFrames returns the end offset of every whole frame in a WAL image.
+func walFrames(t *testing.T, wal []byte) []int64 {
+	t.Helper()
+	var ends []int64
+	for off := int64(0); off+8 <= int64(len(wal)); {
+		off += 8 + frameLen(t, wal[off:])
+		if off > int64(len(wal)) {
+			break
+		}
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+func walSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestJournalBatchRoundTrip: records of a batch scope are pending —
+// applied, counted, but not in the file — until End, which moves them
+// there under one barrier and one write, in apply order; a reopen
+// replays them. SnapshotEvery counts the records, not the flush.
+func TestJournalBatchRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	barriers := 0
+	opts := JournalOptions{SnapshotEvery: -1, Barrier: func() error { barriers++; return nil }}
+	j, sp, _ := openTestJournal(t, dir, opts)
+	if err := sp.Table([]byte("solo")).UpdateTagged("master", juid(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	before, barriers0 := walSize(t, dir), barriers
+
+	b := j.Begin()
+	const n = 30
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("k%02d", i%7)) // several records per key
+		if err := sp.Table(key).UpdateTaggedIn(b, "master", juid(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := walSize(t, dir); got != before {
+		t.Fatalf("WAL grew to %d before End (was %d): batch records must stay pending", got, before)
+	}
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	if barriers != barriers0+1 {
+		t.Fatalf("batch of %d records ran %d barriers, want 1", n, barriers-barriers0)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames := walFrames(t, wal); len(frames) != 1+n || frames[len(frames)-1] != int64(len(wal)) {
+		t.Fatalf("WAL holds %d whole frames in %d bytes, want %d", len(frames), len(wal), 1+n)
+	}
+	if st := j.Stats(); st.OpsSinceSnapshot != 1+n || st.WALBytes != int64(len(wal)) {
+		t.Fatalf("stats after batch: %+v", st)
+	}
+	if err := b.End(); err != nil { // nothing pending: a no-op
+		t.Fatal(err)
+	}
+	// A compaction inside an open scope flushes first, barrier included:
+	// its snapshot names the pending heads.
+	if err := sp.Table([]byte("late")).UpdateTaggedIn(b, "master", juid(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if barriers != barriers0+2 {
+		t.Fatalf("Compact with a record pending ran %d barriers, want 1", barriers-barriers0-1)
+	}
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.WALBytes != 0 || st.OpsSinceSnapshot != 0 {
+		t.Fatalf("stats after compaction inside a scope: %+v", st)
+	}
+	j.Close()
+	j2, got, _ := openTestJournal(t, dir, opts)
+	requireSameState(t, sp, got, nil, nil)
+	j2.Close()
+
+	// The compaction cadence sees every record of a batch.
+	dir = t.TempDir()
+	j, sp, _ = openTestJournal(t, dir, JournalOptions{SnapshotEvery: 5})
+	b = j.Begin()
+	for i := 0; i < 12; i++ {
+		if err := sp.Table([]byte("k")).UpdateTaggedIn(b, "master", juid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.SnapshotBytes == 0 || st.WALBytes != 0 || st.OpsSinceSnapshot != 0 {
+		t.Fatalf("12 batched records under SnapshotEvery=5 did not compact: %+v", st)
+	}
+	j.Close()
+	_, got, _ = openTestJournal(t, dir, JournalOptions{})
+	requireSameState(t, sp, got, nil, nil)
+
+	// A nil journal begins the nil scope, which records through the
+	// table's own sink (here: none) and ends as a no-op.
+	var none *Journal
+	nb := none.Begin()
+	if err := NewTable().UpdateTaggedIn(nb, "master", juid(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := nb.End(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalBatchTornWrite cuts the single write of a multi-record
+// batch at every byte offset: recovery lands on exactly the records
+// whose frames are whole — the longest frame-exact prefix.
+func TestJournalBatchTornWrite(t *testing.T) {
+	dir := t.TempDir()
+	j, sp, _ := openTestJournal(t, dir, JournalOptions{SnapshotEvery: -1})
+	if err := sp.Table([]byte("pre")).UpdateTagged("master", juid(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	start := walSize(t, dir)
+	const n = 12
+	b := j.Begin()
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("key-%d", i%4))
+		if err := sp.Table(key).UpdateTaggedIn(b, fmt.Sprintf("b%d", i%3), juid(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	full, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := walFrames(t, full)
+	if len(frames) != 1+n {
+		t.Fatalf("%d frames, want %d", len(frames), 1+n)
+	}
+	for cut := start; cut <= int64(len(full)); cut++ {
+		whole := 0 // batch records with a whole frame below the cut
+		for _, end := range frames[1:] {
+			if end <= cut {
+				whole++
+			}
+		}
+		want := NewSpace()
+		want.Table([]byte("pre")).UpdateTagged("master", juid(1), nil)
+		for i := 0; i < whole; i++ {
+			want.Table([]byte(fmt.Sprintf("key-%d", i%4))).UpdateTagged(fmt.Sprintf("b%d", i%3), juid(10+i), nil)
+		}
+		torn := t.TempDir()
+		if err := os.WriteFile(filepath.Join(torn, walName), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, got, _ := openTestJournal(t, torn, JournalOptions{SnapshotEvery: -1})
+		if w, g := stateOf(want), stateOf(got); !reflect.DeepEqual(w, g) {
+			t.Fatalf("cut@%d (%d whole batch frames): recovered %v, want %v", cut, whole, g, w)
+		}
+		if st := j2.Stats(); st.WALBytes != frames[whole] {
+			t.Fatalf("cut@%d: append point %d, want the end of frame %d at %d", cut, st.WALBytes, whole, frames[whole])
+		}
+		j2.Close()
+	}
+}
+
+// failingWAL passes writes through until armed; the armed write lands
+// only its first keep bytes and fails, and Truncate fails too when
+// stuck is set — the disk that tears a frame and then refuses the
+// rollback.
+type failingWAL struct {
+	*os.File
+	armed bool
+	keep  int
+	stuck bool
+}
+
+func (f *failingWAL) Write(p []byte) (int, error) {
+	if !f.armed {
+		return f.File.Write(p)
+	}
+	f.armed = false
+	n, _ := f.File.Write(p[:f.keep])
+	return n, errors.New("injected write failure")
+}
+
+func (f *failingWAL) Truncate(size int64) error {
+	if f.stuck {
+		return errors.New("injected truncate failure")
+	}
+	return f.File.Truncate(size)
+}
+
+// TestJournalBatchWriteFailure: a batch write that fails part-way is
+// rolled back to the last intact frame, End reports it, the journal
+// keeps appending, and the lost records — still in the shadow state —
+// reach disk with the next snapshot. When the rollback fails as well,
+// the next flush self-heals by compacting, as for a single record.
+func TestJournalBatchWriteFailure(t *testing.T) {
+	for _, stuck := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rollbackFails=%v", stuck), func(t *testing.T) {
+			dir := t.TempDir()
+			j, sp, _ := openTestJournal(t, dir, JournalOptions{SnapshotEvery: -1})
+			tb := sp.Table([]byte("k"))
+			if err := tb.UpdateTagged("master", juid(1), nil); err != nil {
+				t.Fatal(err)
+			}
+			intact := walSize(t, dir)
+			fw := &failingWAL{File: j.f.(*os.File), armed: true, keep: 100, stuck: stuck}
+			j.mu.Lock()
+			j.f = fw
+			j.mu.Unlock()
+
+			b := j.Begin()
+			for i := 0; i < 5; i++ {
+				if err := tb.UpdateTaggedIn(b, fmt.Sprintf("b%d", i), juid(10+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.End(); err == nil {
+				t.Fatal("End swallowed the injected write failure")
+			}
+			if !stuck {
+				if got := walSize(t, dir); got != intact {
+					t.Fatalf("WAL is %d bytes after the failed batch, want the rollback to %d", got, intact)
+				}
+			}
+			fw.stuck = false // the disk cooperates again
+			if err := tb.UpdateTagged("after", juid(99), nil); err != nil {
+				t.Fatalf("record after the failed batch: %v", err)
+			}
+			if stuck {
+				if st := j.Stats(); st.SnapshotBytes == 0 || st.WALBytes != 0 {
+					t.Fatalf("self-heal did not compact: %+v", st)
+				}
+			} else {
+				// What a crash here would recover: every frame whole, the
+				// batch gone, the later record present.
+				_, crash, _ := openTestJournal(t, snapshotDir(t, dir), JournalOptions{SnapshotEvery: -1})
+				ct := mustLookup(t, crash, "k")
+				if _, ok := ct.Head("b0"); ok {
+					t.Fatal("a record of the failed batch survived the rollback")
+				}
+				if h, _ := ct.Head("after"); h != juid(99) {
+					t.Fatal("record appended after the rollback is unreadable: a torn frame was left behind")
+				}
+				if err := j.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			_, got, _ := openTestJournal(t, dir, JournalOptions{})
+			requireSameState(t, sp, got, nil, nil)
+		})
+	}
+}
+
+// TestJournalBatchFailureReachesOtherScope: a scope whose records were
+// carried to the file — and lost — by another writer's flush learns of
+// it at its own End.
+func TestJournalBatchFailureReachesOtherScope(t *testing.T) {
+	dir := t.TempDir()
+	j, sp, _ := openTestJournal(t, dir, JournalOptions{SnapshotEvery: -1})
+	j.mu.Lock()
+	j.f = &failingWAL{File: j.f.(*os.File), armed: true}
+	j.mu.Unlock()
+	b := j.Begin()
+	if err := sp.Table([]byte("batched")).UpdateTaggedIn(b, "master", juid(1)); err != nil {
+		t.Fatal(err)
+	}
+	// A single record from elsewhere flushes the scope's prefix with it.
+	if err := sp.Table([]byte("single")).UpdateTagged("master", juid(2), nil); err == nil {
+		t.Fatal("Record swallowed the injected write failure")
+	}
+	if err := b.End(); err == nil {
+		t.Fatal("End reported success for a record another flush had lost")
+	}
+	if err := j.Begin().End(); err != nil {
+		t.Fatalf("a scope begun after the loss inherited it: %v", err)
+	}
+	j.Close()
+}
+
+// TestJournalBatchConcurrentRecords: single Records on a hot key land
+// while scopes that write the same key are open. Each flushes the
+// pending prefix with it, so WAL order stays apply order and a replay
+// ends on the in-memory heads. Run under -race.
+func TestJournalBatchConcurrentRecords(t *testing.T) {
+	dir := t.TempDir()
+	j, sp, _ := openTestJournal(t, dir, JournalOptions{SnapshotEvery: 64, Barrier: func() error { return nil }})
+	hot := sp.Table([]byte("hot"))
+	const writers, rounds = 3, 60
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) { // scopes: the hot key plus keys of their own
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				b := j.Begin()
+				for i := 0; i < 4; i++ {
+					own := sp.Table([]byte(fmt.Sprintf("w%d-%d", w, i)))
+					if err := own.UpdateTaggedIn(b, "master", juid(w<<16|r<<4|i)); err != nil {
+						t.Error(err)
+					}
+					if err := hot.UpdateTaggedIn(b, "master", juid(w<<16|r<<4|i)); err != nil {
+						t.Error(err)
+					}
+				}
+				if err := b.End(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+		wg.Add(1)
+		go func(w int) { // single records on the hot key
+			defer wg.Done()
+			for r := 0; r < rounds*4; r++ {
+				if err := hot.UpdateTagged("master", juid(1<<20|w<<16|r), nil); err != nil {
+					t.Error(err)
+				}
+				if r%16 == 0 {
+					if err := hot.Fork(fmt.Sprintf("f%d-%d", w, r), juid(r)); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	j.Close()
+	_, got, _ := openTestJournal(t, dir, JournalOptions{})
+	requireSameState(t, sp, got, nil, nil)
+}
+
+// TestJournalBatchOneFsync: under Sync a batch pays one fsync, and the
+// fsync histogram sees one sample per flush.
+func TestJournalBatchOneFsync(t *testing.T) {
+	reg := obs.NewRegistry()
+	hist := reg.Histogram("fsync", "")
+	samples := func() int64 { return reg.Snapshot()[0].Value }
+	j, sp, _ := openTestJournal(t, t.TempDir(), JournalOptions{Sync: true, SnapshotEvery: -1, FsyncHist: hist})
+	defer j.Close()
+	if err := sp.Table([]byte("k")).UpdateTagged("master", juid(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := samples(); got != 1 {
+		t.Fatalf("single record: %d fsync samples, want 1", got)
+	}
+	b := j.Begin()
+	for i := 0; i < 20; i++ {
+		if err := sp.Table([]byte(fmt.Sprintf("k%d", i))).UpdateTaggedIn(b, "master", juid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	if got := samples(); got != 2 {
+		t.Fatalf("batch of 20: %d fsync samples in total, want 2 (one per flush)", got)
+	}
 }

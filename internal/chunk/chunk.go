@@ -129,7 +129,15 @@ func (c *Chunk) Bytes() []byte {
 
 // Decode reconstructs a chunk from its serialized form and verifies
 // nothing about it; use Verify to check integrity against an expected id.
+// b is copied and stays the caller's.
 func Decode(b []byte) (*Chunk, error) {
+	return DecodeOwned(append([]byte(nil), b...))
+}
+
+// DecodeOwned is Decode for a buffer the caller allocated for this one
+// chunk — a record just read from disk — and will not touch again: the
+// chunk keeps b's payload bytes instead of copying them.
+func DecodeOwned(b []byte) (*Chunk, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("chunk: empty serialized chunk")
 	}
@@ -137,9 +145,7 @@ func Decode(b []byte) (*Chunk, error) {
 	if _, ok := typeNames[t]; !ok || t == TypeInvalid {
 		return nil, fmt.Errorf("chunk: unknown chunk type %d", b[0])
 	}
-	data := make([]byte, len(b)-1)
-	copy(data, b[1:])
-	return New(t, data), nil
+	return New(t, b[1:]), nil
 }
 
 // Verify recomputes the chunk's digest and reports whether it matches

@@ -54,10 +54,11 @@ type Engine struct {
 	pinMu sync.RWMutex
 	pins  map[types.UID]struct{}
 
-	// meta, when set (Recover), journals every pin mutation; branch
-	// mutations are journaled by the tables themselves, which carry
-	// the journal as their sink.
-	meta branch.Sink
+	// meta, when set (Recover), journals every pin mutation and opens
+	// the batch scopes of PutBatch; single branch mutations are
+	// journaled by the tables themselves, which carry the journal as
+	// their sink.
+	meta *branch.Journal
 
 	// shields are transient, refcounted GC roots protecting chunks that
 	// exist in the store but are not yet reachable from any version —
@@ -212,7 +213,22 @@ type BatchPut struct {
 // not atomic — groups for earlier keys may have committed when a later
 // group fails. Returns the new uids in put order. ctx is checked
 // between key groups; a cancelled context aborts the remaining groups.
+//
+// The whole batch is one journal scope: the head records of its groups
+// reach the WAL under a single write-ahead barrier and a single write
+// before PutBatch returns, in the order the groups applied them.
 func (e *Engine) PutBatch(ctx context.Context, puts []BatchPut) ([]types.UID, error) {
+	scope := e.meta.Begin()
+	uids, err := e.putBatch(ctx, scope, puts)
+	// Heads that moved are recorded whichever group failed; a failed
+	// flush is a durability report for the whole batch.
+	if eerr := scope.End(); err == nil && eerr != nil {
+		return nil, eerr
+	}
+	return uids, err
+}
+
+func (e *Engine) putBatch(ctx context.Context, scope *branch.Batch, puts []BatchPut) ([]types.UID, error) {
 	uids := make([]types.UID, len(puts))
 	// Group put indexes by key, preserving first-seen key order.
 	var order []string
@@ -228,7 +244,7 @@ func (e *Engine) PutBatch(ctx context.Context, puts []BatchPut) ([]types.UID, er
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := e.putGroup([]byte(k), groups[k], puts, uids); err != nil {
+		if err := e.putGroup(scope, []byte(k), groups[k], puts, uids); err != nil {
 			return nil, err
 		}
 	}
@@ -243,7 +259,11 @@ func (e *Engine) PutBatch(ctx context.Context, puts []BatchPut) ([]types.UID, er
 // server's put coalescer depends on this shape — adjacent pipelined
 // puts from independent requests must not abort each other the way
 // one Apply batch would.
+//
+// Like PutBatch it is one journal scope; a failed flush at its end is
+// reported on every put that had committed.
 func (e *Engine) PutBatchIndependent(ctx context.Context, puts []BatchPut) ([]types.UID, []error) {
+	scope := e.meta.Begin()
 	uids := make([]types.UID, len(puts))
 	errs := make([]error, len(puts))
 	var order []string
@@ -259,7 +279,7 @@ func (e *Engine) PutBatchIndependent(ctx context.Context, puts []BatchPut) ([]ty
 		idxs := groups[k]
 		err := ctx.Err()
 		if err == nil {
-			err = e.putGroup([]byte(k), idxs, puts, uids)
+			err = e.putGroup(scope, []byte(k), idxs, puts, uids)
 		}
 		if err != nil {
 			for _, i := range idxs {
@@ -268,11 +288,19 @@ func (e *Engine) PutBatchIndependent(ctx context.Context, puts []BatchPut) ([]ty
 			}
 		}
 	}
+	if err := scope.End(); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				uids[i], errs[i] = types.UID{}, err
+			}
+		}
+	}
 	return uids, errs
 }
 
-// putGroup applies one key's batched writes under a single lock hold.
-func (e *Engine) putGroup(key []byte, idxs []int, puts []BatchPut, uids []types.UID) error {
+// putGroup applies one key's batched writes under a single lock hold;
+// the head records join scope.
+func (e *Engine) putGroup(scope *branch.Batch, key []byte, idxs []int, puts []BatchPut, uids []types.UID) error {
 	l := e.keyLock(key)
 	l.Lock()
 	defer l.Unlock()
@@ -314,7 +342,7 @@ func (e *Engine) putGroup(key []byte, idxs []int, puts []BatchPut, uids []types.
 		heads[p.Branch] = o
 	}
 	for br, o := range heads {
-		if err := t.UpdateTagged(br, o.UID(), nil); err != nil {
+		if err := t.UpdateTaggedIn(scope, br, o.UID()); err != nil {
 			return err
 		}
 	}

@@ -354,3 +354,73 @@ func TestPutBatchIndependentIsolation(t *testing.T) {
 		t.Fatalf("failed group left state: %v", err)
 	}
 }
+
+// TestPutBatchGroupCommit: on a journaled engine a batch of puts is
+// one journal scope — one write-ahead barrier for all its keys, every
+// head in the WAL by the time the call returns (a reopen that skips
+// Close recovers them), and the same for the coalescer's
+// PutBatchIndependent, failed groups included.
+func TestPutBatchGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := store.OpenFileStore(dir, store.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	barriers := 0
+	opts := branch.JournalOptions{Barrier: func() error { barriers++; return fs.Flush() }}
+	j, err := branch.OpenJournal(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	cfg := postree.Config{LeafQ: 8, IndexR: 3}
+	e := NewEngine(fs, cfg)
+	e.Recover(j)
+
+	var puts []BatchPut
+	for i := 0; i < 40; i++ {
+		puts = append(puts, BatchPut{Key: []byte(fmt.Sprintf("k%02d", i%25)), Branch: "master", Value: types.String(fmt.Sprintf("v%d", i))})
+	}
+	uids, err := e.PutBatch(context.Background(), puts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if barriers != 1 {
+		t.Fatalf("PutBatch over 25 keys ran %d barriers, want 1", barriers)
+	}
+	var stale types.UID
+	stale[0] = 0xee
+	_, errs := e.PutBatchIndependent(context.Background(), []BatchPut{
+		{Key: []byte("x"), Branch: "master", Value: types.String("x1")},
+		{Key: []byte("nope"), Branch: "master", Value: types.String("n"), Guard: &stale},
+		{Key: []byte("y"), Branch: "master", Value: types.String("y1")},
+	})
+	if errs[0] != nil || errs[1] == nil || errs[2] != nil {
+		t.Fatalf("PutBatchIndependent errors: %v", errs)
+	}
+	if barriers != 2 {
+		t.Fatalf("PutBatchIndependent ran %d barriers, want 1", barriers-1)
+	}
+
+	// A second process opening the directory now — no Close, no
+	// Compact here — finds every head the two calls returned.
+	j2, err := branch.OpenJournal(dir, branch.JournalOptions{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	e2 := NewEngine(fs, cfg)
+	e2.Recover(j2)
+	for i := 15; i < 40; i++ { // the last write of each key
+		o, err := e2.Get(puts[i].Key, "master")
+		if err != nil || o.UID() != uids[i] {
+			t.Fatalf("recovered head of %s: %v, want put %d", puts[i].Key, err, i)
+		}
+	}
+	for _, k := range []string{"x", "y"} {
+		if _, err := e2.Get([]byte(k), "master"); err != nil {
+			t.Fatalf("recovered head of %s: %v", k, err)
+		}
+	}
+}

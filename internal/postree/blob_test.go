@@ -288,3 +288,132 @@ func TestQuickSpliceEqualsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBlobSpliceEqualsRebuild: window-local re-chunking of byte
+// splices — in place, growing, shrinking, at and around leaf edges, in
+// the last leaf, across leaves, with forced cuts common — lands on the
+// chunks a Builder makes of the same bytes.
+func TestBlobSpliceEqualsRebuild(t *testing.T) {
+	for ci, cfg := range exactConfigs {
+		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(300 + ci)))
+			s := store.NewMemStore()
+			rebuild := func(data []byte) *Tree {
+				b := NewBuilder(s, cfg, KindBlob)
+				b.AppendBytes(data)
+				tr, err := b.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			model := randBytes(24<<10, int64(ci))
+			tr := rebuild(model)
+			for step := 0; step < 200; step++ {
+				leaves, err := tr.leafEntries()
+				if err != nil {
+					t.Fatal(err)
+				}
+				off := rng.Intn(len(model) + 1)
+				if rng.Intn(2) == 0 { // within a window of a leaf's start or end
+					var pos uint64
+					for _, l := range leaves[:rng.Intn(len(leaves)+1)] {
+						pos += l.count
+					}
+					off = int(pos) + rng.Intn(2*48+1) - 48
+				}
+				if rng.Intn(8) == 0 {
+					off = len(model) - rng.Intn(64) // the last leaf, or an append
+				}
+				if off < 0 {
+					off = 0
+				}
+				if off > len(model) {
+					off = len(model)
+				}
+				del := rng.Intn(100)
+				if rng.Intn(10) == 0 {
+					del = rng.Intn(3000) // across leaves
+				}
+				if off+del > len(model) {
+					del = len(model) - off
+				}
+				ins := randBytes(rng.Intn(100), rng.Int63())
+				switch rng.Intn(4) {
+				case 0:
+					ins = randBytes(del, rng.Int63()) // in place
+				case 1:
+					ins = nil
+				}
+				if tr, err = tr.SpliceBytes(uint64(off), uint64(del), ins); err != nil {
+					t.Fatal(err)
+				}
+				next := append([]byte(nil), model[:off]...)
+				next = append(next, ins...)
+				model = append(next, model[off+del:]...)
+				if want := rebuild(model); tr.Root() != want.Root() || tr.Count() != want.Count() {
+					t.Fatalf("step %d: splice(off %d, del %d, ins %d): edited root %s, rebuilt root %s",
+						step, off, del, len(ins), tr.Root().Short(), want.Root().Short())
+				}
+				if len(model) < 8<<10 {
+					model = append(model, randBytes(16<<10, rng.Int63())...)
+					tr = rebuild(model)
+				}
+			}
+			reachableChunks(t, s, tr.Root())
+		})
+	}
+}
+
+// TestBlobSpliceRollsTheDelta: a 128-byte in-place edit of a 256 KiB
+// page that moves no boundary rolls the edit and a window either side
+// of it, not the leaf.
+func TestBlobSpliceRollsTheDelta(t *testing.T) {
+	s := store.NewMemStore()
+	b := NewBuilder(s, DefaultConfig(), KindBlob)
+	b.AppendBytes(randBytes(256<<10, 21))
+	tr, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tr.leafEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := 0
+	for i := 0; i < 20; i++ {
+		off := uint64(10<<10 + i*12<<10)
+		var next *Tree
+		rolled := rolledDuring(func() {
+			if next, err = tr.SpliceBytes(off, 128, randBytes(128, int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		})
+		after, err := next.leafEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			continue // the edit fired or removed a boundary
+		}
+		moved := false
+		var pa, pb uint64
+		for j := range after {
+			if pb <= off && off < pb+before[j].count && before[j].count >= 8<<12 {
+				moved = true // a leaf the forced cut ended is rolled in full
+			}
+			pa, pb = pa+after[j].count, pb+before[j].count
+			moved = moved || pa != pb
+		}
+		if moved {
+			continue
+		}
+		quiet++
+		if rolled > 1<<10 {
+			t.Fatalf("in-place 128-byte edit at %d rolled %d bytes; want at most 1 KiB", off, rolled)
+		}
+	}
+	if quiet < 10 {
+		t.Fatalf("only %d of 20 edits left the boundaries alone; the bound went unchecked", quiet)
+	}
+}

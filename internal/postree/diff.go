@@ -228,3 +228,22 @@ func (t *Tree) Verify() error {
 	_, err := t.TreeStats()
 	return err
 }
+
+// leafElems decodes the encoded elements of one leaf chunk.
+func (t *Tree) leafElems(id chunk.ID) ([][]byte, error) {
+	c, err := t.getChunk(id)
+	if err != nil {
+		return nil, err
+	}
+	payload := c.Data()
+	var out [][]byte
+	for len(payload) > 0 {
+		enc, adv, err := elementAt(t.kind, payload)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, enc)
+		payload = payload[adv:]
+	}
+	return out, nil
+}

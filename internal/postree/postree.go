@@ -329,10 +329,13 @@ func elementAt(k Kind, payload []byte) (body []byte, adv int, err error) {
 
 // EncodeListElem encodes a List/Set element body.
 func EncodeListElem(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.LittleEndian.PutUint32(out, uint32(len(body)))
-	copy(out[4:], body)
-	return out
+	return appendListElem(make([]byte, 0, 4+len(body)), body)
+}
+
+// appendListElem appends the encoding of a List/Set element to dst.
+func appendListElem(dst, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	return append(dst, body...)
 }
 
 // EncodeMapElem encodes a Map key-value pair.

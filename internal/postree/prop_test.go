@@ -231,6 +231,15 @@ func FuzzPosTreeEdits(f *testing.F) {
 		seed = append(seed, byte(i), byte(i*7), byte(i*13))
 	}
 	f.Add(seed)
+	// Same-length updates: three batches set the same 64 keys, the
+	// later ones changing only value bytes.
+	var update []byte
+	for round := 0; round < 3; round++ {
+		for k := 0; k < 64; k++ {
+			update = append(update, 1, byte(k*3), byte(round*50+k))
+		}
+	}
+	f.Add(update)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := store.NewMemStore()
 		tr := Empty(s, propConfig, KindMap)
@@ -255,4 +264,297 @@ func FuzzPosTreeEdits(f *testing.F) {
 		tr = applyScript(t, tr, oracle, sets, deletes)
 		checkMapInvariants(t, s, tr, oracle)
 	})
+}
+
+// Exactness of window-local re-chunking: whatever an edit copies
+// instead of rolling, the edited tree must be the tree a Builder makes
+// of the same content. The configs cover ordinary leaves, tiny ones,
+// and leaves where the forced MaxLeafBytes cut is the common ending.
+var exactConfigs = []Config{
+	{LeafQ: 8, IndexR: 3},
+	{LeafQ: 10, IndexR: 3},
+	{LeafQ: 5, IndexR: 2},
+	{LeafQ: 8, IndexR: 3, MaxLeafBytes: 300},
+	{LeafQ: 6, IndexR: 2, MaxLeafBytes: 100},
+}
+
+// rebuildElems builds an element tree from scratch.
+func rebuildElems(tb testing.TB, s store.Store, cfg Config, kind Kind, elems [][]byte) *Tree {
+	tb.Helper()
+	b := NewBuilder(s, cfg, kind)
+	for _, e := range elems {
+		b.Append(e)
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// edgeKeys returns keys of a sorted tree that sit at leaf edges: each
+// leaf's last element and the first element of the next leaf.
+func edgeKeys(tb testing.TB, tr *Tree) [][]byte {
+	tb.Helper()
+	leaves, err := tr.leafEntries()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, l := range leaves {
+		out = append(out, l.key)
+		elems, err := tr.leafElems(l.id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, elemKey(tr.kind, elems[0]))
+		if len(elems) > 2 {
+			out = append(out, elemKey(tr.kind, elems[1]), elemKey(tr.kind, elems[len(elems)-2]))
+		}
+	}
+	return out
+}
+
+func TestSortedEditEqualsRebuild(t *testing.T) {
+	for ci, cfg := range exactConfigs {
+		for _, kind := range []Kind{KindMap, KindSet} {
+			t.Run(fmt.Sprintf("%v/cfg%d", kind, ci), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(100*ci) + int64(kind)))
+				s := store.NewMemStore()
+				model := map[string][]byte{} // key -> value (nil for Set)
+				value := func(n int) []byte {
+					if kind == KindSet {
+						return nil
+					}
+					v := make([]byte, n)
+					rng.Read(v)
+					return v
+				}
+				for i := 0; i < 600; i++ {
+					model[fmt.Sprintf("k%05d", rng.Intn(40000))] = value(8 + rng.Intn(24))
+				}
+				encode := func() [][]byte {
+					keys := make([]string, 0, len(model))
+					for k := range model {
+						keys = append(keys, k)
+					}
+					sort.Strings(keys)
+					out := make([][]byte, len(keys))
+					for i, k := range keys {
+						if kind == KindMap {
+							out[i] = EncodeMapElem([]byte(k), model[k])
+						} else {
+							out[i] = EncodeListElem([]byte(k))
+						}
+					}
+					return out
+				}
+				tr := rebuildElems(t, s, cfg, kind, encode())
+				for step := 0; step < 120; step++ {
+					keys := make([]string, 0, len(model))
+					for k := range model {
+						keys = append(keys, k)
+					}
+					sort.Strings(keys)
+					edges := edgeKeys(t, tr)
+					pick := func() string { // an existing key, biased to leaf edges
+						if len(edges) > 0 && rng.Intn(3) == 0 {
+							return string(edges[rng.Intn(len(edges))])
+						}
+						return keys[rng.Intn(len(keys))]
+					}
+					var sets []KV
+					var dels [][]byte
+					nops := 1 + rng.Intn(6)
+					if step%10 == 9 {
+						nops = 40 // a scattered batch
+					}
+					near := pick()
+					for i := 0; i < nops; i++ {
+						k := pick()
+						if rng.Intn(3) == 0 { // several ops in one leaf: stay close
+							j := sort.SearchStrings(keys, near) + rng.Intn(5)
+							if j < len(keys) {
+								k = keys[j]
+							}
+						}
+						if rng.Intn(8) == 0 { // edits in the last leaf
+							k = keys[len(keys)-1-rng.Intn(3)]
+						}
+						switch rng.Intn(5) {
+						case 0: // same-length replacement
+							sets = append(sets, KV{Key: []byte(k), Value: value(len(model[k]))})
+						case 1: // length-changing set
+							sets = append(sets, KV{Key: []byte(k), Value: value(1 + rng.Intn(60))})
+						case 2: // insert beside an existing key, or past the end
+							nk := k + string(rune('a'+rng.Intn(3)))
+							if rng.Intn(6) == 0 {
+								nk = fmt.Sprintf("z%05d", rng.Intn(1000))
+							}
+							sets = append(sets, KV{Key: []byte(nk), Value: value(8 + rng.Intn(24))})
+						case 3:
+							dels = append(dels, []byte(k))
+						case 4: // absent key
+							dels = append(dels, []byte(k+"~"))
+						}
+					}
+					var err error
+					if kind == KindMap {
+						tr, err = tr.MapApply(sets, dels)
+					} else {
+						add := make([][]byte, len(sets))
+						for i, kv := range sets {
+							add[i] = kv.Key
+						}
+						if tr, err = tr.SetAdd(add...); err == nil {
+							tr, err = tr.SetRemove(dels...)
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, kv := range sets {
+						model[string(kv.Key)] = kv.Value
+					}
+					for _, k := range dels {
+						delete(model, string(k))
+					}
+					want := rebuildElems(t, s, cfg, kind, encode())
+					if tr.Root() != want.Root() || tr.Count() != want.Count() {
+						t.Fatalf("step %d (sets %d, deletes %d): edited root %s count %d, rebuilt root %s count %d",
+							step, len(sets), len(dels), tr.Root().Short(), tr.Count(), want.Root().Short(), want.Count())
+					}
+				}
+				reachableChunks(t, s, tr.Root())
+			})
+		}
+	}
+}
+
+func TestListSpliceEqualsRebuild(t *testing.T) {
+	for ci, cfg := range exactConfigs {
+		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(200 + ci)))
+			s := store.NewMemStore()
+			elem := func() []byte {
+				e := make([]byte, 4+rng.Intn(40))
+				rng.Read(e)
+				return e
+			}
+			var model [][]byte // encoded
+			for i := 0; i < 700; i++ {
+				model = append(model, EncodeListElem(elem()))
+			}
+			tr := rebuildElems(t, s, cfg, KindList, model)
+			for step := 0; step < 150; step++ {
+				leaves, err := tr.leafEntries()
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := rng.Intn(len(model) + 1)
+				if rng.Intn(3) == 0 { // at, or one off, a leaf's first element
+					var pos uint64
+					stop := rng.Intn(len(leaves) + 1)
+					for _, l := range leaves[:stop] {
+						pos += l.count
+					}
+					at = int(pos) + rng.Intn(3) - 1
+				}
+				if rng.Intn(8) == 0 {
+					at = len(model) - rng.Intn(3) // the last leaf, or an append
+				}
+				if at < 0 {
+					at = 0
+				}
+				if at > len(model) {
+					at = len(model)
+				}
+				del := rng.Intn(4)
+				if rng.Intn(10) == 0 {
+					del = rng.Intn(60) // across several leaves
+				}
+				if at+del > len(model) {
+					del = len(model) - at
+				}
+				var ins, encIns [][]byte
+				for n := rng.Intn(4); n > 0; n-- {
+					e := elem()
+					if del > 0 && rng.Intn(2) == 0 { // same-length replacement
+						e = make([]byte, len(model[at])-4)
+						rng.Read(e)
+					}
+					ins = append(ins, e)
+					encIns = append(encIns, EncodeListElem(e))
+				}
+				if tr, err = tr.ListSplice(uint64(at), uint64(del), ins); err != nil {
+					t.Fatal(err)
+				}
+				next := append([][]byte(nil), model[:at]...)
+				next = append(next, encIns...)
+				model = append(next, model[at+del:]...)
+				want := rebuildElems(t, s, cfg, KindList, model)
+				if tr.Root() != want.Root() || tr.Count() != want.Count() {
+					t.Fatalf("step %d: splice(at %d, del %d, ins %d): edited root %s count %d, rebuilt root %s count %d",
+						step, at, del, len(ins), tr.Root().Short(), tr.Count(), want.Root().Short(), want.Count())
+				}
+				if len(model) < 300 { // keep several leaves in play
+					for i := 0; i < 300; i++ {
+						model = append(model, EncodeListElem(elem()))
+					}
+					tr = rebuildElems(t, s, cfg, KindList, model)
+				}
+			}
+			reachableChunks(t, s, tr.Root())
+		})
+	}
+}
+
+// TestMapApplyRollsTheDelta pins the locality of a scattered batch:
+// the state Map of the ledger workload — 10 000 entries, 100 values
+// replaced in place per block — pays the rolling hash for the windows
+// around its 100 keys, not for the ~60 % of leaves that hold one.
+func TestMapApplyRollsTheDelta(t *testing.T) {
+	tr, sets, treeBytes := scatteredMapEdit(t)
+	var next *Tree
+	rolled := rolledDuring(func() {
+		var err error
+		if next, err = tr.MapApply(sets, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if next.Root() == tr.Root() {
+		t.Fatal("batch changed nothing")
+	}
+	if rolled == 0 || rolled > treeBytes/10 {
+		t.Fatalf("100 in-place updates rolled %d of the tree's %d leaf bytes; want at most 10%%", rolled, treeBytes)
+	}
+	t.Logf("rolled %d of %d leaf bytes (%.1f%%)", rolled, treeBytes, 100*float64(rolled)/float64(treeBytes))
+}
+
+// scatteredMapEdit builds the ledger's state Map (account name ->
+// 32-byte version id) and a block's worth of in-place updates.
+func scatteredMapEdit(tb testing.TB) (tr *Tree, sets []KV, leafBytes int) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(15))
+	s := store.NewMemStore()
+	b := NewBuilder(s, DefaultConfig(), KindMap)
+	uid := func() []byte {
+		v := make([]byte, 32)
+		rng.Read(v)
+		return v
+	}
+	const entries, updates = 10_000, 100
+	for i := 0; i < entries; i++ {
+		e := EncodeMapElem([]byte(fmt.Sprintf("acct%06d", i)), uid())
+		leafBytes += len(e)
+		b.Append(e)
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, i := range rng.Perm(entries)[:updates] {
+		sets = append(sets, KV{Key: []byte(fmt.Sprintf("acct%06d", i)), Value: uid()})
+	}
+	return tr, sets, leafBytes
 }

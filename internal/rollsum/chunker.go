@@ -59,6 +59,21 @@ func (c *Chunker) Next() {
 	c.hit = false
 }
 
+// Resume positions the chunker inside a chunk whose first size bytes
+// are known to have placed no boundary, without hashing them all: the
+// hash depends only on the last WindowSize bytes, so replaying tail —
+// which must be the last min(size, WindowSize) of those bytes — leaves
+// the chunker deciding exactly as if the whole chunk had been fed
+// since the last Next.
+func (c *Chunker) Resume(tail []byte, size int) {
+	c.roller.Reset()
+	for _, b := range tail {
+		c.roller.Roll(b)
+	}
+	c.size = size
+	c.hit = false
+}
+
 // FindBoundary is the Blob fast path: it consumes bytes from p until a
 // boundary condition is met and returns the number of bytes consumed and
 // whether a boundary was placed there. When it returns (len(p), false)

@@ -3,6 +3,7 @@ package rollsum
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"forkbase/internal/chunk"
 )
@@ -245,5 +246,102 @@ func TestIndexPattern(t *testing.T) {
 	want := n / 16
 	if hits < want/2 || hits > want*2 {
 		t.Fatalf("index pattern rate off: got %d, want about %d", hits, want)
+	}
+}
+
+// resumeAgrees feeds data[:at] to one chunker, resumes another at that
+// point from the tail alone, then drives both over data[at:] — by
+// element-sized Feeds and by FindBoundary — and reports whether every
+// decision agreed. data must place no boundary in its first at bytes.
+func resumeAgrees(t *testing.T, q uint, max int, data []byte, at, elem int) bool {
+	t.Helper()
+	full, res := NewChunker(q, max), NewChunker(q, max)
+	full.Feed(data[:at])
+	if full.Boundary() {
+		t.Fatalf("precondition: boundary inside the first %d bytes", at)
+	}
+	tail := data[:at]
+	if len(tail) > WindowSize {
+		tail = tail[len(tail)-WindowSize:]
+	}
+	res.Resume(tail, at)
+	fullB, resB := NewChunker(q, max), NewChunker(q, max)
+	fullB.Feed(data[:at])
+	resB.Resume(tail, at)
+
+	for off := at; off < len(data); off += elem {
+		end := off + elem
+		if end > len(data) {
+			end = len(data)
+		}
+		full.Feed(data[off:end])
+		res.Feed(data[off:end])
+		if full.Boundary() != res.Boundary() || full.Size() != res.Size() {
+			return false
+		}
+		if full.Boundary() {
+			full.Next()
+			res.Next()
+		}
+	}
+	for rest := data[at:]; len(rest) > 0; {
+		n1, b1 := fullB.FindBoundary(rest)
+		n2, b2 := resB.FindBoundary(rest)
+		if n1 != n2 || b1 != b2 {
+			return false
+		}
+		if b1 {
+			fullB.Next()
+			resB.Next()
+		}
+		rest = rest[n1:]
+	}
+	return true
+}
+
+// firstBoundary returns how many bytes of data a fresh chunker takes
+// before placing its first boundary (len(data) if it places none).
+func firstBoundary(q uint, max int, data []byte) int {
+	n, _ := NewChunker(q, max).FindBoundary(data)
+	return n
+}
+
+func TestChunkerResumeTable(t *testing.T) {
+	data := make([]byte, 4096)
+	rand.New(rand.NewSource(11)).Read(data)
+	const q, max = 12, 1 << 15
+	quiet := firstBoundary(q, max, data) - 1 // bytes known to place no boundary
+	if quiet < 3*WindowSize {
+		t.Fatalf("seed gives only %d quiet bytes", quiet)
+	}
+	for _, at := range []int{0, 1, WindowSize - 1, WindowSize, WindowSize + 1, 2 * WindowSize, quiet} {
+		for _, elem := range []int{1, 7, WindowSize, 100} {
+			if !resumeAgrees(t, q, max, data, at, elem) {
+				t.Errorf("Resume at %d (elements of %d bytes) decided differently from a replay", at, elem)
+			}
+		}
+	}
+	// The forced cut counts the resumed size.
+	c := NewChunker(20, 100)
+	c.Resume(data[10:58], 58)
+	if n, cut := c.FindBoundary(data[58:]); n != 42 || !cut {
+		t.Errorf("forced cut after resume at 58 of 100: consumed %d, cut %v", n, cut)
+	}
+}
+
+func TestQuickChunkerResume(t *testing.T) {
+	f := func(seed int64, at16 uint16, elem8 uint8, q3 uint8) bool {
+		data := make([]byte, 2048)
+		rand.New(rand.NewSource(seed)).Read(data)
+		q := uint(5 + q3%6)
+		max := 8 << q
+		quiet := firstBoundary(q, max, data) - 1
+		if quiet <= 0 {
+			return true
+		}
+		return resumeAgrees(t, q, max, data, int(at16)%(quiet+1), 1+int(elem8)%200)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -205,7 +205,7 @@ func (fs *FileStore) Put(c *chunk.Chunk) (bool, error) {
 		fs.stats.DupBytes += int64(c.Size())
 		return true, nil
 	}
-	if err := fs.appendLocked(c.ID(), c.Bytes()); err != nil {
+	if err := fs.appendLocked(c.ID(), c.Type(), c.Data()); err != nil {
 		return false, err
 	}
 	fs.stats.Chunks++
@@ -223,20 +223,25 @@ func (fs *FileStore) Put(c *chunk.Chunk) (bool, error) {
 	return false, nil
 }
 
-// appendLocked writes one record (body = serialized chunk) to the
-// active segment and points the index at it.
-func (fs *FileStore) appendLocked(id chunk.ID, body []byte) error {
-	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
+// appendLocked writes one record — body = type byte + payload, the
+// serialized chunk — to the active segment and points the index at it.
+// The two parts go to the segment writer as they are, under a running
+// crc, instead of being joined in a fresh buffer first.
+func (fs *FileStore) appendLocked(id chunk.ID, t chunk.Type, payload []byte) error {
+	var hdr [recordHeader + 1]byte
+	hdr[recordHeader] = byte(t)
+	n := 1 + len(payload)
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[recordHeader:]), crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(hdr[0:4], crc)
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
 	if _, err := fs.w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := fs.w.Write(body); err != nil {
+	if _, err := fs.w.Write(payload); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	fs.index[id] = location{seg: fs.seg, off: fs.off + recordHeader, n: len(body)}
-	fs.off += recordHeader + int64(len(body))
+	fs.index[id] = location{seg: fs.seg, off: fs.off + recordHeader, n: n}
+	fs.off += recordHeader + int64(n)
 	return nil
 }
 
@@ -342,7 +347,7 @@ func (fs *FileStore) getOnce(id chunk.ID) (c *chunk.Chunk, retry bool, err error
 		return nil, false, fmt.Errorf("%w: crc mismatch for %s at seg %d offset %d",
 			ErrCorrupt, id.Short(), loc.seg, loc.off)
 	}
-	c, err = chunk.Decode(body)
+	c, err = chunk.DecodeOwned(body) // rec was allocated above, for this chunk alone
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %s at seg %d offset %d: %v",
 			ErrCorrupt, id.Short(), loc.seg, loc.off, err)
@@ -641,7 +646,7 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 					return fmt.Errorf("store: compacting seg %d: %s: %w", seg, e.id.Short(), err)
 				}
 			}
-			if err := fs.appendLocked(e.id, rec[recordHeader:]); err != nil {
+			if err := fs.appendLocked(e.id, chunk.Type(rec[recordHeader]), rec[recordHeader+1:]); err != nil {
 				fs.mu.Unlock()
 				return err
 			}
