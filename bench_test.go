@@ -338,7 +338,7 @@ func BenchmarkDiffLargeMaps(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := db.DiffVersions(u1, u2)
+		d, err := db.Diff(bctx, "", u1, u2)
 		if err != nil {
 			b.Fatal(err)
 		}

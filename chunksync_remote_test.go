@@ -329,15 +329,11 @@ func chunkReq(t *testing.T, c net.Conn, op uint8, fill func(e *wire.Enc)) (*wire
 // server still holds id.
 func probeChunk(t *testing.T, c net.Conn, id chunk.ID) bool {
 	t.Helper()
-	d, ep := chunkReq(t, c, wire.OpChunkWant, func(e *wire.Enc) {
-		e.Str("doc")
-		wire.EncodeUIDs(e, []chunk.ID{id})
-	})
+	parts, _, ep := wantRaw(t, c, "doc", []chunk.ID{id}, 0)
 	if ep != nil {
 		t.Fatalf("want probe failed: %v", ep.Err)
 	}
-	got := wire.DecodeWantResponse(d)
-	return len(got) == 1 && got[0] != nil
+	return len(parts) == 1 && len(parts[0]) == 1 && parts[0][0].ID == id
 }
 
 // TestChunkSyncTortureWireOps attacks the chunk ops the way the
@@ -375,6 +371,24 @@ func TestChunkSyncTortureWireOps(t *testing.T) {
 				e.U32(0xfffffff0) // a uid count the payload cannot hold
 			}); ep == nil {
 				t.Fatalf("op %d decoded a hostile uid count", op)
+			}
+		}
+		// A Want without its flags byte (a peer that predates it) or
+		// with bits this server does not know is refused with a typed
+		// error, not answered in some other format.
+		if _, ep := chunkReq(t, c, wire.OpChunkWant, func(e *wire.Enc) {
+			e.Str("doc")
+			wire.EncodeUIDs(e, []chunk.ID{{1, 2, 3}})
+		}); ep == nil || !errors.Is(ep.Err, wire.ErrCodec) {
+			t.Fatalf("flagless want: %+v, want ErrCodec", ep)
+		}
+		for _, flags := range []uint8{1 << 0, wire.WantFlagDeep | 1<<7} {
+			if _, ep := chunkReq(t, c, wire.OpChunkWant, func(e *wire.Enc) {
+				e.Str("doc")
+				wire.EncodeUIDs(e, []chunk.ID{{1, 2, 3}})
+				e.U8(flags)
+			}); ep == nil || !errors.Is(ep.Err, forkbase.ErrBadOptions) {
+				t.Fatalf("want with unknown flags %#x: %+v, want ErrBadOptions", flags, ep)
 			}
 		}
 		// The connection survives and still answers a real request.

@@ -15,6 +15,9 @@ func (rs *RemoteStore) DropChunkCacheForTest() {
 	}
 }
 
+// ChunkCacheStatsForTest reports what the client chunk cache holds.
+func (rs *RemoteStore) ChunkCacheStatsForTest() store.Stats { return rs.local.Stats() }
+
 // DropServerStatsFeatureForTest clears FeatureServerStats from the
 // client's view of the server's Hello, simulating a peer that predates
 // the stats op. ServerStats must then degrade gracefully: a local

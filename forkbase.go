@@ -443,134 +443,9 @@ func (db *DB) checkChunkAccess(user, key string, write bool) error {
 	return db.check(user, key, "", need)
 }
 
-// --- deprecated method zoo ------------------------------------------
-//
-// The original API exposed one method per Table 1 operation. They
-// remain as thin wrappers over the unified Store surface (client.go)
-// so existing callers keep working; new code should use the Store
-// methods with options.
-
-// GetBranch reads the head of a named branch (M1).
-//
-// Deprecated: use Get with WithBranch.
-func (db *DB) GetBranch(key, branchName string) (*FObject, error) {
-	return db.Get(bg(), key, WithBranch(branchName))
-}
-
-// GetUID reads a specific version (M2) and verifies it against uid.
-//
-// Deprecated: use Get with WithBase.
-func (db *DB) GetUID(uid UID) (*FObject, error) {
-	return db.Get(bg(), "", WithBase(uid))
-}
-
-// PutBranch writes to a named branch, creating it on first write (M3).
-//
-// Deprecated: use Put with WithBranch.
-func (db *DB) PutBranch(key, branchName string, v Value) (UID, error) {
-	return db.Put(bg(), key, v, WithBranch(branchName))
-}
-
-// PutWithContext writes to a branch with application metadata stored in
-// the version's context field (e.g. a commit message).
-//
-// Deprecated: use Put with WithBranch and WithMeta.
-func (db *DB) PutWithContext(key, branchName string, v Value, context []byte) (UID, error) {
-	return db.Put(bg(), key, v, WithBranch(branchName), WithMeta(string(context)))
-}
-
-// PutGuarded writes only if the branch head still equals guard.
-//
-// Deprecated: use Put with WithGuard.
-func (db *DB) PutGuarded(key, branchName string, v Value, guard UID) (UID, error) {
-	return db.Put(bg(), key, v, WithBranch(branchName), WithGuard(guard))
-}
-
-// PutBase writes a new version deriving from an explicit base (M4), the
-// fork-on-conflict path.
-//
-// Deprecated: use Put with WithBase.
-func (db *DB) PutBase(key string, base UID, v Value) (UID, error) {
-	return db.Put(bg(), key, v, WithBase(base))
-}
-
-// ForkUID creates a new branch at an arbitrary version (M12).
-//
-// Deprecated: use Fork with WithBase.
-func (db *DB) ForkUID(key string, uid UID, newBranch string) error {
-	return db.Fork(bg(), key, newBranch, WithBase(uid))
-}
-
-// Rename renames a branch (M13).
-//
-// Deprecated: use RenameBranch.
-func (db *DB) Rename(key, branchName, newName string) error {
-	return db.RenameBranch(bg(), key, branchName, newName)
-}
-
-// ListTaggedBranches returns a key's named branches and heads (M9). It
-// has no error channel, so under a closed ACL it bypasses the access
-// controller; use ListBranches, which checks.
-//
-// Deprecated: use ListBranches.
-func (db *DB) ListTaggedBranches(key string) []TaggedBranch {
-	return db.eng.ListTaggedBranches([]byte(key))
-}
-
-// ListUntaggedBranches returns a key's untagged heads (M10); more than
-// one means unresolved fork-on-conflict siblings. It has no error
-// channel, so under a closed ACL it bypasses the access controller;
-// use ListBranches, which checks.
-//
-// Deprecated: use ListBranches.
-func (db *DB) ListUntaggedBranches(key string) []UID {
-	return db.eng.ListUntaggedBranches([]byte(key))
-}
-
-// MergeUID merges a specific version into tgtBranch (M6).
-//
-// Deprecated: use Merge with WithBase.
-func (db *DB) MergeUID(key, tgtBranch string, ref UID, res Resolver) (UID, []Conflict, error) {
-	return db.Merge(bg(), key, tgtBranch, WithBase(ref), WithResolver(res))
-}
-
-// MergeUntagged merges untagged heads into one, replacing them in the
-// untagged table (M7).
-//
-// Deprecated: use Merge with an empty target branch and WithBase.
-func (db *DB) MergeUntagged(key string, res Resolver, uids ...UID) (UID, []Conflict, error) {
-	opts := []Option{WithResolver(res)}
-	for _, u := range uids {
-		opts = append(opts, WithBase(u))
-	}
-	return db.Merge(bg(), key, "", opts...)
-}
-
-// TrackUID returns versions at derivation distances [from, to] behind a
-// version (M16).
-//
-// Deprecated: use Track with WithBase.
-func (db *DB) TrackUID(uid UID, from, to int) ([]*FObject, error) {
-	return db.Track(bg(), "", from, to, WithBase(uid))
-}
-
 // LCA returns the least common ancestor of two versions (M17).
 func (db *DB) LCA(uid1, uid2 UID) (*FObject, error) {
 	return db.eng.LCA(bg(), uid1, uid2)
-}
-
-// DiffVersions compares two versions of the same type.
-//
-// Deprecated: use Diff.
-func (db *DB) DiffVersions(uid1, uid2 UID) (*Diff, error) {
-	return db.Diff(bg(), "", uid1, uid2)
-}
-
-// ValueOf decodes an FObject's value.
-//
-// Deprecated: use Value.
-func (db *DB) ValueOf(o *FObject) (Value, error) {
-	return db.Value(bg(), string(o.Key), o)
 }
 
 // BlobOf decodes an FObject known to hold a Blob.
@@ -615,9 +490,8 @@ func (db *DB) VerifyHistory(o *FObject) (int, error) {
 	return o.VerifyHistory(db.eng.Store())
 }
 
-// bg is the root context behind the deprecated, context-free wrappers
-// above: they predate cancellation in the API, so a fresh root is the
-// only context they can offer. New code takes a ctx parameter instead.
+// bg is the root context behind LCA, the one engine walk still exposed
+// without a ctx parameter.
 //
-//forkvet:allow ctxflow — deprecated context-free API surface; callers that want cancellation use the Store methods
+//forkvet:allow ctxflow — context-free API surface; LCA predates cancellation in the API
 func bg() context.Context { return context.Background() }

@@ -24,7 +24,7 @@ func TestPaperExample(t *testing.T) {
 	if err := db.Fork(tctx, "my key", "new branch"); err != nil {
 		t.Fatal(err)
 	}
-	obj, err := db.GetBranch("my key", "new branch")
+	obj, err := db.Get(tctx, "my key", WithBranch("new branch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func TestPaperExample(t *testing.T) {
 	if err := blob.Append([]byte(" and some more")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.PutBranch("my key", "new branch", blob); err != nil {
+	if _, err := db.Put(tctx, "my key", blob, WithBranch("new branch")); err != nil {
 		t.Fatal(err)
 	}
 	// The new branch sees the edit; master does not.
 	check := func(branch, want string) {
-		o, err := db.GetBranch("my key", branch)
+		o, err := db.Get(tctx, "my key", WithBranch(branch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestKeyValueCompliance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := db.ValueOf(o)
+		v, err := db.Value(tctx, string(o.Key), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestVersionHistoryAndTrack(t *testing.T) {
 		}
 	}
 	// Distances 2..2 from a uid (M16).
-	hist, err = db.TrackUID(uids[5], 2, 2)
+	hist, err = db.Track(tctx, "", 2, 2, WithBase(uids[5]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestVersionHistoryAndTrack(t *testing.T) {
 		t.Fatalf("VerifyHistory: %d %v", n, err)
 	}
 	// Old versions stay readable by uid (M2).
-	o, err := db.GetUID(uids[0])
+	o, err := db.Get(tctx, "", WithBase(uids[0]))
 	if err != nil || string(o.Data) != "version-0" {
 		t.Fatalf("GetUID: %v", err)
 	}
@@ -151,14 +151,14 @@ func TestForkOnDemandIsolation(t *testing.T) {
 	if err := db.Fork(tctx, "cfg", "dev"); err != nil {
 		t.Fatal(err)
 	}
-	db.PutBranch("cfg", "dev", String("v2-dev"))
+	db.Put(tctx, "cfg", String("v2-dev"), WithBranch("dev"))
 	db.Put(tctx, "cfg", String("v2-master"))
 
-	branches := db.ListTaggedBranches("cfg")
-	if len(branches) != 2 {
-		t.Fatalf("branches: %v", branches)
+	branches, err := db.ListBranches(tctx, "cfg")
+	if err != nil || len(branches.Tagged) != 2 {
+		t.Fatalf("branches: %v (err %v)", branches.Tagged, err)
 	}
-	dev, _ := db.GetBranch("cfg", "dev")
+	dev, _ := db.Get(tctx, "cfg", WithBranch("dev"))
 	master, _ := db.Get(tctx, "cfg")
 	if string(dev.Data) != "v2-dev" || string(master.Data) != "v2-master" {
 		t.Fatalf("isolation broken: %q / %q", dev.Data, master.Data)
@@ -179,11 +179,11 @@ func TestForkUIDRevivesHistory(t *testing.T) {
 	old, _ := db.Put(tctx, "k", String("old"))
 	db.Put(tctx, "k", String("new"))
 	// A historical version becomes modifiable by forking it (§3.3).
-	if err := db.ForkUID("k", old, "revival"); err != nil {
+	if err := db.Fork(tctx, "k", "revival", WithBase(old)); err != nil {
 		t.Fatal(err)
 	}
-	db.PutBranch("k", "revival", String("revived"))
-	o, _ := db.GetBranch("k", "revival")
+	db.Put(tctx, "k", String("revived"), WithBranch("revival"))
+	o, _ := db.Get(tctx, "k", WithBranch("revival"))
 	if string(o.Data) != "revived" {
 		t.Fatalf("revival = %q", o.Data)
 	}
@@ -197,17 +197,17 @@ func TestBranchRenameRemove(t *testing.T) {
 	defer db.Close()
 	db.Put(tctx, "k", String("v"))
 	db.Fork(tctx, "k", "tmp")
-	if err := db.Rename("k", "tmp", "kept"); err != nil {
+	if err := db.RenameBranch(tctx, "k", "tmp", "kept"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GetBranch("k", "tmp"); !errors.Is(err, ErrBranchNotFound) {
+	if _, err := db.Get(tctx, "k", WithBranch("tmp")); !errors.Is(err, ErrBranchNotFound) {
 		t.Fatalf("renamed branch: %v", err)
 	}
 	if err := db.RemoveBranch(tctx, "k", "kept"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.ListTaggedBranches("k"); len(got) != 1 {
-		t.Fatalf("branches after remove: %v", got)
+	if got, err := db.ListBranches(tctx, "k"); err != nil || len(got.Tagged) != 1 {
+		t.Fatalf("branches after remove: %v (err %v)", got.Tagged, err)
 	}
 }
 
@@ -215,11 +215,11 @@ func TestGuardedPut(t *testing.T) {
 	db := Open()
 	defer db.Close()
 	v1, _ := db.Put(tctx, "k", String("v1"))
-	if _, err := db.PutGuarded("k", DefaultBranch, String("v2"), v1); err != nil {
+	if _, err := db.Put(tctx, "k", String("v2"), WithGuard(v1)); err != nil {
 		t.Fatal(err)
 	}
 	// The stale guard must fail and leave the head untouched.
-	if _, err := db.PutGuarded("k", DefaultBranch, String("v3"), v1); !errors.Is(err, ErrGuardFailed) {
+	if _, err := db.Put(tctx, "k", String("v3"), WithGuard(v1)); !errors.Is(err, ErrGuardFailed) {
 		t.Fatalf("stale guard: %v", err)
 	}
 	o, _ := db.Get(tctx, "k")
@@ -231,33 +231,33 @@ func TestGuardedPut(t *testing.T) {
 func TestForkOnConflict(t *testing.T) {
 	db := Open()
 	defer db.Close()
-	base, err := db.PutBase("state", UID{}, String("genesis"))
+	base, err := db.Put(tctx, "state", String("genesis"), WithBase(UID{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two concurrent writers derive from the same base (Figure 3b).
-	u1, err := db.PutBase("state", base, String("writer-1"))
+	u1, err := db.Put(tctx, "state", String("writer-1"), WithBase(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2, err := db.PutBase("state", base, String("writer-2"))
+	u2, err := db.Put(tctx, "state", String("writer-2"), WithBase(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads := db.ListUntaggedBranches("state")
-	if len(heads) != 2 {
-		t.Fatalf("untagged heads: %d, want 2", len(heads))
+	heads, err := db.ListBranches(tctx, "state")
+	if err != nil || len(heads.Untagged) != 2 {
+		t.Fatalf("untagged heads: %d, want 2 (err %v)", len(heads.Untagged), err)
 	}
 	// Merge the conflicting heads (M7) with choose-one resolution.
-	merged, _, err := db.MergeUntagged("state", ChooseB, u1, u2)
+	merged, _, err := db.Merge(tctx, "state", "", WithBase(u1), WithBase(u2), WithResolver(ChooseB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads = db.ListUntaggedBranches("state")
-	if len(heads) != 1 || heads[0] != merged {
-		t.Fatalf("after merge: %v", heads)
+	heads, err = db.ListBranches(tctx, "state")
+	if err != nil || len(heads.Untagged) != 1 || heads.Untagged[0] != merged {
+		t.Fatalf("after merge: %v (err %v)", heads.Untagged, err)
 	}
-	o, _ := db.GetUID(merged)
+	o, _ := db.Get(tctx, "", WithBase(merged))
 	if len(o.Bases) != 2 {
 		t.Fatalf("merge node bases: %d", len(o.Bases))
 	}
@@ -277,17 +277,17 @@ func TestMergeBranchesMapTypes(t *testing.T) {
 	mm.Set([]byte("from-master"), []byte("m"))
 	db.Put(tctx, "data", mm)
 
-	fo, _ := db.GetBranch("data", "feature")
+	fo, _ := db.Get(tctx, "data", WithBranch("feature"))
 	fm, _ := db.MapOf(fo)
 	fm.Set([]byte("from-feature"), []byte("f"))
-	db.PutBranch("data", "feature", fm)
-	featureHead, _ := db.GetBranch("data", "feature")
+	db.Put(tctx, "data", fm, WithBranch("feature"))
+	featureHead, _ := db.Get(tctx, "data", WithBranch("feature"))
 
 	uid, conflicts, err := db.Merge(tctx, "data", "master", WithBranch("feature"))
 	if err != nil {
 		t.Fatalf("%v %v", err, conflicts)
 	}
-	o, _ := db.GetUID(uid)
+	o, _ := db.Get(tctx, "", WithBase(uid))
 	merged, _ := db.MapOf(o)
 	for _, k := range []string{"shared", "from-master", "from-feature"} {
 		if _, ok, _ := merged.Get([]byte(k)); !ok {
@@ -299,7 +299,7 @@ func TestMergeBranchesMapTypes(t *testing.T) {
 	if head.UID() != uid {
 		t.Fatal("master head not updated by merge")
 	}
-	f2, _ := db.GetBranch("data", "feature")
+	f2, _ := db.Get(tctx, "data", WithBranch("feature"))
 	if f2.UID() != featureHead.UID() {
 		t.Fatal("merge modified the reference branch")
 	}
@@ -311,7 +311,7 @@ func TestMergeConflictSurfaced(t *testing.T) {
 	db.Put(tctx, "k", String("base"))
 	db.Fork(tctx, "k", "other")
 	db.Put(tctx, "k", String("left"))
-	db.PutBranch("k", "other", String("right"))
+	db.Put(tctx, "k", String("right"), WithBranch("other"))
 	_, conflicts, err := db.Merge(tctx, "k", "master", WithBranch("other"))
 	if !errors.Is(err, ErrConflict) || len(conflicts) != 1 {
 		t.Fatalf("conflict surfacing: %v %v", err, conflicts)
@@ -321,7 +321,7 @@ func TestMergeConflictSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, _ := db.GetUID(uid)
+	o, _ := db.Get(tctx, "", WithBase(uid))
 	if string(o.Data) != "leftright" {
 		t.Fatalf("resolved = %q", o.Data)
 	}
@@ -341,7 +341,7 @@ func TestDiffVersions(t *testing.T) {
 	m2.Set([]byte("brand-new"), []byte("x"))
 	u2, _ := db.Put(tctx, "d", m2)
 
-	d, err := db.DiffVersions(u1, u2)
+	d, err := db.Diff(tctx, "", u1, u2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestPersistencePath(t *testing.T) {
 	defer db2.Close()
 	// Branch tables are in-memory (as in the paper's servlet), but all
 	// versions remain reachable by uid from the persistent chunk log.
-	o, err := db2.GetUID(uid)
+	o, err := db2.Get(tctx, "", WithBase(uid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestTamperEvidenceEndToEnd(t *testing.T) {
 	db := Open()
 	defer db.Close()
 	uid, _ := db.Put(tctx, "k", NewBlob(bytes.Repeat([]byte("secure"), 2000)))
-	o, err := db.GetUID(uid)
+	o, err := db.Get(tctx, "", WithBase(uid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestTamperEvidenceEndToEnd(t *testing.T) {
 	}
 	// Asking for a uid that is not a Meta chunk fails type checking.
 	root := b.Tree().Root()
-	if _, err := db.GetUID(root); err == nil {
+	if _, err := db.Get(tctx, "", WithBase(root)); err == nil {
 		t.Fatal("GetUID accepted a non-meta chunk")
 	}
 }

@@ -42,7 +42,7 @@ func TestCollaborationScenario(t *testing.T) {
 	// regions so the merge can reconcile chunk-wise... but Blob merges
 	// are whole-value, so this documents the conflict path too.
 	edit := func(branch string, off int, text string) {
-		o, err := db.GetBranch("report", branch)
+		o, err := db.Get(tctx, "report", forkbase.WithBranch(branch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestCollaborationScenario(t *testing.T) {
 		if err := b.Splice(uint64(off), uint64(len(text)), []byte(text)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.PutBranch("report", branch, b); err != nil {
+		if _, err := db.Put(tctx, "report", b, forkbase.WithBranch(branch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,13 +61,13 @@ func TestCollaborationScenario(t *testing.T) {
 	edit("bob", 90<<10, "[bob wrote the conclusion]")
 
 	// Both branches evolved from the same base: LCA finds it.
-	ao, _ := db.GetBranch("report", "alice")
-	bo, _ := db.GetBranch("report", "bob")
+	ao, _ := db.Get(tctx, "report", forkbase.WithBranch("alice"))
+	bo, _ := db.Get(tctx, "report", forkbase.WithBranch("bob"))
 	lca, err := db.LCA(ao.UID(), bo.UID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	master, _ := db.GetBranch("report", "master")
+	master, _ := db.Get(tctx, "report", forkbase.WithBranch("master"))
 	if lca.UID() != master.UID() {
 		t.Fatal("LCA of the two branches is not the fork point")
 	}
@@ -82,7 +82,7 @@ func TestCollaborationScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo, _ := db.GetUID(uid)
+	mo, _ := db.Get(tctx, "", forkbase.WithBase(uid))
 	mb, _ := db.BlobOf(mo)
 	content, _ := mb.Bytes()
 	if !bytes.Contains(content, []byte("[bob wrote the conclusion]")) {
@@ -93,7 +93,7 @@ func TestCollaborationScenario(t *testing.T) {
 	}
 
 	// Audit: alice's branch history hash-chains back to the original.
-	head, _ := db.GetBranch("report", "alice")
+	head, _ := db.Get(tctx, "report", forkbase.WithBranch("alice"))
 	if _, err := db.VerifyHistory(head); err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestStructuredCollaboration(t *testing.T) {
 	db.Fork(tctx, "dataset", "enrichment")
 
 	update := func(branch, key, val string) {
-		o, _ := db.GetBranch("dataset", branch)
+		o, _ := db.Get(tctx, "dataset", forkbase.WithBranch(branch))
 		mm, _ := db.MapOf(o)
 		if err := mm.Set([]byte(key), []byte(val)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.PutBranch("dataset", branch, mm); err != nil {
+		if _, err := db.Put(tctx, "dataset", mm, forkbase.WithBranch(branch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 	}
 	defer db2.Close()
 	for v, uid := range uids {
-		o, err := db2.GetUID(uid)
+		o, err := db2.Get(tctx, "", forkbase.WithBase(uid))
 		if err != nil {
 			t.Fatalf("version %d lost: %v", v, err)
 		}
@@ -202,7 +202,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		}
 	}
 	// The full derivation chain survives and verifies.
-	head, err := db2.GetUID(uids[len(uids)-1])
+	head, err := db2.Get(tctx, "", forkbase.WithBase(uids[len(uids)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}

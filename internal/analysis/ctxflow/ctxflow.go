@@ -8,8 +8,8 @@
 // Library code is presumed reachable from a ctx-bearing entry point;
 // the few places that legitimately own a root context (daemon mains
 // are exempt as package main; connection roots, bench harness drivers
-// and deprecated ctx-less wrappers) carry //forkvet:allow ctxflow with
-// a reason.
+// and the few ctx-less convenience methods) carry //forkvet:allow
+// ctxflow with a reason.
 package ctxflow
 
 import (

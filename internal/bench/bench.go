@@ -100,17 +100,6 @@ func (s *stopwatch) percentile(p float64) time.Duration {
 	return sorted[i]
 }
 
-func (s *stopwatch) mean() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range s.samples {
-		total += d
-	}
-	return total / time.Duration(len(s.samples))
-}
-
 // cdf returns (value, fraction<=value) points for plotting.
 func (s *stopwatch) cdf(points int) []struct {
 	V time.Duration

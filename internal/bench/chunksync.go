@@ -7,13 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"time"
 
 	"forkbase"
-	"forkbase/internal/chunk"
-	"forkbase/internal/postree"
-	"forkbase/internal/store"
 )
 
 // RunChunkSync measures what the have/want delta-sync subsystem buys
@@ -192,19 +188,13 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 		"wire_savings_factor": factor,
 	})
 
-	if err := runColdReadLatency(w, scale, backend, addr, rng); err != nil {
-		return err
-	}
-	return runParallelBuild(w, scale, rng)
+	return runColdReadLatency(w, scale, backend, addr, rng)
 }
 
-// runColdReadLatency measures what the pipelined prefetcher and the
-// streamed deep Want buy in wall-clock over a link with real latency:
-// a cold read through a loopback proxy injecting a fixed RTT, the
-// level-synchronous baseline walk (PullWindow < 0, classic Want)
-// against the default pipelined + streamed path. Byte counts cannot
-// show this win — both variants move the same chunks — only the number
-// of synchronous round trips differs.
+// runColdReadLatency reports the wall-clock of a cold read over a link
+// with real latency: through a loopback proxy injecting a fixed RTT,
+// where the number of synchronous round trips — which byte counts
+// cannot show — is what the deep Want and the pipelined pull save.
 func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr string, rng *rand.Rand) error {
 	const rtt = time.Millisecond
 	sizes := []int{4 << 20}
@@ -213,8 +203,8 @@ func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr str
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "ChunkSync: cold read wall-clock with %s RTT injected\n", rtt)
-	t := newTable(w, 10, 14, 14, 10)
-	t.row("Size", "Level-sync", "Pipelined", "Speedup")
+	t := newTable(w, 10, 14)
+	t.row("Size", "Cold read")
 	for _, size := range sizes {
 		key := fmt.Sprintf("cold-%d", size)
 		data := make([]byte, size)
@@ -228,15 +218,14 @@ func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr str
 		}
 		// Each sample dials a fresh client with an empty in-memory cache
 		// so every pull is genuinely cold; the dial happens outside the
-		// timed window so both variants pay the handshake equally, and
-		// the timer covers Get + Value — the version lookup and the pull
-		// itself — not the in-memory byte assembly afterwards, which is
-		// identical for both and touches no network. Best of three damps
+		// timed window, and the timer covers Get + Value — the version
+		// lookup and the pull itself — not the in-memory byte assembly
+		// afterwards, which touches no network. Best of three damps
 		// scheduler noise without hiding the RTT cost.
-		measure := func(cfg forkbase.RemoteConfig) (time.Duration, error) {
+		measure := func() (time.Duration, error) {
 			best := time.Duration(0)
 			for i := 0; i < 3; i++ {
-				rc, err := forkbase.Dial(proxy.addr(), cfg)
+				rc, err := forkbase.Dial(proxy.addr(), forkbase.RemoteConfig{ChunkSync: true})
 				if err != nil {
 					return 0, err
 				}
@@ -275,85 +264,17 @@ func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr str
 			}
 			return best, nil
 		}
-		levelSync, err := measure(forkbase.RemoteConfig{ChunkSync: true, PullWindow: -1, DisableWantStream: true})
-		if err != nil {
-			proxy.close()
-			return err
-		}
-		pipelined, err := measure(forkbase.RemoteConfig{ChunkSync: true})
+		pipelined, err := measure()
 		proxy.close()
 		if err != nil {
 			return err
 		}
-		speedup := levelSync.Seconds() / pipelined.Seconds()
-		t.row(mib(int64(size)), levelSync.Round(time.Microsecond), pipelined.Round(time.Microsecond),
-			fmt.Sprintf("%.1fx", speedup))
+		t.row(mib(int64(size)), pipelined.Round(time.Microsecond))
 		record(fmt.Sprintf("coldread-%s rtt=1ms", mib(int64(size))), map[string]float64{
 			"object_bytes": float64(size),
-			"levelsync_ms": float64(levelSync.Microseconds()) / 1e3,
 			"pipelined_ms": float64(pipelined.Microseconds()) / 1e3,
-			"speedup":      speedup,
 		})
 	}
-	return nil
-}
-
-// runParallelBuild measures the write side of the parallel data path:
-// chunking a multi-MB blob into a POS-Tree with the sequential builder
-// against a four-worker pool. The trees are verified byte-identical —
-// the speedup must never come at the price of determinism. On a
-// single-core host the pool cannot win (the committed baseline is
-// honest about that); at GOMAXPROCS >= 4 it is expected to clear 2x.
-func runParallelBuild(w io.Writer, scale Scale, rng *rand.Rand) error {
-	size := scale.pick(8<<20, 64<<20)
-	data := make([]byte, size)
-	rng.Read(data)
-	build := func(chunkers int) (chunk.ID, time.Duration, error) {
-		cfg := postree.DefaultConfig()
-		cfg.Chunkers = chunkers
-		best := time.Duration(0)
-		var root chunk.ID
-		for i := 0; i < 3; i++ {
-			b := postree.NewBuilder(store.NewMemStore(), cfg, postree.KindBlob)
-			t0 := time.Now()
-			b.AppendBytes(data)
-			tree, err := b.Finish()
-			d := time.Since(t0)
-			if err != nil {
-				return chunk.ID{}, 0, err
-			}
-			root = tree.Root()
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return root, best, nil
-	}
-	seqRoot, seq, err := build(1)
-	if err != nil {
-		return err
-	}
-	parRoot, par, err := build(4)
-	if err != nil {
-		return err
-	}
-	if seqRoot != parRoot {
-		return fmt.Errorf("bench: parallel builder diverged: %s vs %s", parRoot.Short(), seqRoot.Short())
-	}
-	mbs := func(d time.Duration) float64 { return float64(size) / (1 << 20) / d.Seconds() }
-	speedup := seq.Seconds() / par.Seconds()
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "ChunkSync: parallel POS-Tree chunking (%s blob, GOMAXPROCS=%d)\n", mib(int64(size)), runtime.GOMAXPROCS(0))
-	t := newTable(w, 14, 14, 14, 10)
-	t.row("Builder", "Wall", "MB/s", "Speedup")
-	t.row("sequential", seq.Round(time.Microsecond), fmt.Sprintf("%.0f", mbs(seq)), "1.0x")
-	t.row("chunkers=4", par.Round(time.Microsecond), fmt.Sprintf("%.0f", mbs(par)), fmt.Sprintf("%.1fx", speedup))
-	record(fmt.Sprintf("parallel-build %s", mib(int64(size))), map[string]float64{
-		"object_bytes": float64(size),
-		"seq_mb_s":     mbs(seq),
-		"par_mb_s":     mbs(par),
-		"speedup":      speedup,
-	})
 	return nil
 }
 

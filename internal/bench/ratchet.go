@@ -40,13 +40,6 @@ var GuardedMetrics = []RatchetMetric{
 	{File: "BENCH_net.json", Row: "blob64k remote c=4 depth=8", Metric: "put_mb_s", HigherIsBetter: true},
 	{File: "BENCH_net.json", Row: "blob64k remote c=4 depth=8", Metric: "get_mb_s", HigherIsBetter: true},
 	{File: "BENCH_chunksync.json", Row: "reread-1pct-edit 4.0MB", Metric: "chunksync_moved_ratio", HigherIsBetter: false},
-	// The parallel data path: cold-read wall clock under injected RTT
-	// guards the pipelined prefetcher + streamed Want (byte counts are
-	// blind to round trips), and the build speedup guards the parallel
-	// chunker. Both are ratios of two runs on the same host, so they
-	// ratchet cleanly across machines of different absolute speed.
-	{File: "BENCH_chunksync.json", Row: "coldread-4.0MB rtt=1ms", Metric: "speedup", HigherIsBetter: true},
-	{File: "BENCH_chunksync.json", Row: "parallel-build 8.0MB", Metric: "speedup", HigherIsBetter: true},
 }
 
 // Ratchet compares fresh snapshots in freshDir against baselines in

@@ -74,10 +74,7 @@ type PullConfig struct {
 	// Batch caps ids per Fetch request (0 means DefaultFetchBatch).
 	Batch int
 	// Window is the number of fetch batches kept in flight at once
-	// (0 means DefaultPullWindow). A negative Window disables the
-	// pipeline entirely and runs the level-synchronous walk — one
-	// batch outstanding, a full barrier between tree levels — which
-	// PullLevelSync also exposes directly as a baseline.
+	// (0 or less means DefaultPullWindow).
 	Window int
 }
 
@@ -89,7 +86,7 @@ func (c PullConfig) batch() int {
 }
 
 func (c PullConfig) window() int {
-	if c.Window == 0 {
+	if c.Window <= 0 {
 		return DefaultPullWindow
 	}
 	return c.Window
@@ -119,9 +116,6 @@ func (c PullConfig) window() int {
 // presence of its subtree, because the walk descends into every index
 // node — local ones cost a memory read, not a fetch.
 func Pull(ctx context.Context, local store.Store, fetch FetchFunc, root chunk.ID, height int, cfg PullConfig) (Stats, error) {
-	if cfg.Window < 0 {
-		return PullLevelSync(ctx, local, fetch, root, height, cfg.batch())
-	}
 	var st Stats
 	if root.IsNil() {
 		return st, nil
@@ -284,63 +278,6 @@ func fetchWorker(ctx context.Context, local store.Store, fetch FetchFunc, items 
 	res.fetched = st.ChunksFetched
 	res.bytes = st.BytesFetched
 	results <- res
-}
-
-// PullLevelSync is the level-synchronous baseline: one fetch batch
-// outstanding at a time and a full barrier between tree levels, so a
-// cold read pays at least one round trip per level per batch. Pull
-// with a non-negative window supersedes it for real transfers; it
-// remains exported as the reference the pipelined walk is benchmarked
-// (and property-tested) against.
-func PullLevelSync(ctx context.Context, local store.Store, fetch FetchFunc, root chunk.ID, height int, batch int) (Stats, error) {
-	var st Stats
-	if root.IsNil() {
-		return st, nil
-	}
-	if batch <= 0 {
-		batch = DefaultFetchBatch
-	}
-	level := []chunk.ID{root}
-	for h := height; h >= 1 && len(level) > 0; h-- {
-		// Fetch the level's missing chunks. Duplicate ids (identical
-		// content repeated in the tree) collapse to one fetch.
-		var unique, missing []chunk.ID
-		seen := make(map[chunk.ID]bool, len(level))
-		for _, id := range level {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			unique = append(unique, id)
-			if local.Has(id) {
-				st.ChunksLocal++
-			} else {
-				missing = append(missing, id)
-			}
-		}
-		if err := fetchInto(ctx, local, fetch, missing, batch, &st); err != nil {
-			return st, err
-		}
-		if h == 1 {
-			break
-		}
-		// Expand the deduped set only: a duplicate index node's subtree
-		// is already covered by its first occurrence.
-		var next []chunk.ID
-		for _, id := range unique {
-			c, err := store.GetVerified(local, id)
-			if err != nil {
-				return st, err
-			}
-			kids, err := postree.IndexChildIDs(c.Data())
-			if err != nil {
-				return st, err
-			}
-			next = append(next, kids...)
-		}
-		level = next
-	}
-	return st, nil
 }
 
 // fetchInto pulls the given ids into local, verifying each chunk

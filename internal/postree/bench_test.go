@@ -2,17 +2,15 @@ package postree
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"forkbase/internal/store"
 )
 
-func benchBuildBlob(b *testing.B, chunkers int) {
+func BenchmarkBuildBlob(b *testing.B) {
 	data := make([]byte, 8<<20)
 	rand.New(rand.NewSource(42)).Read(data)
 	cfg := DefaultConfig()
-	cfg.Chunkers = chunkers
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -24,15 +22,6 @@ func benchBuildBlob(b *testing.B, chunkers int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkBuildBlobSequential(b *testing.B) { benchBuildBlob(b, 1) }
-func BenchmarkBuildBlobParallel(b *testing.B)   { benchBuildBlob(b, 0) }
-func BenchmarkBuildBlobParallel4(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		b.Skip("needs 4 procs for a meaningful number")
-	}
-	benchBuildBlob(b, 4)
 }
 
 // BenchmarkMapApplyScattered is the ledger's block commit seen from

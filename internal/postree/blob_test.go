@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/store"
 )
 
@@ -415,5 +416,89 @@ func TestBlobSpliceRollsTheDelta(t *testing.T) {
 	}
 	if quiet < 10 {
 		t.Fatalf("only %d of 20 edits left the boundaries alone; the bound went unchecked", quiet)
+	}
+}
+
+// The tree is a function of the bytes, not of how AppendBytes was
+// called: random, pattern-free (every cut forced) and low-entropy
+// content fed whole, in large slices and in odd small ones lands on one
+// root and one stored chunk count.
+func TestBlobBuildIndependentOfFeedSlicing(t *testing.T) {
+	repeat := make([]byte, 1<<20)
+	for i := range repeat {
+		repeat[i] = "abcd"[i%4]
+	}
+	cases := map[string][]byte{
+		"empty":  nil,
+		"tiny":   []byte("hello"),
+		"random": randBytes(2<<20+12345, 20),
+		"zeros":  make([]byte, 1<<20),
+		"repeat": repeat,
+	}
+	for name, data := range cases {
+		whole := store.NewMemStore()
+		want := buildBlob(t, whole, data)
+		for _, step := range []int{1 << 20, 64 << 10, 7777} {
+			s := store.NewMemStore()
+			b := NewBuilder(s, testConfig(), KindBlob)
+			for off := 0; off < len(data); off += step {
+				b.AppendBytes(data[off:min(off+step, len(data))])
+			}
+			got, err := b.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Root() != want.Root() || got.Count() != want.Count() || got.Height() != want.Height() {
+				t.Fatalf("%s step=%d: tree differs from the one-call build", name, step)
+			}
+			if s.Stats().Chunks != whole.Stats().Chunks {
+				t.Fatalf("%s step=%d: %d chunks stored, one-call build stored %d", name, step, s.Stats().Chunks, whole.Stats().Chunks)
+			}
+		}
+	}
+}
+
+// errAfterStore fails every Put after the first n.
+type errAfterStore struct {
+	*store.MemStore
+	n    int
+	seen int
+}
+
+func (s *errAfterStore) Put(c *chunk.Chunk) (bool, error) {
+	s.seen++
+	if s.seen > s.n {
+		return false, fmt.Errorf("synthetic put failure")
+	}
+	return s.MemStore.Put(c)
+}
+
+// A store failure part-way through a build must surface from Finish.
+func TestBuilderPutError(t *testing.T) {
+	s := &errAfterStore{MemStore: store.NewMemStore(), n: 80}
+	b := NewBuilder(s, DefaultConfig(), KindBlob)
+	b.AppendBytes(randBytes(2<<20, 23))
+	if _, err := b.Finish(); err == nil {
+		t.Fatal("Finish succeeded despite store failures")
+	}
+}
+
+// Per built leaf the Builder pays the payload copy, the chunk header
+// and the entries slot. The ceiling is loose enough to absorb
+// slice-growth amortization, tight enough that a goroutine, channel or
+// staging buffer per leaf blows straight through it.
+func TestBuilderAllocsPinned(t *testing.T) {
+	data := randBytes(1<<20, 24)
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(5, func() {
+		b := NewBuilder(store.NewMemStore(), cfg, KindBlob)
+		b.AppendBytes(data)
+		if _, err := b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	nchunks := 1 << 20 / 4096 // ~256 leaves plus a few index nodes
+	if perChunk := allocs / float64(nchunks); perChunk > 6 {
+		t.Fatalf("build allocates %.1f allocs per chunk (%.0f total); the Builder must stay allocation-lean", perChunk, allocs)
 	}
 }

@@ -25,23 +25,15 @@ type Builder struct {
 	lastKey []byte // last key seen (sorted kinds)
 	entries []entry
 	err     error
-
-	// Parallel construction (see parbuilder.go). The pool spins up only
-	// once doneBytes crosses parMinBytes AND the config allows more than
-	// one chunker — small values never leave the sequential path.
-	nworkers  int
-	doneBytes int
-	par       *parBuilder
 }
 
 // NewBuilder returns a builder for a tree of the given kind.
 func NewBuilder(s store.Store, cfg Config, kind Kind) *Builder {
 	return &Builder{
-		s:        s,
-		cfg:      cfg,
-		kind:     kind,
-		chunker:  rollsum.NewChunker(cfg.LeafQ, cfg.maxLeaf()),
-		nworkers: cfg.chunkers(),
+		s:       s,
+		cfg:     cfg,
+		kind:    kind,
+		chunker: rollsum.NewChunker(cfg.LeafQ, cfg.maxLeaf()),
 	}
 }
 
@@ -81,52 +73,25 @@ func (b *Builder) AppendBytes(p []byte) {
 		b.err = fmt.Errorf("postree: AppendBytes on %v tree", b.kind)
 		return
 	}
-	for len(p) > 0 {
-		if b.par != nil {
-			b.par.feed(p)
-			return
-		}
+	for len(p) > 0 && b.err == nil {
 		n, boundary := b.chunker.FindBoundary(p)
 		b.buf = append(b.buf, p[:n]...)
 		b.n += uint64(n)
 		p = p[n:]
 		if boundary {
 			b.commitLeaf()
-			// A boundary is the one clean activation point: the scanner
-			// was just reset, so the pool's stitcher can adopt it as the
-			// authoritative state mid-stream.
-			if b.par == nil && b.nworkers > 1 && b.doneBytes >= parMinBytes {
-				b.par = newParBuilder(b.s, b.cfg, b.kind, b.chunker)
-			}
 		}
 	}
 }
 
 // commitLeaf seals the current buffer into a leaf chunk and records its
-// index entry. With an active worker pool (element kinds past the
-// activation threshold) the hash and store write move to a worker; the
-// entry's slot in the final order is reserved at submission.
+// index entry.
 func (b *Builder) commitLeaf() {
 	if b.n == 0 {
 		return
 	}
-	if b.par == nil && b.nworkers > 1 && b.kind != KindBlob && b.doneBytes >= parMinBytes {
-		b.par = newParBuilder(b.s, b.cfg, b.kind, b.chunker)
-	}
-	b.doneBytes += len(b.buf)
 	payload := make([]byte, len(b.buf))
 	copy(payload, b.buf)
-	if b.par != nil {
-		var key []byte
-		if b.kind.Sorted() {
-			key = append([]byte(nil), b.lastKey...)
-		}
-		b.par.submitLeaf(payload, b.n, key)
-		b.buf = b.buf[:0]
-		b.n = 0
-		b.chunker.Next()
-		return
-	}
 	c := chunk.New(b.kind.leafType(), payload)
 	if _, err := b.s.Put(c); err != nil {
 		b.err = err
@@ -146,19 +111,7 @@ func (b *Builder) commitLeaf() {
 // with a pattern), builds the index levels, and returns the completed
 // tree.
 func (b *Builder) Finish() (*Tree, error) {
-	if b.par != nil {
-		// Element kinds route their final partial leaf through the pool;
-		// Blob block mode carries it inside the pipeline itself.
-		if b.kind != KindBlob {
-			b.commitLeaf()
-		}
-		tail, err := b.par.finish()
-		b.par = nil
-		if err != nil && b.err == nil {
-			b.err = err
-		}
-		b.entries = append(b.entries, tail...)
-	} else if b.err == nil {
+	if b.err == nil {
 		b.commitLeaf()
 	}
 	if b.err != nil {

@@ -23,7 +23,6 @@ package postree
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/rollsum"
@@ -42,12 +41,6 @@ type Config struct {
 	MaxLeafBytes int
 	// MaxIndexEntries forces an index boundary; 0 means 8 * 2^IndexR.
 	MaxIndexEntries int
-	// Chunkers bounds the worker pool a Builder may fan chunk hashing
-	// and store writes across. 0 means GOMAXPROCS; 1 pins the builder
-	// to the sequential path. Trees built at any setting are
-	// byte-identical — parallelism changes the schedule, never the
-	// boundaries (see parbuilder.go) — so the knob is purely about CPU.
-	Chunkers int
 }
 
 // DefaultConfig matches the paper's evaluation setup: 4 KB expected
@@ -69,13 +62,6 @@ func (c Config) maxIndex() int {
 		return c.MaxIndexEntries
 	}
 	return 8 << c.IndexR
-}
-
-func (c Config) chunkers() int {
-	if c.Chunkers > 0 {
-		return c.Chunkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Kind discriminates the leaf payload layout. Sorted kinds (Set, Map)

@@ -100,6 +100,13 @@ type FBTable struct {
 	layout Layout
 }
 
+// bgCtx is the root context behind the FBTable methods that take no
+// ctx (every one but Fork): the harnesses that drive them are the
+// outermost caller and have none to pass.
+//
+//forkvet:allow ctxflow — context-free application API driven by the benchmark harnesses
+var bgCtx = context.Background()
+
 // NewFBTable returns a table handle.
 func NewFBTable(db *forkbase.DB, name string, layout Layout) *FBTable {
 	return &FBTable{db: db, name: name, layout: layout}
@@ -123,7 +130,7 @@ func (t *FBTable) Import(branch string, records []workload.Record) error {
 				return err
 			}
 		}
-		_, err := t.db.PutBranch(t.rowKey(), branch, m)
+		_, err := t.db.Put(bgCtx, t.rowKey(), m, forkbase.WithBranch(branch))
 		return err
 	case ColLayout:
 		dir := forkbase.NewMap()
@@ -134,7 +141,7 @@ func (t *FBTable) Import(branch string, records []workload.Record) error {
 					return err
 				}
 			}
-			uid, err := t.db.PutBranch(t.colKey(col), branch, l)
+			uid, err := t.db.Put(bgCtx, t.colKey(col), l, forkbase.WithBranch(branch))
 			if err != nil {
 				return err
 			}
@@ -142,7 +149,7 @@ func (t *FBTable) Import(branch string, records []workload.Record) error {
 				return err
 			}
 		}
-		_, err := t.db.PutBranch(t.rowKey(), branch, dir)
+		_, err := t.db.Put(bgCtx, t.rowKey(), dir, forkbase.WithBranch(branch))
 		return err
 	}
 	return fmt.Errorf("tabular: bad layout")
@@ -167,7 +174,7 @@ func (t *FBTable) Fork(ctx context.Context, refBranch, newBranch string) error {
 
 // Count returns the number of records on branch.
 func (t *FBTable) Count(branch string) (uint64, error) {
-	o, err := t.db.GetBranch(t.rowKey(), branch)
+	o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
 	if err != nil {
 		return 0, err
 	}
@@ -190,7 +197,7 @@ func (t *FBTable) Get(branch, pk string) (workload.Record, bool, error) {
 	if t.layout != RowLayout {
 		return workload.Record{}, false, errors.New("tabular: Get requires the row layout")
 	}
-	o, err := t.db.GetBranch(t.rowKey(), branch)
+	o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
 	if err != nil {
 		return workload.Record{}, false, err
 	}
@@ -208,7 +215,7 @@ func (t *FBTable) Get(branch, pk string) (workload.Record, bool, error) {
 
 // column fetches one column's List on branch.
 func (t *FBTable) column(branch, col string) (*forkbase.List, error) {
-	o, err := t.db.GetBranch(t.colKey(col), branch)
+	o, err := t.db.Get(bgCtx, t.colKey(col), forkbase.WithBranch(branch))
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +231,7 @@ func (t *FBTable) column(branch, col string) (*forkbase.List, error) {
 func (t *FBTable) Update(branch string, records []workload.Record, positions []uint64) error {
 	switch t.layout {
 	case RowLayout:
-		o, err := t.db.GetBranch(t.rowKey(), branch)
+		o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
 		if err != nil {
 			return err
 		}
@@ -239,7 +246,7 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 		if err := m.Apply(sets, nil); err != nil {
 			return err
 		}
-		_, err = t.db.PutBranch(t.rowKey(), branch, m)
+		_, err = t.db.Put(bgCtx, t.rowKey(), m, forkbase.WithBranch(branch))
 		return err
 	case ColLayout:
 		if len(positions) != len(records) {
@@ -256,7 +263,7 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 					return err
 				}
 			}
-			uid, err := t.db.PutBranch(t.colKey(col), branch, l)
+			uid, err := t.db.Put(bgCtx, t.colKey(col), l, forkbase.WithBranch(branch))
 			if err != nil {
 				return err
 			}
@@ -264,7 +271,7 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 				return err
 			}
 		}
-		_, err := t.db.PutBranch(t.rowKey(), branch, dir)
+		_, err := t.db.Put(bgCtx, t.rowKey(), dir, forkbase.WithBranch(branch))
 		return err
 	}
 	return fmt.Errorf("tabular: bad layout")
@@ -274,7 +281,7 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 func (t *FBTable) Scan(branch string, fn func(workload.Record) bool) error {
 	switch t.layout {
 	case RowLayout:
-		o, err := t.db.GetBranch(t.rowKey(), branch)
+		o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
 		if err != nil {
 			return err
 		}
@@ -370,15 +377,15 @@ func (t *FBTable) DiffCount(branchA, branchB string) (added, removed, modified i
 	if t.layout != RowLayout {
 		return 0, 0, 0, errors.New("tabular: DiffCount requires the row layout")
 	}
-	a, err := t.db.GetBranch(t.rowKey(), branchA)
+	a, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branchA))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	b, err := t.db.GetBranch(t.rowKey(), branchB)
+	b, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branchB))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	d, err := t.db.DiffVersions(a.UID(), b.UID())
+	d, err := t.db.Diff(bgCtx, t.rowKey(), a.UID(), b.UID())
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -197,7 +197,7 @@ func (w *ForkBaseWiki) Diff(ctx context.Context, page string) (shared, distinct 
 	if len(hist) < 2 {
 		return 0, 0, nil
 	}
-	d, err := w.db.DiffVersions(hist[1].UID(), hist[0].UID())
+	d, err := w.db.Diff(ctx, page, hist[1].UID(), hist[0].UID())
 	if err != nil {
 		return 0, 0, err
 	}

@@ -13,30 +13,22 @@ import (
 	"forkbase/internal/chunk"
 )
 
-// OpChunkWant request flags. They travel as an optional trailing byte
-// after the id list: servers that predate the flags never read it
-// (their decoder stops at the ids), which is what makes the extension
-// wire-compatible in both directions. Clients must only set flags
-// after seeing FeatureWantStream in the server's Hello.
-const (
-	// WantFlagStream asks the server to answer across multiple
-	// OpChunkWantPart frames instead of a single prefix response, so
-	// every requested id is answered in one round trip regardless of
-	// the frame cap, and chunks start arriving before the server has
-	// read the whole batch.
-	WantFlagStream uint8 = 1 << 0
-	// WantFlagDeep asks the server to treat the (single) requested id
-	// as a POS-Tree root and stream every chunk reachable from it —
-	// a cold read's whole tree in one round trip instead of one per
-	// level. Implies WantFlagStream. Best-effort: chunks the server
-	// does not hold are skipped, and the client's pull sweep remains
-	// responsible for completeness.
-	WantFlagDeep uint8 = 1 << 1
-)
+// An OpChunkWant request ends with one flags byte after the id list.
+// A request without it fails to decode (ErrCodec) and one with a bit
+// other than WantFlagDeep set is refused (ErrBadOptions); neither is
+// answered with chunks.
+//
+// WantFlagDeep asks the server to treat the (single) requested id as a
+// POS-Tree root and stream every chunk reachable from it — a cold
+// read's whole tree in one round trip instead of one per level.
+// Best-effort: chunks the server does not hold are skipped, and the
+// client's pull sweep remains responsible for completeness.
+const WantFlagDeep uint8 = 1 << 1
 
-// Streamed Want parts carry chunk batches in the exact OpChunkSend
-// upload layout, so EncodeChunkUpload/DecodeChunkUpload serve both
-// directions and the verify-before-admit rule applies symmetrically.
+// Want answers (OpChunkWantPart frames) carry chunk batches in the
+// exact OpChunkSend upload layout, so EncodeChunkUpload/DecodeChunkUpload
+// serve both directions and the verify-before-admit rule applies
+// symmetrically.
 
 // EncodeBitmap appends a presence bitmap: one bit per entry, LSB-first
 // within each byte. The count is not encoded — both ends know it from
@@ -83,7 +75,7 @@ const chunkFrameMin = chunk.IDSize + 4 + 1
 // encodeChunkBody appends a chunk's serialized form (type byte +
 // payload) as a length-prefixed blob without materializing the
 // intermediate chunk.Bytes() copy — on the bulk paths (uploads, Want
-// answers) that copy would be the single largest allocation per chunk.
+// parts) that copy would be the single largest allocation per chunk.
 func encodeChunkBody(e *Enc, c *chunk.Chunk) {
 	e.U32(uint32(1 + len(c.Data())))
 	e.U8(byte(c.Type()))
@@ -117,48 +109,6 @@ func DecodeChunkUpload(d *Dec) []ChunkFrame {
 		f.Bytes = d.BlobRef()
 		if d.err == nil {
 			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// EncodeWantResponse appends an OpChunkWant response body: how many of
-// the requested ids are answered (a prefix — the server stops early
-// rather than overflow the frame cap), then a presence flag and the
-// raw bytes for each answered id. Entries for ids the server does not
-// hold carry present=false and no bytes.
-func EncodeWantResponse(e *Enc, answered []*chunk.Chunk) {
-	e.U32(uint32(len(answered)))
-	for _, c := range answered {
-		if c == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		encodeChunkBody(e, c)
-	}
-}
-
-// DecodeWantResponse parses an OpChunkWant response: serialized chunk
-// bytes aligned with the answered prefix of the request's id list, nil
-// where the server held nothing.
-//
-// Zero-copy: the returned slices alias the decoder's buffer. The
-// client consumes them immediately — chunk.Decode copies on ingest —
-// and response payloads are never pooled, so no reuse can bite.
-func DecodeWantResponse(d *Dec) [][]byte {
-	n := d.Count(1)
-	out := make([][]byte, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		if !d.Bool() {
-			if d.err == nil {
-				out = append(out, nil)
-			}
-			continue
-		}
-		b := d.BlobRef()
-		if d.err == nil {
-			out = append(out, b)
 		}
 	}
 	return out

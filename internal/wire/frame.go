@@ -94,9 +94,11 @@ const (
 	// OpChunkHave asks which of a batch of chunk ids the server already
 	// stores; the response is a presence bitmap.
 	OpChunkHave
-	// OpChunkWant requests a batch of chunks by id; the response carries
-	// the raw chunk bytes for a prefix of the batch (the server may stop
-	// early to respect the frame cap) with per-id presence flags.
+	// OpChunkWant requests a batch of chunks by id (or, with
+	// WantFlagDeep, every chunk reachable from a root). The chunks come
+	// back in OpChunkWantPart frames; the OpChunkWant response proper is
+	// the status frame that ends them. Ids the server does not hold are
+	// not answered.
 	OpChunkWant
 	// OpChunkSend uploads a batch of raw chunks. The server re-verifies
 	// every chunk's id against its content before admission; a mismatch
@@ -106,13 +108,12 @@ const (
 	// via OpChunkSend: the payload names the POS-Tree root, and the
 	// server verifies the tree is complete before the put executes.
 	OpPutChunked
-	// OpChunkWantPart is response-only: one intermediate frame of a
-	// streamed OpChunkWant answer (requested with WantFlagStream). The
-	// server ships chunks in bounded parts as it reads them, each part
-	// a chunk batch in the OpChunkSend upload layout, and terminates
-	// the stream with a normal OpChunkWant status frame — success or
-	// error — so per-request error isolation survives streaming.
-	// Clients never send it.
+	// OpChunkWantPart is response-only: one intermediate frame of an
+	// OpChunkWant answer. The server ships chunks in bounded parts as it
+	// reads them, each part a chunk batch in the OpChunkSend upload
+	// layout, and terminates the stream with a normal OpChunkWant status
+	// frame — success or error — so per-request error isolation survives
+	// streaming. Clients never send it.
 	OpChunkWantPart
 	// OpServerStats returns the server's observability snapshot — the
 	// per-op request counters, latency histograms and engine metrics of
@@ -131,13 +132,9 @@ const (
 	// FeatureChunkSync marks a server that accepts the chunk-granular
 	// transfer ops (OpChunkHave/OpChunkWant/OpChunkSend/OpPutChunked).
 	FeatureChunkSync uint32 = 1 << 0
-	// FeatureWantStream marks a server that understands the trailing
-	// flags byte on OpChunkWant requests and can stream a Want answer
-	// as OpChunkWantPart frames. Clients that saw the bit may set
-	// WantFlagStream / WantFlagDeep; against older servers they fall
-	// back to classic prefix answering (whose decoder ignores the
-	// absent trailing byte by construction).
-	FeatureWantStream uint32 = 1 << 1
+	// Bit 1 is retired: peers built before the Want protocol was made
+	// unconditional set and test it. Do not reassign it.
+
 	// FeatureServerStats marks a server that answers OpServerStats with
 	// its observability snapshot. Clients without the bit never send the
 	// op; clients seeing a server without it fail the call locally with

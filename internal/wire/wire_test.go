@@ -280,8 +280,33 @@ func decodeAnything(b []byte) {
 	DecodeStats(NewDec(b))
 	DecodeBitmap(NewDec(b), 64)
 	DecodeChunkUpload(NewDec(b))
-	DecodeWantResponse(NewDec(b))
+	decodeWantRequest(b)
 	ReadFrame(bytes.NewReader(b), 1<<20)
+}
+
+// decodeWantRequest reads an OpChunkWant request the way the server
+// does: options, key, id list, then the required flags byte.
+func decodeWantRequest(b []byte) (ids []chunk.ID, flags uint8, err error) {
+	d := NewDec(b)
+	DecodeCallOptions(d)
+	d.Str()
+	ids = DecodeUIDs(d)
+	flags = d.U8()
+	return ids, flags, d.Err()
+}
+
+// wantRequest encodes an OpChunkWant request body; flags is appended
+// as given, so an empty slice is the flagless request of a peer that
+// predates the byte.
+func wantRequest(ids []chunk.ID, flags ...uint8) []byte {
+	var e Enc
+	EncodeCallOptions(&e, CallOptions{User: "u"})
+	e.Str("doc")
+	EncodeUIDs(&e, ids)
+	for _, f := range flags {
+		e.U8(f)
+	}
+	return e.Bytes()
 }
 
 func TestChunkSyncCodecRoundTrip(t *testing.T) {
@@ -324,11 +349,15 @@ func TestChunkSyncCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	var w Enc
-	EncodeWantResponse(&w, []*chunk.Chunk{chunks[0], nil, chunks[1]})
-	got := DecodeWantResponse(NewDec(w.Bytes()))
-	if len(got) != 3 || got[1] != nil || !bytes.Equal(got[0], chunks[0].Bytes()) || !bytes.Equal(got[2], chunks[1].Bytes()) {
-		t.Fatalf("want response mangled: %d entries", len(got))
+	// A Want request carries its flags byte after the ids; without it
+	// the request is a typed decode error, never a flags value of 0.
+	want := []chunk.ID{chunks[0].ID(), chunks[1].ID()}
+	ids, flags, err := decodeWantRequest(wantRequest(want, WantFlagDeep))
+	if err != nil || flags != WantFlagDeep || !reflect.DeepEqual(ids, want) {
+		t.Fatalf("want request mangled: ids %v flags %#x err %v", ids, flags, err)
+	}
+	if _, _, err := decodeWantRequest(wantRequest(want)); !errors.Is(err, ErrCodec) {
+		t.Fatalf("flagless want request decoded: err = %v, want ErrCodec", err)
 	}
 }
 
@@ -369,9 +398,11 @@ func FuzzWireDecode(f *testing.F) {
 	var up Enc
 	EncodeChunkUpload(&up, []*chunk.Chunk{chunk.New(chunk.TypeBlob, []byte("fuzz seed"))})
 	f.Add(up.Bytes())
-	var wr Enc
-	EncodeWantResponse(&wr, []*chunk.Chunk{chunk.New(chunk.TypeBlob, []byte("present")), nil})
-	f.Add(wr.Bytes())
+	// Want requests: well-formed, flagless (a peer that predates the
+	// flags byte) and with bits no server knows.
+	f.Add(wantRequest([]chunk.ID{{1}, {2}}, WantFlagDeep))
+	f.Add(wantRequest([]chunk.ID{{1}}))
+	f.Add(wantRequest(nil, 0xfd))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeAnything(b)
 	})

@@ -24,7 +24,6 @@ type MetricSample = obs.Sample
 // Indexes into serverMetrics.chunksync.
 const (
 	csHave = iota
-	csWant
 	csSend
 	csStream
 	csOps
@@ -45,9 +44,8 @@ type serverMetrics struct {
 	putBatch *obs.Histogram
 
 	// chunksync byte counters, one per transfer direction: ids
-	// negotiated (have), chunk bytes answered classically (want),
-	// admitted on upload (send) and shipped in want-part frames
-	// (stream).
+	// negotiated (have), chunk bytes admitted on upload (send) and
+	// shipped in want-part frames (stream).
 	chunksync [csOps]*obs.Counter
 }
 
@@ -65,7 +63,7 @@ func (m *serverMetrics) init(r *obs.Registry) {
 	m.bytesIn = r.Counter("forkbase_server_wire_bytes_total", `dir="in"`)
 	m.bytesOut = r.Counter("forkbase_server_wire_bytes_total", `dir="out"`)
 	m.putBatch = r.Histogram("forkbase_server_put_batch_size", "")
-	for i, dir := range []string{"have", "want", "send", "stream"} {
+	for i, dir := range []string{"have", "send", "stream"} {
 		m.chunksync[i] = r.Counter("forkbase_server_chunksync_bytes_total", `op="`+dir+`"`)
 	}
 }

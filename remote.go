@@ -52,16 +52,6 @@ type RemoteConfig struct {
 	// ChunkCacheBytes bounds the in-memory chunk cache layered over
 	// the on-disk store (or standing alone); 0 means 64 MiB.
 	ChunkCacheBytes int64
-	// PullWindow is the number of fetch batches a chunk-sync read
-	// keeps in flight (0 = chunksync.DefaultPullWindow). Negative
-	// disables pipelining: the level-synchronous baseline walk, one
-	// round trip per tree level per batch.
-	PullWindow int
-	// DisableWantStream opts out of the streamed Want protocol even
-	// when the server advertises FeatureWantStream, forcing the
-	// one-batch-per-request prefix answering of older servers. Mainly
-	// a benchmark and debugging knob.
-	DisableWantStream bool
 }
 
 // WireStats counts bytes moved over the connection pool since Dial,
@@ -972,32 +962,8 @@ func (rs *RemoteStore) chunkHave(ctx context.Context, slot uint64, user, key str
 	return bits, d.Err()
 }
 
-// chunkWant fetches raw chunks by id; the server may answer a prefix.
-func (rs *RemoteStore) chunkWant(ctx context.Context, user, key string, ids []chunk.ID) ([][]byte, error) {
-	e := chunkOpts(user, key)
-	wire.EncodeUIDs(e, ids)
-	d, ep, err := rs.call(ctx, wire.OpChunkWant, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	out := wire.DecodeWantResponse(d)
-	return out, d.Err()
-}
-
-// wantStreamOn reports whether streamed Want is usable: chunk sync is
-// configured, the server's Hello advertised FeatureWantStream, and
-// the client did not opt out. Against older servers the bit is absent
-// and every Want stays on the classic prefix-answering path.
-func (rs *RemoteStore) wantStreamOn() bool {
-	return rs.local != nil && !rs.cfg.DisableWantStream &&
-		rs.features.Load()&wire.FeatureWantStream != 0
-}
-
-// chunkWantStream performs one streamed Want: the server ships chunks
-// in OpChunkWantPart frames, handed to sink in arrival order, then a
+// chunkWantStream performs one Want: the server ships chunks in
+// OpChunkWantPart frames, handed to sink in arrival order, then a
 // final status frame ends the call. deep marks the ids as POS-Tree
 // roots whose whole reachable subtrees are wanted. sink runs on this
 // goroutine; a ChunkFrame's Bytes are backed by the frame's own
@@ -1009,9 +975,9 @@ func (rs *RemoteStore) chunkWantStream(ctx context.Context, user, key string, id
 	defer func() { rs.cm.observe(wire.OpChunkWant, start, retErr != nil) }()
 	e := chunkOpts(user, key)
 	wire.EncodeUIDs(e, ids)
-	flags := wire.WantFlagStream
+	var flags uint8
 	if deep {
-		flags |= wire.WantFlagDeep
+		flags = wire.WantFlagDeep
 	}
 	e.U8(flags)
 	payload := e.Bytes()
@@ -1083,10 +1049,9 @@ func (rs *RemoteStore) chunkWantStream(ctx context.Context, user, key string, id
 	}
 }
 
-// chunkWantFetch is the chunksync.FetchFunc over a streamed Want: one
-// round trip answers the whole batch, aligned back to ids with nil
-// for chunks the server does not hold — exactly the classic contract,
-// without its frame-cap prefix limit.
+// chunkWantFetch is the chunksync.FetchFunc over a Want: one round
+// trip answers the whole batch, aligned back to ids with nil for
+// chunks the server does not hold.
 func (rs *RemoteStore) chunkWantFetch(ctx context.Context, user, key string, ids []chunk.ID) ([][]byte, error) {
 	raws := make(map[chunk.ID][]byte, len(ids))
 	if _, err := rs.chunkWantStream(ctx, user, key, ids, false, func(f wire.ChunkFrame) error {
@@ -1100,6 +1065,22 @@ func (rs *RemoteStore) chunkWantFetch(ctx context.Context, user, key string, ids
 		out[i] = raws[id]
 	}
 	return out, nil
+}
+
+// admitChunk verifies a received chunk against the id it came under
+// and stores it in the local chunk cache.
+func (rs *RemoteStore) admitChunk(f wire.ChunkFrame) (*chunk.Chunk, error) {
+	c, err := chunk.Decode(f.Bytes)
+	if err != nil {
+		return nil, fmt.Errorf("forkbase: received chunk %s: %w", f.ID.Short(), err)
+	}
+	if c.ID() != f.ID {
+		return nil, fmt.Errorf("forkbase: received chunk hashes to %s, claimed %s: %w", c.ID().Short(), f.ID.Short(), store.ErrCorrupt)
+	}
+	if _, err := rs.local.Put(c); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // chunkSend uploads a batch of chunks; the server re-verifies each
@@ -1148,12 +1129,8 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 		return nil, err
 	}
 	user := resolveOpts(opts).user
-	streamOn := rs.wantStreamOn()
 	fetch := func(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
-		if streamOn {
-			return rs.chunkWantFetch(ctx, user, key, ids)
-		}
-		return rs.chunkWant(ctx, user, key, ids)
+		return rs.chunkWantFetch(ctx, user, key, ids)
 	}
 	// On a completely cold cache, a deep Want streams the whole tree in
 	// one round trip instead of one per level. The policy is deliberately
@@ -1162,17 +1139,10 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 	// argument), and a deep stream would ship the full tree where the
 	// discovery pull moves only the delta.
 	deepFetched := 0
-	if streamOn && !root.IsNil() && rs.local.Stats().Chunks == 0 {
+	if !root.IsNil() && rs.local.Stats().Chunks == 0 {
 		deepFetched, err = rs.chunkWantStream(ctx, user, key, []chunk.ID{root}, true, func(f wire.ChunkFrame) error {
-			c, derr := chunk.Decode(f.Bytes)
-			if derr != nil {
-				return fmt.Errorf("forkbase: streamed chunk %s: %w", f.ID.Short(), derr)
-			}
-			if c.ID() != f.ID {
-				return fmt.Errorf("forkbase: streamed chunk hashes to %s, claimed %s: %w", c.ID().Short(), f.ID.Short(), store.ErrCorrupt)
-			}
-			_, perr := rs.local.Put(c)
-			return perr
+			_, aerr := rs.admitChunk(f)
+			return aerr
 		})
 		if err != nil {
 			return nil, err
@@ -1182,7 +1152,7 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 	// deep streaming is best-effort (the server skips chunks it cannot
 	// find), so the walk below re-verifies reachability and fetches any
 	// stragglers — from a warm cache it touches no network at all.
-	st, err := chunksync.Pull(ctx, rs.local, fetch, root, height, chunksync.PullConfig{Window: rs.cfg.PullWindow})
+	st, err := chunksync.Pull(ctx, rs.local, fetch, root, height, chunksync.PullConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -1191,7 +1161,7 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 		// identity to the server. Deployment modes must not diverge on
 		// who may decode what: make an empty Want purely for the
 		// access check, exactly as the full-ship Value would.
-		if _, err := rs.chunkWant(ctx, user, key, nil); err != nil {
+		if _, err := rs.chunkWantFetch(ctx, user, key, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -1282,24 +1252,14 @@ func (s *remoteChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 	if err == nil || !errors.Is(err, store.ErrNotFound) {
 		return c, err
 	}
-	got, werr := s.rs.chunkWant(s.ctx, s.user, s.key, []chunk.ID{id})
+	got, werr := s.rs.chunkWantFetch(s.ctx, s.user, s.key, []chunk.ID{id})
 	if werr != nil {
 		return nil, werr
 	}
-	if len(got) != 1 || got[0] == nil {
+	if got[0] == nil {
 		return nil, fmt.Errorf("forkbase: chunk %s: %w", id.Short(), store.ErrNotFound)
 	}
-	c, derr := chunk.Decode(got[0])
-	if derr != nil {
-		return nil, derr
-	}
-	if c.ID() != id {
-		return nil, fmt.Errorf("forkbase: fetched chunk hashes to %s, requested %s: %w", c.ID().Short(), id.Short(), store.ErrCorrupt)
-	}
-	if _, err := s.rs.local.Put(c); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return s.rs.admitChunk(wire.ChunkFrame{ID: id, Bytes: got[0]})
 }
 
 func (s *remoteChunkStore) Put(c *chunk.Chunk) (bool, error) { return s.rs.local.Put(c) }

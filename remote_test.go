@@ -225,6 +225,56 @@ func TestRemoteTortureMalformedFrames(t *testing.T) {
 	})
 }
 
+// TestRemotePreHelloFrameCap: a connection that has not said Hello may
+// not announce a frame of ServerOptions.MaxFrame — the server sizes its
+// read buffer from the length prefix, so four bytes from a stranger
+// would otherwise cost 256 MiB. The announcement is a framing
+// violation: typed, logged, answered by hanging up, and nothing of that
+// size is allocated.
+func TestRemotePreHelloFrameCap(t *testing.T) {
+	logged := make(chan error, 8)
+	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{Logf: func(_ string, args ...any) {
+		for _, a := range args {
+			if err, ok := a.(error); ok {
+				select {
+				case logged <- err:
+				default:
+				}
+			}
+		}
+	}})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(wire.DefaultMaxFrame))
+	if _, err := c.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	// No body follows: a server that accepted the length would sit in
+	// ReadFull waiting for it, so the hang-up itself is the refusal.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 16)); !errors.Is(err, io.EOF) && (err == nil || !strings.Contains(err.Error(), "reset")) {
+		t.Fatalf("pre-hello %d-byte announcement: read = %v, want the server to hang up", wire.DefaultMaxFrame, err)
+	}
+	select {
+	case err := <-logged:
+		if !errors.Is(err, wire.ErrFrame) {
+			t.Fatalf("server logged %v, want a wire.ErrFrame", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server logged no framing violation")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > wire.DefaultMaxFrame/8 {
+		t.Fatalf("server allocated %d bytes on a pre-hello length prefix", grew)
+	}
+}
+
 // okStatsOpts encodes an empty option set — the minimal valid request
 // payload for option-only ops.
 func okStatsOpts() []byte {

@@ -392,7 +392,7 @@ func (s *Server) features() uint32 {
 	// backend requirement, unlike the chunk ops.
 	f := wire.FeatureServerStats
 	if s.chunkBack() != nil {
-		f |= wire.FeatureChunkSync | wire.FeatureWantStream
+		f |= wire.FeatureChunkSync
 	}
 	return f
 }
@@ -526,10 +526,21 @@ func (sc *serverConn) readLoop() {
 	}
 }
 
+// preHelloMaxFrame caps what a connection may announce before its
+// Hello succeeds. The frame buffer is allocated from the length prefix
+// alone, so without this an unauthenticated peer could make the server
+// allocate ServerOptions.MaxFrame with four bytes; a Hello carries a
+// version and a token.
+const preHelloMaxFrame = 64 << 10
+
 func (sc *serverConn) readFrame() (rawFrame, error) {
 	var f rawFrame
 	var err error
-	f.reqID, f.op, f.payload, f.buf, err = wire.ReadFrameInto(sc.br, sc.srv.opts.MaxFrame, wire.GetFrameBuf())
+	maxFrame := sc.srv.opts.MaxFrame
+	if !sc.isAuthed() && (maxFrame <= 0 || maxFrame > preHelloMaxFrame) {
+		maxFrame = preHelloMaxFrame
+	}
+	f.reqID, f.op, f.payload, f.buf, err = wire.ReadFrameInto(sc.br, maxFrame, wire.GetFrameBuf())
 	if err == nil {
 		sc.srv.met.bytesIn.Add(frameWireBytes + int64(len(f.payload)))
 	}
@@ -677,12 +688,6 @@ func (sc *serverConn) dropTask(t serverTask) {
 func (sc *serverConn) isClosed() bool { return sc.closed.Load() }
 
 func (sc *serverConn) isAuthed() bool { return sc.authed.Load() }
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining || s.closed
-}
 
 // admit reserves an in-flight slot for a new request unless the
 // server is draining. The check and the WaitGroup Add happen under
@@ -1113,49 +1118,17 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 	case wire.OpChunkWant:
 		key := d.Str()
 		ids := wire.DecodeUIDs(d)
-		// Optional trailing flags byte: absent from classic clients,
-		// whose requests therefore take the prefix-answering path below
-		// unchanged.
-		var flags uint8
-		if d.Err() == nil && d.Rest() > 0 {
-			flags = d.U8()
-		}
+		flags := d.U8()
 		if err := d.Err(); err != nil {
 			return fail(err)
+		}
+		if flags&^wire.WantFlagDeep != 0 {
+			return fail(fmt.Errorf("%w: unknown want flags %#x", ErrBadOptions, flags))
 		}
 		if err := cb.checkChunkAccess(co.User, key, false); err != nil {
 			return fail(err)
 		}
-		if flags&(wire.WantFlagStream|wire.WantFlagDeep) != 0 {
-			return sc.streamWant(ctx, reqID, cs, ids, flags)
-		}
-		// Answer a prefix of the request, stopping before the response
-		// would overflow the frame cap; the client re-requests the
-		// tail. Half the cap leaves comfortable room for per-chunk
-		// framing no matter how the sizes fall.
-		budget := wire.MaxPayload(s.opts.MaxFrame) / 2
-		var answered []*chunk.Chunk
-		total := 0
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			c, err := store.GetVerified(cs, id)
-			if errors.Is(err, store.ErrNotFound) {
-				answered = append(answered, nil)
-				continue
-			}
-			if err != nil {
-				return fail(err)
-			}
-			if total+c.Size() > budget && len(answered) > 0 {
-				break
-			}
-			answered = append(answered, c)
-			total += c.Size()
-		}
-		s.met.chunksync[csWant].Add(int64(total))
-		return okPayload(func(e *wire.Enc) { wire.EncodeWantResponse(e, answered) })
+		return sc.streamWant(ctx, reqID, cs, ids, flags&wire.WantFlagDeep != 0)
 	case wire.OpChunkSend:
 		key := d.Str()
 		frames := wire.DecodeChunkUpload(d)
@@ -1263,17 +1236,16 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 // chunk has been read from disk.
 const wantPartTarget = 256 << 10
 
-// streamWant answers one OpChunkWant request in streaming mode:
-// chunks ship in bounded OpChunkWantPart frames as they are read, and
-// the returned payload — written by the caller under op OpChunkWant —
-// terminates the stream with the usual status byte, so a mid-stream
-// failure (or an OpCancel) still costs exactly this request and
-// nothing else on the connection. With WantFlagDeep the requested ids
-// are POS-Tree roots whose whole reachable subtree is streamed —
-// a cold read in one round trip — skipping ids the server does not
-// hold (the client's pull sweep owns completeness, exactly as it does
-// for classic answers).
-func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Store, ids []chunk.ID, flags uint8) []byte {
+// streamWant answers one OpChunkWant request: chunks ship in bounded
+// OpChunkWantPart frames as they are read, and the returned payload —
+// written by the caller under op OpChunkWant — terminates the stream
+// with the usual status byte, so a mid-stream failure (or an OpCancel)
+// still costs exactly this request and nothing else on the connection.
+// With deep the requested ids are POS-Tree roots whose whole reachable
+// subtree is streamed — a cold read in one round trip. Ids the server
+// does not hold are skipped either way (the client's pull sweep owns
+// completeness).
+func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Store, ids []chunk.ID, deep bool) []byte {
 	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
 	target := wantPartTarget
 	if max := wire.MaxPayload(sc.srv.opts.MaxFrame) / 2; max < target {
@@ -1294,7 +1266,6 @@ func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Sto
 		sc.srv.met.chunksync[csStream].Add(int64(partSize))
 		part, partSize = part[:0], 0
 	}
-	deep := flags&wire.WantFlagDeep != 0
 	queue := append([]chunk.ID(nil), ids...)
 	seen := make(map[chunk.ID]bool, len(queue))
 	for i := 0; i < len(queue); i++ {
@@ -1313,8 +1284,7 @@ func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Sto
 		c, err := store.GetVerified(cs, id)
 		if errors.Is(err, store.ErrNotFound) {
 			// Ids the server does not hold are simply not streamed; the
-			// client treats unanswered ids as absent, matching the
-			// classic response's present=false.
+			// client treats unanswered ids as absent.
 			continue
 		}
 		if err != nil {

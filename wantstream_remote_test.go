@@ -1,13 +1,14 @@
 package forkbase_test
 
-// The streamed Want protocol: part framing and flush bounds at the
-// wire level, the one-round-trip deep tree walk, cancellation ending a
-// stream without costing the connection, and the fallback matrix that
-// keeps old and new peers interoperable.
+// The Want protocol: part framing and flush bounds at the wire level,
+// the one-round-trip deep tree walk, cancellation ending a stream
+// without costing the connection, lazy single-chunk fetches and the
+// access check a fully cached read still makes.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -20,11 +21,11 @@ import (
 	"forkbase/internal/wire"
 )
 
-// streamWantRaw sends one flagged OpChunkWant and collects the whole
-// streamed answer: every part's chunk frames, then the final status
+// wantRaw sends one OpChunkWant and collects the whole streamed
+// answer: every part's chunk frames, then the final status
 // frame decoded like any other response. Each ReadFrame call allocates
 // its own buffer, so retaining frames across parts is safe here.
-func streamWantRaw(t *testing.T, c net.Conn, key string, ids []chunk.ID, flags uint8) (parts [][]wire.ChunkFrame, final *wire.Dec, ep *wire.ErrorPayload) {
+func wantRaw(t *testing.T, c net.Conn, key string, ids []chunk.ID, flags uint8) (parts [][]wire.ChunkFrame, final *wire.Dec, ep *wire.ErrorPayload) {
 	t.Helper()
 	var e wire.Enc
 	wire.EncodeCallOptions(&e, wire.CallOptions{})
@@ -66,7 +67,7 @@ func streamWantRaw(t *testing.T, c net.Conn, key string, ids []chunk.ID, flags u
 	}
 }
 
-// TestWantStreamParts: a flagged Want for a batch far beyond one part's
+// TestWantStreamParts: a Want for a batch far beyond one part's
 // budget arrives as multiple bounded OpChunkWantPart frames whose union
 // is exactly the requested-and-present set, ids the server does not
 // hold are skipped, and the final status frame carries the count.
@@ -99,7 +100,7 @@ func TestWantStreamParts(t *testing.T) {
 	}
 	ids = append(ids, chunk.ID{0xde, 0xad}) // phantom: must be skipped, not failed
 
-	parts, final, ep := streamWantRaw(t, c, "doc", ids, wire.WantFlagStream)
+	parts, final, ep := wantRaw(t, c, "doc", ids, 0)
 	if ep != nil {
 		t.Fatalf("streamed want failed: %v", ep.Err)
 	}
@@ -160,7 +161,7 @@ func TestWantStreamDeep(t *testing.T) {
 	}
 
 	c := rawChunkConn(t, addr)
-	parts, final, ep := streamWantRaw(t, c, "doc", []chunk.ID{root}, wire.WantFlagDeep)
+	parts, final, ep := wantRaw(t, c, "doc", []chunk.ID{root}, wire.WantFlagDeep)
 	if ep != nil {
 		t.Fatalf("deep want failed: %v", ep.Err)
 	}
@@ -247,11 +248,9 @@ func TestWantStreamCancelTerminates(t *testing.T) {
 	}
 }
 
-// TestWantStreamFallbackMatrix: every opt-out combination reads the
-// same bytes. A client that disables streaming speaks the classic
-// prefix protocol; a level-synchronous client (PullWindow < 0) walks
-// the old baseline; both re-read warm with only delta traffic, so the
-// fallbacks preserve the dedup property too.
+// TestWantStreamFallbackMatrix: what is left of the opt-out matrix now
+// that there is one protocol — a cold read returns the bytes, and the
+// warm re-read moves only delta traffic, so the dedup property holds.
 func TestWantStreamFallbackMatrix(t *testing.T) {
 	db := forkbase.Open()
 	addr, _ := startServer(t, db, forkbase.ServerOptions{})
@@ -262,34 +261,135 @@ func TestWantStreamFallbackMatrix(t *testing.T) {
 	if _, err := db.Put(ctx, "doc", forkbase.NewBlob(data)); err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name string
-		cfg  forkbase.RemoteConfig
-	}{
-		{"streamed", forkbase.RemoteConfig{ChunkSync: true}},
-		{"classic-want", forkbase.RemoteConfig{ChunkSync: true, DisableWantStream: true}},
-		{"level-sync", forkbase.RemoteConfig{ChunkSync: true, PullWindow: -1, DisableWantStream: true}},
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true, ChunkCacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.ChunkCacheDir = t.TempDir()
-			rc, err := forkbase.Dial(addr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rc.Close()
-			if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
-				t.Fatal("cold read corrupted the object")
-			}
-			base := rc.WireStats().BytesReceived
-			if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
-				t.Fatal("warm read corrupted the object")
-			}
-			if moved := rc.WireStats().BytesReceived - base; moved > int64(len(data))/10 {
-				t.Fatalf("warm re-read moved %d bytes — fallback lost the dedup property", moved)
-			}
-		})
+	defer rc.Close()
+	if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
+		t.Fatal("cold read corrupted the object")
+	}
+	base := rc.WireStats().BytesReceived
+	if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
+		t.Fatal("warm read corrupted the object")
+	}
+	if moved := rc.WireStats().BytesReceived - base; moved > int64(len(data))/10 {
+		t.Fatalf("warm re-read moved %d bytes — the dedup property is lost", moved)
+	}
+}
+
+// TestWantStreamLazyChunkGet: a value handle whose chunks left the
+// cache refetches them one at a time through the same streamed Want.
+// Reading a few bytes costs exactly one single-chunk Want per tree
+// level, the server ships exactly those chunks' bytes as parts, and
+// each arrives verified and is admitted — the same read again touches
+// no network.
+func TestWantStreamLazyChunkGet(t *testing.T) {
+	db := forkbase.Open()
+	addr, srv := startServer(t, db, forkbase.ServerOptions{})
+	ctx := context.Background()
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(25)).Read(data)
+	if _, err := db.Put(ctx, "doc", forkbase.NewBlob(data)); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	o, err := rc.Get(ctx, "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, height, err := types.ParseChunkRef(o.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := rc.Value(ctx, "doc", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := forkbase.AsBlob(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.DropChunkCacheForTest()
+
+	counters := func() (wants, streamed int64) {
+		snap := srv.MetricsSnapshot()
+		w, _ := sampleValue(snap, "forkbase_server_requests_total", `op="chunk_want"`)
+		s, _ := sampleValue(snap, "forkbase_server_chunksync_bytes_total", `op="stream"`)
+		return w.Value, s.Value
+	}
+	wants0, streamed0 := counters()
+	const off = 512<<10 + 17
+	got := make([]byte, 8)
+	if _, err := b.ReadAt(got, off); err != nil {
+		t.Fatalf("read after cache loss: %v", err)
+	}
+	if !bytes.Equal(got, data[off:off+8]) {
+		t.Fatal("lazy fetch corrupted the read")
+	}
+	wants1, streamed1 := counters()
+	if n := wants1 - wants0; n != int64(height) {
+		t.Fatalf("an 8-byte read of a height-%d tree made %d Wants, want one per level", height, n)
+	}
+	// What the server shipped is what the client admitted: the chunks on
+	// the one root-to-leaf path, and nothing else.
+	if held := rc.ChunkCacheStatsForTest(); held.Chunks != height || streamed1-streamed0 != held.Bytes {
+		t.Fatalf("server streamed %d bytes; client cache holds %d chunks, %d bytes; want %d chunks and equal bytes",
+			streamed1-streamed0, held.Chunks, held.Bytes, height)
+	}
+	if _, err := b.ReadAt(got, off); err != nil {
+		t.Fatal(err)
+	}
+	if wants2, _ := counters(); wants2 != wants1 {
+		t.Fatalf("re-reading the fetched range made %d more Wants — lazily fetched chunks were not admitted", wants2-wants1)
+	}
+}
+
+// TestWantStreamWarmCacheAccessCheck: with every chunk already cached a
+// Value moves no chunk, so nothing it needs would carry the user to the
+// server — it makes an empty Want for the access check alone. A user
+// who may not read the key is refused from a warm cache exactly as from
+// a cold one.
+func TestWantStreamWarmCacheAccessCheck(t *testing.T) {
+	acl := forkbase.NewACL(false)
+	acl.Grant("admin", "", "", forkbase.PermAdmin)
+	acl.Grant("reader", "doc", "", forkbase.PermRead)
+	db := forkbase.Open(forkbase.Options{ACL: acl})
+	addr, srv := startServer(t, db, forkbase.ServerOptions{})
+	ctx := context.Background()
+	data := make([]byte, 256<<10)
+	rand.New(rand.NewSource(26)).Read(data)
+	if _, err := db.Put(ctx, "doc", forkbase.NewBlob(data), forkbase.WithUser("admin")); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	o, err := rc.Get(ctx, "doc", forkbase.WithUser("reader"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Value(ctx, "doc", o, forkbase.WithUser("reader")); err != nil {
+		t.Fatalf("cold read by a granted user: %v", err)
+	}
+	streamed := func() int64 {
+		s, _ := sampleValue(srv.MetricsSnapshot(), "forkbase_server_chunksync_bytes_total", `op="stream"`)
+		return s.Value
+	}
+	warm := streamed()
+	if _, err := rc.Value(ctx, "doc", o, forkbase.WithUser("reader")); err != nil {
+		t.Fatalf("warm read by a granted user: %v", err)
+	}
+	if _, err := rc.Value(ctx, "doc", o, forkbase.WithUser("stranger")); !errors.Is(err, forkbase.ErrAccessDenied) {
+		t.Fatalf("warm-cache Value by a user without read access: %v, want ErrAccessDenied", err)
+	}
+	if moved := streamed() - warm; moved != 0 {
+		t.Fatalf("warm reads streamed %d chunk bytes", moved)
 	}
 }
