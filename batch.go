@@ -36,17 +36,35 @@ func NewBatch() *Batch { return &Batch{} }
 // silently dropping the option.
 func (b *Batch) Put(key string, v Value, opts ...Option) *Batch {
 	o := resolveOpts(opts)
-	if len(o.bases) > 0 && b.err == nil {
-		b.err = ErrBadOptions
+	return b.put(key, v, &o)
+}
+
+// put is Put under an already-resolved option set; the server decodes
+// a wire batch's entries straight into one.
+func (b *Batch) put(key string, v Value, o *callOpts) *Batch {
+	p, err := batchPut(key, v, o)
+	if err != nil && b.err == nil {
+		b.err = err
 	}
-	b.puts = append(b.puts, core.BatchPut{
+	b.puts = append(b.puts, p)
+	return b
+}
+
+// batchPut turns one write and its resolved options into an engine
+// batch entry — the option grammar of a batched write, shared by Batch
+// and the server's put coalescer.
+func batchPut(key string, v Value, o *callOpts) (core.BatchPut, error) {
+	p := core.BatchPut{
 		Key:    []byte(key),
 		Branch: o.branchOr(DefaultBranch),
 		Value:  v,
 		Meta:   o.meta,
 		Guard:  o.guard,
-	})
-	return b
+	}
+	if len(o.bases) > 0 {
+		return p, ErrBadOptions
+	}
+	return p, nil
 }
 
 // Len returns the number of writes in the batch.

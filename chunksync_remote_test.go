@@ -78,11 +78,11 @@ func TestChunkSyncDeltaBytesOnWire(t *testing.T) {
 	}
 
 	// Cold read: the whole object must cross the wire once.
-	base := rc.WireStats().BytesReceived
+	base := wireBytes(rc, "in")
 	if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
 		t.Fatal("cold read corrupted the object")
 	}
-	cold := rc.WireStats().BytesReceived - base
+	cold := wireBytes(rc, "in") - base
 	if cold < int64(len(data)) {
 		t.Fatalf("cold read of %d bytes moved only %d on the wire", len(data), cold)
 	}
@@ -111,11 +111,11 @@ func TestChunkSyncDeltaBytesOnWire(t *testing.T) {
 	edited := spliceAt(data, edit, len(data)/2)
 
 	// Warm re-read: only the delta may cross.
-	base = rc.WireStats().BytesReceived
+	base = wireBytes(rc, "in")
 	if got := readDoc(t, rc, "doc"); !bytes.Equal(got, edited) {
 		t.Fatal("re-read did not observe the edit")
 	}
-	delta := rc.WireStats().BytesReceived - base
+	delta := wireBytes(rc, "in") - base
 	if limit := int64(len(data)) / 10; delta > limit {
 		t.Fatalf("1%% edit re-read moved %d of %d bytes on the wire (limit %d)", delta, len(data), limit)
 	}
@@ -139,12 +139,12 @@ func TestChunkSyncDeltaBytesOnWire(t *testing.T) {
 	if err := b2.Splice(uint64(len(data)/4), uint64(len(edit2)), edit2); err != nil {
 		t.Fatal(err)
 	}
-	sentBase := rc.WireStats().BytesSent
+	sentBase := wireBytes(rc, "out")
 	uid, err := rc.Put(ctx, "doc", b2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := rc.WireStats().BytesSent - sentBase
+	sent := wireBytes(rc, "out") - sentBase
 	if limit := int64(len(data)) / 10; sent > limit {
 		t.Fatalf("1%% edit put sent %d of %d bytes on the wire (limit %d)", sent, len(data), limit)
 	}
@@ -192,11 +192,11 @@ func TestChunkSyncCachePersistsAcrossDials(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc2.Close()
-	base := rc2.WireStats().BytesReceived
+	base := wireBytes(rc2, "in")
 	if got := readDoc(t, rc2, "doc"); !bytes.Equal(got, data) {
 		t.Fatal("warm read corrupted the object")
 	}
-	if moved := rc2.WireStats().BytesReceived - base; moved > int64(len(data))/10 {
+	if moved := wireBytes(rc2, "in") - base; moved > int64(len(data))/10 {
 		t.Fatalf("warm read against a persistent cache still moved %d bytes", moved)
 	}
 }
@@ -239,7 +239,7 @@ func TestChunkSyncColdMissHonorsCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.DropChunkCacheForTest()
-	base := rc.WireStats().BytesReceived
+	base := wireBytes(rc, "in")
 	got, err := b1.Bytes()
 	if err != nil {
 		t.Fatalf("read after cache loss with live ctx: %v", err)
@@ -247,7 +247,7 @@ func TestChunkSyncColdMissHonorsCtx(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("lazy refetch corrupted the object")
 	}
-	if moved := rc.WireStats().BytesReceived - base; moved < int64(len(data)) {
+	if moved := wireBytes(rc, "in") - base; moved < int64(len(data)) {
 		t.Fatalf("read after cache loss moved only %d of %d bytes", moved, len(data))
 	}
 
@@ -263,11 +263,11 @@ func TestChunkSyncColdMissHonorsCtx(t *testing.T) {
 	}
 	rc.DropChunkCacheForTest()
 	cancel()
-	base = rc.WireStats().BytesReceived
+	base = wireBytes(rc, "in")
 	if _, err := b2.Bytes(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("read after cancel: err = %v, want context.Canceled", err)
 	}
-	if moved := rc.WireStats().BytesReceived - base; moved > 4<<10 {
+	if moved := wireBytes(rc, "in") - base; moved > 4<<10 {
 		t.Fatalf("cancelled read still moved %d bytes over the wire", moved)
 	}
 }

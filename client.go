@@ -2,13 +2,10 @@ package forkbase
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"forkbase/internal/core"
 	"forkbase/internal/servlet"
-	"forkbase/internal/store"
 )
 
 // Store is the unified ForkBase client API. Every deployment mode —
@@ -115,13 +112,10 @@ type BranchList struct {
 	Untagged []UID
 }
 
-// ErrBadOptions reports an option combination a call cannot satisfy
-// (e.g. Put with both WithBranch and WithBase).
-var ErrBadOptions = core.ErrBadOptions
-
-// Access control, shared by every Store implementation. The embedded
-// DB and the cluster both delegate to the servlet layer's branch-based
-// controller (§4.1); a nil/absent ACL means open mode.
+// Access control, shared by every Store implementation: one
+// branch-based controller (§4.1) consulted by the policy layer
+// (policy.go) whichever deployment mode runs the call; a nil/absent
+// ACL means open mode.
 type (
 	// ACL is a branch-based access controller; see NewACL.
 	ACL = servlet.ACL
@@ -181,28 +175,9 @@ func AsSet(v Value) (*Set, error) {
 }
 
 // --- embedded implementation ----------------------------------------
-
-// check runs the embedded access controller, if one is configured.
-func (db *DB) check(user, key, branchName string, need Permission) error {
-	if db.acl == nil {
-		return nil
-	}
-	return db.acl.Check(user, key, branchName, need)
-}
-
-// checkBaseRead verifies read permission on the key a version actually
-// belongs to. Calls that accept a WithBase uid must not let the uid act
-// as a capability that sidesteps per-key grants.
-func (db *DB) checkBaseRead(user string, uid UID) error {
-	if db.acl == nil || uid.IsNil() {
-		return nil
-	}
-	obj, err := db.eng.GetUID(uid)
-	if err != nil {
-		return err
-	}
-	return db.check(user, string(obj.Key), "", PermRead)
-}
+//
+// Every method is the context check, the option fold and the op's
+// policy function (policy.go) on the embedded engine.
 
 // Get implements Store.
 func (db *DB) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
@@ -210,27 +185,7 @@ func (db *DB) Get(ctx context.Context, key string, opts ...Option) (*FObject, er
 		return nil, err
 	}
 	o := resolveOpts(opts)
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return nil, ErrBadOptions
-		}
-		obj, err := db.eng.GetUID(uid)
-		if err != nil {
-			return nil, err
-		}
-		// The version names the key it belongs to; the read permission
-		// that matters is on that key, not the caller-supplied one — a
-		// uid must not be a capability to bypass per-key grants.
-		if err := db.check(o.user, string(obj.Key), "", PermRead); err != nil {
-			return nil, err
-		}
-		return obj, nil
-	}
-	br := o.branchOr(DefaultBranch)
-	if err := db.check(o.user, key, br, PermRead); err != nil {
-		return nil, err
-	}
-	return db.eng.Get([]byte(key), br)
+	return getOp(db.eng, db.acl, key, &o)
 }
 
 // Put implements Store.
@@ -239,68 +194,17 @@ func (db *DB) Put(ctx context.Context, key string, v Value, opts ...Option) (UID
 		return UID{}, err
 	}
 	o := resolveOpts(opts)
-	if base, ok := o.base(); ok {
-		if o.branchSet || o.guard != nil {
-			return UID{}, ErrBadOptions
-		}
-		if err := db.check(o.user, key, "", PermWrite); err != nil {
-			return UID{}, err
-		}
-		// Deriving from a version pulls its content into the new one;
-		// that needs read permission on the key the base belongs to.
-		if err := db.checkBaseRead(o.user, base); err != nil {
-			return UID{}, err
-		}
-		return db.eng.PutBase([]byte(key), base, v, o.meta)
-	}
-	br := o.branchOr(DefaultBranch)
-	if err := db.check(o.user, key, br, PermWrite); err != nil {
-		return UID{}, err
-	}
-	if o.guard != nil {
-		return db.eng.PutGuarded([]byte(key), br, v, o.meta, *o.guard)
-	}
-	return db.eng.Put([]byte(key), br, v, o.meta)
+	return putOp(db.eng, db.acl, key, v, &o)
 }
 
 // Apply implements Store.
 func (db *DB) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
 	o := resolveOpts(opts)
-	for _, p := range b.puts {
-		if err := db.check(o.user, string(p.Key), p.Branch, PermWrite); err != nil {
-			return nil, err
-		}
+	puts, err := batchOp(db.acl, b, &o)
+	if err != nil {
+		return nil, err
 	}
-	return db.eng.PutBatch(ctx, b.puts)
-}
-
-// putBatchServer executes a group of INDEPENDENT single puts on
-// behalf of the network server's put coalescer: per-put ACL checks
-// and per-put errors, with the engine-level batching of Apply. Unlike
-// Apply, one failing put does not abort the others — each coalesced
-// wire request must get exactly the result it would have gotten had
-// it been dispatched alone.
-func (db *DB) putBatchServer(ctx context.Context, user string, puts []core.BatchPut) ([]UID, []error) {
-	uids := make([]UID, len(puts))
-	errs := make([]error, len(puts))
-	run := make([]core.BatchPut, 0, len(puts))
-	idx := make([]int, 0, len(puts))
-	for i, p := range puts {
-		if err := db.check(user, string(p.Key), p.Branch, PermWrite); err != nil {
-			errs[i] = err
-			continue
-		}
-		run = append(run, p)
-		idx = append(idx, i)
-	}
-	ruids, rerrs := db.eng.PutBatchIndependent(ctx, run)
-	for j, i := range idx {
-		uids[i], errs[i] = ruids[j], rerrs[j]
-	}
-	return uids, errs
+	return db.eng.PutBatch(ctx, puts)
 }
 
 // Fork implements Store.
@@ -309,21 +213,7 @@ func (db *DB) Fork(ctx context.Context, key, newBranch string, opts ...Option) e
 		return err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, key, newBranch, PermWrite); err != nil {
-		return err
-	}
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return ErrBadOptions
-		}
-		// Tagging a version makes it readable under this key's
-		// branches; require read permission on its own key.
-		if err := db.checkBaseRead(o.user, uid); err != nil {
-			return err
-		}
-		return db.eng.ForkUID([]byte(key), uid, newBranch)
-	}
-	return db.eng.Fork([]byte(key), o.branchOr(DefaultBranch), newBranch)
+	return forkOp(db.eng, db.acl, key, newBranch, &o)
 }
 
 // Merge implements Store.
@@ -332,35 +222,7 @@ func (db *DB) Merge(ctx context.Context, key, tgtBranch string, opts ...Option) 
 		return UID{}, nil, err
 	}
 	o := resolveOpts(opts)
-	if tgtBranch == "" {
-		if len(o.bases) < 2 || o.branchSet {
-			return UID{}, nil, ErrBadOptions
-		}
-		if err := db.check(o.user, key, "", PermWrite); err != nil {
-			return UID{}, nil, err
-		}
-		for _, uid := range o.bases {
-			if err := db.checkBaseRead(o.user, uid); err != nil {
-				return UID{}, nil, err
-			}
-		}
-		return db.eng.MergeUntagged(ctx, []byte(key), o.resolver, o.meta, o.bases...)
-	}
-	if err := db.check(o.user, key, tgtBranch, PermWrite); err != nil {
-		return UID{}, nil, err
-	}
-	if ref, ok := o.base(); ok {
-		if o.branchSet || len(o.bases) > 1 {
-			return UID{}, nil, ErrBadOptions
-		}
-		// Merging a version folds its content into the target; that
-		// needs read permission on the key it belongs to.
-		if err := db.checkBaseRead(o.user, ref); err != nil {
-			return UID{}, nil, err
-		}
-		return db.eng.MergeUID(ctx, []byte(key), tgtBranch, ref, o.resolver, o.meta)
-	}
-	return db.eng.MergeBranches(ctx, []byte(key), tgtBranch, o.branchOr(DefaultBranch), o.resolver, o.meta)
+	return mergeOp(ctx, db.eng, db.acl, key, tgtBranch, &o)
 }
 
 // Track implements Store.
@@ -369,22 +231,7 @@ func (db *DB) Track(ctx context.Context, key string, from, to int, opts ...Optio
 		return nil, err
 	}
 	o := resolveOpts(opts)
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return nil, ErrBadOptions
-		}
-		// Read permission is checked on the key the version actually
-		// belongs to (derivation chains never cross keys).
-		if err := db.checkBaseRead(o.user, uid); err != nil {
-			return nil, err
-		}
-		return db.eng.TrackUID(ctx, uid, from, to)
-	}
-	br := o.branchOr(DefaultBranch)
-	if err := db.check(o.user, key, br, PermRead); err != nil {
-		return nil, err
-	}
-	return db.eng.Track(ctx, []byte(key), br, from, to)
+	return trackOp(ctx, db.eng, db.acl, key, from, to, &o)
 }
 
 // Diff implements Store.
@@ -393,13 +240,7 @@ func (db *DB) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*
 		return nil, err
 	}
 	o := resolveOpts(opts)
-	// Permission is checked on the keys the two versions belong to.
-	for _, uid := range []UID{a, b} {
-		if err := db.checkBaseRead(o.user, uid); err != nil {
-			return nil, err
-		}
-	}
-	return db.eng.Diff(ctx, a, b)
+	return diffOp(ctx, db.eng, db.acl, a, b, &o)
 }
 
 // ListKeys implements Store.
@@ -408,7 +249,7 @@ func (db *DB) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
 		return nil, err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, "", "", PermRead); err != nil {
+	if err := allowListKeys(db.acl, &o); err != nil {
 		return nil, err
 	}
 	return db.eng.ListKeys(), nil
@@ -420,13 +261,7 @@ func (db *DB) ListBranches(ctx context.Context, key string, opts ...Option) (Bra
 		return BranchList{}, err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, key, "", PermRead); err != nil {
-		return BranchList{}, err
-	}
-	return BranchList{
-		Tagged:   db.eng.ListTaggedBranches([]byte(key)),
-		Untagged: db.eng.ListUntaggedBranches([]byte(key)),
-	}, nil
+	return listBranchesOp(db.eng, db.acl, key, &o)
 }
 
 // RenameBranch implements Store.
@@ -435,10 +270,7 @@ func (db *DB) RenameBranch(ctx context.Context, key, branchName, newName string,
 		return err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, key, branchName, PermAdmin); err != nil {
-		return err
-	}
-	return db.eng.Rename([]byte(key), branchName, newName)
+	return renameBranchOp(db.eng, db.acl, key, branchName, newName, &o)
 }
 
 // RemoveBranch implements Store. With WithAutoGC configured, every
@@ -448,36 +280,19 @@ func (db *DB) RemoveBranch(ctx context.Context, key, branchName string, opts ...
 		return err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, key, branchName, PermAdmin); err != nil {
+	if err := removeBranchOp(db.eng, db.acl, key, branchName, &o); err != nil {
 		return err
 	}
-	if err := db.eng.RemoveBranch([]byte(key), branchName); err != nil {
-		return err
-	}
-	if db.autoGCEvery > 0 && db.removals.Add(1)%int64(db.autoGCEvery) == 0 {
-		// A collection already sweeping (another removal's auto-GC, or
-		// an explicit GC) will take this removal's garbage with it or
-		// leave it for the next round — not an error. The removal
-		// itself succeeded either way; a real GC failure is reported
-		// wrapped so the caller can tell the two apart.
-		if _, err := db.runGC(ctx); err != nil && !errors.Is(err, store.ErrSweepInProgress) {
-			return fmt.Errorf("forkbase: auto-gc after branch removal: %w", err)
-		}
-	}
-	return nil
+	return db.autoGC.removed(ctx, db.runGC)
 }
 
-// Pin implements Store; like every other mutating call it runs
-// through the access controller (write permission on key).
+// Pin implements Store.
 func (db *DB) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, key, "", PermWrite); err != nil {
-		return err
-	}
-	return db.eng.PinUID(uid)
+	return pinOp(db.eng, db.acl, key, uid, true, &o)
 }
 
 // Unpin implements Store.
@@ -486,10 +301,7 @@ func (db *DB) Unpin(ctx context.Context, key string, uid UID, opts ...Option) er
 		return err
 	}
 	o := resolveOpts(opts)
-	if err := db.check(o.user, key, "", PermWrite); err != nil {
-		return err
-	}
-	return db.eng.UnpinUID(uid)
+	return pinOp(db.eng, db.acl, key, uid, false, &o)
 }
 
 // GC implements Store: one mark-and-sweep collection over the embedded
@@ -500,9 +312,7 @@ func (db *DB) GC(ctx context.Context, opts ...Option) (GCStats, error) {
 		return GCStats{}, err
 	}
 	o := resolveOpts(opts)
-	// Collection deletes data store-wide; gate it like the other
-	// destructive admin operations, on the global wildcard.
-	if err := db.check(o.user, "", "", PermAdmin); err != nil {
+	if err := allowGC(db.acl, &o); err != nil {
 		return GCStats{}, err
 	}
 	return db.runGC(ctx)
@@ -523,11 +333,7 @@ func (db *DB) Value(ctx context.Context, key string, o *FObject, opts ...Option)
 		return nil, err
 	}
 	co := resolveOpts(opts)
-	// The object names its own key; check permission on that.
-	if err := db.check(co.user, string(o.Key), "", PermRead); err != nil {
-		return nil, err
-	}
-	return db.eng.Value(o)
+	return valueOp(db.eng, db.acl, o, &co)
 }
 
 var _ Store = (*DB)(nil)

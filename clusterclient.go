@@ -2,15 +2,10 @@ package forkbase
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"forkbase/internal/cluster"
 	"forkbase/internal/core"
-	"forkbase/internal/servlet"
-	"forkbase/internal/store"
 )
 
 // ClusterConfig configures OpenCluster.
@@ -71,17 +66,18 @@ type ClusterConfig struct {
 	SnapshotEvery int
 }
 
-// ClusterClient is the distributed Store implementation: calls are
-// routed by the cluster master to the servlet owning the key, pass the
-// access controller, and execute on that servlet's execution thread
+// ClusterClient is the distributed Store implementation: a thin
+// adapter that has the cluster master route each call to the servlet
+// owning the key and runs the op's policy function (policy.go) — the
+// same one the embedded DB calls — on that servlet's execution thread
 // (§4.1). It serves the same Store API as the embedded DB, so
 // applications move between deployment modes without change.
 type ClusterClient struct {
-	c *cluster.Cluster
+	c   *cluster.Cluster
+	acl *ACL
 
 	gcThreshold float64
-	autoGCEvery int
-	removals    atomic.Int64
+	autoGC      autoGC
 }
 
 // OpenCluster starts a simulated ForkBase cluster (in-process servlets
@@ -103,7 +99,6 @@ func OpenCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		Tree:          Options{ChunkSizeLog2: cfg.ChunkSizeLog2}.treeConfig(),
 		CacheBytes:    cfg.CacheBytes,
 		VerifyReads:   cfg.VerifyReads,
-		ACL:           cfg.ACL,
 		Root:          cfg.Root,
 		SyncWrites:    cfg.SyncWrites,
 		MetaSync:      cfg.MetaSync,
@@ -112,7 +107,7 @@ func OpenCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterClient{c: c, gcThreshold: cfg.GCThreshold, autoGCEvery: cfg.AutoGCEvery}, nil
+	return &ClusterClient{c: c, acl: cfg.ACL, gcThreshold: cfg.GCThreshold, autoGC: autoGC{every: cfg.AutoGCEvery}}, nil
 }
 
 // Cluster exposes the underlying simulated cluster for instrumentation
@@ -125,107 +120,61 @@ func (cc *ClusterClient) Close() error {
 	return nil
 }
 
-// checkBaseRead verifies, on the owning servlet, read permission on
-// the key a version actually belongs to: a WithBase uid must not act
-// as a capability that sidesteps per-key grants.
-func (cc *ClusterClient) checkBaseRead(eng *core.Engine, user string, uid UID) error {
-	acl := cc.c.ACL()
-	if acl.IsOpen() || uid.IsNil() {
-		return nil
-	}
-	obj, err := eng.GetUID(uid)
-	if err != nil {
+// onOwner runs op on the execution thread of the servlet owning key
+// and returns its result. On error the result is dropped unread: after
+// a cancelled context the execution thread may still be writing it.
+func onOwner[T any](ctx context.Context, cc *ClusterClient, key string, op func(eng *core.Engine) (T, error)) (T, error) {
+	var out T
+	err := cc.c.Exec(ctx, key, func(eng *core.Engine) (err error) {
+		out, err = op(eng)
 		return err
+	})
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	return acl.Check(user, string(obj.Key), "", servlet.PermRead)
+	return out, nil
 }
 
 // Get implements Store.
 func (cc *ClusterClient) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
 	o := resolveOpts(opts)
-	var out *FObject
-	var err error
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return nil, ErrBadOptions
-		}
-		err = cc.c.ExecAs(ctx, o.user, key, "", servlet.PermRead, func(eng *core.Engine) error {
-			obj, err := eng.GetUID(uid)
-			if err != nil {
-				return err
-			}
-			// Permission follows the version's own key.
-			if err := cc.c.ACL().Check(o.user, string(obj.Key), "", servlet.PermRead); err != nil {
-				return err
-			}
-			out = obj
-			return nil
-		})
-	} else {
-		br := o.branchOr(DefaultBranch)
-		err = cc.c.ExecAs(ctx, o.user, key, br, servlet.PermRead, func(eng *core.Engine) error {
-			var err error
-			out, err = eng.Get([]byte(key), br)
-			return err
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return onOwner(ctx, cc, key, func(eng *core.Engine) (*FObject, error) {
+		return getOp(eng, cc.acl, key, &o)
+	})
 }
 
-// Put implements Store.
+// Put implements Store. Under ClusterConfig.Rebalance an overloaded
+// owner has the value's POS-Tree built elsewhere first (cluster.Put).
 func (cc *ClusterClient) Put(ctx context.Context, key string, v Value, opts ...Option) (UID, error) {
 	o := resolveOpts(opts)
-	if base, ok := o.base(); ok {
-		if o.branchSet || o.guard != nil {
-			return UID{}, ErrBadOptions
-		}
-		var uid UID
-		err := cc.c.ExecAs(ctx, o.user, key, "", servlet.PermWrite, func(eng *core.Engine) error {
-			if err := cc.checkBaseRead(eng, o.user, base); err != nil {
-				return err
-			}
-			var err error
-			uid, err = eng.PutBase([]byte(key), base, v, o.meta)
-			return err
-		})
-		if err != nil {
-			return UID{}, err
-		}
-		return uid, nil
+	var uid UID
+	err := cc.c.Put(ctx, key, v, func(eng *core.Engine) (err error) {
+		uid, err = putOp(eng, cc.acl, key, v, &o)
+		return err
+	})
+	if err != nil {
+		return UID{}, err
 	}
-	return cc.c.PutAs(ctx, o.user, key, o.branchOr(DefaultBranch), v, o.meta, o.guard)
+	return uid, nil
 }
 
 // Apply implements Store: batched writes dispatch once per owning
 // servlet, paying the network hop and queue slot once per group.
 func (cc *ClusterClient) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
 	o := resolveOpts(opts)
-	return cc.c.PutBatch(ctx, o.user, b.puts)
+	puts, err := batchOp(cc.acl, b, &o)
+	if err != nil {
+		return nil, err
+	}
+	return cc.c.PutBatch(ctx, puts)
 }
 
 // Fork implements Store.
 func (cc *ClusterClient) Fork(ctx context.Context, key, newBranch string, opts ...Option) error {
 	o := resolveOpts(opts)
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return ErrBadOptions
-		}
-		return cc.c.ExecAs(ctx, o.user, key, newBranch, servlet.PermWrite, func(eng *core.Engine) error {
-			if err := cc.checkBaseRead(eng, o.user, uid); err != nil {
-				return err
-			}
-			return eng.ForkUID([]byte(key), uid, newBranch)
-		})
-	}
-	ref := o.branchOr(DefaultBranch)
-	return cc.c.ExecAs(ctx, o.user, key, newBranch, servlet.PermWrite, func(eng *core.Engine) error {
-		return eng.Fork([]byte(key), ref, newBranch)
+	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
+		return forkOp(eng, cc.acl, key, newBranch, &o)
 	})
 }
 
@@ -234,132 +183,57 @@ func (cc *ClusterClient) Merge(ctx context.Context, key, tgtBranch string, opts 
 	o := resolveOpts(opts)
 	var uid UID
 	var conflicts []Conflict
-	run := func(fn func(eng *core.Engine) error) (UID, []Conflict, error) {
-		if err := cc.c.ExecAs(ctx, o.user, key, tgtBranch, servlet.PermWrite, fn); err != nil {
-			if ctx.Err() != nil {
-				// The execution thread may still be writing conflicts.
-				return UID{}, nil, err
-			}
-			return UID{}, conflicts, err
-		}
-		return uid, nil, nil
-	}
-	if tgtBranch == "" {
-		if len(o.bases) < 2 || o.branchSet {
-			return UID{}, nil, ErrBadOptions
-		}
-		return run(func(eng *core.Engine) error {
-			for _, base := range o.bases {
-				if err := cc.checkBaseRead(eng, o.user, base); err != nil {
-					return err
-				}
-			}
-			var err error
-			uid, conflicts, err = eng.MergeUntagged(ctx, []byte(key), o.resolver, o.meta, o.bases...)
-			return err
-		})
-	}
-	if ref, ok := o.base(); ok {
-		if o.branchSet || len(o.bases) > 1 {
-			return UID{}, nil, ErrBadOptions
-		}
-		return run(func(eng *core.Engine) error {
-			// Merging a version folds its content into the target;
-			// that needs read permission on the key it belongs to.
-			if err := cc.checkBaseRead(eng, o.user, ref); err != nil {
-				return err
-			}
-			var err error
-			uid, conflicts, err = eng.MergeUID(ctx, []byte(key), tgtBranch, ref, o.resolver, o.meta)
-			return err
-		})
-	}
-	refBranch := o.branchOr(DefaultBranch)
-	return run(func(eng *core.Engine) error {
-		var err error
-		uid, conflicts, err = eng.MergeBranches(ctx, []byte(key), tgtBranch, refBranch, o.resolver, o.meta)
+	err := cc.c.Exec(ctx, key, func(eng *core.Engine) (err error) {
+		uid, conflicts, err = mergeOp(ctx, eng, cc.acl, key, tgtBranch, &o)
 		return err
 	})
+	if err != nil && ctx.Err() != nil {
+		// The execution thread may still be writing uid and conflicts.
+		return UID{}, nil, err
+	}
+	return uid, conflicts, err
 }
 
 // Track implements Store.
 func (cc *ClusterClient) Track(ctx context.Context, key string, from, to int, opts ...Option) ([]*FObject, error) {
 	o := resolveOpts(opts)
-	var out []*FObject
-	var err error
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return nil, ErrBadOptions
-		}
-		err = cc.c.ExecAs(ctx, o.user, key, "", servlet.PermRead, func(eng *core.Engine) error {
-			if err := cc.checkBaseRead(eng, o.user, uid); err != nil {
-				return err
-			}
-			var err error
-			out, err = eng.TrackUID(ctx, uid, from, to)
-			return err
-		})
-	} else {
-		br := o.branchOr(DefaultBranch)
-		err = cc.c.ExecAs(ctx, o.user, key, br, servlet.PermRead, func(eng *core.Engine) error {
-			var err error
-			out, err = eng.Track(ctx, []byte(key), br, from, to)
-			return err
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return onOwner(ctx, cc, key, func(eng *core.Engine) ([]*FObject, error) {
+		return trackOp(ctx, eng, cc.acl, key, from, to, &o)
+	})
 }
 
-// Diff implements Store.
+// Diff implements Store; key only routes the call to the servlet that
+// holds both versions.
 func (cc *ClusterClient) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*Diff, error) {
 	o := resolveOpts(opts)
-	var d *Diff
-	err := cc.c.ExecAs(ctx, o.user, key, "", servlet.PermRead, func(eng *core.Engine) error {
-		for _, uid := range []UID{a, b} {
-			if err := cc.checkBaseRead(eng, o.user, uid); err != nil {
-				return err
-			}
-		}
-		var err error
-		d, err = eng.Diff(ctx, a, b)
-		return err
+	return onOwner(ctx, cc, key, func(eng *core.Engine) (*Diff, error) {
+		return diffOp(ctx, eng, cc.acl, a, b, &o)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // ListKeys implements Store; it aggregates keys across all servlets
-// (M8) and requires global read permission under a closed ACL.
+// (M8).
 func (cc *ClusterClient) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
 	o := resolveOpts(opts)
-	return cc.c.ListKeys(ctx, o.user)
+	if err := allowListKeys(cc.acl, &o); err != nil {
+		return nil, err
+	}
+	return cc.c.ListKeys(ctx)
 }
 
 // ListBranches implements Store.
 func (cc *ClusterClient) ListBranches(ctx context.Context, key string, opts ...Option) (BranchList, error) {
 	o := resolveOpts(opts)
-	var bl BranchList
-	err := cc.c.ExecAs(ctx, o.user, key, "", servlet.PermRead, func(eng *core.Engine) error {
-		bl.Tagged = eng.ListTaggedBranches([]byte(key))
-		bl.Untagged = eng.ListUntaggedBranches([]byte(key))
-		return nil
+	return onOwner(ctx, cc, key, func(eng *core.Engine) (BranchList, error) {
+		return listBranchesOp(eng, cc.acl, key, &o)
 	})
-	if err != nil {
-		return BranchList{}, err
-	}
-	return bl, nil
 }
 
 // RenameBranch implements Store.
 func (cc *ClusterClient) RenameBranch(ctx context.Context, key, branchName, newName string, opts ...Option) error {
 	o := resolveOpts(opts)
-	return cc.c.ExecAs(ctx, o.user, key, branchName, servlet.PermAdmin, func(eng *core.Engine) error {
-		return eng.Rename([]byte(key), branchName, newName)
+	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
+		return renameBranchOp(eng, cc.acl, key, branchName, newName, &o)
 	})
 }
 
@@ -368,21 +242,13 @@ func (cc *ClusterClient) RenameBranch(ctx context.Context, key, branchName, newN
 // returning.
 func (cc *ClusterClient) RemoveBranch(ctx context.Context, key, branchName string, opts ...Option) error {
 	o := resolveOpts(opts)
-	err := cc.c.ExecAs(ctx, o.user, key, branchName, servlet.PermAdmin, func(eng *core.Engine) error {
-		return eng.RemoveBranch([]byte(key), branchName)
+	err := cc.c.Exec(ctx, key, func(eng *core.Engine) error {
+		return removeBranchOp(eng, cc.acl, key, branchName, &o)
 	})
 	if err != nil {
 		return err
 	}
-	if cc.autoGCEvery > 0 && cc.removals.Add(1)%int64(cc.autoGCEvery) == 0 {
-		// An already-running collection (another removal's auto-GC or
-		// an explicit GC) covers this garbage; only real failures are
-		// reported. The removal itself succeeded either way.
-		if _, err := cc.c.GC(ctx, cc.gcThreshold); err != nil && !errors.Is(err, store.ErrSweepInProgress) {
-			return fmt.Errorf("forkbase: auto-gc after branch removal: %w", err)
-		}
-	}
-	return nil
+	return cc.autoGC.removed(ctx, cc.collect)
 }
 
 // Pin implements Store. key routes the pin to the servlet owning it:
@@ -390,47 +256,48 @@ func (cc *ClusterClient) RemoveBranch(ctx context.Context, key, branchName strin
 // the version's meta chunk lives in that servlet's local storage.
 func (cc *ClusterClient) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
 	o := resolveOpts(opts)
-	return cc.c.ExecAs(ctx, o.user, key, "", servlet.PermWrite, func(eng *core.Engine) error {
-		return eng.PinUID(uid)
+	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
+		return pinOp(eng, cc.acl, key, uid, true, &o)
 	})
 }
 
 // Unpin implements Store.
 func (cc *ClusterClient) Unpin(ctx context.Context, key string, uid UID, opts ...Option) error {
 	o := resolveOpts(opts)
-	return cc.c.ExecAs(ctx, o.user, key, "", servlet.PermWrite, func(eng *core.Engine) error {
-		return eng.UnpinUID(uid)
+	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
+		return pinOp(eng, cc.acl, key, uid, false, &o)
 	})
 }
 
 // GC implements Store: one mark-and-sweep collection across every
 // servlet and storage node of the cluster (global mark, per-node
-// sweep; see cluster.Cluster.GC). Under a closed ACL it requires
-// global admin permission — collection deletes data cluster-wide.
+// sweep; see cluster.Cluster.GC).
 func (cc *ClusterClient) GC(ctx context.Context, opts ...Option) (GCStats, error) {
 	if err := ctx.Err(); err != nil {
 		return GCStats{}, err
 	}
 	o := resolveOpts(opts)
-	if err := cc.c.ACL().Check(o.user, "", "", servlet.PermAdmin); err != nil {
+	if err := allowGC(cc.acl, &o); err != nil {
 		return GCStats{}, err
 	}
+	return cc.collect(ctx)
+}
+
+// collect is the one collection every GC — explicit or auto — runs.
+func (cc *ClusterClient) collect(ctx context.Context) (GCStats, error) {
 	return cc.c.GC(ctx, cc.gcThreshold)
 }
 
 // Value implements Store: the decode reads chunks directly from the
-// storage visible to the owning servlet, the way dispatchers forward
-// Get-Chunk requests straight to chunk storage (§4.6).
+// storage visible to the servlet owning key, off its execution thread,
+// the way dispatchers forward Get-Chunk requests straight to chunk
+// storage (§4.6).
 func (cc *ClusterClient) Value(ctx context.Context, key string, o *FObject, opts ...Option) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	co := resolveOpts(opts)
-	// The object names its own key; check permission on that.
-	if err := cc.c.ACL().Check(co.user, string(o.Key), "", servlet.PermRead); err != nil {
-		return nil, err
-	}
-	return cc.c.Value(key, o)
+	return valueOp(cc.c.Servlet(cc.c.Master().Route(key)).Engine(), cc.acl, o, &co)
 }
 
 var _ Store = (*ClusterClient)(nil)

@@ -331,6 +331,7 @@ func TestGCAccessControl(t *testing.T) {
 	acl := forkbase.NewACL(false)
 	acl.Grant("root", "", "", forkbase.PermAdmin)
 	acl.Grant("reader", "", "", forkbase.PermRead)
+	acl.Grant("tenant", "mine", "", forkbase.PermWrite)
 	for name, st := range stores(t, acl) {
 		st := st
 		t.Run(name, func(t *testing.T) {
@@ -353,6 +354,26 @@ func TestGCAccessControl(t *testing.T) {
 			}
 			if err := st.Pin(ctx, "k", uid, forkbase.WithUser("root")); err != nil {
 				t.Fatalf("root Pin: %v", err)
+			}
+			// Write on one key is no licence to root — or un-root —
+			// another key's version: the uid must belong to the key the
+			// caller holds write on.
+			theirs, err := st.Put(ctx, coLocated(st, "mine"), forkbase.String("not the tenant's"), forkbase.WithUser("root"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Pin(ctx, "mine", theirs, forkbase.WithUser("tenant")); !errors.Is(err, forkbase.ErrAccessDenied) {
+				t.Fatalf("tenant pinned another key's version: %v, want ErrAccessDenied", err)
+			}
+			if err := st.Unpin(ctx, "mine", theirs, forkbase.WithUser("tenant")); !errors.Is(err, forkbase.ErrAccessDenied) {
+				t.Fatalf("tenant unpinned another key's version: %v, want ErrAccessDenied", err)
+			}
+			own, err := st.Put(ctx, "mine", forkbase.String("the tenant's"), forkbase.WithUser("tenant"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Pin(ctx, "mine", own, forkbase.WithUser("tenant")); err != nil {
+				t.Fatalf("tenant pinning its own version: %v", err)
 			}
 		})
 	}

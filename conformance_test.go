@@ -86,6 +86,20 @@ func remoteStoreCfg(t *testing.T, backend forkbase.Store, cfg forkbase.RemoteCon
 	return rs
 }
 
+// coLocated returns a key other than key that lives where key lives,
+// so a uid of key's resolves when a call is routed by it: on the
+// cluster a key the master routes to the same servlet, anywhere else
+// (one engine) the first candidate.
+func coLocated(st forkbase.Store, key string) string {
+	cc, clustered := st.(*forkbase.ClusterClient)
+	for i := 0; ; i++ {
+		k := fmt.Sprintf("%s-elsewhere-%d", key, i)
+		if !clustered || cc.Cluster().Master().Route(k) == cc.Cluster().Master().Route(key) {
+			return k
+		}
+	}
+}
+
 func TestStoreConformance(t *testing.T) {
 	ctx := context.Background()
 	scenarios := []struct {
@@ -512,7 +526,8 @@ func TestStoreConformanceACL(t *testing.T) {
 				t.Fatalf("stranger write: %v", err)
 			}
 			// A reader can read but not write; a writer can do both.
-			if _, err := st.Put(ctx, "doc", forkbase.String("v1"), forkbase.WithUser("writer")); err != nil {
+			first, err := st.Put(ctx, "doc", forkbase.String("v1"), forkbase.WithUser("writer"))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := st.Get(ctx, "doc", forkbase.WithUser("reader")); err != nil {
@@ -555,6 +570,23 @@ func TestStoreConformanceACL(t *testing.T) {
 			}
 			if _, err := st.Track(ctx, "other", 0, 5, forkbase.WithUser("stranger"), forkbase.WithBase(secret)); !errors.Is(err, forkbase.ErrAccessDenied) {
 				t.Fatalf("uid used as track capability: %v", err)
+			}
+			// The other half of the same rule: when a uid names the
+			// version, the routing key carries no grant requirement. The
+			// reader holds read on "doc" and nothing on the key the call
+			// is routed by, and reads doc's versions all the same.
+			via := coLocated(st, "doc")
+			if o, err := st.Get(ctx, via, forkbase.WithUser("reader"), forkbase.WithBase(secret)); err != nil || o.UID() != secret {
+				t.Fatalf("read of doc's version routed by %q: %v", via, err)
+			}
+			if hist, err := st.Track(ctx, via, 0, 5, forkbase.WithUser("reader"), forkbase.WithBase(secret)); err != nil || len(hist) != 2 {
+				t.Fatalf("track of doc's version routed by %q: %d versions, %v", via, len(hist), err)
+			}
+			if _, err := st.Diff(ctx, via, first, secret, forkbase.WithUser("reader")); err != nil {
+				t.Fatalf("diff of doc's versions routed by %q: %v", via, err)
+			}
+			if _, err := st.Diff(ctx, via, first, secret, forkbase.WithUser("stranger")); !errors.Is(err, forkbase.ErrAccessDenied) {
+				t.Fatalf("uids used as diff capability: %v", err)
 			}
 			// Nor can a writer on another key pull the content across
 			// via a derived put. The embedded store denies through the

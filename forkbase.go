@@ -39,7 +39,6 @@ package forkbase
 
 import (
 	"context"
-	"sync/atomic"
 
 	"forkbase/internal/branch"
 	"forkbase/internal/chunk"
@@ -154,6 +153,9 @@ var (
 	// ErrNotCollectable reports a GC call against a store whose
 	// bottom layer cannot reclaim chunks.
 	ErrNotCollectable = store.ErrNotCollectable
+	// ErrBadOptions reports an option combination a call cannot satisfy
+	// (e.g. Put with both WithBranch and WithBase).
+	ErrBadOptions = core.ErrBadOptions
 	// ErrUnsupported reports a request the remote peer does not serve
 	// (a pre-stats server asked for ServerStats, a proxy backend asked
 	// for chunk ops).
@@ -170,9 +172,8 @@ type DB struct {
 	acl  *ACL
 	jrnl *branch.Journal // metadata journal; nil for in-memory stores
 
-	gcThreshold float64      // segment compaction threshold (0 = default)
-	autoGCEvery int          // run GC after this many branch removals
-	removals    atomic.Int64 // RemoveBranch calls since open
+	gcThreshold float64 // segment compaction threshold (0 = default)
+	autoGC      autoGC  // run GC after every n-th branch removal
 
 	// reg is the engine/store metric registry (see metrics.go); the
 	// two histograms it owns that the engine feeds directly are cached
@@ -331,7 +332,7 @@ func Open(opts ...OpenOption) *DB {
 		eng:         core.NewEngine(o.wrapStore(store.NewMemStore()), o.treeConfig()),
 		acl:         o.ACL,
 		gcThreshold: o.GCThreshold,
-		autoGCEvery: o.AutoGCEvery,
+		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
 	db.initMetrics()
 	return db
@@ -358,7 +359,7 @@ func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 	db := &DB{
 		acl:         o.ACL,
 		gcThreshold: o.GCThreshold,
-		autoGCEvery: o.AutoGCEvery,
+		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
 	db.initMetrics()
 	j, err := branch.OpenJournal(dir, branch.JournalOptions{
@@ -422,26 +423,6 @@ func (db *DB) Engine() *core.Engine { return db.eng }
 
 // Stats returns chunk-storage counters, including deduplication rates.
 func (db *DB) Stats() StoreStats { return db.eng.Store().Stats() }
-
-// --- chunkBackend (chunk-granular serving) --------------------------
-//
-// These methods let a Server wrapping this DB serve the chunk-granular
-// transfer ops (OpChunkHave/Want/Send/PutChunked): direct access to
-// the chunk store, transient GC shields for negotiated-but-uncommitted
-// chunks, and the per-key access check the materialized ops would run.
-
-func (db *DB) chunkStore() store.Store       { return db.eng.Store() }
-func (db *DB) treeConfig() postree.Config    { return db.eng.Config() }
-func (db *DB) shieldChunks(ids []chunk.ID)   { db.eng.ShieldUIDs(ids) }
-func (db *DB) unshieldChunks(ids []chunk.ID) { db.eng.UnshieldUIDs(ids) }
-
-func (db *DB) checkChunkAccess(user, key string, write bool) error {
-	need := PermRead
-	if write {
-		need = PermWrite
-	}
-	return db.check(user, key, "", need)
-}
 
 // LCA returns the least common ancestor of two versions (M17).
 func (db *DB) LCA(uid1, uid2 UID) (*FObject, error) {

@@ -74,25 +74,25 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 		if _, err := readBlob(full, key); err != nil {
 			return err
 		}
-		cold := cs.WireStats().BytesReceived
+		cold := wireBytes(cs, "in")
 		if _, err := readBlob(cs, key); err != nil {
 			return err
 		}
-		cold = cs.WireStats().BytesReceived - cold
+		cold = wireBytes(cs, "in") - cold
 
 		if err := serverEdit(backend, key, rng, size/100); err != nil {
 			return err
 		}
-		fullBytes := full.WireStats().BytesReceived
+		fullBytes := wireBytes(full, "in")
 		if _, err := readBlob(full, key); err != nil {
 			return err
 		}
-		fullBytes = full.WireStats().BytesReceived - fullBytes
-		csBytes := cs.WireStats().BytesReceived
+		fullBytes = wireBytes(full, "in") - fullBytes
+		csBytes := wireBytes(cs, "in")
 		if _, err := readBlob(cs, key); err != nil {
 			return err
 		}
-		csBytes = cs.WireStats().BytesReceived - csBytes
+		csBytes = wireBytes(cs, "in") - csBytes
 		full.Close()
 		cs.Close()
 
@@ -138,7 +138,7 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 		if _, err := readBlob(reader, key); err != nil {
 			return err
 		}
-		sent0, recv0 := writer.WireStats().BytesSent, reader.WireStats().BytesReceived
+		sent0, recv0 := wireBytes(writer, "out"), wireBytes(reader, "in")
 		for e := 0; e < edits; e++ {
 			// The writer edits its latest replica — over chunk sync the
 			// Value is cache-backed and the Put uploads only new chunks.
@@ -167,8 +167,8 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 				return err
 			}
 		}
-		sent := writer.WireStats().BytesSent - sent0
-		recv := reader.WireStats().BytesReceived - recv0
+		sent := wireBytes(writer, "out") - sent0
+		recv := wireBytes(reader, "in") - recv0
 		writer.Close()
 		reader.Close()
 		if chunked {
@@ -330,4 +330,16 @@ func comma(n int64) string {
 		out.WriteRune(r)
 	}
 	return out.String()
+}
+
+// wireBytes reads one direction ("in" or "out") of a client's wire byte
+// counter — every byte on its sockets, framing included — from its
+// metrics registry.
+func wireBytes(rs *forkbase.RemoteStore, dir string) int64 {
+	for _, m := range rs.MetricsSnapshot() {
+		if m.Name == "forkbase_client_wire_bytes_total" && m.Tags == `dir="`+dir+`"` {
+			return m.Value
+		}
+	}
+	return 0
 }

@@ -7,8 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"forkbase/internal/cluster"
-	"forkbase/internal/types"
+	"forkbase"
 	"forkbase/internal/workload"
 )
 
@@ -26,7 +25,7 @@ func RunFig8(w io.Writer, scale Scale) error {
 	for _, nodes := range nodesList {
 		var cells [4]string
 		for si, size := range []int{256, 2560} {
-			c, err := cluster.New(cluster.Options{Nodes: nodes, Placement: cluster.TwoLayer})
+			c, err := forkbase.OpenCluster(forkbase.ClusterConfig{Nodes: nodes, TwoLayer: true})
 			if err != nil {
 				return err
 			}
@@ -43,11 +42,11 @@ func RunFig8(w io.Writer, scale Scale) error {
 						for i := 0; i < opsPerClient; i++ {
 							key := fmt.Sprintf("k-%d-%d", cl, i)
 							if put {
-								if _, err := c.Put(bgCtx, key, "master", types.String(value)); err != nil {
+								if _, err := c.Put(bgCtx, key, forkbase.String(value)); err != nil {
 									panic(err)
 								}
 							} else {
-								if _, err := c.Get(bgCtx, key, "master"); err != nil {
+								if _, err := c.Get(bgCtx, key); err != nil {
 									panic(err)
 								}
 							}
@@ -82,9 +81,9 @@ func RunFig15(w io.Writer, scale Scale) error {
 	t := newTable(w, 10, 16, 16)
 	t.row("Node", "1LP-bytes", "2LP-bytes")
 
-	sizes := make(map[cluster.Placement][]int64)
-	for _, placement := range []cluster.Placement{cluster.OneLayer, cluster.TwoLayer} {
-		c, err := cluster.New(cluster.Options{Nodes: nodes, Placement: placement})
+	sizes := make(map[bool][]int64) // by ClusterConfig.TwoLayer
+	for _, twoLayer := range []bool{false, true} {
+		c, err := forkbase.OpenCluster(forkbase.ClusterConfig{Nodes: nodes, TwoLayer: twoLayer})
 		if err != nil {
 			return err
 		}
@@ -109,16 +108,16 @@ func RunFig15(w io.Writer, scale Scale) error {
 			}
 			next := append(append(append([]byte(nil), cur[:off]...), e.Content...), cur[end:]...)
 			contents[e.Page] = next
-			if _, err := c.Put(bgCtx, e.Page, "master", types.NewBlob(next)); err != nil {
+			if _, err := c.Put(bgCtx, e.Page, forkbase.NewBlob(next)); err != nil {
 				return err
 			}
 		}
-		sizes[placement] = c.NodeStorageBytes()
+		sizes[twoLayer] = c.Cluster().NodeStorageBytes()
 		c.Close()
 	}
 	var max1, min1, max2, min2 int64
 	for i := 0; i < nodes; i++ {
-		s1, s2 := sizes[cluster.OneLayer][i], sizes[cluster.TwoLayer][i]
+		s1, s2 := sizes[false][i], sizes[true][i]
 		t.row(i, s1, s2)
 		if i == 0 {
 			max1, min1, max2, min2 = s1, s1, s2, s2

@@ -72,13 +72,6 @@ type Options struct {
 	// verified individually, so a corrupt chunk on one member falls
 	// through the pool's replica failover instead of failing the read.
 	VerifyReads bool
-	// ACL is the access controller shared by every servlet's
-	// dispatcher path (§4.1). Nil means open mode: every request is
-	// admitted, matching the embedded single-user default.
-	ACL *servlet.ACL
-	// DefaultUser is the identity attributed to requests made through
-	// the user-less convenience methods (Put/Get/Fork/…).
-	DefaultUser string
 	// Root, when non-empty, makes the simulated cluster durable: node
 	// i keeps its chunk storage (a log-structured file store) and its
 	// servlet's metadata journal under Root/node-<i>, and a cluster
@@ -179,9 +172,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Tree.LeafQ == 0 {
 		opts.Tree = postree.DefaultConfig()
 	}
-	if opts.ACL == nil {
-		opts.ACL = servlet.NewACL(true)
-	}
 	c := &Cluster{opts: opts, master: &Master{}}
 	var files []*store.FileStore
 	for i := 0; i < opts.Nodes; i++ {
@@ -255,7 +245,7 @@ func New(opts Options) (*Cluster, error) {
 			}
 			s = &metaLocalStore{local: local, pool: pool}
 		}
-		sv := servlet.New(i, s, opts.Tree, opts.ACL)
+		sv := servlet.New(i, s, opts.Tree)
 		if opts.Root != "" {
 			// Each servlet keeps its own metadata journal beside its
 			// node's chunk log: branch tables are per-servlet state, so
@@ -319,47 +309,50 @@ func (c *Cluster) NodeStorageBytes() []int64 {
 	return out
 }
 
-// ACL returns the cluster's shared access controller.
-func (c *Cluster) ACL() *servlet.ACL { return c.opts.ACL }
-
-// ExecAs is the dispatcher's request path (§4.1): it routes key to the
-// owning servlet, runs the access controller for user on key/branch at
-// level need, models the client-servlet network hop, and executes fn
-// on the servlet's execution thread. Denied requests never reach the
-// execution thread.
-func (c *Cluster) ExecAs(ctx context.Context, user, key, branchName string, need servlet.Permission, fn func(eng *core.Engine) error) error {
-	sv := c.servlets[c.master.Route(key)]
-	if err := sv.CheckAccess(user, key, branchName, need); err != nil {
-		return err
-	}
+// Exec is the dispatcher's request path (§4.1): it routes key to the
+// owning servlet, models the client-servlet network hop, and executes
+// fn on the servlet's execution thread. Who may run what is fn's
+// business — the client hands in the Store op's policy function — the
+// cluster only routes.
+func (c *Cluster) Exec(ctx context.Context, key string, fn func(eng *core.Engine) error) error {
 	if c.opts.NetLatency > 0 {
 		time.Sleep(c.opts.NetLatency)
 	}
-	return sv.ExecCtx(ctx, fn)
+	return c.servlets[c.master.Route(key)].ExecCtx(ctx, fn)
 }
 
-// dispatch routes a request to the owning servlet and executes it
-// there as the cluster's default user.
-func (c *Cluster) dispatch(ctx context.Context, key, branchName string, need servlet.Permission, fn func(eng *core.Engine) error) error {
-	return c.ExecAs(ctx, c.opts.DefaultUser, key, branchName, need, fn)
+// Put is Exec for a request that writes v. When re-balancing is
+// enabled and the owner is overloaded, v's POS-Tree is first built on
+// the least-loaded servlet, so put finds every chunk already stored
+// and only the branch-table update runs on the owner (§4.6.1). The
+// pre-build happens before put — and so before put's access check: a
+// write put then refuses leaves unreferenced chunks for the next GC.
+func (c *Cluster) Put(ctx context.Context, key string, v types.Value, put func(eng *core.Engine) error) error {
+	owner := c.master.Route(key)
+	if c.opts.Rebalance && c.opts.Placement == TwoLayer &&
+		c.servlets[owner].QueueDepth() >= c.opts.RebalanceThreshold {
+		if helper := c.leastLoaded(owner); helper != owner {
+			if err := c.servlets[helper].ExecCtx(ctx, func(eng *core.Engine) error {
+				return types.Persist(eng.Store(), c.opts.Tree, v)
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return c.Exec(ctx, key, put)
 }
 
-// PutBatch applies a group of writes on behalf of user, dispatching
-// once per owning servlet instead of once per write: entries are
-// grouped by route, every entry passes the access controller up front,
-// and each servlet executes its group as one engine PutBatch (one
-// network hop and one queue slot per servlet). Returns uids in entry
-// order. Atomicity is per key, as in Engine.PutBatch; entries for
-// different servlets may commit even when another servlet's group
-// fails.
-func (c *Cluster) PutBatch(ctx context.Context, user string, puts []core.BatchPut) ([]types.UID, error) {
+// PutBatch applies a group of writes, dispatching once per owning
+// servlet instead of once per write: entries are grouped by route and
+// each servlet executes its group as one engine PutBatch (one network
+// hop and one queue slot per servlet). Returns uids in entry order.
+// Atomicity is per key, as in Engine.PutBatch; entries for different
+// servlets may commit even when another servlet's group fails.
+func (c *Cluster) PutBatch(ctx context.Context, puts []core.BatchPut) ([]types.UID, error) {
 	groups := make(map[int][]int)
 	var order []int
 	for i, p := range puts {
 		owner := c.master.Route(string(p.Key))
-		if err := c.servlets[owner].CheckAccess(user, string(p.Key), p.Branch, servlet.PermWrite); err != nil {
-			return nil, err
-		}
 		if _, ok := groups[owner]; !ok {
 			order = append(order, owner)
 		}
@@ -404,54 +397,6 @@ func (c *Cluster) PutBatch(ctx context.Context, user string, puts []core.BatchPu
 	return uids, nil
 }
 
-// Put writes a value to a branch of key via the owning servlet. When
-// re-balancing is enabled and the owner is overloaded, POS-Tree
-// construction runs on the least-loaded servlet first and only the
-// branch-table update runs on the owner (§4.6.1).
-func (c *Cluster) Put(ctx context.Context, key, branchName string, v types.Value) (types.UID, error) {
-	return c.PutAs(ctx, c.opts.DefaultUser, key, branchName, v, nil, nil)
-}
-
-// PutAs is Put on behalf of user, with optional version metadata and
-// an optional guard uid (conditional write, §4.5.1). The access
-// controller runs before dispatch; denied writes never reach the
-// execution thread.
-func (c *Cluster) PutAs(ctx context.Context, user, key, branchName string, v types.Value, meta []byte, guard *types.UID) (types.UID, error) {
-	owner := c.master.Route(key)
-	if err := c.servlets[owner].CheckAccess(user, key, branchName, servlet.PermWrite); err != nil {
-		return types.UID{}, err
-	}
-	if c.opts.Rebalance && c.opts.Placement == TwoLayer &&
-		c.servlets[owner].QueueDepth() >= c.opts.RebalanceThreshold {
-		if helper := c.leastLoaded(owner); helper != owner {
-			if err := c.servlets[helper].ExecCtx(ctx, func(eng *core.Engine) error {
-				return types.Persist(eng.Store(), c.opts.Tree, v)
-			}); err != nil {
-				return types.UID{}, err
-			}
-		}
-	}
-	if c.opts.NetLatency > 0 {
-		time.Sleep(c.opts.NetLatency)
-	}
-	var uid types.UID
-	err := c.servlets[owner].ExecCtx(ctx, func(eng *core.Engine) error {
-		var err error
-		if guard != nil {
-			uid, err = eng.PutGuarded([]byte(key), branchName, v, meta, *guard)
-		} else {
-			uid, err = eng.Put([]byte(key), branchName, v, meta)
-		}
-		return err
-	})
-	if err != nil {
-		// Don't read uid: on a cancelled context the execution thread
-		// may still be writing it.
-		return types.UID{}, err
-	}
-	return uid, nil
-}
-
 // leastLoaded returns the servlet with the shortest queue, excluding
 // owner only if another candidate is strictly shorter.
 func (c *Cluster) leastLoaded(owner int) int {
@@ -464,50 +409,8 @@ func (c *Cluster) leastLoaded(owner int) int {
 	return best
 }
 
-// Get reads the head of a branch of key via the owning servlet.
-func (c *Cluster) Get(ctx context.Context, key, branchName string) (*types.FObject, error) {
-	var o *types.FObject
-	err := c.dispatch(ctx, key, branchName, servlet.PermRead, func(eng *core.Engine) error {
-		var err error
-		o, err = eng.Get([]byte(key), branchName)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// GetChunk serves a chunk read directly from storage, bypassing the
-// servlet execution thread the way dispatchers forward Get-Chunk
-// requests straight to chunk storage (§4.6).
-func (c *Cluster) GetChunk(owner int, id chunk.ID) (*chunk.Chunk, error) {
-	if c.pool != nil {
-		return c.pool.Get(id)
-	}
-	return c.locals[owner].Get(id)
-}
-
-// Value decodes an FObject fetched from the cluster against the store
-// visible to its owning servlet.
-func (c *Cluster) Value(key string, o *types.FObject) (types.Value, error) {
-	return o.Value(c.servlets[c.master.Route(key)].Engine().Store(), c.opts.Tree)
-}
-
-// Fork forwards a Fork request to the owning servlet.
-func (c *Cluster) Fork(ctx context.Context, key, refBranch, newBranch string) error {
-	return c.dispatch(ctx, key, newBranch, servlet.PermWrite, func(eng *core.Engine) error {
-		return eng.Fork([]byte(key), refBranch, newBranch)
-	})
-}
-
 // ListKeys returns the union of keys across all servlets (M8), sorted.
-// Listing the whole key space requires user to hold global read
-// permission (the key/branch wildcard).
-func (c *Cluster) ListKeys(ctx context.Context, user string) ([]string, error) {
-	if err := c.opts.ACL.Check(user, "", "", servlet.PermRead); err != nil {
-		return nil, err
-	}
+func (c *Cluster) ListKeys(ctx context.Context) ([]string, error) {
 	var all []string
 	for _, sv := range c.servlets {
 		if c.opts.NetLatency > 0 {
@@ -575,17 +478,4 @@ func (c *Cluster) GC(ctx context.Context, threshold float64) (store.GCStats, err
 		ca.DropDead(live.Contains)
 	}
 	return total, nil
-}
-
-// ListTaggedBranches lists the branches of key.
-func (c *Cluster) ListTaggedBranches(ctx context.Context, key string) ([]branch.TaggedBranch, error) {
-	var out []branch.TaggedBranch
-	err := c.dispatch(ctx, key, "", servlet.PermRead, func(eng *core.Engine) error {
-		out = eng.ListTaggedBranches([]byte(key))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

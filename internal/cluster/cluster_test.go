@@ -8,12 +8,52 @@ import (
 	"sync"
 	"testing"
 
+	"forkbase/internal/branch"
 	"forkbase/internal/core"
 	"forkbase/internal/types"
 )
 
 // ctx is the shared root for tests: nothing here exercises cancellation.
 var ctx = context.Background()
+
+// The cluster only routes: these helpers are the requests the tests
+// send through it, the way the root package's ClusterClient hands in
+// its policy functions.
+
+func put(c *Cluster, key, branchName string, v types.Value) (uid types.UID, err error) {
+	err = c.Put(ctx, key, v, func(eng *core.Engine) (err error) {
+		uid, err = eng.Put([]byte(key), branchName, v, nil)
+		return err
+	})
+	return uid, err
+}
+
+func get(c *Cluster, key, branchName string) (o *types.FObject, err error) {
+	err = c.Exec(ctx, key, func(eng *core.Engine) (err error) {
+		o, err = eng.Get([]byte(key), branchName)
+		return err
+	})
+	return o, err
+}
+
+// value decodes o against the store visible to key's owning servlet.
+func value(c *Cluster, key string, o *types.FObject) (types.Value, error) {
+	return c.Servlet(c.Master().Route(key)).Engine().Value(o)
+}
+
+func fork(c *Cluster, key, refBranch, newBranch string) error {
+	return c.Exec(ctx, key, func(eng *core.Engine) error {
+		return eng.Fork([]byte(key), refBranch, newBranch)
+	})
+}
+
+func taggedBranches(c *Cluster, key string) (out []branch.TaggedBranch, err error) {
+	err = c.Exec(ctx, key, func(eng *core.Engine) error {
+		out = eng.ListTaggedBranches([]byte(key))
+		return nil
+	})
+	return out, err
+}
 
 func TestRoutingIsStable(t *testing.T) {
 	c, err := New(Options{Nodes: 4, Placement: TwoLayer})
@@ -37,13 +77,13 @@ func TestClusterPutGet(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			if _, err := c.Put(ctx, k, "master", types.String(fmt.Sprintf("v-%d", i))); err != nil {
+			if _, err := put(c, k, "master", types.String(fmt.Sprintf("v-%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			o, err := c.Get(ctx, k, "master")
+			o, err := get(c, k, "master")
 			if err != nil {
 				t.Fatalf("placement %v: %v", placement, err)
 			}
@@ -63,14 +103,14 @@ func TestClusterChunkableValues(t *testing.T) {
 	defer c.Close()
 	data := make([]byte, 64<<10)
 	rand.New(rand.NewSource(1)).Read(data)
-	if _, err := c.Put(ctx, "blob", "master", types.NewBlob(data)); err != nil {
+	if _, err := put(c, "blob", "master", types.NewBlob(data)); err != nil {
 		t.Fatal(err)
 	}
-	o, err := c.Get(ctx, "blob", "master")
+	o, err := get(c, "blob", "master")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Value("blob", o)
+	v, err := value(c, "blob", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +149,7 @@ func TestSkewBalance(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			rng.Read(payload)
 			k := fmt.Sprintf("page-%d", zipf.Uint64())
-			if _, err := c.Put(ctx, k, "master", types.NewBlob(payload)); err != nil {
+			if _, err := put(c, k, "master", types.NewBlob(payload)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,11 +184,11 @@ func TestClusterConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := fmt.Sprintf("key-%d", (g*50+i)%64)
-				if _, err := c.Put(ctx, k, "master", types.String("v")); err != nil {
+				if _, err := put(c, k, "master", types.String("v")); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Get(ctx, k, "master"); err != nil {
+				if _, err := get(c, k, "master"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -170,15 +210,15 @@ func TestClusterPoolCache(t *testing.T) {
 	defer c.Close()
 	data := make([]byte, 64<<10)
 	rand.New(rand.NewSource(3)).Read(data)
-	if _, err := c.Put(ctx, "blob", "master", types.NewBlob(data)); err != nil {
+	if _, err := put(c, "blob", "master", types.NewBlob(data)); err != nil {
 		t.Fatal(err)
 	}
 	read := func() {
-		o, err := c.Get(ctx, "blob", "master")
+		o, err := get(c, "blob", "master")
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := c.Value("blob", o)
+		v, err := value(c, "blob", o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,17 +252,17 @@ func TestRebalancedPut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.Put(ctx, "hot-key", "master", types.NewBlob(data)); err != nil {
+			if _, err := put(c, "hot-key", "master", types.NewBlob(data)); err != nil {
 				t.Error(err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	o, err := c.Get(ctx, "hot-key", "master")
+	o, err := get(c, "hot-key", "master")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Value("hot-key", o)
+	v, err := value(c, "hot-key", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,20 +278,20 @@ func TestForkAcrossCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Put(ctx, "doc", "master", types.String("v1")); err != nil {
+	if _, err := put(c, "doc", "master", types.String("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Fork(ctx, "doc", "master", "dev"); err != nil {
+	if err := fork(c, "doc", "master", "dev"); err != nil {
 		t.Fatal(err)
 	}
-	branches, err := c.ListTaggedBranches(ctx, "doc")
+	branches, err := taggedBranches(c, "doc")
 	if err != nil || len(branches) != 2 {
 		t.Fatalf("branches: %v %v", branches, err)
 	}
-	if _, err := c.Put(ctx, "doc", "dev", types.String("v2")); err != nil {
+	if _, err := put(c, "doc", "dev", types.String("v2")); err != nil {
 		t.Fatal(err)
 	}
-	o, _ := c.Get(ctx, "doc", "master")
+	o, _ := get(c, "doc", "master")
 	if string(o.Data) != "v1" {
 		t.Fatal("fork isolation broken across cluster")
 	}
@@ -273,13 +313,13 @@ func TestClusterReopenRecoversSpaces(t *testing.T) {
 		heads := map[string]types.UID{}
 		for i := 0; i < 40; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			uid, err := c.Put(ctx, k, "master", types.String(fmt.Sprintf("v-%d", i)))
+			uid, err := put(c, k, "master", types.String(fmt.Sprintf("v-%d", i)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			heads[k] = uid
 		}
-		if err := c.Fork(ctx, "key-3", "master", "dev"); err != nil {
+		if err := fork(c, "key-3", "master", "dev"); err != nil {
 			t.Fatal(err)
 		}
 		// Pin on the servlet owning key-5, and an untagged head on key-7.
@@ -315,7 +355,7 @@ func TestClusterReopenRecoversSpaces(t *testing.T) {
 				continue
 			}
 			k := fmt.Sprintf("key-%d", i)
-			o, err := re.Get(ctx, k, "master")
+			o, err := get(re, k, "master")
 			if err != nil {
 				t.Fatalf("placement %v: %s lost after restart: %v", placement, k, err)
 			}
@@ -323,10 +363,10 @@ func TestClusterReopenRecoversSpaces(t *testing.T) {
 				t.Fatalf("placement %v: %s head diverged after restart", placement, k)
 			}
 		}
-		if _, err := re.Get(ctx, "key-9", "master"); err == nil {
+		if _, err := get(re, "key-9", "master"); err == nil {
 			t.Fatalf("placement %v: removed branch resurrected", placement)
 		}
-		branches, err := re.ListTaggedBranches(ctx, "key-3")
+		branches, err := taggedBranches(re, "key-3")
 		if err != nil || len(branches) != 2 {
 			t.Fatalf("placement %v: forked branches after restart: %v %v", placement, branches, err)
 		}
@@ -340,7 +380,7 @@ func TestClusterReopenRecoversSpaces(t *testing.T) {
 				continue
 			}
 			k := fmt.Sprintf("key-%d", i)
-			if o, err := re.Get(ctx, k, "master"); err != nil || string(o.Data) != fmt.Sprintf("v-%d", i) {
+			if o, err := get(re, k, "master"); err != nil || string(o.Data) != fmt.Sprintf("v-%d", i) {
 				t.Fatalf("placement %v: %s lost by GC after restart: %v", placement, k, err)
 			}
 		}

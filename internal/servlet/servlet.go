@@ -1,8 +1,11 @@
 // Package servlet implements the request-execution node of a ForkBase
-// deployment (paper §4.1): an access controller in front of the branch
-// tables and object manager (the core engine). Each servlet owns a
+// deployment (paper §4.1): the branch tables and object manager (the
+// core engine) behind a single execution thread. Each servlet owns a
 // disjoint slice of the key space and serializes request execution the
-// way the paper's single execution thread does.
+// way the paper's single execution thread does. The package also
+// defines the access controller (ACL); the requests a servlet executes
+// consult it themselves — the root package's policy layer is its one
+// caller — so the servlet holds no reference to it.
 package servlet
 
 import (
@@ -86,14 +89,13 @@ func (a *ACL) Check(user, key, branch string, need Permission) error {
 	return fmt.Errorf("%w: user %q needs %d on %q/%q", ErrAccessDenied, user, need, key, branch)
 }
 
-// Servlet executes data-access requests against its engine after
-// checking permissions. Execution is serialized through a single worker
-// goroutine, mirroring the one-request-execution-thread configuration
-// used throughout the paper's evaluation (§6).
+// Servlet executes data-access requests against its engine. Execution
+// is serialized through a single worker goroutine, mirroring the
+// one-request-execution-thread configuration used throughout the
+// paper's evaluation (§6).
 type Servlet struct {
 	ID  int
 	eng *core.Engine
-	acl *ACL
 
 	reqs chan func()
 	wg   sync.WaitGroup
@@ -101,14 +103,10 @@ type Servlet struct {
 }
 
 // New returns a running servlet over the given chunk store.
-func New(id int, s store.Store, cfg postree.Config, acl *ACL) *Servlet {
-	if acl == nil {
-		acl = NewACL(true)
-	}
+func New(id int, s store.Store, cfg postree.Config) *Servlet {
 	sv := &Servlet{
 		ID:   id,
 		eng:  core.NewEngine(s, cfg),
-		acl:  acl,
 		reqs: make(chan func(), 256),
 	}
 	sv.wg.Add(1)
@@ -126,9 +124,6 @@ func (sv *Servlet) loop() {
 // Engine exposes the underlying engine. Mutating calls made directly on
 // it bypass the servlet's serialization; use Exec for those.
 func (sv *Servlet) Engine() *core.Engine { return sv.eng }
-
-// ACL returns the servlet's access controller.
-func (sv *Servlet) ACL() *ACL { return sv.acl }
 
 // Exec runs fn on the servlet's execution thread and waits for it.
 func (sv *Servlet) Exec(fn func(eng *core.Engine) error) error {
@@ -171,19 +166,9 @@ func (sv *Servlet) ExecCtx(ctx context.Context, fn func(eng *core.Engine) error)
 	}
 }
 
-// ExecAsync runs fn on the servlet's execution thread without waiting.
-func (sv *Servlet) ExecAsync(fn func(eng *core.Engine)) {
-	sv.reqs <- func() { fn(sv.eng) }
-}
-
 // QueueDepth returns the number of requests waiting for execution; the
 // cluster's re-balancer uses it to spot overloaded servlets (§4.6.1).
 func (sv *Servlet) QueueDepth() int { return len(sv.reqs) }
-
-// CheckAccess verifies a permission before a request is executed.
-func (sv *Servlet) CheckAccess(user, key, branch string, need Permission) error {
-	return sv.acl.Check(user, key, branch, need)
-}
 
 // Close stops the execution loop after draining queued requests.
 func (sv *Servlet) Close() {

@@ -52,7 +52,7 @@ func TestOpenACLAllowsAll(t *testing.T) {
 }
 
 func TestServletSerializesExecution(t *testing.T) {
-	sv := New(0, store.NewMemStore(), postree.DefaultConfig(), nil)
+	sv := New(0, store.NewMemStore(), postree.DefaultConfig())
 	defer sv.Close()
 
 	inFlight := 0
@@ -93,15 +93,15 @@ func TestServletSerializesExecution(t *testing.T) {
 	}
 }
 
-func TestServletAccessCheck(t *testing.T) {
+// TestACLExactGrant: a grant on one (key, branch) admits exactly its
+// holder, at up to the granted level, and nobody else.
+func TestACLExactGrant(t *testing.T) {
 	acl := NewACL(false)
 	acl.Grant("writer", "k", "master", PermWrite)
-	sv := New(0, store.NewMemStore(), postree.DefaultConfig(), acl)
-	defer sv.Close()
-	if err := sv.CheckAccess("writer", "k", "master", PermWrite); err != nil {
+	if err := acl.Check("writer", "k", "master", PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.CheckAccess("intruder", "k", "master", PermRead); err == nil {
-		t.Fatal("intruder passed access check")
+	if err := acl.Check("intruder", "k", "master", PermRead); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("intruder passed access check: %v", err)
 	}
 }

@@ -120,8 +120,8 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // embedded *DB) — sorted by metric name then tags. This is the body
 // of an OpServerStats response and of forkserved's /metrics page.
 func (s *Server) MetricsSnapshot() []MetricSample {
-	if db, ok := s.st.(*DB); ok {
-		return obs.MergeSamples(s.reg.Snapshot(), db.reg.Snapshot())
+	if s.db != nil {
+		return obs.MergeSamples(s.reg.Snapshot(), s.db.reg.Snapshot())
 	}
 	return s.reg.Snapshot()
 }

@@ -27,6 +27,18 @@ func resolveOpts(opts []Option) callOpts {
 	return o
 }
 
+// options re-packs a resolved set as the option list a Store call
+// takes — how the server hands a decoded request's options to whatever
+// store it wraps. The empty set is no options at all, so the common
+// request allocates nothing here.
+func (o *callOpts) options() []Option {
+	if o.user == "" && !o.branchSet && len(o.bases) == 0 && o.guard == nil && o.meta == nil && o.resolver == nil {
+		return nil
+	}
+	set := *o
+	return []Option{func(dst *callOpts) { *dst = set }}
+}
+
 // branchOr returns the selected branch, or def when none was chosen.
 func (o *callOpts) branchOr(def string) string {
 	if o.branchSet {

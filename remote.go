@@ -54,19 +54,6 @@ type RemoteConfig struct {
 	ChunkCacheBytes int64
 }
 
-// WireStats counts bytes moved over the connection pool since Dial,
-// framing included. The versioned-workload benchmark and the delta-
-// transfer tests use it to prove chunk sync's bytes-on-wire claim.
-//
-// Deprecated: WireStats is a shim over the client metrics registry —
-// the same two counters appear in MetricsSnapshot as
-// forkbase_client_wire_bytes_total{dir="out"|"in"}, alongside per-op
-// call counts and latency histograms.
-type WireStats struct {
-	BytesSent     int64
-	BytesReceived int64
-}
-
 // clientMetrics is the client's instrument table, the mirror of the
 // server's serverMetrics: per-op arrays sized by wire.OpMax so the
 // call path indexes by op code without a map lookup or allocation.
@@ -187,14 +174,6 @@ func Dial(addr string, cfg RemoteConfig) (*RemoteStore, error) {
 		return nil, err
 	}
 	return rs, nil
-}
-
-// WireStats reports bytes moved over the pool since Dial.
-//
-// Deprecated: read forkbase_client_wire_bytes_total from
-// MetricsSnapshot instead; this accessor remains for existing callers.
-func (rs *RemoteStore) WireStats() WireStats {
-	return WireStats{BytesSent: rs.cm.bytesSent.Value(), BytesReceived: rs.cm.bytesRecv.Value()}
 }
 
 // Metrics returns the client-side instrument registry: per-op call

@@ -292,3 +292,37 @@ func TestRemoteRoundTripAllocs(t *testing.T) {
 		t.Fatalf("remote Put round trip: %.0f allocs/op, want ≤60", puts)
 	}
 }
+
+// TestEmbeddedGetPutAllocs pins the embedded Get and Put — the path
+// every benchmark workload reaches the engine through — at exactly the
+// allocation counts measured before the Store contract moved into the
+// shared policy layer (policy.go): that layer must not pay for its
+// tidiness with a closure or an escaping option set per call.
+func TestEmbeddedGetPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db := forkbase.Open()
+	defer db.Close()
+	ctx := context.Background()
+	if _, err := db.Put(ctx, "k", forkbase.String("warm")); err != nil {
+		t.Fatal(err)
+	}
+	gets := testing.AllocsPerRun(200, func() {
+		if _, err := db.Get(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if gets != 3 {
+		t.Fatalf("embedded Get: %.0f allocs/op, want exactly 3", gets)
+	}
+	v := forkbase.String("steady")
+	puts := testing.AllocsPerRun(200, func() {
+		if _, err := db.Put(ctx, "k", v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if puts != 11 {
+		t.Fatalf("embedded Put: %.0f allocs/op, want exactly 11", puts)
+	}
+}

@@ -72,30 +72,6 @@ type ServerOptions struct {
 	SlowOpThreshold time.Duration
 }
 
-// chunkBackend is the optional capability a wrapped store can expose
-// to serve the chunk-granular transfer ops. The embedded *DB
-// implements it; proxy backends (ClusterClient, RemoteStore) do not —
-// they have no local chunk store to negotiate against — so a server
-// wrapping one simply never advertises FeatureChunkSync and clients
-// fall back to full-ship transparently.
-type chunkBackend interface {
-	// chunkStore is the content-addressed store chunk ops read from
-	// and admit into.
-	chunkStore() store.Store
-	// treeConfig is the POS-Tree configuration committed versions are
-	// attached with.
-	treeConfig() postree.Config
-	// shieldChunks / unshieldChunks bracket the window between a chunk
-	// becoming known to a client (uploaded, or reported present during
-	// negotiation) and the commit that references it, keeping GC from
-	// sweeping it mid-upload.
-	shieldChunks(ids []chunk.ID)
-	unshieldChunks(ids []chunk.ID)
-	// checkChunkAccess runs the access controller for a chunk-level
-	// read (write=false) or upload/commit (write=true) on key.
-	checkChunkAccess(user, key string, write bool) error
-}
-
 // Server exposes any Store — an embedded *DB, a ClusterClient, even
 // another RemoteStore — over the forkbase wire protocol. This is the
 // paper's dispatcher made real (§4.1): requests arrive over TCP,
@@ -112,14 +88,16 @@ type Server struct {
 	st   Store
 	opts ServerOptions
 
-	// batcher is st's put-coalescing capability (the embedded *DB);
-	// nil for proxy backends, which dispatch puts singly.
-	batcher serverBatcher
-	// inline marks a local backend whose small reads are answered on
-	// the read loop. Proxies stay false: their Get may block on a
-	// downstream round-trip, which would stall every pipelined request
-	// behind it on this connection.
-	inline bool
+	// db is st when st is a local embedded *DB, nil for proxy backends
+	// (ClusterClient, RemoteStore). Everything that needs the engine
+	// or chunk store behind the Store API keys off it: a local backend
+	// serves the chunk-granular ops and storage counters, has its
+	// puts coalesced into engine batches, and answers small reads
+	// inline on the read loop. Proxies get none of that — they have no
+	// local chunk store to negotiate against, and their Get may block
+	// on a downstream round-trip, which inline would turn into a stall
+	// for every pipelined request behind it on the connection.
+	db *DB
 
 	// reg/met are the server's observability spine: reg owns every
 	// instrument; met caches them in per-op arrays so the request path
@@ -141,12 +119,6 @@ type Server struct {
 	connWG   sync.WaitGroup // connection read loops
 }
 
-// serverBatcher is the optional capability a wrapped store exposes to
-// execute a coalesced batch of independent puts with per-put results.
-type serverBatcher interface {
-	putBatchServer(ctx context.Context, user string, puts []core.BatchPut) ([]UID, []error)
-}
-
 // NewServer returns a server over st. The store stays owned by the
 // caller: Shutdown/Close never close it, so one store can outlive —
 // or be shared by — several listeners. The worker pool starts here,
@@ -156,8 +128,7 @@ func NewServer(st Store, opts ServerOptions) *Server {
 		opts.Workers = 4 * runtime.GOMAXPROCS(0)
 	}
 	s := &Server{st: st, opts: opts, conns: make(map[*serverConn]struct{})}
-	s.batcher, _ = st.(serverBatcher)
-	_, s.inline = st.(*DB)
+	s.db, _ = st.(*DB)
 	s.tasks = make(chan serverTask, 2*opts.Workers)
 	s.reg = obs.NewRegistry()
 	s.met.init(s.reg)
@@ -376,22 +347,16 @@ func (s *Server) newConn(c net.Conn) *serverConn {
 	return sc
 }
 
-// chunkBack returns the wrapped store's chunk capability, nil when
-// absent or disabled.
-func (s *Server) chunkBack() chunkBackend {
-	if s.opts.DisableChunkSync {
-		return nil
-	}
-	cb, _ := s.st.(chunkBackend)
-	return cb
-}
+// chunkSync reports whether the chunk-granular transfer ops are
+// served: a local backend, and not switched off.
+func (s *Server) chunkSync() bool { return s.db != nil && !s.opts.DisableChunkSync }
 
 // features is the capability bitmask advertised in the Hello response.
 func (s *Server) features() uint32 {
 	// Every server answers OpServerStats: the snapshot surface has no
 	// backend requirement, unlike the chunk ops.
 	f := wire.FeatureServerStats
-	if s.chunkBack() != nil {
+	if s.chunkSync() {
 		f |= wire.FeatureChunkSync
 	}
 	return f
@@ -399,7 +364,7 @@ func (s *Server) features() uint32 {
 
 // addShields takes one backend shield per unique id and records it
 // against this connection.
-func (sc *serverConn) addShields(cb chunkBackend, ids []chunk.ID) {
+func (sc *serverConn) addShields(ids []chunk.ID) {
 	if len(ids) == 0 {
 		return
 	}
@@ -411,12 +376,12 @@ func (sc *serverConn) addShields(cb chunkBackend, ids []chunk.ID) {
 		sc.shields[id]++
 	}
 	sc.mu.Unlock()
-	cb.shieldChunks(ids)
+	sc.srv.db.eng.ShieldUIDs(ids)
 }
 
 // dropShields releases one connection-held shield per unique id (ids
 // the connection never shielded are ignored).
-func (sc *serverConn) dropShields(cb chunkBackend, ids []chunk.ID) {
+func (sc *serverConn) dropShields(ids []chunk.ID) {
 	seen := make(map[chunk.ID]bool, len(ids))
 	release := make([]chunk.ID, 0, len(ids))
 	sc.mu.Lock()
@@ -436,17 +401,13 @@ func (sc *serverConn) dropShields(cb chunkBackend, ids []chunk.ID) {
 	}
 	sc.mu.Unlock()
 	if len(release) > 0 {
-		cb.unshieldChunks(release)
+		sc.srv.db.eng.UnshieldUIDs(release)
 	}
 }
 
 // dropAllShields releases every shield reference the connection still
 // holds (connection teardown).
 func (sc *serverConn) dropAllShields() {
-	cb, _ := sc.srv.st.(chunkBackend)
-	if cb == nil {
-		return
-	}
 	sc.mu.Lock()
 	var release []chunk.ID
 	for id, n := range sc.shields {
@@ -457,7 +418,7 @@ func (sc *serverConn) dropAllShields() {
 	sc.shields = nil
 	sc.mu.Unlock()
 	if len(release) > 0 {
-		cb.unshieldChunks(release)
+		sc.srv.db.eng.UnshieldUIDs(release)
 	}
 }
 
@@ -599,7 +560,7 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		sc.srv.observe(sc, f.op, start, resp)
 		sc.send(f.reqID, f.op, resp)
 		sc.deferredDone++
-	case f.op == wire.OpPut && sc.srv.batcher != nil:
+	case f.op == wire.OpPut && sc.srv.db != nil:
 		return sc.handlePut(f)
 	default:
 		return sc.slowPath(f), nil, false
@@ -613,7 +574,7 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 // path — they can block, and a blocked read loop stalls the whole
 // connection.
 func (sc *serverConn) inlineOp(op uint8) bool {
-	if !sc.srv.inline {
+	if sc.srv.db == nil {
 		return false
 	}
 	switch op {
@@ -811,34 +772,24 @@ func errPayload(err error, conflicts []Conflict, uid UID) []byte {
 	return e.Bytes()
 }
 
-// callOptions reconstructs the per-call option slice a request's
-// CallOptions describe — including WithUser, which is what routes the
-// request through the wrapped store's access controller.
-func callOptions(o wire.CallOptions) ([]Option, error) {
-	var opts []Option
-	if o.User != "" {
-		opts = append(opts, WithUser(o.User))
+// optsFromWire resolves a request's CallOptions into the option set
+// the policy layer reads — including the user, which is what routes
+// the request through the access controller.
+func optsFromWire(w wire.CallOptions) (callOpts, error) {
+	o := callOpts{
+		branch:    w.Branch,
+		branchSet: w.BranchSet,
+		bases:     w.Bases,
+		guard:     w.Guard,
+		meta:      w.Meta,
+		user:      w.User,
 	}
-	if o.BranchSet {
-		opts = append(opts, WithBranch(o.Branch))
-	}
-	for _, b := range o.Bases {
-		opts = append(opts, WithBase(b))
-	}
-	if o.Guard != nil {
-		opts = append(opts, WithGuard(*o.Guard))
-	}
-	if o.Meta != nil {
-		opts = append(opts, WithMeta(string(o.Meta)))
-	}
-	if o.Resolver != wire.ResolverNone {
-		r := wire.ResolverFromCode(o.Resolver)
-		if r == nil {
-			return nil, fmt.Errorf("%w: unknown resolver code %d", ErrBadOptions, o.Resolver)
+	if w.Resolver != wire.ResolverNone {
+		if o.resolver = wire.ResolverFromCode(w.Resolver); o.resolver == nil {
+			return callOpts{}, fmt.Errorf("%w: unknown resolver code %d", ErrBadOptions, w.Resolver)
 		}
-		opts = append(opts, WithResolver(r))
 	}
-	return opts, nil
+	return o, nil
 }
 
 // dispatch decodes one request, runs it against the wrapped store and
@@ -850,14 +801,14 @@ func callOptions(o wire.CallOptions) ([]Option, error) {
 // had protected.
 func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op uint8, payload []byte) []byte {
 	d := wire.NewDec(payload)
-	co := wire.DecodeCallOptions(d)
-	opts, err := callOptions(co)
+	co, err := optsFromWire(wire.DecodeCallOptions(d))
 	if err == nil {
 		err = d.Err()
 	}
 	if err != nil {
 		return errPayload(err, nil, UID{})
 	}
+	opts := co.options()
 	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
 	switch op {
 	case wire.OpGet:
@@ -891,7 +842,7 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 		b := NewBatch()
 		for i := 0; i < n; i++ {
 			key := d.Str()
-			putOpts, oerr := callOptions(wire.DecodeCallOptions(d))
+			po, oerr := optsFromWire(wire.DecodeCallOptions(d))
 			v, verr := wire.DecodeValueRef(d)
 			if verr == nil {
 				verr = oerr
@@ -902,7 +853,7 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 			if verr != nil {
 				return fail(verr)
 			}
-			b.Put(key, v, putOpts...)
+			b.put(key, v, &po)
 		}
 		if err := d.Err(); err != nil {
 			return fail(err)
@@ -1031,32 +982,27 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 		// internal Get would redirect it to a different version (or
 		// trip ErrBadOptions) — semantics the embedded Value does not
 		// have.
-		var userOpts []Option
-		if co.User != "" {
-			userOpts = append(userOpts, WithUser(co.User))
-		}
-		o, err := s.st.Get(ctx, key, append(userOpts[:len(userOpts):len(userOpts)], WithBase(uid))...)
+		asUser := callOpts{user: co.user}
+		pinned := callOpts{user: co.user, bases: []UID{uid}}
+		obj, err := s.st.Get(ctx, key, pinned.options()...)
 		if err != nil {
 			return fail(err)
 		}
-		v, err := s.st.Value(ctx, key, o, userOpts...)
+		v, err := s.st.Value(ctx, key, obj, asUser.options()...)
 		if err != nil {
 			return fail(err)
 		}
 		return okPayload2(func(e *wire.Enc) error { return wire.EncodeValue(e, v) })
 	case wire.OpChunkHave, wire.OpChunkWant, wire.OpChunkSend, wire.OpPutChunked:
-		cb := s.chunkBack()
-		if cb == nil {
+		if !s.chunkSync() {
 			return fail(fmt.Errorf("%w: backend %T does not serve chunk-granular transfer", wire.ErrUnsupported, s.st))
 		}
-		return s.dispatchChunk(ctx, sc, reqID, cb, op, d, co, opts)
+		return s.dispatchChunk(ctx, sc, reqID, op, d, co.user, opts)
 	case wire.OpStats:
-		type statser interface{ Stats() StoreStats }
-		ss, ok := s.st.(statser)
-		if !ok {
+		if s.db == nil {
 			return fail(fmt.Errorf("%w: backend %T has no storage counters", wire.ErrUnsupported, s.st))
 		}
-		stats := ss.Stats()
+		stats := s.db.Stats()
 		return okPayload(func(e *wire.Enc) { wire.EncodeStats(e, stats) })
 	case wire.OpServerStats:
 		snap := s.MetricsSnapshot()
@@ -1079,13 +1025,15 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 //     will rely on it when it commits. The matching OpPutChunked
 //     releases the shields; a dropped connection releases the rest.
 //  3. Access is per key: every chunk op carries the routing key being
-//     read or written and runs the same ACL check the materialized op
-//     would. Within a granted key, chunk ids act as capabilities —
-//     the server cannot cheaply prove a content-addressed chunk
-//     "belongs" to a key, and does not try (see README, trust model).
-func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64, cb chunkBackend, op uint8, d *wire.Dec, co wire.CallOptions, opts []Option) []byte {
+//     read or written and asks the policy layer (allow, policy.go) for
+//     the verdict the materialized op would get — read on (key, "")
+//     for a pull, write for an upload or commit. Within a granted key,
+//     chunk ids act as capabilities — the server cannot cheaply prove
+//     a content-addressed chunk "belongs" to a key, and does not try
+//     (see README, trust model).
+func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64, op uint8, d *wire.Dec, user string, opts []Option) []byte {
 	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
-	cs := cb.chunkStore()
+	cs := s.db.eng.Store()
 	switch op {
 	case wire.OpChunkHave:
 		key := d.Str()
@@ -1095,7 +1043,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		}
 		// Have is the upload negotiation, so it needs write intent —
 		// a read-only user learns nothing about what the store holds.
-		if err := cb.checkChunkAccess(co.User, key, true); err != nil {
+		if err := allow(s.db.acl, user, key, "", PermWrite); err != nil {
 			return fail(err)
 		}
 		bits := make([]bool, len(ids))
@@ -1112,7 +1060,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		}
 		// The client will skip re-sending these; keep them alive until
 		// its commit (or disconnect).
-		sc.addShields(cb, present)
+		sc.addShields(present)
 		s.met.chunksync[csHave].Add(int64(len(ids) * chunk.IDSize))
 		return okPayload(func(e *wire.Enc) { wire.EncodeBitmap(e, bits) })
 	case wire.OpChunkWant:
@@ -1125,7 +1073,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		if flags&^wire.WantFlagDeep != 0 {
 			return fail(fmt.Errorf("%w: unknown want flags %#x", ErrBadOptions, flags))
 		}
-		if err := cb.checkChunkAccess(co.User, key, false); err != nil {
+		if err := allow(s.db.acl, user, key, "", PermRead); err != nil {
 			return fail(err)
 		}
 		return sc.streamWant(ctx, reqID, cs, ids, flags&wire.WantFlagDeep != 0)
@@ -1135,7 +1083,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		if err := d.Err(); err != nil {
 			return fail(err)
 		}
-		if err := cb.checkChunkAccess(co.User, key, true); err != nil {
+		if err := allow(s.db.acl, user, key, "", PermWrite); err != nil {
 			return fail(err)
 		}
 		// Verify the whole batch before admitting any of it.
@@ -1158,7 +1106,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		}
 		// Shield before Put: a collection sweeping between the Put and
 		// the commit must treat these as roots.
-		sc.addShields(cb, ids)
+		sc.addShields(ids)
 		var stored, dups uint32
 		var admitted int64
 		for _, c := range decoded {
@@ -1189,13 +1137,13 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		if !ok {
 			return fail(fmt.Errorf("%w: type %v is not chunkable", ErrBadOptions, vt))
 		}
-		if err := cb.checkChunkAccess(co.User, key, true); err != nil {
+		if err := allow(s.db.acl, user, key, "", PermWrite); err != nil {
 			return fail(err)
 		}
 		// Load derives count and height by walking the root path —
 		// trusting the client's claimed shape would let it commit a
 		// version whose meta chunk misdescribes the tree.
-		tree, err := postree.Load(cs, cb.treeConfig(), kind, root)
+		tree, err := postree.Load(cs, s.db.eng.Config(), kind, root)
 		if err != nil {
 			return fail(fmt.Errorf("chunked put of %s: %w", root.Short(), err))
 		}
@@ -1221,7 +1169,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		// Success or failure, the negotiation window is over: on
 		// success the new version roots the chunks; on failure the
 		// client renegotiates from OpChunkHave, which re-shields.
-		sc.dropShields(cb, ids)
+		sc.dropShields(ids)
 		if perr != nil {
 			return errPayload(perr, nil, uid)
 		}
@@ -1424,10 +1372,29 @@ func (sc *serverConn) handlePut(f rawFrame) (keep bool, carry *rawFrame, exit bo
 	return true, carry, exit
 }
 
+// coalescedPut turns one collected OpPut into its engine batch entry
+// exactly as the slow path would treat it alone: resolve the options,
+// decode the value, ask the policy layer for the write verdict.
+func (s *Server) coalescedPut(user string, pf putFrame) (core.BatchPut, error) {
+	o, err := optsFromWire(pf.co)
+	if err != nil {
+		return core.BatchPut{}, err
+	}
+	v, err := wire.DecodeValueRef(wire.NewDec(pf.payload[pf.valueOff:]))
+	if err != nil {
+		return core.BatchPut{}, err
+	}
+	p, err := batchPut(pf.key, v, &o)
+	if err != nil {
+		return core.BatchPut{}, err
+	}
+	return p, allow(s.db.acl, user, pf.key, p.Branch, PermWrite)
+}
+
 // runPutBatch executes one coalesced batch on a pool worker: decode
-// each value (zero-copy — the engine copies on ingest), one batched
-// engine commit with per-put error isolation, then all responses in
-// one flush.
+// each value (zero-copy — the engine copies on ingest) and check each
+// put's write permission, one batched engine commit of the admitted
+// puts with per-put error isolation, then all responses in one flush.
 func (sc *serverConn) runPutBatch(user string, batch []putFrame) {
 	start := time.Now()
 	sc.srv.met.putBatch.Observe(int64(len(batch)))
@@ -1435,30 +1402,17 @@ func (sc *serverConn) runPutBatch(user string, batch []putFrame) {
 	puts := make([]core.BatchPut, 0, len(batch))
 	idx := make([]int, 0, len(batch))
 	for i, pf := range batch {
-		d := wire.NewDec(pf.payload[pf.valueOff:])
-		v, err := wire.DecodeValueRef(d)
-		if err == nil && pf.co.Resolver != wire.ResolverNone && wire.ResolverFromCode(pf.co.Resolver) == nil {
-			// Mirror the slow path's option validation: Put ignores
-			// resolvers, but an unknown code is still a typed error.
-			err = fmt.Errorf("%w: unknown resolver code %d", ErrBadOptions, pf.co.Resolver)
-		}
+		p, err := sc.srv.coalescedPut(user, pf)
 		if err != nil {
 			resp[i] = errPayload(err, nil, UID{})
 			continue
 		}
-		branch := DefaultBranch
-		if pf.co.BranchSet {
-			branch = pf.co.Branch
-		}
-		var guard *UID
-		if pf.co.Guard != nil {
-			g := *pf.co.Guard
-			guard = &g
-		}
-		puts = append(puts, core.BatchPut{Key: []byte(pf.key), Branch: branch, Value: v, Meta: pf.co.Meta, Guard: guard})
+		puts = append(puts, p)
 		idx = append(idx, i)
 	}
-	uids, errs := sc.srv.batcher.putBatchServer(sc.ctx, user, puts)
+	// One failing put does not abort the others: each coalesced wire
+	// request gets exactly the result it would have gotten alone.
+	uids, errs := sc.srv.db.eng.PutBatchIndependent(sc.ctx, puts)
 	for j, i := range idx {
 		if errs[j] != nil {
 			resp[i] = errPayload(errs[j], nil, UID{})

@@ -269,11 +269,11 @@ func TestWantStreamFallbackMatrix(t *testing.T) {
 	if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
 		t.Fatal("cold read corrupted the object")
 	}
-	base := rc.WireStats().BytesReceived
+	base := wireBytes(rc, "in")
 	if got := readDoc(t, rc, "doc"); !bytes.Equal(got, data) {
 		t.Fatal("warm read corrupted the object")
 	}
-	if moved := rc.WireStats().BytesReceived - base; moved > int64(len(data))/10 {
+	if moved := wireBytes(rc, "in") - base; moved > int64(len(data))/10 {
 		t.Fatalf("warm re-read moved %d bytes — the dedup property is lost", moved)
 	}
 }
