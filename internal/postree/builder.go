@@ -13,17 +13,17 @@ import (
 // (Algorithm 1 in the paper). Elements must arrive pre-encoded and, for
 // sorted kinds, in strictly increasing key order. The builder commits a
 // leaf chunk whenever the rolling-hash pattern fires (extended to the
-// element boundary) or the max chunk size is reached, then assembles
-// index levels using the cid pattern until a single root remains.
+// element boundary) or the max chunk size is reached, and hands it to
+// the index levels above, which grow by the cid pattern as the leaves
+// arrive until Finish leaves a single root.
 type Builder struct {
 	s       store.Store
-	cfg     Config
 	kind    Kind
 	chunker *rollsum.Chunker
 	buf     []byte
 	n       uint64 // elements in the current leaf
 	lastKey []byte // last key seen (sorted kinds)
-	entries []entry
+	up      indexLevels
 	err     error
 }
 
@@ -31,9 +31,9 @@ type Builder struct {
 func NewBuilder(s store.Store, cfg Config, kind Kind) *Builder {
 	return &Builder{
 		s:       s,
-		cfg:     cfg,
 		kind:    kind,
 		chunker: rollsum.NewChunker(cfg.LeafQ, cfg.maxLeaf()),
+		up:      newIndexLevels(s, cfg, kind),
 	}
 }
 
@@ -99,9 +99,11 @@ func (b *Builder) commitLeaf() {
 	}
 	e := entry{count: b.n, id: c.ID()}
 	if b.kind.Sorted() {
-		e.key = append([]byte(nil), b.lastKey...)
+		e.key = b.lastKey
 	}
-	b.entries = append(b.entries, e)
+	if b.err = b.up.add(1, e); b.err != nil {
+		return
+	}
 	b.buf = b.buf[:0]
 	b.n = 0
 	b.chunker.Next()
@@ -117,81 +119,169 @@ func (b *Builder) Finish() (*Tree, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	return finishTree(b.s, b.cfg, b.kind, b.entries)
+	return b.up.finish()
 }
 
-// finishTree assembles index levels over leaf entries and returns the
-// Tree handle.
-func finishTree(s store.Store, cfg Config, kind Kind, leaves []entry) (*Tree, error) {
-	t := &Tree{s: s, cfg: cfg, kind: kind}
-	if len(leaves) == 0 {
-		return t, nil
-	}
-	var total uint64
-	for _, e := range leaves {
-		total += e.count
-	}
-	level := leaves
-	height := 1
-	for len(level) > 1 {
-		next, err := buildIndexLevel(s, cfg, kind, level)
-		if err != nil {
-			return nil, err
-		}
-		level = next
-		height++
-	}
-	t.root = level[0].id
-	t.count = total
-	t.height = height
-	return t, nil
+// indexNode is the open node of one index level.
+type indexNode struct {
+	buf    []byte // its encoded entries
+	n      int    // how many
+	count  uint64 // elements under them
+	keyOff int    // the last entry's key is buf[keyOff:keyOff+keyLen]
+	keyLen int
+	full   bool // the last entry ended the node
+	old    bool // the last entry is an old node, taken by reference
 }
 
-// buildIndexLevel packs child entries into index chunks, splitting where
-// a child cid matches the index pattern (§4.3.3) or the node is full.
-func buildIndexLevel(s store.Store, cfg Config, kind Kind, children []entry) ([]entry, error) {
-	pattern := rollsum.NewIndexPattern(cfg.IndexR)
-	maxEntries := cfg.maxIndex()
-	var (
-		out     []entry
-		payload []byte
-		n       int
-		count   uint64
-		lastKey []byte
-	)
-	commit := func() error {
-		if n == 0 {
-			return nil
-		}
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		c := chunk.New(kind.indexType(), p)
-		if _, err := s.Put(c); err != nil {
+// indexLevels assembles the index levels of a tree while the nodes
+// below arrive, left to right: a node of level lvl (1 is a leaf) joins
+// the open node of level lvl+1, which ends where the child's cid
+// matches the index pattern (§4.3.3) or the node is full, and is then
+// sealed into a chunk and passed up the same way. Boundaries depend on
+// nothing but the child's own cid and the count since the last one, so
+// a level may take an old node by reference wherever every level below
+// it stands at a boundary: replaying that node's children from there
+// would only rebuild it.
+//
+// A node that ends is kept open until its successor arrives: a level
+// that turns out to hold a single node is the root, and gets no parent.
+type indexLevels struct {
+	s       store.Store
+	cfg     Config
+	kind    Kind
+	pattern rollsum.IndexPattern
+	max     int
+	lv      []indexNode // lv[k] is the open node of level k+2
+}
+
+func newIndexLevels(s store.Store, cfg Config, kind Kind) indexLevels {
+	return indexLevels{s: s, cfg: cfg, kind: kind, pattern: rollsum.NewIndexPattern(cfg.IndexR), max: cfg.maxIndex()}
+}
+
+// add appends e, a node of level lvl, to the level above it.
+func (x *indexLevels) add(lvl int, e entry) error {
+	k := lvl - 1
+	for len(x.lv) <= k {
+		x.lv = append(x.lv, indexNode{})
+	}
+	if x.lv[k].full {
+		if err := x.seal(k); err != nil {
 			return err
 		}
-		e := entry{count: count, id: c.ID()}
-		if kind.Sorted() {
-			e.key = append([]byte(nil), lastKey...)
-		}
-		out = append(out, e)
-		payload = payload[:0]
-		n = 0
-		count = 0
+	}
+	nd := &x.lv[k]
+	nd.keyOff, nd.keyLen = len(nd.buf)+4, len(e.key)
+	nd.buf = appendEntry(nd.buf, e)
+	nd.n++
+	nd.count += e.count
+	nd.full = x.pattern.Match(e.id) || nd.n >= x.max
+	nd.old = false
+	return nil
+}
+
+// addOld is add for an old node taken by reference. The caller has
+// asked boundary(lvl) first.
+func (x *indexLevels) addOld(lvl int, e entry) error {
+	if err := x.add(lvl, e); err != nil {
+		return err
+	}
+	x.lv[lvl-1].old = true
+	return nil
+}
+
+// seal turns the open node of lv[k], if it has entries, into a chunk
+// and adds it to the level above.
+func (x *indexLevels) seal(k int) error {
+	nd := &x.lv[k]
+	if nd.n == 0 {
 		return nil
 	}
-	for _, ch := range children {
-		payload = appendEntry(payload, ch)
-		n++
-		count += ch.count
-		lastKey = ch.key
-		if pattern.Match(ch.id) || n >= maxEntries {
-			if err := commit(); err != nil {
-				return nil, err
+	p := append(make([]byte, 0, len(nd.buf)), nd.buf...)
+	c := chunk.New(x.kind.indexType(), p)
+	if _, err := x.s.Put(c); err != nil {
+		return err
+	}
+	e := entry{count: nd.count, id: c.ID()}
+	if x.kind.Sorted() {
+		e.key = p[nd.keyOff : nd.keyOff+nd.keyLen]
+	}
+	nd.buf, nd.n, nd.count, nd.full = nd.buf[:0], 0, 0, false
+	return x.add(k+2, e)
+}
+
+// boundary reports whether every index level up to lvl stands at a
+// node boundary, so that an old node of level lvl may be added by
+// reference. The caller has such a node in hand, which puts at least
+// one more node on each of these levels: a node that has ended there
+// is not the root, and is sealed to see where it leaves its parent.
+func (x *indexLevels) boundary(lvl int) (bool, error) {
+	for k := 0; k < lvl-1 && k < len(x.lv); k++ {
+		if x.lv[k].full {
+			if err := x.seal(k); err != nil {
+				return false, err
 			}
 		}
+		if x.lv[k].n > 0 {
+			return false, nil
+		}
 	}
-	if err := commit(); err != nil {
-		return nil, err
+	return true, nil
+}
+
+// finish seals what is open, bottom up, until one node is left: the
+// root. The last node of a level need not end on the pattern. A level
+// that has sealed a node has a level above it, so the top one holds
+// all it was ever given.
+//
+// A node sealed here is the root only with two entries or more — with
+// one it stayed open as the root candidate of the level below. An old
+// node taken by reference carries no such promise: it may have had
+// siblings that the edit removed, and be a node of one child (a child
+// whose cid ends its node, or the first after a full one). The tree of
+// what is left starts below every such node, so the root steps down
+// through them, one read each.
+func (x *indexLevels) finish() (*Tree, error) {
+	t := &Tree{s: x.s, cfg: x.cfg, kind: x.kind}
+	for k := 0; k < len(x.lv); k++ {
+		if nd := &x.lv[k]; k == len(x.lv)-1 && nd.n == 1 {
+			ic := indexCursor{p: nd.buf}
+			root, _, err := ic.next()
+			if err != nil {
+				return nil, err
+			}
+			t.root, t.count, t.height = root.id, root.count, k+1
+			if nd.old {
+				err = t.skipOnlyChildren()
+			}
+			return t, err
+		}
+		if err := x.seal(k); err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
+	return t, nil // nothing was added: the empty tree
+}
+
+// skipOnlyChildren moves the root down while it is an index node with
+// a single entry.
+func (t *Tree) skipOnlyChildren() error {
+	for t.height > 1 {
+		c, err := t.getChunk(t.root)
+		if err != nil {
+			return err
+		}
+		ic := indexCursor{p: c.Data()}
+		ch, ok, err := ic.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return &CorruptNodeError{0, "index node without entries"}
+		}
+		if !ic.done() {
+			return nil
+		}
+		t.root, t.height = ch.id, t.height-1
+	}
+	return nil
 }

@@ -1,0 +1,113 @@
+package postree
+
+// What POS-tree operations cost, as exact chunk counts over the
+// store's own Get/Put counters — counts, not timings, so the bounds
+// cannot turn into flakes. The tree is the shape the dataset workload
+// runs on: 100 000 entries under the default config, height 3.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"forkbase/internal/store"
+)
+
+func costKey(i int) []byte { return []byte(fmt.Sprintf("row%08d", i)) }
+
+// costTree builds the 100 000-entry Map and returns its index-node
+// count.
+func costTree(tb testing.TB) (*store.MemStore, *Tree, int) {
+	tb.Helper()
+	s := store.NewMemStore()
+	b := NewBuilder(s, DefaultConfig(), KindMap)
+	val := make([]byte, 40)
+	for i := 0; i < 100_000; i++ {
+		copy(val, costKey(i))
+		b.Append(EncodeMapElem(costKey(i), val))
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if tr.Height() < 3 {
+		tb.Fatalf("height %d; the bounds below are about a tree with index levels to skip", tr.Height())
+	}
+	st, err := tr.TreeStats()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, tr, st.IndexNodes
+}
+
+// traffic runs f and returns the Get and Put calls it made on s.
+func traffic(s *store.MemStore, f func()) (gets, puts int64) {
+	before := s.Stats()
+	f()
+	after := s.Stats()
+	return after.Gets - before.Gets, after.Puts - before.Puts
+}
+
+func TestGetCostsOnePath(t *testing.T) {
+	s, tr, _ := costTree(t)
+	key := costKey(61_803)
+	gets, puts := traffic(s, func() {
+		if _, ok, err := tr.Get(key); err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	})
+	if gets != int64(tr.Height()) || puts != 0 {
+		t.Fatalf("Get fetched %d chunks and put %d; want exactly the height, %d, and none", gets, puts, tr.Height())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, err := tr.Get(key); err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Get allocates %.0f objects per hit; want 0", allocs)
+	}
+	gets, _ = traffic(s, func() {
+		if _, err := tr.GetAt(77_777); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if gets != int64(tr.Height()) {
+		t.Fatalf("GetAt fetched %d chunks; want exactly the height, %d", gets, tr.Height())
+	}
+}
+
+func TestOneKeyEditCostsOnePath(t *testing.T) {
+	s, tr, indexNodes := costTree(t)
+	bound := int64(2*tr.Height() + 2)
+	var next *Tree
+	for _, i := range []int{0, 31_415, 61_803, 99_999} {
+		gets, puts := traffic(s, func() {
+			var err error
+			if next, err = tr.MapSet(costKey(i), []byte("a value of another length")); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if gets > bound || puts > bound {
+			t.Fatalf("MapSet(%s) fetched %d and put %d chunks of a tree with %d index nodes; want at most 2*height+2 = %d of each",
+				costKey(i), gets, puts, indexNodes, bound)
+		}
+		t.Logf("MapSet(%s): %d fetched, %d put (height %d, %d index nodes)", costKey(i), gets, puts, tr.Height(), indexNodes)
+	}
+
+	// The diff of that edit reads the two changed paths, and the index
+	// nodes of one side to count the leaves it skipped.
+	var d *SortedDiff
+	gets, _ := traffic(s, func() {
+		var err error
+		if d, err = DiffSorted(context.Background(), tr, next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(d.Modified) != 1 || len(d.Added)+len(d.Removed) != 0 {
+		t.Fatalf("diff of a one-key edit: +%d -%d ~%d", len(d.Added), len(d.Removed), len(d.Modified))
+	}
+	if max := int64(4*tr.Height() + indexNodes); gets > max {
+		t.Fatalf("DiffSorted fetched %d chunks; want at most 4*height + the %d index nodes = %d", gets, indexNodes, max)
+	}
+	t.Logf("DiffSorted: %d fetched; %d of %d leaves shared", gets, d.SharedLeaves, d.TotalLeaves)
+}

@@ -9,15 +9,21 @@ import (
 )
 
 // Diff exploits the Merkle property (§4.3.1): identical subtrees have
-// identical cids, so comparison only decodes leaves that are not shared
-// between the two trees.
+// identical cids, so a comparison descends only into subtrees whose
+// cids differ.
 //
-// For sorted trees this is exact at element granularity: an element held
-// in a shared leaf is, by definition of content addressing, present in
-// both trees, and unique keys guarantee it cannot also appear in an
-// unshared leaf. Merging the sorted element streams of the unshared
-// leaves therefore yields the precise set of added, removed and modified
-// keys.
+// DiffSorted walks the two trees level by level, aligned by distance
+// from the leaves: at each level every node present on both sides is
+// dropped unread and only the rest is opened, so what reaches the leaf
+// level is the leaves on the changed paths. For sorted trees this is
+// exact at element granularity: an element under a dropped node is, by
+// definition of content addressing, present in both trees, and unique
+// keys guarantee it cannot also appear under a node that was kept.
+// Merging the sorted element streams of the leaves that remain
+// therefore yields the precise set of added, removed and modified keys.
+// Unique keys also mean a leaf occurs once in a tree, so a leaf the two
+// trees share sits at the same level on both sides and the leaves that
+// remain are exactly those in one tree's leaf set and not the other's.
 
 // SortedDiff is the result of comparing two sorted trees.
 type SortedDiff struct {
@@ -25,89 +31,196 @@ type SortedDiff struct {
 	Removed  []KV // keys only in a
 	Modified []KV // keys in both with different values (Map only); Value is b's
 	// SharedLeaves and TotalLeaves report how much of the comparison
-	// was skipped thanks to chunk sharing.
+	// was skipped thanks to chunk sharing: leaves in both trees, and
+	// distinct leaves in either. Counting the former walks the index
+	// nodes under each dropped node down to level 2, never a leaf.
 	SharedLeaves, TotalLeaves int
 }
 
 // DiffSorted compares two sorted trees of the same kind. ctx is
-// observed per unshared-leaf fetch — the loop that dominates large
-// diffs — so a cancelled caller (or a disconnected remote client)
-// stops paying for the comparison promptly.
+// observed per node fetch, so a cancelled caller (or a disconnected
+// remote client) stops paying for the comparison promptly.
 func DiffSorted(ctx context.Context, a, b *Tree) (*SortedDiff, error) {
 	if !a.kind.Sorted() || a.kind != b.kind {
 		return nil, fmt.Errorf("postree: DiffSorted on %v vs %v", a.kind, b.kind)
 	}
-	la, err := a.leafEntries()
-	if err != nil {
-		return nil, err
-	}
-	lb, err := b.leafEntries()
-	if err != nil {
-		return nil, err
-	}
-	inA := make(map[chunk.ID]bool, len(la))
-	for _, e := range la {
-		inA[e.id] = true
-	}
-	inB := make(map[chunk.ID]bool, len(lb))
-	for _, e := range lb {
-		inB[e.id] = true
-	}
-	var ea, eb [][]byte
-	shared := 0
-	for _, e := range la {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if inB[e.id] {
-			shared++
-			continue
-		}
-		elems, err := a.leafElems(e.id)
-		if err != nil {
-			return nil, err
-		}
-		ea = append(ea, elems...)
-	}
-	for _, e := range lb {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if inA[e.id] {
-			continue
-		}
-		elems, err := b.leafElems(e.id)
-		if err != nil {
-			return nil, err
-		}
-		eb = append(eb, elems...)
-	}
-	d := &SortedDiff{SharedLeaves: shared, TotalLeaves: len(la) + len(lb) - shared}
-	i, j := 0, 0
-	for i < len(ea) && j < len(eb) {
-		ka, kb := elemKey(a.kind, ea[i]), elemKey(b.kind, eb[j])
-		switch bytes.Compare(ka, kb) {
-		case -1:
-			d.Removed = append(d.Removed, kvOf(a.kind, ea[i]))
-			i++
-		case 1:
-			d.Added = append(d.Added, kvOf(b.kind, eb[j]))
-			j++
-		default:
-			if a.kind == KindMap && !bytes.Equal(MapElemValue(ea[i]), MapElemValue(eb[j])) {
-				d.Modified = append(d.Modified, kvOf(b.kind, eb[j]))
+	d := &SortedDiff{}
+	fa, fb := a.rootFrontier(), b.rootFrontier()
+	la, lb := a.height, b.height
+	for lvl := max(la, lb); lvl >= 1; lvl-- {
+		var err error
+		if la == lvl && lb == lvl {
+			fa, fb, err = dropShared(fa, fb, func(e entry) error {
+				return a.walkLeaves(ctx, e, lvl, func(entry) error {
+					d.SharedLeaves++
+					return nil
+				})
+			})
+			if err != nil {
+				return nil, err
 			}
-			i++
-			j++
+		}
+		if lvl == 1 {
+			break
+		}
+		// The taller tree is opened alone until the levels meet.
+		if la == lvl {
+			if fa, err = a.expand(ctx, fa); err != nil {
+				return nil, err
+			}
+			la--
+		}
+		if lb == lvl {
+			if fb, err = b.expand(ctx, fb); err != nil {
+				return nil, err
+			}
+			lb--
 		}
 	}
-	for ; i < len(ea); i++ {
-		d.Removed = append(d.Removed, kvOf(a.kind, ea[i]))
+	d.TotalLeaves = d.SharedLeaves + len(fa) + len(fb)
+
+	ra, rb := elemRun{ctx: ctx, t: a, leaves: fa}, elemRun{ctx: ctx, t: b, leaves: fb}
+	ea, err := ra.next()
+	if err != nil {
+		return nil, err
 	}
-	for ; j < len(eb); j++ {
-		d.Added = append(d.Added, kvOf(b.kind, eb[j]))
+	eb, err := rb.next()
+	if err != nil {
+		return nil, err
+	}
+	for ea != nil || eb != nil {
+		cmp := 0
+		switch {
+		case eb == nil:
+			cmp = -1
+		case ea == nil:
+			cmp = 1
+		default:
+			cmp = bytes.Compare(elemKey(a.kind, ea), elemKey(b.kind, eb))
+		}
+		if cmp < 0 {
+			d.Removed = append(d.Removed, kvOf(a.kind, ea))
+		} else if cmp > 0 {
+			d.Added = append(d.Added, kvOf(b.kind, eb))
+		} else if a.kind == KindMap && !bytes.Equal(MapElemValue(ea), MapElemValue(eb)) {
+			d.Modified = append(d.Modified, kvOf(b.kind, eb))
+		}
+		if cmp <= 0 {
+			if ea, err = ra.next(); err != nil {
+				return nil, err
+			}
+		}
+		if cmp >= 0 {
+			if eb, err = rb.next(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return d, nil
+}
+
+// rootFrontier is the top of a level-by-level descent: the root as an
+// entry (it has no split key), or nothing for the empty tree.
+func (t *Tree) rootFrontier() []entry {
+	if t.root.IsNil() {
+		return nil
+	}
+	return []entry{{count: t.count, id: t.root}}
+}
+
+// expand replaces a frontier of index nodes by their children.
+func (t *Tree) expand(ctx context.Context, frontier []entry) ([]entry, error) {
+	var out []entry
+	for _, e := range frontier {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		c, err := t.getChunk(e.id)
+		if err != nil {
+			return nil, err
+		}
+		for ic := (indexCursor{p: c.Data()}); ; {
+			ch, ok, err := ic.next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			out = append(out, ch)
+		}
+	}
+	return out, nil
+}
+
+// dropShared removes from two frontiers of one level, in place, the
+// nodes present in both, and calls shared for each. Both run in key
+// order and a node's cid fixes its split key, so the two are matched
+// in one merge pass; a root, which has no split key, is matched by cid
+// alone.
+func dropShared(fa, fb []entry, shared func(entry) error) (ka, kb []entry, err error) {
+	if len(fa) == 1 || len(fb) == 1 {
+		for i := range fa {
+			for j := range fb {
+				if fa[i].id == fb[j].id {
+					err := shared(fa[i])
+					return append(fa[:i], fa[i+1:]...), append(fb[:j], fb[j+1:]...), err
+				}
+			}
+		}
+		return fa, fb, nil
+	}
+	ka, kb = fa[:0], fb[:0]
+	i, j := 0, 0
+	for i < len(fa) && j < len(fb) {
+		cmp := bytes.Compare(fa[i].key, fb[j].key)
+		if cmp == 0 && fa[i].id == fb[j].id {
+			if err := shared(fa[i]); err != nil {
+				return nil, nil, err
+			}
+			i, j = i+1, j+1
+			continue
+		}
+		if cmp <= 0 {
+			ka, i = append(ka, fa[i]), i+1
+		}
+		if cmp >= 0 {
+			kb, j = append(kb, fb[j]), j+1
+		}
+	}
+	return append(ka, fa[i:]...), append(kb, fb[j:]...), nil
+}
+
+// elemRun yields the encoded elements of a run of leaves in order,
+// fetching each leaf when the one before is used up.
+type elemRun struct {
+	ctx     context.Context
+	t       *Tree
+	leaves  []entry
+	payload []byte
+}
+
+// next returns the next element, nil at the end of the run.
+func (r *elemRun) next() ([]byte, error) {
+	for len(r.payload) == 0 {
+		if len(r.leaves) == 0 {
+			return nil, nil
+		}
+		if err := r.ctx.Err(); err != nil {
+			return nil, err
+		}
+		c, err := r.t.getChunk(r.leaves[0].id)
+		if err != nil {
+			return nil, err
+		}
+		r.payload, r.leaves = c.Data(), r.leaves[1:]
+	}
+	enc, adv, err := elementAt(r.t.kind, r.payload)
+	if err != nil {
+		return nil, err
+	}
+	r.payload = r.payload[adv:]
+	return enc, nil
 }
 
 func kvOf(k Kind, enc []byte) KV {
@@ -127,55 +240,91 @@ type UnsortedDiff struct {
 }
 
 // DiffUnsorted compares two Blob or List trees chunk-wise, honouring
-// ctx between the two index walks.
+// ctx during the two index walks. A leaf may occur more than once in
+// such a tree, so the comparison is between the two leaf sets, every
+// occurrence counted, and both leaf levels are enumerated.
 func DiffUnsorted(ctx context.Context, a, b *Tree) (*UnsortedDiff, error) {
 	if a.kind.Sorted() || a.kind != b.kind {
 		return nil, fmt.Errorf("postree: DiffUnsorted on %v vs %v", a.kind, b.kind)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// Occurrences of each leaf on either side; its cid fixes its count
+	// (elements, or bytes for a Blob).
+	type occ struct {
+		inA, inB int
+		count    uint64
 	}
-	la, err := a.leafEntries()
-	if err != nil {
-		return nil, err
-	}
-	lb, err := b.leafEntries()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sizes := func(t *Tree, e entry) uint64 {
-		if t.kind == KindBlob {
-			return e.count
+	leaves := make(map[chunk.ID]*occ)
+	tally := func(t *Tree, sideB bool) error {
+		for _, root := range t.rootFrontier() {
+			err := t.walkLeaves(ctx, root, t.height, func(e entry) error {
+				o := leaves[e.id]
+				if o == nil {
+					o = &occ{count: e.count}
+					leaves[e.id] = o
+				}
+				if sideB {
+					o.inB++
+				} else {
+					o.inA++
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
 		}
-		return e.count // element count; callers interpret per kind
+		return ctx.Err()
 	}
-	inA := make(map[chunk.ID]bool, len(la))
-	for _, e := range la {
-		inA[e.id] = true
+	if err := tally(a, false); err != nil {
+		return nil, err
 	}
-	inB := make(map[chunk.ID]bool, len(lb))
-	for _, e := range lb {
-		inB[e.id] = true
+	if err := tally(b, true); err != nil {
+		return nil, err
 	}
 	d := &UnsortedDiff{}
-	for _, e := range la {
-		if inB[e.id] {
-			d.SharedLeaves++
-		} else {
-			d.OnlyA++
-			d.BytesA += sizes(a, e)
-		}
-	}
-	for _, e := range lb {
-		if !inA[e.id] {
-			d.OnlyB++
-			d.BytesB += sizes(b, e)
+	for _, o := range leaves {
+		switch {
+		case o.inA > 0 && o.inB > 0:
+			d.SharedLeaves += o.inA
+		case o.inA > 0:
+			d.OnlyA += o.inA
+			d.BytesA += uint64(o.inA) * o.count
+		default:
+			d.OnlyB += o.inB
+			d.BytesB += uint64(o.inB) * o.count
 		}
 	}
 	return d, nil
+}
+
+// walkLeaves calls fn with the index entry of every leaf under e, a
+// node of level lvl, left to right, reading index nodes only; a leaf
+// yields itself. ctx is observed per node read.
+func (t *Tree) walkLeaves(ctx context.Context, e entry, lvl int, fn func(entry) error) error {
+	if lvl == 1 {
+		return fn(e)
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c, err := t.getChunk(e.id)
+	if err != nil {
+		return err
+	}
+	for ic := (indexCursor{p: c.Data()}); ; {
+		ch, ok, err := ic.next()
+		if err != nil || !ok {
+			return err
+		}
+		if lvl == 2 {
+			err = fn(ch)
+		} else {
+			err = t.walkLeaves(ctx, ch, lvl-1, fn)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // Stats describes the physical shape of a tree.
@@ -205,16 +354,15 @@ func (t *Tree) TreeStats() (Stats, error) {
 			return nil
 		}
 		st.IndexNodes++
-		entries, err := decodeEntries(c.Data())
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
+		for ic := (indexCursor{p: c.Data()}); ; {
+			e, ok, err := ic.next()
+			if err != nil || !ok {
+				return err
+			}
 			if err := walk(e.id); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
 	if err := walk(t.root); err != nil {
 		return st, err
@@ -227,23 +375,4 @@ func (t *Tree) TreeStats() (Stats, error) {
 func (t *Tree) Verify() error {
 	_, err := t.TreeStats()
 	return err
-}
-
-// leafElems decodes the encoded elements of one leaf chunk.
-func (t *Tree) leafElems(id chunk.ID) ([][]byte, error) {
-	c, err := t.getChunk(id)
-	if err != nil {
-		return nil, err
-	}
-	payload := c.Data()
-	var out [][]byte
-	for len(payload) > 0 {
-		enc, adv, err := elementAt(t.kind, payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, enc)
-		payload = payload[adv:]
-	}
-	return out, nil
 }

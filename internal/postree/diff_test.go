@@ -1,10 +1,13 @@
 package postree
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/store"
 )
 
@@ -138,5 +141,187 @@ func TestDedupAcrossObjects(t *testing.T) {
 	if grown := after.Bytes - before.Bytes; grown > (sa.Bytes+sb.Bytes)/3 {
 		t.Fatalf("store grew %d for a mostly-shared object (tree sizes %d, %d)",
 			grown, sa.Bytes, sb.Bytes)
+	}
+}
+
+// sameSortedDiff compares all five fields of two diffs.
+func sameSortedDiff(t *testing.T, what string, got, want *SortedDiff) {
+	t.Helper()
+	sameKVs := func(field string, g, w []KV) {
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s has %d entries, the leaf-set definition gives %d", what, field, len(g), len(w))
+		}
+		for i := range w {
+			if !bytes.Equal(g[i].Key, w[i].Key) || !bytes.Equal(g[i].Value, w[i].Value) {
+				t.Fatalf("%s: %s[%d] = %q=%q, want %q=%q", what, field, i, g[i].Key, g[i].Value, w[i].Key, w[i].Value)
+			}
+		}
+	}
+	sameKVs("Added", got.Added, want.Added)
+	sameKVs("Removed", got.Removed, want.Removed)
+	sameKVs("Modified", got.Modified, want.Modified)
+	if got.SharedLeaves != want.SharedLeaves || got.TotalLeaves != want.TotalLeaves {
+		t.Fatalf("%s: shared/total leaves %d/%d, the leaf-set definition gives %d/%d",
+			what, got.SharedLeaves, got.TotalLeaves, want.SharedLeaves, want.TotalLeaves)
+	}
+}
+
+// TestDiffPrunedEqualsLeafSet holds the pruned descent to the
+// definition it replaced — enumerate both leaf levels, decode the
+// leaves in one set and not the other, merge — over random edit
+// scripts on Maps and Sets, in both directions, and over the pairs
+// where the descent has something to get wrong: different heights, an
+// empty side, the same tree twice, trees with no key in common.
+func TestDiffPrunedEqualsLeafSet(t *testing.T) {
+	ctx := context.Background()
+	configs := []Config{{LeafQ: 5, IndexR: 2}, {LeafQ: 6, IndexR: 1, MaxIndexEntries: 4}, {LeafQ: 8, IndexR: 3}}
+	for ci, cfg := range configs {
+		for _, kind := range []Kind{KindMap, KindSet} {
+			t.Run(fmt.Sprintf("%v/cfg%d", kind, ci), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(400 + 10*ci + int(kind))))
+				s := store.NewMemStore()
+				elem := func(key string) []byte {
+					if kind == KindSet {
+						return EncodeListElem([]byte(key))
+					}
+					v := make([]byte, 4+rng.Intn(20))
+					rng.Read(v)
+					return EncodeMapElem([]byte(key), v)
+				}
+				build := func(prefix string, n int) *Tree {
+					elems := make([][]byte, n)
+					for i := range elems {
+						elems[i] = elem(fmt.Sprintf("%s%06d", prefix, 3*i))
+					}
+					return rebuildElems(t, s, cfg, kind, elems)
+				}
+				check := func(what string, a, b *Tree) {
+					t.Helper()
+					for _, p := range [][2]*Tree{{a, b}, {b, a}} {
+						got, err := DiffSorted(ctx, p[0], p[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := diffSortedByLeafSet(ctx, p[0], p[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameSortedDiff(t, fmt.Sprintf("%s (heights %d, %d)", what, p[0].Height(), p[1].Height()), got, want)
+					}
+				}
+				base := build("k", 1500)
+				check("a tree and itself", base, base)
+				check("a tree and the empty tree", base, Empty(s, cfg, kind))
+				check("two empty trees", Empty(s, cfg, kind), Empty(s, cfg, kind))
+				check("a tree and a single leaf", base, build("k", 2))
+				check("a tree and its head", base, build("k", 40))
+				check("disjoint trees", base, build("q", 900))
+				check("interleaved trees", base, build("k0", 700))
+
+				// Edit scripts: each step edits the previous tree; the diff
+				// is taken against the step before and against the base.
+				cur := base
+				for step := 0; step < 30; step++ {
+					var sets []KV
+					var dels [][]byte
+					nops := 1 + rng.Intn(8)
+					switch step % 10 {
+					case 8:
+						nops = 100 // scattered
+					case 9:
+						nops = 0 // a contiguous range instead
+						lo := rng.Intn(1400)
+						for i := lo; i < lo+80; i++ {
+							dels = append(dels, []byte(fmt.Sprintf("k%06d", 3*i)))
+						}
+					}
+					for i := 0; i < nops; i++ {
+						key := fmt.Sprintf("k%06d", rng.Intn(4600))
+						if rng.Intn(3) == 0 {
+							dels = append(dels, []byte(key))
+						} else {
+							v := make([]byte, 4+rng.Intn(20))
+							rng.Read(v)
+							sets = append(sets, KV{Key: []byte(key), Value: v})
+						}
+					}
+					var next *Tree
+					var err error
+					if kind == KindMap {
+						next, err = cur.MapApply(sets, dels)
+					} else {
+						add := make([][]byte, len(sets))
+						for i, kv := range sets {
+							add[i] = kv.Key
+						}
+						if next, err = cur.SetAdd(add...); err == nil {
+							next, err = next.SetRemove(dels...)
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("step %d against the step before", step), cur, next)
+					check(fmt.Sprintf("step %d against the base", step), base, next)
+					cur = next
+				}
+			})
+		}
+	}
+}
+
+// TestDiffUnsortedCountsEveryOccurrence: a Blob that repeats itself
+// holds the same leaf several times, and the chunk-wise diff counts
+// each occurrence, as the definition over the two leaf lists does.
+func TestDiffUnsortedCountsEveryOccurrence(t *testing.T) {
+	s := store.NewMemStore()
+	unit := randBytes(48<<10, 31)
+	a := buildBlob(t, s, bytes.Repeat(unit, 4))
+	edited := bytes.Repeat(unit, 3)
+	copy(edited[50<<10:], "an edit inside the second repeat")
+	b := buildBlob(t, s, append(edited, randBytes(20<<10, 32)...))
+
+	for _, p := range [][2]*Tree{{a, b}, {b, a}, {a, a}, {a, Empty(s, testConfig(), KindBlob)}} {
+		la, err := p[0].leafEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := p[1].leafEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := func(l []entry) map[chunk.ID]bool {
+			m := map[chunk.ID]bool{}
+			for _, e := range l {
+				m[e.id] = true
+			}
+			return m
+		}
+		inA, inB := in(la), in(lb)
+		if len(inA) == len(la) && len(la) > 0 {
+			t.Fatal("no leaf repeats; the test is not about duplicates")
+		}
+		want := UnsortedDiff{}
+		for _, e := range la {
+			if inB[e.id] {
+				want.SharedLeaves++
+			} else {
+				want.OnlyA++
+				want.BytesA += e.count
+			}
+		}
+		for _, e := range lb {
+			if !inA[e.id] {
+				want.OnlyB++
+				want.BytesB += e.count
+			}
+		}
+		got, err := DiffUnsorted(context.Background(), p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Fatalf("DiffUnsorted = %+v, the leaf lists give %+v", *got, want)
+		}
 	}
 }

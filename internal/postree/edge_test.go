@@ -2,6 +2,7 @@ package postree
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -135,5 +136,62 @@ func TestSingleElementTree(t *testing.T) {
 	loaded, err := Load(s, testConfig(), KindMap, tr.Root())
 	if err != nil || loaded.Count() != 1 || loaded.Height() != 1 {
 		t.Fatalf("load single-leaf: %v", err)
+	}
+}
+
+// lyingTree hand-builds a two-level tree of two leaves whose handle
+// claims more elements than its nodes hold — a meta chunk whose count
+// disagrees with the tree under it.
+func lyingTree(t *testing.T, kind Kind, leaves [2][]byte, counts [2]uint64, claim uint64) *Tree {
+	t.Helper()
+	s := store.NewMemStore()
+	var node []byte
+	for i, payload := range leaves {
+		c := chunk.New(kind.leafType(), payload)
+		if _, err := s.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		node = appendEntry(node, entry{count: counts[i], id: c.ID()})
+	}
+	root := chunk.New(kind.indexType(), node)
+	if _, err := s.Put(root); err != nil {
+		t.Fatal(err)
+	}
+	return Attach(s, testConfig(), kind, root.ID(), claim, 2)
+}
+
+// A position the handle's count allows but the nodes do not hold used
+// to fall through the index loop with the node's own cid as the child,
+// and parse the index node as if it were a leaf. It is corruption, and
+// says so.
+func TestLyingCountIsCorruption(t *testing.T) {
+	list := lyingTree(t, KindList, [2][]byte{
+		append(EncodeListElem([]byte("a")), EncodeListElem([]byte("b"))...),
+		EncodeListElem([]byte("c")),
+	}, [2]uint64{2, 1}, 10)
+	if enc, err := list.GetAt(2); err != nil || string(SetElemBody(enc)) != "c" {
+		t.Fatalf("GetAt(2) within the nodes = %q, %v", enc, err)
+	}
+	for _, i := range []uint64{3, 9} {
+		if enc, err := list.GetAt(i); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("GetAt(%d) past the nodes' counts = %q, %v; want a corruption error", i, enc, err)
+		}
+	}
+
+	blob := lyingTree(t, KindBlob, [2][]byte{[]byte("hello "), []byte("world")}, [2]uint64{6, 5}, 64)
+	p := make([]byte, 64)
+	n, err := blob.ReadAt(p, 0)
+	if string(p[:n]) != "hello world" || !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("ReadAt across the end of the nodes = %q, %v; want the bytes there are and a corruption error", p[:n], err)
+	}
+	if n, err := blob.ReadAt(p, 40); n != 0 || !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("ReadAt past the nodes' counts = %d bytes, %v; want a corruption error", n, err)
+	}
+
+	// The other lie: an index entry that counts more than its leaf
+	// holds. ReadAt used to make no progress on it.
+	short := lyingTree(t, KindBlob, [2][]byte{[]byte("abc"), []byte("def")}, [2]uint64{5, 3}, 8)
+	if n, err := short.ReadAt(p, 0); n != 3 || !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("ReadAt into a leaf shorter than its entry = %d bytes, %v; want 3 and a corruption error", n, err)
 	}
 }

@@ -11,9 +11,23 @@ import (
 	"forkbase/internal/store"
 )
 
-// Edits are copy-on-write (§4.3.3) and cost what they touch: leaves
-// without an edit are reused by cid, and inside an edited leaf only a
-// window around each edit goes through the rolling hash again.
+// Edits are copy-on-write (§4.3.3) and cost what they touch. An edit
+// walks down from the root, routing its operations by split key (Map,
+// Set) or by position (List, Blob), and writes the new tree through one
+// writer per level: the leafWriter below and the indexLevels above it.
+// An old subtree without an edit is passed up by reference, unread,
+// iff every writer at and below its level stands at a node boundary;
+// otherwise it is opened and its children are offered the same way
+// (offer). Index nodes off the edited paths are thus neither fetched,
+// re-encoded, re-hashed nor put again, and a level falls back in step
+// with the old tree at the first old node end that is also a new one.
+// The last node of a level may be unterminated; that stays legal
+// because only an edit under it can put anything after it, and such an
+// edit opens it. An edit that removes everything beside one old subtree
+// leaves that node alone on top; where it is a node of a single child
+// the root steps down through it (indexLevels.finish), because a
+// Builder never roots a tree there. Inside an edited leaf only a window
+// around each edit goes through the rolling hash again.
 //
 // Why a window is enough. The hash at a byte depends on the last
 // rollsum.WindowSize bytes only, and the chunker starts afresh at
@@ -55,8 +69,9 @@ type splice struct {
 	ins      []byte
 }
 
-// leafWriter assembles the new leaf level: reused entries, and leaves
-// cut from buf where the pattern fires.
+// leafWriter assembles the new leaf level — old leaves by reference,
+// and leaves cut from buf where the pattern fires — and hands each
+// leaf to the index levels above.
 type leafWriter struct {
 	s       store.Store
 	kind    Kind
@@ -67,11 +82,13 @@ type leafWriter struct {
 	lastOff int    // offset in buf of its last element; -1 after a copied run
 	stale   bool   // buf ends in a copied run the chunker has not seen
 	rolled  int    // bytes pushed through the rolling hash, Resume tails included
-	entries []entry
+	up      indexLevels
+	sp      []splice // scratch: the splices of the leaf being edited
 }
 
 func newLeafWriter(t *Tree) *leafWriter {
-	return &leafWriter{s: t.s, kind: t.kind, chunker: t.leafChunker(), max: t.cfg.maxLeaf()}
+	return &leafWriter{s: t.s, kind: t.kind, chunker: t.leafChunker(), max: t.cfg.maxLeaf(),
+		up: newIndexLevels(t.s, t.cfg, t.kind)}
 }
 
 // reserve makes room for an open leaf of size bytes, so that a leaf
@@ -192,18 +209,36 @@ func (w *leafWriter) editLeaf(old []byte, leaf entry, last bool, sp []splice) er
 	return w.commit(leaf.key)
 }
 
-// carry passes an old leaf without edits: by reference when the new
-// stream has a boundary before it, through editLeaf otherwise.
-func (w *leafWriter) carry(t *Tree, leaf entry, last bool) error {
+// offer passes on e, an old subtree of level lvl without edits: by
+// reference when every writer at and below lvl stands at a boundary,
+// else opened — a leaf through editLeaf, an index node child by child.
+// last marks the tree's rightmost path.
+func (w *leafWriter) offer(t *Tree, e entry, lvl int, last bool) error {
 	if w.n == 0 {
-		w.entries = append(w.entries, leaf)
-		return nil
+		ok, err := w.up.boundary(lvl)
+		if err != nil {
+			return err
+		}
+		if ok {
+			return w.up.addOld(lvl, e)
+		}
 	}
-	c, err := t.getChunk(leaf.id)
+	c, err := t.getChunk(e.id)
 	if err != nil {
 		return err
 	}
-	return w.editLeaf(c.Data(), leaf, last, nil)
+	if lvl == 1 {
+		return w.editLeaf(c.Data(), e, last, nil)
+	}
+	for ic := (indexCursor{p: c.Data()}); ; {
+		ch, ok, err := ic.next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := w.offer(t, ch, lvl-1, last && ic.done()); err != nil {
+			return err
+		}
+	}
 }
 
 // commit seals the open leaf into a chunk and records its index entry.
@@ -234,22 +269,22 @@ func (w *leafWriter) commit(key []byte) error {
 	if _, err := w.s.Put(c); err != nil {
 		return err
 	}
-	w.entries = append(w.entries, entry{key: key, count: w.n, id: c.ID()})
+	e := entry{key: key, count: w.n, id: c.ID()}
 	w.n, w.lastOff, w.stale = 0, -1, false
 	w.chunker.Next()
-	return nil
+	return w.up.add(1, e)
 }
 
 // finish seals the last leaf (which may not end on the pattern) and
-// builds the index levels over the new leaf list.
-func (w *leafWriter) finish(t *Tree) (*Tree, error) {
+// the open node of every level above it.
+func (w *leafWriter) finish() (*Tree, error) {
 	if err := w.commit(nil); err != nil {
 		return nil, err
 	}
 	if onRolled != nil {
 		onRolled(w.rolled)
 	}
-	return finishTree(t.s, t.cfg, t.kind, w.entries)
+	return w.up.finish()
 }
 
 // KV is a key-value pair for Map batch operations.
@@ -377,11 +412,7 @@ func (t *Tree) applySortedOps(ops []mapOp) (*Tree, error) {
 	}
 	ops = dedup
 
-	leaves, err := t.leafEntries()
-	if err != nil {
-		return nil, err
-	}
-	if len(leaves) == 0 {
+	if t.root.IsNil() {
 		// Fresh build from the surviving inserts.
 		b := NewBuilder(t.s, t.cfg, t.kind)
 		for _, op := range ops {
@@ -391,42 +422,56 @@ func (t *Tree) applySortedOps(ops []mapOp) (*Tree, error) {
 		}
 		return b.Finish()
 	}
-
-	// Each leaf takes the ops up to its split key, the last leaf all
-	// that remain. A scattered batch thus costs the leaves it touches,
-	// and inside them the windows around its keys.
 	w := newLeafWriter(t)
-	var sp []splice
-	for li, leaf := range leaves {
-		last := li == len(leaves)-1
-		k := 0
-		for k < len(ops) && (last || bytes.Compare(ops[k].key, leaf.key) <= 0) {
-			k++
-		}
-		mine := ops[:k]
-		ops = ops[k:]
-		if len(mine) == 0 {
-			if err := w.carry(t, leaf, last); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		c, err := t.getChunk(leaf.id)
-		if err != nil {
-			return nil, err
-		}
-		if sp, err = t.placeOps(sp[:0], c.Data(), mine); err != nil {
-			return nil, err
-		}
-		if len(sp) == 0 && w.n == 0 {
-			w.entries = append(w.entries, leaf)
-			continue
-		}
-		if err := w.editLeaf(c.Data(), leaf, last, sp); err != nil {
-			return nil, err
-		}
+	if err := w.applyOps(t, entry{count: t.count, id: t.root}, t.height, true, ops); err != nil {
+		return nil, err
 	}
-	return w.finish(t)
+	return w.finish()
+}
+
+// applyOps writes the old subtree e of level lvl with ops, sorted and
+// all falling under it, applied. Each child takes the ops up to its
+// split key, the rightmost one (last) all that remain: a scattered
+// batch thus costs the paths to the leaves it touches, and inside them
+// the windows around its keys.
+func (w *leafWriter) applyOps(t *Tree, e entry, lvl int, last bool, ops []mapOp) error {
+	if len(ops) == 0 {
+		return w.offer(t, e, lvl, last)
+	}
+	c, err := t.getChunk(e.id)
+	if err != nil {
+		return err
+	}
+	if lvl == 1 {
+		if w.sp, err = t.placeOps(w.sp[:0], c.Data(), ops); err != nil {
+			return err
+		}
+		if len(w.sp) == 0 && w.n == 0 {
+			return w.up.add(1, e)
+		}
+		return w.editLeaf(c.Data(), e, last, w.sp)
+	}
+	for ic := (indexCursor{p: c.Data()}); ; {
+		ch, ok, err := ic.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			if len(ops) > 0 {
+				return &CorruptNodeError{ic.off, "split keys end below the key the parent gives"}
+			}
+			return nil
+		}
+		chLast := last && ic.done()
+		k := len(ops)
+		if !chLast {
+			k = sort.Search(len(ops), func(i int) bool { return bytes.Compare(ops[i].key, ch.key) > 0 })
+		}
+		if err := w.applyOps(t, ch, lvl-1, chLast, ops[:k]); err != nil {
+			return err
+		}
+		ops = ops[k:]
+	}
 }
 
 // ListSplice returns a List tree with del elements at position at
@@ -466,11 +511,7 @@ func (t *Tree) spliceAt(at, del uint64, ins []byte) (*Tree, error) {
 	if at+del > t.count {
 		return nil, fmt.Errorf("postree: splice [%d,%d) out of range (count %d)", at, at+del, t.count)
 	}
-	leaves, err := t.leafEntries()
-	if err != nil {
-		return nil, err
-	}
-	if len(leaves) == 0 {
+	if t.root.IsNil() {
 		b := NewBuilder(t.s, t.cfg, t.kind)
 		if t.kind == KindBlob {
 			b.AppendBytes(ins)
@@ -487,58 +528,67 @@ func (t *Tree) spliceAt(at, del uint64, ins []byte) (*Tree, error) {
 		return b.Finish()
 	}
 	w := newLeafWriter(t)
-	end := at + del
-	var pos uint64 // position of the leaf's first element
-	for li, leaf := range leaves {
-		last := li == len(leaves)-1
-		next := pos + leaf.count
-		// [a, b) are the positions removed from this leaf; ins enters
-		// the leaf holding position at, or the last one when appended.
-		a, b := at, end
-		if a < pos {
-			a = pos
-		}
-		if b > next {
-			b = next
-		}
-		home := at >= pos && (at < next || last)
-		switch {
-		case !home && a >= b:
-			err = w.carry(t, leaf, last)
-		case !home && a == pos && b == next:
-			// Removed whole.
-		default:
-			var c *chunk.Chunk
-			if c, err = t.getChunk(leaf.id); err != nil {
-				return nil, err
-			}
-			s := splice{idx: a - pos}
-			if s.lo, err = elemOffset(t.kind, c.Data(), 0, s.idx); err != nil {
-				return nil, err
-			}
-			s.hi = s.lo
-			if a < b {
-				s.del = b - a
-				if s.hi, err = elemOffset(t.kind, c.Data(), s.lo, s.del); err != nil {
-					return nil, err
-				}
-			}
-			if home {
-				s.ins = ins
-			}
-			err = w.editLeaf(c.Data(), leaf, last, []splice{s})
-		}
-		if err != nil {
-			return nil, err
-		}
-		pos = next
+	if err := w.spliceAt(t, entry{count: t.count, id: t.root}, t.height, true, 0, at, at+del, ins); err != nil {
+		return nil, err
 	}
-	return w.finish(t)
+	return w.finish()
+}
+
+// spliceAt writes the old subtree e of level lvl, whose first element
+// has position pos, with positions [at, end) removed and ins entered
+// at at. A subtree the splice misses is offered as it is, one it
+// swallows is dropped unread, and ins goes to the leaf holding
+// position at — the last leaf when appended.
+func (w *leafWriter) spliceAt(t *Tree, e entry, lvl int, last bool, pos, at, end uint64, ins []byte) error {
+	next := pos + e.count
+	a, b := max(at, pos), min(end, next) // the positions removed from e
+	home := at >= pos && (at < next || last)
+	switch {
+	case !home && a >= b:
+		return w.offer(t, e, lvl, last)
+	case !home && a == pos && b == next:
+		return nil
+	}
+	c, err := t.getChunk(e.id)
+	if err != nil {
+		return err
+	}
+	if lvl > 1 {
+		for ic := (indexCursor{p: c.Data()}); ; {
+			ch, ok, err := ic.next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := w.spliceAt(t, ch, lvl-1, last && ic.done(), pos, at, end, ins); err != nil {
+				return err
+			}
+			pos += ch.count
+		}
+	}
+	s := splice{idx: a - pos}
+	if s.lo, err = elemOffset(t.kind, c.Data(), 0, s.idx); err != nil {
+		return err
+	}
+	s.hi = s.lo
+	if a < b {
+		s.del = b - a
+		if s.hi, err = elemOffset(t.kind, c.Data(), s.lo, s.del); err != nil {
+			return err
+		}
+	}
+	if home {
+		s.ins = ins
+	}
+	w.sp = append(w.sp[:0], s)
+	return w.editLeaf(c.Data(), e, last, w.sp)
 }
 
 // elemOffset returns the payload offset n elements past offset off.
 func elemOffset(k Kind, payload []byte, off int, n uint64) (int, error) {
 	if k == KindBlob {
+		if n > uint64(len(payload)-off) {
+			return 0, &CorruptNodeError{0, fmt.Sprintf("leaf of %d bytes is shorter than its index entry counts", len(payload))}
+		}
 		return off + int(n), nil
 	}
 	for ; n > 0; n-- {

@@ -156,20 +156,29 @@ func Load(s store.Store, cfg Config, kind Kind, root chunk.ID) (*Tree, error) {
 		return nil, err
 	}
 	t.height = 1
-	cur := c
-	for isIndex(cur.Type()) {
-		entries, err := decodeEntries(cur.Data())
+	for cur := c; isIndex(cur.Type()); t.height++ {
+		ic := indexCursor{p: cur.Data()}
+		first, ok, err := ic.next()
 		if err != nil {
 			return nil, err
 		}
+		if !ok {
+			return nil, &CorruptNodeError{0, "index node without entries"}
+		}
 		if t.height == 1 { // root: counts sum to the total
-			for _, e := range entries {
+			t.count = first.count
+			for {
+				e, ok, err := ic.next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
 				t.count += e.count
 			}
 		}
-		t.height++
-		cur, err = store.GetVerified(s, entries[0].id)
-		if err != nil {
+		if cur, err = store.GetVerified(s, first.id); err != nil {
 			return nil, err
 		}
 	}
@@ -210,9 +219,6 @@ type entry struct {
 	id    chunk.ID
 }
 
-// encodedSize returns the serialized entry size.
-func (e entry) encodedSize() int { return 4 + len(e.key) + 8 + chunk.IDSize }
-
 func appendEntry(dst []byte, e entry) []byte {
 	var b [12]byte
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(e.key)))
@@ -222,46 +228,6 @@ func appendEntry(dst []byte, e entry) []byte {
 	dst = append(dst, b[0:8]...)
 	dst = append(dst, e.id[:]...)
 	return dst
-}
-
-func decodeEntries(payload []byte) ([]entry, error) {
-	var out []entry
-	for len(payload) > 0 {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("postree: truncated index entry")
-		}
-		kl := int(binary.LittleEndian.Uint32(payload))
-		payload = payload[4:]
-		if len(payload) < kl+8+chunk.IDSize {
-			return nil, fmt.Errorf("postree: truncated index entry")
-		}
-		var e entry
-		if kl > 0 {
-			e.key = payload[:kl:kl]
-		}
-		payload = payload[kl:]
-		e.count = binary.LittleEndian.Uint64(payload)
-		payload = payload[8:]
-		copy(e.id[:], payload[:chunk.IDSize])
-		payload = payload[chunk.IDSize:]
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// IndexChildIDs returns the child cids referenced by an index-node
-// payload (TypeUIndex or TypeSIndex). The garbage collector's marker
-// uses it to follow POS-Tree edges without decoding full entries.
-func IndexChildIDs(payload []byte) ([]chunk.ID, error) {
-	entries, err := decodeEntries(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]chunk.ID, len(entries))
-	for i, e := range entries {
-		out[i] = e.id
-	}
-	return out, nil
 }
 
 // leafCount returns the number of elements in a leaf payload.

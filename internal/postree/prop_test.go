@@ -269,13 +269,19 @@ func FuzzPosTreeEdits(f *testing.F) {
 // Exactness of window-local re-chunking: whatever an edit copies
 // instead of rolling, the edited tree must be the tree a Builder makes
 // of the same content. The configs cover ordinary leaves, tiny ones,
-// and leaves where the forced MaxLeafBytes cut is the common ending.
+// and leaves where the forced MaxLeafBytes cut is the common ending;
+// the last three narrow the index nodes so that trees of height four
+// and more, and index nodes ended by the forced MaxIndexEntries cut,
+// are what an edit walks through.
 var exactConfigs = []Config{
 	{LeafQ: 8, IndexR: 3},
 	{LeafQ: 10, IndexR: 3},
 	{LeafQ: 5, IndexR: 2},
 	{LeafQ: 8, IndexR: 3, MaxLeafBytes: 300},
 	{LeafQ: 6, IndexR: 2, MaxLeafBytes: 100},
+	{LeafQ: 5, IndexR: 1},
+	{LeafQ: 5, IndexR: 2, MaxIndexEntries: 3},
+	{LeafQ: 6, IndexR: 1, MaxIndexEntries: 4},
 }
 
 // rebuildElems builds an element tree from scratch.
@@ -313,6 +319,50 @@ func edgeKeys(tb testing.TB, tr *Tree) [][]byte {
 		}
 	}
 	return out
+}
+
+// TestIndexLevelsEqualBatchBuild holds the streaming index levels to
+// the level-at-a-time reference over leaf lists of every small length
+// and some long ones, under index nodes narrow enough that a level of
+// one node that ends on the pattern, a first child that ends its node,
+// and the forced cut all occur.
+func TestIndexLevelsEqualBatchBuild(t *testing.T) {
+	configs := []Config{{LeafQ: 5, IndexR: 1}, {LeafQ: 5, IndexR: 2, MaxIndexEntries: 3}, {LeafQ: 8, IndexR: 3}}
+	for ci, cfg := range configs {
+		for _, kind := range []Kind{KindMap, KindList} {
+			rng := rand.New(rand.NewSource(int64(500 + ci)))
+			for n := 0; n < 200; n++ {
+				count := n
+				if n >= 150 {
+					count = 150 + rng.Intn(2500)
+				}
+				s := store.NewMemStore()
+				elems := make([][]byte, count)
+				for i := range elems {
+					v := make([]byte, 8+rng.Intn(24))
+					rng.Read(v)
+					if kind == KindMap {
+						elems[i] = EncodeMapElem([]byte(fmt.Sprintf("k%06d", i)), v)
+					} else {
+						elems[i] = EncodeListElem(v)
+					}
+				}
+				tr := rebuildElems(t, s, cfg, kind, elems)
+				leaves, err := tr.leafEntries()
+				if err != nil {
+					t.Fatal(err)
+				}
+				root, height, err := buildIndexBatch(store.NewMemStore(), cfg, kind, leaves)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.Root() != root || tr.Height() != height || tr.Count() != uint64(count) {
+					t.Fatalf("cfg%d %v, %d elements in %d leaves: streaming root %s height %d count %d, level-at-a-time root %s height %d",
+						ci, kind, count, len(leaves), tr.Root().Short(), tr.Height(), tr.Count(), root.Short(), height)
+				}
+			}
+		}
+	}
 }
 
 func TestSortedEditEqualsRebuild(t *testing.T) {
@@ -557,4 +607,116 @@ func scatteredMapEdit(tb testing.TB) (tr *Tree, sets []KV, leafBytes int) {
 		sets = append(sets, KV{Key: []byte(fmt.Sprintf("acct%06d", i)), Value: uid()})
 	}
 	return tr, sets, leafBytes
+}
+
+// subtreeSpans returns the element range [from, to) under every node
+// of the tree, leaves and the root included.
+func subtreeSpans(tb testing.TB, tr *Tree) [][2]uint64 {
+	tb.Helper()
+	var out [][2]uint64
+	var walk func(id chunk.ID, lvl int, from, count uint64)
+	walk = func(id chunk.ID, lvl int, from, count uint64) {
+		out = append(out, [2]uint64{from, from + count})
+		if lvl == 1 {
+			return
+		}
+		c, err := tr.s.Get(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		entries, err := decodeEntries(c.Data())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, e := range entries {
+			walk(e.id, lvl-1, from, e.count)
+			from += e.count
+		}
+	}
+	walk(tr.Root(), tr.Height(), 0, tr.Count())
+	return out
+}
+
+// TestEditDownToOneSubtreeEqualsRebuild removes everything but what
+// one old node holds — for every node of the tree, tail and head in
+// one edit where the kind allows it and tail first otherwise — so the
+// node comes through by reference with nothing beside it. Under the
+// narrow index configs many of these are nodes of a single child,
+// which a from-scratch build of the same content never puts on top.
+func TestEditDownToOneSubtreeEqualsRebuild(t *testing.T) {
+	for ci, cfg := range exactConfigs {
+		for _, kind := range []Kind{KindMap, KindSet, KindList, KindBlob} {
+			t.Run(fmt.Sprintf("%v/cfg%d", kind, ci), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(700 + ci)))
+				s := store.NewMemStore()
+				var elems [][]byte // for a Blob, one byte each
+				var keys [][]byte
+				switch kind {
+				case KindBlob:
+					for _, b := range randBytes(12<<10, int64(ci)) {
+						elems = append(elems, []byte{b})
+					}
+				default:
+					for i := 0; i < 400; i++ {
+						v := make([]byte, 8+rng.Intn(24))
+						rng.Read(v)
+						k := []byte(fmt.Sprintf("k%05d", i))
+						keys = append(keys, k)
+						switch kind {
+						case KindMap:
+							elems = append(elems, EncodeMapElem(k, v))
+						case KindSet:
+							elems = append(elems, EncodeListElem(k))
+						default:
+							elems = append(elems, EncodeListElem(v))
+						}
+					}
+				}
+				rebuild := func(elems [][]byte) *Tree {
+					if kind != KindBlob {
+						return rebuildElems(t, s, cfg, kind, elems)
+					}
+					b := NewBuilder(s, cfg, kind)
+					b.AppendBytes(bytes.Join(elems, nil))
+					tr, err := b.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tr
+				}
+				full := rebuild(elems)
+				for _, sp := range subtreeSpans(t, full) {
+					from, to := sp[0], sp[1]
+					var got *Tree
+					var err error
+					switch kind {
+					case KindMap, KindSet:
+						dels := append(append([][]byte(nil), keys[:from]...), keys[to:]...)
+						if kind == KindMap {
+							got, err = full.MapApply(nil, dels)
+						} else {
+							got, err = full.SetRemove(dels...)
+						}
+					case KindList:
+						if got, err = full.ListSplice(to, full.Count()-to, nil); err == nil {
+							got, err = got.ListSplice(0, from, nil)
+						}
+					default:
+						if got, err = full.SpliceBytes(to, full.Count()-to, nil); err == nil {
+							got, err = got.SpliceBytes(0, from, nil)
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := rebuild(elems[from:to])
+					if got.Root() != want.Root() || got.Height() != want.Height() || got.Count() != want.Count() {
+						t.Fatalf("kept [%d,%d) of %d: edited root %s height %d count %d, rebuilt root %s height %d count %d",
+							from, to, len(elems), got.Root().Short(), got.Height(), got.Count(),
+							want.Root().Short(), want.Height(), want.Count())
+					}
+				}
+			})
+		}
+	}
 }

@@ -3,7 +3,6 @@ package postree
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"forkbase/internal/chunk"
 )
@@ -24,18 +23,13 @@ func (t *Tree) Get(key []byte) (val []byte, ok bool, err error) {
 		if err != nil {
 			return nil, false, err
 		}
-		entries, err := decodeEntries(c.Data())
-		if err != nil {
+		// First subtree whose max key is >= target.
+		ic := indexCursor{p: c.Data()}
+		e, ok, err := ic.seekKey(key)
+		if err != nil || !ok {
 			return nil, false, err
 		}
-		// First subtree whose max key is >= target.
-		i := sort.Search(len(entries), func(i int) bool {
-			return bytes.Compare(entries[i].key, key) >= 0
-		})
-		if i == len(entries) {
-			return nil, false, nil
-		}
-		id = entries[i].id
+		id = e.id
 	}
 	c, err := t.getChunk(id)
 	if err != nil {
@@ -82,17 +76,12 @@ func (t *Tree) GetAt(i uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries, err := decodeEntries(c.Data())
+		ic := indexCursor{p: c.Data()}
+		e, before, err := ic.seekPos(i)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			if i < e.count {
-				id = e.id
-				break
-			}
-			i -= e.count
-		}
+		id, i = e.id, i-before
 	}
 	c, err := t.getChunk(id)
 	if err != nil {
@@ -100,6 +89,9 @@ func (t *Tree) GetAt(i uint64) ([]byte, error) {
 	}
 	payload := c.Data()
 	for ; ; i-- {
+		if len(payload) == 0 {
+			return nil, &CorruptNodeError{0, fmt.Sprintf("leaf %s ends %d elements before the position its parent routed here", id.Short(), i+1)}
+		}
 		enc, adv, err := elementAt(t.kind, payload)
 		if err != nil {
 			return nil, err
@@ -141,22 +133,19 @@ func (t *Tree) blobLeafAt(pos uint64) ([]byte, uint64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		entries, err := decodeEntries(c.Data())
+		ic := indexCursor{p: c.Data()}
+		e, before, err := ic.seekPos(i)
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, e := range entries {
-			if i < e.count {
-				id = e.id
-				break
-			}
-			i -= e.count
-			start += e.count
-		}
+		id, i, start = e.id, i-before, start+before
 	}
 	c, err := t.getChunk(id)
 	if err != nil {
 		return nil, 0, err
+	}
+	if i >= uint64(len(c.Data())) {
+		return nil, 0, &CorruptNodeError{0, fmt.Sprintf("leaf %s holds %d bytes, its parent routed byte %d here", id.Short(), len(c.Data()), i)}
 	}
 	return c.Data(), start, nil
 }
@@ -174,23 +163,21 @@ func (t *Tree) Bytes() ([]byte, error) {
 	return out, it.Err()
 }
 
-// LeafIter walks the leaf chunks of a tree left to right. The walk is
-// type-driven: index chunks are expanded onto a stack, leaf chunks are
-// yielded, so no depth bookkeeping is needed.
+// LeafIter walks the leaf chunks of a tree left to right, holding one
+// cursor per index level on the path to the current leaf. The walk is
+// type-driven: index chunks are opened, leaf chunks are yielded, so no
+// depth bookkeeping is needed.
 type LeafIter struct {
 	t     *Tree
-	stack [][]entry
+	stack []indexCursor
+	root  bool // the root has not been visited yet
 	cur   *chunk.Chunk
 	err   error
 }
 
 // Leaves returns an iterator over the tree's leaf chunks.
 func (t *Tree) Leaves() *LeafIter {
-	it := &LeafIter{t: t}
-	if !t.root.IsNil() {
-		it.stack = [][]entry{{{count: t.count, id: t.root}}}
-	}
-	return it
+	return &LeafIter{t: t, root: !t.root.IsNil(), stack: make([]indexCursor, 0, t.height)}
 }
 
 // Next advances to the next leaf chunk.
@@ -198,32 +185,47 @@ func (it *LeafIter) Next() bool {
 	if it.err != nil {
 		return false
 	}
-	for len(it.stack) > 0 {
-		top := &it.stack[len(it.stack)-1]
-		if len(*top) == 0 {
-			it.stack = it.stack[:len(it.stack)-1]
-			continue
-		}
-		e := (*top)[0]
-		*top = (*top)[1:]
-		c, err := it.t.getChunk(e.id)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		if isIndex(c.Type()) {
-			entries, err := decodeEntries(c.Data())
+	id := it.t.root
+	if !it.root {
+		// The next entry of the deepest index node that has one.
+		for {
+			if len(it.stack) == 0 {
+				return false
+			}
+			e, ok, err := it.stack[len(it.stack)-1].next()
 			if err != nil {
 				it.err = err
 				return false
 			}
-			it.stack = append(it.stack, entries)
-			continue
+			if ok {
+				id = e.id
+				break
+			}
+			it.stack = it.stack[:len(it.stack)-1]
 		}
-		it.cur = c
-		return true
 	}
-	return false
+	it.root = false
+	for {
+		c, err := it.t.getChunk(id)
+		if err != nil {
+			it.err = err
+			return false
+		}
+		if !isIndex(c.Type()) {
+			it.cur = c
+			return true
+		}
+		it.stack = append(it.stack, indexCursor{p: c.Data()})
+		e, ok, err := it.stack[len(it.stack)-1].next()
+		if err != nil || !ok {
+			if err == nil {
+				err = &CorruptNodeError{0, "index node without entries"}
+			}
+			it.err = err
+			return false
+		}
+		id = e.id
+	}
 }
 
 // Payload returns the current leaf chunk's payload.
@@ -276,56 +278,6 @@ func (it *ElemIter) Elem() []byte { return it.cur }
 
 // Err returns the first error encountered while iterating.
 func (it *ElemIter) Err() error { return it.err }
-
-// leafEntries collects the index entries of the leaf level (reading only
-// index chunks, not leaves) together with a synthesized entry for a
-// single-leaf tree.
-func (t *Tree) leafEntries() ([]entry, error) {
-	if t.root.IsNil() {
-		return nil, nil
-	}
-	if t.height == 1 {
-		e := entry{count: t.count, id: t.root}
-		if t.kind.Sorted() {
-			c, err := t.getChunk(t.root)
-			if err != nil {
-				return nil, err
-			}
-			k, err := lastElemKey(t.kind, c.Data())
-			if err != nil {
-				return nil, err
-			}
-			e.key = k
-		}
-		return []entry{e}, nil
-	}
-	var out []entry
-	var walk func(id chunk.ID, lvl int) error
-	walk = func(id chunk.ID, lvl int) error {
-		c, err := t.getChunk(id)
-		if err != nil {
-			return err
-		}
-		entries, err := decodeEntries(c.Data())
-		if err != nil {
-			return err
-		}
-		if lvl == 2 {
-			out = append(out, entries...)
-			return nil
-		}
-		for _, e := range entries {
-			if err := walk(e.id, lvl-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, t.height); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // lastElemKey returns the key of the last element in a sorted leaf
 // payload.

@@ -30,11 +30,9 @@ func (t *Tree) WalkChunkIDs(fn func(id chunk.ID, isLeaf bool) error) error {
 			if err != nil {
 				return err
 			}
-			kids, err := IndexChildIDs(c.Data())
-			if err != nil {
+			if next, err = appendChildIDs(next, c.Data()); err != nil {
 				return err
 			}
-			next = append(next, kids...)
 		}
 		level = next
 	}

@@ -58,6 +58,10 @@ type FileStore struct {
 	gcDepth   int
 	protected map[chunk.ID]struct{}
 	sweeping  bool
+	// unpinned is set while the active segment holds relocated records
+	// that no fsync has covered: the only bytes of the log some later
+	// unlink may depend on. Guarded by mu.
+	unpinned bool
 
 	// crashHook, when set (crash-consistency tests only), is invoked at
 	// named points of a Sweep so the harness can snapshot the on-disk
@@ -262,11 +266,20 @@ func (fs *FileStore) rotateLocked() error {
 	if err := fs.w.Flush(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	// A sealed segment is immutable from here on — and compaction may
-	// later delete the only other copy of a record relocated into it —
-	// so pin its bytes down before letting go of the handle.
-	if err := fs.active.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	// A sealed segment is immutable from here on, and compaction may
+	// later delete the only other copy of a record relocated into it:
+	// relocated records no barrier has covered yet (a rotation in the
+	// middle of a compaction, or a Put's between a compaction's appends
+	// and its barrier) are pinned down before the handle goes. Nothing
+	// else in the segment waits for an fsync — a fresh Put is promised
+	// to the disk only under Sync, which fsyncs it itself — so a
+	// collection that seals a segment of fresh writes does not stall on
+	// the device for them.
+	if fs.unpinned {
+		if err := fs.active.Sync(); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		fs.unpinned = false
 	}
 	if err := fs.active.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -279,7 +292,7 @@ func (fs *FileStore) rotateLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	fs.active = f
-	fs.w = bufio.NewWriterSize(f, 1<<20)
+	fs.w.Reset(f) // flushed above: the megabyte of buffer moves to the new file
 	return nil
 }
 
@@ -490,9 +503,12 @@ type idLoc struct {
 // its file size is compacted — its live records are re-appended to the
 // log, fsynced, and only then is the old file unlinked, so a crash at
 // any byte of the process leaves every live chunk with at least one
-// intact on-disk copy (recovery deduplicates by cid). Reads and writes
-// proceed concurrently throughout; only the index swap of each segment
-// takes the write lock.
+// intact on-disk copy (recovery deduplicates by cid). That barrier is
+// the sweep's only fsync: sealing waits for the device only when the
+// segment holds relocated records the barrier has not covered (see
+// rotateLocked). The segment the survivors were copied into is sealed
+// at the end. Reads and writes proceed concurrently throughout; only
+// the index swap of each segment takes the write lock.
 func (fs *FileStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, error) {
 	if threshold <= 0 {
 		threshold = DefaultGCThreshold
@@ -546,6 +562,22 @@ func (fs *FileStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats
 	// index entries at all, active excluded.
 	if err := fs.removeOrphanSegments(bySeg, &stats); err != nil {
 		return stats, err
+	}
+	// The survivors get a segment of their own. Left in the active one
+	// they would share a file with whatever is written next, most of
+	// which (a dropped branch, a replaced table) is dead by the next
+	// collection: the file falls under the threshold and every survivor
+	// is copied and fsynced again, collection after collection.
+	if stats.Relocated > 0 {
+		fs.mu.Lock()
+		var err error
+		if fs.off > 0 {
+			err = fs.rotateLocked()
+		}
+		fs.mu.Unlock()
+		if err != nil {
+			return stats, err
+		}
 	}
 	return stats, nil
 }
@@ -650,6 +682,7 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 				fs.mu.Unlock()
 				return err
 			}
+			fs.unpinned = true
 			relocated++
 			relocatedBytes += int64(len(rec))
 			if fs.off >= fs.maxSeg {
@@ -683,6 +716,7 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 		fs.mu.Unlock()
 		return fmt.Errorf("store: %w", err)
 	}
+	fs.unpinned = false
 	fs.mu.Unlock()
 	fs.hook("relocated", seg)
 	fs.dropReader(seg)

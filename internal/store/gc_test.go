@@ -480,3 +480,134 @@ func TestGCReclaimsOrphanSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestGCSurvivorsAreCopiedOnce: what lives through a compaction ends in
+// a sealed segment of its own, so the garbage written next does not
+// drag it through the next compaction as well.
+func TestGCSurvivorsAreCopiedOnce(t *testing.T) {
+	fs, err := OpenFileStore(t.TempDir(), FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	live := map[chunk.ID]bool{}
+	content := map[chunk.ID][]byte{}
+	for i := 0; i < 20; i++ {
+		c := testChunk(fmt.Sprintf("keep%02d", i), 300+i)
+		if _, err := fs.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		live[c.ID()] = true
+		content[c.ID()] = append([]byte(nil), c.Data()...)
+	}
+	// One round: 100 chunks nothing refers to, then a collection.
+	round := func(r int) GCStats {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			if _, err := fs.Put(testChunk(fmt.Sprintf("r%d-%03d", r, i), 400+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.BeginGC()
+		st, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0)
+		fs.EndGC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reclaimed != 100 || st.SegmentsCompacted != 1 {
+			t.Fatalf("round %d: reclaimed %d chunks compacting %d segments, want 100 and 1", r, st.Reclaimed, st.SegmentsCompacted)
+		}
+		return st
+	}
+	if st := round(0); st.Relocated != len(live) {
+		t.Fatalf("first collection relocated %d records, want the %d live ones", st.Relocated, len(live))
+	}
+	for r := 1; r <= 3; r++ {
+		if st := round(r); st.Relocated != 0 {
+			t.Fatalf("collection %d copied %d survivors (%d bytes) a second time", r, st.Relocated, st.RelocatedBytes)
+		}
+	}
+	for id, want := range content {
+		c, err := fs.Get(id)
+		if err != nil || string(c.Data()) != string(want) {
+			t.Fatalf("survivor %s unreadable or changed: %v", id.Short(), err)
+		}
+	}
+}
+
+// TestRotationPinsUncoveredRelocations: sealing a segment fsyncs it
+// exactly when it holds relocated records no barrier has covered — here
+// a Put's rotation that lands between a compaction's appends and its
+// barrier, after which the barrier would sync the wrong file.
+func TestRotationPinsUncoveredRelocations(t *testing.T) {
+	const segSize = 8 << 10
+	fs, err := OpenFileStore(t.TempDir(), FileStoreOptions{SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	live := map[chunk.ID]bool{}
+	for i := 0; i < 12; i++ {
+		c := testChunk(fmt.Sprintf("p%02d", i), 500)
+		if _, err := fs.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		live[c.ID()] = i%4 == 0
+	}
+	unpinned := func() bool {
+		fs.mu.RLock()
+		defer fs.mu.RUnlock()
+		return fs.unpinned
+	}
+	if unpinned() {
+		t.Fatal("fresh Puts left the active segment waiting for an fsync")
+	}
+	var relocSeg int
+	raced := false
+	fs.crashHook = func(event string, seg int) {
+		switch event {
+		case "appended":
+			if !unpinned() {
+				t.Errorf("relocations of seg %d appended but not marked as waiting for the barrier", seg)
+			}
+			if raced {
+				return
+			}
+			raced = true
+			fs.mu.RLock()
+			relocSeg = fs.seg
+			fs.mu.RUnlock()
+			// A writer fills the segment the relocations sit in.
+			for i := 0; fs.seg == relocSeg; i++ {
+				if _, err := fs.Put(testChunk(fmt.Sprintf("w%03d", i), 1000)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if unpinned() {
+				t.Error("a rotation sealed uncovered relocations without pinning them")
+			}
+		case "relocated":
+			if unpinned() {
+				t.Errorf("barrier of seg %d passed, relocations still marked as waiting", seg)
+			}
+		}
+	}
+	fs.BeginGC()
+	st, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0)
+	fs.EndGC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raced || st.Relocated == 0 {
+		t.Fatalf("no compaction to race with: %+v", st)
+	}
+	if unpinned() {
+		t.Fatal("sweep returned with relocations waiting for an fsync")
+	}
+	for id, l := range live {
+		if _, err := fs.Get(id); l && err != nil {
+			t.Fatalf("live chunk %s lost: %v", id.Short(), err)
+		}
+	}
+}

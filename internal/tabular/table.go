@@ -17,6 +17,7 @@ import (
 
 	"forkbase"
 	"forkbase/internal/postree"
+	"forkbase/internal/types"
 	"forkbase/internal/workload"
 )
 
@@ -41,7 +42,12 @@ func (l Layout) String() string {
 
 // Schema fixes the columns of the synthetic dataset of §6.4: a 12-byte
 // primary key, two integer fields and two textual fields.
-var Schema = []string{"pk", "int1", "int2", "text1", "text2"}
+var Schema = schema[:]
+
+var schema = [...]string{"pk", "int1", "int2", "text1", "text2"}
+
+// numFields is len(Schema) as a constant: decodeRecord's array size.
+const numFields = len(schema)
 
 func encInt(v int64) []byte {
 	var b [8]byte
@@ -49,7 +55,12 @@ func encInt(v int64) []byte {
 	return b[:]
 }
 
-func decInt(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
+func decInt(b []byte) (int64, error) {
+	if len(b) != 8 {
+		return 0, fmt.Errorf("tabular: integer field of %d bytes", len(b))
+	}
+	return int64(binary.LittleEndian.Uint64(b)), nil
+}
 
 // encodeRecord serializes a record as a Tuple payload.
 func encodeRecord(r workload.Record) []byte {
@@ -58,21 +69,30 @@ func encodeRecord(r workload.Record) []byte {
 	})
 }
 
+// decodeRecord reads a record off its Tuple payload field by field;
+// the only copies made are the three strings of the Record itself.
 func decodeRecord(data []byte) (workload.Record, error) {
-	t, err := forkbase.DecodeTuple(data)
+	t, err := types.ReadTuple(data)
 	if err != nil {
 		return workload.Record{}, err
 	}
-	if len(t) != len(Schema) {
-		return workload.Record{}, fmt.Errorf("tabular: record has %d fields", len(t))
+	if t.Len() != numFields {
+		return workload.Record{}, fmt.Errorf("tabular: record has %d fields", t.Len())
 	}
-	return workload.Record{
-		PK:    string(t[0]),
-		Int1:  decInt(t[1]),
-		Int2:  decInt(t[2]),
-		Text1: string(t[3]),
-		Text2: string(t[4]),
-	}, nil
+	var f [numFields][]byte // on the stack
+	for i := range f {
+		if f[i], err = t.Next(); err != nil {
+			return workload.Record{}, err
+		}
+	}
+	r := workload.Record{PK: string(f[0]), Text1: string(f[3]), Text2: string(f[4])}
+	if r.Int1, err = decInt(f[1]); err != nil {
+		return workload.Record{}, err
+	}
+	if r.Int2, err = decInt(f[2]); err != nil {
+		return workload.Record{}, err
+	}
+	return r, nil
 }
 
 // columnValue extracts field col from a record for the column layout.
@@ -174,11 +194,7 @@ func (t *FBTable) Fork(ctx context.Context, refBranch, newBranch string) error {
 
 // Count returns the number of records on branch.
 func (t *FBTable) Count(branch string) (uint64, error) {
-	o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
-	if err != nil {
-		return 0, err
-	}
-	m, err := t.db.MapOf(o)
+	m, err := t.rows(branch)
 	if err != nil {
 		return 0, err
 	}
@@ -197,11 +213,7 @@ func (t *FBTable) Get(branch, pk string) (workload.Record, bool, error) {
 	if t.layout != RowLayout {
 		return workload.Record{}, false, errors.New("tabular: Get requires the row layout")
 	}
-	o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
-	if err != nil {
-		return workload.Record{}, false, err
-	}
-	m, err := t.db.MapOf(o)
+	m, err := t.rows(branch)
 	if err != nil {
 		return workload.Record{}, false, err
 	}
@@ -210,7 +222,17 @@ func (t *FBTable) Get(branch, pk string) (workload.Record, bool, error) {
 		return workload.Record{}, false, err
 	}
 	r, err := decodeRecord(raw)
-	return r, err == nil && true, err
+	return r, err == nil, err
+}
+
+// rows fetches the row layout's Map (the column layout's directory) on
+// branch.
+func (t *FBTable) rows(branch string) (*forkbase.Map, error) {
+	o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
+	if err != nil {
+		return nil, err
+	}
+	return t.db.MapOf(o)
 }
 
 // column fetches one column's List on branch.
@@ -231,11 +253,7 @@ func (t *FBTable) column(branch, col string) (*forkbase.List, error) {
 func (t *FBTable) Update(branch string, records []workload.Record, positions []uint64) error {
 	switch t.layout {
 	case RowLayout:
-		o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
-		if err != nil {
-			return err
-		}
-		m, err := t.db.MapOf(o)
+		m, err := t.rows(branch)
 		if err != nil {
 			return err
 		}
@@ -281,11 +299,7 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 func (t *FBTable) Scan(branch string, fn func(workload.Record) bool) error {
 	switch t.layout {
 	case RowLayout:
-		o, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branch))
-		if err != nil {
-			return err
-		}
-		m, err := t.db.MapOf(o)
+		m, err := t.rows(branch)
 		if err != nil {
 			return err
 		}
@@ -323,10 +337,15 @@ func (t *FBTable) Scan(branch string, fn func(workload.Record) bool) error {
 		for i := uint64(0); i < n; i++ {
 			r := workload.Record{
 				PK:    string(cols["pk"][i]),
-				Int1:  decInt(cols["int1"][i]),
-				Int2:  decInt(cols["int2"][i]),
 				Text1: string(cols["text1"][i]),
 				Text2: string(cols["text2"][i]),
+			}
+			var err error
+			if r.Int1, err = decInt(cols["int1"][i]); err != nil {
+				return err
+			}
+			if r.Int2, err = decInt(cols["int2"][i]); err != nil {
+				return err
 			}
 			if !fn(r) {
 				return nil
@@ -338,35 +357,49 @@ func (t *FBTable) Scan(branch string, fn func(workload.Record) bool) error {
 }
 
 // Aggregate sums an integer column ("int1" or "int2") on branch. The
-// column layout reads only that column's chunks; the row layout decodes
-// every record (the Figure 17b gap).
+// column layout reads only that column's chunks; the row layout walks
+// every record (the Figure 17b gap) but reads the one field it sums in
+// place, out of the leaf bytes.
 func (t *FBTable) Aggregate(branch, col string) (int64, error) {
-	if col != "int1" && col != "int2" {
+	field := 1
+	switch col {
+	case "int1":
+	case "int2":
+		field = 2
+	default:
 		return 0, fmt.Errorf("tabular: cannot aggregate column %q", col)
 	}
-	if t.layout == ColLayout {
-		l, err := t.column(branch, col)
-		if err != nil {
-			return 0, err
-		}
-		var sum int64
-		if err := l.Iter(func(_ uint64, e []byte) bool {
-			sum += decInt(e)
-			return true
-		}); err != nil {
-			return 0, err
-		}
-		return sum, nil
-	}
 	var sum int64
-	err := t.Scan(branch, func(r workload.Record) bool {
-		if col == "int1" {
-			sum += r.Int1
-		} else {
-			sum += r.Int2
+	var decodeErr error
+	add := func(b []byte) bool {
+		var v int64
+		v, decodeErr = decInt(b)
+		sum += v
+		return decodeErr == nil
+	}
+	var err error
+	if t.layout == ColLayout {
+		var l *forkbase.List
+		if l, err = t.column(branch, col); err != nil {
+			return 0, err
 		}
-		return true
-	})
+		err = l.Iter(func(_ uint64, e []byte) bool { return add(e) })
+	} else {
+		var m *forkbase.Map
+		if m, err = t.rows(branch); err != nil {
+			return 0, err
+		}
+		err = m.Iter(func(_, v []byte) bool {
+			var f []byte
+			if f, decodeErr = types.TupleField(v, field); decodeErr != nil {
+				return false
+			}
+			return add(f)
+		})
+	}
+	if err == nil {
+		err = decodeErr
+	}
 	return sum, err
 }
 

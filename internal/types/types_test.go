@@ -2,9 +2,12 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/postree"
 	"forkbase/internal/store"
 )
@@ -249,6 +252,94 @@ func TestTupleOps(t *testing.T) {
 	dec, err := DecodeTuple(enc)
 	if err != nil || len(dec) != 3 || string(dec[1]) != "x" {
 		t.Fatalf("tuple round trip: %v %v", dec, err)
+	}
+}
+
+// TestTupleReadInPlace: DecodeTuple, TupleField and a TupleReader walk
+// agree on well-formed tuples, and a field count the bytes cannot hold
+// is an error before anything is sized by it — ff ff ff 7f used to
+// take the process down with an out-of-memory abort.
+func TestTupleReadInPlace(t *testing.T) {
+	tup := Tuple{[]byte("pk-7"), {}, []byte("a longer field"), {0}}
+	enc := EncodeTuple(tup)
+	r, err := ReadTuple(enc)
+	if err != nil || r.Len() != len(tup) {
+		t.Fatalf("ReadTuple: %d fields, %v", r.Len(), err)
+	}
+	for i, want := range tup {
+		walked, err := r.Next()
+		if err != nil || !bytes.Equal(walked, want) {
+			t.Fatalf("Next %d = %q, %v; want %q", i, walked, err, want)
+		}
+		got, err := TupleField(enc, i)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("TupleField(%d) = %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if _, err := r.Next(); err == nil {
+		t.Fatal("Next past the last field succeeded")
+	}
+	for _, i := range []int{-1, len(tup)} {
+		if _, err := TupleField(enc, i); err == nil {
+			t.Fatalf("TupleField(%d) of a %d-field tuple succeeded", i, len(tup))
+		}
+	}
+	// TupleField checks what it walks, so each case names the field
+	// whose walk meets the damage.
+	for _, bad := range []struct {
+		data  []byte
+		field int
+	}{
+		{[]byte{0xff, 0xff, 0xff, 0x7f}, 0},      // 2^31-1 fields in no bytes
+		{[]byte{2, 0, 0, 0, 0, 0, 0, 0}, 0},      // two fields, room for one length
+		{[]byte{1, 0, 0, 0, 9, 0, 0, 0, 'x'}, 0}, // a field longer than the payload
+		{enc[:len(enc)-1], len(tup) - 1},         // cut short
+		{[]byte{1, 0, 0}, 0},
+		{nil, 0},
+	} {
+		if tup, err := DecodeTuple(bad.data); err == nil {
+			t.Fatalf("DecodeTuple(%x) = %v, want an error", bad.data, tup)
+		}
+		if f, err := TupleField(bad.data, bad.field); err == nil {
+			t.Fatalf("TupleField(%x, %d) = %q, want an error", bad.data, bad.field, f)
+		}
+	}
+	if v, err := decodePrimitive(TypeTuple, []byte{0xff, 0xff, 0xff, 0x7f}); err == nil {
+		t.Fatalf("a meta chunk's tuple with a hostile count decoded to %v", v)
+	}
+}
+
+// TestListGetPastLyingCount: a List whose meta chunk claims more
+// elements than its two-level tree holds answers a position past them
+// with a corruption error, not with bytes of the index node read as if
+// they were a leaf.
+func TestListGetPastLyingCount(t *testing.T) {
+	s, cfg := testEnv()
+	var node []byte
+	for _, leaf := range [][]byte{
+		append(postree.EncodeListElem([]byte("a")), postree.EncodeListElem([]byte("b"))...),
+		postree.EncodeListElem([]byte("c")),
+	} {
+		c := chunk.New(chunk.TypeList, leaf)
+		if _, err := s.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		id := c.ID()
+		// An unsorted index entry: empty key, element count, child cid.
+		node = binary.LittleEndian.AppendUint32(node, 0)
+		node = binary.LittleEndian.AppendUint64(node, uint64(len(leaf)/5))
+		node = append(node, id[:]...)
+	}
+	root := chunk.New(chunk.TypeUIndex, node)
+	if _, err := s.Put(root); err != nil {
+		t.Fatal(err)
+	}
+	l := AttachList(postree.Attach(s, cfg, postree.KindList, root.ID(), 10, 2))
+	if e, err := l.Get(2); err != nil || string(e) != "c" {
+		t.Fatalf("Get(2) within the tree = %q, %v", e, err)
+	}
+	if e, err := l.Get(5); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Get(5) past what the tree holds = %q, %v; want a corruption error", e, err)
 	}
 }
 

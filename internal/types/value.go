@@ -172,27 +172,79 @@ func EncodeTuple(v Tuple) []byte {
 	return out
 }
 
-// DecodeTuple parses a serialized tuple.
-func DecodeTuple(data []byte) (Tuple, error) {
+// TupleReader walks the fields of a serialized tuple in place: Next
+// returns each field as a slice of the encoding, so a reader that
+// wants one column of a row pays for no others. DecodeTuple and
+// TupleField are built on it.
+type TupleReader struct {
+	rest []byte
+	left int
+}
+
+// ReadTuple opens a serialized tuple. The field count is checked
+// against the bytes that follow it — every field costs at least its
+// 4-byte length — before anyone sizes an allocation by it.
+func ReadTuple(data []byte) (TupleReader, error) {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("types: truncated tuple")
+		return TupleReader{}, fmt.Errorf("types: truncated tuple")
 	}
-	n := int(binary.LittleEndian.Uint32(data))
+	n := binary.LittleEndian.Uint32(data)
 	data = data[4:]
-	out := make(Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("types: truncated tuple field")
+	if uint64(n) > uint64(len(data)/4) {
+		return TupleReader{}, fmt.Errorf("types: tuple claims %d fields in %d bytes", n, len(data))
+	}
+	return TupleReader{rest: data, left: int(n)}, nil
+}
+
+// Len returns the number of fields not yet read.
+func (r *TupleReader) Len() int { return r.left }
+
+// Next returns the next field. It must not be called more than Len
+// times.
+func (r *TupleReader) Next() ([]byte, error) {
+	if r.left <= 0 || len(r.rest) < 4 {
+		return nil, fmt.Errorf("types: truncated tuple field")
+	}
+	fl := int(binary.LittleEndian.Uint32(r.rest))
+	if len(r.rest)-4 < fl {
+		return nil, fmt.Errorf("types: truncated tuple field")
+	}
+	f := r.rest[4 : 4+fl : 4+fl]
+	r.rest, r.left = r.rest[4+fl:], r.left-1
+	return f, nil
+}
+
+// DecodeTuple parses a serialized tuple. The fields alias data.
+func DecodeTuple(data []byte) (Tuple, error) {
+	r, err := ReadTuple(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make(Tuple, r.Len())
+	for i := range out {
+		if out[i], err = r.Next(); err != nil {
+			return nil, err
 		}
-		fl := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < fl {
-			return nil, fmt.Errorf("types: truncated tuple field")
-		}
-		out = append(out, data[:fl:fl])
-		data = data[fl:]
 	}
 	return out, nil
+}
+
+// TupleField returns field i of a serialized tuple without decoding
+// the others. The field aliases data.
+func TupleField(data []byte, i int) ([]byte, error) {
+	r, err := ReadTuple(data)
+	if err != nil {
+		return nil, err
+	}
+	if i < 0 || i >= r.Len() {
+		return nil, fmt.Errorf("types: tuple has %d fields, field %d wanted", r.Len(), i)
+	}
+	for ; i > 0; i-- {
+		if _, err := r.Next(); err != nil {
+			return nil, err
+		}
+	}
+	return r.Next()
 }
 
 // Field returns the i-th field.

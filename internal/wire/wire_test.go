@@ -403,6 +403,11 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(wantRequest([]chunk.ID{{1}, {2}}, WantFlagDeep))
 	f.Add(wantRequest([]chunk.ID{{1}}))
 	f.Add(wantRequest(nil, 0xfd))
+	// A Tuple whose field count (2^31-1) no payload could hold.
+	var bomb Enc
+	bomb.U8(uint8(types.TypeTuple))
+	bomb.Blob([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Add(bomb.Bytes())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeAnything(b)
 	})

@@ -178,6 +178,38 @@ func TestRemoteTortureMalformedFrames(t *testing.T) {
 		}
 		checkHealthy("garbage-payload")
 	})
+	t.Run("TupleFieldCountBomb", func(t *testing.T) {
+		c := raw(t)
+		hello(t, c)
+		// A Put of a Tuple whose four bytes claim 2^31-1 fields: the
+		// count used to size an allocation before a byte of it was
+		// checked, and the out-of-memory abort that followed is not a
+		// panic any recover catches. It is a codec error, for this
+		// request only.
+		var e wire.Enc
+		wire.EncodeCallOptions(&e, wire.CallOptions{})
+		e.Str("k")
+		e.U8(uint8(forkbase.Tuple(nil).Type()))
+		e.Blob([]byte{0xff, 0xff, 0xff, 0x7f})
+		if err := wire.WriteFrame(c, 45, wire.OpPut, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		_, _, payload, err := wire.ReadFrame(c, 0)
+		if err != nil || len(payload) == 0 || payload[0] != 1 {
+			t.Fatalf("tuple bomb: response %x, err %v; want an error response", payload, err)
+		}
+		if ep, derr := wire.DecodeError(wire.NewDec(payload[1:])); derr != nil || !errors.Is(ep.Err, wire.ErrCodec) {
+			t.Fatalf("tuple bomb answered %+v (%v), want ErrCodec", ep, derr)
+		}
+		// The same connection keeps serving.
+		if err := wire.WriteFrame(c, 46, wire.OpListKeys, okStatsOpts()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, payload, err := wire.ReadFrame(c, 0); err != nil || len(payload) == 0 || payload[0] != 0 {
+			t.Fatalf("connection unusable after the tuple bomb: %v", err)
+		}
+		checkHealthy("tuple-bomb")
+	})
 	t.Run("RequestBeforeHello", func(t *testing.T) {
 		c := raw(t)
 		if err := wire.WriteFrame(c, 5, wire.OpListKeys, okStatsOpts()); err != nil {
