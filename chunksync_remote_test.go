@@ -299,8 +299,14 @@ func rawChunkConn(t *testing.T, addr string) net.Conn {
 // error fails the test — these requests must never kill a connection.
 func chunkReq(t *testing.T, c net.Conn, op uint8, fill func(e *wire.Enc)) (*wire.Dec, *wire.ErrorPayload) {
 	t.Helper()
+	return chunkReqOpts(t, c, op, wire.CallOptions{}, fill)
+}
+
+// chunkReqOpts is chunkReq with the call options the request carries.
+func chunkReqOpts(t *testing.T, c net.Conn, op uint8, co wire.CallOptions, fill func(e *wire.Enc)) (*wire.Dec, *wire.ErrorPayload) {
+	t.Helper()
 	var e wire.Enc
-	wire.EncodeCallOptions(&e, wire.CallOptions{})
+	wire.EncodeCallOptions(&e, co)
 	if fill != nil {
 		fill(&e)
 	}

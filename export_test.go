@@ -1,6 +1,7 @@
 package forkbase
 
 import (
+	"forkbase/internal/chunk"
 	"forkbase/internal/store"
 	"forkbase/internal/wire"
 )
@@ -24,4 +25,31 @@ func (rs *RemoteStore) ChunkCacheStatsForTest() store.Stats { return rs.local.St
 // ErrUnsupported, no bytes on the wire.
 func (rs *RemoteStore) DropServerStatsFeatureForTest() {
 	rs.features.Store(rs.features.Load() &^ wire.FeatureServerStats)
+}
+
+// ConnShieldsForTest counts the chunk ids the server's live
+// connections hold shielded for chunked puts still being negotiated.
+func (s *Server) ConnShieldsForTest() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for sc := range s.conns {
+		sc.shieldMu.Lock()
+		for _, set := range sc.shields {
+			n += len(set)
+		}
+		sc.shieldMu.Unlock()
+	}
+	return n
+}
+
+// ShieldedForTest reports whether the engine holds a GC shield on id.
+func (db *DB) ShieldedForTest(id chunk.ID) bool { return db.eng.Shielded(id) }
+
+// StagedChunksForTest counts the chunks the client created and the
+// server has not acknowledged.
+func (rs *RemoteStore) StagedChunksForTest() int {
+	rs.stagedMu.Lock()
+	defer rs.stagedMu.Unlock()
+	return len(rs.staged)
 }

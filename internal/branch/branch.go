@@ -81,6 +81,22 @@ func (t *Table) Head(branch string) (types.UID, bool) {
 	return uid, ok
 }
 
+// IsHead reports whether uid is the head of any tagged branch or an
+// untagged head: a version the collector treats as a root right now.
+func (t *Table) IsHead(uid types.UID) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.untagged[uid] {
+		return true
+	}
+	for _, head := range t.tagged {
+		if head == uid {
+			return true
+		}
+	}
+	return false
+}
+
 // UpdateTagged moves a tagged branch's head to uid, creating the branch
 // if absent. If guard is non-nil the update succeeds only while the
 // current head equals *guard (guarded Put, §4.5.1): a guard against a

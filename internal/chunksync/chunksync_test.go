@@ -75,12 +75,16 @@ func buildBlob(t *testing.T, s store.Store, data []byte) *postree.Tree {
 	return tree
 }
 
+// treeIDs lists a tree's node ids in walk order (none for a nil tree).
 func treeIDs(t *testing.T, tree *postree.Tree) []chunk.ID {
 	t.Helper()
 	var ids []chunk.ID
-	if err := tree.WalkChunkIDs(func(id chunk.ID, _ bool) error {
-		ids = append(ids, id)
+	if tree == nil {
 		return nil
+	}
+	if err := tree.Walk(func(id chunk.ID, _ int) (bool, error) {
+		ids = append(ids, id)
+		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +247,7 @@ func TestMissingAndPushDelta(t *testing.T) {
 	}
 	// The pushed tree must be complete and readable on the server.
 	attached := postree.Attach(server.s, postree.DefaultConfig(), postree.KindBlob, edited.Root(), edited.Count(), edited.Height())
-	if err := attached.WalkChunkIDs(func(id chunk.ID, _ bool) error {
-		if !server.s.Has(id) {
-			t.Fatalf("chunk %s missing after push", id.Short())
-		}
-		return nil
-	}); err != nil {
+	if err := Complete(attached, nil); err != nil {
 		t.Fatal(err)
 	}
 }

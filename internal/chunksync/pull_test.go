@@ -327,16 +327,16 @@ func TestPullFetchRounds(t *testing.T) {
 		t.Fatalf("tree height %d, the test wants 3", tree.Height())
 	}
 	kids := map[chunk.ID][]chunk.ID{}
-	if err := tree.WalkChunkIDs(func(id chunk.ID, isLeaf bool) error {
-		if isLeaf {
-			return nil
+	if err := tree.Walk(func(id chunk.ID, level int) (bool, error) {
+		if level == 1 {
+			return false, nil
 		}
 		c, err := origin.Get(id)
 		if err != nil {
-			return err
+			return false, err
 		}
 		kids[id], err = postree.IndexChildIDs(c.Data())
-		return err
+		return true, err
 	}); err != nil {
 		t.Fatal(err)
 	}

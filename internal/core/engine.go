@@ -442,6 +442,14 @@ func (e *Engine) ListUntaggedBranches(key []byte) []types.UID {
 	return t.Untagged()
 }
 
+// IsHead reports whether uid is currently a head of key, tagged or
+// untagged — i.e. a GC root, so that everything it references is
+// complete and stays in the store for as long as the answer holds.
+func (e *Engine) IsHead(key []byte, uid types.UID) bool {
+	t, ok := e.space.Lookup(key)
+	return ok && t.IsHead(uid)
+}
+
 // Track returns historical versions of a branch head at derivation
 // distances [from, to] (M15): Track(key, b, 0, 0) is the head itself,
 // distances follow first bases. ctx is honoured per walked version:
@@ -704,6 +712,14 @@ func (e *Engine) UnshieldUIDs(ids []types.UID) {
 		}
 	}
 	e.shieldMu.Unlock()
+}
+
+// Shielded reports whether id currently holds a transient GC shield
+// (tests and tooling).
+func (e *Engine) Shielded(id types.UID) bool {
+	e.shieldMu.Lock()
+	defer e.shieldMu.Unlock()
+	return e.shields[id] > 0
 }
 
 // GC runs one dedup-aware collection against the engine's store: it

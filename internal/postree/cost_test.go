@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/store"
 )
 
@@ -110,4 +111,49 @@ func TestOneKeyEditCostsOnePath(t *testing.T) {
 		t.Fatalf("DiffSorted fetched %d chunks; want at most 4*height + the %d index nodes = %d", gets, indexNodes, max)
 	}
 	t.Logf("DiffSorted: %d fetched; %d of %d leaves shared", gets, d.SharedLeaves, d.TotalLeaves)
+}
+
+// TestWalkCostsWhatItOpens: a walk reads exactly the index nodes its
+// callback opens — all of them when it opens all, one when it stops
+// below the root — visits every level before the next, and reports
+// leaves without reading any.
+func TestWalkCostsWhatItOpens(t *testing.T) {
+	s, tr, indexNodes := costTree(t)
+	st, err := tr.TreeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited, last := 0, tr.Height()
+	gets, _ := traffic(s, func() {
+		if err := tr.Walk(func(_ chunk.ID, level int) (bool, error) {
+			if level > last || level < 1 {
+				t.Fatalf("level %d visited after level %d", level, last)
+			}
+			visited, last = visited+1, level
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if visited != st.Leaves+indexNodes || gets != int64(indexNodes) {
+		t.Fatalf("full walk visited %d nodes and read %d; want %d visited, the %d index nodes read",
+			visited, gets, st.Leaves+indexNodes, indexNodes)
+	}
+	below := 0
+	gets, _ = traffic(s, func() {
+		if err := tr.Walk(func(_ chunk.ID, level int) (bool, error) {
+			if level < tr.Height()-1 {
+				t.Fatalf("walk visited level %d under a node it was told not to open", level)
+			}
+			if level == tr.Height()-1 {
+				below++
+			}
+			return level == tr.Height(), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if gets != 1 || below == 0 {
+		t.Fatalf("walk opening only the root read %d chunks and saw %d children; want 1 read", gets, below)
+	}
 }

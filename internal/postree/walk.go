@@ -5,14 +5,20 @@ import (
 	"forkbase/internal/store"
 )
 
-// WalkChunkIDs visits every chunk id reachable from the tree's root,
-// top-down. Index nodes are read (and verified) from the tree's store
-// to discover their children; leaf ids are reported without reading
-// the leaves — which is what lets chunk-sync enumerate a tree's full
-// id set touching only the small index fringe. isLeaf tells the
-// callback whether the id names a leaf (depth 1) node. Walking the
-// empty tree visits nothing.
-func (t *Tree) WalkChunkIDs(fn func(id chunk.ID, isLeaf bool) error) error {
+// Walk visits the tree's nodes top-down and level by level — every
+// node of one level before any node of the level below — and lets fn
+// decide, node by node, where it goes. fn receives a node's cid and its
+// level (1 for a leaf, Height for the root). When it answers descend
+// for an index node, the walk reads (and verifies) that node from the
+// tree's store and visits its children; otherwise nothing under the
+// node is read or visited, so a walk costs the index nodes it was told
+// to open. Leaves are reported, never read. A node referenced twice is
+// visited twice. Walking the empty tree visits nothing.
+//
+// Chunk sync is built on the pruning: a push descends only through
+// the index nodes the client created, a commit only through the ones a
+// committed version does not already prove (internal/chunksync).
+func (t *Tree) Walk(fn func(id chunk.ID, level int) (descend bool, err error)) error {
 	if t.root.IsNil() {
 		return nil
 	}
@@ -20,10 +26,11 @@ func (t *Tree) WalkChunkIDs(fn func(id chunk.ID, isLeaf bool) error) error {
 	for h := t.height; h >= 1 && len(level) > 0; h-- {
 		var next []chunk.ID
 		for _, id := range level {
-			if err := fn(id, h == 1); err != nil {
+			descend, err := fn(id, h)
+			if err != nil {
 				return err
 			}
-			if h == 1 {
+			if !descend || h == 1 {
 				continue
 			}
 			c, err := store.GetVerified(t.s, id)

@@ -51,6 +51,11 @@ const (
 	CodeUnsupported
 	CodeProto // framing-level violation reported per-request (unknown op)
 	CodeDuplicateRequest
+	// CodeNotFound carries store.ErrNotFound: a chunk the request named
+	// or needs is not in the store. A chunked commit answers it when the
+	// uploaded tree is incomplete, which is what tells the client to
+	// renegotiate without its assumptions (see RemoteStore.Put).
+	CodeNotFound
 )
 
 // codeSentinels maps each code to the sentinel the decoded error must
@@ -74,6 +79,7 @@ var codeSentinels = map[uint8]error{
 	CodeUnsupported:      ErrUnsupported,
 	CodeProto:            ErrCodec,
 	CodeDuplicateRequest: ErrDuplicateRequest,
+	CodeNotFound:         store.ErrNotFound,
 }
 
 // ErrorCode classifies an error for transport. The first matching
@@ -85,7 +91,7 @@ func ErrorCode(err error) uint8 {
 		CodeConflict, CodeAccessDenied, CodeCorrupt, CodeSweepInProgress,
 		CodeNotCollectable, CodeBadOptions, CodeTypeMismatch,
 		CodeCanceled, CodeDeadline, CodeShutdown, CodeUnsupported, CodeProto,
-		CodeDuplicateRequest,
+		CodeDuplicateRequest, CodeNotFound,
 	} {
 		if errors.Is(err, codeSentinels[code]) {
 			return code

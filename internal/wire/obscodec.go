@@ -68,7 +68,7 @@ func OpName(op uint8) string {
 // bound for per-code error counter tables. (Deliberately not named
 // Code*: it is a table size, not a wire code, and the wireexhaustive
 // analyzer holds every Code* constant to the sentinel contract.)
-const NumErrorCodes = CodeDuplicateRequest + 1
+const NumErrorCodes = CodeNotFound + 1
 
 // CodeName returns a stable lowercase label for an error code, used
 // as the code tag on error counters. Unknown codes format as
@@ -111,6 +111,8 @@ func CodeName(code uint8) string {
 		return "proto"
 	case CodeDuplicateRequest:
 		return "duplicate_request"
+	case CodeNotFound:
+		return "not_found"
 	}
 	return "code" + strconv.Itoa(int(code))
 }

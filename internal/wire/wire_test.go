@@ -182,6 +182,7 @@ func TestErrorRoundTrip(t *testing.T) {
 		context.DeadlineExceeded,
 		ErrShutdown,
 		ErrUnsupported,
+		store.ErrNotFound,
 	}
 	for _, want := range cases {
 		var e Enc

@@ -49,8 +49,13 @@ type RemoteConfig struct {
 	// object moves only the delta. Empty means the cache is in-memory
 	// only (per-process).
 	ChunkCacheDir string
-	// ChunkCacheBytes bounds the in-memory chunk cache layered over
-	// the on-disk store (or standing alone); 0 means 64 MiB.
+	// ChunkCacheBytes is the budget of the LRU tier in front of the
+	// client chunk store; 0 means 64 MiB. It bounds that tier only: the
+	// store behind it — the on-disk one under ChunkCacheDir, else an
+	// in-memory store.MemStore — keeps every chunk it is handed for the
+	// life of the RemoteStore, so without ChunkCacheDir resident memory
+	// grows with the chunks read and written whatever this is set to
+	// (ROADMAP.md, open item 1a).
 	ChunkCacheBytes int64
 }
 
@@ -131,6 +136,18 @@ type RemoteStore struct {
 	local   store.Store
 	treeCfg postree.Config
 
+	// staged holds the ids of the chunks in local that this client
+	// created itself — building a value, editing a fetched one — and
+	// that the server has not yet acknowledged holding (a Send that
+	// carried them returned, or a Have answered "present"). Everything
+	// else in local arrived from the server, as part of a committed
+	// version's tree, so a chunked Put takes the server to hold it,
+	// subtree and all, and negotiates only what is staged. The server
+	// may since have collected such a chunk; its commit then answers
+	// store.ErrNotFound and the Put renegotiates the whole tree.
+	stagedMu sync.Mutex
+	staged   map[chunk.ID]struct{}
+
 	// reg holds the client-side instruments (cm resolves into it once
 	// at Dial); see Metrics and MetricsSnapshot.
 	reg *obs.Registry
@@ -168,6 +185,7 @@ func Dial(addr string, cfg RemoteConfig) (*RemoteStore, error) {
 			inner = fs
 		}
 		rs.local = store.NewCache(inner, cacheBytes)
+		rs.staged = make(map[chunk.ID]struct{})
 	}
 	if _, err := rs.conn(0); err != nil {
 		rs.Close()
@@ -1144,78 +1162,149 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 			return nil, err
 		}
 	}
-	tree := postree.Attach(&remoteChunkStore{rs: rs, user: user, key: key, ctx: ctx}, rs.treeCfg, kind, root, count, height)
+	tree := postree.Attach(&remoteChunkStore{localChunkStore: localChunkStore{rs}, user: user, key: key, ctx: ctx}, rs.treeCfg, kind, root, count, height)
 	v, _ := types.AttachValue(o.VType, tree)
 	return v, nil
 }
 
 // putChunked is Put over chunk sync: persist the value's tree into the
-// local cache (a no-op for values already attached there), negotiate
-// the server's missing set, upload it, and commit by root. The commit
+// local store (a no-op for values already attached there), negotiate
+// what the server is missing, upload it, and commit by root. The commit
 // op re-derives the tree shape server-side and verifies completeness
 // before the put executes.
+//
+// The negotiation covers what this client staged, not the tree: see
+// pushTree. When the server finds the tree incomplete although the
+// client took part of it for granted, that knowledge was stale (the
+// branch was removed and collected since the value was fetched) and
+// the same pass runs once more taking nothing for granted.
 func (rs *RemoteStore) putChunked(ctx context.Context, key string, v Value, opts []Option) (UID, error) {
-	if err := types.Persist(rs.local, rs.treeCfg, v); err != nil {
+	co, err := wireOpts(resolveOpts(opts))
+	if err != nil {
+		return UID{}, err
+	}
+	if err := types.Persist(localChunkStore{rs}, rs.treeCfg, v); err != nil {
 		return UID{}, err
 	}
 	tree := types.TreeOf(v)
 	if tree == nil {
 		return UID{}, fmt.Errorf("forkbase: chunked put: value of type %v has no tree", v.Type())
 	}
-	var ids []chunk.ID
-	if err := tree.WalkChunkIDs(func(id chunk.ID, _ bool) error {
-		ids = append(ids, id)
-		return nil
-	}); err != nil {
-		return UID{}, err
-	}
-	user := resolveOpts(opts).user
-	// One slot for the whole negotiate→upload→commit sequence: the
-	// server scopes the GC shields taken by Have/Send to the connection
-	// that took them, and only the commit (or teardown) on that same
-	// connection releases them.
+	// One slot for the whole negotiate→upload→commit sequence, and for
+	// its retry: the server scopes the GC shields taken by Have/Send to
+	// the connection that took them, and only the commit (or teardown)
+	// on that same connection releases them.
 	slot := rs.next.Add(1)
+	uid, stale, err := rs.pushTree(ctx, slot, key, v.Type(), tree, co, true)
+	if stale {
+		uid, _, err = rs.pushTree(ctx, slot, key, v.Type(), tree, co, false)
+	}
+	return uid, err
+}
+
+// pushTree is one negotiate→upload→commit pass. With trust, the walk
+// over the tree descends only through index nodes that are staged and
+// lists only staged chunks: a chunk that is not staged came from the
+// server with everything under it, so the Have request names — and the
+// Send carries at most — the handful of nodes an edit created, however
+// large the value. Without trust every node is listed, which is the
+// negotiation of a client that knows nothing.
+//
+// stale reports a commit the server refused as incomplete after the
+// walk had taken something for granted.
+func (rs *RemoteStore) pushTree(ctx context.Context, slot uint64, key string, vt types.Type, tree *postree.Tree, co wire.CallOptions, trust bool) (uid UID, stale bool, err error) {
+	var ids []chunk.ID
+	assumed := false
+	if err := tree.Walk(func(id chunk.ID, _ int) (bool, error) {
+		if trust && !rs.isStaged(id) {
+			assumed = true
+			return false, nil
+		}
+		ids = append(ids, id)
+		return true, nil
+	}); err != nil {
+		return UID{}, false, err
+	}
 	var st chunksync.Stats
 	have := func(ctx context.Context, ids []chunk.ID) ([]bool, error) {
-		return rs.chunkHave(ctx, slot, user, key, ids)
+		return rs.chunkHave(ctx, slot, co.User, key, ids)
 	}
 	missing, err := chunksync.Missing(ctx, ids, have, rs.haveBatch(), &st)
 	if err != nil {
-		return UID{}, err
+		return UID{}, false, err
 	}
 	send := func(ctx context.Context, chunks []*chunk.Chunk) error {
-		return rs.chunkSend(ctx, slot, user, key, chunks)
+		return rs.chunkSend(ctx, slot, co.User, key, chunks)
 	}
 	if err := chunksync.Push(ctx, tree.Store(), missing, send, rs.sendBytes(), &st); err != nil {
-		return UID{}, err
+		return UID{}, false, err
 	}
-	co, err := wireOpts(resolveOpts(opts))
-	if err != nil {
-		return UID{}, err
-	}
+	// Every listed chunk is now acknowledged: the server answered
+	// "present" or took it in a Send that has returned. Not a moment
+	// earlier — a Send that failed must find them staged next time.
+	rs.unstage(ids)
 	var e wire.Enc
 	wire.EncodeCallOptions(&e, co)
 	e.Str(key)
-	e.U8(uint8(v.Type()))
+	e.U8(uint8(vt))
 	e.UID(tree.Root())
 	d, ep, err := rs.callSlot(ctx, slot, wire.OpPutChunked, e.Bytes())
 	if err != nil {
-		return UID{}, err
+		return UID{}, false, err
 	}
 	if ep != nil {
-		return ep.UID, ep.Err
+		return ep.UID, assumed && errors.Is(ep.Err, store.ErrNotFound), ep.Err
 	}
-	uid := d.UID()
-	return uid, d.Err()
+	uid = d.UID()
+	return uid, false, d.Err()
+}
+
+func (rs *RemoteStore) isStaged(id chunk.ID) bool {
+	rs.stagedMu.Lock()
+	_, ok := rs.staged[id]
+	rs.stagedMu.Unlock()
+	return ok
+}
+
+func (rs *RemoteStore) unstage(ids []chunk.ID) {
+	rs.stagedMu.Lock()
+	for _, id := range ids {
+		delete(rs.staged, id)
+	}
+	rs.stagedMu.Unlock()
+}
+
+// localChunkStore is the client chunk store as the trees built and
+// edited here see it: rs.local, with every chunk created through it
+// staged until the server acknowledges it.
+type localChunkStore struct{ rs *RemoteStore }
+
+func (s localChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) { return s.rs.local.Get(id) }
+func (s localChunkStore) Has(id chunk.ID) bool                  { return s.rs.local.Has(id) }
+func (s localChunkStore) Stats() store.Stats                    { return s.rs.local.Stats() }
+func (s localChunkStore) Close() error                          { return nil }
+
+// Put stages the chunk unless the store already holds it — in which
+// case it either is staged already or came from the server — and only
+// then stores it, so no other goroutine can find a locally created
+// chunk in the store and not in the staged set. Staging a chunk the
+// server does hold costs one id in a Have request.
+func (s localChunkStore) Put(c *chunk.Chunk) (bool, error) {
+	if !s.rs.local.Has(c.ID()) {
+		s.rs.stagedMu.Lock()
+		s.rs.staged[c.ID()] = struct{}{}
+		s.rs.stagedMu.Unlock()
+	}
+	return s.rs.local.Put(c)
 }
 
 // remoteChunkStore is the store chunk-synced value handles attach to:
-// reads are served from the local cache and fall through to the wire
+// reads are served from the local store and fall through to the wire
 // for anything missing (verified before admission); writes — the
-// copy-on-write chunks of local edits — land in the cache, where the
+// copy-on-write chunks of local edits — are staged there, where the
 // next delta Put finds them.
 type remoteChunkStore struct {
-	rs   *RemoteStore
+	localChunkStore
 	user string
 	key  string
 	// ctx is the context of the Value call that attached this handle.
@@ -1240,10 +1329,5 @@ func (s *remoteChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 	}
 	return s.rs.admitChunk(wire.ChunkFrame{ID: id, Bytes: got[0]})
 }
-
-func (s *remoteChunkStore) Put(c *chunk.Chunk) (bool, error) { return s.rs.local.Put(c) }
-func (s *remoteChunkStore) Has(id chunk.ID) bool             { return s.rs.local.Has(id) }
-func (s *remoteChunkStore) Stats() store.Stats               { return s.rs.local.Stats() }
-func (s *remoteChunkStore) Close() error                     { return nil }
 
 var _ Store = (*RemoteStore)(nil)

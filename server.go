@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/chunksync"
 	"forkbase/internal/core"
 	"forkbase/internal/obs"
 	"forkbase/internal/postree"
@@ -319,13 +320,17 @@ type serverConn struct {
 	mu       sync.Mutex
 	inflight map[uint64]context.CancelFunc
 
-	// shields tracks, per chunk id, how many GC shield references this
-	// connection holds on the backend (taken during chunk negotiation
-	// and upload, released when the referencing commit lands). Whatever
-	// is left when the connection dies — a client that uploaded and
-	// hung up — is released wholesale, returning the orphaned chunks to
-	// the collector.
-	shields map[chunk.ID]int
+	// shields holds, per routing key, the chunk ids this connection
+	// keeps shielded from collection on the backend while a chunked put
+	// of that key is negotiated: what a Have answered "present" and what
+	// a Send admitted, one engine shield per id. The key's commit
+	// releases exactly that set; whatever is left when the connection
+	// dies — a client that uploaded and hung up — is released wholesale,
+	// returning the orphaned chunks to the collector. Its own mutex: an
+	// engine shield call can wait out a collection's root enumeration,
+	// and the read loop's inflight bookkeeping must not wait with it.
+	shieldMu sync.Mutex
+	shields  map[string]map[chunk.ID]struct{}
 }
 
 func (s *Server) newConn(c net.Conn) *serverConn {
@@ -362,64 +367,71 @@ func (s *Server) features() uint32 {
 	return f
 }
 
-// addShields takes one backend shield per unique id and records it
-// against this connection.
-func (sc *serverConn) addShields(ids []chunk.ID) {
+// addShields shields ids on the backend for this connection's
+// negotiation of key; ids the negotiation already holds are not taken
+// twice. A connection that is already torn down takes none: nothing
+// would release them, and its client cannot commit any more.
+func (sc *serverConn) addShields(key string, ids []chunk.ID) {
 	if len(ids) == 0 {
 		return
 	}
-	sc.mu.Lock()
-	if sc.shields == nil {
-		sc.shields = make(map[chunk.ID]int)
+	sc.shieldMu.Lock()
+	defer sc.shieldMu.Unlock()
+	if sc.closed.Load() {
+		return
 	}
-	for _, id := range ids {
-		sc.shields[id]++
-	}
-	sc.mu.Unlock()
-	sc.srv.db.eng.ShieldUIDs(ids)
-}
-
-// dropShields releases one connection-held shield per unique id (ids
-// the connection never shielded are ignored).
-func (sc *serverConn) dropShields(ids []chunk.ID) {
-	seen := make(map[chunk.ID]bool, len(ids))
-	release := make([]chunk.ID, 0, len(ids))
-	sc.mu.Lock()
-	for _, id := range ids {
-		if seen[id] {
-			continue
+	set := sc.shields[key]
+	if set == nil {
+		if sc.shields == nil {
+			sc.shields = make(map[string]map[chunk.ID]struct{})
 		}
-		seen[id] = true
-		if n, ok := sc.shields[id]; ok && n > 0 {
-			if n == 1 {
-				delete(sc.shields, id)
-			} else {
-				sc.shields[id] = n - 1
-			}
-			release = append(release, id)
+		set = make(map[chunk.ID]struct{}, len(ids))
+		sc.shields[key] = set
+	}
+	fresh := make([]chunk.ID, 0, len(ids))
+	for _, id := range ids {
+		if _, held := set[id]; !held {
+			set[id] = struct{}{}
+			fresh = append(fresh, id)
 		}
 	}
-	sc.mu.Unlock()
-	if len(release) > 0 {
-		sc.srv.db.eng.UnshieldUIDs(release)
-	}
+	// Under the lock, so a release that detaches the set afterwards
+	// finds every id in it already shielded.
+	sc.srv.db.eng.ShieldUIDs(fresh)
 }
 
-// dropAllShields releases every shield reference the connection still
-// holds (connection teardown).
+// dropShields ends the connection's negotiation of key and releases
+// what it shielded; other keys' negotiations on the connection keep
+// theirs.
+func (sc *serverConn) dropShields(key string) {
+	sc.shieldMu.Lock()
+	set := sc.shields[key]
+	delete(sc.shields, key)
+	sc.shieldMu.Unlock()
+	sc.unshield(set)
+}
+
+// dropAllShields releases every negotiation's shields (connection
+// teardown; closed is already set, so none can be added after).
 func (sc *serverConn) dropAllShields() {
-	sc.mu.Lock()
-	var release []chunk.ID
-	for id, n := range sc.shields {
-		for i := 0; i < n; i++ {
-			release = append(release, id)
-		}
-	}
+	sc.shieldMu.Lock()
+	sets := sc.shields
 	sc.shields = nil
-	sc.mu.Unlock()
-	if len(release) > 0 {
-		sc.srv.db.eng.UnshieldUIDs(release)
+	sc.shieldMu.Unlock()
+	for _, set := range sets {
+		sc.unshield(set)
 	}
+}
+
+func (sc *serverConn) unshield(set map[chunk.ID]struct{}) {
+	if len(set) == 0 {
+		return
+	}
+	ids := make([]chunk.ID, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sc.srv.db.eng.UnshieldUIDs(ids)
 }
 
 // close tears the connection down and cancels its in-flight requests.
@@ -997,7 +1009,7 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 		if !s.chunkSync() {
 			return fail(fmt.Errorf("%w: backend %T does not serve chunk-granular transfer", wire.ErrUnsupported, s.st))
 		}
-		return s.dispatchChunk(ctx, sc, reqID, op, d, co.user, opts)
+		return s.dispatchChunk(ctx, sc, reqID, op, d, &co, opts)
 	case wire.OpStats:
 		if s.db == nil {
 			return fail(fmt.Errorf("%w: backend %T has no storage counters", wire.ErrUnsupported, s.st))
@@ -1021,9 +1033,10 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 //     leave no trace.
 //  2. Negotiated chunks are shielded: an id the server reported as
 //     present (OpChunkHave) or admitted (OpChunkSend) becomes a
-//     transient GC root scoped to this connection, because the client
-//     will rely on it when it commits. The matching OpPutChunked
-//     releases the shields; a dropped connection releases the rest.
+//     transient GC root scoped to this connection and the key being
+//     written, because the client will rely on it when it commits.
+//     That key's OpPutChunked releases the set once the put has run;
+//     a dropped connection releases the rest.
 //  3. Access is per key: every chunk op carries the routing key being
 //     read or written and asks the policy layer (allow, policy.go) for
 //     the verdict the materialized op would get — read on (key, "")
@@ -1031,9 +1044,10 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 //     chunk ids act as capabilities — the server cannot cheaply prove
 //     a content-addressed chunk "belongs" to a key, and does not try
 //     (see README, trust model).
-func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64, op uint8, d *wire.Dec, user string, opts []Option) []byte {
+func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64, op uint8, d *wire.Dec, co *callOpts, opts []Option) []byte {
 	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
 	cs := s.db.eng.Store()
+	user := co.user
 	switch op {
 	case wire.OpChunkHave:
 		key := d.Str()
@@ -1060,7 +1074,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		}
 		// The client will skip re-sending these; keep them alive until
 		// its commit (or disconnect).
-		sc.addShields(present)
+		sc.addShields(key, present)
 		s.met.chunksync[csHave].Add(int64(len(ids) * chunk.IDSize))
 		return okPayload(func(e *wire.Enc) { wire.EncodeBitmap(e, bits) })
 	case wire.OpChunkWant:
@@ -1106,7 +1120,7 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		}
 		// Shield before Put: a collection sweeping between the Put and
 		// the commit must treat these as roots.
-		sc.addShields(ids)
+		sc.addShields(key, ids)
 		var stored, dups uint32
 		var admitted int64
 		for _, c := range decoded {
@@ -1147,35 +1161,70 @@ func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64
 		if err != nil {
 			return fail(fmt.Errorf("chunked put of %s: %w", root.Short(), err))
 		}
-		// The tree must be complete before the commit: every index node
-		// must decode and every leaf must exist. The walked id set is
-		// also exactly what this connection's shields protect for this
-		// value, so it doubles as the release list.
-		var ids []chunk.ID
-		err = tree.WalkChunkIDs(func(id chunk.ID, isLeaf bool) error {
-			ids = append(ids, id)
-			if isLeaf && !cs.Has(id) {
-				return fmt.Errorf("chunked put: leaf %s: %w (upload incomplete)", id.Short(), store.ErrNotFound)
-			}
-			return nil
-		})
-		if err != nil {
-			// Leave the shields in place: the client can finish the
-			// upload and retry; disconnect still releases them.
-			return fail(err)
+		// The tree must be complete before the commit. What the head
+		// this put derives from already proves is not checked again; the
+		// reference's root stays shielded until the put has run, because
+		// nothing else keeps the nodes the check skipped alive once the
+		// client no longer lists (and so shields) them itself.
+		ref := s.referenceTree(key, co, vt)
+		if ref != nil {
+			defer s.db.eng.UnshieldUIDs([]chunk.ID{ref.Root()})
+		}
+		if err := chunksync.Complete(tree, ref); err != nil {
+			// Leave the negotiation's shields in place: the client can
+			// finish the upload and retry; disconnect still releases them.
+			return fail(fmt.Errorf("chunked put of %s: upload incomplete: %w", root.Short(), err))
 		}
 		v, _ := types.AttachValue(vt, tree)
 		uid, perr := s.st.Put(ctx, key, v, opts...)
 		// Success or failure, the negotiation window is over: on
 		// success the new version roots the chunks; on failure the
 		// client renegotiates from OpChunkHave, which re-shields.
-		sc.dropShields(ids)
+		sc.dropShields(key)
 		if perr != nil {
 			return errPayload(perr, nil, uid)
 		}
 		return okPayload(func(e *wire.Enc) { e.UID(uid) })
 	}
 	return fail(fmt.Errorf("%w: unhandled chunk op %d", wire.ErrCodec, op))
+}
+
+// referenceTree picks the committed tree a chunked put of key may be
+// verified against (chunksync.Complete): the value of the version the
+// put derives from — the WithBase uid, else the head of the target
+// branch — when it has the same type. It returns nil when there is no
+// such version, and also when the version is not a head of key at this
+// moment: only a head is a collection root, and a version that merely
+// loads may be one whose tree a collection has already partly taken.
+//
+// The returned tree's root is shielded and the caller releases it.
+// Shield first, then ask whether the version is (still) a head: a
+// collection that enumerated its roots before the shield saw the head,
+// one that enumerates after sees the shield, and a RemoveBranch in
+// between shows up as "not a head" and costs only the shortcut.
+func (s *Server) referenceTree(key string, co *callOpts, vt types.Type) *postree.Tree {
+	eng := s.db.eng
+	var o *types.FObject
+	var err error
+	if base, ok := co.base(); ok {
+		o, err = eng.GetUID(base)
+	} else {
+		o, err = eng.Get([]byte(key), co.branchOr(DefaultBranch))
+	}
+	if err != nil || o.VType != vt {
+		return nil
+	}
+	kind, _ := types.KindOfType(vt)
+	root, count, height, err := types.ParseChunkRef(o.Data)
+	if err != nil || root.IsNil() {
+		return nil
+	}
+	eng.ShieldUIDs([]chunk.ID{root})
+	if !eng.IsHead([]byte(key), o.UID()) {
+		eng.UnshieldUIDs([]chunk.ID{root})
+		return nil
+	}
+	return postree.Attach(eng.Store(), eng.Config(), kind, root, count, height)
 }
 
 // wantPartTarget is the payload size a streamed Want aims for per
