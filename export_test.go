@@ -1,6 +1,8 @@
 package forkbase
 
 import (
+	"sync/atomic"
+
 	"forkbase/internal/chunk"
 	"forkbase/internal/store"
 	"forkbase/internal/wire"
@@ -18,6 +20,31 @@ func (rs *RemoteStore) DropChunkCacheForTest() {
 
 // ChunkCacheStatsForTest reports what the client chunk cache holds.
 func (rs *RemoteStore) ChunkCacheStatsForTest() store.Stats { return rs.local.Stats() }
+
+// ChunkStoreReads counts the reads a client makes of its own chunk
+// store: Gets open a chunk, Hases only ask about one.
+type ChunkStoreReads struct {
+	store.Store
+	Gets, Hases atomic.Int64
+}
+
+func (c *ChunkStoreReads) Get(id chunk.ID) (*chunk.Chunk, error) {
+	c.Gets.Add(1)
+	return c.Store.Get(id)
+}
+
+func (c *ChunkStoreReads) Has(id chunk.ID) bool {
+	c.Hases.Add(1)
+	return c.Store.Has(id)
+}
+
+// CountChunkStoreReadsForTest puts a read counter in front of the
+// client chunk store. Call it before the client is shared.
+func (rs *RemoteStore) CountChunkStoreReadsForTest() *ChunkStoreReads {
+	c := &ChunkStoreReads{Store: rs.local}
+	rs.local = c
+	return c
+}
 
 // DropServerStatsFeatureForTest clears FeatureServerStats from the
 // client's view of the server's Hello, simulating a peer that predates

@@ -217,11 +217,12 @@ func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr str
 			return err
 		}
 		// Each sample dials a fresh client with an empty in-memory cache
-		// so every pull is genuinely cold; the dial happens outside the
-		// timed window, and the timer covers Get + Value — the version
-		// lookup and the pull itself — not the in-memory byte assembly
-		// afterwards, which touches no network. Best of three damps
-		// scheduler noise without hiding the RTT cost.
+		// so every read is genuinely cold; the dial happens outside the
+		// timed window, and the timer covers Get + Value + Bytes — the
+		// version lookup, the Value's Want and the fetches the read
+		// makes, since a chunk-synced Value hands back a handle whose
+		// reads fetch what they touch. Best of three damps scheduler
+		// noise without hiding the RTT cost.
 		measure := func() (time.Duration, error) {
 			best := time.Duration(0)
 			for i := 0; i < 3; i++ {
@@ -230,34 +231,15 @@ func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr str
 					return 0, err
 				}
 				t0 := time.Now()
-				o, err := rc.Get(bgCtx, key)
-				if err != nil {
-					rc.Close()
-					return 0, err
-				}
-				v, err := rc.Value(bgCtx, key, o)
+				n, err := readBlob(rc, key)
 				d := time.Since(t0)
+				rc.Close()
 				if err != nil {
-					rc.Close()
 					return 0, err
 				}
-				if i == 0 {
-					b, err := forkbase.AsBlob(v)
-					if err != nil {
-						rc.Close()
-						return 0, err
-					}
-					data, err := b.Bytes()
-					if err != nil {
-						rc.Close()
-						return 0, err
-					}
-					if len(data) != size {
-						rc.Close()
-						return 0, fmt.Errorf("bench: cold read returned %d of %d bytes", len(data), size)
-					}
+				if n != size {
+					return 0, fmt.Errorf("bench: cold read returned %d of %d bytes", n, size)
 				}
-				rc.Close()
 				if best == 0 || d < best {
 					best = d
 				}

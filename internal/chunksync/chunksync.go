@@ -116,23 +116,39 @@ func (c PullConfig) window() int {
 // presence of its subtree, because the walk descends into every index
 // node — local ones cost a memory read, not a fetch.
 func Pull(ctx context.Context, local store.Store, fetch FetchFunc, root chunk.ID, height int, cfg PullConfig) (Stats, error) {
-	var st Stats
 	if root.IsNil() {
-		return st, nil
+		return Stats{}, nil
 	}
+	return PullSubtrees(ctx, local, fetch, []chunk.ID{root}, height, cfg)
+}
+
+// PullSubtrees is Pull over several subtrees at once: it completes, in
+// local, the subtree under each of roots, all of which sit at level
+// (1 for a leaf), in one pipelined walk — a fetch batch mixes ids of
+// different subtrees, so n siblings cost the round trips of one.
+// Iteration over a chunk-synced tree calls it with the child it is
+// about to enter and the siblings after it (postree.Filler).
+func PullSubtrees(ctx context.Context, local store.Store, fetch FetchFunc, roots []chunk.ID, level int, cfg PullConfig) (Stats, error) {
+	var st Stats
 	p := &puller{
 		local:   local,
 		fetch:   fetch,
 		batch:   cfg.batch(),
 		window:  cfg.window(),
-		seen:    map[chunk.ID]bool{root: true},
+		seen:    make(map[chunk.ID]bool, len(roots)),
 		results: make(chan pullResult),
 		st:      &st,
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if err := p.admitOrQueue(pullItem{id: root, h: height}); err != nil {
-		return st, err
+	for _, root := range roots {
+		if p.seen[root] {
+			continue
+		}
+		p.seen[root] = true
+		if err := p.admitOrQueue(pullItem{id: root, h: level}); err != nil {
+			return st, err
+		}
 	}
 	var firstErr error
 	for len(p.queue) > 0 || p.inflight > 0 {

@@ -265,3 +265,94 @@ func TestPushBatchesBySize(t *testing.T) {
 		t.Fatalf("1 MiB push with 8 KiB batches used %d sends", server.sends)
 	}
 }
+
+// TestPullSubtreesCompletesSiblingsTogether: a pull of several sibling
+// subtrees — one held whole, one whose index node is held without its
+// leaves, the rest absent — fetches exactly the missing chunks, and in
+// the round trips of one subtree, not one set per sibling.
+func TestPullSubtreesCompletesSiblingsTogether(t *testing.T) {
+	ctx := context.Background()
+	rnd := rand.New(rand.NewSource(4))
+	data := make([]byte, 1<<20)
+	rnd.Read(data)
+	server := &remoteEnd{s: store.NewMemStore()}
+	tree := buildBlob(t, server.s, data)
+	if tree.Height() != 3 {
+		t.Fatalf("height %d; the test is about index-node siblings", tree.Height())
+	}
+	root, err := server.s.Get(tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids, err := postree.IndexChildIDs(root.Data())
+	if err != nil || len(kids) < 3 {
+		t.Fatalf("root with %d children: %v", len(kids), err)
+	}
+	local := store.NewMemStore()
+	hold := func(id chunk.ID) {
+		c, err := server.s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := local.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold(tree.Root())
+	hold(kids[1])
+	first, err := server.s.Get(kids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, err := postree.IndexChildIDs(first.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold(kids[0])
+	for _, l := range leaves {
+		hold(l)
+	}
+	whole := 1 + len(leaves)
+	held := local.Stats().Chunks
+	missing := len(treeIDs(t, tree)) - held
+
+	st, err := PullSubtrees(ctx, local, server.fetch, kids, tree.Height()-1, PullConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ChunksFetched != missing || local.Stats().Chunks != held+missing {
+		t.Fatalf("fetched %d chunks, %d were missing", st.ChunksFetched, missing)
+	}
+	if st.ChunksLocal < whole+1 {
+		t.Fatalf("found %d chunks local; the held subtree alone has %d", st.ChunksLocal, whole)
+	}
+	// The held index node's leaves and the absent index nodes share a
+	// batch; the absent nodes' leaves make the second.
+	if server.fetches != 2 {
+		t.Fatalf("%d siblings took %d fetches; want 2, the levels below them", len(kids), server.fetches)
+	}
+	attached := postree.Attach(local, postree.DefaultConfig(), postree.KindBlob, tree.Root(), tree.Count(), tree.Height())
+	if got, err := attached.Bytes(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the pulled tree does not read back: %v", err)
+	}
+
+	// A fetch that lies about one sibling costs the pull and admits
+	// nothing under the id it lied about.
+	lied := kids[len(kids)-1]
+	evil := func(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
+		out, err := server.fetch(ctx, ids)
+		for i, id := range ids[:len(out)] {
+			if id == lied {
+				out[i] = chunk.New(chunk.TypeUIndex, []byte("forged")).Bytes()
+			}
+		}
+		return out, err
+	}
+	fresh := store.NewMemStore()
+	if _, err := PullSubtrees(ctx, fresh, evil, kids, tree.Height()-1, PullConfig{}); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("a forged sibling: %v, want ErrCorrupt", err)
+	}
+	if fresh.Has(lied) {
+		t.Fatal("the forged chunk was admitted under the id it claimed")
+	}
+}

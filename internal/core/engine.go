@@ -72,6 +72,10 @@ type Engine struct {
 	// after Sweep.
 	shieldMu sync.Mutex
 	shields  map[types.UID]int
+
+	// rootsHook, when set (ordering tests only), runs inside Roots
+	// between reading the shields and pins and reading the heads.
+	rootsHook func()
 }
 
 // NewEngine returns an engine over the given chunk store.
@@ -644,22 +648,20 @@ func (e *Engine) Pins() []types.UID {
 // published by the time its stripe is released, and a put acquiring
 // its stripe after the cycle does all its persisting inside the window
 // and is protected chunk by chunk.
+//
+// After the barrier, shields and pins are read before heads. A chunked
+// put uploads (shielded) before the window, publishes its head, and only
+// then drops its shields, so a put that overlaps the enumeration is
+// seen at least once: its shields are still held when they are read,
+// or its head is published by the time the heads are. Read the other
+// way round, heads before the publish and shields after the drop, the
+// uploaded delta is a root of neither and the sweep takes it.
 func (e *Engine) Roots() []types.UID {
 	for i := range e.locks {
 		e.locks[i].Lock()
 		e.locks[i].Unlock() // barrier only: wait out in-flight publishes
 	}
 	var roots []types.UID
-	for _, k := range e.space.Keys() {
-		t, ok := e.space.Lookup([]byte(k))
-		if !ok {
-			continue
-		}
-		for _, tb := range t.Tagged() {
-			roots = append(roots, tb.Head)
-		}
-		roots = append(roots, t.Untagged()...)
-	}
 	e.pinMu.RLock()
 	for uid := range e.pins {
 		// A pin may point at a version not written yet (pin-ahead is
@@ -681,6 +683,19 @@ func (e *Engine) Roots() []types.UID {
 		}
 	}
 	e.shieldMu.Unlock()
+	if e.rootsHook != nil {
+		e.rootsHook()
+	}
+	for _, k := range e.space.Keys() {
+		t, ok := e.space.Lookup([]byte(k))
+		if !ok {
+			continue
+		}
+		for _, tb := range t.Tagged() {
+			roots = append(roots, tb.Head)
+		}
+		roots = append(roots, t.Untagged()...)
+	}
 	return roots
 }
 

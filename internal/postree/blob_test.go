@@ -28,6 +28,22 @@ func randBytes(n int, seed int64) []byte {
 	return data
 }
 
+// blobBytes reads a Blob tree through Bytes and checks the result
+// against one ReadAt of the whole range: the two readers share nothing
+// above the chunk reads, so each is the other's oracle.
+func blobBytes(tb testing.TB, tr *Tree) []byte {
+	tb.Helper()
+	got, err := tr.Bytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	all := make([]byte, tr.Count())
+	if n, err := tr.ReadAt(all, 0); err != nil || n != len(all) || !bytes.Equal(got, all) {
+		tb.Fatalf("Bytes returned %d bytes, a full ReadAt %d (err %v); equal: %v", len(got), n, err, bytes.Equal(got, all))
+	}
+	return got
+}
+
 func TestBlobRoundTrip(t *testing.T) {
 	s := store.NewMemStore()
 	data := randBytes(64<<10, 1)
@@ -35,11 +51,7 @@ func TestBlobRoundTrip(t *testing.T) {
 	if tr.Count() != uint64(len(data)) {
 		t.Fatalf("count %d, want %d", tr.Count(), len(data))
 	}
-	got, err := tr.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
+	if got := blobBytes(t, tr); !bytes.Equal(got, data) {
 		t.Fatal("blob content mismatch")
 	}
 }
@@ -93,11 +105,7 @@ func TestBlobSpliceAgainstModel(t *testing.T) {
 			t.Fatalf("round %d: count %d, want %d", round, tr.Count(), len(model))
 		}
 	}
-	got, err := tr.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, model) {
+	if got := blobBytes(t, tr); !bytes.Equal(got, model) {
 		t.Fatal("blob diverged from model after splices")
 	}
 	// History independence for blobs too.
@@ -140,11 +148,7 @@ func TestBlobAppendGrows(t *testing.T) {
 		}
 		model = append(model, piece...)
 	}
-	got, err := tr.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, model) {
+	if got := blobBytes(t, tr); !bytes.Equal(got, model) {
 		t.Fatal("append sequence mismatch")
 	}
 }
@@ -166,9 +170,8 @@ func TestRepeatedContent(t *testing.T) {
 	if st.Leaves < 100 {
 		t.Fatalf("logical leaves %d suspiciously few", st.Leaves)
 	}
-	got, err := tr.Bytes()
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("repeated content round trip failed: %v", err)
+	if got := blobBytes(t, tr); !bytes.Equal(got, data) {
+		t.Fatal("repeated content round trip failed")
 	}
 }
 
@@ -237,8 +240,7 @@ func TestQuickBlobIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := tr.Bytes()
-		if err != nil || !bytes.Equal(got, data) {
+		if got := blobBytes(t, tr); !bytes.Equal(got, data) {
 			return false
 		}
 		b2 := NewBuilder(s, testConfig(), KindBlob)

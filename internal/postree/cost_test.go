@@ -157,3 +157,42 @@ func TestWalkCostsWhatItOpens(t *testing.T) {
 		t.Fatalf("walk opening only the root read %d chunks and saw %d children; want 1 read", gets, below)
 	}
 }
+
+// TestBytesReadsEachNodeOnceAndCopiesOnce: materializing a 256 KiB page
+// reads every node of its tree once, and copies the leaves into one
+// result allocated without being zeroed first (bytes.Join). What it
+// allocates is pinned: the iterator's cursor stack, the slice of leaf
+// references as it grows, and the result — nothing per leaf, and one
+// buffer of the page's size rather than a cleared one.
+func TestBytesReadsEachNodeOnceAndCopiesOnce(t *testing.T) {
+	s := store.NewMemStore()
+	b := NewBuilder(s, DefaultConfig(), KindBlob)
+	b.AppendBytes(randBytes(256<<10, 7))
+	tr, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tr.TreeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != 3 || st.Leaves != 67 {
+		t.Fatalf("height %d, %d leaves; the pinned count below is for the seeded page of height 3 and 67 leaves", tr.Height(), st.Leaves)
+	}
+	gets, _ := traffic(s, func() {
+		if _, err := tr.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := int64(st.Leaves + st.IndexNodes); gets != want {
+		t.Fatalf("Bytes read %d chunks; the tree has %d nodes", gets, want)
+	}
+	const pinned = 9 // cursor stack 1 + leaf references 7 (growing past 67) + result 1
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tr.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != pinned {
+		t.Fatalf("Bytes allocates %.0f objects per call; pinned at %d", allocs, pinned)
+	}
+}

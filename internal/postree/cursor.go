@@ -109,7 +109,14 @@ func IndexChildIDs(payload []byte) ([]chunk.ID, error) {
 
 // appendChildIDs appends the child cids of an index-node payload.
 func appendChildIDs(dst []chunk.ID, payload []byte) ([]chunk.ID, error) {
-	for c := (indexCursor{p: payload}); ; {
+	c := indexCursor{p: payload}
+	return c.appendRest(dst)
+}
+
+// appendRest appends the child cids of the entries the cursor has yet
+// to yield, stepping past them.
+func (c *indexCursor) appendRest(dst []chunk.ID) ([]chunk.ID, error) {
+	for {
 		e, ok, err := c.next()
 		if err != nil || !ok {
 			return dst, err

@@ -715,6 +715,9 @@ func TestEditDownToOneSubtreeEqualsRebuild(t *testing.T) {
 							from, to, len(elems), got.Root().Short(), got.Height(), got.Count(),
 							want.Root().Short(), want.Height(), want.Count())
 					}
+					if kind == KindBlob && !bytes.Equal(blobBytes(t, got), bytes.Join(elems[from:to], nil)) {
+						t.Fatalf("kept [%d,%d) of %d: the content reads back wrong", from, to, len(elems))
+					}
 				}
 			})
 		}

@@ -150,25 +150,42 @@ func (t *Tree) blobLeafAt(pos uint64) ([]byte, uint64, error) {
 	return c.Data(), start, nil
 }
 
-// Bytes materializes the full content of a Blob tree.
+// Bytes materializes the full content of a Blob tree. The leaf
+// payloads are immutable chunk data, so they are gathered by reference
+// and copied once into a result that is never zeroed first.
 func (t *Tree) Bytes() ([]byte, error) {
 	if t.kind != KindBlob {
 		return nil, fmt.Errorf("postree: Bytes on %v tree", t.kind)
 	}
-	out := make([]byte, 0, t.count)
+	var parts [][]byte
 	it := t.Leaves()
 	for it.Next() {
-		out = append(out, it.Payload()...)
+		parts = append(parts, it.Payload())
 	}
-	return out, it.Err()
+	if it.Err() != nil {
+		return nil, it.Err()
+	}
+	return bytes.Join(parts, nil), nil
+}
+
+// A Filler is a store that can fetch the chunks it lacks from
+// elsewhere — a client's chunk store in front of a server. A tree
+// attached to one reads a missing node as one fetch, which is what a
+// point read wants; iteration instead asks FillSubtrees, so walking a
+// missing region costs a round trip per level and not one per leaf.
+type Filler interface {
+	// FillSubtrees completes, in the store, the subtrees under roots,
+	// all at level (1 for a leaf), fetching only the chunks it lacks.
+	FillSubtrees(roots []chunk.ID, level int) error
 }
 
 // LeafIter walks the leaf chunks of a tree left to right, holding one
 // cursor per index level on the path to the current leaf. The walk is
-// type-driven: index chunks are opened, leaf chunks are yielded, so no
-// depth bookkeeping is needed.
+// type-driven: index chunks are opened, leaf chunks are yielded, so the
+// depth is needed only to tell a Filler where the nodes it fills sit.
 type LeafIter struct {
 	t     *Tree
+	fill  Filler // the tree's store, when it is one
 	stack []indexCursor
 	root  bool // the root has not been visited yet
 	cur   *chunk.Chunk
@@ -177,7 +194,23 @@ type LeafIter struct {
 
 // Leaves returns an iterator over the tree's leaf chunks.
 func (t *Tree) Leaves() *LeafIter {
-	return &LeafIter{t: t, root: !t.root.IsNil(), stack: make([]indexCursor, 0, t.height)}
+	fill, _ := t.s.(Filler)
+	return &LeafIter{t: t, fill: fill, root: !t.root.IsNil(), stack: make([]indexCursor, 0, t.height)}
+}
+
+// fillFrom runs on a Filler's miss: the node id the walk is about to
+// open is not in the store, so the node, and the siblings the deepest
+// cursor will yield after it, are filled in one go.
+func (it *LeafIter) fillFrom(id chunk.ID) error {
+	roots := []chunk.ID{id}
+	if n := len(it.stack); n > 0 {
+		ahead := it.stack[n-1] // a copy: the walk's own cursor stays put
+		var err error
+		if roots, err = ahead.appendRest(roots); err != nil {
+			return err
+		}
+	}
+	return it.fill.FillSubtrees(roots, it.t.height-len(it.stack))
 }
 
 // Next advances to the next leaf chunk.
@@ -206,6 +239,12 @@ func (it *LeafIter) Next() bool {
 	}
 	it.root = false
 	for {
+		if it.fill != nil && !it.t.s.Has(id) {
+			if err := it.fillFrom(id); err != nil {
+				it.err = err
+				return false
+			}
+		}
 		c, err := it.t.getChunk(id)
 		if err != nil {
 			it.err = err

@@ -112,11 +112,16 @@ func (m *clientMetrics) observe(op uint8, start time.Time, isErr bool) {
 // server, which stops the request's server-side work (history walks
 // observe it mid-walk).
 //
-// Values: chunkable values fetched through Value come back staged
-// (fully materialized, detached from any store), ready to edit and
-// Put back. Custom merge resolvers cannot cross the wire; the
-// built-ins (ChooseA, ChooseB, AppendResolve, Aggregate) are
-// translated by code.
+// Values: without chunk sync, chunkable values fetched through Value
+// come back staged (fully materialized, detached from any store). With
+// it, they come back as handles over the client's chunk store that
+// fetch what their reads touch: such a read may use the network within
+// the Value call's ctx, as that call's user, for as long as the
+// version stays reachable on the server (once it is collected, a read
+// of a chunk not held locally fails with store.ErrNotFound, as it would
+// embedded). Either way the value is ready to edit and Put back.
+// Custom merge resolvers cannot cross the wire; the built-ins
+// (ChooseA, ChooseB, AppendResolve, Aggregate) are translated by code.
 type RemoteStore struct {
 	addr string
 	cfg  RemoteConfig
@@ -877,11 +882,14 @@ func (rs *RemoteStore) GC(ctx context.Context, opts ...Option) (GCStats, error) 
 	return stats, d.Err()
 }
 
-// Value implements Store. The value is materialized by the server
-// and comes back staged, ready to edit and Put back. Primitives could
-// decode locally from o.Data, but the round trip is made anyway so
-// the server-side ACL check runs exactly as it would embedded —
-// deployment modes must not diverge on who may decode what.
+// Value implements Store. Without chunk sync the value is materialized
+// by the server and comes back staged. With it, a chunkable value costs
+// one Want and comes back as a handle whose reads fetch what they touch
+// within ctx, as the caller's user (see RemoteStore). Either way one
+// round trip is made even when nothing needs to move — primitives
+// could decode locally from o.Data — so the server-side ACL check runs
+// exactly as it would embedded: deployment modes must not diverge on
+// who may decode what.
 func (rs *RemoteStore) Value(ctx context.Context, key string, o *FObject, opts ...Option) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1112,10 +1120,23 @@ func (rs *RemoteStore) sendBytes() int {
 	return chunksync.DefaultSendBytes
 }
 
-// valueChunked is Value over chunk sync: pull the POS-Tree into the
-// local chunk cache — fetching only what the cache is missing — and
-// attach the handle locally. Reads after this touch no network; edits
-// stage copy-on-write chunks in the cache, ready for a delta Put.
+// valueChunked is Value over chunk sync: one Want, and a handle over
+// the local chunk store that fetches what its reads touch. The Want
+// carries the caller's identity, so the server's access check runs
+// whether or not anything is missing — deployment modes must not
+// diverge on who may decode what — and it asks for the root only when
+// the store lacks it. Nothing here looks below the root: a cached root
+// says nothing about its subtree (a cancelled fill admits the root
+// first), and the reads find out what is missing as they go.
+//
+// On a store that holds nothing at all, the Want is deep: the server
+// streams the whole tree in that one round trip. The rule is
+// all-or-nothing on purpose: once anything is cached, the value
+// probably shares most of its chunks with what is here (the dedup
+// argument), and a deep stream would ship the full tree where the
+// reads' fills move only the delta.
+//
+// Edits stage copy-on-write chunks in the store, ready for a delta Put.
 func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject, opts []Option) (Value, error) {
 	kind, ok := types.KindOfType(o.VType)
 	if !ok {
@@ -1126,41 +1147,23 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 		return nil, err
 	}
 	user := resolveOpts(opts).user
-	fetch := func(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
-		return rs.chunkWantFetch(ctx, user, key, ids)
+	var want []chunk.ID
+	if !root.IsNil() && !rs.local.Has(root) {
+		want = []chunk.ID{root}
 	}
-	// On a completely cold cache, a deep Want streams the whole tree in
-	// one round trip instead of one per level. The policy is deliberately
-	// all-or-nothing: the moment anything is cached, the value probably
-	// shares most of its chunks with what is already here (the dedup
-	// argument), and a deep stream would ship the full tree where the
-	// discovery pull moves only the delta.
-	deepFetched := 0
-	if !root.IsNil() && rs.local.Stats().Chunks == 0 {
-		deepFetched, err = rs.chunkWantStream(ctx, user, key, []chunk.ID{root}, true, func(f wire.ChunkFrame) error {
-			_, aerr := rs.admitChunk(f)
-			return aerr
-		})
-		if err != nil {
-			return nil, err
+	deep := want != nil && rs.local.Stats().Chunks == 0
+	gotRoot := false
+	if _, err := rs.chunkWantStream(ctx, user, key, want, deep, func(f wire.ChunkFrame) error {
+		if _, err := rs.admitChunk(f); err != nil {
+			return err
 		}
-	}
-	// The pull is the completeness sweep whether or not a deep Want ran:
-	// deep streaming is best-effort (the server skips chunks it cannot
-	// find), so the walk below re-verifies reachability and fetches any
-	// stragglers — from a warm cache it touches no network at all.
-	st, err := chunksync.Pull(ctx, rs.local, fetch, root, height, chunksync.PullConfig{})
-	if err != nil {
+		gotRoot = gotRoot || f.ID == root
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	if st.ChunksFetched == 0 && deepFetched == 0 {
-		// Everything was cached, so no request carried the user's
-		// identity to the server. Deployment modes must not diverge on
-		// who may decode what: make an empty Want purely for the
-		// access check, exactly as the full-ship Value would.
-		if _, err := rs.chunkWantFetch(ctx, user, key, nil); err != nil {
-			return nil, err
-		}
+	if want != nil && !gotRoot {
+		return nil, fmt.Errorf("forkbase: chunk %s: %w", root.Short(), store.ErrNotFound)
 	}
 	tree := postree.Attach(&remoteChunkStore{localChunkStore: localChunkStore{rs}, user: user, key: key, ctx: ctx}, rs.treeCfg, kind, root, count, height)
 	v, _ := types.AttachValue(o.VType, tree)
@@ -1303,15 +1306,21 @@ func (s localChunkStore) Put(c *chunk.Chunk) (bool, error) {
 // for anything missing (verified before admission); writes — the
 // copy-on-write chunks of local edits — are staged there, where the
 // next delta Put finds them.
+//
+// What falls through is what a read touches. A point read (Get, GetAt,
+// ReadAt, an edit's descent) fetches the nodes on its one path, one
+// Want per missing node. Iteration (postree.LeafIter, under Bytes and
+// every element iterator) fills instead: the missing node it is about
+// to open, and the siblings after it, in one level-by-level pull.
 type remoteChunkStore struct {
 	localChunkStore
 	user string
 	key  string
 	// ctx is the context of the Value call that attached this handle.
 	// Handle reads mirror the embedded store's context-free interface,
-	// so lazy fetches inherit the attaching call's lifetime: cancel it
-	// and a cold cache miss aborts instead of riding an unbounded
-	// background request.
+	// so the fetches they make run within the attaching call's
+	// lifetime, as its user: cancel it and a miss aborts instead of
+	// riding an unbounded background request.
 	ctx context.Context
 }
 
@@ -1320,7 +1329,7 @@ func (s *remoteChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 	if err == nil || !errors.Is(err, store.ErrNotFound) {
 		return c, err
 	}
-	got, werr := s.rs.chunkWantFetch(s.ctx, s.user, s.key, []chunk.ID{id})
+	got, werr := s.fetch(s.ctx, []chunk.ID{id})
 	if werr != nil {
 		return nil, werr
 	}
@@ -1328,6 +1337,19 @@ func (s *remoteChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 		return nil, fmt.Errorf("forkbase: chunk %s: %w", id.Short(), store.ErrNotFound)
 	}
 	return s.rs.admitChunk(wire.ChunkFrame{ID: id, Bytes: got[0]})
+}
+
+// FillSubtrees implements postree.Filler: chunksync's discovery pull
+// into the local store, verified chunk by chunk, moving only what the
+// store lacks.
+func (s *remoteChunkStore) FillSubtrees(roots []chunk.ID, level int) error {
+	_, err := chunksync.PullSubtrees(s.ctx, s.rs.local, s.fetch, roots, level, chunksync.PullConfig{})
+	return err
+}
+
+// fetch is the chunksync.FetchFunc of this handle's user and key.
+func (s *remoteChunkStore) fetch(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
+	return s.rs.chunkWantFetch(ctx, s.user, s.key, ids)
 }
 
 var _ Store = (*RemoteStore)(nil)
