@@ -221,3 +221,10 @@ func buildIndexBatch(s store.Store, cfg Config, kind Kind, leaves []entry) (root
 	}
 	return level[0].id, height, nil
 }
+
+// entries returns the number of subtotals the memo holds.
+func (m *Memo) entries() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.cur) + len(m.old)
+}

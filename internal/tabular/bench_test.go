@@ -15,10 +15,10 @@ const (
 	benchSlice = 1_000
 )
 
-func benchTable(tb testing.TB) (tbl *FBTable, rows, edits []workload.Record) {
+func benchTable(tb testing.TB, db *forkbase.DB) (tbl *FBTable, rows, edits []workload.Record) {
 	tb.Helper()
 	rows = workload.Dataset(42, benchRows)
-	tbl = NewFBTable(forkbase.Open(), "bench", RowLayout)
+	tbl = NewFBTable(db, "bench", RowLayout)
 	if err := tbl.Import("master", rows); err != nil {
 		tb.Fatal(err)
 	}
@@ -44,18 +44,19 @@ func rewriteSlice(rows []workload.Record, lo int, delta int64) []workload.Record
 
 // TestAggregateAllocatesPerScanNotPerRow: a full-table sum reads one
 // field of each row in place, so what it allocates — the handles, the
-// iterator, its cursor stack — does not grow with the table.
+// walk's stack, the memo the subtotals go into — does not grow with
+// the rows. Each run is a full pass: a fresh handle has an empty memo.
 func TestAggregateAllocatesPerScanNotPerRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("imports 100 000 rows")
 	}
-	tbl, rows, _ := benchTable(t)
+	tbl, rows, _ := benchTable(t, forkbase.Open())
 	var want int64
 	for _, r := range rows {
 		want += r.Int1
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if got, err := tbl.Aggregate("master", "int1"); err != nil || got != want {
+		if got, err := NewFBTable(tbl.db, "bench", RowLayout).Aggregate("master", "int1"); err != nil || got != want {
 			t.Fatalf("Aggregate = %d, %v; want %d", got, err, want)
 		}
 	})
@@ -66,7 +67,7 @@ func TestAggregateAllocatesPerScanNotPerRow(t *testing.T) {
 }
 
 func BenchmarkTableGet(b *testing.B) {
-	tbl, rows, _ := benchTable(b)
+	tbl, rows, _ := benchTable(b, forkbase.Open())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,19 +78,36 @@ func BenchmarkTableGet(b *testing.B) {
 	}
 }
 
+// BenchmarkTableAggregate is the full pass: a fresh handle each time,
+// so nothing is remembered from the sum before.
 func BenchmarkTableAggregate(b *testing.B) {
-	tbl, _, _ := benchTable(b)
+	tbl, _, _ := benchTable(b, forkbase.Open())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Aggregate("edit", "int1"); err != nil {
+		if _, err := NewFBTable(tbl.db, "bench", RowLayout).Aggregate("edit", "int1"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTableAggregateDelta sums master and edit in turn on one
+// handle: after the first two, each sum is the memo's answer for a
+// root it has seen.
+func BenchmarkTableAggregateDelta(b *testing.B) {
+	tbl, _, _ := benchTable(b, forkbase.Open())
+	branches := [2]string{"master", "edit"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tbl.Aggregate(branches[i%2], "int1"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkTableDiffCount(b *testing.B) {
-	tbl, _, edits := benchTable(b)
+	tbl, _, edits := benchTable(b, forkbase.Open())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,7 +120,7 @@ func BenchmarkTableDiffCount(b *testing.B) {
 // BenchmarkTableUpdateSlice rewrites a 1 000-row slice, a different
 // one each time, on one branch.
 func BenchmarkTableUpdateSlice(b *testing.B) {
-	tbl, rows, _ := benchTable(b)
+	tbl, rows, _ := benchTable(b, forkbase.Open())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

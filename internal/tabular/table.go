@@ -118,6 +118,7 @@ type FBTable struct {
 	db     *forkbase.DB
 	name   string
 	layout Layout
+	sums   [2]*postree.Memo // Aggregate's subtotals, for int1 and int2
 }
 
 // bgCtx is the root context behind the FBTable methods that take no
@@ -129,7 +130,29 @@ var bgCtx = context.Background()
 
 // NewFBTable returns a table handle.
 func NewFBTable(db *forkbase.DB, name string, layout Layout) *FBTable {
-	return &FBTable{db: db, name: name, layout: layout}
+	t := &FBTable{db: db, name: name, layout: layout}
+	for i := range t.sums {
+		t.sums[i] = newColumnSum(layout, i+1)
+	}
+	return t
+}
+
+// newColumnSum returns the memo Aggregate sums a record's integer
+// field through (1 for int1, 2 for int2): a column List's elements in
+// the column layout, that field of each row's Tuple in the row layout.
+func newColumnSum(layout Layout, field int) *postree.Memo {
+	if layout == ColLayout {
+		return postree.NewMemo(postree.KindList, func(e []byte) (int64, error) {
+			return decInt(postree.SetElemBody(e))
+		})
+	}
+	return postree.NewMemo(postree.KindMap, func(e []byte) (int64, error) {
+		f, err := types.TupleField(postree.MapElemValue(e), field)
+		if err != nil {
+			return 0, err
+		}
+		return decInt(f)
+	})
 }
 
 // Layout returns the physical layout.
@@ -359,48 +382,33 @@ func (t *FBTable) Scan(branch string, fn func(workload.Record) bool) error {
 // Aggregate sums an integer column ("int1" or "int2") on branch. The
 // column layout reads only that column's chunks; the row layout walks
 // every record (the Figure 17b gap) but reads the one field it sums in
-// place, out of the leaf bytes.
+// place, out of the leaf bytes. The handle
+// remembers the subtotal of every subtree it summed, per column and by
+// cid (postree.Memo), so a branch that shares most of its tree with
+// versions this handle already summed reads only the nodes it does not
+// share; the first sum on a fresh handle is the full pass of Figure 17b.
 func (t *FBTable) Aggregate(branch, col string) (int64, error) {
-	field := 1
+	var sums *postree.Memo
 	switch col {
 	case "int1":
+		sums = t.sums[0]
 	case "int2":
-		field = 2
+		sums = t.sums[1]
 	default:
 		return 0, fmt.Errorf("tabular: cannot aggregate column %q", col)
 	}
-	var sum int64
-	var decodeErr error
-	add := func(b []byte) bool {
-		var v int64
-		v, decodeErr = decInt(b)
-		sum += v
-		return decodeErr == nil
-	}
-	var err error
 	if t.layout == ColLayout {
-		var l *forkbase.List
-		if l, err = t.column(branch, col); err != nil {
+		l, err := t.column(branch, col)
+		if err != nil {
 			return 0, err
 		}
-		err = l.Iter(func(_ uint64, e []byte) bool { return add(e) })
-	} else {
-		var m *forkbase.Map
-		if m, err = t.rows(branch); err != nil {
-			return 0, err
-		}
-		err = m.Iter(func(_, v []byte) bool {
-			var f []byte
-			if f, decodeErr = types.TupleField(v, field); decodeErr != nil {
-				return false
-			}
-			return add(f)
-		})
+		return sums.Fold(l.Tree())
 	}
-	if err == nil {
-		err = decodeErr
+	m, err := t.rows(branch)
+	if err != nil {
+		return 0, err
 	}
-	return sum, err
+	return sums.Fold(m.Tree())
 }
 
 // DiffCount compares two branches and returns the number of added,
