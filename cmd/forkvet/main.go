@@ -3,7 +3,6 @@
 //
 //	ctxflow         no fresh root contexts in library code (PR 5)
 //	lockhold        no blocking calls under a stripe/table/index lock (PR 2-4)
-//	wireexhaustive  error codes and opcodes plumbed on both wire ends (PR 5)
 //	sentinelcmp     sentinel errors compared with errors.Is, never == (PR 5)
 //	chunkalias      no payload mutation after chunk.New takes ownership (PR 6)
 //	obsmetrics      metrics registered through internal/obs, not ad-hoc
@@ -34,7 +33,6 @@ import (
 	"forkbase/internal/analysis/lockhold"
 	"forkbase/internal/analysis/obsmetrics"
 	"forkbase/internal/analysis/sentinelcmp"
-	"forkbase/internal/analysis/wireexhaustive"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -43,7 +41,6 @@ var analyzers = []*analysis.Analyzer{
 	lockhold.Analyzer,
 	obsmetrics.Analyzer,
 	sentinelcmp.Analyzer,
-	wireexhaustive.Analyzer,
 }
 
 func main() {

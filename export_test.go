@@ -2,6 +2,7 @@ package forkbase
 
 import (
 	"sync/atomic"
+	"time"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/store"
@@ -80,3 +81,15 @@ func (rs *RemoteStore) StagedChunksForTest() int {
 	defer rs.stagedMu.Unlock()
 	return len(rs.staged)
 }
+
+// SetHelloTimeoutForTest shortens the Hello deadline of connections
+// accepted from now on, and returns the restore. Set it before the
+// server starts and restore it after the server has closed.
+func SetHelloTimeoutForTest(d time.Duration) (restore func()) {
+	old := helloTimeout
+	helloTimeout = d
+	return func() { helloTimeout = old }
+}
+
+// ServedForTest reports whether op has a row in the server's op table.
+func ServedForTest(op uint8) bool { return served(op) }

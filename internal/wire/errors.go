@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"strconv"
 
 	"forkbase/internal/branch"
 	"forkbase/internal/core"
@@ -49,7 +50,7 @@ const (
 	CodeDeadline
 	CodeShutdown
 	CodeUnsupported
-	CodeProto // framing-level violation reported per-request (unknown op)
+	CodeProto // protocol violation reported per-request (unknown or response-only op)
 	CodeDuplicateRequest
 	// CodeNotFound carries store.ErrNotFound: a chunk the request named
 	// or needs is not in the store. A chunked commit answers it when the
@@ -58,46 +59,74 @@ const (
 	CodeNotFound
 )
 
-// codeSentinels maps each code to the sentinel the decoded error must
-// satisfy errors.Is against. CodeGeneric and unknown codes map to nil:
-// the decoded error is opaque.
-var codeSentinels = map[uint8]error{
-	CodeKeyNotFound:      core.ErrKeyNotFound,
-	CodeBranchNotFound:   branch.ErrBranchNotFound,
-	CodeBranchExists:     branch.ErrBranchExists,
-	CodeGuardFailed:      branch.ErrGuardFailed,
-	CodeConflict:         merge.ErrConflict,
-	CodeAccessDenied:     servlet.ErrAccessDenied,
-	CodeCorrupt:          store.ErrCorrupt,
-	CodeNotCollectable:   store.ErrNotCollectable,
-	CodeSweepInProgress:  store.ErrSweepInProgress,
-	CodeBadOptions:       core.ErrBadOptions,
-	CodeTypeMismatch:     core.ErrTypeMismatch,
-	CodeCanceled:         context.Canceled,
-	CodeDeadline:         context.DeadlineExceeded,
-	CodeShutdown:         ErrShutdown,
-	CodeUnsupported:      ErrUnsupported,
-	CodeProto:            ErrCodec,
-	CodeDuplicateRequest: ErrDuplicateRequest,
-	CodeNotFound:         store.ErrNotFound,
+// NumErrorCodes is one past the highest assigned error code — the
+// bound for per-code tables such as the server's error counters.
+const NumErrorCodes = CodeNotFound + 1
+
+// errorRow is one error code: its metric label and the sentinel a
+// decoded error satisfies errors.Is against.
+type errorRow struct {
+	code     uint8
+	name     string
+	sentinel error
 }
 
-// ErrorCode classifies an error for transport. The first matching
-// sentinel wins; wrapped chains are honoured via errors.Is.
+// errorTable declares every code once, in classification order:
+// ErrorCode sends an error as the first row whose sentinel it matches,
+// so a specific failure comes before the broad one it may wrap
+// (GuardFailed before BranchNotFound, SweepInProgress before
+// NotCollectable, the chunk-level NotFound last). CodeGeneric carries
+// no sentinel: it is what an error matching no row travels as, and it
+// decodes opaque.
+var errorTable = [...]errorRow{
+	{CodeGeneric, "generic", nil},
+	{CodeGuardFailed, "guard_failed", branch.ErrGuardFailed},
+	{CodeBranchExists, "branch_exists", branch.ErrBranchExists},
+	{CodeBranchNotFound, "branch_not_found", branch.ErrBranchNotFound},
+	{CodeKeyNotFound, "key_not_found", core.ErrKeyNotFound},
+	{CodeConflict, "conflict", merge.ErrConflict},
+	{CodeAccessDenied, "access_denied", servlet.ErrAccessDenied},
+	{CodeCorrupt, "corrupt", store.ErrCorrupt},
+	{CodeSweepInProgress, "sweep_in_progress", store.ErrSweepInProgress},
+	{CodeNotCollectable, "not_collectable", store.ErrNotCollectable},
+	{CodeBadOptions, "bad_options", core.ErrBadOptions},
+	{CodeTypeMismatch, "type_mismatch", core.ErrTypeMismatch},
+	{CodeCanceled, "canceled", context.Canceled},
+	{CodeDeadline, "deadline", context.DeadlineExceeded},
+	{CodeShutdown, "shutdown", ErrShutdown},
+	{CodeUnsupported, "unsupported", ErrUnsupported},
+	{CodeProto, "proto", ErrCodec},
+	{CodeDuplicateRequest, "duplicate_request", ErrDuplicateRequest},
+	{CodeNotFound, "not_found", store.ErrNotFound},
+}
+
+// errorsByCode is errorTable indexed by code, for decode and CodeName.
+var errorsByCode = func() (t [NumErrorCodes]errorRow) {
+	for _, r := range errorTable {
+		t[r.code] = r
+	}
+	return t
+}()
+
+// ErrorCode classifies an error for transport: the first row of
+// errorTable whose sentinel it matches, wrapped chains included.
 func ErrorCode(err error) uint8 {
-	// Ordered: specific failures before the broad ones they may wrap.
-	for _, code := range []uint8{
-		CodeGuardFailed, CodeBranchExists, CodeBranchNotFound, CodeKeyNotFound,
-		CodeConflict, CodeAccessDenied, CodeCorrupt, CodeSweepInProgress,
-		CodeNotCollectable, CodeBadOptions, CodeTypeMismatch,
-		CodeCanceled, CodeDeadline, CodeShutdown, CodeUnsupported, CodeProto,
-		CodeDuplicateRequest, CodeNotFound,
-	} {
-		if errors.Is(err, codeSentinels[code]) {
-			return code
+	for _, r := range errorTable {
+		if r.sentinel != nil && errors.Is(err, r.sentinel) {
+			return r.code
 		}
 	}
 	return CodeGeneric
+}
+
+// CodeName returns a stable lowercase label for an error code, used
+// as the code tag on error counters. Unknown codes format as
+// "code<n>".
+func CodeName(code uint8) string {
+	if code < NumErrorCodes {
+		return errorsByCode[code].name
+	}
+	return "code" + strconv.Itoa(int(code))
 }
 
 // remoteError is a decoded wire error: it prints the server's message
@@ -137,11 +166,9 @@ func DecodeError(d *Dec) (ErrorPayload, error) {
 	if err := d.Err(); err != nil {
 		return ErrorPayload{}, err
 	}
-	var err error
-	if sentinel := codeSentinels[code]; sentinel != nil {
-		err = &remoteError{sentinel: sentinel, msg: msg}
-	} else {
-		err = errors.New(msg)
+	err := errors.New(msg)
+	if code < NumErrorCodes && errorsByCode[code].sentinel != nil {
+		err = &remoteError{sentinel: errorsByCode[code].sentinel, msg: msg}
 	}
 	return ErrorPayload{Err: err, Conflicts: conflicts, UID: uid}, nil
 }

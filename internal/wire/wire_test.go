@@ -2,12 +2,17 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"forkbase/internal/branch"
@@ -15,7 +20,6 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/merge"
 	"forkbase/internal/postree"
-	"forkbase/internal/servlet"
 	"forkbase/internal/store"
 	"forkbase/internal/types"
 )
@@ -165,55 +169,136 @@ func TestFObjectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestErrorRoundTrip(t *testing.T) {
-	cases := []error{
-		core.ErrKeyNotFound,
-		fmt.Errorf("wrapped: %w", branch.ErrBranchNotFound),
-		branch.ErrBranchExists,
-		branch.ErrGuardFailed,
-		merge.ErrConflict,
-		servlet.ErrAccessDenied,
-		store.ErrCorrupt,
-		store.ErrNotCollectable,
-		store.ErrSweepInProgress,
-		core.ErrBadOptions,
-		core.ErrTypeMismatch,
-		context.Canceled,
-		context.DeadlineExceeded,
-		ErrShutdown,
-		ErrUnsupported,
-		store.ErrNotFound,
+// roundTripError sends err through the error codec as a server would.
+func roundTripError(t *testing.T, err error) ErrorPayload {
+	t.Helper()
+	var e Enc
+	EncodeError(&e, err, nil, types.UID{})
+	ep, derr := DecodeError(NewDec(e.Bytes()))
+	if derr != nil {
+		t.Fatal(derr)
 	}
-	for _, want := range cases {
-		var e Enc
-		EncodeError(&e, fmt.Errorf("server: %w", want), nil, types.UID{})
-		ep, err := DecodeError(NewDec(e.Bytes()))
-		if err != nil {
-			t.Fatal(err)
+	return ep
+}
+
+func TestErrorRoundTrip(t *testing.T) {
+	// Every row of the error table: classified as its own code and
+	// decoded typed, whatever wraps it.
+	for _, r := range errorTable {
+		if r.sentinel == nil {
+			continue
 		}
-		if !errors.Is(ep.Err, errors.Unwrap(want)) && !errors.Is(ep.Err, want) {
-			t.Fatalf("decoded %v does not satisfy errors.Is(%v)", ep.Err, want)
+		err := fmt.Errorf("server: %w", r.sentinel)
+		if got := ErrorCode(err); got != r.code {
+			t.Fatalf("%v classified as %s, want %s", err, CodeName(got), r.name)
+		}
+		if ep := roundTripError(t, err); !errors.Is(ep.Err, r.sentinel) || ep.Err.Error() != err.Error() {
+			t.Fatalf("%s: decoded %v does not satisfy errors.Is(%v)", r.name, ep.Err, r.sentinel)
+		}
+	}
+	// Classification order is wire behaviour: an error matching two
+	// rows travels as the earlier one.
+	wantOrder := []uint8{
+		CodeGuardFailed, CodeBranchExists, CodeBranchNotFound, CodeKeyNotFound,
+		CodeConflict, CodeAccessDenied, CodeCorrupt, CodeSweepInProgress,
+		CodeNotCollectable, CodeBadOptions, CodeTypeMismatch,
+		CodeCanceled, CodeDeadline, CodeShutdown, CodeUnsupported, CodeProto,
+		CodeDuplicateRequest, CodeNotFound,
+	}
+	var order []uint8
+	for _, r := range errorTable {
+		if r.sentinel != nil {
+			order = append(order, r.code)
+		}
+	}
+	if !reflect.DeepEqual(order, wantOrder) {
+		t.Fatalf("classification order changed: %v, want %v", order, wantOrder)
+	}
+	for _, c := range []struct {
+		err  error
+		want uint8
+	}{
+		{fmt.Errorf("%w: %w", branch.ErrBranchNotFound, branch.ErrGuardFailed), CodeGuardFailed},
+		{fmt.Errorf("%w: %w", store.ErrNotFound, store.ErrCorrupt), CodeCorrupt},
+		{fmt.Errorf("%w: %w", store.ErrNotCollectable, store.ErrSweepInProgress), CodeSweepInProgress},
+	} {
+		if got := ErrorCode(c.err); got != c.want {
+			t.Fatalf("%v classified as %s, want %s", c.err, CodeName(got), CodeName(c.want))
 		}
 	}
 	// A generic error stays opaque but keeps its message.
-	var e Enc
-	EncodeError(&e, errors.New("something odd"), nil, types.UID{})
-	ep, err := DecodeError(NewDec(e.Bytes()))
-	if err != nil || ep.Err.Error() != "something odd" {
-		t.Fatalf("generic error: %v %v", ep.Err, err)
+	if ep := roundTripError(t, errors.New("something odd")); ep.Err.Error() != "something odd" || errors.Unwrap(ep.Err) != nil {
+		t.Fatalf("generic error: %v", ep.Err)
 	}
 	// Conflicts and the uid ride along.
 	conflicts := []merge.Conflict{{Key: []byte("k"), A: []byte("a"), B: nil, Message: "m"}}
 	uid := types.UID{1, 2, 3}
-	e = Enc{}
+	var e Enc
 	EncodeError(&e, merge.ErrConflict, conflicts, uid)
-	ep, err = DecodeError(NewDec(e.Bytes()))
+	ep, err := DecodeError(NewDec(e.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ep.Conflicts) != 1 || string(ep.Conflicts[0].Key) != "k" ||
 		ep.Conflicts[0].B != nil || ep.UID != uid {
 		t.Fatalf("conflict payload mangled: %+v", ep)
+	}
+}
+
+// TestCoreSentinelsHaveCodes reads the exported Err* variables out of
+// internal/core's sources: each must be in the map below and cross the
+// wire typed. A new engine sentinel fails here until it has a row in
+// the error table (and an entry in the map).
+func TestCoreSentinelsHaveCodes(t *testing.T) {
+	sentinels := map[string]error{
+		"ErrKeyNotFound":  core.ErrKeyNotFound,
+		"ErrTypeMismatch": core.ErrTypeMismatch,
+		"ErrBadOptions":   core.ErrBadOptions,
+	}
+	entries, err := os.ReadDir("../core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var names []string
+	for _, ent := range entries {
+		if !strings.HasSuffix(ent.Name(), ".go") || strings.HasSuffix(ent.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join("../core", ent.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					if id.IsExported() && strings.HasPrefix(id.Name, "Err") {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("found no Err* variables in internal/core")
+	}
+	for _, name := range names {
+		sentinel, ok := sentinels[name]
+		if !ok {
+			t.Errorf("core.%s has no wire error code: add a row to the error table and an entry here", name)
+			continue
+		}
+		err := fmt.Errorf("engine: %w", sentinel)
+		if code := ErrorCode(err); code == CodeGeneric {
+			t.Errorf("core.%s travels as %s", name, CodeName(code))
+		}
+		if ep := roundTripError(t, err); !errors.Is(ep.Err, sentinel) {
+			t.Errorf("core.%s decoded as %v, not typed", name, ep.Err)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ type RemoteConfig struct {
 	// in-memory store.MemStore — keeps every chunk it is handed for the
 	// life of the RemoteStore, so without ChunkCacheDir resident memory
 	// grows with the chunks read and written whatever this is set to
-	// (ROADMAP.md, open item 1a).
+	// (ROADMAP.md, open item "Client chunk store").
 	ChunkCacheBytes int64
 }
 
@@ -218,15 +218,10 @@ func (rs *RemoteStore) ServerStats(ctx context.Context) ([]MetricSample, error) 
 	if rs.features.Load()&wire.FeatureServerStats == 0 {
 		return nil, fmt.Errorf("forkbase: server does not advertise per-op metrics (pre-stats forkserved): %w", wire.ErrUnsupported)
 	}
-	d, ep, err := rs.call(ctx, wire.OpServerStats, okStatsPayload())
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	samples := wire.DecodeSamples(d)
-	return samples, d.Err()
+	samples, _, err := roundTrip(ctx, rs, wire.OpServerStats, nil, nil, func(d *wire.Dec) ([]MetricSample, error) {
+		return wire.DecodeSamples(d), nil
+	})
+	return samples, err
 }
 
 // chunkSyncOn reports whether chunk-granular transfer is active: the
@@ -501,20 +496,15 @@ func (c *remoteConn) write(id uint64, op uint8, payload []byte) error {
 	return c.fw.writeFrame(id, op, payload)
 }
 
-// call performs one request/response exchange. Exactly one of the
-// three results is meaningful: a decoder positioned after the status
-// byte (success), the server's typed error payload, or a local /
-// transport error.
-func (rs *RemoteStore) call(ctx context.Context, op uint8, payload []byte) (*wire.Dec, *wire.ErrorPayload, error) {
-	return rs.callSlot(ctx, rs.next.Add(1), op, payload)
-}
-
-// callSlot is call pinned to a pool slot. The chunk-sync ops of one
-// logical Put must all travel on the same connection: the server
-// scopes the GC shields taken during negotiation to the connection
-// that negotiated them, so a commit arriving on a different connection
-// would not release them (and a mid-upload disconnect could not be
-// told apart from a still-negotiating client).
+// callSlot performs one request/response exchange on a pool slot.
+// Exactly one of the three results is meaningful: a decoder positioned
+// after the status byte (success), the server's typed error payload,
+// or a local / transport error. The chunk-sync ops of one logical Put
+// must all travel on the same connection: the server scopes the GC
+// shields taken during negotiation to the connection that negotiated
+// them, so a commit arriving on a different connection would not
+// release them (and a mid-upload disconnect could not be told apart
+// from a still-negotiating client).
 func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) (d *wire.Dec, ep *wire.ErrorPayload, err error) {
 	start := time.Now()
 	defer func() { rs.cm.observe(op, start, err != nil || ep != nil) }()
@@ -553,11 +543,19 @@ func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payl
 		// for the walk. The response, if it still arrives, is dropped
 		// by the read loop.
 		c.unregister(id)
-		var e wire.Enc
-		e.U64(id)
-		go c.write(rs.reqID.Add(1), wire.OpCancel, e.Bytes())
+		rs.cancel(c, id)
 		return nil, nil, ctx.Err()
 	}
+}
+
+// cancel tells the server, best effort, to stop working on request id:
+// the caller has walked away. It is counted, not timed, as the server
+// counts it.
+func (rs *RemoteStore) cancel(c *remoteConn, id uint64) {
+	rs.cm.reqs[wire.OpCancel].Inc()
+	var e wire.Enc
+	e.U64(id)
+	go c.write(rs.reqID.Add(1), wire.OpCancel, e.Bytes())
 }
 
 // decodeStatus splits a response payload into success decoder or
@@ -598,42 +596,66 @@ func wireOpts(o callOpts) (wire.CallOptions, error) {
 	}, nil
 }
 
-// request encodes the common prefix (options) and hands the encoder
-// over for op-specific fields.
-func (rs *RemoteStore) request(ctx context.Context, op uint8, opts []Option, fill func(e *wire.Enc) error) (*wire.Dec, *wire.ErrorPayload, error) {
+// roundTrip performs one Store call on the next pool slot: the option
+// prefix, then whatever enc appends; on success dec reads the response
+// body and the decoder's error is the call's. A typed server error is
+// returned as err with its payload in ep — Put and Merge hand back the
+// uid and conflicts it carries.
+func roundTrip[T any](ctx context.Context, rs *RemoteStore, op uint8, opts []Option, enc func(e *wire.Enc) error, dec func(d *wire.Dec) (T, error)) (v T, ep *wire.ErrorPayload, err error) {
 	co, err := wireOpts(resolveOpts(opts))
 	if err != nil {
-		return nil, nil, err
+		return v, nil, err
 	}
 	// The request encoding rides a pooled buffer: the frame writer
 	// consumes the payload before writeFrame returns, so it is free
 	// for reuse once the call has been sent.
 	e := wire.EncWith(wire.GetFrameBuf())
 	wire.EncodeCallOptions(&e, co)
-	if fill != nil {
-		if err := fill(&e); err != nil {
+	if enc != nil {
+		if err := enc(&e); err != nil {
 			wire.PutFrameBuf(e.Bytes())
-			return nil, nil, err
+			return v, nil, err
 		}
 	}
-	d, ep, err := rs.call(ctx, op, e.Bytes())
+	d, ep, err := rs.callSlot(ctx, rs.next.Add(1), op, e.Bytes())
 	wire.PutFrameBuf(e.Bytes())
-	return d, ep, err
+	if err != nil {
+		return v, nil, err
+	}
+	if ep != nil {
+		return v, ep, ep.Err
+	}
+	if v, err = dec(d); err == nil {
+		err = d.Err()
+	}
+	return v, nil, err
 }
+
+// encKey and encKeyUID are the request bodies several ops share.
+func encKey(key string) func(e *wire.Enc) error {
+	return func(e *wire.Enc) error {
+		e.Str(key)
+		return nil
+	}
+}
+
+func encKeyUID(key string, uid UID) func(e *wire.Enc) error {
+	return func(e *wire.Enc) error {
+		e.Str(key)
+		e.UID(uid)
+		return nil
+	}
+}
+
+// noBody decodes a response that carries nothing but its status.
+func noBody(*wire.Dec) (struct{}, error) { return struct{}{}, nil }
+
+func decUID(d *wire.Dec) (UID, error) { return d.UID(), nil }
 
 // Get implements Store.
 func (rs *RemoteStore) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
-	d, ep, err := rs.request(ctx, wire.OpGet, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	return wire.DecodeFObject(d)
+	o, _, err := roundTrip(ctx, rs, wire.OpGet, opts, encKey(key), wire.DecodeFObject)
+	return o, err
 }
 
 // Put implements Store. With chunk sync active, chunkable values take
@@ -649,18 +671,14 @@ func (rs *RemoteStore) Put(ctx context.Context, key string, v Value, opts ...Opt
 		// The server stopped serving chunk ops (e.g. failed over to a
 		// proxy backend); full-ship still works.
 	}
-	d, ep, err := rs.request(ctx, wire.OpPut, opts, func(e *wire.Enc) error {
+	uid, ep, err := roundTrip(ctx, rs, wire.OpPut, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		return wire.EncodeValue(e, v)
-	})
-	if err != nil {
-		return UID{}, err
-	}
+	}, decUID)
 	if ep != nil {
-		return ep.UID, ep.Err
+		return ep.UID, err
 	}
-	uid := d.UID()
-	return uid, d.Err()
+	return uid, err
 }
 
 // Apply implements Store: the whole batch travels as one request and
@@ -670,7 +688,7 @@ func (rs *RemoteStore) Apply(ctx context.Context, b *Batch, opts ...Option) ([]U
 	if b.err != nil {
 		return nil, b.err
 	}
-	d, ep, err := rs.request(ctx, wire.OpApply, opts, func(e *wire.Enc) error {
+	uids, _, err := roundTrip(ctx, rs, wire.OpApply, opts, func(e *wire.Enc) error {
 		e.U32(uint32(len(b.puts)))
 		for _, p := range b.puts {
 			e.Str(string(p.Key))
@@ -685,201 +703,132 @@ func (rs *RemoteStore) Apply(ctx context.Context, b *Batch, opts ...Option) ([]U
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	uids := wire.DecodeUIDs(d)
-	return uids, d.Err()
+	}, func(d *wire.Dec) ([]UID, error) { return wire.DecodeUIDs(d), nil })
+	return uids, err
 }
 
 // Fork implements Store.
 func (rs *RemoteStore) Fork(ctx context.Context, key, newBranch string, opts ...Option) error {
-	_, ep, err := rs.request(ctx, wire.OpFork, opts, func(e *wire.Enc) error {
+	_, _, err := roundTrip(ctx, rs, wire.OpFork, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		e.Str(newBranch)
 		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if ep != nil {
-		return ep.Err
-	}
-	return nil
+	}, noBody)
+	return err
 }
 
 // Merge implements Store. Conflict lists — and the uid of a merge
 // that applied but failed a durability report — round-trip inside
 // error responses.
 func (rs *RemoteStore) Merge(ctx context.Context, key, tgtBranch string, opts ...Option) (UID, []Conflict, error) {
-	d, ep, err := rs.request(ctx, wire.OpMerge, opts, func(e *wire.Enc) error {
+	uid, ep, err := roundTrip(ctx, rs, wire.OpMerge, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		e.Str(tgtBranch)
 		return nil
-	})
-	if err != nil {
-		return UID{}, nil, err
-	}
+	}, decUID)
 	if ep != nil {
-		return ep.UID, ep.Conflicts, ep.Err
+		return ep.UID, ep.Conflicts, err
 	}
-	uid := d.UID()
-	return uid, nil, d.Err()
+	return uid, nil, err
 }
 
 // Track implements Store.
 func (rs *RemoteStore) Track(ctx context.Context, key string, from, to int, opts ...Option) ([]*FObject, error) {
-	d, ep, err := rs.request(ctx, wire.OpTrack, opts, func(e *wire.Enc) error {
+	hist, _, err := roundTrip(ctx, rs, wire.OpTrack, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		e.I64(int64(from))
 		e.I64(int64(to))
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	n := d.Count(4)
-	out := make([]*FObject, 0, n)
-	for i := 0; i < n; i++ {
-		o, err := wire.DecodeFObject(d)
-		if err != nil {
-			return nil, err
+	}, func(d *wire.Dec) ([]*FObject, error) {
+		n := d.Count(4)
+		out := make([]*FObject, 0, n)
+		for i := 0; i < n; i++ {
+			o, err := wire.DecodeFObject(d)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, o)
 		}
-		out = append(out, o)
-	}
-	return out, d.Err()
+		return out, nil
+	})
+	return hist, err
 }
 
 // Diff implements Store.
 func (rs *RemoteStore) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*Diff, error) {
-	d, ep, err := rs.request(ctx, wire.OpDiff, opts, func(e *wire.Enc) error {
+	df, _, err := roundTrip(ctx, rs, wire.OpDiff, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		e.UID(a)
 		e.UID(b)
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	return wire.DecodeDiff(d)
+	}, wire.DecodeDiff)
+	return df, err
 }
 
 // ListKeys implements Store.
 func (rs *RemoteStore) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
-	d, ep, err := rs.request(ctx, wire.OpListKeys, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	n := d.Count(4)
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.Str())
-	}
-	return out, d.Err()
+	keys, _, err := roundTrip(ctx, rs, wire.OpListKeys, opts, nil, func(d *wire.Dec) ([]string, error) {
+		n := d.Count(4)
+		out := make([]string, 0, n)
+		for i := 0; i < n; i++ {
+			out = append(out, d.Str())
+		}
+		return out, nil
+	})
+	return keys, err
 }
 
 // ListBranches implements Store.
 func (rs *RemoteStore) ListBranches(ctx context.Context, key string, opts ...Option) (BranchList, error) {
-	d, ep, err := rs.request(ctx, wire.OpListBranches, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		return nil
+	bl, _, err := roundTrip(ctx, rs, wire.OpListBranches, opts, encKey(key), func(d *wire.Dec) (BranchList, error) {
+		return BranchList{
+			Tagged:   wire.DecodeTaggedBranches(d),
+			Untagged: wire.DecodeUIDs(d),
+		}, nil
 	})
-	if err != nil {
-		return BranchList{}, err
-	}
-	if ep != nil {
-		return BranchList{}, ep.Err
-	}
-	bl := BranchList{
-		Tagged:   wire.DecodeTaggedBranches(d),
-		Untagged: wire.DecodeUIDs(d),
-	}
-	return bl, d.Err()
+	return bl, err
 }
 
 // RenameBranch implements Store.
 func (rs *RemoteStore) RenameBranch(ctx context.Context, key, branchName, newName string, opts ...Option) error {
-	_, ep, err := rs.request(ctx, wire.OpRenameBranch, opts, func(e *wire.Enc) error {
+	_, _, err := roundTrip(ctx, rs, wire.OpRenameBranch, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		e.Str(branchName)
 		e.Str(newName)
 		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if ep != nil {
-		return ep.Err
-	}
-	return nil
+	}, noBody)
+	return err
 }
 
 // RemoveBranch implements Store.
 func (rs *RemoteStore) RemoveBranch(ctx context.Context, key, branchName string, opts ...Option) error {
-	_, ep, err := rs.request(ctx, wire.OpRemoveBranch, opts, func(e *wire.Enc) error {
+	_, _, err := roundTrip(ctx, rs, wire.OpRemoveBranch, opts, func(e *wire.Enc) error {
 		e.Str(key)
 		e.Str(branchName)
 		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if ep != nil {
-		return ep.Err
-	}
-	return nil
+	}, noBody)
+	return err
 }
 
 // Pin implements Store.
 func (rs *RemoteStore) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	return rs.pinOp(ctx, wire.OpPin, key, uid, opts)
+	_, _, err := roundTrip(ctx, rs, wire.OpPin, opts, encKeyUID(key, uid), noBody)
+	return err
 }
 
 // Unpin implements Store.
 func (rs *RemoteStore) Unpin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	return rs.pinOp(ctx, wire.OpUnpin, key, uid, opts)
-}
-
-func (rs *RemoteStore) pinOp(ctx context.Context, op uint8, key string, uid UID, opts []Option) error {
-	_, ep, err := rs.request(ctx, op, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		e.UID(uid)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if ep != nil {
-		return ep.Err
-	}
-	return nil
+	_, _, err := roundTrip(ctx, rs, wire.OpUnpin, opts, encKeyUID(key, uid), noBody)
+	return err
 }
 
 // GC implements Store: the collection runs on the server against
 // whatever backend forkserved wraps.
 func (rs *RemoteStore) GC(ctx context.Context, opts ...Option) (GCStats, error) {
-	d, ep, err := rs.request(ctx, wire.OpGC, opts, nil)
-	if err != nil {
-		return GCStats{}, err
-	}
-	if ep != nil {
-		return GCStats{}, ep.Err
-	}
-	stats := wire.DecodeGCStats(d)
-	return stats, d.Err()
+	stats, _, err := roundTrip(ctx, rs, wire.OpGC, opts, nil, func(d *wire.Dec) (GCStats, error) {
+		return wire.DecodeGCStats(d), nil
+	})
+	return stats, err
 }
 
 // Value implements Store. Without chunk sync the value is materialized
@@ -903,41 +852,18 @@ func (rs *RemoteStore) Value(ctx context.Context, key string, o *FObject, opts .
 			return v, err
 		}
 	}
-	d, ep, err := rs.request(ctx, wire.OpValue, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		e.UID(o.UID())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	return wire.DecodeValue(d)
+	v, _, err := roundTrip(ctx, rs, wire.OpValue, opts, encKeyUID(key, o.UID()), wire.DecodeValue)
+	return v, err
 }
 
 // Stats reports the server backend's chunk-storage counters (tooling;
 // not part of the Store interface — backends without counters return
 // an error).
 func (rs *RemoteStore) Stats(ctx context.Context) (StoreStats, error) {
-	d, ep, err := rs.call(ctx, wire.OpStats, okStatsPayload())
-	if err != nil {
-		return StoreStats{}, err
-	}
-	if ep != nil {
-		return StoreStats{}, ep.Err
-	}
-	stats := wire.DecodeStats(d)
-	return stats, d.Err()
-}
-
-// okStatsPayload is an empty option set — Stats carries no options
-// but the request layout always leads with one.
-func okStatsPayload() []byte {
-	var e wire.Enc
-	wire.EncodeCallOptions(&e, wire.CallOptions{})
-	return e.Bytes()
+	stats, _, err := roundTrip(ctx, rs, wire.OpStats, nil, nil, func(d *wire.Dec) (StoreStats, error) {
+		return wire.DecodeStats(d), nil
+	})
+	return stats, err
 }
 
 // --- chunk-granular transfer (chunksync) ----------------------------
@@ -1011,9 +937,7 @@ func (rs *RemoteStore) chunkWantStream(ctx context.Context, user, key string, id
 	// keep delivering (and discarding) whatever is already in flight
 	// until the server's final frame lands.
 	abort := func(err error) (int, error) {
-		var ce wire.Enc
-		ce.U64(id)
-		go c.write(rs.reqID.Add(1), wire.OpCancel, ce.Bytes())
+		rs.cancel(c, id)
 		reapStream(ch)
 		return got, err
 	}

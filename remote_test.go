@@ -223,6 +223,29 @@ func TestRemoteTortureMalformedFrames(t *testing.T) {
 		expectClosed(t, c)
 		checkHealthy("pre-hello")
 	})
+	t.Run("ResponseOnlyOp", func(t *testing.T) {
+		c := raw(t)
+		hello(t, c)
+		// OpChunkWantPart only ever travels server to client; as a
+		// request it is a typed protocol error for that request alone.
+		if err := wire.WriteFrame(c, 47, wire.OpChunkWantPart, okStatsOpts()); err != nil {
+			t.Fatal(err)
+		}
+		reqID, op, payload, err := wire.ReadFrame(c, 0)
+		if err != nil || reqID != 47 || op != wire.OpChunkWantPart || len(payload) == 0 || payload[0] != 1 {
+			t.Fatalf("want-part request: id %d op %d payload %x err %v; want an error response", reqID, op, payload, err)
+		}
+		if ep, derr := wire.DecodeError(wire.NewDec(payload[1:])); derr != nil || !errors.Is(ep.Err, wire.ErrCodec) {
+			t.Fatalf("want-part request answered %+v (%v), want ErrCodec", ep, derr)
+		}
+		if err := wire.WriteFrame(c, 48, wire.OpListKeys, okStatsOpts()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, payload, err := wire.ReadFrame(c, 0); err != nil || len(payload) == 0 || payload[0] != 0 {
+			t.Fatalf("connection unusable after a want-part request: %v", err)
+		}
+		checkHealthy("response-only-op")
+	})
 	t.Run("MidRequestDisconnect", func(t *testing.T) {
 		// A full valid request whose connection dies before the
 		// response: the handler must abort via ctx, not linger.
@@ -304,6 +327,62 @@ func TestRemotePreHelloFrameCap(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > wire.DefaultMaxFrame/8 {
 		t.Fatalf("server allocated %d bytes on a pre-hello length prefix", grew)
+	}
+}
+
+// TestServerHelloDeadline: a peer that connects and never completes
+// its Hello — silent, or stalled halfway through the frame — is hung up
+// on once the Hello deadline passes, and its read loop is gone. A
+// connection whose Hello succeeded has no deadline: it may idle past it
+// and still be served.
+func TestServerHelloDeadline(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	t.Cleanup(forkbase.SetHelloTimeoutForTest(timeout)) // after the server closes
+	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	idle := rawHello(t, addr)
+	before := runtime.NumGoroutine()
+
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	half, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer half.Close()
+	var e wire.Enc
+	e.U32(wire.ProtoVersion)
+	e.Str("")
+	hello := wire.AppendFrame(nil, 1, wire.OpHello, e.Bytes())
+	if _, err := half.Write(hello[:len(hello)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, c := range map[string]net.Conn{"silent": silent, "half-sent hello": half} {
+		c.SetReadDeadline(time.Now().Add(10 * timeout))
+		if _, err := c.Read(make([]byte, 16)); !errors.Is(err, io.EOF) && (err == nil || !strings.Contains(err.Error(), "reset")) {
+			t.Fatalf("%s connection: read = %v, want the server to hang up", name, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The authenticated connection idles well past the deadline.
+	time.Sleep(timeout)
+	idle.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteFrame(idle, 2, wire.OpListKeys, okStatsOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, payload, err := wire.ReadFrame(idle, 0); err != nil || len(payload) == 0 || payload[0] != 0 {
+		t.Fatalf("idle authenticated connection not served: %v", err)
 	}
 }
 

@@ -349,6 +349,9 @@ func (s *Server) newConn(c net.Conn) *serverConn {
 			s.logf("forkserved: write to %s: %v", c.RemoteAddr(), err)
 		}
 	})
+	// A deadline that cannot be set is on a socket already dead, which
+	// the read loop finds out on its first read.
+	_ = c.SetReadDeadline(time.Now().Add(helloTimeout))
 	return sc
 }
 
@@ -506,6 +509,12 @@ func (sc *serverConn) readLoop() {
 // version and a token.
 const preHelloMaxFrame = 64 << 10
 
+// helloTimeout bounds how long an accepted connection may take to
+// complete its Hello. Without it a peer that connects and never speaks
+// holds a read loop and its buffer forever. Once the Hello succeeds the
+// read deadline is cleared: an authenticated connection may idle.
+var helloTimeout = 10 * time.Second
+
 func (sc *serverConn) readFrame() (rawFrame, error) {
 	var f rawFrame
 	var err error
@@ -556,12 +565,11 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		// violation; refuse and hang up.
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: hello required before requests", ErrAccessDenied), nil, UID{})
 		return false, nil, true
-	case !wire.KnownOp(f.op):
-		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: unknown op %d (this server speaks ops %d..%d)",
-			wire.ErrCodec, f.op, wire.OpHello, wire.OpMax-1), nil, UID{})
+	case !served(f.op):
+		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: op %d is not a request this server serves", wire.ErrCodec, f.op), nil, UID{})
 	case !sc.srv.admit():
 		sc.respondErr(f.reqID, f.op, ErrServerClosed, nil, UID{})
-	case sc.inlineOp(f.op):
+	case sc.srv.db != nil && serverOps[f.op].inline:
 		// The small-op fast path: answer right here on the read loop —
 		// no goroutine, no context allocation, no cancel registration
 		// (OpCancel arrives on this same loop, so it cannot race an op
@@ -572,28 +580,12 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		sc.srv.observe(sc, f.op, start, resp)
 		sc.send(f.reqID, f.op, resp)
 		sc.deferredDone++
-	case f.op == wire.OpPut && sc.srv.db != nil:
+	case sc.srv.db != nil && serverOps[f.op].coalesce:
 		return sc.handlePut(f)
 	default:
 		return sc.slowPath(f), nil, false
 	}
 	return false, nil, false
-}
-
-// inlineOp reports the ops cheap enough to answer on the read loop:
-// point reads and metadata listings against a local backend. Writes,
-// merges, history walks and value materialization keep the worker
-// path — they can block, and a blocked read loop stalls the whole
-// connection.
-func (sc *serverConn) inlineOp(op uint8) bool {
-	if sc.srv.db == nil {
-		return false
-	}
-	switch op {
-	case wire.OpGet, wire.OpStats, wire.OpListKeys, wire.OpListBranches:
-		return true
-	}
-	return false
 }
 
 // slowPath registers the request's cancel func and hands it to the
@@ -698,6 +690,7 @@ func (sc *serverConn) hello(reqID uint64, payload []byte) bool {
 		sc.respondErr(reqID, wire.OpHello, fmt.Errorf("%w: bad auth token", ErrAccessDenied), nil, UID{})
 		return false
 	}
+	_ = sc.c.SetReadDeadline(time.Time{}) // as in newConn
 	sc.authed.Store(true)
 	sc.srv.met.reqs[wire.OpHello].Inc()
 	e := wire.EncWith(wire.GetFrameBuf())
@@ -804,227 +797,301 @@ func optsFromWire(w wire.CallOptions) (callOpts, error) {
 	return o, nil
 }
 
-// dispatch decodes one request, runs it against the wrapped store and
-// returns the response payload. Decode failures — truncated or
+// request is one decoded request as its handler sees it: options
+// resolved, the decoder positioned after them. Handlers take it by
+// value — the decoder included — so the call through the op table
+// allocates nothing. sc is the originating connection: the chunk ops
+// scope their GC shields to it, so a client that disconnects
+// mid-negotiation releases whatever it had protected.
+type request struct {
+	ctx  context.Context
+	sc   *serverConn
+	id   uint64
+	d    wire.Dec
+	co   callOpts
+	opts []Option
+}
+
+// opRow is one op of the served surface.
+type opRow struct {
+	// serve runs the request against the server and returns the
+	// response payload.
+	serve func(s *Server, r request) []byte
+	// inline answers the op on the read loop when the backend is a
+	// local *DB: point reads and metadata listings. Writes, merges,
+	// history walks and value materialization keep the worker path —
+	// they can block, and a blocked read loop stalls the whole
+	// connection.
+	inline bool
+	// coalesce lets adjacent requests of the op run as one engine batch
+	// when the backend is a local *DB (handlePut).
+	coalesce bool
+	// chunk marks the ops served from the backend's chunk store, which
+	// only a local backend with chunk sync enabled has.
+	chunk bool
+}
+
+// serverOps is the op table, indexed by op code. Hello and Cancel are
+// connection-level and answered by the read loop itself;
+// OpChunkWantPart is response-only. Neither has a row, and a request
+// for an op without one gets a typed CodeProto error.
+var serverOps = [wire.OpMax]opRow{
+	wire.OpGet:          {serve: serveGet, inline: true},
+	wire.OpPut:          {serve: servePut, coalesce: true},
+	wire.OpApply:        {serve: serveApply},
+	wire.OpFork:         {serve: serveFork},
+	wire.OpMerge:        {serve: serveMerge},
+	wire.OpTrack:        {serve: serveTrack},
+	wire.OpDiff:         {serve: serveDiff},
+	wire.OpListKeys:     {serve: serveListKeys, inline: true},
+	wire.OpListBranches: {serve: serveListBranches, inline: true},
+	wire.OpRenameBranch: {serve: serveRenameBranch},
+	wire.OpRemoveBranch: {serve: serveRemoveBranch},
+	wire.OpPin:          {serve: servePin},
+	wire.OpUnpin:        {serve: serveUnpin},
+	wire.OpGC:           {serve: serveGC},
+	wire.OpValue:        {serve: serveValue},
+	wire.OpStats:        {serve: serveStats, inline: true},
+	wire.OpChunkHave:    {serve: serveChunkHave, chunk: true},
+	wire.OpChunkWant:    {serve: serveChunkWant, chunk: true},
+	wire.OpChunkSend:    {serve: serveChunkSend, chunk: true},
+	wire.OpPutChunked:   {serve: servePutChunked, chunk: true},
+	wire.OpServerStats:  {serve: serveServerStats},
+}
+
+// served reports whether op has a row in the op table.
+func served(op uint8) bool { return wire.KnownOp(op) && serverOps[op].serve != nil }
+
+// dispatch decodes one request's options and runs its op's handler,
+// returning the response payload. Decode failures — truncated or
 // garbage payloads inside intact frames — fail the request, never the
-// process: every decoder is bounds-checked by construction. sc is the
-// originating connection: the chunk ops scope their GC shields to it,
-// so a client that disconnects mid-negotiation releases whatever it
-// had protected.
+// process: every decoder is bounds-checked by construction. op has a
+// row (the read loop refuses those that do not).
 func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op uint8, payload []byte) []byte {
-	d := wire.NewDec(payload)
-	co, err := optsFromWire(wire.DecodeCallOptions(d))
+	r := request{ctx: ctx, sc: sc, id: reqID, d: *wire.NewDec(payload)}
+	co, err := optsFromWire(wire.DecodeCallOptions(&r.d))
+	if err == nil {
+		err = r.d.Err()
+	}
+	if err != nil {
+		return fail(err)
+	}
+	row := &serverOps[op]
+	if row.chunk && !s.chunkSync() {
+		return fail(fmt.Errorf("%w: backend %T does not serve chunk-granular transfer", wire.ErrUnsupported, s.st))
+	}
+	r.co = co
+	r.opts = co.options()
+	return row.serve(s, r)
+}
+
+// fail is the error response of a request whose error carries no
+// conflicts or uid.
+func fail(err error) []byte { return errPayload(err, nil, UID{}) }
+
+// reply is the response of a store call that returned err: the error,
+// or success with a body filled by fill (nil for none).
+func reply(err error, fill func(e *wire.Enc)) []byte {
+	if err != nil {
+		return fail(err)
+	}
+	return okPayload(fill)
+}
+
+func serveGet(s *Server, r request) []byte {
+	key := r.d.Str()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	o, err := s.st.Get(r.ctx, key, r.opts...)
+	return reply(err, func(e *wire.Enc) { wire.EncodeFObject(e, o) })
+}
+
+func servePut(s *Server, r request) []byte {
+	key := r.d.Str()
+	// Zero-copy decode: the value is consumed (its staged bytes copied
+	// on ingest) before the worker recycles the frame buffer. The value
+	// decoder escapes, so it gets a copy and r stays on the stack.
+	d := r.d
+	v, err := wire.DecodeValueRef(&d)
 	if err == nil {
 		err = d.Err()
 	}
 	if err != nil {
-		return errPayload(err, nil, UID{})
+		return fail(err)
 	}
-	opts := co.options()
-	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
-	switch op {
-	case wire.OpGet:
-		key := d.Str()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		o, err := s.st.Get(ctx, key, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) { wire.EncodeFObject(e, o) })
-	case wire.OpPut:
-		key := d.Str()
-		// Zero-copy decode: the value is consumed (its staged bytes
-		// copied on ingest) before the worker recycles the frame buffer.
-		v, verr := wire.DecodeValueRef(d)
-		if verr == nil {
-			verr = d.Err()
-		}
-		if verr != nil {
-			return fail(verr)
-		}
-		uid, err := s.st.Put(ctx, key, v, opts...)
-		if err != nil {
-			return errPayload(err, nil, uid)
-		}
-		return okPayload(func(e *wire.Enc) { e.UID(uid) })
-	case wire.OpApply:
-		n := d.Count(4)
-		b := NewBatch()
-		for i := 0; i < n; i++ {
-			key := d.Str()
-			po, oerr := optsFromWire(wire.DecodeCallOptions(d))
-			v, verr := wire.DecodeValueRef(d)
-			if verr == nil {
-				verr = oerr
-			}
-			if verr == nil {
-				verr = d.Err()
-			}
-			if verr != nil {
-				return fail(verr)
-			}
-			b.put(key, v, &po)
-		}
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		uids, err := s.st.Apply(ctx, b, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) { wire.EncodeUIDs(e, uids) })
-	case wire.OpFork:
-		key, newBranch := d.Str(), d.Str()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if err := s.st.Fork(ctx, key, newBranch, opts...); err != nil {
-			return fail(err)
-		}
-		return okPayload(nil)
-	case wire.OpMerge:
-		key, tgt := d.Str(), d.Str()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		uid, conflicts, err := s.st.Merge(ctx, key, tgt, opts...)
-		if err != nil {
-			return errPayload(err, conflicts, uid)
-		}
-		return okPayload(func(e *wire.Enc) { e.UID(uid) })
-	case wire.OpTrack:
-		key := d.Str()
-		from, to := int(d.I64()), int(d.I64())
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		hist, err := s.st.Track(ctx, key, from, to, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) {
-			e.U32(uint32(len(hist)))
-			for _, o := range hist {
-				wire.EncodeFObject(e, o)
-			}
-		})
-	case wire.OpDiff:
-		key := d.Str()
-		a, b := d.UID(), d.UID()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		df, err := s.st.Diff(ctx, key, a, b, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) { wire.EncodeDiff(e, df) })
-	case wire.OpListKeys:
-		keys, err := s.st.ListKeys(ctx, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) {
-			e.U32(uint32(len(keys)))
-			for _, k := range keys {
-				e.Str(k)
-			}
-		})
-	case wire.OpListBranches:
-		key := d.Str()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		bl, err := s.st.ListBranches(ctx, key, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) {
-			wire.EncodeTaggedBranches(e, bl.Tagged)
-			wire.EncodeUIDs(e, bl.Untagged)
-		})
-	case wire.OpRenameBranch:
-		key, br, newName := d.Str(), d.Str(), d.Str()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if err := s.st.RenameBranch(ctx, key, br, newName, opts...); err != nil {
-			return fail(err)
-		}
-		return okPayload(nil)
-	case wire.OpRemoveBranch:
-		key, br := d.Str(), d.Str()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if err := s.st.RemoveBranch(ctx, key, br, opts...); err != nil {
-			return fail(err)
-		}
-		return okPayload(nil)
-	case wire.OpPin, wire.OpUnpin:
-		key, uid := d.Str(), d.UID()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		var err error
-		if op == wire.OpPin {
-			err = s.st.Pin(ctx, key, uid, opts...)
-		} else {
-			err = s.st.Unpin(ctx, key, uid, opts...)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(nil)
-	case wire.OpGC:
-		stats, err := s.st.GC(ctx, opts...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload(func(e *wire.Enc) { wire.EncodeGCStats(e, stats) })
-	case wire.OpValue:
-		key, uid := d.Str(), d.UID()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		// Only the user identity applies here: the version is named by
-		// uid, and forwarding the caller's branch/base options into the
-		// internal Get would redirect it to a different version (or
-		// trip ErrBadOptions) — semantics the embedded Value does not
-		// have.
-		asUser := callOpts{user: co.user}
-		pinned := callOpts{user: co.user, bases: []UID{uid}}
-		obj, err := s.st.Get(ctx, key, pinned.options()...)
-		if err != nil {
-			return fail(err)
-		}
-		v, err := s.st.Value(ctx, key, obj, asUser.options()...)
-		if err != nil {
-			return fail(err)
-		}
-		return okPayload2(func(e *wire.Enc) error { return wire.EncodeValue(e, v) })
-	case wire.OpChunkHave, wire.OpChunkWant, wire.OpChunkSend, wire.OpPutChunked:
-		if !s.chunkSync() {
-			return fail(fmt.Errorf("%w: backend %T does not serve chunk-granular transfer", wire.ErrUnsupported, s.st))
-		}
-		return s.dispatchChunk(ctx, sc, reqID, op, d, &co, opts)
-	case wire.OpStats:
-		if s.db == nil {
-			return fail(fmt.Errorf("%w: backend %T has no storage counters", wire.ErrUnsupported, s.st))
-		}
-		stats := s.db.Stats()
-		return okPayload(func(e *wire.Enc) { wire.EncodeStats(e, stats) })
-	case wire.OpServerStats:
-		snap := s.MetricsSnapshot()
-		return okPayload(func(e *wire.Enc) { wire.EncodeSamples(e, snap) })
+	uid, err := s.st.Put(r.ctx, key, v, r.opts...)
+	if err != nil {
+		return errPayload(err, nil, uid)
 	}
-	return fail(fmt.Errorf("%w: unhandled op %d", wire.ErrCodec, op))
+	return okPayload(func(e *wire.Enc) { e.UID(uid) })
 }
 
-// dispatchChunk executes the chunk-granular transfer ops. Three rules
-// govern every path here:
+func serveApply(s *Server, r request) []byte {
+	n := r.d.Count(4)
+	b := NewBatch()
+	for i := 0; i < n; i++ {
+		key := r.d.Str()
+		po, err := optsFromWire(wire.DecodeCallOptions(&r.d))
+		v, verr := wire.DecodeValueRef(&r.d)
+		if err == nil {
+			err = verr
+		}
+		if err == nil {
+			err = r.d.Err()
+		}
+		if err != nil {
+			return fail(err)
+		}
+		b.put(key, v, &po)
+	}
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	uids, err := s.st.Apply(r.ctx, b, r.opts...)
+	return reply(err, func(e *wire.Enc) { wire.EncodeUIDs(e, uids) })
+}
+
+func serveFork(s *Server, r request) []byte {
+	key, newBranch := r.d.Str(), r.d.Str()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	return reply(s.st.Fork(r.ctx, key, newBranch, r.opts...), nil)
+}
+
+func serveMerge(s *Server, r request) []byte {
+	key, tgt := r.d.Str(), r.d.Str()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	uid, conflicts, err := s.st.Merge(r.ctx, key, tgt, r.opts...)
+	if err != nil {
+		return errPayload(err, conflicts, uid)
+	}
+	return okPayload(func(e *wire.Enc) { e.UID(uid) })
+}
+
+func serveTrack(s *Server, r request) []byte {
+	key := r.d.Str()
+	from, to := int(r.d.I64()), int(r.d.I64())
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	hist, err := s.st.Track(r.ctx, key, from, to, r.opts...)
+	return reply(err, func(e *wire.Enc) {
+		e.U32(uint32(len(hist)))
+		for _, o := range hist {
+			wire.EncodeFObject(e, o)
+		}
+	})
+}
+
+func serveDiff(s *Server, r request) []byte {
+	key := r.d.Str()
+	a, b := r.d.UID(), r.d.UID()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	df, err := s.st.Diff(r.ctx, key, a, b, r.opts...)
+	return reply(err, func(e *wire.Enc) { wire.EncodeDiff(e, df) })
+}
+
+func serveListKeys(s *Server, r request) []byte {
+	keys, err := s.st.ListKeys(r.ctx, r.opts...)
+	return reply(err, func(e *wire.Enc) {
+		e.U32(uint32(len(keys)))
+		for _, k := range keys {
+			e.Str(k)
+		}
+	})
+}
+
+func serveListBranches(s *Server, r request) []byte {
+	key := r.d.Str()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	bl, err := s.st.ListBranches(r.ctx, key, r.opts...)
+	return reply(err, func(e *wire.Enc) {
+		wire.EncodeTaggedBranches(e, bl.Tagged)
+		wire.EncodeUIDs(e, bl.Untagged)
+	})
+}
+
+func serveRenameBranch(s *Server, r request) []byte {
+	key, br, newName := r.d.Str(), r.d.Str(), r.d.Str()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	return reply(s.st.RenameBranch(r.ctx, key, br, newName, r.opts...), nil)
+}
+
+func serveRemoveBranch(s *Server, r request) []byte {
+	key, br := r.d.Str(), r.d.Str()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	return reply(s.st.RemoveBranch(r.ctx, key, br, r.opts...), nil)
+}
+
+func servePin(s *Server, r request) []byte {
+	key, uid := r.d.Str(), r.d.UID()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	return reply(s.st.Pin(r.ctx, key, uid, r.opts...), nil)
+}
+
+func serveUnpin(s *Server, r request) []byte {
+	key, uid := r.d.Str(), r.d.UID()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	return reply(s.st.Unpin(r.ctx, key, uid, r.opts...), nil)
+}
+
+func serveGC(s *Server, r request) []byte {
+	stats, err := s.st.GC(r.ctx, r.opts...)
+	return reply(err, func(e *wire.Enc) { wire.EncodeGCStats(e, stats) })
+}
+
+func serveValue(s *Server, r request) []byte {
+	key, uid := r.d.Str(), r.d.UID()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	// Only the user identity applies here: the version is named by uid,
+	// and forwarding the caller's branch/base options into the internal
+	// Get would redirect it to a different version (or trip
+	// ErrBadOptions) — semantics the embedded Value does not have.
+	asUser := callOpts{user: r.co.user}
+	pinned := callOpts{user: r.co.user, bases: []UID{uid}}
+	obj, err := s.st.Get(r.ctx, key, pinned.options()...)
+	if err != nil {
+		return fail(err)
+	}
+	v, err := s.st.Value(r.ctx, key, obj, asUser.options()...)
+	if err != nil {
+		return fail(err)
+	}
+	return okPayload2(func(e *wire.Enc) error { return wire.EncodeValue(e, v) })
+}
+
+func serveStats(s *Server, r request) []byte {
+	if s.db == nil {
+		return fail(fmt.Errorf("%w: backend %T has no storage counters", wire.ErrUnsupported, s.st))
+	}
+	stats := s.db.Stats()
+	return okPayload(func(e *wire.Enc) { wire.EncodeStats(e, stats) })
+}
+
+func serveServerStats(s *Server, r request) []byte {
+	snap := s.MetricsSnapshot()
+	return okPayload(func(e *wire.Enc) { wire.EncodeSamples(e, snap) })
+}
+
+// The chunk-granular transfer ops. Three rules govern every one:
 //
 //  1. Admission is verified: a chunk enters the store only if its
 //     bytes hash to the id it was claimed under. A mismatch — or any
@@ -1044,149 +1111,151 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op 
 //     chunk ids act as capabilities — the server cannot cheaply prove
 //     a content-addressed chunk "belongs" to a key, and does not try
 //     (see README, trust model).
-func (s *Server) dispatchChunk(ctx context.Context, sc *serverConn, reqID uint64, op uint8, d *wire.Dec, co *callOpts, opts []Option) []byte {
-	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
-	cs := s.db.eng.Store()
-	user := co.user
-	switch op {
-	case wire.OpChunkHave:
-		key := d.Str()
-		ids := wire.DecodeUIDs(d)
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		// Have is the upload negotiation, so it needs write intent —
-		// a read-only user learns nothing about what the store holds.
-		if err := allow(s.db.acl, user, key, "", PermWrite); err != nil {
-			return fail(err)
-		}
-		bits := make([]bool, len(ids))
-		var present []chunk.ID
-		seen := make(map[chunk.ID]bool, len(ids))
-		for i, id := range ids {
-			if cs.Has(id) {
-				bits[i] = true
-				if !seen[id] {
-					seen[id] = true
-					present = append(present, id)
-				}
-			}
-		}
-		// The client will skip re-sending these; keep them alive until
-		// its commit (or disconnect).
-		sc.addShields(key, present)
-		s.met.chunksync[csHave].Add(int64(len(ids) * chunk.IDSize))
-		return okPayload(func(e *wire.Enc) { wire.EncodeBitmap(e, bits) })
-	case wire.OpChunkWant:
-		key := d.Str()
-		ids := wire.DecodeUIDs(d)
-		flags := d.U8()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if flags&^wire.WantFlagDeep != 0 {
-			return fail(fmt.Errorf("%w: unknown want flags %#x", ErrBadOptions, flags))
-		}
-		if err := allow(s.db.acl, user, key, "", PermRead); err != nil {
-			return fail(err)
-		}
-		return sc.streamWant(ctx, reqID, cs, ids, flags&wire.WantFlagDeep != 0)
-	case wire.OpChunkSend:
-		key := d.Str()
-		frames := wire.DecodeChunkUpload(d)
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if err := allow(s.db.acl, user, key, "", PermWrite); err != nil {
-			return fail(err)
-		}
-		// Verify the whole batch before admitting any of it.
-		decoded := make([]*chunk.Chunk, 0, len(frames))
-		var ids []chunk.ID
-		seen := make(map[chunk.ID]bool, len(frames))
-		for _, f := range frames {
-			c, err := chunk.Decode(f.Bytes)
-			if err != nil {
-				return fail(fmt.Errorf("%w: undecodable chunk claimed as %s: %v", store.ErrCorrupt, f.ID.Short(), err))
-			}
-			if c.ID() != f.ID {
-				return fail(fmt.Errorf("%w: chunk claimed as %s hashes to %s", store.ErrCorrupt, f.ID.Short(), c.ID().Short()))
-			}
-			decoded = append(decoded, c)
-			if !seen[c.ID()] {
-				seen[c.ID()] = true
-				ids = append(ids, c.ID())
-			}
-		}
-		// Shield before Put: a collection sweeping between the Put and
-		// the commit must treat these as roots.
-		sc.addShields(key, ids)
-		var stored, dups uint32
-		var admitted int64
-		for _, c := range decoded {
-			dup, err := cs.Put(c)
-			if err != nil {
-				return fail(err)
-			}
-			if dup {
-				dups++
-			} else {
-				stored++
-				admitted += int64(c.Size())
-			}
-		}
-		s.met.chunksync[csSend].Add(admitted)
-		return okPayload(func(e *wire.Enc) {
-			e.U32(stored)
-			e.U32(dups)
-		})
-	case wire.OpPutChunked:
-		key := d.Str()
-		vt := types.Type(d.U8())
-		root := d.UID()
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		kind, ok := types.KindOfType(vt)
-		if !ok {
-			return fail(fmt.Errorf("%w: type %v is not chunkable", ErrBadOptions, vt))
-		}
-		if err := allow(s.db.acl, user, key, "", PermWrite); err != nil {
-			return fail(err)
-		}
-		// Load derives count and height by walking the root path —
-		// trusting the client's claimed shape would let it commit a
-		// version whose meta chunk misdescribes the tree.
-		tree, err := postree.Load(cs, s.db.eng.Config(), kind, root)
-		if err != nil {
-			return fail(fmt.Errorf("chunked put of %s: %w", root.Short(), err))
-		}
-		// The tree must be complete before the commit. What the head
-		// this put derives from already proves is not checked again; the
-		// reference's root stays shielded until the put has run, because
-		// nothing else keeps the nodes the check skipped alive once the
-		// client no longer lists (and so shields) them itself.
-		ref := s.referenceTree(key, co, vt)
-		if ref != nil {
-			defer s.db.eng.UnshieldUIDs([]chunk.ID{ref.Root()})
-		}
-		if err := chunksync.Complete(tree, ref); err != nil {
-			// Leave the negotiation's shields in place: the client can
-			// finish the upload and retry; disconnect still releases them.
-			return fail(fmt.Errorf("chunked put of %s: upload incomplete: %w", root.Short(), err))
-		}
-		v, _ := types.AttachValue(vt, tree)
-		uid, perr := s.st.Put(ctx, key, v, opts...)
-		// Success or failure, the negotiation window is over: on
-		// success the new version roots the chunks; on failure the
-		// client renegotiates from OpChunkHave, which re-shields.
-		sc.dropShields(key)
-		if perr != nil {
-			return errPayload(perr, nil, uid)
-		}
-		return okPayload(func(e *wire.Enc) { e.UID(uid) })
+
+func serveChunkHave(s *Server, r request) []byte {
+	key := r.d.Str()
+	ids := wire.DecodeUIDs(&r.d)
+	if err := r.d.Err(); err != nil {
+		return fail(err)
 	}
-	return fail(fmt.Errorf("%w: unhandled chunk op %d", wire.ErrCodec, op))
+	// Have is the upload negotiation, so it needs write intent — a
+	// read-only user learns nothing about what the store holds.
+	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
+		return fail(err)
+	}
+	cs := s.db.eng.Store()
+	bits := make([]bool, len(ids))
+	var present []chunk.ID
+	seen := make(map[chunk.ID]bool, len(ids))
+	for i, id := range ids {
+		if cs.Has(id) {
+			bits[i] = true
+			if !seen[id] {
+				seen[id] = true
+				present = append(present, id)
+			}
+		}
+	}
+	// The client will skip re-sending these; keep them alive until its
+	// commit (or disconnect).
+	r.sc.addShields(key, present)
+	s.met.chunksync[csHave].Add(int64(len(ids) * chunk.IDSize))
+	return okPayload(func(e *wire.Enc) { wire.EncodeBitmap(e, bits) })
+}
+
+func serveChunkWant(s *Server, r request) []byte {
+	key := r.d.Str()
+	ids := wire.DecodeUIDs(&r.d)
+	flags := r.d.U8()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	if flags&^wire.WantFlagDeep != 0 {
+		return fail(fmt.Errorf("%w: unknown want flags %#x", ErrBadOptions, flags))
+	}
+	if err := allow(s.db.acl, r.co.user, key, "", PermRead); err != nil {
+		return fail(err)
+	}
+	return r.sc.streamWant(r.ctx, r.id, s.db.eng.Store(), ids, flags&wire.WantFlagDeep != 0)
+}
+
+func serveChunkSend(s *Server, r request) []byte {
+	key := r.d.Str()
+	frames := wire.DecodeChunkUpload(&r.d)
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
+		return fail(err)
+	}
+	// Verify the whole batch before admitting any of it.
+	decoded := make([]*chunk.Chunk, 0, len(frames))
+	var ids []chunk.ID
+	seen := make(map[chunk.ID]bool, len(frames))
+	for _, f := range frames {
+		c, err := chunk.Decode(f.Bytes)
+		if err != nil {
+			return fail(fmt.Errorf("%w: undecodable chunk claimed as %s: %v", store.ErrCorrupt, f.ID.Short(), err))
+		}
+		if c.ID() != f.ID {
+			return fail(fmt.Errorf("%w: chunk claimed as %s hashes to %s", store.ErrCorrupt, f.ID.Short(), c.ID().Short()))
+		}
+		decoded = append(decoded, c)
+		if !seen[c.ID()] {
+			seen[c.ID()] = true
+			ids = append(ids, c.ID())
+		}
+	}
+	// Shield before Put: a collection sweeping between the Put and the
+	// commit must treat these as roots.
+	r.sc.addShields(key, ids)
+	cs := s.db.eng.Store()
+	var stored, dups uint32
+	var admitted int64
+	for _, c := range decoded {
+		dup, err := cs.Put(c)
+		if err != nil {
+			return fail(err)
+		}
+		if dup {
+			dups++
+		} else {
+			stored++
+			admitted += int64(c.Size())
+		}
+	}
+	s.met.chunksync[csSend].Add(admitted)
+	return okPayload(func(e *wire.Enc) {
+		e.U32(stored)
+		e.U32(dups)
+	})
+}
+
+func servePutChunked(s *Server, r request) []byte {
+	key := r.d.Str()
+	vt := types.Type(r.d.U8())
+	root := r.d.UID()
+	if err := r.d.Err(); err != nil {
+		return fail(err)
+	}
+	kind, ok := types.KindOfType(vt)
+	if !ok {
+		return fail(fmt.Errorf("%w: type %v is not chunkable", ErrBadOptions, vt))
+	}
+	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
+		return fail(err)
+	}
+	// Load derives count and height by walking the root path — trusting
+	// the client's claimed shape would let it commit a version whose
+	// meta chunk misdescribes the tree.
+	tree, err := postree.Load(s.db.eng.Store(), s.db.eng.Config(), kind, root)
+	if err != nil {
+		return fail(fmt.Errorf("chunked put of %s: %w", root.Short(), err))
+	}
+	// The tree must be complete before the commit. What the head this
+	// put derives from already proves is not checked again; the
+	// reference's root stays shielded until the put has run, because
+	// nothing else keeps the nodes the check skipped alive once the
+	// client no longer lists (and so shields) them itself.
+	ref := s.referenceTree(key, &r.co, vt)
+	if ref != nil {
+		defer s.db.eng.UnshieldUIDs([]chunk.ID{ref.Root()})
+	}
+	if err := chunksync.Complete(tree, ref); err != nil {
+		// Leave the negotiation's shields in place: the client can
+		// finish the upload and retry; disconnect still releases them.
+		return fail(fmt.Errorf("chunked put of %s: upload incomplete: %w", root.Short(), err))
+	}
+	v, _ := types.AttachValue(vt, tree)
+	uid, err := s.st.Put(r.ctx, key, v, r.opts...)
+	// Success or failure, the negotiation window is over: on success the
+	// new version roots the chunks; on failure the client renegotiates
+	// from OpChunkHave, which re-shields.
+	r.sc.dropShields(key)
+	if err != nil {
+		return errPayload(err, nil, uid)
+	}
+	return okPayload(func(e *wire.Enc) { e.UID(uid) })
 }
 
 // referenceTree picks the committed tree a chunked put of key may be
@@ -1243,7 +1312,6 @@ const wantPartTarget = 256 << 10
 // does not hold are skipped either way (the client's pull sweep owns
 // completeness).
 func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Store, ids []chunk.ID, deep bool) []byte {
-	fail := func(err error) []byte { return errPayload(err, nil, UID{}) }
 	target := wantPartTarget
 	if max := wire.MaxPayload(sc.srv.opts.MaxFrame) / 2; max < target {
 		target = max
