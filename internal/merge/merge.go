@@ -269,19 +269,17 @@ func mapChanges(ctx context.Context, s store.Store, cfg postree.Config, base, o 
 	} else {
 		baseTree = postree.Empty(tree.Store(), cfg, postree.KindMap)
 	}
-	d, err := postree.DiffSorted(ctx, baseTree, tree)
+	out := make(map[string]change)
+	err = postree.EachDiff(ctx, baseTree, tree, func(op postree.DiffOp, kv postree.KV) error {
+		if op == postree.DiffRemoved {
+			out[string(kv.Key)] = change{del: true}
+		} else {
+			out[string(kv.Key)] = change{value: kv.Value}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make(map[string]change, len(d.Added)+len(d.Removed)+len(d.Modified))
-	for _, kv := range d.Added {
-		out[string(kv.Key)] = change{value: kv.Value}
-	}
-	for _, kv := range d.Modified {
-		out[string(kv.Key)] = change{value: kv.Value}
-	}
-	for _, kv := range d.Removed {
-		out[string(kv.Key)] = change{del: true}
 	}
 	return out, nil
 }
@@ -382,16 +380,17 @@ func mergeSet(ctx context.Context, s store.Store, cfg postree.Config, base, a, b
 		} else {
 			baseTree = postree.Empty(set.Tree().Store(), cfg, postree.KindSet)
 		}
-		d, err := postree.DiffSorted(ctx, baseTree, set.Tree())
+		out := make(map[string]change)
+		err = postree.EachDiff(ctx, baseTree, set.Tree(), func(op postree.DiffOp, kv postree.KV) error {
+			if op == postree.DiffRemoved {
+				out[string(kv.Key)] = change{del: true}
+			} else {
+				out[string(kv.Key)] = change{value: kv.Key}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
-		}
-		out := make(map[string]change)
-		for _, kv := range d.Added {
-			out[string(kv.Key)] = change{value: kv.Key}
-		}
-		for _, kv := range d.Removed {
-			out[string(kv.Key)] = change{del: true}
 		}
 		return out, set, nil
 	}

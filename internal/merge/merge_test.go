@@ -1,11 +1,13 @@
 package merge
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
 
+	"forkbase/internal/chunk"
 	"forkbase/internal/postree"
 	"forkbase/internal/store"
 	"forkbase/internal/types"
@@ -332,5 +334,108 @@ func TestMergeLargeMapsSharedStructure(t *testing.T) {
 	}
 	if m.Len() != 3000 {
 		t.Fatalf("len %d", m.Len())
+	}
+}
+
+// readCounter is a store that counts the reads of each chunk.
+type readCounter struct {
+	*store.MemStore
+	reads map[chunk.ID]int
+}
+
+func (s *readCounter) Get(id chunk.ID) (*chunk.Chunk, error) {
+	s.reads[id]++
+	return s.MemStore.Get(id)
+}
+
+// TestMergeMapDiffsCostTheChangedPaths: a three-way merge of a
+// 100 000-entry Map edited at one key on each side reads, in its two
+// diffs, the changed paths of each side — the base's path and the
+// side's, once each — and no index node under a subtree a side shares
+// with the base. Beside them it reads what applying the merged edit to
+// the base reads.
+func TestMergeMapDiffsCostTheChangedPaths(t *testing.T) {
+	s := &readCounter{MemStore: store.NewMemStore(), reads: make(map[chunk.ID]int)}
+	cfg := postree.DefaultConfig()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("row%08d", i)) }
+	bld := postree.NewBuilder(s, cfg, postree.KindMap)
+	for i := 0; i < 100_000; i++ {
+		bld.Append(postree.EncodeMapElem(key(i), key(i)))
+	}
+	baseTree, err := bld.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := []postree.KV{{Key: key(0), Value: []byte("left")}, {Key: key(99_999), Value: []byte("right")}}
+	var sides [2]*postree.Tree
+	for i, kv := range edits {
+		if sides[i], err = baseTree.MapSet(kv.Key, kv.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save := func(tr *postree.Tree, bases ...*types.FObject) *types.FObject {
+		o, err := types.Save(s, cfg, []byte("k"), types.AttachMap(tr), bases, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	base := save(baseTree)
+	left, right := save(sides[0], base), save(sides[1], base)
+
+	nodes := func(tr *postree.Tree) map[chunk.ID]bool {
+		in := make(map[chunk.ID]bool)
+		if err := tr.Walk(func(id chunk.ID, _ int) (bool, error) {
+			in[id] = true
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	inBase := nodes(baseTree)
+	want := make(map[chunk.ID]int)
+	diffReads := 0
+	for _, side := range sides {
+		inSide := nodes(side)
+		for _, p := range [][2]map[chunk.ID]bool{{inBase, inSide}, {inSide, inBase}} {
+			for id := range p[0] {
+				if !p[1][id] {
+					want[id]++
+					diffReads++
+				}
+			}
+		}
+	}
+	if diffReads != 4*baseTree.Height() {
+		t.Fatalf("the two edits change %d nodes; the test wants one path per tree, 4*height = %d", diffReads, 4*baseTree.Height())
+	}
+	s.reads = make(map[chunk.ID]int)
+	if _, err := baseTree.MapApply(edits, nil); err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range s.reads {
+		want[id] += n
+	}
+
+	s.reads = make(map[chunk.ID]int)
+	merged, _, err := ThreeWay(context.Background(), s, cfg, base, left, right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.reads
+	s.reads = make(map[chunk.ID]int)
+	for _, kv := range edits {
+		if v, ok, err := merged.(*types.Map).Get(kv.Key); err != nil || !ok || !bytes.Equal(v, kv.Value) {
+			t.Fatalf("merged[%s] = %q, %v, %v; want %q", kv.Key, v, ok, err, kv.Value)
+		}
+	}
+	for id, n := range got {
+		if want[id] != n {
+			t.Fatalf("ThreeWay read %s %d times; the changed paths and the apply read it %d times", id.Short(), n, want[id])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ThreeWay read %d distinct nodes; the changed paths and the apply read %d", len(got), len(want))
 	}
 }

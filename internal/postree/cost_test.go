@@ -7,6 +7,7 @@ package postree
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -39,6 +40,28 @@ func costTree(tb testing.TB) (*store.MemStore, *Tree, int) {
 		tb.Fatal(err)
 	}
 	return s, tr, st.IndexNodes
+}
+
+// unshared returns the number of nodes in one of a and b and not in the
+// other.
+func unshared(tb testing.TB, a, b *Tree) int {
+	tb.Helper()
+	in := make(map[chunk.ID]int)
+	for bit, tr := range []*Tree{a, b} {
+		if err := tr.Walk(func(id chunk.ID, _ int) (bool, error) {
+			in[id] |= 1 << bit
+			return true, nil
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	n := 0
+	for _, sides := range in {
+		if sides != 3 {
+			n++
+		}
+	}
+	return n
 }
 
 // traffic runs f and returns the Get and Put calls it made on s.
@@ -93,10 +116,39 @@ func TestOneKeyEditCostsOnePath(t *testing.T) {
 				costKey(i), gets, puts, indexNodes, bound)
 		}
 		t.Logf("MapSet(%s): %d fetched, %d put (height %d, %d index nodes)", costKey(i), gets, puts, tr.Height(), indexNodes)
+
+		// The streaming diff of the edit reads the nodes on the changed
+		// paths, which one tree has and the other lacks, and nothing else:
+		// no index node under a subtree the trees share. Where the edit
+		// moved no leaf boundary, that is one path per side; the edit of
+		// row00031415 joins its leaf to the next, so one leaf more.
+		changed := unshared(t, tr, next)
+		if i != 31_415 && changed != 2*tr.Height() {
+			t.Fatalf("the edit of %s changed %d nodes; the test wants one with a path per side, 2*height = %d", costKey(i), changed, 2*tr.Height())
+		}
+		var ops []DiffOp
+		gets, _ = traffic(s, func() {
+			if err := EachDiff(context.Background(), tr, next, func(op DiffOp, kv KV) error {
+				if string(kv.Key) != string(costKey(i)) {
+					t.Fatalf("EachDiff of the edit of %s emitted %s", costKey(i), kv.Key)
+				}
+				ops = append(ops, op)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(ops) != 1 || ops[0] != DiffModified {
+			t.Fatalf("EachDiff of a one-key edit emitted %v; want one DiffModified", ops)
+		}
+		if gets != int64(changed) {
+			t.Fatalf("EachDiff of the edit of %s fetched %d chunks; want exactly the %d nodes on the changed paths", costKey(i), gets, changed)
+		}
+		t.Logf("EachDiff of the edit of %s: %d fetched", costKey(i), gets)
 	}
 
-	// The diff of that edit reads the two changed paths, and the index
-	// nodes of one side to count the leaves it skipped.
+	// The full diff of the last edit reads the two changed paths, and the
+	// index nodes of one side to count the leaves it skipped.
 	var d *SortedDiff
 	gets, _ := traffic(s, func() {
 		var err error
@@ -111,6 +163,58 @@ func TestOneKeyEditCostsOnePath(t *testing.T) {
 		t.Fatalf("DiffSorted fetched %d chunks; want at most 4*height + the %d index nodes = %d", gets, indexNodes, max)
 	}
 	t.Logf("DiffSorted: %d fetched; %d of %d leaves shared", gets, d.SharedLeaves, d.TotalLeaves)
+}
+
+// cancelAt is a store that cancels a context as its n-th Get returns.
+type cancelAt struct {
+	store.Store
+	n, gets int
+	cancel  context.CancelFunc
+}
+
+func (s *cancelAt) Get(id chunk.ID) (*chunk.Chunk, error) {
+	if s.gets++; s.gets == s.n {
+		s.cancel()
+	}
+	return s.Store.Get(id)
+}
+
+// TestEachDiffStopsAtCancel: the streaming diff observes ctx before
+// every node it reads, index node or leaf, so cancelled before the call
+// or after any of its reads but the last it returns context.Canceled
+// and reads nothing more.
+func TestEachDiffStopsAtCancel(t *testing.T) {
+	s, tr, _ := costTree(t)
+	var sets []KV
+	for i := 0; i < 100_000; i += 997 {
+		sets = append(sets, KV{Key: costKey(i), Value: []byte("another value")})
+	}
+	next, err := tr.MapApply(sets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(DiffOp, KV) error { return nil }
+	total, _ := traffic(s, func() {
+		if err := EachDiff(context.Background(), tr, next, none); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for n := 0; n < int(total); n++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		if n == 0 {
+			cancel()
+		}
+		cs := &cancelAt{Store: s, n: n, cancel: cancel}
+		a, b := *tr, *next
+		a.s, b.s = cs, cs
+		err := EachDiff(ctx, &a, &b, none)
+		cancel()
+		if !errors.Is(err, context.Canceled) || cs.gets != n {
+			t.Fatalf("EachDiff cancelled at read %d of %d returned %v after %d reads; want context.Canceled and no read after the cancel",
+				n, total, err, cs.gets)
+		}
+	}
+	t.Logf("cancelled at each of the %d reads of a %d-key diff", total, len(sets))
 }
 
 // TestWalkCostsWhatItOpens: a walk reads exactly the index nodes its

@@ -24,6 +24,12 @@ import (
 // Unique keys also mean a leaf occurs once in a tree, so a leaf the two
 // trees share sits at the same level on both sides and the leaves that
 // remain are exactly those in one tree's leaf set and not the other's.
+//
+// One walk (diffSorted) serves two forms. DiffSorted collects the
+// differences into lists and counts the leaves the walk skipped, which
+// means reading the index nodes under every dropped node; EachDiff
+// streams the differences to a callback and counts nothing, so it reads
+// the nodes on the changed paths and no others.
 
 // SortedDiff is the result of comparing two sorted trees.
 type SortedDiff struct {
@@ -37,27 +43,74 @@ type SortedDiff struct {
 	SharedLeaves, TotalLeaves int
 }
 
+// DiffOp says how a key differs from one sorted tree to another.
+type DiffOp uint8
+
+const (
+	DiffAdded    DiffOp = iota + 1 // the key is only in b
+	DiffRemoved                    // the key is only in a
+	DiffModified                   // a Map key in both, with different values
+)
+
 // DiffSorted compares two sorted trees of the same kind. ctx is
 // observed per node fetch, so a cancelled caller (or a disconnected
 // remote client) stops paying for the comparison promptly.
 func DiffSorted(ctx context.Context, a, b *Tree) (*SortedDiff, error) {
-	if !a.kind.Sorted() || a.kind != b.kind {
-		return nil, fmt.Errorf("postree: DiffSorted on %v vs %v", a.kind, b.kind)
-	}
 	d := &SortedDiff{}
+	unshared, err := diffSorted(ctx, a, b, func(entry) error {
+		d.SharedLeaves++
+		return nil
+	}, func(op DiffOp, kv KV) error {
+		switch op {
+		case DiffAdded:
+			d.Added = append(d.Added, kv)
+		case DiffRemoved:
+			d.Removed = append(d.Removed, kv)
+		default:
+			d.Modified = append(d.Modified, kv)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.TotalLeaves = d.SharedLeaves + unshared
+	return d, nil
+}
+
+// EachDiff compares two sorted trees of the same kind and calls fn once
+// per key that differs, in key order: DiffAdded with b's element,
+// DiffRemoved with a's, DiffModified with b's. It finds what DiffSorted
+// lists but counts no shared leaf and builds no list, so it reads only
+// the nodes on the changed paths. kv points into an immutable node: fn
+// may keep it and must not modify it. An error from fn stops the walk
+// and is returned; ctx is observed per node fetch.
+func EachDiff(ctx context.Context, a, b *Tree, fn func(op DiffOp, kv KV) error) error {
+	_, err := diffSorted(ctx, a, b, nil, fn)
+	return err
+}
+
+// diffSorted descends a and b level by level, dropping the nodes they
+// share, then merges the element streams of the leaves that remain and
+// calls emit per differing key. sharedLeaf, if not nil, is called for
+// every leaf under a dropped node, which costs a read of every index
+// node under it. unshared is the number of leaves that remained.
+func diffSorted(ctx context.Context, a, b *Tree, sharedLeaf func(entry) error, emit func(DiffOp, KV) error) (unshared int, err error) {
+	if !a.kind.Sorted() || a.kind != b.kind {
+		return 0, fmt.Errorf("postree: DiffSorted on %v vs %v", a.kind, b.kind)
+	}
 	fa, fb := a.rootFrontier(), b.rootFrontier()
 	la, lb := a.height, b.height
 	for lvl := max(la, lb); lvl >= 1; lvl-- {
-		var err error
 		if la == lvl && lb == lvl {
 			fa, fb, err = dropShared(fa, fb, func(e entry) error {
-				return a.walkLeaves(ctx, e, lvl, func(entry) error {
-					d.SharedLeaves++
+				if sharedLeaf == nil {
 					return nil
-				})
+				}
+				return a.walkLeaves(ctx, e, lvl, sharedLeaf)
 			})
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 		}
 		if lvl == 1 {
@@ -66,27 +119,27 @@ func DiffSorted(ctx context.Context, a, b *Tree) (*SortedDiff, error) {
 		// The taller tree is opened alone until the levels meet.
 		if la == lvl {
 			if fa, err = a.expand(ctx, fa); err != nil {
-				return nil, err
+				return 0, err
 			}
 			la--
 		}
 		if lb == lvl {
 			if fb, err = b.expand(ctx, fb); err != nil {
-				return nil, err
+				return 0, err
 			}
 			lb--
 		}
 	}
-	d.TotalLeaves = d.SharedLeaves + len(fa) + len(fb)
+	unshared = len(fa) + len(fb)
 
 	ra, rb := elemRun{ctx: ctx, t: a, leaves: fa}, elemRun{ctx: ctx, t: b, leaves: fb}
 	ea, err := ra.next()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	eb, err := rb.next()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for ea != nil || eb != nil {
 		cmp := 0
@@ -98,25 +151,29 @@ func DiffSorted(ctx context.Context, a, b *Tree) (*SortedDiff, error) {
 		default:
 			cmp = bytes.Compare(elemKey(a.kind, ea), elemKey(b.kind, eb))
 		}
-		if cmp < 0 {
-			d.Removed = append(d.Removed, kvOf(a.kind, ea))
-		} else if cmp > 0 {
-			d.Added = append(d.Added, kvOf(b.kind, eb))
-		} else if a.kind == KindMap && !bytes.Equal(MapElemValue(ea), MapElemValue(eb)) {
-			d.Modified = append(d.Modified, kvOf(b.kind, eb))
+		switch {
+		case cmp < 0:
+			err = emit(DiffRemoved, kvOf(a.kind, ea))
+		case cmp > 0:
+			err = emit(DiffAdded, kvOf(b.kind, eb))
+		case a.kind == KindMap && !bytes.Equal(MapElemValue(ea), MapElemValue(eb)):
+			err = emit(DiffModified, kvOf(b.kind, eb))
+		}
+		if err != nil {
+			return 0, err
 		}
 		if cmp <= 0 {
 			if ea, err = ra.next(); err != nil {
-				return nil, err
+				return 0, err
 			}
 		}
 		if cmp >= 0 {
 			if eb, err = rb.next(); err != nil {
-				return nil, err
+				return 0, err
 			}
 		}
 	}
-	return d, nil
+	return unshared, nil
 }
 
 // rootFrontier is the top of a level-by-level descent: the root as an
@@ -128,10 +185,13 @@ func (t *Tree) rootFrontier() []entry {
 	return []entry{{count: t.count, id: t.root}}
 }
 
-// expand replaces a frontier of index nodes by their children.
+// expand replaces a frontier of index nodes by their children. It reads
+// the nodes first and counts their entries, so the result is allocated
+// once at its final size.
 func (t *Tree) expand(ctx context.Context, frontier []entry) ([]entry, error) {
-	var out []entry
-	for _, e := range frontier {
+	nodes := make([][]byte, len(frontier))
+	n := 0
+	for i, e := range frontier {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -139,14 +199,21 @@ func (t *Tree) expand(ctx context.Context, frontier []entry) ([]entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		for ic := (indexCursor{p: c.Data()}); ; {
-			ch, ok, err := ic.next()
+		nodes[i] = c.Data()
+		for ic := (indexCursor{p: nodes[i]}); ; n++ {
+			_, ok, err := ic.next()
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				break
 			}
+		}
+	}
+	out := make([]entry, 0, n)
+	for _, p := range nodes {
+		for ic := (indexCursor{p: p}); !ic.done(); {
+			ch, _, _ := ic.next() // the counting pass read every entry without error
 			out = append(out, ch)
 		}
 	}

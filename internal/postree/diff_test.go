@@ -3,8 +3,10 @@ package postree
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -166,6 +168,61 @@ func sameSortedDiff(t *testing.T, what string, got, want *SortedDiff) {
 	}
 }
 
+// diffEvent is one call of EachDiff's callback.
+type diffEvent struct {
+	op DiffOp
+	kv KV
+}
+
+// sameEachDiff holds EachDiff(a, b) to want, a diff of the same trees:
+// one call per key of want's three lists, in key order. It then stops
+// the walk halfway with an error from the callback, which must come
+// back with no call after it.
+func sameEachDiff(t *testing.T, what string, a, b *Tree, want *SortedDiff) {
+	t.Helper()
+	var events []diffEvent
+	for _, l := range []struct {
+		op  DiffOp
+		kvs []KV
+	}{{DiffAdded, want.Added}, {DiffRemoved, want.Removed}, {DiffModified, want.Modified}} {
+		for _, kv := range l.kvs {
+			events = append(events, diffEvent{l.op, kv})
+		}
+	}
+	sort.Slice(events, func(i, j int) bool { return bytes.Compare(events[i].kv.Key, events[j].kv.Key) < 0 })
+
+	calls := 0
+	err := EachDiff(context.Background(), a, b, func(op DiffOp, kv KV) error {
+		if calls >= len(events) {
+			t.Fatalf("%s: EachDiff emitted more than the %d differences of the leaf-set definition", what, len(events))
+		}
+		w := events[calls]
+		if op != w.op || !bytes.Equal(kv.Key, w.kv.Key) || !bytes.Equal(kv.Value, w.kv.Value) {
+			t.Fatalf("%s: EachDiff call %d = %v %q=%q, the leaf-set definition gives %v %q=%q",
+				what, calls, op, kv.Key, kv.Value, w.op, w.kv.Key, w.kv.Value)
+		}
+		calls++
+		return nil
+	})
+	if err != nil || calls != len(events) {
+		t.Fatalf("%s: EachDiff made %d of %d calls, then returned %v", what, calls, len(events), err)
+	}
+	if len(events) == 0 {
+		return
+	}
+	errStop := errors.New("stop")
+	stop, calls := len(events)/2+1, 0
+	err = EachDiff(context.Background(), a, b, func(DiffOp, KV) error {
+		if calls++; calls == stop {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) || calls != stop {
+		t.Fatalf("%s: EachDiff whose callback failed at call %d made %d calls and returned %v", what, stop, calls, err)
+	}
+}
+
 // TestDiffPrunedEqualsLeafSet holds the pruned descent to the
 // definition it replaced — enumerate both leaf levels, decode the
 // leaves in one set and not the other, merge — over random edit
@@ -206,7 +263,9 @@ func TestDiffPrunedEqualsLeafSet(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameSortedDiff(t, fmt.Sprintf("%s (heights %d, %d)", what, p[0].Height(), p[1].Height()), got, want)
+						label := fmt.Sprintf("%s (heights %d, %d)", what, p[0].Height(), p[1].Height())
+						sameSortedDiff(t, label, got, want)
+						sameEachDiff(t, label, p[0], p[1], want)
 					}
 				}
 				base := build("k", 1500)

@@ -413,24 +413,36 @@ func (t *FBTable) Aggregate(branch, col string) (int64, error) {
 
 // DiffCount compares two branches and returns the number of added,
 // removed and modified records, using the POS-Tree diff so that shared
-// subtrees are skipped (Figure 17a). Row layout only.
+// subtrees are skipped (Figure 17a). It counts as the diff streams
+// (postree.EachDiff), so it reads only the nodes on the changed paths
+// and builds no list of records. Row layout only.
 func (t *FBTable) DiffCount(branchA, branchB string) (added, removed, modified int, err error) {
 	if t.layout != RowLayout {
 		return 0, 0, 0, errors.New("tabular: DiffCount requires the row layout")
 	}
-	a, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branchA))
+	a, err := t.rows(branchA)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	b, err := t.db.Get(bgCtx, t.rowKey(), forkbase.WithBranch(branchB))
+	b, err := t.rows(branchB)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	d, err := t.db.Diff(bgCtx, t.rowKey(), a.UID(), b.UID())
+	err = postree.EachDiff(bgCtx, a.Tree(), b.Tree(), func(op postree.DiffOp, _ postree.KV) error {
+		switch op {
+		case postree.DiffAdded:
+			added++
+		case postree.DiffRemoved:
+			removed++
+		default:
+			modified++
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return len(d.Sorted.Added), len(d.Sorted.Removed), len(d.Sorted.Modified), nil
+	return added, removed, modified, nil
 }
 
 // ImportCSV loads a CSV stream with the fixed schema (pk, int1, int2,
