@@ -292,12 +292,22 @@ func appendListElem(dst, body []byte) []byte {
 
 // EncodeMapElem encodes a Map key-value pair.
 func EncodeMapElem(key, value []byte) []byte {
-	out := make([]byte, 8+len(key)+len(value))
-	binary.LittleEndian.PutUint32(out, uint32(len(key)))
-	copy(out[4:], key)
-	binary.LittleEndian.PutUint32(out[4+len(key):], uint32(len(value)))
-	copy(out[8+len(key):], value)
-	return out
+	return AppendMapElem(make([]byte, 0, 8+len(key)+len(value)), key, value)
+}
+
+// AppendMapElem appends the encoding of a Map key-value pair to dst.
+func AppendMapElem(dst, key, value []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = append(dst, key...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
+	return append(dst, value...)
+}
+
+// MapElemSize returns the size of the encoded Map element p starts
+// with, which must be well formed.
+func MapElemSize(p []byte) int {
+	kl := int(binary.LittleEndian.Uint32(p))
+	return 8 + kl + int(binary.LittleEndian.Uint32(p[4+kl:]))
 }
 
 // elemKey extracts the sort key of an encoded element: the element body

@@ -17,7 +17,7 @@ type Chunker struct {
 	pattern LeafPattern
 	size    int
 	max     int
-	hit     bool
+	cut     bool // a boundary is due after the current element
 }
 
 // NewChunker returns a chunker with expected chunk size 2^q bytes and a
@@ -31,13 +31,14 @@ func NewChunker(q uint, maxSize int) *Chunker {
 }
 
 // Feed consumes one element's bytes and remembers whether the boundary
-// pattern fired at any primed position inside it.
+// pattern fired at any primed position inside it, or the chunk reached
+// its maximum size. Once a boundary is due the rest of the element, and
+// any element after it, is only counted: every boundary is followed by
+// Next, which forgets the window anyway.
 func (c *Chunker) Feed(p []byte) {
-	for _, b := range p {
-		v := c.roller.Roll(b)
-		if c.roller.Primed() && c.pattern.Match(v) {
-			c.hit = true
-		}
+	if !c.cut {
+		n, cut := c.FindBoundary(p)
+		c.cut, p = cut, p[n:]
 	}
 	c.size += len(p)
 }
@@ -45,7 +46,7 @@ func (c *Chunker) Feed(p []byte) {
 // Boundary reports whether a chunk boundary should be placed after the
 // elements fed so far.
 func (c *Chunker) Boundary() bool {
-	return c.hit || c.size >= c.max
+	return c.cut || c.size >= c.max
 }
 
 // Size returns the number of bytes fed into the current chunk.
@@ -56,7 +57,7 @@ func (c *Chunker) Size() int { return c.size }
 func (c *Chunker) Next() {
 	c.roller.Reset()
 	c.size = 0
-	c.hit = false
+	c.cut = false
 }
 
 // Resume positions the chunker inside a chunk whose first size bytes
@@ -71,58 +72,84 @@ func (c *Chunker) Resume(tail []byte, size int) {
 		c.roller.Roll(b)
 	}
 	c.size = size
-	c.hit = false
+	c.cut = false
 }
 
-// FindBoundary is the Blob fast path: it consumes bytes from p until a
-// boundary condition is met and returns the number of bytes consumed and
-// whether a boundary was placed there. When it returns (len(p), false)
-// the caller may feed more bytes or close the final chunk.
+// FindBoundary is the Blob path: it consumes bytes from p until a
+// boundary condition is met — the pattern fires at a primed position or
+// the chunk reaches its maximum size — and returns the number of bytes
+// consumed and whether a boundary was placed there. When it returns
+// (len(p), false) the caller may feed more bytes or close the final
+// chunk. Feed runs on it too, so it is the throughput ceiling of every
+// POS-Tree write; Roller.Roll is its byte-at-a-time reference.
 //
-// The loop is the throughput ceiling of every large Blob write, so the
-// roller state is hoisted into locals and split into a priming phase
-// (window not yet full: no pattern checks, no exit term) and a steady
-// phase (one rotate, two table lookups, one mask test per byte). The
-// boundary decisions are bit-identical to Feed's.
+// The roller state lives in locals for the call. A priming phase (the
+// window not yet full: no exit term, no pattern check until the byte
+// that fills it) is followed by the steady recurrence, whose leaving
+// byte comes from the ring only until the window lies inside p, and
+// from p[i-WindowSize] after that. The ring is refilled once, on exit.
 func (c *Chunker) FindBoundary(p []byte) (n int, boundary bool) {
 	r := c.roller
-	sum, pos, size := r.sum, r.pos, c.size
-	mask, max := c.pattern.mask, c.max
+	sum, filled, mask := r.sum, r.n, c.pattern.mask
+	// The byte that brings the chunk to its maximum size is a forced
+	// boundary: scan no further than it.
+	q, forced := p, false
+	if rem := c.max - c.size; rem <= len(p) {
+		if rem < 1 {
+			rem = 1
+		}
+		q, forced = p[:rem], true
+	}
 	i := 0
-	for ; r.n < WindowSize && i < len(p); i++ {
-		b := p[i]
-		r.window[pos] = b
-		pos++
-		if pos == WindowSize {
-			pos = 0
-		}
-		sum = bits.RotateLeft64(sum, 1) ^ byteTable[b]
-		r.n++
-		size++
-		// The byte that fills the window is the first primed position,
-		// so it already gets a pattern check, exactly as Feed does.
-		if (r.n == WindowSize && sum&mask == 0) || size >= max {
-			r.sum, r.pos, c.size = sum, pos, size
-			return i + 1, true
+	for ; filled < WindowSize && i < len(q); i++ {
+		sum = bits.RotateLeft64(sum, 1) ^ byteTable[q[i]]
+		filled++
+		if filled == WindowSize && sum&mask == 0 {
+			return c.save(q[:i+1], sum, filled), true
 		}
 	}
-	for ; i < len(p); i++ {
-		b := p[i]
-		old := r.window[pos]
-		r.window[pos] = b
-		pos++
-		if pos == WindowSize {
-			pos = 0
+	for old := r.pos + i; i < len(q) && i < WindowSize; i++ {
+		if old >= WindowSize {
+			old -= WindowSize
 		}
-		sum = bits.RotateLeft64(sum, 1) ^ byteTable[b] ^ exitTable[old]
-		size++
-		if sum&mask == 0 || size >= max {
-			r.sum, r.pos, c.size = sum, pos, size
-			return i + 1, true
+		sum = bits.RotateLeft64(sum, 1) ^ byteTable[q[i]] ^ exitTable[r.window[old]]
+		old++
+		if sum&mask == 0 {
+			return c.save(q[:i+1], sum, filled), true
 		}
 	}
-	r.sum, r.pos, c.size = sum, pos, size
-	return len(p), false
+	if i < len(q) {
+		in, out := q[WindowSize:], q[:len(q)-WindowSize]
+		for k, b := range in {
+			sum = bits.RotateLeft64(sum, 1) ^ byteTable[b] ^ exitTable[out[k]]
+			if sum&mask == 0 {
+				return c.save(q[:WindowSize+k+1], sum, filled), true
+			}
+		}
+	}
+	return c.save(q, sum, filled), forced
+}
+
+// save ends a FindBoundary call that consumed p: it stores the hash back into the
+// roller, refills the ring with the last bytes of p, and counts p into
+// the chunk. It returns len(p).
+func (c *Chunker) save(p []byte, sum uint64, filled int) int {
+	r := c.roller
+	if len(p) >= WindowSize {
+		copy(r.window[:], p[len(p)-WindowSize:])
+		r.pos = 0
+	} else {
+		for _, b := range p {
+			r.window[r.pos] = b
+			r.pos++
+			if r.pos == WindowSize {
+				r.pos = 0
+			}
+		}
+	}
+	r.sum, r.n = sum, filled
+	c.size += len(p)
+	return len(p)
 }
 
 // ScanBoundaries finds every boundary a fresh chunker (reset state, as

@@ -2,6 +2,7 @@ package rollsum
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -197,40 +198,164 @@ func TestChunkerElementExtension(t *testing.T) {
 	}
 }
 
-// FindBoundary's unrolled loop must place boundaries exactly where the
-// byte-at-a-time Feed path does — Feed is the oracle the paper's
-// algorithm describes, FindBoundary the optimized equivalent.
-func TestFindBoundaryMatchesFeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 4; trial++ {
-		data := make([]byte, 200<<10)
-		rng.Read(data)
-		if trial == 1 { // pattern-free: every boundary max-forced
-			for i := range data {
-				data[i] = 0xAB
+// eachPiece cuts data into consecutive pieces whose lengths cycle
+// through splits and calls fn with each piece's bounds.
+func eachPiece(data []byte, splits []int, fn func(off, end int)) {
+	for off, i := 0, 0; off < len(data); i++ {
+		end := off + splits[i%len(splits)]
+		if end > len(data) {
+			end = len(data)
+		}
+		fn(off, end)
+		off = end
+	}
+}
+
+// oracleElems places boundaries the way the paper describes, one byte
+// at a time through Roller.Roll: a boundary follows an element if the
+// pattern matched at a primed position inside it or the chunk reached
+// maxSize. It returns the end offset and size of every chunk it closes.
+func oracleElems(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
+	r, pat := NewRoller(), NewLeafPattern(q)
+	size, hit := 0, false
+	eachPiece(data, splits, func(off, end int) {
+		for _, b := range data[off:end] {
+			if v := r.Roll(b); r.Primed() && pat.Match(v) {
+				hit = true
 			}
 		}
-		q, max := uint(10), 8<<10
-		var slow []int
-		c := NewChunker(q, max)
-		for i, b := range data {
-			c.Feed(data[i : i+1])
-			_ = b
-			if c.Boundary() {
-				slow = append(slow, i+1)
+		size += end - off
+		if hit || size >= maxSize {
+			ends, sizes = append(ends, end), append(sizes, size)
+			r.Reset()
+			size, hit = 0, false
+		}
+	})
+	return ends, sizes
+}
+
+// feedElems drives Feed with elements cut by splits.
+func feedElems(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
+	c := NewChunker(q, maxSize)
+	eachPiece(data, splits, func(off, end int) {
+		c.Feed(data[off:end])
+		if c.Boundary() {
+			ends, sizes = append(ends, end), append(sizes, c.Size())
+			c.Next()
+		}
+	})
+	return ends, sizes
+}
+
+// findPieces drives FindBoundary with the input arriving in calls cut
+// by splits, so that the window straddles calls.
+func findPieces(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
+	c := NewChunker(q, maxSize)
+	pos := 0
+	eachPiece(data, splits, func(off, end int) {
+		for rem := data[off:end]; len(rem) > 0; {
+			n, boundary := c.FindBoundary(rem)
+			pos += n
+			rem = rem[n:]
+			if boundary {
+				ends, sizes = append(ends, pos), append(sizes, c.Size())
 				c.Next()
 			}
 		}
-		fast := ScanBoundaries(q, max, data, nil)
-		if len(slow) != len(fast) {
-			t.Fatalf("trial %d: boundary count %d (Feed) vs %d (FindBoundary)", trial, len(slow), len(fast))
+	})
+	return ends, sizes
+}
+
+// checkAgainstOracle compares both chunker paths with the byte-at-a-time
+// oracle for one input cut by splits.
+func checkAgainstOracle(t *testing.T, name string, q uint, maxSize int, data []byte, splits []int) {
+	t.Helper()
+	wantEnds, wantSizes := oracleElems(q, maxSize, data, splits)
+	if ends, sizes := feedElems(q, maxSize, data, splits); !slices.Equal(ends, wantEnds) || !slices.Equal(sizes, wantSizes) {
+		t.Errorf("%s: Feed in elements of %v bytes cut at %v (sizes %v), oracle at %v (sizes %v)",
+			name, splits, head(ends), head(sizes), head(wantEnds), head(wantSizes))
+	}
+	// A Blob is a stream of one-byte elements however its calls fall.
+	wantEnds, wantSizes = oracleElems(q, maxSize, data, []int{1})
+	if ends, sizes := findPieces(q, maxSize, data, splits); !slices.Equal(ends, wantEnds) || !slices.Equal(sizes, wantSizes) {
+		t.Errorf("%s: FindBoundary over calls of %v bytes cut at %v (sizes %v), oracle at %v (sizes %v)",
+			name, splits, head(ends), head(sizes), head(wantEnds), head(wantSizes))
+	}
+}
+
+// head trims a boundary list for a failure message.
+func head(a []int) []int {
+	if len(a) > 8 {
+		return a[:8]
+	}
+	return a
+}
+
+// Feed and FindBoundary must place boundaries exactly where the paper's
+// byte-at-a-time algorithm (Roller.Roll, Primed, Match) does, however
+// the input is cut into elements or calls — in particular when a call
+// ends inside the first WindowSize bytes of a chunk, on the window's
+// edge, or just past it.
+func TestChunkerMatchesRoller(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]byte, 200<<10)
+	rng.Read(random)
+	flat := make([]byte, 200<<10) // pattern-free: every boundary is forced
+	for i := range flat {
+		flat[i] = 0xAB
+	}
+	cases := []struct {
+		name    string
+		q       uint
+		maxSize int
+		data    []byte
+	}{
+		{"random", 10, 8 << 10, random},
+		{"random-dense", 6, 8 << 6, random},
+		{"random-small-max", 10, 100, random},
+		{"flat", 10, 8 << 10, flat},
+		{"flat-small-max", 10, 49, flat},
+	}
+	for _, tc := range cases {
+		for _, split := range []int{1, 47, 48, 49, 4096} {
+			checkAgainstOracle(t, tc.name, tc.q, tc.maxSize, tc.data, []int{split})
 		}
-		for i := range slow {
-			if slow[i] != fast[i] {
-				t.Fatalf("trial %d: boundary %d at %d (Feed) vs %d (FindBoundary)", trial, i, slow[i], fast[i])
+		checkAgainstOracle(t, tc.name, tc.q, tc.maxSize, tc.data, []int{1, 47, 48, 49, 4096, 3})
+	}
+	// The flat input really is pattern-free.
+	if _, sizes := oracleElems(10, 8<<10, flat, []int{1}); len(sizes) == 0 || sizes[0] != 8<<10 {
+		t.Fatalf("flat input cut at sizes %v, want forced cuts of %d", head(sizes), 8<<10)
+	}
+}
+
+// FuzzChunkerSplits checks both chunker paths against the oracle for
+// arbitrary bytes, split points and leaf parameters.
+func FuzzChunkerSplits(f *testing.F) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 47, 48, 49, 300, 5000} {
+		data := make([]byte, n)
+		rng.Read(data)
+		f.Add(data, []byte{0, 46, 47, 48, 200}, uint8(2), false)
+		f.Add(data, []byte{255}, uint8(4), true)
+	}
+	f.Add(make([]byte, 4096), []byte{10, 99}, uint8(1), true)
+	f.Fuzz(func(t *testing.T, data, splits []byte, q8 uint8, smallMax bool) {
+		q := uint(4 + q8%7)
+		maxSize := 8 << q
+		if smallMax {
+			maxSize = 1 + int(q8)
+		}
+		// Each split byte s is a piece of s+1 bytes; the pieces repeat
+		// until data is used up.
+		runs := []int{len(data) + 1}
+		if len(splits) > 0 {
+			runs = runs[:0]
+			for _, s := range splits {
+				runs = append(runs, int(s)+1)
 			}
 		}
-	}
+		checkAgainstOracle(t, "fuzz", q, maxSize, data, runs)
+	})
 }
 
 func TestIndexPattern(t *testing.T) {

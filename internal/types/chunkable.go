@@ -142,49 +142,114 @@ func (b *Blob) Insert(off uint64, data []byte) error { return b.Splice(off, 0, d
 func (b *Blob) Tree() *postree.Tree { return b.tree }
 
 // Map is a chunkable sorted key-value collection.
+//
+// A fresh Map whose entries arrive in strictly increasing key order —
+// an import, a decoded wire value, any sorted load — stages them as a
+// run of encoded entries, which persist feeds straight to the tree
+// builder. An out-of-order Set, a Delete, or a Get or Iter before
+// persist moves the entries into a Go map that persist sorts; the tree
+// built is the same either way.
 type Map struct {
 	tree   *postree.Tree
-	staged map[string][]byte
+	staged map[string][]byte // nil while the entries arrive in key order
+	run    [][]byte          // the entries in key order, encoded, in blocks no entry spans
+	n      int               // entries in run
+	last   []byte            // the last entry in run
 }
 
-// NewMap returns a fresh Map staging the given entries.
-func NewMap() *Map { return &Map{staged: make(map[string][]byte)} }
+// runBlockMax caps the size of an ordered run's blocks. Blocks double
+// up to it, so a small Map stays small and a large one grows without
+// ever copying what it holds.
+const runBlockMax = 64 << 10
+
+// NewMap returns a fresh, empty Map.
+func NewMap() *Map { return &Map{} }
 
 // Type implements Value.
 func (*Map) Type() Type { return TypeMap }
 
 func (m *Map) persist(s store.Store, cfg postree.Config) ([]byte, error) {
 	if m.tree == nil {
-		keys := make([]string, 0, len(m.staged))
-		for k := range m.staged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		builder := postree.NewBuilder(s, cfg, postree.KindMap)
-		for _, k := range keys {
-			builder.Append(postree.EncodeMapElem([]byte(k), m.staged[k]))
+		if m.staged == nil {
+			m.eachRun(builder.Append)
+		} else {
+			keys := make([]string, 0, len(m.staged))
+			for k := range m.staged {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				builder.Append(postree.EncodeMapElem([]byte(k), m.staged[k]))
+			}
 		}
 		t, err := builder.Finish()
 		if err != nil {
 			return nil, err
 		}
 		m.tree = t
-		m.staged = nil
+		m.staged, m.run, m.n, m.last = nil, nil, 0, nil
 	}
 	return encodeChunkRef(m.tree), nil
 }
 
+// appendRun adds an entry whose key is above every key in the run.
+func (m *Map) appendRun(key, value []byte) {
+	size := 8 + len(key) + len(value)
+	i := len(m.run) - 1
+	if i < 0 || cap(m.run[i])-len(m.run[i]) < size {
+		c := 256
+		if i >= 0 {
+			c = min(2*cap(m.run[i]), runBlockMax)
+		}
+		m.run = append(m.run, make([]byte, 0, max(c, size)))
+		i++
+	}
+	blk := postree.AppendMapElem(m.run[i], key, value)
+	m.run[i], m.last = blk, blk[len(blk)-size:]
+	m.n++
+}
+
+// eachRun calls fn with each entry of the run, encoded, in key order.
+// An entry's capacity ends with it, so a value appended to cannot grow
+// into the next entry.
+func (m *Map) eachRun(fn func(elem []byte)) {
+	for _, blk := range m.run {
+		for len(blk) > 0 {
+			n := postree.MapElemSize(blk)
+			fn(blk[:n:n])
+			blk = blk[n:]
+		}
+	}
+}
+
+// stageMap moves the entries of the ordered run into the Go map.
+func (m *Map) stageMap() {
+	if m.staged != nil {
+		return
+	}
+	m.staged = make(map[string][]byte, m.n)
+	m.eachRun(func(e []byte) {
+		m.staged[string(postree.MapElemKey(e))] = postree.MapElemValue(e)
+	})
+	m.run, m.n, m.last = nil, 0, nil
+}
+
 // Len returns the number of entries.
 func (m *Map) Len() uint64 {
-	if m.tree == nil {
-		return uint64(len(m.staged))
+	switch {
+	case m.tree != nil:
+		return m.tree.Count()
+	case m.staged == nil:
+		return uint64(m.n)
 	}
-	return m.tree.Count()
+	return uint64(len(m.staged))
 }
 
 // Get returns the value for key.
 func (m *Map) Get(key []byte) ([]byte, bool, error) {
 	if m.tree == nil {
+		m.stageMap()
 		v, ok := m.staged[string(key)]
 		return v, ok, nil
 	}
@@ -205,10 +270,18 @@ func (m *Map) Delete(key []byte) error {
 func (m *Map) Apply(sets []postree.KV, deletes [][]byte) error {
 	if m.tree == nil {
 		for _, kv := range sets {
+			if m.staged == nil && (m.last == nil || bytes.Compare(kv.Key, postree.MapElemKey(m.last)) > 0) {
+				m.appendRun(kv.Key, kv.Value)
+				continue
+			}
+			m.stageMap()
 			m.staged[string(kv.Key)] = append([]byte(nil), kv.Value...)
 		}
-		for _, k := range deletes {
-			delete(m.staged, string(k))
+		if len(deletes) > 0 {
+			m.stageMap()
+			for _, k := range deletes {
+				delete(m.staged, string(k))
+			}
 		}
 		return nil
 	}
@@ -223,6 +296,7 @@ func (m *Map) Apply(sets []postree.KV, deletes [][]byte) error {
 // Iter calls fn for each entry in key order until fn returns false.
 func (m *Map) Iter(fn func(key, value []byte) bool) error {
 	if m.tree == nil {
+		m.stageMap()
 		keys := make([]string, 0, len(m.staged))
 		for k := range m.staged {
 			keys = append(keys, k)
@@ -496,10 +570,20 @@ func AttachSet(t *postree.Tree) *Set { return &Set{tree: t} }
 
 // CloneMap returns an independent handle on the same content. Trees are
 // immutable, so an attached clone is a pointer copy; staged state is
-// deep-copied.
+// copied.
 func CloneMap(m *Map) *Map {
-	if m.tree != nil {
+	switch {
+	case m.tree != nil:
 		return &Map{tree: m.tree}
+	case m.staged == nil:
+		// Blocks are append-only. The clone's last block is capped at
+		// its length, so the next entry either handle adds goes to a
+		// block of that handle's own.
+		run := append([][]byte(nil), m.run...)
+		if k := len(run) - 1; k >= 0 {
+			run[k] = run[k][:len(run[k]):len(run[k])]
+		}
+		return &Map{run: run, n: m.n, last: m.last}
 	}
 	staged := make(map[string][]byte, len(m.staged))
 	for k, v := range m.staged {
