@@ -51,8 +51,7 @@ func BenchmarkTable3Operations(b *testing.B)   { runExperiment(b, bench.RunTable
 func BenchmarkTable4PutBreakdown(b *testing.B) { runExperiment(b, bench.RunTable4) }
 func BenchmarkFig8Scalability(b *testing.B)    { runExperiment(b, bench.RunFig8) }
 func BenchmarkFig9ChainOps(b *testing.B)       { runExperiment(b, bench.RunFig9) }
-func BenchmarkFig10Throughput(b *testing.B)    { runExperiment(b, bench.RunFig10) }
-func BenchmarkFig11MerkleTrees(b *testing.B)   { runExperiment(b, bench.RunFig11) }
+func BenchmarkFig11CommitLatency(b *testing.B) { runExperiment(b, bench.RunFig11) }
 func BenchmarkFig12Scans(b *testing.B)         { runExperiment(b, bench.RunFig12) }
 func BenchmarkFig13WikiEdit(b *testing.B)      { runExperiment(b, bench.RunFig13) }
 func BenchmarkFig14WikiVersions(b *testing.B)  { runExperiment(b, bench.RunFig14) }

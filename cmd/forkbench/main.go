@@ -9,8 +9,8 @@
 //	forkbench ratchet [-tolerance 0.20] <baseline-dir> <fresh-dir>
 //
 // With no arguments every experiment runs in order. Experiments:
-// table3 table4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-// fig17 batchput cache gc recover net ablations
+// table3 table4 fig8 fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig17
+// batchput cache gc recover net chunksync ablations
 //
 // The ratchet form compares fresh -json snapshots against committed
 // baselines and exits non-zero when a guarded series degraded past
@@ -37,7 +37,6 @@ var experiments = []struct {
 	{"table4", bench.RunTable4},
 	{"fig8", bench.RunFig8},
 	{"fig9", bench.RunFig9},
-	{"fig10", bench.RunFig10},
 	{"fig11", bench.RunFig11},
 	{"fig12", bench.RunFig12},
 	{"fig13", bench.RunFig13},

@@ -3,29 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"forkbase"
 	"forkbase/internal/blockchain"
-	"forkbase/internal/merkle"
 	"forkbase/internal/workload"
 )
-
-// chainBackends builds the three §6.2 backends over fresh storage.
-func chainBackends(dir string, buckets int) (map[string]blockchain.Backend, error) {
-	rocks, err := blockchain.NewRocksDBStyle(dir, blockchain.BucketMerkle, buckets)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]blockchain.Backend{
-		"ForkBase":    blockchain.NewNative(forkbase.Open(), "kv"),
-		"Rocksdb":     rocks,
-		"ForkBase-KV": blockchain.NewForkBaseKV(forkbase.Open(), blockchain.BucketMerkle, buckets),
-	}, nil
-}
-
-var backendOrder = []string{"ForkBase", "Rocksdb", "ForkBase-KV"}
 
 // RunFig9 reproduces Figure 9: 95th-percentile latency of blockchain
 // read, write and commit operations as the number of updates grows
@@ -38,268 +21,132 @@ func RunFig9(w io.Writer, scale Scale) error {
 	t.row("#Updates", "Backend", "Read", "Write", "Commit")
 
 	for _, updates := range updatesList {
-		dir, err := tempDir("fig9")
-		if err != nil {
-			return err
-		}
-		backends, err := chainBackends(dir, 1024)
-		if err != nil {
-			return err
-		}
-		for _, name := range backendOrder {
-			be := backends[name]
-			var reads, writes, commits stopwatch
-			y := workload.NewYCSB(workload.YCSBConfig{Seed: 5, Keys: updates, ReadRatio: 0.5, ValueSize: 100})
-			pending := 0
-			for i := 0; i < 2*updates; i++ {
-				op := y.Next()
-				if op.Read {
-					reads.time(func() {
-						if _, err := be.Read(bgCtx, op.Key); err != nil {
-							panic(err)
-						}
-					})
-					continue
-				}
-				writes.time(func() { be.BufferWrite(op.Key, op.Value) })
-				pending++
-				if pending == blockSize {
-					h := uint64(commits.samplesLen())
-					commits.time(func() {
-						if _, err := be.Commit(bgCtx, h); err != nil {
-							panic(err)
-						}
-					})
-					pending = 0
-				}
+		n := blockchain.NewNative(forkbase.Open(), "kv")
+		var reads, writes, commits stopwatch
+		var height uint64
+		y := workload.NewYCSB(workload.YCSBConfig{Seed: 5, Keys: updates, ReadRatio: 0.5, ValueSize: 100})
+		pending := 0
+		for i := 0; i < 2*updates; i++ {
+			op := y.Next()
+			if op.Read {
+				reads.time(func() {
+					if _, err := n.Read(bgCtx, op.Key); err != nil {
+						panic(err)
+					}
+				})
+				continue
 			}
-			t.row(updates, name,
-				fmt.Sprintf("%.3fms", ms(reads.percentile(95))),
-				fmt.Sprintf("%.3fms", ms(writes.percentile(95))),
-				fmt.Sprintf("%.3fms", ms(commits.percentile(95))))
-			be.Close()
+			writes.time(func() { n.BufferWrite(op.Key, op.Value) })
+			pending++
+			if pending == blockSize {
+				commits.time(func() {
+					if _, err := n.Commit(bgCtx, height); err != nil {
+						panic(err)
+					}
+				})
+				height++
+				pending = 0
+			}
 		}
-		os.RemoveAll(dir)
+		t.row(updates, "ForkBase",
+			fmt.Sprintf("%.3fms", ms(reads.percentile(95))),
+			fmt.Sprintf("%.3fms", ms(writes.percentile(95))),
+			fmt.Sprintf("%.3fms", ms(commits.percentile(95))))
 	}
 	return nil
 }
-
-func (s *stopwatch) samplesLen() int { return len(s.samples) }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// RunFig10 reproduces Figure 10: client-perceived transaction
-// throughput, which is storage-independent because execution dominates.
-func RunFig10(w io.Writer, scale Scale) error {
-	updatesList := []int{1 << 10, 1 << 12, scale.pick(1<<14, 1<<18)}
-	const blockSize = 50
-	fmt.Fprintln(w, "Figure 10: Client-perceived throughput (txns/sec)")
-	t := newTable(w, 10, 14, 14)
-	t.row("#Updates", "Backend", "Txn/s")
-	for _, updates := range updatesList {
-		dir, err := tempDir("fig10")
-		if err != nil {
-			return err
-		}
-		backends, err := chainBackends(dir, 1024)
-		if err != nil {
-			return err
-		}
-		for _, name := range backendOrder {
-			be := backends[name]
-			l := blockchain.NewLedger(be, blockSize)
-			y := workload.NewYCSB(workload.YCSBConfig{Seed: 6, Keys: updates, ReadRatio: 0.5, ValueSize: 100})
-			t0 := time.Now()
-			for i := 0; i < updates; i++ {
-				op := y.Next()
-				// Model transaction execution cost (contract
-				// interpretation dominates storage, §6.2.1).
-				simulateContractWork()
-				if err := l.Submit(bgCtx, blockchain.Tx{Contract: "kv", Ops: []blockchain.Op{
-					{Key: op.Key, Value: op.Value, Read: op.Read}}}); err != nil {
-					return err
-				}
-			}
-			l.CommitBlock(bgCtx)
-			t.row(updates, name, opsPerSec(updates, time.Since(t0)))
-			be.Close()
-		}
-		os.RemoveAll(dir)
-	}
-	return nil
-}
-
-// simulateContractWork burns the CPU time a Turing-complete contract
-// interpreter spends per transaction, which §6.2.1 identifies as far
-// larger than the storage cost.
-func simulateContractWork() {
-	s := 0
-	for i := 0; i < 20000; i++ {
-		s += i * i
-	}
-	_ = s
-}
-
 // RunFig11 reproduces Figure 11: the distribution (CDF) of commit
-// latency under different Merkle structures — bucket trees with 10, 1K
-// and 1M buckets, the trie, and ForkBase Map objects.
+// latency when the block's state commitment is a ForkBase Map object.
 func RunFig11(w io.Writer, scale Scale) error {
 	commits := scale.pick(100, 1000)
 	const blockSize = 50
 	keys := scale.pick(20_000, 100_000)
-	fmt.Fprintln(w, "Figure 11: Commit latency distribution with different Merkle trees")
+	fmt.Fprintln(w, "Figure 11: Commit latency distribution")
 	t := newTable(w, 14, 12, 12, 12, 12)
 	t.row("Structure", "p10", "p50", "p90", "p99")
 
-	type variant struct {
-		name string
-		be   blockchain.Backend
-	}
-	dir, err := tempDir("fig11")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	mkRocks := func(kind blockchain.MerkleKind, buckets int) blockchain.Backend {
-		be, err := blockchain.NewRocksDBStyle(fmt.Sprintf("%s/r%d", dir, buckets), kind, buckets)
-		if err != nil {
-			panic(err)
+	n := blockchain.NewNative(forkbase.Open(), "kv")
+	y := workload.NewYCSB(workload.YCSBConfig{Seed: 7, Keys: keys, ReadRatio: 0, ValueSize: 100})
+	var lat stopwatch
+	for c := 0; c < commits; c++ {
+		for i := 0; i < blockSize; i++ {
+			op := y.Next()
+			n.BufferWrite(op.Key, op.Value)
 		}
-		return be
-	}
-	variants := []variant{
-		{"ForkBase", blockchain.NewNative(forkbase.Open(), "kv")},
-		{"Rocksdb_10", mkRocks(blockchain.BucketMerkle, 10)},
-		{"Rocksdb_1K", mkRocks(blockchain.BucketMerkle, 1<<10)},
-		{"Rocksdb_1M", mkRocks(blockchain.BucketMerkle, 1<<20)},
-		{"Rocksdb_trie", mkRocks(blockchain.TrieMerkle, 0)},
-	}
-	for _, v := range variants {
-		y := workload.NewYCSB(workload.YCSBConfig{Seed: 7, Keys: keys, ReadRatio: 0, ValueSize: 100})
-		var lat stopwatch
-		for c := 0; c < commits; c++ {
-			for i := 0; i < blockSize; i++ {
-				op := y.Next()
-				v.be.BufferWrite(op.Key, op.Value)
+		lat.time(func() {
+			if _, err := n.Commit(bgCtx, uint64(c)); err != nil {
+				panic(err)
 			}
-			lat.time(func() {
-				if _, err := v.be.Commit(bgCtx, uint64(c)); err != nil {
-					panic(err)
-				}
-			})
-		}
-		t.row(v.name,
-			fmt.Sprintf("%.2fms", ms(lat.percentile(10))),
-			fmt.Sprintf("%.2fms", ms(lat.percentile(50))),
-			fmt.Sprintf("%.2fms", ms(lat.percentile(90))),
-			fmt.Sprintf("%.2fms", ms(lat.percentile(99))))
-		v.be.Close()
+		})
 	}
+	t.row("ForkBase",
+		fmt.Sprintf("%.2fms", ms(lat.percentile(10))),
+		fmt.Sprintf("%.2fms", ms(lat.percentile(50))),
+		fmt.Sprintf("%.2fms", ms(lat.percentile(90))),
+		fmt.Sprintf("%.2fms", ms(lat.percentile(99))))
 	return nil
 }
 
 // RunFig12 reproduces Figure 12: latency of the two analytical queries
-// — state scan (a) and block scan (b) — on ForkBase vs the
-// RocksDB-style backend, for two key-population sizes.
+// — state scan (a) and block scan (b) — for two key-population sizes.
 func RunFig12(w io.Writer, scale Scale) error {
 	const blockSize = 50
 	blocks := scale.pick(200, 12000)
 	keyCounts := []int{1 << 10, scale.pick(1<<12, 1<<16)}
 
 	fmt.Fprintln(w, "Figure 12(a): state scan latency")
-	ta := newTable(w, 10, 10, 16, 16)
-	ta.row("#Keys", "#Scanned", "ForkBase", "Rocksdb")
+	ta := newTable(w, 10, 10, 16)
+	ta.row("#Keys", "#Scanned", "ForkBase")
 	fmt.Fprintln(w, "")
 
-	type prepared struct {
-		name string
-		be   blockchain.Backend
-		keys int
-	}
-	var preps []prepared
-	dir, err := tempDir("fig12")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
+	chains := make([]*blockchain.Native, len(keyCounts))
 	for ki, keys := range keyCounts {
-		rocks, err := blockchain.NewRocksDBStyle(fmt.Sprintf("%s/r%d", dir, ki), blockchain.BucketMerkle, 1024)
-		if err != nil {
-			return err
-		}
-		for _, p := range []prepared{
-			{"ForkBase", blockchain.NewNative(forkbase.Open(), "kv"), keys},
-			{"Rocksdb", rocks, keys},
-		} {
-			y := workload.NewYCSB(workload.YCSBConfig{Seed: 8, Keys: keys, ReadRatio: 0, ValueSize: 100})
-			for c := 0; c < blocks; c++ {
-				for i := 0; i < blockSize; i++ {
-					op := y.Next()
-					p.be.BufferWrite(op.Key, op.Value)
-				}
-				if _, err := p.be.Commit(bgCtx, uint64(c)); err != nil {
-					return err
-				}
+		n := blockchain.NewNative(forkbase.Open(), "kv")
+		y := workload.NewYCSB(workload.YCSBConfig{Seed: 8, Keys: keys, ReadRatio: 0, ValueSize: 100})
+		for c := 0; c < blocks; c++ {
+			for i := 0; i < blockSize; i++ {
+				op := y.Next()
+				n.BufferWrite(op.Key, op.Value)
 			}
-			preps = append(preps, p)
+			if _, err := n.Commit(bgCtx, uint64(c)); err != nil {
+				return err
+			}
 		}
+		chains[ki] = n
 	}
 
 	for _, scanned := range []int{1, 10, 100, 1000} {
+		names := make([]string, scanned)
+		for i := range names {
+			names[i] = workload.Key(i)
+		}
 		for ki, keys := range keyCounts {
 			if scanned > keys {
 				continue
 			}
-			var lats [2]string
-			for pi := 0; pi < 2; pi++ {
-				p := preps[ki*2+pi]
-				names := make([]string, scanned)
-				for i := range names {
-					names[i] = workload.Key(i)
-				}
-				t0 := time.Now()
-				if _, err := p.be.ScanStates(bgCtx, names, 1<<30); err != nil {
-					return err
-				}
-				lats[pi] = fmt.Sprintf("%.2fms", ms(time.Since(t0)))
+			t0 := time.Now()
+			if _, err := chains[ki].ScanStates(bgCtx, names, 1<<30); err != nil {
+				return err
 			}
-			ta.row(keys, scanned, lats[0], lats[1])
+			ta.row(keys, scanned, fmt.Sprintf("%.2fms", ms(time.Since(t0))))
 		}
 	}
 
 	fmt.Fprintln(w, "\nFigure 12(b): block scan latency")
-	tb := newTable(w, 10, 10, 16, 16)
-	tb.row("#Keys", "Block", "ForkBase", "Rocksdb")
+	tb := newTable(w, 10, 10, 16)
+	tb.row("#Keys", "Block", "ForkBase")
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75, 0.99} {
 		h := uint64(float64(blocks-1) * frac)
 		for ki, keys := range keyCounts {
-			var lats [2]string
-			for pi := 0; pi < 2; pi++ {
-				p := preps[ki*2+pi]
-				t0 := time.Now()
-				if _, err := p.be.BlockScan(bgCtx, h); err != nil {
-					return err
-				}
-				lats[pi] = fmt.Sprintf("%.2fms", ms(time.Since(t0)))
+			t0 := time.Now()
+			if _, err := chains[ki].BlockScan(bgCtx, h); err != nil {
+				return err
 			}
-			tb.row(keys, h, lats[0], lats[1])
+			tb.row(keys, h, fmt.Sprintf("%.2fms", ms(time.Since(t0))))
 		}
-	}
-	for _, p := range preps {
-		p.be.Close()
 	}
 	return nil
-}
-
-// MerkleAmplification is an extra diagnostic used by tests: it returns
-// the bucket tree's hashed-byte counter after a fixed update stream.
-func MerkleAmplification(buckets, commits, updates int) int64 {
-	bt := merkle.NewBucketTree(buckets)
-	for c := 0; c < commits; c++ {
-		for i := 0; i < updates; i++ {
-			bt.Set(workload.Key(c*updates+i), []byte("v"))
-		}
-		bt.Commit()
-	}
-	return bt.HashedBytes
 }

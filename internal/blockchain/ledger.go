@@ -1,16 +1,11 @@
 // Package blockchain implements a miniature Hyperledger-style ledger
 // (paper §5.1): blocks of key-value transactions chained by hash, a
-// pluggable state backend, and the two analytical queries of §5.1.2 —
-// state scan (history of one key) and block scan (all states at one
-// block). Three backends reproduce the paper's comparison:
-//
-//   - Native: Hyperledger's data structures re-expressed on ForkBase
-//     (Figure 7b) — two levels of Map objects plus a Blob per state.
-//   - KVMerkle: the original design (Figure 7a) — an LSM store (the
-//     RocksDB stand-in) under a bucket Merkle tree or trie with state
-//     deltas.
-//   - ForkBaseKV: ForkBase used as a dumb key-value store with the
-//     Merkle machinery still implemented at the application layer.
+// ForkBase-native state store, and the two analytical queries of
+// §5.1.2 — state scan (history of one key) and block scan (all states
+// at one block). The state store, Native, re-expresses Hyperledger's
+// data structures on ForkBase (Figure 7b): two levels of Map objects
+// plus a Blob per state, so the block's state commitment is an FObject
+// uid and every state's history is its Blob's base-version chain.
 //
 // Consensus is replaced by a single sequencer: the paper's §6.2
 // evaluation isolates the storage component on one server, where
@@ -65,7 +60,7 @@ type Block struct {
 	Height   uint64
 	PrevHash Hash
 	TxRoot   Hash
-	StateRef []byte // backend state commitment: Merkle root or FObject uid
+	StateRef []byte // state commitment: the uid of the block's first-level Map FObject
 	NumTxs   int
 	Hash     Hash
 }
@@ -83,33 +78,9 @@ func (b *Block) computeHash() Hash {
 	return out
 }
 
-// Backend is the storage engine under the ledger.
-type Backend interface {
-	// Name identifies the backend in benchmark output.
-	Name() string
-	// Read returns the latest committed (or block-buffered) value.
-	Read(ctx context.Context, key string) ([]byte, error)
-	// BufferWrite stages a write for the current block, as
-	// Hyperledger buffers writes in memory until commit (§5.1.1).
-	BufferWrite(key string, value []byte)
-	// Commit applies the buffered writes as block `height` and
-	// returns the state commitment to embed in the block.
-	Commit(ctx context.Context, height uint64) ([]byte, error)
-	// StateScan returns the historical values of key, newest first,
-	// up to max entries (§5.1.2).
-	StateScan(ctx context.Context, key string, max int) ([][]byte, error)
-	// ScanStates answers a state-scan query covering several keys at
-	// once; Figure 12a varies the number of keys per query.
-	ScanStates(ctx context.Context, keys []string, max int) (map[string][][]byte, error)
-	// BlockScan returns all states as of block height (§5.1.2).
-	BlockScan(ctx context.Context, height uint64) (map[string][]byte, error)
-	// Close releases resources.
-	Close() error
-}
-
-// Ledger batches transactions into blocks over a backend.
+// Ledger batches transactions into blocks over a Native state store.
 type Ledger struct {
-	backend   Backend
+	state     *Native
 	blockSize int
 	pending   []Tx
 	blocks    []*Block
@@ -117,27 +88,24 @@ type Ledger struct {
 
 // NewLedger returns a ledger committing a block every blockSize
 // transactions (the paper uses b=50).
-func NewLedger(b Backend, blockSize int) *Ledger {
+func NewLedger(n *Native, blockSize int) *Ledger {
 	if blockSize <= 0 {
 		blockSize = 50
 	}
-	return &Ledger{backend: b, blockSize: blockSize}
+	return &Ledger{state: n, blockSize: blockSize}
 }
 
-// Backend returns the ledger's storage backend.
-func (l *Ledger) Backend() Backend { return l.backend }
-
-// Submit executes a transaction: reads go to the backend, writes are
+// Submit executes a transaction: reads go to the state store, writes are
 // buffered. A block commits automatically when blockSize transactions
 // have accumulated.
 func (l *Ledger) Submit(ctx context.Context, tx Tx) error {
 	for _, op := range tx.Ops {
 		if op.Read {
-			if _, err := l.backend.Read(ctx, op.Key); err != nil {
+			if _, err := l.state.Read(ctx, op.Key); err != nil {
 				return err
 			}
 		} else {
-			l.backend.BufferWrite(op.Key, op.Value)
+			l.state.BufferWrite(op.Key, op.Value)
 		}
 	}
 	l.pending = append(l.pending, tx)
@@ -153,7 +121,7 @@ func (l *Ledger) CommitBlock(ctx context.Context) error {
 		return nil
 	}
 	height := uint64(len(l.blocks))
-	stateRef, err := l.backend.Commit(ctx, height)
+	stateRef, err := l.state.Commit(ctx, height)
 	if err != nil {
 		return err
 	}

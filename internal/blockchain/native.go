@@ -26,15 +26,12 @@ type Native struct {
 	stateRefs []forkbase.UID
 }
 
-// NewNative returns a native ForkBase backend for one contract. It
-// runs against any Store — the embedded DB or a cluster client — since
-// it only touches the unified client API.
+// NewNative returns the state store for one contract. It runs against
+// any Store — the embedded DB or a cluster client — since it only
+// touches the unified client API.
 func NewNative(db forkbase.Store, contract string) *Native {
 	return &Native{db: db, contract: contract, buffer: make(map[string][]byte)}
 }
-
-// Name implements Backend.
-func (n *Native) Name() string { return "ForkBase" }
 
 func (n *Native) stateKey(key string) string { return "s/" + n.contract + "/" + key }
 
@@ -56,8 +53,9 @@ func (n *Native) mapOf(ctx context.Context, key string, o *forkbase.FObject) (*f
 	return forkbase.AsMap(v)
 }
 
-// Read implements Backend: it fetches the committed value from storage
-// (Hyperledger reads do not observe the in-block write buffer, §5.1.1).
+// Read returns the latest committed value of key, or nil if it was
+// never written. It does not observe the in-block write buffer, as
+// Hyperledger reads do not (§5.1.1).
 func (n *Native) Read(ctx context.Context, key string) ([]byte, error) {
 	o, err := n.db.Get(ctx, n.stateKey(key))
 	if errors.Is(err, forkbase.ErrKeyNotFound) {
@@ -73,17 +71,24 @@ func (n *Native) Read(ctx context.Context, key string) ([]byte, error) {
 	return b.Bytes()
 }
 
-// BufferWrite implements Backend.
+// BufferWrite stages a write for the current block, as Hyperledger
+// buffers writes in memory until commit (§5.1.1).
 func (n *Native) BufferWrite(key string, value []byte) {
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	n.buffer[key] = cp
 }
 
-// Commit implements Backend: each dirty state gets a new Blob version,
-// the second-level Map is updated in one batch, and the first-level Map
-// version becomes the block's state reference.
+// Commit applies the buffered writes as block height and returns the
+// state commitment to embed in the block: each dirty state gets a new
+// Blob version, the second-level Map is updated in one batch, and the
+// first-level Map version becomes the block's state reference. Blocks
+// commit in sequence; any height but the next one is an error that
+// records nothing.
 func (n *Native) Commit(ctx context.Context, height uint64) ([]byte, error) {
+	if height != uint64(len(n.stateRefs)) {
+		return nil, fmt.Errorf("blockchain: commit of block %d, next is %d", height, len(n.stateRefs))
+	}
 	keys := make([]string, 0, len(n.buffer))
 	for k := range n.buffer {
 		keys = append(keys, k)
@@ -146,17 +151,17 @@ func (n *Native) Commit(ctx context.Context, height uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for uint64(len(n.stateRefs)) < height {
-		// Fill gaps if blocks committed without state changes.
-		n.stateRefs = append(n.stateRefs, suid)
-	}
 	n.stateRefs = append(n.stateRefs, suid)
 	return suid[:], nil
 }
 
-// StateScan implements Backend: follow the Blob's base-version chain —
-// no chain scan, no pre-processing (§5.1.3).
+// StateScan returns the historical values of key, newest first, up to
+// max entries (§5.1.2). It follows the Blob's base-version chain — no
+// chain scan, no pre-processing (§5.1.3).
 func (n *Native) StateScan(ctx context.Context, key string, max int) ([][]byte, error) {
+	if max <= 0 {
+		return nil, nil
+	}
 	o, err := n.db.Get(ctx, n.stateKey(key))
 	if errors.Is(err, forkbase.ErrKeyNotFound) {
 		return nil, nil
@@ -183,8 +188,10 @@ func (n *Native) StateScan(ctx context.Context, key string, max int) ([][]byte, 
 	return out, nil
 }
 
-// ScanStates implements Backend: each key's history is one cheap walk
-// down its base-version chain; no shared pre-processing is needed.
+// ScanStates answers a state-scan query covering several keys at once
+// (Figure 12a varies the number of keys per query). Each key's history
+// is one cheap walk down its base-version chain; keys with no history
+// are absent from the result.
 func (n *Native) ScanStates(ctx context.Context, keys []string, max int) (map[string][][]byte, error) {
 	out := make(map[string][][]byte, len(keys))
 	for _, k := range keys {
@@ -199,8 +206,9 @@ func (n *Native) ScanStates(ctx context.Context, keys []string, max int) (map[st
 	return out, nil
 }
 
-// BlockScan implements Backend: resolve the block's first-level Map,
-// then the contract's second-level Map, then each Blob version.
+// BlockScan returns all states as of block height (§5.1.2): it
+// resolves the block's first-level Map, then the contract's
+// second-level Map, then each Blob version.
 func (n *Native) BlockScan(ctx context.Context, height uint64) (map[string][]byte, error) {
 	if height >= uint64(len(n.stateRefs)) {
 		return nil, fmt.Errorf("blockchain: no block %d", height)
@@ -256,6 +264,3 @@ func (n *Native) BlockScan(ctx context.Context, height uint64) (map[string][]byt
 	}
 	return out, nil
 }
-
-// Close implements Backend.
-func (n *Native) Close() error { return nil }
