@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"forkbase/internal/postree"
 	"forkbase/internal/store"
@@ -352,13 +353,20 @@ func mergeMap(ctx context.Context, s store.Store, cfg postree.Config, base, a, b
 		}
 	}
 	if len(conflicts) > 0 {
-		return nil, conflicts, ErrConflict
+		return nil, sortConflicts(conflicts), ErrConflict
 	}
 	merged := types.CloneMap(baseMap)
 	if err := merged.Apply(sets, deletes); err != nil {
 		return nil, nil, err
 	}
 	return merged, nil, nil
+}
+
+// sortConflicts puts conflicts found ranging over a map of changes in
+// key order, so that a merge reports them the same way every time.
+func sortConflicts(cs []Conflict) []Conflict {
+	sort.Slice(cs, func(i, j int) bool { return bytes.Compare(cs[i].Key, cs[j].Key) < 0 })
+	return cs
 }
 
 // mergeSet merges Set objects: additions and removals from both sides
@@ -438,7 +446,7 @@ func mergeSet(ctx context.Context, s store.Store, cfg postree.Config, base, a, b
 		}
 	}
 	if len(conflicts) > 0 {
-		return nil, conflicts, ErrConflict
+		return nil, sortConflicts(conflicts), ErrConflict
 	}
 	var baseSet *types.Set
 	if base != nil {

@@ -439,3 +439,27 @@ func TestMergeMapDiffsCostTheChangedPaths(t *testing.T) {
 		t.Fatalf("ThreeWay read %d distinct nodes; the changed paths and the apply read %d", len(got), len(want))
 	}
 }
+
+// A merge reports its conflicts in key order, the same every time,
+// although it finds them ranging over maps of changes.
+func TestMergeMapConflictsInKeyOrder(t *testing.T) {
+	e := newEnv()
+	base, left, right := map[string]string{}, map[string]string{}, map[string]string{}
+	for i := 0; i < 16; i++ {
+		k := fmt.Sprintf("key-%02d", i)
+		base[k], left[k], right[k] = "base", "left", "right"
+	}
+	b := e.mapOf(t, base)
+	l, r := e.mapOf(t, left, b), e.mapOf(t, right, b)
+	for run := 0; run < 10; run++ {
+		_, conflicts, err := ThreeWay(context.Background(), e.s, e.cfg, b, l, r, nil)
+		if !errors.Is(err, ErrConflict) || len(conflicts) != 16 {
+			t.Fatalf("run %d: %d conflicts, %v; want 16, ErrConflict", run, len(conflicts), err)
+		}
+		for i := 1; i < len(conflicts); i++ {
+			if bytes.Compare(conflicts[i-1].Key, conflicts[i].Key) >= 0 {
+				t.Fatalf("run %d: conflict %d is %q after %q", run, i, conflicts[i].Key, conflicts[i-1].Key)
+			}
+		}
+	}
+}

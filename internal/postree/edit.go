@@ -84,6 +84,7 @@ type leafWriter struct {
 	rolled  int    // bytes pushed through the rolling hash, Resume tails included
 	up      indexLevels
 	sp      []splice // scratch: the splices of the leaf being edited
+	elems   []byte   // scratch: the elements those splices insert
 }
 
 func newLeafWriter(t *Tree) *leafWriter {
@@ -348,26 +349,46 @@ func (t *Tree) SetRemove(elems ...[]byte) (*Tree, error) {
 	return t.applySortedOps(ops)
 }
 
-// encodeOp encodes a surviving op as a leaf element.
-func (t *Tree) encodeOp(op mapOp) []byte {
+// opSize is the size of op's leaf element.
+func (t *Tree) opSize(op mapOp) int {
 	if t.kind == KindMap {
-		return EncodeMapElem(op.key, op.value)
+		return 8 + len(op.key) + len(op.value)
 	}
-	return EncodeListElem(op.key)
+	return 4 + len(op.key)
+}
+
+// appendOp appends op's leaf element to dst.
+func (t *Tree) appendOp(dst []byte, op mapOp) []byte {
+	if t.kind == KindMap {
+		return AppendMapElem(dst, op.key, op.value)
+	}
+	return appendListElem(dst, op.key)
 }
 
 // placeOps turns the sorted ops that fall into one leaf into splices
-// of its payload, appended to sp: a set replaces the element holding
+// of its payload, appended to w.sp: a set replaces the element holding
 // its key or enters before the first greater one, a delete removes
-// the element or, if the key is absent, does nothing.
-func (t *Tree) placeOps(sp []splice, old []byte, ops []mapOp) ([]splice, error) {
+// the element or, if the key is absent, does nothing. The elements the
+// sets insert are encoded into w.elems, sized for all of them first, so
+// a leaf's inserts cost at most one allocation and usually none.
+func (w *leafWriter) placeOps(t *Tree, old []byte, ops []mapOp) error {
+	size := 0
+	for _, op := range ops {
+		if !op.del {
+			size += t.opSize(op)
+		}
+	}
+	if cap(w.elems) < size {
+		w.elems = make([]byte, 0, size)
+	}
+	w.sp, w.elems = w.sp[:0], w.elems[:0]
 	off, idx := 0, uint64(0)
 	for _, op := range ops {
 		match := 0 // length of the element holding op.key
 		for off < len(old) {
 			enc, n, err := elementAt(t.kind, old[off:])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cmp := bytes.Compare(elemKey(t.kind, enc), op.key)
 			if cmp == 0 {
@@ -384,14 +405,16 @@ func (t *Tree) placeOps(sp []splice, old []byte, ops []mapOp) ([]splice, error) 
 		}
 		switch {
 		case !op.del:
-			s.ins = t.encodeOp(op)
+			at := len(w.elems)
+			w.elems = t.appendOp(w.elems, op)
+			s.ins = w.elems[at:]
 		case match == 0:
 			continue
 		}
-		sp = append(sp, s)
+		w.sp = append(w.sp, s)
 		off, idx = s.hi, idx+s.del
 	}
-	return sp, nil
+	return nil
 }
 
 // applySortedOps merges mutations into a sorted tree.
@@ -413,11 +436,14 @@ func (t *Tree) applySortedOps(ops []mapOp) (*Tree, error) {
 	ops = dedup
 
 	if t.root.IsNil() {
-		// Fresh build from the surviving inserts.
+		// Fresh build from the surviving inserts. The Builder copies
+		// each element, so one scratch encodes them all in turn.
 		b := NewBuilder(t.s, t.cfg, t.kind)
+		var elem []byte
 		for _, op := range ops {
 			if !op.del {
-				b.Append(t.encodeOp(op))
+				elem = t.appendOp(elem[:0], op)
+				b.Append(elem)
 			}
 		}
 		return b.Finish()
@@ -443,7 +469,7 @@ func (w *leafWriter) applyOps(t *Tree, e entry, lvl int, last bool, ops []mapOp)
 		return err
 	}
 	if lvl == 1 {
-		if w.sp, err = t.placeOps(w.sp[:0], c.Data(), ops); err != nil {
+		if err := w.placeOps(t, c.Data(), ops); err != nil {
 			return err
 		}
 		if len(w.sp) == 0 && w.n == 0 {

@@ -49,12 +49,6 @@ var schema = [...]string{"pk", "int1", "int2", "text1", "text2"}
 // numFields is len(Schema) as a constant: decodeRecord's array size.
 const numFields = len(schema)
 
-func encInt(v int64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
-
 func decInt(b []byte) (int64, error) {
 	if len(b) != 8 {
 		return 0, fmt.Errorf("tabular: integer field of %d bytes", len(b))
@@ -62,11 +56,40 @@ func decInt(b []byte) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
-// encodeRecord serializes a record as a Tuple payload.
-func encodeRecord(r workload.Record) []byte {
-	return forkbase.EncodeTuple(forkbase.Tuple{
-		[]byte(r.PK), encInt(r.Int1), encInt(r.Int2), []byte(r.Text1), []byte(r.Text2),
-	})
+// recordSize is the size of r's Tuple encoding: the field count, then
+// each field's length and bytes.
+func recordSize(r workload.Record) int {
+	return 4 + 4*numFields + len(r.PK) + 8 + 8 + len(r.Text1) + len(r.Text2)
+}
+
+// appendRecord appends r's Tuple encoding to dst, byte for byte what
+// types.EncodeTuple makes of its five fields, straight from r's strings
+// and integers.
+func appendRecord(dst []byte, r workload.Record) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(numFields))
+	for i := 0; i < numFields; i++ {
+		at := len(dst)
+		dst = appendField(append(dst, 0, 0, 0, 0), r, i)
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	}
+	return dst
+}
+
+// appendField appends field i (in Schema order) of r to dst: the text
+// of pk, text1 and text2, integers as 8 little-endian bytes. It is also
+// the element a column List holds.
+func appendField(dst []byte, r workload.Record, i int) []byte {
+	switch i {
+	case 0:
+		return append(dst, r.PK...)
+	case 1:
+		return binary.LittleEndian.AppendUint64(dst, uint64(r.Int1))
+	case 2:
+		return binary.LittleEndian.AppendUint64(dst, uint64(r.Int2))
+	case 3:
+		return append(dst, r.Text1...)
+	}
+	return append(dst, r.Text2...)
 }
 
 // decodeRecord reads a record off its Tuple payload field by field;
@@ -93,23 +116,6 @@ func decodeRecord(data []byte) (workload.Record, error) {
 		return workload.Record{}, err
 	}
 	return r, nil
-}
-
-// columnValue extracts field col from a record for the column layout.
-func columnValue(r workload.Record, col string) []byte {
-	switch col {
-	case "pk":
-		return []byte(r.PK)
-	case "int1":
-		return encInt(r.Int1)
-	case "int2":
-		return encInt(r.Int2)
-	case "text1":
-		return []byte(r.Text1)
-	case "text2":
-		return []byte(r.Text2)
-	}
-	panic("tabular: unknown column " + col)
 }
 
 // FBTable is a versioned relational table on ForkBase. Branches scope
@@ -167,9 +173,13 @@ func (t *FBTable) colKey(col string) string { return "tbl/" + t.name + "/col/" +
 func (t *FBTable) Import(branch string, records []workload.Record) error {
 	switch t.layout {
 	case RowLayout:
+		// The Map copies each entry as it is set, so one scratch holds
+		// every row's key and Tuple in turn.
 		m := forkbase.NewMap()
+		var kv []byte
 		for _, r := range records {
-			if err := m.Set([]byte(r.PK), encodeRecord(r)); err != nil {
+			kv = appendRecord(append(kv[:0], r.PK...), r)
+			if err := m.Set(kv[:len(r.PK)], kv[len(r.PK):]); err != nil {
 				return err
 			}
 		}
@@ -177,10 +187,12 @@ func (t *FBTable) Import(branch string, records []workload.Record) error {
 		return err
 	case ColLayout:
 		dir := forkbase.NewMap()
-		for _, col := range Schema {
+		var v []byte // the List copies each element it is given
+		for i, col := range Schema {
 			l := forkbase.NewList()
 			for _, r := range records {
-				if err := l.Append(columnValue(r, col)); err != nil {
+				v = appendField(v[:0], r, i)
+				if err := l.Append(v); err != nil {
 					return err
 				}
 			}
@@ -280,9 +292,19 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 		if err != nil {
 			return err
 		}
+		// One buffer holds every key and Tuple of the call; each KV is
+		// a capped slice of it.
+		size := 0
+		for _, r := range records {
+			size += len(r.PK) + recordSize(r)
+		}
+		buf := make([]byte, 0, size)
 		sets := make([]postree.KV, len(records))
 		for i, r := range records {
-			sets[i] = postree.KV{Key: []byte(r.PK), Value: encodeRecord(r)}
+			k := len(buf)
+			v := k + len(r.PK)
+			buf = appendRecord(append(buf, r.PK...), r)
+			sets[i] = postree.KV{Key: buf[k:v:v], Value: buf[v:len(buf):len(buf)]}
 		}
 		if err := m.Apply(sets, nil); err != nil {
 			return err
@@ -294,13 +316,15 @@ func (t *FBTable) Update(branch string, records []workload.Record, positions []u
 			return errors.New("tabular: column update needs positions")
 		}
 		dir := forkbase.NewMap()
-		for _, col := range Schema {
+		var v []byte // a splice copies the element it is given
+		for f, col := range Schema {
 			l, err := t.column(branch, col)
 			if err != nil {
 				return err
 			}
 			for i, r := range records {
-				if err := l.Splice(positions[i], 1, columnValue(r, col)); err != nil {
+				v = appendField(v[:0], r, f)
+				if err := l.Splice(positions[i], 1, v); err != nil {
 					return err
 				}
 			}

@@ -384,6 +384,14 @@ func (l *List) Splice(at, del uint64, ins ...[]byte) error {
 		if at+del > uint64(len(l.staged)) {
 			return fmt.Errorf("types: splice out of range")
 		}
+		if del == 0 && at == uint64(len(l.staged)) {
+			// An append grows the staged slice in place: it is the
+			// handle's own, since NewList copies.
+			for _, e := range ins {
+				l.staged = append(l.staged, append([]byte(nil), e...))
+			}
+			return nil
+		}
 		next := make([][]byte, 0, uint64(len(l.staged))-del+uint64(len(ins)))
 		next = append(next, l.staged[:at]...)
 		for _, e := range ins {

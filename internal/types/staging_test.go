@@ -2,8 +2,10 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"forkbase/internal/postree"
@@ -187,6 +189,36 @@ func TestCloneMapOrderedRun(t *testing.T) {
 	}{{m, "from m"}, {c, "from c"}} {
 		if v, _, _ := h.m.Get([]byte("b")); string(v) != h.want {
 			t.Errorf("b = %q, want %q", v, h.want)
+		}
+	}
+}
+
+// Appending to a fresh List one element at a time costs allocation
+// linear in the elements: an append grows the staged slice in place
+// instead of rebuilding it, which would cost n²/2 slice headers.
+func TestListStagedAppendLinear(t *testing.T) {
+	const n, elemSize = 20000, 16
+	const perElem = 1 << 10 // generous: the copy plus the amortized growth is ~90 bytes
+	elem := make([]byte, elemSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := NewList()
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(elem, uint32(i))
+		if err := l.Append(elem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*perElem {
+		t.Fatalf("%d appends allocated %d bytes, want at most %d", n, got, n*perElem)
+	}
+	if l.Len() != n {
+		t.Fatalf("Len %d, want %d", l.Len(), n)
+	}
+	for _, i := range []uint64{0, 1, n / 2, n - 1} {
+		if e, err := l.Get(i); err != nil || binary.LittleEndian.Uint32(e) != uint32(i) || len(e) != elemSize {
+			t.Fatalf("Get(%d) = %x, %v", i, e, err)
 		}
 	}
 }
