@@ -414,3 +414,49 @@ func TestChunkSyncHandleReadOfACollectedVersion(t *testing.T) {
 		t.Fatalf("Bytes of a collected version: %v, want store.ErrNotFound", err)
 	}
 }
+
+// TestChunkSyncWideFillWants pins what a wide fill costs: a warm
+// client reading an 8 MiB Blob it has never seen makes one Want for
+// Value, then one per fetch batch of the fill — a batch for each index
+// level below the root (each fits one) and one per 1 024 leaves. A
+// smaller batch, or a second batch in flight, makes more.
+func TestChunkSyncWideFillWants(t *testing.T) {
+	ctx := context.Background()
+	db, ms, _, rc := readRig(t)
+	data := randBytes(106, 8<<20)
+	o, tr := valueOf(t, db, ms, rc, "big", forkbase.NewBlob(data))
+	perLevel := map[int]int{}
+	if err := tr.Walk(func(_ chunk.ID, level int) (bool, error) {
+		perLevel[level]++
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 1024
+	want := int64(1 + (perLevel[1]+batch-1)/batch)
+	for level := 2; level < tr.Height(); level++ {
+		if perLevel[level] > batch {
+			t.Fatalf("level %d holds %d nodes; the pin wants each index level in one batch", level, perLevel[level])
+		}
+		want++
+	}
+	if perLevel[1] <= batch {
+		t.Fatalf("%d leaves fit one batch; the pin wants a leaf level wider than that", perLevel[1])
+	}
+
+	w0 := clientCalls(rc, "chunk_want")
+	v, err := rc.Value(ctx, "big", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := forkbase.AsBlob(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Bytes(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("wide fill: %v", err)
+	}
+	if got := clientCalls(rc, "chunk_want") - w0; got != want {
+		t.Fatalf("reading %d leaves under a tree of height %d made %d Wants; want %d", perLevel[1], tr.Height(), got, want)
+	}
+}

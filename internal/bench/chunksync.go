@@ -194,7 +194,7 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 // runColdReadLatency reports the wall-clock of a cold read over a link
 // with real latency: through a loopback proxy injecting a fixed RTT,
 // where the number of synchronous round trips — which byte counts
-// cannot show — is what the deep Want and the pipelined pull save.
+// cannot show — is what the deep Want and the batched pull save.
 func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr string, rng *rand.Rand) error {
 	const rtt = time.Millisecond
 	sizes := []int{4 << 20}

@@ -32,7 +32,7 @@ const (
 	// DefaultHaveBatch is the largest id list per Have request.
 	DefaultHaveBatch = 4096
 	// DefaultFetchBatch is the largest id list per Fetch request.
-	DefaultFetchBatch = 512
+	DefaultFetchBatch = 1024
 	// DefaultSendBytes is the target payload size per Send request.
 	DefaultSendBytes = 4 << 20
 )
@@ -65,17 +65,10 @@ type Stats struct {
 	ChunksSkipped int
 }
 
-// DefaultPullWindow is the number of fetch batches Pull keeps in
-// flight at once.
-const DefaultPullWindow = 2
-
-// PullConfig tunes Pull's prefetch pipeline.
+// PullConfig tunes Pull's fetch batching.
 type PullConfig struct {
 	// Batch caps ids per Fetch request (0 means DefaultFetchBatch).
 	Batch int
-	// Window is the number of fetch batches kept in flight at once
-	// (0 or less means DefaultPullWindow).
-	Window int
 }
 
 func (c PullConfig) batch() int {
@@ -83,13 +76,6 @@ func (c PullConfig) batch() int {
 		return DefaultFetchBatch
 	}
 	return c.Batch
-}
-
-func (c PullConfig) window() int {
-	if c.Window <= 0 {
-		return DefaultPullWindow
-	}
-	return c.Window
 }
 
 // Pull completes the POS-Tree rooted at root in local: it walks the
@@ -100,16 +86,13 @@ func (c PullConfig) window() int {
 // before it is admitted to local. height is the tree's level count as
 // recorded in its chunk reference.
 //
-// Fetching is pipelined: up to cfg.Window batches are outstanding
-// concurrently, and newly discovered ids (children of an index node
-// that just arrived) are dispatched as soon as a window slot frees,
-// without waiting for the rest of the node's level. On a high-latency
-// link this overlaps the per-level round trips that dominate a cold
-// read. Workers verify and admit chunks concurrently; discovery and
-// dispatch stay on the caller's goroutine. The first error cancels the
-// outstanding fetches, and Pull returns only after every worker has
-// exited — no goroutines or fetches are leaked, even on
-// context cancellation.
+// The walk is one loop on the caller's goroutine with one fetch
+// outstanding: take up to cfg.Batch ids off the discovery queue, fetch
+// and admit them, queue the children of the index nodes among them,
+// and repeat until the queue is empty. A batch mixes ids of different
+// levels, so a level narrower than a batch costs no round trip of its
+// own. The first error ends the pull; what was admitted before it
+// stays in local.
 //
 // Partially-pulled trees (an earlier Pull cancelled mid-way) are
 // handled by construction: presence of an index node never implies
@@ -124,66 +107,41 @@ func Pull(ctx context.Context, local store.Store, fetch FetchFunc, root chunk.ID
 
 // PullSubtrees is Pull over several subtrees at once: it completes, in
 // local, the subtree under each of roots, all of which sit at level
-// (1 for a leaf), in one pipelined walk — a fetch batch mixes ids of
-// different subtrees, so n siblings cost the round trips of one.
+// (1 for a leaf), in one walk — a fetch batch mixes ids of different
+// subtrees, so n siblings cost the round trips of one.
 // Iteration over a chunk-synced tree calls it with the child it is
 // about to enter and the siblings after it (postree.Filler).
 func PullSubtrees(ctx context.Context, local store.Store, fetch FetchFunc, roots []chunk.ID, level int, cfg PullConfig) (Stats, error) {
-	var st Stats
-	p := &puller{
-		local:   local,
-		fetch:   fetch,
-		batch:   cfg.batch(),
-		window:  cfg.window(),
-		seen:    make(map[chunk.ID]bool, len(roots)),
-		results: make(chan pullResult),
-		st:      &st,
+	p := &puller{local: local, seen: make(map[chunk.ID]bool, len(roots))}
+	if err := p.discover(roots, level); err != nil {
+		return p.st, err
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for _, root := range roots {
-		if p.seen[root] {
-			continue
+	batch := cfg.batch()
+	var ids []chunk.ID
+	for len(p.queue) > 0 {
+		items := p.queue[:min(batch, len(p.queue))]
+		p.queue = p.queue[len(items):]
+		ids = ids[:0]
+		for _, it := range items {
+			ids = append(ids, it.id)
 		}
-		p.seen[root] = true
-		if err := p.admitOrQueue(pullItem{id: root, h: level}); err != nil {
-			return st, err
+		if err := fetchInto(ctx, local, fetch, ids, len(ids), &p.st); err != nil {
+			return p.st, err
 		}
-	}
-	var firstErr error
-	for len(p.queue) > 0 || p.inflight > 0 {
-		for firstErr == nil && p.inflight < p.window && len(p.queue) > 0 {
-			p.dispatch(cctx)
-		}
-		if p.inflight == 0 {
-			break // firstErr != nil and nothing left to drain
-		}
-		res := <-p.results
-		p.inflight--
-		p.st.ChunksFetched += res.fetched
-		p.st.BytesFetched += res.bytes
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-				cancel() // abort the rest of the window
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // draining; don't expand or dispatch further
-		}
-		for _, it := range res.items {
+		for _, it := range items {
 			if it.h <= 1 {
 				continue
 			}
-			if err := p.expand(it); err != nil {
-				firstErr = err
-				cancel()
-				break
+			kids, err := p.children(it.id)
+			if err == nil {
+				err = p.discover(kids, it.h-1)
+			}
+			if err != nil {
+				return p.st, err
 			}
 		}
 	}
-	return st, firstErr
+	return p.st, nil
 }
 
 // pullItem is one chunk the walk still owes: its id and its level in
@@ -193,107 +151,57 @@ type pullItem struct {
 	h  int
 }
 
-// pullResult is one fetch batch's outcome: the items whose chunks were
-// verified and admitted, and the payload bytes that moved.
-type pullResult struct {
-	items   []pullItem
-	fetched int
-	bytes   int64
-	err     error
-}
-
-// puller is Pull's dispatch state. Only fetchWorker goroutines run
-// concurrently with the main loop; everything here is owned by the
-// main loop, and workers communicate solely over results.
+// puller is PullSubtrees' walk state: the ids seen so far, the missing
+// ones not yet fetched, and the counts.
 type puller struct {
-	local    store.Store
-	fetch    FetchFunc
-	batch    int
-	window   int
-	seen     map[chunk.ID]bool
-	queue    []pullItem
-	inflight int
-	results  chan pullResult
-	st       *Stats
+	local store.Store
+	seen  map[chunk.ID]bool
+	queue []pullItem
+	st    Stats
 }
 
-// admitOrQueue routes one newly discovered id: locally held index
-// nodes are expanded immediately (a memory read), locally held leaves
-// are counted, and missing chunks join the fetch queue. Callers must
-// have marked the id seen.
-func (p *puller) admitOrQueue(it pullItem) error {
-	if !p.local.Has(it.id) {
-		p.queue = append(p.queue, it)
-		return nil
-	}
-	p.st.ChunksLocal++
-	if it.h <= 1 {
-		return nil
-	}
-	return p.expand(it)
-}
-
-// expand reads a locally present index node and routes its unseen
-// children. Iterative with an explicit stack: a partially pulled tree
-// can hold arbitrarily deep local index paths.
-func (p *puller) expand(it pullItem) error {
-	stack := []pullItem{it}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c, err := store.GetVerified(p.local, cur.id)
-		if err != nil {
-			return err
-		}
-		kids, err := postree.IndexChildIDs(c.Data())
-		if err != nil {
-			return err
-		}
-		for _, kid := range kids {
-			if p.seen[kid] {
+// discover routes ids newly found at level h: missing chunks join the
+// fetch queue, locally held leaves are counted, and locally held index
+// nodes are expanded at once (a memory read). Iterative with an
+// explicit stack: a partially pulled tree can hold arbitrarily deep
+// local index paths.
+func (p *puller) discover(ids []chunk.ID, h int) error {
+	var stack []pullItem
+	for {
+		for _, id := range ids {
+			if p.seen[id] {
 				continue
 			}
-			p.seen[kid] = true
-			child := pullItem{id: kid, h: cur.h - 1}
-			if !p.local.Has(kid) {
-				p.queue = append(p.queue, child)
+			p.seen[id] = true
+			if !p.local.Has(id) {
+				p.queue = append(p.queue, pullItem{id: id, h: h})
 				continue
 			}
 			p.st.ChunksLocal++
-			if child.h > 1 {
-				stack = append(stack, child)
+			if h > 1 {
+				stack = append(stack, pullItem{id: id, h: h})
 			}
 		}
+		if len(stack) == 0 {
+			return nil
+		}
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		var err error
+		if ids, err = p.children(cur.id); err != nil {
+			return err
+		}
+		h = cur.h - 1
 	}
-	return nil
 }
 
-// dispatch launches one fetch batch off the front of the queue.
-func (p *puller) dispatch(ctx context.Context) {
-	n := len(p.queue)
-	if n > p.batch {
-		n = p.batch
+// children reads the child ids of an index node local holds.
+func (p *puller) children(id chunk.ID) ([]chunk.ID, error) {
+	c, err := store.GetVerified(p.local, id)
+	if err != nil {
+		return nil, err
 	}
-	items := make([]pullItem, n)
-	copy(items, p.queue[:n])
-	p.queue = p.queue[n:]
-	p.inflight++
-	go fetchWorker(ctx, p.local, p.fetch, items, p.results)
-}
-
-// fetchWorker fetches, verifies, and admits one batch of chunks, then
-// reports. It always sends exactly one result.
-func fetchWorker(ctx context.Context, local store.Store, fetch FetchFunc, items []pullItem, results chan<- pullResult) {
-	res := pullResult{items: items}
-	ids := make([]chunk.ID, len(items))
-	for i, it := range items {
-		ids[i] = it.id
-	}
-	var st Stats
-	res.err = fetchInto(ctx, local, fetch, ids, len(ids), &st)
-	res.fetched = st.ChunksFetched
-	res.bytes = st.BytesFetched
-	results <- res
+	return postree.IndexChildIDs(c.Data())
 }
 
 // fetchInto pulls the given ids into local, verifying each chunk

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -14,11 +13,9 @@ import (
 )
 
 // remoteEnd adapts a MemStore into the three transport closures,
-// counting what crosses the boundary. Pull's pipelined fetches arrive
-// from concurrent workers, so the counters live under a mutex.
+// counting what crosses the boundary.
 type remoteEnd struct {
 	s           *store.MemStore
-	mu          sync.Mutex
 	fetches     int
 	sends       int
 	fetchPrefix int // when >0, answer at most this many ids per fetch
@@ -33,9 +30,7 @@ func (r *remoteEnd) have(_ context.Context, ids []chunk.ID) ([]bool, error) {
 }
 
 func (r *remoteEnd) fetch(_ context.Context, ids []chunk.ID) ([][]byte, error) {
-	r.mu.Lock()
 	r.fetches++
-	r.mu.Unlock()
 	if r.fetchPrefix > 0 && len(ids) > r.fetchPrefix {
 		ids = ids[:r.fetchPrefix]
 	}

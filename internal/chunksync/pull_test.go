@@ -101,39 +101,37 @@ func TestPullPipelinedMatchesLevelSync(t *testing.T) {
 		}},
 	}
 	for _, sc := range scenarios {
-		for _, window := range []int{1, 2, 4} {
-			localA, localB := store.NewMemStore(), store.NewMemStore()
-			sc.prep(t, localA)
-			sc.prep(t, localB)
-			stPipe, err := Pull(ctx, localA, server.fetch, tree.Root(), tree.Height(), PullConfig{Batch: 32, Window: window})
+		localA, localB := store.NewMemStore(), store.NewMemStore()
+		sc.prep(t, localA)
+		sc.prep(t, localB)
+		stPipe, err := Pull(ctx, localA, server.fetch, tree.Root(), tree.Height(), PullConfig{Batch: 32})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		stSync, err := pullLevelSync(ctx, localB, server.fetch, tree.Root(), tree.Height(), 32)
+		if err != nil {
+			t.Fatalf("%s levelsync: %v", sc.name, err)
+		}
+		if stPipe.ChunksFetched != stSync.ChunksFetched ||
+			stPipe.BytesFetched != stSync.BytesFetched ||
+			stPipe.ChunksLocal != stSync.ChunksLocal {
+			t.Fatalf("%s: pipelined %+v vs levelsync %+v", sc.name, stPipe, stSync)
+		}
+		for _, pulled := range []*store.MemStore{localA, localB} {
+			at := postree.Attach(pulled, postree.DefaultConfig(), postree.KindBlob, tree.Root(), tree.Count(), tree.Height())
+			got, err := at.Bytes()
 			if err != nil {
-				t.Fatalf("%s window=%d: %v", sc.name, window, err)
+				t.Fatal(err)
 			}
-			stSync, err := pullLevelSync(ctx, localB, server.fetch, tree.Root(), tree.Height(), 32)
-			if err != nil {
-				t.Fatalf("%s levelsync: %v", sc.name, err)
-			}
-			if stPipe.ChunksFetched != stSync.ChunksFetched ||
-				stPipe.BytesFetched != stSync.BytesFetched ||
-				stPipe.ChunksLocal != stSync.ChunksLocal {
-				t.Fatalf("%s window=%d: pipelined %+v vs levelsync %+v", sc.name, window, stPipe, stSync)
-			}
-			for _, pulled := range []*store.MemStore{localA, localB} {
-				at := postree.Attach(pulled, postree.DefaultConfig(), postree.KindBlob, tree.Root(), tree.Count(), tree.Height())
-				got, err := at.Bytes()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Fatalf("%s window=%d: pulled tree does not reproduce the content", sc.name, window)
-				}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("%s: pulled tree does not reproduce the content", sc.name)
 			}
 		}
 	}
 }
 
-// Cancelling a pull mid-prefetch must stop the workers promptly, leak
-// no goroutines, and leave the partial tree re-pullable.
+// Cancelling a pull mid-way must stop it promptly, leak no
+// goroutines, and leave the partial tree re-pullable.
 func TestPullCancelMidPrefetch(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
 	data := make([]byte, 2<<20)
@@ -159,14 +157,14 @@ func TestPullCancelMidPrefetch(t *testing.T) {
 		}
 		return server.fetch(fctx, ids)
 	}
-	_, err := Pull(ctx, local, blocking, tree.Root(), tree.Height(), PullConfig{Batch: 8, Window: 4})
+	_, err := Pull(ctx, local, blocking, tree.Root(), tree.Height(), PullConfig{Batch: 8})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pull returned %v", err)
 	}
 	cancel()
 
-	// Pull returns only after its workers exit; give the runtime a few
-	// scheduling rounds to retire them before counting.
+	// Give the runtime a few scheduling rounds to retire any goroutine
+	// the pull left behind before counting.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -217,8 +215,8 @@ func TestPullExpandsDuplicateIndexOnce(t *testing.T) {
 	}
 }
 
-// First fetch error aborts the remaining window and surfaces; the
-// store keeps whatever was admitted before the failure.
+// The first fetch error ends the pull and surfaces; the store keeps
+// whatever was admitted before the failure.
 func TestPullFirstErrorWins(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	data := make([]byte, 2<<20)
@@ -235,94 +233,25 @@ func TestPullFirstErrorWins(t *testing.T) {
 		return server.fetch(fctx, ids)
 	}
 	local := store.NewMemStore()
-	_, err := Pull(context.Background(), local, flaky, tree.Root(), tree.Height(), PullConfig{Batch: 8, Window: 3})
+	_, err := Pull(context.Background(), local, flaky, tree.Root(), tree.Height(), PullConfig{Batch: 8})
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the transport error", err)
 	}
 }
 
-// lockstepEnd serves fetches in virtual time: every call takes exactly
-// one tick, calls are answered oldest first, and none is answered until
-// the walk under test has issued every call it is going to — its window
-// is full, or it has asked for every id it can know of (the root, then
-// the children of each index node delivered so far). ticks is then the
-// number of round trips the walk waited for one after another, whatever
-// the scheduler did.
-type lockstepEnd struct {
-	t     *testing.T
-	s     *store.MemStore
-	kids  map[chunk.ID][]chunk.ID // index node -> children
-	calls chan *lockstepCall
-}
-
-type lockstepCall struct {
-	ids    []chunk.ID
-	issued int
-	reply  chan [][]byte
-}
-
-func (l *lockstepEnd) fetch(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
-	c := &lockstepCall{ids: ids, reply: make(chan [][]byte, 1)}
-	l.calls <- c
-	return <-c.reply, nil
-}
-
-// serve answers calls until done closes; window is the most calls the
-// walk keeps outstanding.
-func (l *lockstepEnd) serve(root chunk.ID, window int, done <-chan struct{}) (calls, ticks int) {
-	known := map[chunk.ID]bool{root: true}
-	unrequested := 1
-	var blocked []*lockstepCall
-	for {
-		for len(blocked) < window && unrequested > 0 {
-			select {
-			case c := <-l.calls:
-				c.issued = ticks
-				blocked = append(blocked, c)
-				unrequested -= len(c.ids)
-				calls++
-			case <-time.After(10 * time.Second):
-				l.t.Error("walk stalled with ids it knows of still unrequested")
-				return
-			}
-		}
-		if len(blocked) == 0 {
-			<-done
-			return
-		}
-		c := blocked[0]
-		blocked = blocked[1:]
-		ticks = max(ticks, c.issued+1)
-		out := make([][]byte, len(c.ids))
-		for i, id := range c.ids {
-			ch, err := l.s.Get(id)
-			if err != nil {
-				l.t.Error(err)
-				return
-			}
-			out[i] = ch.Bytes()
-			for _, kid := range l.kids[id] {
-				if !known[kid] {
-					known[kid] = true
-					unrequested++
-				}
-			}
-		}
-		c.reply <- out
-	}
-}
-
-// TestPullFetchRounds is the cold-read claim as exact counts: over a
-// height-3 tree, from an empty store, the pipelined walk asks in no
-// more fetch calls than the level-synchronous reference and, with two
-// batches in flight, waits for strictly fewer round trips one after
-// another — the reference waits once per call.
+// TestPullFetchRounds pins the loop's cold read as exact counts over a
+// height-3 tree at 32 ids a batch: one fetch call outstanding at a
+// time, so every call is a round trip of its own; the calls the loop
+// makes are exactly those of a FIFO worked out from the tree alone —
+// a batch off the front per call, the children of each fetched index
+// node queued behind — and no more than the level-synchronous
+// reference makes at the same batch size.
 func TestPullFetchRounds(t *testing.T) {
 	ctx := context.Background()
 	data := make([]byte, 3<<20)
 	rand.New(rand.NewSource(14)).Read(data)
-	origin := store.NewMemStore()
-	tree := buildBlob(t, origin, data)
+	origin := &remoteEnd{s: store.NewMemStore()}
+	tree := buildBlob(t, origin.s, data)
 	if tree.Height() != 3 {
 		t.Fatalf("tree height %d, the test wants 3", tree.Height())
 	}
@@ -331,7 +260,7 @@ func TestPullFetchRounds(t *testing.T) {
 		if level == 1 {
 			return false, nil
 		}
-		c, err := origin.Get(id)
+		c, err := origin.s.Get(id)
 		if err != nil {
 			return false, err
 		}
@@ -341,40 +270,47 @@ func TestPullFetchRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batch = 32
-	run := func(window int, walk func(fetch FetchFunc) (Stats, error)) (calls, ticks int, st Stats) {
-		end := &lockstepEnd{t: t, s: origin, kids: kids, calls: make(chan *lockstepCall)}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			var err error
-			if st, err = walk(end.fetch); err != nil {
-				t.Error(err)
-			}
-		}()
-		calls, ticks = end.serve(tree.Root(), window, done)
-		<-done
-		return calls, ticks, st
+	want := 0
+	for q := []chunk.ID{tree.Root()}; len(q) > 0; want++ {
+		n := min(batch, len(q))
+		for _, id := range q[:n] {
+			q = append(q, kids[id]...)
+		}
+		q = q[n:]
 	}
-	refCalls, refTicks, refStats := run(1, func(fetch FetchFunc) (Stats, error) {
-		return pullLevelSync(ctx, store.NewMemStore(), fetch, tree.Root(), tree.Height(), batch)
-	})
-	calls, ticks, st := run(2, func(fetch FetchFunc) (Stats, error) {
-		return Pull(ctx, store.NewMemStore(), fetch, tree.Root(), tree.Height(), PullConfig{Batch: batch, Window: 2})
-	})
-	if t.Failed() {
-		return
+
+	ref := &remoteEnd{s: origin.s}
+	refStats, err := pullLevelSync(ctx, store.NewMemStore(), ref.fetch, tree.Root(), tree.Height(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each call lingers a moment, so a walk that overlapped its calls
+	// would be caught doing it.
+	var outstanding atomic.Int32
+	var overlapped atomic.Bool
+	fetch := func(ctx context.Context, ids []chunk.ID) ([][]byte, error) {
+		if outstanding.Add(1) > 1 {
+			overlapped.Store(true)
+		}
+		defer outstanding.Add(-1)
+		time.Sleep(time.Millisecond)
+		return origin.fetch(ctx, ids)
+	}
+	st, err := Pull(ctx, store.NewMemStore(), fetch, tree.Root(), tree.Height(), PullConfig{Batch: batch})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st != refStats {
-		t.Fatalf("pipelined moved %+v, reference %+v", st, refStats)
+		t.Fatalf("pull moved %+v, reference %+v", st, refStats)
 	}
-	if refTicks != refCalls {
-		t.Fatalf("reference waited %d round trips for %d calls; it has one call outstanding at a time", refTicks, refCalls)
+	if overlapped.Load() {
+		t.Fatal("pull kept two fetch calls outstanding at once; the loop keeps one")
 	}
-	if calls > refCalls {
-		t.Fatalf("pipelined pull issued %d fetch calls, level-sync reference %d", calls, refCalls)
+	if origin.fetches != want {
+		t.Fatalf("pull made %d fetch calls (and waited as many round trips), the tree's FIFO %d", origin.fetches, want)
 	}
-	if ticks >= refTicks {
-		t.Fatalf("pipelined pull waited %d sequential round trips, level-sync reference %d", ticks, refTicks)
+	if origin.fetches > ref.fetches {
+		t.Fatalf("pull made %d fetch calls, level-sync reference %d", origin.fetches, ref.fetches)
 	}
-	t.Logf("fetch calls %d (reference %d), sequential round trips %d (reference %d)", calls, refCalls, ticks, refTicks)
+	t.Logf("fetch calls = round trips %d (reference %d)", origin.fetches, ref.fetches)
 }

@@ -157,11 +157,10 @@ func (c *Chunker) save(p []byte, sum uint64, filled int) int {
 // appends their end offsets (exclusive) to dst. The final partial chunk
 // — bytes after the last boundary — places no offset.
 //
-// This is the speculative half of parallel POS-Tree construction: a
-// worker scans a block under the guess that a boundary precedes it, and
-// a sequential stitcher later verifies the guess (see postree). The
-// offsets are exactly what repeated FindBoundary/Next calls on a fresh
-// Chunker would produce.
+// The offsets are exactly what repeated FindBoundary/Next calls on a
+// fresh Chunker would produce. No tree is built through it; the
+// benchmark's rollsum.scan_mb_per_s layer measure times it over page
+// text, to see the scan alone, without hashing or chunk allocation.
 func ScanBoundaries(q uint, maxSize int, p []byte, dst []int) []int {
 	c := NewChunker(q, maxSize)
 	off := 0

@@ -326,3 +326,57 @@ func TestEmbeddedGetPutAllocs(t *testing.T) {
 		t.Fatalf("embedded Put: %.0f allocs/op, want exactly 11", puts)
 	}
 }
+
+// TestRemoteCoalescedPutDuplicateID: a put whose id is already in
+// flight — here, held by the put ahead of it in a coalescible burst —
+// is refused with ErrDuplicateRequest and writes nothing, exactly as
+// on the slow path; the original and the put after it commit.
+func TestRemoteCoalescedPutDuplicateID(t *testing.T) {
+	db := forkbase.Open()
+	addr, _ := startServer(t, db, forkbase.ServerOptions{})
+	c := rawHello(t, addr)
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+
+	var burst []byte
+	burst = wire.AppendFrame(burst, 100, wire.OpPut, putPayload(t, "a", "va"))
+	burst = wire.AppendFrame(burst, 100, wire.OpPut, putPayload(t, "b", "vb"))
+	burst = wire.AppendFrame(burst, 101, wire.OpPut, putPayload(t, "c", "vc"))
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	ok := map[uint64]int{}
+	dups := 0
+	for i := 0; i < 3; i++ {
+		reqID, op, payload, err := wire.ReadFrame(c, 0)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if op != wire.OpPut || len(payload) == 0 {
+			t.Fatalf("response %d: op %d, %d payload bytes", i, op, len(payload))
+		}
+		if payload[0] == 0 {
+			ok[reqID]++
+			continue
+		}
+		ep, err := wire.DecodeError(wire.NewDec(payload[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reqID != 100 || !errors.Is(ep.Err, forkbase.ErrDuplicateRequest) {
+			t.Fatalf("id %d failed: %v", reqID, ep.Err)
+		}
+		dups++
+	}
+	if ok[100] != 1 || ok[101] != 1 || dups != 1 {
+		t.Fatalf("successes by id %v and %d duplicate refusals; want one each for ids 100 and 101, and one refusal", ok, dups)
+	}
+	ctx := context.Background()
+	for _, key := range []string{"a", "c"} {
+		if _, err := db.Get(ctx, key); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+	}
+	if _, err := db.Get(ctx, "b"); !errors.Is(err, forkbase.ErrKeyNotFound) {
+		t.Fatalf("refused put wrote key b: %v", err)
+	}
+}

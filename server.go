@@ -56,15 +56,6 @@ type ServerOptions struct {
 	// FeatureChunkSync and answers the chunk ops with ErrUnsupported,
 	// forcing clients onto the full-ship path.
 	DisableChunkSync bool
-	// Workers bounds the request-execution pool shared by every
-	// connection; 0 means 4×GOMAXPROCS. The pool replaces
-	// goroutine-per-request dispatch: a saturated pool exerts
-	// backpressure (connections stop reading) instead of spawning
-	// unboundedly. Small reads against a local backend are answered
-	// inline on each connection's read loop and never occupy a worker,
-	// so the pool sizes against slow requests (deep Track walks, big
-	// Values), not request rate.
-	Workers int
 	// SlowOpThreshold, when positive, logs (via Logf) every dispatched
 	// request whose execution exceeds it — op name, peer address,
 	// duration and error class — so tail-latency outliers in the
@@ -125,16 +116,18 @@ type Server struct {
 // or be shared by — several listeners. The worker pool starts here,
 // so a Server must be Shutdown or Closed even if Serve never ran.
 func NewServer(st Store, opts ServerOptions) *Server {
-	if opts.Workers <= 0 {
-		opts.Workers = 4 * runtime.GOMAXPROCS(0)
-	}
 	s := &Server{st: st, opts: opts, conns: make(map[*serverConn]struct{})}
 	s.db, _ = st.(*DB)
-	s.tasks = make(chan serverTask, 2*opts.Workers)
+	// The pool is shared by every connection and sizes against slow
+	// requests (deep Track walks, big Values): small reads on a local
+	// backend are answered inline on the read loop. A saturated pool
+	// stops the connections reading instead of spawning more.
+	workers := 4 * runtime.GOMAXPROCS(0)
+	s.tasks = make(chan serverTask, 2*workers)
 	s.reg = obs.NewRegistry()
 	s.met.init(s.reg)
 	s.reg.GaugeFunc("forkbase_server_queue_depth", "", func() int64 { return int64(len(s.tasks)) })
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
 	}
@@ -597,9 +590,7 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 // f.buf's ownership moved to the task.
 func (sc *serverConn) slowPath(f rawFrame) bool {
 	ctx, cancel := context.WithCancel(sc.ctx)
-	sc.mu.Lock()
-	if _, dup := sc.inflight[f.reqID]; dup {
-		sc.mu.Unlock()
+	if !sc.claim(f.reqID, cancel) {
 		cancel()
 		sc.srv.reqDone()
 		// Refuse the reuse rather than overwrite: overwriting would
@@ -609,10 +600,29 @@ func (sc *serverConn) slowPath(f rawFrame) bool {
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: id %d", wire.ErrDuplicateRequest, f.reqID), nil, UID{})
 		return false
 	}
-	sc.inflight[f.reqID] = cancel
-	sc.mu.Unlock()
 	sc.enqueueTask(serverTask{sc: sc, ctx: ctx, cancel: cancel, reqID: f.reqID, op: f.op, payload: f.payload, buf: f.buf})
 	return true
+}
+
+// claim registers cancel under reqID unless the id is already in
+// flight on this connection.
+func (sc *serverConn) claim(reqID uint64, cancel context.CancelFunc) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if _, dup := sc.inflight[reqID]; dup {
+		return false
+	}
+	sc.inflight[reqID] = cancel
+	return true
+}
+
+// release unregisters a request id. It runs before the response
+// leaves: a client is free to reuse the id the moment it sees the
+// response, and the read loop must not mistake that for a duplicate.
+func (sc *serverConn) release(reqID uint64) {
+	sc.mu.Lock()
+	delete(sc.inflight, reqID)
+	sc.mu.Unlock()
 }
 
 // enqueueTask hands a task to the worker pool, blocking when the pool
@@ -636,15 +646,14 @@ func (sc *serverConn) enqueueTask(t serverTask) {
 // before the pool accepted it).
 func (sc *serverConn) dropTask(t serverTask) {
 	if t.batch == nil {
-		sc.mu.Lock()
-		delete(sc.inflight, t.reqID)
-		sc.mu.Unlock()
+		sc.release(t.reqID)
 		t.cancel()
 		sc.srv.reqDone()
 		wire.PutFrameBuf(t.buf)
 		return
 	}
 	for _, pf := range t.batch {
+		sc.release(pf.reqID)
 		sc.srv.reqDone()
 		wire.PutFrameBuf(pf.buf)
 	}
@@ -708,12 +717,7 @@ func (sc *serverConn) handle(ctx context.Context, cancel context.CancelFunc, req
 	start := time.Now()
 	resp := sc.srv.dispatch(ctx, sc, reqID, op, payload)
 	sc.srv.observe(sc, op, start, resp)
-	// Unregister BEFORE the response leaves: a client is free to reuse
-	// the id the moment it sees the response, and the read loop must
-	// not mistake that for a duplicate.
-	sc.mu.Lock()
-	delete(sc.inflight, reqID)
-	sc.mu.Unlock()
+	sc.release(reqID)
 	cancel()
 	sc.write(reqID, op, resp)
 	sc.srv.reqDone()
@@ -1388,6 +1392,9 @@ func okPayload2(fill func(e *wire.Enc) error) []byte {
 
 // --- put coalescing ---------------------------------------------------
 
+// nopCancel is the inflight registration of a coalesced put.
+var nopCancel context.CancelFunc = func() {}
+
 // maxPutBatch bounds one coalesced batch; past this the marginal
 // amortization is nil and the per-batch bookkeeping slices grow.
 const maxPutBatch = 64
@@ -1437,10 +1444,14 @@ func coalescible(pf putFrame, ok bool) bool {
 // update per key, one response flush for the lot, with per-put errors
 // so the batch is observationally identical to dispatching each put
 // alone. A put that cannot join (or has nothing behind it) takes the
-// normal slow path.
+// normal slow path. Each collected put's id is claimed on the
+// connection like a slow-path request's, under a shared no-op cancel
+// (a batch cannot be cancelled put by put), so an id already in
+// flight — or earlier in the same batch — cannot join and the slow
+// path refuses it.
 func (sc *serverConn) handlePut(f rawFrame) (keep bool, carry *rawFrame, exit bool) {
 	first, ok := decodePutFrame(f)
-	if !coalescible(first, ok) || !wire.FrameBuffered(sc.br) {
+	if !coalescible(first, ok) || !wire.FrameBuffered(sc.br) || !sc.claim(first.reqID, nopCancel) {
 		return sc.slowPath(f), nil, false
 	}
 	batch := []putFrame{first}
@@ -1469,11 +1480,12 @@ func (sc *serverConn) handlePut(f rawFrame) (keep bool, carry *rawFrame, exit bo
 			break
 		}
 		pf, ok := decodePutFrame(nf)
-		if !coalescible(pf, ok) || pf.co.User != first.co.User || keys[pf.key] {
+		if !coalescible(pf, ok) || pf.co.User != first.co.User || keys[pf.key] || !sc.claim(pf.reqID, nopCancel) {
 			// Cannot join (different identity, duplicate key — the
 			// engine batch would chain same-key puts, changing their
-			// guard semantics — or base/undecodable put): dispatch it
-			// alone on the worker pool and stop collecting.
+			// guard semantics — base/undecodable put, or an id in
+			// flight): dispatch it alone on the worker pool and stop
+			// collecting.
 			if !sc.slowPath(nf) {
 				wire.PutFrameBuf(nf.buf)
 			}
@@ -1483,6 +1495,7 @@ func (sc *serverConn) handlePut(f rawFrame) (keep bool, carry *rawFrame, exit bo
 		batch = append(batch, pf)
 	}
 	if len(batch) == 1 {
+		sc.release(first.reqID)
 		return sc.slowPath(f), carry, exit
 	}
 	sc.enqueueTask(serverTask{sc: sc, user: first.co.User, batch: batch})
@@ -1545,6 +1558,7 @@ func (sc *serverConn) runPutBatch(user string, batch []putFrame) {
 		// the batch's elapsed time as every member's latency (they did
 		// all wait for the batch).
 		sc.srv.observeDur(sc, wire.OpPut, elapsed, resp[i])
+		sc.release(pf.reqID)
 		sc.send(pf.reqID, wire.OpPut, resp[i])
 		wire.PutFrameBuf(pf.buf)
 	}
