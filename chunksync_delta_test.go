@@ -803,3 +803,60 @@ func TestChunkSyncFailedSendKeepsChunksStaged(t *testing.T) {
 		t.Fatalf("%d shields left", n)
 	}
 }
+
+// TestChunkSyncHaveInsideGCWindowProtects answers a Have while a
+// collection is parked between reading its roots and sweeping. The
+// chunk asked about is present but unreachable, so the collection's
+// mark will not reach it and the shield the Have takes comes after the
+// collection read the shields. The client, told "present", will not
+// send the chunk; the sweep must not take it.
+func TestChunkSyncHaveInsideGCWindowProtects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *forkbase.DB
+	}{
+		{"mem", func(*testing.T) *forkbase.DB { return forkbase.Open() }},
+		{"file", func(t *testing.T) *forkbase.DB {
+			db, err := forkbase.OpenPath(t.TempDir(), forkbase.WithCacheBytes(1<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			db := tc.open(t)
+			addr, _ := startServer(t, db, forkbase.ServerOptions{})
+			c := rawChunkConn(t, addr)
+			if _, err := db.Put(ctx, "doc", forkbase.NewBlob(randBytes(51, 64<<10))); err != nil {
+				t.Fatal(err)
+			}
+			orphan := chunk.New(chunk.TypeBlob, randBytes(52, 4<<10))
+			cs := db.ChunkStoreForTest()
+			if _, err := cs.Put(orphan); err != nil {
+				t.Fatal(err)
+			}
+			answered := false
+			db.SetRootsHookForTest(func() {
+				db.SetRootsHookForTest(nil)
+				answered = true
+				if bits := haveRaw(t, c, "doc", []chunk.ID{orphan.ID()}); !bits[0] {
+					t.Fatal("the Have answered absent for a chunk the store holds")
+				}
+			})
+			if _, err := db.GC(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !answered {
+				t.Fatal("the collection never reached the point between its root reads")
+			}
+			if !cs.Has(orphan.ID()) {
+				t.Fatal("the sweep took a chunk a Have inside its window answered present")
+			}
+			if _, err := cs.Get(orphan.ID()); err != nil {
+				t.Fatalf("the chunk the Have answered present no longer reads: %v", err)
+			}
+		})
+	}
+}

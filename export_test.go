@@ -15,7 +15,9 @@ import (
 // cache). Handle reads after this must take the lazy-fetch path.
 func (rs *RemoteStore) DropChunkCacheForTest() {
 	if rs.local != nil {
+		old := rs.local
 		rs.local = store.NewCache(store.NewMemStore(), 64<<20)
+		old.Close()
 	}
 }
 
@@ -73,6 +75,14 @@ func (s *Server) ConnShieldsForTest() int {
 
 // ShieldedForTest reports whether the engine holds a GC shield on id.
 func (db *DB) ShieldedForTest(id chunk.ID) bool { return db.eng.Shielded(id) }
+
+// ChunkStoreForTest returns the engine's chunk store stack.
+func (db *DB) ChunkStoreForTest() store.Store { return db.eng.Store() }
+
+// SetRootsHookForTest parks every collection inside its root
+// enumeration, after the shields are read and before the heads are,
+// for as long as f runs.
+func (db *DB) SetRootsHookForTest(f func()) { db.eng.SetRootsHookForTest(f) }
 
 // StagedChunksForTest counts the chunks the client created and the
 // server has not acknowledged.

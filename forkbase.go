@@ -210,9 +210,10 @@ type Options struct {
 	// CacheBytes bounds an in-memory chunk cache on the read path; 0
 	// disables caching. See store.Cache for what it saves per backend.
 	CacheBytes int64
-	// VerifyReads re-verifies every chunk read against its cid,
-	// turning substituted or rotted content into store.ErrCorrupt.
-	// File-backed stores additionally always verify the record crc32.
+	// VerifyReads rehashes (sha256) every chunk read below the cache
+	// and compares it with its cid, turning substituted or rotted
+	// content into store.ErrCorrupt. Without it a file-backed store
+	// checks each record's crc32 and trusts its own index for the id.
 	VerifyReads bool
 	// ACL, when set, routes every call through the access controller;
 	// pair it with WithUser. Nil means open mode (the embedded
@@ -260,8 +261,8 @@ func WithCacheBytes(n int64) OpenOption {
 	return openOptionFunc(func(o *Options) { o.CacheBytes = n })
 }
 
-// WithVerifyReads toggles integrity verification of every chunk read
-// against its content identifier.
+// WithVerifyReads toggles rehashing every chunk read against its
+// content identifier; see Options.VerifyReads.
 func WithVerifyReads(on bool) OpenOption {
 	return openOptionFunc(func(o *Options) { o.VerifyReads = on })
 }

@@ -1,6 +1,7 @@
 // Package chunkalias flags reuse of a []byte buffer after it has been
-// handed to chunk.New (or to chunk.DecodeOwned, which keeps its
-// argument the same way).
+// handed to chunk.New (or to chunk.DecodeStored, which keeps its
+// argument the same way), and a call of chunk.DecodeStored outside a
+// chunk store.
 //
 // Invariant (PR 6): chunk.New takes ownership of its payload slice —
 // the cid is the SHA-256 of exactly those bytes, and both ends of the
@@ -10,6 +11,11 @@
 // may already sit in the store, the cache, or a wire frame. The safe
 // pattern — used by the POS-tree builders — is to hand over a fresh
 // copy and keep recycling the scratch buffer.
+//
+// chunk.DecodeStored takes the chunk's id on trust instead of hashing
+// the bytes: it is for a store serving a record it indexed itself, and
+// only package store may call it. Anywhere else it would mint a chunk
+// whose id nothing checked.
 //
 // The analysis is intra-procedural and tracks the variable passed as
 // the payload argument: a plain reassignment to a fresh value releases
@@ -105,7 +111,14 @@ func (s *scan) assign(as *ast.AssignStmt) {
 
 // handoffArg maps the chunk functions that keep a caller's buffer to
 // the index of that argument.
-var handoffArg = map[string]int{"New": 1, "DecodeOwned": 0}
+var handoffArg = map[string]int{"New": 1, "DecodeStored": 0}
+
+// trustedCtor is the constructor that takes a chunk's id on trust, and
+// storePkg the one package allowed to call it.
+const (
+	trustedCtor = "DecodeStored"
+	storePkg    = "store"
+)
 
 func (s *scan) call(call *ast.CallExpr) {
 	// Builtin mutators.
@@ -131,13 +144,16 @@ func (s *scan) call(call *ast.CallExpr) {
 			return
 		}
 	}
-	// Handoff: chunk.New(type, payload) and chunk.DecodeOwned(buf).
+	// Handoff: chunk.New(type, payload) and chunk.DecodeStored(buf, id).
 	fn := calleeFunc(s.pass, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "chunk" {
 		return
 	}
+	if fn.Name() == trustedCtor && s.pass.Pkg.Name() != storePkg {
+		s.pass.Reportf(call.Pos(), "chunk.%s outside package %s: it takes the chunk's id on trust, which only a store serving a record it indexed itself may do; use chunk.Decode, which hashes", trustedCtor, storePkg)
+	}
 	i, ok := handoffArg[fn.Name()]
-	if !ok || len(call.Args) != i+1 {
+	if !ok || len(call.Args) <= i {
 		return
 	}
 	if id, ok := call.Args[i].(*ast.Ident); ok {

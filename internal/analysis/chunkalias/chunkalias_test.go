@@ -7,5 +7,5 @@ import (
 )
 
 func TestChunkalias(t *testing.T) {
-	analysistest.Run(t, Analyzer, "chunkalias/use")
+	analysistest.Run(t, Analyzer, "chunkalias/use", "chunkalias/store")
 }

@@ -1,5 +1,6 @@
 // Package chunk mirrors the shape of forkbase/internal/chunk: New
-// takes ownership of its payload slice.
+// takes ownership of its payload slice, and DecodeStored of its record
+// buffer, taking the id on trust.
 package chunk
 
 type Chunk struct {
@@ -9,6 +10,8 @@ type Chunk struct {
 
 func New(t byte, data []byte) *Chunk { return &Chunk{t: t, data: data} }
 
-func DecodeOwned(b []byte) (*Chunk, error) { return New(b[0], b[1:]), nil }
+type ID [32]byte
+
+func DecodeStored(b []byte, id ID) (*Chunk, error) { return &Chunk{t: b[0], data: b[1:]}, nil }
 
 func (c *Chunk) Data() []byte { return c.data }

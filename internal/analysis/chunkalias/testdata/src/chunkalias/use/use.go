@@ -36,11 +36,11 @@ func badResliceReuse() []*chunk.Chunk {
 	return out
 }
 
-func badReuseAfterDecodeOwned(read func([]byte)) *chunk.Chunk {
+func badReuseAfterDecodeStored(read func([]byte), id chunk.ID) *chunk.Chunk {
 	rec := make([]byte, 64)
 	read(rec)
-	c, _ := chunk.DecodeOwned(rec)
-	copy(rec, "next record") // want `copy into "rec" after chunk\.New took ownership`
+	c, _ := chunk.DecodeStored(rec, id) // want `chunk\.DecodeStored outside package store`
+	copy(rec, "next record")            // want `copy into "rec" after chunk\.New took ownership`
 	return c
 }
 

@@ -11,6 +11,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+
+	"forkbase/internal/obs"
 )
 
 // Type tags the payload layout of a chunk (paper Table 2).
@@ -88,22 +90,38 @@ func ParseID(s string) (ID, error) {
 }
 
 // Chunk is an immutable typed byte string. Construct one with New or
-// Decode; do not mutate Data after construction, as the cid is computed
-// from it.
+// Decode (a chunk store reading its own record: DecodeStored); do not
+// mutate Data after construction, as the cid is computed from it.
 type Chunk struct {
 	t    Type
 	data []byte
 	id   ID
 }
 
+// digests counts the sha256 digests computed over chunk bytes, process
+// wide; see Digests.
+var digests obs.Counter
+
+// Digests returns how many sha256 digests of chunk bytes this process
+// has computed: one per New or Decode, one per Rehash. A chunk store
+// serving a record it indexed (DecodeStored) adds none, so the count
+// says where the trust boundaries are paid.
+func Digests() int64 { return digests.Value() }
+
+// sum writes the cid of a chunk of type t over data into id.
+func sum(id *ID, t Type, data []byte) {
+	digests.Inc()
+	h := sha256.New()
+	h.Write([]byte{byte(t)})
+	h.Write(data)
+	h.Sum(id[:0])
+}
+
 // New builds a chunk of type t around data and computes its cid.
 // The chunk takes ownership of data.
 func New(t Type, data []byte) *Chunk {
 	c := &Chunk{t: t, data: data}
-	h := sha256.New()
-	h.Write([]byte{byte(t)})
-	h.Write(data)
-	h.Sum(c.id[:0])
+	sum(&c.id, t, data)
 	return c
 }
 
@@ -127,32 +145,66 @@ func (c *Chunk) Bytes() []byte {
 	return b
 }
 
-// Decode reconstructs a chunk from its serialized form and verifies
-// nothing about it; use Verify to check integrity against an expected id.
-// b is copied and stays the caller's.
+// Decode reconstructs a chunk from its serialized form and computes its
+// cid; use Verify to check it against an expected id. b is copied and
+// stays the caller's.
 func Decode(b []byte) (*Chunk, error) {
-	return DecodeOwned(append([]byte(nil), b...))
+	t, err := decodeType(b)
+	if err != nil {
+		return nil, err
+	}
+	return New(t, append([]byte(nil), b[1:]...)), nil
 }
 
-// DecodeOwned is Decode for a buffer the caller allocated for this one
-// chunk — a record just read from disk — and will not touch again: the
-// chunk keeps b's payload bytes instead of copying them.
-func DecodeOwned(b []byte) (*Chunk, error) {
+// DecodeStored rebuilds a chunk a store wrote itself and indexed under
+// id, taking id on trust instead of hashing: the store hashed these
+// bytes when it indexed them (at Put, through New, or at replay,
+// through Decode) and has just checked them against its own record
+// checksum. Only chunk stores call it. The chunk keeps b's payload
+// bytes — b must be a buffer the caller allocated for this one record
+// and will not touch again — and Rehash is the check that does not
+// trust the store.
+func DecodeStored(b []byte, id ID) (*Chunk, error) {
+	t, err := decodeType(b)
+	if err != nil {
+		return nil, err
+	}
+	return &Chunk{t: t, data: b[1:], id: id}, nil
+}
+
+// decodeType reads and checks the type byte of a serialized chunk.
+func decodeType(b []byte) (Type, error) {
 	if len(b) < 1 {
-		return nil, fmt.Errorf("chunk: empty serialized chunk")
+		return TypeInvalid, fmt.Errorf("chunk: empty serialized chunk")
 	}
 	t := Type(b[0])
 	if _, ok := typeNames[t]; !ok || t == TypeInvalid {
-		return nil, fmt.Errorf("chunk: unknown chunk type %d", b[0])
+		return TypeInvalid, fmt.Errorf("chunk: unknown chunk type %d", b[0])
 	}
-	return New(t, b[1:]), nil
+	return t, nil
 }
 
-// Verify recomputes the chunk's digest and reports whether it matches
-// want. It is the tamper-evidence check at the chunk level (§4.4).
+// Verify reports whether the chunk's id matches want. It compares ids
+// and hashes nothing: the id was computed from the bytes by New or
+// Decode, or taken on trust from the store that indexed them
+// (DecodeStored). It catches a store that answers with a different
+// chunk than the one asked for; Rehash also catches one that lies about
+// which bytes an id names.
 func (c *Chunk) Verify(want ID) error {
 	if c.id != want {
 		return fmt.Errorf("chunk: integrity violation: have %s want %s", c.id.Short(), want.Short())
+	}
+	return nil
+}
+
+// Rehash recomputes the chunk's digest from its bytes and reports
+// whether it is want. It is the tamper-evidence check at the chunk
+// level (§2.3, §4.4), run where trust changes: a read under
+// store.Verified, whatever the layer below claims.
+func (c *Chunk) Rehash(want ID) error {
+	var got ID
+	if sum(&got, c.t, c.data); got != want {
+		return fmt.Errorf("chunk: integrity violation: content hashes to %s, want %s", got.Short(), want.Short())
 	}
 	return nil
 }

@@ -78,6 +78,12 @@ type Engine struct {
 	rootsHook func()
 }
 
+// SetRootsHookForTest installs f to run inside Roots, between reading
+// the shields and pins and reading the heads: a collection parked there
+// has read part of its roots and swept nothing. Ordering tests only;
+// call it before the engine is shared.
+func (e *Engine) SetRootsHookForTest(f func()) { e.rootsHook = f }
+
 // NewEngine returns an engine over the given chunk store.
 func NewEngine(s store.Store, cfg postree.Config) *Engine {
 	return &Engine{
@@ -705,6 +711,11 @@ func (e *Engine) Roots() []types.UID {
 // releases) and never journaled — they exist to keep negotiated or
 // freshly uploaded chunks alive until the version that references them
 // commits, and they die with the process.
+//
+// A collection that has already read the shields (Roots) does not see
+// a shield taken after that. A caller that shields chunks it did not
+// write itself, on the strength of their being present, protects them
+// in the store first; see the chunk-sync Have handler.
 func (e *Engine) ShieldUIDs(ids []types.UID) {
 	e.shieldMu.Lock()
 	for _, id := range ids {

@@ -52,6 +52,12 @@ type Collectable interface {
 	// closing the mark/write race for chunks the marker cannot know
 	// about. Windows nest; protection clears when the last one ends.
 	BeginGC()
+	// Protect shields ids from the sweep of an open window as a Put of
+	// them would, for chunks a caller promised to keep without writing
+	// them (a chunk-sync Have that answered "present"). Outside a
+	// window it does nothing: the next collection reads its roots after
+	// opening its window, so it sees the caller's own roots instead.
+	Protect(ids []chunk.ID)
 	// Sweep deletes every chunk that is neither reported live nor
 	// protected by the open window, and compacts physical storage
 	// whose live ratio falls below threshold (see DefaultGCThreshold;

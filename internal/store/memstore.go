@@ -88,6 +88,17 @@ func (m *MemStore) BeginGC() {
 	m.mu.Unlock()
 }
 
+// Protect implements Collectable.
+func (m *MemStore) Protect(ids []chunk.ID) {
+	m.mu.Lock()
+	if m.gcDepth > 0 {
+		for _, id := range ids {
+			m.protected[id] = struct{}{}
+		}
+	}
+	m.mu.Unlock()
+}
+
 // EndGC implements Collectable.
 func (m *MemStore) EndGC() {
 	m.mu.Lock()

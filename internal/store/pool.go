@@ -121,6 +121,16 @@ func (p *Pool) BeginGC() {
 	}
 }
 
+// Protect implements Collectable on every collectable member: replicas
+// of an id are kept or dropped together.
+func (p *Pool) Protect(ids []chunk.ID) {
+	for _, m := range p.members {
+		if col, _, ok := AsCollectable(m); ok {
+			col.Protect(ids)
+		}
+	}
+}
+
 // EndGC implements Collectable.
 func (p *Pool) EndGC() {
 	for _, m := range p.members {

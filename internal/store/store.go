@@ -93,9 +93,11 @@ func (s Stats) String() string {
 		s.Chunks, s.Bytes, s.Puts, s.Dups, 100*s.DedupRatio())
 }
 
-// GetVerified fetches a chunk and verifies its content against the
-// requested cid, detecting a tampering storage provider (§2.3). A
-// mismatch is reported as ErrCorrupt.
+// GetVerified fetches a chunk and checks that the store answered with
+// the chunk asked for: its id is the requested cid, else ErrCorrupt. It
+// compares ids and hashes nothing, so it catches a layer that serves
+// the wrong chunk (a mis-routed pool member, a confused cache), not one
+// that serves wrong bytes under the right id; Verified catches both.
 func GetVerified(s Store, id chunk.ID) (*chunk.Chunk, error) {
 	c, err := s.Get(id)
 	if err != nil {
@@ -107,21 +109,31 @@ func GetVerified(s Store, id chunk.ID) (*chunk.Chunk, error) {
 	return c, nil
 }
 
-// verifiedStore enforces GetVerified on every read; see Verified.
+// verifiedStore rehashes every read; see Verified.
 type verifiedStore struct {
 	Store
 }
 
 func (v verifiedStore) Get(id chunk.ID) (*chunk.Chunk, error) {
-	return GetVerified(v.Store, id)
+	c, err := v.Store.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Rehash(id); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return c, nil
 }
 
 // Unwrap returns the backing store, letting the collector find the
 // Collectable at the bottom of a wrapped stack.
 func (v verifiedStore) Unwrap() Store { return v.Store }
 
-// Verified wraps a store so that every Get re-verifies the returned
-// chunk's content against the requested cid, turning any substitution
-// or bit-rot the backing layer missed into ErrCorrupt. Stack it below a
-// Cache so each chunk is verified once, when it enters the cache.
+// Verified wraps a store so that every Get recomputes the returned
+// chunk's sha256 and compares it with the requested cid, turning any
+// substitution or bit-rot the backing layer missed — a record rewritten
+// with a valid crc included — into ErrCorrupt. It is the defence
+// against a tampering storage provider (§2.3): no layer below it is
+// trusted. Stack it below a Cache so each chunk is rehashed once, when
+// it enters the cache.
 func Verified(s Store) Store { return verifiedStore{s} }

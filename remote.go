@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,19 +44,19 @@ type RemoteConfig struct {
 	// reports missing. Servers without the feature (or proxy backends)
 	// fall back to full-ship transparently. Implied by ChunkCacheDir.
 	ChunkSync bool
-	// ChunkCacheDir, when non-empty, backs the client chunk cache with
-	// a persistent on-disk store at that path, so chunks survive
-	// process restarts — a fresh client re-reading a barely-changed
-	// object moves only the delta. Empty means the cache is in-memory
-	// only (per-process).
+	// ChunkCacheDir, when non-empty, is where the client chunk store
+	// keeps its log, so chunks survive process restarts — a fresh
+	// client re-reading a barely-changed object moves only the delta.
+	// Empty means a private directory under os.TempDir that Close (or
+	// a failed Dial) removes: the store is on disk either way, and only
+	// its lifetime differs.
 	ChunkCacheDir string
-	// ChunkCacheBytes is the budget of the LRU tier in front of the
-	// client chunk store; 0 means 64 MiB. It bounds that tier only: the
-	// store behind it — the on-disk one under ChunkCacheDir, else an
-	// in-memory store.MemStore — keeps every chunk it is handed for the
-	// life of the RemoteStore, so without ChunkCacheDir resident memory
-	// grows with the chunks read and written whatever this is set to
-	// (ROADMAP.md, open item "Client chunk store").
+	// ChunkCacheBytes is the budget of the in-memory LRU tier in front
+	// of the client chunk store; 0 means 64 MiB. The store behind it is
+	// an on-disk log that keeps every chunk it is handed for the life
+	// of the RemoteStore (for good, under ChunkCacheDir) and holds only
+	// its index in memory, so resident chunk bytes stay within this
+	// budget however much history the client reads and writes.
 	ChunkCacheBytes int64
 }
 
@@ -133,13 +134,16 @@ type RemoteStore struct {
 	// chunk sync engages only when the server advertises it.
 	features atomic.Uint32
 
-	// local is the client-side chunk cache stack (Cache over FileStore
-	// or MemStore); nil unless chunk sync was requested. treeCfg is the
-	// POS-Tree configuration local trees are built with — DefaultConfig,
-	// matching the server default, so client-built and server-built
-	// trees chunk identically and deduplicate against each other.
-	local   store.Store
-	treeCfg postree.Config
+	// local is the client-side chunk cache stack, a Cache over a
+	// FileStore; nil unless chunk sync was requested. privateDir is the
+	// FileStore's directory when Dial made it (no ChunkCacheDir), which
+	// Close removes. treeCfg is the POS-Tree configuration local trees
+	// are built with — DefaultConfig, matching the server default, so
+	// client-built and server-built trees chunk identically and
+	// deduplicate against each other.
+	local      store.Store
+	privateDir string
+	treeCfg    postree.Config
 
 	// staged holds the ids of the chunks in local that this client
 	// created itself — building a value, editing a fetched one — and
@@ -181,15 +185,20 @@ func Dial(addr string, cfg RemoteConfig) (*RemoteStore, error) {
 		if cacheBytes <= 0 {
 			cacheBytes = 64 << 20
 		}
-		var inner store.Store = store.NewMemStore()
-		if cfg.ChunkCacheDir != "" {
-			fs, err := store.OpenFileStore(cfg.ChunkCacheDir, store.FileStoreOptions{})
+		dir := cfg.ChunkCacheDir
+		if dir == "" {
+			tmp, err := os.MkdirTemp("", "forkbase-chunks-")
 			if err != nil {
-				return nil, fmt.Errorf("forkbase: chunk cache at %s: %w", cfg.ChunkCacheDir, err)
+				return nil, fmt.Errorf("forkbase: chunk cache: %w", err)
 			}
-			inner = fs
+			dir, rs.privateDir = tmp, tmp
 		}
-		rs.local = store.NewCache(inner, cacheBytes)
+		fs, err := store.OpenFileStore(dir, store.FileStoreOptions{})
+		if err != nil {
+			rs.removePrivateDir()
+			return nil, fmt.Errorf("forkbase: chunk cache at %s: %w", dir, err)
+		}
+		rs.local = store.NewCache(fs, cacheBytes)
 		rs.staged = make(map[chunk.ID]struct{})
 	}
 	if _, err := rs.conn(0); err != nil {
@@ -246,8 +255,25 @@ func (rs *RemoteStore) Close() error {
 			c.fail(ErrRemoteClosed)
 		}
 	}
+	var err error
 	if rs.local != nil {
-		return rs.local.Close()
+		err = rs.local.Close()
+	}
+	if rerr := rs.removePrivateDir(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// removePrivateDir deletes the chunk store directory Dial created for
+// this client, if it made one; a ChunkCacheDir is the caller's and
+// stays.
+func (rs *RemoteStore) removePrivateDir() error {
+	if rs.privateDir == "" {
+		return nil
+	}
+	if err := os.RemoveAll(rs.privateDir); err != nil {
+		return fmt.Errorf("forkbase: chunk cache: %w", err)
 	}
 	return nil
 }
@@ -1210,6 +1236,14 @@ func (s localChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) { return s.rs.lo
 func (s localChunkStore) Has(id chunk.ID) bool                  { return s.rs.local.Has(id) }
 func (s localChunkStore) Stats() store.Stats                    { return s.rs.local.Stats() }
 func (s localChunkStore) Close() error                          { return nil }
+
+// Prefetch implements postree.Prefetcher: the leaves an iteration is
+// about to read come off the disk tier in batches, not a read apiece.
+func (s localChunkStore) Prefetch(ids []chunk.ID) {
+	if p, ok := s.rs.local.(postree.Prefetcher); ok {
+		p.Prefetch(ids)
+	}
+}
 
 // Put stages the chunk unless the store already holds it — in which
 // case it either is staged already or came from the server — and only

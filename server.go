@@ -1127,12 +1127,28 @@ func serveChunkHave(s *Server, r request) []byte {
 	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
 		return fail(err)
 	}
-	cs := s.db.eng.Store()
+	// "Present" tells the client not to send the chunk, so it must hold
+	// until the commit; the shields below hold it for every collection
+	// that reads its roots after them. A collection that read them
+	// earlier is covered by the store's protection window instead: open
+	// one (it nests with a running collection's, so the protection
+	// outlives this call while that collection runs), protect every
+	// asked id, and only then ask the store that sweeps — not a cache
+	// above it — what it holds. An id a sweep took before the
+	// protection is answered absent, and one it had not reached yet it
+	// keeps.
+	has := s.db.eng.Store().Has
+	if col, _, ok := store.AsCollectable(s.db.eng.Store()); ok {
+		col.BeginGC()
+		defer col.EndGC()
+		col.Protect(ids)
+		has = col.Has
+	}
 	bits := make([]bool, len(ids))
 	var present []chunk.ID
 	seen := make(map[chunk.ID]bool, len(ids))
 	for i, id := range ids {
-		if cs.Has(id) {
+		if has(id) {
 			bits[i] = true
 			if !seen[id] {
 				seen[id] = true
