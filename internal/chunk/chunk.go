@@ -178,7 +178,8 @@ func decodeType(b []byte) (Type, error) {
 		return TypeInvalid, fmt.Errorf("chunk: empty serialized chunk")
 	}
 	t := Type(b[0])
-	if _, ok := typeNames[t]; !ok || t == TypeInvalid {
+	// TypeMap is the last type: a range check, not a map lookup per read.
+	if t == TypeInvalid || t > TypeMap {
 		return TypeInvalid, fmt.Errorf("chunk: unknown chunk type %d", b[0])
 	}
 	return t, nil

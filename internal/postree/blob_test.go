@@ -504,63 +504,3 @@ func TestBuilderAllocsPinned(t *testing.T) {
 		t.Fatalf("build allocates %.1f allocs per chunk (%.0f total); the Builder must stay allocation-lean", perChunk, allocs)
 	}
 }
-
-// prefetchLog is a store that records what iteration prefetches and
-// checks that no leaf is read before it was prefetched.
-type prefetchLog struct {
-	*store.MemStore
-	t          *testing.T
-	prefetched map[chunk.ID]bool
-	calls      int
-}
-
-func (p *prefetchLog) Prefetch(ids []chunk.ID) {
-	p.calls++
-	for _, id := range ids {
-		p.prefetched[id] = true
-	}
-}
-
-func (p *prefetchLog) Get(id chunk.ID) (*chunk.Chunk, error) {
-	c, err := p.MemStore.Get(id)
-	if err == nil && !isIndex(c.Type()) && !p.prefetched[id] {
-		p.t.Errorf("leaf %s read before it was prefetched", id.Short())
-	}
-	return c, err
-}
-
-// TestLeafIterPrefetchesEachBottomNode iterates a tree of several
-// levels over a Prefetcher: each bottom index node hands over its
-// leaves as it is opened, every leaf is prefetched before it is read,
-// and no index node is prefetched.
-func TestLeafIterPrefetchesEachBottomNode(t *testing.T) {
-	s := &prefetchLog{MemStore: store.NewMemStore(), t: t, prefetched: map[chunk.ID]bool{}}
-	data := randBytes(1<<20, 9)
-	tr := buildBlob(t, s.MemStore, data)
-	if tr.Height() < 3 {
-		t.Fatalf("tree of height %d: want several index levels", tr.Height())
-	}
-	attached := Attach(s, tr.cfg, KindBlob, tr.Root(), tr.Count(), tr.Height())
-	got, err := attached.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("iteration over a Prefetcher read back wrong")
-	}
-	bottom := 0
-	if err := tr.Walk(func(id chunk.ID, level int) (bool, error) {
-		if level == 2 {
-			bottom++
-		}
-		if level > 1 && s.prefetched[id] {
-			t.Errorf("index node %s at level %d was prefetched", id.Short(), level)
-		}
-		return true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if s.calls != bottom {
-		t.Fatalf("%d prefetch calls for %d bottom index nodes", s.calls, bottom)
-	}
-}

@@ -179,25 +179,13 @@ type Filler interface {
 	FillSubtrees(roots []chunk.ID, level int) error
 }
 
-// A Prefetcher is a store that reads many of the chunks it holds more
-// cheaply together than one by one — a client's on-disk chunk store,
-// where each read that misses memory is a system call. Iteration hands
-// it the leaves of each bottom index node as it opens the node.
-type Prefetcher interface {
-	// Prefetch readies ids for the Gets about to follow. It is a hint:
-	// ids it lacks, or cannot read, are left to Get.
-	Prefetch(ids []chunk.ID)
-}
-
 // LeafIter walks the leaf chunks of a tree left to right, holding one
 // cursor per index level on the path to the current leaf. The walk is
 // type-driven: index chunks are opened, leaf chunks are yielded, so the
-// depth is needed only to tell a Filler where the nodes it fills sit,
-// and a Prefetcher which nodes hold leaves.
+// depth is needed only to tell a Filler where the nodes it fills sit.
 type LeafIter struct {
 	t     *Tree
-	fill  Filler     // the tree's store, when it is one
-	pre   Prefetcher // the tree's store, when it is one
+	fill  Filler // the tree's store, when it is one
 	stack []indexCursor
 	root  bool // the root has not been visited yet
 	cur   *chunk.Chunk
@@ -207,8 +195,7 @@ type LeafIter struct {
 // Leaves returns an iterator over the tree's leaf chunks.
 func (t *Tree) Leaves() *LeafIter {
 	fill, _ := t.s.(Filler)
-	pre, _ := t.s.(Prefetcher)
-	return &LeafIter{t: t, fill: fill, pre: pre, root: !t.root.IsNil(), stack: make([]indexCursor, 0, t.height)}
+	return &LeafIter{t: t, fill: fill, root: !t.root.IsNil(), stack: make([]indexCursor, 0, t.height)}
 }
 
 // fillFrom runs on a Filler's miss: the node id the walk is about to
@@ -268,12 +255,6 @@ func (it *LeafIter) Next() bool {
 			return true
 		}
 		it.stack = append(it.stack, indexCursor{p: c.Data()})
-		if it.pre != nil && it.t.height-len(it.stack) == 1 {
-			leaves := it.stack[len(it.stack)-1] // a copy: the walk's own cursor stays put
-			if ids, err := leaves.appendRest(nil); err == nil {
-				it.pre.Prefetch(ids)
-			}
-		}
 		e, ok, err := it.stack[len(it.stack)-1].next()
 		if err != nil || !ok {
 			if err == nil {

@@ -158,40 +158,6 @@ func (c *Cache) Get(id chunk.ID) (*chunk.Chunk, error) {
 	return ck, nil
 }
 
-// batchGetter is a backing store that reads many chunks more cheaply
-// together than one by one (FileStore). GetBatch returns those of ids
-// it holds and could read; the rest are left to Get.
-type batchGetter interface {
-	GetBatch(ids []chunk.ID) []*chunk.Chunk
-}
-
-// Prefetch admits the chunks of ids the cache lacks, read from the
-// backing store in one batch when it can read batches, so the Gets
-// that follow hit. It implements postree.Prefetcher. Nothing is counted
-// as a hit or a miss until those Gets run.
-func (c *Cache) Prefetch(ids []chunk.ID) {
-	bg, ok := c.inner.(batchGetter)
-	if !ok {
-		return
-	}
-	var miss []chunk.ID
-	for _, id := range ids {
-		sh := c.shard(id)
-		sh.mu.Lock()
-		_, hit := sh.index[id]
-		sh.mu.Unlock()
-		if !hit {
-			miss = append(miss, id)
-		}
-	}
-	if len(miss) < 2 {
-		return // one read is one read either way
-	}
-	for _, ck := range bg.GetBatch(miss) {
-		c.account(c.shard(ck.ID()), ck)
-	}
-}
-
 // Put implements Store, writing through to the backing store and
 // admitting the chunk so an immediately following read hits.
 func (c *Cache) Put(ck *chunk.Chunk) (bool, error) {

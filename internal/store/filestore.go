@@ -2,14 +2,12 @@ package store
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -383,124 +381,6 @@ func (fs *FileStore) getOnce(id chunk.ID) (c *chunk.Chunk, retry bool, err error
 			ErrCorrupt, id.Short(), loc.seg, loc.off, err)
 	}
 	return c, false, nil
-}
-
-// Batched reads: a run of records at most batchGap bytes apart and
-// batchSpan bytes long in all is one ReadAt. A system call costs about
-// what copying 16 KiB does, so reading a gap that size beats a second
-// call.
-const (
-	batchGap  = 16 << 10
-	batchSpan = 512 << 10
-)
-
-// batchBufs recycles the scratch GetBatch reads runs into; each chunk
-// gets its own copy of its payload, so no chunk pins a run.
-var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// GetBatch returns the chunks of ids whose records this store holds,
-// flushed and with their crc intact, reading each run of nearby records
-// — the leaves of one tree node, written in one go — with one ReadAt.
-// Ids it does not return (absent, in the unflushed tail, damaged, or
-// moved by a racing compaction) are left to Get, which reports them
-// properly. Like Get, it computes no sha256.
-//
-// Runs far apart in the log are read in two halves at once: the reads
-// are system calls that wait on little but the kernel, and a caller
-// iterating a tree waits for all of them.
-func (fs *FileStore) GetBatch(ids []chunk.ID) []*chunk.Chunk {
-	locs := make([]idLoc, 0, len(ids))
-	fs.mu.RLock()
-	for _, id := range ids {
-		loc, ok := fs.index[id]
-		if ok && (loc.seg != fs.seg || loc.off+int64(loc.n) <= fs.flushed) {
-			locs = append(locs, idLoc{id, loc})
-		}
-	}
-	fs.mu.RUnlock()
-	slices.SortFunc(locs, func(a, b idLoc) int {
-		if a.loc.seg != b.loc.seg {
-			return a.loc.seg - b.loc.seg
-		}
-		return cmp.Compare(a.loc.off, b.loc.off)
-	})
-	// Split into runs: run k is locs[cut[k]:cut[k+1]].
-	var cut []int
-	var start, end int64
-	for i, e := range locs {
-		recEnd := e.loc.off + int64(e.loc.n)
-		if i == 0 || e.loc.seg != locs[i-1].loc.seg || e.loc.off-recordHeader-end > batchGap || recEnd-start > batchSpan {
-			cut = append(cut, i)
-			start, end = e.loc.off-recordHeader, recEnd
-			continue
-		}
-		end = max(end, recEnd)
-	}
-	cut = append(cut, len(locs))
-	runs := len(cut) - 1
-	if runs < parallelRuns {
-		return fs.readRuns(locs, cut)
-	}
-	var first []*chunk.Chunk
-	done := make(chan struct{})
-	go func() {
-		first = fs.readRuns(locs, cut[:runs/2+1])
-		close(done)
-	}()
-	rest := fs.readRuns(locs, cut[runs/2:])
-	<-done
-	return append(first, rest...)
-}
-
-// parallelRuns is the number of runs from which GetBatch reads in two
-// halves at once.
-const parallelRuns = 4
-
-// readRuns reads the runs locs[cut[k]:cut[k+1]], sorted records of one
-// segment each, and decodes the records whose crc holds.
-func (fs *FileStore) readRuns(locs []idLoc, cut []int) []*chunk.Chunk {
-	bp := batchBufs.Get().(*[]byte)
-	defer batchBufs.Put(bp)
-	out := make([]*chunk.Chunk, 0, cut[len(cut)-1]-cut[0])
-	var read int64
-	for k := 0; k+1 < len(cut); k++ {
-		run := locs[cut[k]:cut[k+1]]
-		start := run[0].loc.off - recordHeader
-		var end int64
-		for _, e := range run {
-			end = max(end, e.loc.off+int64(e.loc.n))
-		}
-		r, err := fs.reader(run[0].loc.seg)
-		if err != nil {
-			continue
-		}
-		if int64(cap(*bp)) < end-start {
-			*bp = make([]byte, end-start)
-		}
-		buf := (*bp)[:end-start]
-		if _, err := r.ReadAt(buf, start); err != nil {
-			continue
-		}
-		for i, e := range run {
-			if i > 0 && e.id == run[i-1].id {
-				continue
-			}
-			rec := buf[e.loc.off-recordHeader-start : e.loc.off+int64(e.loc.n)-start]
-			body := rec[recordHeader:]
-			if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rec[0:4]) {
-				continue
-			}
-			c, err := chunk.DecodeStored(append([]byte(nil), body...), e.id)
-			if err != nil {
-				continue
-			}
-			out = append(out, c)
-			read += int64(e.loc.n)
-		}
-	}
-	fs.gets.Add(int64(len(out)))
-	fs.readBytes.Add(read)
-	return out
 }
 
 // reader returns (opening on first use) the shared read handle for a

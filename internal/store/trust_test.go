@@ -129,94 +129,6 @@ func TestFileStoreSubstitutedRecordCaughtByVerified(t *testing.T) {
 	}
 }
 
-// TestFileStoreGetBatch reads records in one batch: it serves the ids
-// it holds, flushed and intact, under their ids and with no sha256, and
-// leaves the rest — absent, damaged, still buffered — to Get. A Cache
-// prefetching through it admits what it served, so the Gets that
-// follow hit.
-func TestFileStoreGetBatch(t *testing.T) {
-	fs, err := OpenFileStore(t.TempDir(), FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	cs := trustChunks(t, fs, 12)
-	if err := fs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the fourth record's payload on disk.
-	fs.mu.RLock()
-	bad := fs.index[cs[3].ID()]
-	fs.mu.RUnlock()
-	f, err := os.OpenFile(segName(fs.dir, bad.seg), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xff, 0x00}, bad.off+40); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	buffered := chunk.New(chunk.TypeBlob, []byte("not flushed yet"))
-	if _, err := fs.Put(buffered); err != nil {
-		t.Fatal(err)
-	}
-	absent := chunk.New(chunk.TypeBlob, []byte("never stored"))
-
-	// Ask in reverse, with a duplicate: the batch sorts by location.
-	var ids []chunk.ID
-	for i := len(cs) - 1; i >= 0; i-- {
-		ids = append(ids, cs[i].ID())
-	}
-	ids = append(ids, cs[0].ID(), buffered.ID(), absent.ID())
-	before := chunk.Digests()
-	got := fs.GetBatch(ids)
-	if n := chunk.Digests() - before; n != 0 {
-		t.Fatalf("a batch read computed %d sha256, want 0", n)
-	}
-	served := map[chunk.ID]*chunk.Chunk{}
-	for _, c := range got {
-		served[c.ID()] = c
-	}
-	if len(got) != len(cs)-1 || len(served) != len(got) {
-		t.Fatalf("batch served %d chunks (%d distinct), want the %d intact flushed ones", len(got), len(served), len(cs)-1)
-	}
-	for i, c := range cs {
-		g, ok := served[c.ID()]
-		if i == 3 {
-			if ok {
-				t.Fatal("the batch served a record whose crc fails")
-			}
-			if _, err := fs.Get(c.ID()); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Get of the damaged record: %v, want ErrCorrupt", err)
-			}
-			continue
-		}
-		if !ok || !bytes.Equal(g.Data(), c.Data()) || g.Type() != c.Type() {
-			t.Fatalf("record %d not served, or served wrong", i)
-		}
-	}
-
-	cache := NewCache(fs, 1<<20)
-	cache.Prefetch(ids)
-	for i, c := range cs {
-		if i == 3 {
-			continue
-		}
-		if _, err := cache.Get(c.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := cache.Stats(); st.CacheHits != int64(len(cs)-1) || st.CacheMisses != 0 {
-		t.Fatalf("after a prefetch: %d hits, %d misses; want %d hits", st.CacheHits, st.CacheMisses, len(cs)-1)
-	}
-	// Under Verified every read is rehashed, so nothing goes round it.
-	verified := NewCache(Verified(fs), 1<<20)
-	verified.Prefetch(ids)
-	if st := verified.Stats(); st.CacheBytes != 0 {
-		t.Fatalf("a prefetch under Verified admitted %d bytes unhashed", st.CacheBytes)
-	}
-}
-
 // TestFileStoreReplayBoundsLength damages the first record's length
 // field to claim nearly 4 GiB. Replay treats it as the end of the
 // intact log, as it does any torn record, and allocates nothing near
@@ -251,40 +163,5 @@ func TestFileStoreReplayBoundsLength(t *testing.T) {
 	}
 	if st := fs.Stats(); st.Chunks != 0 {
 		t.Fatalf("replay indexed %d records past a damaged first header", st.Chunks)
-	}
-}
-
-// TestFileStoreGetBatchAcrossSegments asks for records spread over
-// more segments than GetBatch reads one after the other, so it reads
-// two halves at once; every record comes back once.
-func TestFileStoreGetBatchAcrossSegments(t *testing.T) {
-	fs, err := OpenFileStore(t.TempDir(), FileStoreOptions{SegmentSize: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	cs := trustChunks(t, fs, 4*parallelRuns)
-	if err := fs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]chunk.ID, len(cs))
-	for i, c := range cs {
-		ids[i] = c.ID()
-	}
-	got := fs.GetBatch(ids)
-	if len(got) != len(cs) {
-		t.Fatalf("batch served %d of %d records", len(got), len(cs))
-	}
-	served := map[chunk.ID]bool{}
-	for _, c := range got {
-		served[c.ID()] = true
-	}
-	for i, c := range cs {
-		if !served[c.ID()] {
-			t.Fatalf("record %d not served", i)
-		}
-	}
-	if st := fs.Stats(); st.Gets != int64(len(cs)) {
-		t.Fatalf("Stats counts %d reads for %d records served", st.Gets, len(cs))
 	}
 }

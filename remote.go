@@ -49,7 +49,8 @@ type RemoteConfig struct {
 	// client re-reading a barely-changed object moves only the delta.
 	// Empty means a private directory under os.TempDir that Close (or
 	// a failed Dial) removes: the store is on disk either way, and only
-	// its lifetime differs.
+	// its lifetime differs. A process killed before Close leaves that
+	// directory behind.
 	ChunkCacheDir string
 	// ChunkCacheBytes is the budget of the in-memory LRU tier in front
 	// of the client chunk store; 0 means 64 MiB. The store behind it is
@@ -1236,14 +1237,6 @@ func (s localChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) { return s.rs.lo
 func (s localChunkStore) Has(id chunk.ID) bool                  { return s.rs.local.Has(id) }
 func (s localChunkStore) Stats() store.Stats                    { return s.rs.local.Stats() }
 func (s localChunkStore) Close() error                          { return nil }
-
-// Prefetch implements postree.Prefetcher: the leaves an iteration is
-// about to read come off the disk tier in batches, not a read apiece.
-func (s localChunkStore) Prefetch(ids []chunk.ID) {
-	if p, ok := s.rs.local.(postree.Prefetcher); ok {
-		p.Prefetch(ids)
-	}
-}
 
 // Put stages the chunk unless the store already holds it — in which
 // case it either is staged already or came from the server — and only
