@@ -110,6 +110,71 @@ func TestRemoteChunkStorePrivateDir(t *testing.T) {
 	}
 }
 
+// TestRemoteChunkStoreSweepsDeadOwners: a client killed before Close
+// leaves its private directory behind with a lock file nobody holds —
+// the kernel drops a dead process's locks. The next Dial that makes a
+// private directory removes it, and leaves alone a live client's
+// directory and one whose owner has not locked it yet.
+func TestRemoteChunkStoreSweepsDeadOwners(t *testing.T) {
+	switch runtime.GOOS {
+	case "linux", "darwin", "freebsd", "netbsd", "openbsd", "dragonfly":
+	default:
+		t.Skip("private chunk directories are locked with flock on unix systems only")
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	db := forkbase.Open()
+	addr, _ := startServer(t, db, forkbase.ServerOptions{})
+	live, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	liveDir := chunkDirs(t, tmp)
+	if len(liveDir) != 1 {
+		t.Fatalf("the live client made %v", liveDir)
+	}
+	dead, err := os.MkdirTemp(tmp, "forkbase-chunks-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"seg-000001.log", "lock"} {
+		if err := os.WriteFile(filepath.Join(dead, name), []byte("left by a killed client"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unlocked, err := os.MkdirTemp(tmp, "forkbase-chunks-")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	next, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	left := map[string]bool{}
+	for _, d := range chunkDirs(t, tmp) {
+		left[d] = true
+	}
+	if left[filepath.Base(dead)] {
+		t.Fatalf("a Dial left the dead client's directory: %v", left)
+	}
+	if !left[liveDir[0]] || !left[filepath.Base(unlocked)] || len(left) != 3 {
+		t.Fatalf("after the sweep: %v; want the live client's %s, the unlocked %s and the new client's",
+			left, liveDir[0], filepath.Base(unlocked))
+	}
+	// The live client's store is still whole.
+	ctx := context.Background()
+	data := randBytes(63, 128<<10)
+	if _, err := db.Put(ctx, "doc", forkbase.NewBlob(data)); err != nil {
+		t.Fatal(err)
+	}
+	if got := readDoc(t, live, "doc"); !bytes.Equal(got, data) {
+		t.Fatal("the live client's read came back wrong after the sweep")
+	}
+}
+
 // TestRemoteChunkStoreResidentWithinBudget reads and edits many times
 // the client's ChunkCacheBytes of distinct chunks. The client keeps all
 // of them — the store behind the LRU holds the whole history — yet the

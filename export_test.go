@@ -1,6 +1,9 @@
 package forkbase
 
 import (
+	"encoding/binary"
+	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,3 +106,67 @@ func SetHelloTimeoutForTest(d time.Duration) (restore func()) {
 
 // ServedForTest reports whether op has a row in the server's op table.
 func ServedForTest(op uint8) bool { return served(op) }
+
+// UnorderedSendForTest makes s the server that predates
+// wire.FeatureOrderedSend: its Hello leaves the bit out and a Send runs
+// on the worker pool. Call it before Serve.
+func (s *Server) UnorderedSendForTest() { s.unorderedSend = true }
+
+// SocketWrites records a client's socket writes: for each write, the
+// ops of the frames it completed.
+type SocketWrites struct {
+	mu     sync.Mutex
+	tail   []byte // the start of a frame no write has completed yet
+	writes [][]uint8
+}
+
+func (s *SocketWrites) add(p []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tail = append(s.tail, p...)
+	var ops []uint8
+	for len(s.tail) >= 4 {
+		n := 4 + int(binary.LittleEndian.Uint32(s.tail))
+		if len(s.tail) < n {
+			break
+		}
+		ops = append(ops, s.tail[4+8]) // after the length and request id
+		s.tail = s.tail[n:]
+	}
+	s.writes = append(s.writes, ops)
+}
+
+// Take returns the writes recorded since the last Take.
+func (s *SocketWrites) Take() [][]uint8 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.writes
+	s.writes = nil
+	return w
+}
+
+type recordingWriter struct {
+	w   io.Writer
+	rec *SocketWrites
+}
+
+func (r recordingWriter) Write(p []byte) (int, error) {
+	r.rec.add(p)
+	return r.w.Write(p)
+}
+
+// RecordSocketWritesForTest puts a recorder in front of the sockets of
+// the client's live connections. Call it while no call is in flight.
+func (rs *RemoteStore) RecordSocketWritesForTest() *SocketWrites {
+	rec := &SocketWrites{}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for _, c := range rs.conns {
+		if c != nil {
+			c.fw.mu.Lock()
+			c.fw.w = recordingWriter{w: c.fw.w, rec: rec}
+			c.fw.mu.Unlock()
+		}
+	}
+	return rec
+}

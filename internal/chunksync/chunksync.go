@@ -46,8 +46,10 @@ type HaveFunc func(ctx context.Context, ids []chunk.ID) ([]bool, error)
 // aligned with that prefix, nil where the remote holds nothing.
 type FetchFunc func(ctx context.Context, ids []chunk.ID) ([][]byte, error)
 
-// SendFunc uploads a batch of chunks to the remote end.
-type SendFunc func(ctx context.Context, chunks []*chunk.Chunk) error
+// SendFunc uploads a batch of chunks to the remote end. last marks
+// the upload's final batch, so a transport may pipeline whatever must
+// follow the upload behind it.
+type SendFunc func(ctx context.Context, chunks []*chunk.Chunk, last bool) error
 
 // Stats counts a transfer's work. Byte counts cover chunk payloads
 // only (framing overhead is the transport's business).
@@ -285,18 +287,18 @@ func Missing(ctx context.Context, ids []chunk.ID, have HaveFunc, batch int, st *
 // Push uploads the given chunks from src, batched by cumulative
 // payload size (maxBytes; 0 means DefaultSendBytes — a batch always
 // carries at least one chunk, so a single chunk larger than the target
-// still ships alone).
+// still ships alone). With no ids it sends nothing.
 func Push(ctx context.Context, src store.Store, ids []chunk.ID, send SendFunc, maxBytes int, st *Stats) error {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSendBytes
 	}
 	var batch []*chunk.Chunk
 	var batchBytes int
-	flush := func() error {
+	flush := func(last bool) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := send(ctx, batch); err != nil {
+		if err := send(ctx, batch, last); err != nil {
 			return err
 		}
 		for _, c := range batch {
@@ -312,12 +314,12 @@ func Push(ctx context.Context, src store.Store, ids []chunk.ID, send SendFunc, m
 			return err
 		}
 		if len(batch) > 0 && batchBytes+c.Size() > maxBytes {
-			if err := flush(); err != nil {
+			if err := flush(false); err != nil {
 				return err
 			}
 		}
 		batch = append(batch, c)
 		batchBytes += c.Size()
 	}
-	return flush()
+	return flush(true)
 }

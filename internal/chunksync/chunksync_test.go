@@ -18,7 +18,8 @@ type remoteEnd struct {
 	s           *store.MemStore
 	fetches     int
 	sends       int
-	fetchPrefix int // when >0, answer at most this many ids per fetch
+	lasts       []int // the 1-based sends marked last
+	fetchPrefix int   // when >0, answer at most this many ids per fetch
 }
 
 func (r *remoteEnd) have(_ context.Context, ids []chunk.ID) ([]bool, error) {
@@ -48,8 +49,11 @@ func (r *remoteEnd) fetch(_ context.Context, ids []chunk.ID) ([][]byte, error) {
 	return out, nil
 }
 
-func (r *remoteEnd) send(_ context.Context, chunks []*chunk.Chunk) error {
+func (r *remoteEnd) send(_ context.Context, chunks []*chunk.Chunk, last bool) error {
 	r.sends++
+	if last {
+		r.lasts = append(r.lasts, r.sends)
+	}
 	for _, c := range chunks {
 		if _, err := r.s.Put(c); err != nil {
 			return err
@@ -258,6 +262,9 @@ func TestPushBatchesBySize(t *testing.T) {
 	}
 	if server.sends < 2 {
 		t.Fatalf("1 MiB push with 8 KiB batches used %d sends", server.sends)
+	}
+	if len(server.lasts) != 1 || server.lasts[0] != server.sends {
+		t.Fatalf("of %d sends, %v were marked last; want the final one alone", server.sends, server.lasts)
 	}
 }
 

@@ -140,6 +140,15 @@ const (
 	// op; clients seeing a server without it fail the call locally with
 	// ErrUnsupported instead of burning a round trip.
 	FeatureServerStats uint32 = 1 << 2
+	// FeatureOrderedSend marks a server that applies an OpChunkSend —
+	// verifies, shields and admits its chunks — before it reads the next
+	// frame on the connection. A client seeing the bit may write its
+	// last Send and the OpPutChunked that relies on it back to back, in
+	// one flush, and wait for both answers: the commit cannot overtake
+	// the upload. Without the bit the server may run the two on
+	// different workers, and the client waits for the Send's answer
+	// before it writes the commit.
+	FeatureOrderedSend uint32 = 1 << 3
 )
 
 // KnownOp reports whether op names an operation this protocol version

@@ -50,7 +50,9 @@ type RemoteConfig struct {
 	// Empty means a private directory under os.TempDir that Close (or
 	// a failed Dial) removes: the store is on disk either way, and only
 	// its lifetime differs. A process killed before Close leaves that
-	// directory behind.
+	// directory behind; on unix systems it holds a lock file the dead
+	// process no longer locks, and the next Dial that makes a private
+	// directory removes it.
 	ChunkCacheDir string
 	// ChunkCacheBytes is the budget of the in-memory LRU tier in front
 	// of the client chunk store; 0 means 64 MiB. The store behind it is
@@ -138,13 +140,15 @@ type RemoteStore struct {
 	// local is the client-side chunk cache stack, a Cache over a
 	// FileStore; nil unless chunk sync was requested. privateDir is the
 	// FileStore's directory when Dial made it (no ChunkCacheDir), which
-	// Close removes. treeCfg is the POS-Tree configuration local trees
-	// are built with — DefaultConfig, matching the server default, so
-	// client-built and server-built trees chunk identically and
-	// deduplicate against each other.
-	local      store.Store
-	privateDir string
-	treeCfg    postree.Config
+	// Close removes; privateLock holds the lock file that marks it as
+	// live until then (lockChunkDir). treeCfg is the POS-Tree
+	// configuration local trees are built with — DefaultConfig,
+	// matching the server default, so client-built and server-built
+	// trees chunk identically and deduplicate against each other.
+	local       store.Store
+	privateDir  string
+	privateLock *os.File
+	treeCfg     postree.Config
 
 	// staged holds the ids of the chunks in local that this client
 	// created itself — building a value, editing a fetched one — and
@@ -188,11 +192,16 @@ func Dial(addr string, cfg RemoteConfig) (*RemoteStore, error) {
 		}
 		dir := cfg.ChunkCacheDir
 		if dir == "" {
-			tmp, err := os.MkdirTemp("", "forkbase-chunks-")
+			sweepChunkDirs()
+			tmp, err := os.MkdirTemp("", privateDirPrefix)
 			if err != nil {
 				return nil, fmt.Errorf("forkbase: chunk cache: %w", err)
 			}
 			dir, rs.privateDir = tmp, tmp
+			if rs.privateLock, err = lockChunkDir(tmp); err != nil {
+				rs.removePrivateDir()
+				return nil, fmt.Errorf("forkbase: chunk cache: %w", err)
+			}
 		}
 		fs, err := store.OpenFileStore(dir, store.FileStoreOptions{})
 		if err != nil {
@@ -266,14 +275,26 @@ func (rs *RemoteStore) Close() error {
 	return err
 }
 
+// privateDirPrefix names the chunk store directories Dial makes under
+// os.TempDir(); chunkDirLock is the lock file in each that marks its
+// owner live.
+const (
+	privateDirPrefix = "forkbase-chunks-"
+	chunkDirLock     = "lock"
+)
+
 // removePrivateDir deletes the chunk store directory Dial created for
-// this client, if it made one; a ChunkCacheDir is the caller's and
-// stays.
+// this client, if it made one, and only then drops its lock; a
+// ChunkCacheDir is the caller's and stays.
 func (rs *RemoteStore) removePrivateDir() error {
 	if rs.privateDir == "" {
 		return nil
 	}
-	if err := os.RemoveAll(rs.privateDir); err != nil {
+	err := os.RemoveAll(rs.privateDir)
+	if rs.privateLock != nil {
+		rs.privateLock.Close()
+	}
+	if err != nil {
 		return fmt.Errorf("forkbase: chunk cache: %w", err)
 	}
 	return nil
@@ -573,6 +594,108 @@ func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payl
 		rs.cancel(c, id)
 		return nil, nil, ctx.Err()
 	}
+}
+
+// callResult is one answer as callSlot returns it.
+type callResult struct {
+	d   *wire.Dec
+	ep  *wire.ErrorPayload
+	err error
+}
+
+// failure is the call's error, local or the server's; nil on success.
+func (r callResult) failure() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.ep != nil {
+		return r.ep.Err
+	}
+	return nil
+}
+
+// callPair is callSlot for two requests the server must read back to
+// back: the first frame is enqueued and the second written, so both
+// leave in one flush and the pair costs one round trip. It waits for
+// both answers and returns them in request order; each is observed
+// under its own op, timed to its own answer. A server that applies the
+// first request before it reads the second (wire.FeatureOrderedSend)
+// is what makes the second safe to send unanswered.
+func (rs *RemoteStore) callPair(ctx context.Context, slot uint64, op1 uint8, p1 []byte, op2 uint8, p2 []byte) (r1, r2 callResult) {
+	start := time.Now()
+	ops := [2]uint8{op1, op2}
+	var res [2]callResult
+	done := [2]bool{}
+	finish := func(i int, r callResult) {
+		res[i], done[i] = r, true
+		rs.cm.observe(ops[i], start, r.err != nil || r.ep != nil)
+	}
+	failAll := func(err error) (callResult, callResult) {
+		for i := range res {
+			if !done[i] {
+				finish(i, callResult{err: err})
+			}
+		}
+		return res[0], res[1]
+	}
+	if err := ctx.Err(); err != nil {
+		return failAll(err)
+	}
+	max := wire.MaxPayload(rs.cfg.MaxFrame)
+	for _, p := range [2][]byte{p1, p2} {
+		if len(p) > max {
+			return failAll(fmt.Errorf("forkbase: request of %d bytes exceeds the %d-byte frame cap (RemoteConfig.MaxFrame)", len(p), max))
+		}
+	}
+	c, err := rs.conn(slot)
+	if err != nil {
+		return failAll(err)
+	}
+	ids := [2]uint64{rs.reqID.Add(1), rs.reqID.Add(1)}
+	var chs [2]chan remoteResp
+	for i := range chs {
+		if chs[i], err = c.register(ids[i]); err != nil {
+			// The connection died after the first registration; its
+			// channel got fail's notice and is not repooled.
+			c.unregister(ids[0])
+			return failAll(err)
+		}
+	}
+	if err = c.fw.enqueue(ids[0], op1, p1); err == nil {
+		err = c.write(ids[1], op2, p2)
+	}
+	if err != nil {
+		c.unregister(ids[0])
+		c.unregister(ids[1])
+		c.fail(err)
+		return failAll(err)
+	}
+	for !done[0] || !done[1] {
+		var i int
+		var r remoteResp
+		select {
+		case r = <-chs[0]:
+		case r = <-chs[1]:
+			i = 1
+		case <-ctx.Done():
+			for i := range ids {
+				if !done[i] {
+					c.unregister(ids[i])
+					rs.cancel(c, ids[i])
+				}
+			}
+			return failAll(ctx.Err())
+		}
+		respChanPool.Put(chs[i]) // received its one send; empty again
+		chs[i] = nil             // a nil channel never fires again
+		if r.err != nil {
+			finish(i, callResult{err: r.err})
+			continue
+		}
+		d, ep, err := decodeStatus(r.payload)
+		finish(i, callResult{d: d, ep: ep, err: err})
+	}
+	return res[0], res[1]
 }
 
 // cancel tells the server, best effort, to stop working on request id:
@@ -1122,12 +1245,12 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 }
 
 // putChunked is Put over chunk sync: persist the value's tree into the
-// local store (a no-op for values already attached there), negotiate
-// what the server is missing, upload it, and commit by root. The commit
-// op re-derives the tree shape server-side and verifies completeness
-// before the put executes.
+// local store (a no-op for values already attached there), upload what
+// the server lacks, and commit by root. The commit op re-derives the
+// tree shape server-side and verifies completeness before the put
+// executes.
 //
-// The negotiation covers what this client staged, not the tree: see
+// The upload covers what this client staged, not the tree: see
 // pushTree. When the server finds the tree incomplete although the
 // client took part of it for granted, that knowledge was stale (the
 // branch was removed and collected since the value was fetched) and
@@ -1156,20 +1279,36 @@ func (rs *RemoteStore) putChunked(ctx context.Context, key string, v Value, opts
 	return uid, err
 }
 
-// pushTree is one negotiate→upload→commit pass. With trust, the walk
-// over the tree descends only through index nodes that are staged and
-// lists only staged chunks: a chunk that is not staged came from the
-// server with everything under it, so the Have request names — and the
-// Send carries at most — the handful of nodes an edit created, however
-// large the value. Without trust every node is listed, which is the
-// negotiation of a client that knows nothing.
+// pushTree is one upload→commit pass. With trust, the walk over the
+// tree descends only through index nodes that are staged and lists
+// only staged chunks: a chunk that is not staged came from the server
+// with everything under it, so the upload carries the handful of nodes
+// an edit created, however large the value. Without trust every node
+// is listed, which is the upload of a client that knows nothing.
+//
+// When the walk took something for granted, the listed chunks are an
+// edit's own copy-on-write nodes, which no server has been told about,
+// and they are sent unasked. Otherwise — a fresh value, the stale
+// retry — a Have first finds which of them the server already holds,
+// so content it has under another key crosses as ids, not bytes.
+//
+// A server that applies a Send before it reads the next frame
+// (wire.FeatureOrderedSend) gets the last Send and the commit in one
+// flush (callPair), which makes an edit's put one round trip. A Send's
+// error is the put's, whatever the commit answered. Chunks are
+// unstaged only once every Send that carried them has succeeded.
 //
 // stale reports a commit the server refused as incomplete after the
 // walk had taken something for granted.
 func (rs *RemoteStore) pushTree(ctx context.Context, slot uint64, key string, vt types.Type, tree *postree.Tree, co wire.CallOptions, trust bool) (uid UID, stale bool, err error) {
 	var ids []chunk.ID
+	seen := make(map[chunk.ID]bool)
 	assumed := false
 	if err := tree.Walk(func(id chunk.ID, _ int) (bool, error) {
+		if seen[id] {
+			return false, nil
+		}
+		seen[id] = true
 		if trust && !rs.isStaged(id) {
 			assumed = true
 			return false, nil
@@ -1180,37 +1319,52 @@ func (rs *RemoteStore) pushTree(ctx context.Context, slot uint64, key string, vt
 		return UID{}, false, err
 	}
 	var st chunksync.Stats
-	have := func(ctx context.Context, ids []chunk.ID) ([]bool, error) {
-		return rs.chunkHave(ctx, slot, co.User, key, ids)
+	upload := ids
+	if !assumed {
+		have := func(ctx context.Context, ids []chunk.ID) ([]bool, error) {
+			return rs.chunkHave(ctx, slot, co.User, key, ids)
+		}
+		if upload, err = chunksync.Missing(ctx, ids, have, rs.haveBatch(), &st); err != nil {
+			return UID{}, false, err
+		}
 	}
-	missing, err := chunksync.Missing(ctx, ids, have, rs.haveBatch(), &st)
-	if err != nil {
-		return UID{}, false, err
+	var e wire.Enc
+	wire.EncodeCallOptions(&e, co)
+	e.Str(key)
+	e.U8(uint8(vt))
+	e.UID(tree.Root())
+	commit := e.Bytes()
+	var res callResult // the commit's answer
+	pipelined := false
+	send := func(ctx context.Context, chunks []*chunk.Chunk, last bool) error {
+		if !last || rs.features.Load()&wire.FeatureOrderedSend == 0 {
+			return rs.chunkSend(ctx, slot, co.User, key, chunks)
+		}
+		pipelined = true
+		sent := chunkOpts(co.User, key)
+		wire.EncodeChunkUpload(sent, chunks)
+		var r callResult
+		r, res = rs.callPair(ctx, slot, wire.OpChunkSend, sent.Bytes(), wire.OpPutChunked, commit)
+		return r.failure()
 	}
-	send := func(ctx context.Context, chunks []*chunk.Chunk) error {
-		return rs.chunkSend(ctx, slot, co.User, key, chunks)
-	}
-	if err := chunksync.Push(ctx, tree.Store(), missing, send, rs.sendBytes(), &st); err != nil {
+	if err := chunksync.Push(ctx, tree.Store(), upload, send, rs.sendBytes(), &st); err != nil {
 		return UID{}, false, err
 	}
 	// Every listed chunk is now acknowledged: the server answered
 	// "present" or took it in a Send that has returned. Not a moment
 	// earlier — a Send that failed must find them staged next time.
 	rs.unstage(ids)
-	var e wire.Enc
-	wire.EncodeCallOptions(&e, co)
-	e.Str(key)
-	e.U8(uint8(vt))
-	e.UID(tree.Root())
-	d, ep, err := rs.callSlot(ctx, slot, wire.OpPutChunked, e.Bytes())
-	if err != nil {
-		return UID{}, false, err
+	if !pipelined {
+		res.d, res.ep, res.err = rs.callSlot(ctx, slot, wire.OpPutChunked, commit)
 	}
-	if ep != nil {
-		return ep.UID, assumed && errors.Is(ep.Err, store.ErrNotFound), ep.Err
+	if res.err != nil {
+		return UID{}, false, res.err
 	}
-	uid = d.UID()
-	return uid, false, d.Err()
+	if res.ep != nil {
+		return res.ep.UID, assumed && errors.Is(res.ep.Err, store.ErrNotFound), res.ep.Err
+	}
+	uid = res.d.UID()
+	return uid, false, res.d.Err()
 }
 
 func (rs *RemoteStore) isStaged(id chunk.ID) bool {

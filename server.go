@@ -91,6 +91,12 @@ type Server struct {
 	// for every pipelined request behind it on the connection.
 	db *DB
 
+	// unorderedSend runs OpChunkSend on the worker pool and leaves
+	// FeatureOrderedSend out of the Hello: the server that predates the
+	// bit. Only tests set it, to hold a client to the sequential
+	// Send→commit order such a server needs.
+	unorderedSend bool
+
 	// reg/met are the server's observability spine: reg owns every
 	// instrument; met caches them in per-op arrays so the request path
 	// never touches the registry (see metrics.go).
@@ -359,8 +365,16 @@ func (s *Server) features() uint32 {
 	f := wire.FeatureServerStats
 	if s.chunkSync() {
 		f |= wire.FeatureChunkSync
+		if !s.unorderedSend {
+			f |= wire.FeatureOrderedSend
+		}
 	}
 	return f
+}
+
+// inline reports whether op is answered on the read loop (opRow.inline).
+func (s *Server) inline(op uint8) bool {
+	return s.db != nil && serverOps[op].inline && !(op == wire.OpChunkSend && s.unorderedSend)
 }
 
 // addShields shields ids on the backend for this connection's
@@ -562,7 +576,7 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: op %d is not a request this server serves", wire.ErrCodec, f.op), nil, UID{})
 	case !sc.srv.admit():
 		sc.respondErr(f.reqID, f.op, ErrServerClosed, nil, UID{})
-	case sc.srv.db != nil && serverOps[f.op].inline:
+	case sc.srv.inline(f.op):
 		// The small-op fast path: answer right here on the read loop —
 		// no goroutine, no context allocation, no cancel registration
 		// (OpCancel arrives on this same loop, so it cannot race an op
@@ -825,7 +839,11 @@ type opRow struct {
 	// local *DB: point reads and metadata listings. Writes, merges,
 	// history walks and value materialization keep the worker path —
 	// they can block, and a blocked read loop stalls the whole
-	// connection.
+	// connection. OpChunkSend is the one write here, for ordering: it
+	// is applied before the next frame is read, so a commit pipelined
+	// behind it finds its chunks (wire.FeatureOrderedSend). Requests
+	// multiplexed behind a Send wait for it; one Send is at most the
+	// client's send batch.
 	inline bool
 	// coalesce lets adjacent requests of the op run as one engine batch
 	// when the backend is a local *DB (handlePut).
@@ -858,7 +876,7 @@ var serverOps = [wire.OpMax]opRow{
 	wire.OpStats:        {serve: serveStats, inline: true},
 	wire.OpChunkHave:    {serve: serveChunkHave, chunk: true},
 	wire.OpChunkWant:    {serve: serveChunkWant, chunk: true},
-	wire.OpChunkSend:    {serve: serveChunkSend, chunk: true},
+	wire.OpChunkSend:    {serve: serveChunkSend, inline: true, chunk: true},
 	wire.OpPutChunked:   {serve: servePutChunked, chunk: true},
 	wire.OpServerStats:  {serve: serveServerStats},
 }
