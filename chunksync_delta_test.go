@@ -977,22 +977,13 @@ func TestChunkSyncFailedPipelinedSendKeepsEditStaged(t *testing.T) {
 func TestChunkSyncUnorderedServerGetsSequentialCommit(t *testing.T) {
 	ctx := context.Background()
 	db := forkbase.Open()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := forkbase.NewServer(db, forkbase.ServerOptions{})
-	srv.UnorderedSendForTest()
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Close()
-		db.Close()
-	})
-	rc, err := forkbase.Dial(ln.Addr().String(), forkbase.RemoteConfig{ChunkSync: true})
+	addr, srv := startServer(t, db, forkbase.ServerOptions{})
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	rc.DropOrderedSendFeatureForTest()
 	data := randBytes(95, 300<<10)
 	if _, err := db.Put(ctx, "doc", forkbase.NewBlob(data)); err != nil {
 		t.Fatal(err)

@@ -60,6 +60,14 @@ func (rs *RemoteStore) DropServerStatsFeatureForTest() {
 	rs.features.Store(rs.features.Load() &^ wire.FeatureServerStats)
 }
 
+// DropOrderedSendFeatureForTest clears FeatureOrderedSend from the
+// client's view of the server's Hello, simulating a peer that predates
+// the bit: the client must then wait for a Send's answer before it
+// writes the commit behind it.
+func (rs *RemoteStore) DropOrderedSendFeatureForTest() {
+	rs.features.Store(rs.features.Load() &^ wire.FeatureOrderedSend)
+}
+
 // ConnShieldsForTest counts the chunk ids the server's live
 // connections hold shielded for chunked puts still being negotiated.
 func (s *Server) ConnShieldsForTest() int {
@@ -106,11 +114,6 @@ func SetHelloTimeoutForTest(d time.Duration) (restore func()) {
 
 // ServedForTest reports whether op has a row in the server's op table.
 func ServedForTest(op uint8) bool { return served(op) }
-
-// UnorderedSendForTest makes s the server that predates
-// wire.FeatureOrderedSend: its Hello leaves the bit out and a Send runs
-// on the worker pool. Call it before Serve.
-func (s *Server) UnorderedSendForTest() { s.unorderedSend = true }
 
 // SocketWrites records a client's socket writes: for each write, the
 // ops of the frames it completed.

@@ -553,50 +553,14 @@ func (c *remoteConn) write(id uint64, op uint8, payload []byte) error {
 // them, so a commit arriving on a different connection would not
 // release them (and a mid-upload disconnect could not be told apart
 // from a still-negotiating client).
-func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) (d *wire.Dec, ep *wire.ErrorPayload, err error) {
-	start := time.Now()
-	defer func() { rs.cm.observe(op, start, err != nil || ep != nil) }()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if max := wire.MaxPayload(rs.cfg.MaxFrame); len(payload) > max {
-		// An oversized frame would desynchronize the stream and kill
-		// every request multiplexed on the connection; fail only this
-		// one, before any bytes move.
-		return nil, nil, fmt.Errorf("forkbase: request of %d bytes exceeds the %d-byte frame cap (RemoteConfig.MaxFrame)", len(payload), max)
-	}
-	c, err := rs.conn(slot)
-	if err != nil {
-		return nil, nil, err
-	}
-	id := rs.reqID.Add(1)
-	ch, err := c.register(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := c.write(id, op, payload); err != nil {
-		c.unregister(id)
-		c.fail(err)
-		return nil, nil, err
-	}
-	select {
-	case r := <-ch:
-		respChanPool.Put(ch) // received its one send; empty again
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		return decodeStatus(r.payload)
-	case <-ctx.Done():
-		// Abandon locally at once; tell the server so it stops paying
-		// for the walk. The response, if it still arrives, is dropped
-		// by the read loop.
-		c.unregister(id)
-		rs.cancel(c, id)
-		return nil, nil, ctx.Err()
-	}
+func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) (*wire.Dec, *wire.ErrorPayload, error) {
+	calls := [1]slotCall{{op: op, payload: payload}}
+	rs.callFrames(ctx, slot, calls[:])
+	r := calls[0].callResult
+	return r.d, r.ep, r.err
 }
 
-// callResult is one answer as callSlot returns it.
+// callResult is one answer of callFrames.
 type callResult struct {
 	d   *wire.Dec
 	ep  *wire.ErrorPayload
@@ -614,88 +578,101 @@ func (r callResult) failure() error {
 	return nil
 }
 
-// callPair is callSlot for two requests the server must read back to
-// back: the first frame is enqueued and the second written, so both
-// leave in one flush and the pair costs one round trip. It waits for
-// both answers and returns them in request order; each is observed
-// under its own op, timed to its own answer. A server that applies the
-// first request before it reads the second (wire.FeatureOrderedSend)
-// is what makes the second safe to send unanswered.
-func (rs *RemoteStore) callPair(ctx context.Context, slot uint64, op1 uint8, p1 []byte, op2 uint8, p2 []byte) (r1, r2 callResult) {
+// slotCall is one request of callFrames and, once it returns, its
+// answer.
+type slotCall struct {
+	op      uint8
+	payload []byte
+	callResult
+
+	id uint64
+	ch chan remoteResp
+}
+
+// callFrames sends calls on one pool slot — every frame but the last
+// enqueued, the last written, so all of them leave in one flush — and
+// waits for every answer, in request order, leaving each in its call.
+// Each call is observed under its own op, timed to when its answer is
+// taken. More than one call costs one round trip only against a server
+// that applies each request before it reads the next
+// (wire.FeatureOrderedSend).
+func (rs *RemoteStore) callFrames(ctx context.Context, slot uint64, calls []slotCall) {
 	start := time.Now()
-	ops := [2]uint8{op1, op2}
-	var res [2]callResult
-	done := [2]bool{}
 	finish := func(i int, r callResult) {
-		res[i], done[i] = r, true
-		rs.cm.observe(ops[i], start, r.err != nil || r.ep != nil)
+		calls[i].callResult = r
+		rs.cm.observe(calls[i].op, start, r.err != nil || r.ep != nil)
 	}
-	failAll := func(err error) (callResult, callResult) {
-		for i := range res {
-			if !done[i] {
-				finish(i, callResult{err: err})
-			}
+	failFrom := func(i int, err error) {
+		for ; i < len(calls); i++ {
+			finish(i, callResult{err: err})
 		}
-		return res[0], res[1]
 	}
 	if err := ctx.Err(); err != nil {
-		return failAll(err)
+		failFrom(0, err)
+		return
 	}
 	max := wire.MaxPayload(rs.cfg.MaxFrame)
-	for _, p := range [2][]byte{p1, p2} {
-		if len(p) > max {
-			return failAll(fmt.Errorf("forkbase: request of %d bytes exceeds the %d-byte frame cap (RemoteConfig.MaxFrame)", len(p), max))
+	for i := range calls {
+		if n := len(calls[i].payload); n > max {
+			// An oversized frame would desynchronize the stream and
+			// kill every request multiplexed on the connection; fail
+			// only these, before any bytes move.
+			failFrom(0, fmt.Errorf("forkbase: request of %d bytes exceeds the %d-byte frame cap (RemoteConfig.MaxFrame)", n, max))
+			return
 		}
 	}
 	c, err := rs.conn(slot)
 	if err != nil {
-		return failAll(err)
+		failFrom(0, err)
+		return
 	}
-	ids := [2]uint64{rs.reqID.Add(1), rs.reqID.Add(1)}
-	var chs [2]chan remoteResp
-	for i := range chs {
-		if chs[i], err = c.register(ids[i]); err != nil {
-			// The connection died after the first registration; its
-			// channel got fail's notice and is not repooled.
-			c.unregister(ids[0])
-			return failAll(err)
+	for i := range calls {
+		calls[i].id = rs.reqID.Add(1)
+		if calls[i].ch, err = c.register(calls[i].id); err != nil {
+			// The connection died; the calls registered before this
+			// one got fail's notice, and their channels are not
+			// repooled.
+			failFrom(0, err)
+			return
 		}
 	}
-	if err = c.fw.enqueue(ids[0], op1, p1); err == nil {
-		err = c.write(ids[1], op2, p2)
+	last := len(calls) - 1
+	for i := 0; i < last && err == nil; i++ {
+		err = c.fw.enqueue(calls[i].id, calls[i].op, calls[i].payload)
+	}
+	if err == nil {
+		err = c.write(calls[last].id, calls[last].op, calls[last].payload)
 	}
 	if err != nil {
-		c.unregister(ids[0])
-		c.unregister(ids[1])
+		for i := range calls {
+			c.unregister(calls[i].id)
+		}
 		c.fail(err)
-		return failAll(err)
+		failFrom(0, err)
+		return
 	}
-	for !done[0] || !done[1] {
-		var i int
-		var r remoteResp
+	for i := range calls {
 		select {
-		case r = <-chs[0]:
-		case r = <-chs[1]:
-			i = 1
-		case <-ctx.Done():
-			for i := range ids {
-				if !done[i] {
-					c.unregister(ids[i])
-					rs.cancel(c, ids[i])
-				}
+		case r := <-calls[i].ch:
+			respChanPool.Put(calls[i].ch) // received its one send; empty again
+			if r.err != nil {
+				finish(i, callResult{err: r.err})
+				continue
 			}
-			return failAll(ctx.Err())
+			d, ep, err := decodeStatus(r.payload)
+			finish(i, callResult{d: d, ep: ep, err: err})
+		case <-ctx.Done():
+			// Abandon locally at once; tell the server so it stops
+			// paying for the walk. A response that still arrives is
+			// dropped by the read loop.
+			for j := i; j < len(calls); j++ {
+				c.unregister(calls[j].id)
+				rs.cancel(c, calls[j].id)
+			}
+			failFrom(i, ctx.Err())
+			return
 		}
-		respChanPool.Put(chs[i]) // received its one send; empty again
-		chs[i] = nil             // a nil channel never fires again
-		if r.err != nil {
-			finish(i, callResult{err: r.err})
-			continue
-		}
-		d, ep, err := decodeStatus(r.payload)
-		finish(i, callResult{d: d, ep: ep, err: err})
 	}
-	return res[0], res[1]
 }
 
 // cancel tells the server, best effort, to stop working on request id:
@@ -1294,7 +1271,7 @@ func (rs *RemoteStore) putChunked(ctx context.Context, key string, v Value, opts
 //
 // A server that applies a Send before it reads the next frame
 // (wire.FeatureOrderedSend) gets the last Send and the commit in one
-// flush (callPair), which makes an edit's put one round trip. A Send's
+// flush (callFrames), which makes an edit's put one round trip. A Send's
 // error is the put's, whatever the commit answered. Chunks are
 // unstaged only once every Send that carried them has succeeded.
 //
@@ -1343,9 +1320,10 @@ func (rs *RemoteStore) pushTree(ctx context.Context, slot uint64, key string, vt
 		pipelined = true
 		sent := chunkOpts(co.User, key)
 		wire.EncodeChunkUpload(sent, chunks)
-		var r callResult
-		r, res = rs.callPair(ctx, slot, wire.OpChunkSend, sent.Bytes(), wire.OpPutChunked, commit)
-		return r.failure()
+		calls := [2]slotCall{{op: wire.OpChunkSend, payload: sent.Bytes()}, {op: wire.OpPutChunked, payload: commit}}
+		rs.callFrames(ctx, slot, calls[:])
+		res = calls[1].callResult
+		return calls[0].failure()
 	}
 	if err := chunksync.Push(ctx, tree.Store(), upload, send, rs.sendBytes(), &st); err != nil {
 		return UID{}, false, err

@@ -12,10 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	forkbase "forkbase"
+	"forkbase/internal/chunk"
 	"forkbase/internal/types"
 	"forkbase/internal/wire"
 )
@@ -330,7 +332,9 @@ func TestEmbeddedGetPutAllocs(t *testing.T) {
 // TestRemoteCoalescedPutDuplicateID: a put whose id is already in
 // flight — here, held by the put ahead of it in a coalescible burst —
 // is refused with ErrDuplicateRequest and writes nothing, exactly as
-// on the slow path; the original and the put after it commit.
+// on the slow path; the original and the put after it commit. A chunk
+// Send, answered on the read loop, is refused the same way while its
+// id is held by a request parked on a worker.
 func TestRemoteCoalescedPutDuplicateID(t *testing.T) {
 	db := forkbase.Open()
 	addr, _ := startServer(t, db, forkbase.ServerOptions{})
@@ -378,5 +382,59 @@ func TestRemoteCoalescedPutDuplicateID(t *testing.T) {
 	}
 	if _, err := db.Get(ctx, "b"); !errors.Is(err, forkbase.ErrKeyNotFound) {
 		t.Fatalf("refused put wrote key b: %v", err)
+	}
+
+	// Park a collection under id 200 between its root reads, then send
+	// a chunk under the same id.
+	entered, resume := make(chan struct{}), make(chan struct{})
+	var resumeOnce sync.Once
+	release := func() { resumeOnce.Do(func() { close(resume) }) }
+	t.Cleanup(release) // before the server's Close, which waits for the collection
+	db.SetRootsHookForTest(func() {
+		db.SetRootsHookForTest(nil)
+		close(entered)
+		<-resume
+	})
+	var gc wire.Enc
+	wire.EncodeCallOptions(&gc, wire.CallOptions{})
+	if err := wire.WriteFrame(c, 200, wire.OpGC, gc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	sent := chunk.New(chunk.TypeBlob, []byte("sent under a reused id"))
+	var send wire.Enc
+	wire.EncodeCallOptions(&send, wire.CallOptions{})
+	send.Str("d")
+	wire.EncodeChunkUpload(&send, []*chunk.Chunk{sent})
+	if err := wire.WriteFrame(c, 200, wire.OpChunkSend, send.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	reqID, op, payload, err := wire.ReadFrame(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reqID != 200 || op != wire.OpChunkSend || len(payload) == 0 || payload[0] != 1 {
+		t.Fatalf("a Send reusing an id in flight: id %d op %d answered first; want the Send's refusal", reqID, op)
+	}
+	if ep, err := wire.DecodeError(wire.NewDec(payload[1:])); err != nil || !errors.Is(ep.Err, forkbase.ErrDuplicateRequest) {
+		t.Fatalf("a Send reusing an id in flight failed with %v (decode: %v); want ErrDuplicateRequest", ep.Err, err)
+	}
+	if db.ChunkStoreForTest().Has(sent.ID()) {
+		t.Fatal("the refused Send stored its chunk")
+	}
+	release()
+	reqID, op, payload, err = wire.ReadFrame(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reqID != 200 || op != wire.OpGC || len(payload) == 0 || payload[0] != 0 {
+		t.Fatalf("after the refusal: id %d op %d; want the parked collection's success", reqID, op)
+	}
+	// The id is free again: the same Send is now served.
+	if err := wire.WriteFrame(c, 200, wire.OpChunkSend, send.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if reqID, op, payload, err = wire.ReadFrame(c, 0); err != nil || reqID != 200 || op != wire.OpChunkSend || len(payload) == 0 || payload[0] != 0 {
+		t.Fatalf("the Send after the id was released: id %d op %d, %v", reqID, op, err)
 	}
 }

@@ -91,12 +91,6 @@ type Server struct {
 	// for every pipelined request behind it on the connection.
 	db *DB
 
-	// unorderedSend runs OpChunkSend on the worker pool and leaves
-	// FeatureOrderedSend out of the Hello: the server that predates the
-	// bit. Only tests set it, to hold a client to the sequential
-	// Send→commit order such a server needs.
-	unorderedSend bool
-
 	// reg/met are the server's observability spine: reg owns every
 	// instrument; met caches them in per-op arrays so the request path
 	// never touches the registry (see metrics.go).
@@ -364,17 +358,9 @@ func (s *Server) features() uint32 {
 	// backend requirement, unlike the chunk ops.
 	f := wire.FeatureServerStats
 	if s.chunkSync() {
-		f |= wire.FeatureChunkSync
-		if !s.unorderedSend {
-			f |= wire.FeatureOrderedSend
-		}
+		f |= wire.FeatureChunkSync | wire.FeatureOrderedSend
 	}
 	return f
-}
-
-// inline reports whether op is answered on the read loop (opRow.inline).
-func (s *Server) inline(op uint8) bool {
-	return s.db != nil && serverOps[op].inline && !(op == wire.OpChunkSend && s.unorderedSend)
 }
 
 // addShields shields ids on the backend for this connection's
@@ -576,15 +562,26 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: op %d is not a request this server serves", wire.ErrCodec, f.op), nil, UID{})
 	case !sc.srv.admit():
 		sc.respondErr(f.reqID, f.op, ErrServerClosed, nil, UID{})
-	case sc.srv.inline(f.op):
+	case sc.srv.db != nil && serverOps[f.op].inline:
 		// The small-op fast path: answer right here on the read loop —
 		// no goroutine, no context allocation, no cancel registration
 		// (OpCancel arrives on this same loop, so it cannot race an op
 		// that completes before the next read) — and cork the response
-		// for the burst flush.
+		// for the burst flush. A Send, the one inline write, still
+		// claims its id, so one reusing an id in flight on a worker is
+		// refused as on the slow path; its cancel is a no-op, since no
+		// OpCancel is read until it returns.
+		send := f.op == wire.OpChunkSend
+		if send && !sc.claim(f.reqID, nopCancel) {
+			sc.refuseDuplicate(f)
+			break
+		}
 		start := time.Now()
 		resp := sc.srv.dispatch(sc.ctx, sc, f.reqID, f.op, f.payload)
 		sc.srv.observe(sc, f.op, start, resp)
+		if send {
+			sc.release(f.reqID)
+		}
 		sc.send(f.reqID, f.op, resp)
 		sc.deferredDone++
 	case sc.srv.db != nil && serverOps[f.op].coalesce:
@@ -606,16 +603,21 @@ func (sc *serverConn) slowPath(f rawFrame) bool {
 	ctx, cancel := context.WithCancel(sc.ctx)
 	if !sc.claim(f.reqID, cancel) {
 		cancel()
-		sc.srv.reqDone()
-		// Refuse the reuse rather than overwrite: overwriting would
-		// orphan the original request's cancel registration, leaking
-		// its context and making it uncancelable. The original request
-		// is untouched; only the duplicate frame fails.
-		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: id %d", wire.ErrDuplicateRequest, f.reqID), nil, UID{})
+		sc.refuseDuplicate(f)
 		return false
 	}
 	sc.enqueueTask(serverTask{sc: sc, ctx: ctx, cancel: cancel, reqID: f.reqID, op: f.op, payload: f.payload, buf: f.buf})
 	return true
+}
+
+// refuseDuplicate answers an admitted request whose id is already in
+// flight. Refuse the reuse rather than overwrite: overwriting would
+// orphan the original request's cancel registration, leaking its
+// context and making it uncancelable. The original request is
+// untouched; only the duplicate frame fails.
+func (sc *serverConn) refuseDuplicate(f rawFrame) {
+	sc.srv.reqDone()
+	sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: id %d", wire.ErrDuplicateRequest, f.reqID), nil, UID{})
 }
 
 // claim registers cancel under reqID unless the id is already in
@@ -1426,7 +1428,8 @@ func okPayload2(fill func(e *wire.Enc) error) []byte {
 
 // --- put coalescing ---------------------------------------------------
 
-// nopCancel is the inflight registration of a coalesced put.
+// nopCancel is the inflight registration of a coalesced put and of
+// an inline Send: neither can be cancelled once it runs.
 var nopCancel context.CancelFunc = func() {}
 
 // maxPutBatch bounds one coalesced batch; past this the marginal
