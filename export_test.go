@@ -95,6 +95,10 @@ func (db *DB) ChunkStoreForTest() store.Store { return db.eng.Store() }
 // for as long as f runs.
 func (db *DB) SetRootsHookForTest(f func()) { db.eng.SetRootsHookForTest(f) }
 
+// ForgetGCForTest drops what the collector kept from the last
+// collection, so that the next one marks and sweeps everything.
+func (db *DB) ForgetGCForTest() { db.eng.ForgetGCForTest() }
+
 // StagedChunksForTest counts the chunks the client created and the
 // server has not acknowledged.
 func (rs *RemoteStore) StagedChunksForTest() int {

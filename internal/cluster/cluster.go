@@ -442,7 +442,10 @@ func (c *Cluster) ListKeys(ctx context.Context) ([]string, error) {
 //     the shared pool;
 //  3. sweep every node with the one global live set (replicas of a
 //     chunk are thereby retained or reclaimed consistently), then drop
-//     dead entries from the per-servlet pool caches.
+//     what the sweeps reclaimed from the per-servlet pool caches.
+//
+// The mark is always full: the servlets' roots move independently, and
+// no node's store knows which of its chunks the global mark found.
 func (c *Cluster) GC(ctx context.Context, threshold float64) (store.GCStats, error) {
 	for _, l := range c.locals {
 		l.BeginGC()
@@ -466,16 +469,20 @@ func (c *Cluster) GC(ctx context.Context, threshold float64) (store.GCStats, err
 		}
 	}
 	var total store.GCStats
+	var dead []chunk.ID
+	defer func() {
+		for _, ca := range c.caches {
+			ca.Drop(dead)
+		}
+	}()
 	for i, l := range c.locals {
-		s, err := l.Sweep(live.Contains, threshold)
+		s, d, err := l.Sweep(live.Contains, threshold)
 		total.Add(s)
+		dead = append(dead, d...)
 		if err != nil {
 			return total, fmt.Errorf("cluster: node %d sweep: %w", i, err)
 		}
 	}
 	total.Marked = live.Len()
-	for _, ca := range c.caches {
-		ca.DropDead(live.Contains)
-	}
 	return total, nil
 }

@@ -76,6 +76,10 @@ type Engine struct {
 	// rootsHook, when set (ordering tests only), runs inside Roots
 	// between reading the shields and pins and reading the heads.
 	rootsHook func()
+
+	// gc keeps what the next collection needs from the last one to
+	// walk and sweep only what changed since; see store.Collector.
+	gc store.Collector
 }
 
 // SetRootsHookForTest installs f to run inside Roots, between reading
@@ -83,6 +87,11 @@ type Engine struct {
 // has read part of its roots and swept nothing. Ordering tests only;
 // call it before the engine is shared.
 func (e *Engine) SetRootsHookForTest(f func()) { e.rootsHook = f }
+
+// ForgetGCForTest drops the collector's state, so that the next
+// collection marks and sweeps everything: the full collection a
+// young-only one must match.
+func (e *Engine) ForgetGCForTest() { e.gc.Forget() }
 
 // NewEngine returns an engine over the given chunk store.
 func NewEngine(s store.Store, cfg postree.Config) *Engine {
@@ -751,12 +760,15 @@ func (e *Engine) Shielded(id types.UID) bool {
 // GC runs one dedup-aware collection against the engine's store: it
 // opens the write-protection window, marks everything reachable from
 // Roots, and sweeps the store, compacting segments whose live ratio
-// falls below threshold (<=0 uses store.DefaultGCThreshold). Reads and
-// writes proceed concurrently; versions written during the collection
-// are protected by the window. Returns store.ErrNotCollectable when
-// the underlying store cannot reclaim space.
+// falls below threshold (<=0 uses store.DefaultGCThreshold). When every
+// root of the previous collection is still reached, it reads and
+// sweeps only the chunks written since (store.Collector). Collections
+// run one at a time; reads and writes proceed concurrently, and
+// versions written during the collection are protected by the window.
+// Returns store.ErrNotCollectable when the underlying store cannot
+// reclaim space.
 func (e *Engine) GC(ctx context.Context, threshold float64) (store.GCStats, error) {
-	return store.Collect(ctx, e.s, func() ([]types.UID, error) {
+	return e.gc.Collect(ctx, e.s, func() ([]types.UID, error) {
 		return e.Roots(), nil
 	}, types.ChunkRefs, threshold)
 }

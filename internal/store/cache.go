@@ -72,23 +72,18 @@ func (c *Cache) Inner() Store { return c.inner }
 // Collectable at the bottom of a wrapped stack.
 func (c *Cache) Unwrap() Store { return c.inner }
 
-// DropDead evicts every cached entry that is not reported live. After
-// a sweep, entries for collected chunks would otherwise keep serving
-// bytes the backing store no longer holds; live entries stay warm
-// (content-addressing guarantees they are still bit-identical).
-func (c *Cache) DropDead(live func(id chunk.ID) bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
+// Drop evicts the given ids, the chunks a sweep reclaimed, so that the
+// cache never serves bytes the backing store no longer holds. Every
+// other entry stays warm: content addressing guarantees it is still
+// bit-identical.
+func (c *Cache) Drop(ids []chunk.ID) {
+	for _, id := range ids {
+		s := c.shard(id)
 		s.mu.Lock()
-		var next *list.Element
-		for el := s.ll.Front(); el != nil; el = next {
-			next = el.Next()
+		if el, ok := s.index[id]; ok {
 			e := el.Value.(*cacheEntry)
-			if live(e.id) {
-				continue
-			}
 			s.ll.Remove(el)
-			delete(s.index, e.id)
+			delete(s.index, id)
 			s.bytes -= int64(e.c.Size())
 			c.bytes.Add(-int64(e.c.Size()))
 		}

@@ -108,8 +108,11 @@ type crashSnap struct {
 
 // harnessSweep populates a store, runs a compacting sweep with the
 // crash hook installed, and returns the captured crash points plus the
-// expected content and live set.
-func harnessSweep(t *testing.T, chunks, minSize, maxSize int, segSize int64) ([]crashSnap, map[chunk.ID][]byte, map[chunk.ID]bool) {
+// expected content and live set. With young set, the store first holds
+// a quarter as many old chunks, all live, that a completed sweep kept;
+// the chunks written after it are young, and the hooked sweep is the
+// young-only one that compacts their segments alone.
+func harnessSweep(t *testing.T, chunks, minSize, maxSize int, segSize int64, young bool) ([]crashSnap, map[chunk.ID][]byte, map[chunk.ID]bool) {
 	t.Helper()
 	dir := t.TempDir()
 	fs, err := OpenFileStore(dir, FileStoreOptions{SegmentSize: segSize})
@@ -118,13 +121,41 @@ func harnessSweep(t *testing.T, chunks, minSize, maxSize int, segSize int64) ([]
 	}
 	content := map[chunk.ID][]byte{}
 	live := map[chunk.ID]bool{}
-	for i := 0; i < chunks; i++ {
-		c := testChunk(fmt.Sprintf("cc%04d", i), minSize+i%(maxSize-minSize))
+	put := func(name string, i int, isLive bool) {
+		c := testChunk(fmt.Sprintf("%s%04d", name, i), minSize+i%(maxSize-minSize))
 		if _, err := fs.Put(c); err != nil {
 			t.Fatal(err)
 		}
 		content[c.ID()] = append([]byte(nil), c.Data()...)
-		live[c.ID()] = i%3 == 0
+		live[c.ID()] = isLive
+	}
+	var gen uint64
+	var oldSegs map[string]int64
+	if young {
+		for i := 0; i < chunks/4; i++ {
+			put("old", i, true)
+		}
+		fs.BeginGC()
+		_, _, gen, err = fs.sweepSince(0, func(id chunk.ID) bool { return live[id] }, 0.95)
+		fs.EndGC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every segment but the active one is sealed and holds only old
+		// chunks.
+		oldSegs = map[string]int64{}
+		active := newestSegment(t, dir)
+		for _, name := range segmentFiles(t, dir) {
+			if name != active {
+				oldSegs[name] = fileSize(t, filepath.Join(dir, name))
+			}
+		}
+		if len(oldSegs) == 0 {
+			t.Fatal("harness needs sealed segments of old chunks")
+		}
+	}
+	for i := 0; i < chunks; i++ {
+		put("cc", i, i%3 == 0)
 	}
 
 	var snaps []crashSnap
@@ -149,13 +180,18 @@ func harnessSweep(t *testing.T, chunks, minSize, maxSize int, segSize int64) ([]
 		snaps = append(snaps, s)
 	}
 	fs.BeginGC()
-	stats, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.95)
+	stats, _, _, err := fs.sweepSince(gen, func(id chunk.ID) bool { return live[id] }, 0.95)
 	fs.EndGC()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SegmentsCompacted == 0 {
 		t.Fatalf("harness needs compactions to crash, got %+v", stats)
+	}
+	for name, size := range oldSegs {
+		if fileSize(t, filepath.Join(dir, name)) != size {
+			t.Fatalf("young-only sweep touched %s, a segment of old chunks", name)
+		}
 	}
 	fs.Close()
 	if len(snaps) < 4 {
@@ -169,7 +205,17 @@ func harnessSweep(t *testing.T, chunks, minSize, maxSize int, segSize int64) ([]
 // must survive, whichever copy (original or relocation) the recovery
 // finds first.
 func TestGCCrashConsistency(t *testing.T) {
-	snaps, content, live := harnessSweep(t, 300, 120, 1020, 4<<10)
+	snaps, content, live := harnessSweep(t, 300, 120, 1020, 4<<10, false)
+	for _, s := range snaps {
+		verifyLive(t, s.dir, s.when, content, live)
+	}
+}
+
+// TestGCCrashConsistencyYoungOnly runs the same kill points over a
+// young-only sweep: it compacts the segments written since the last
+// sweep, and every live chunk, old or young, keeps an intact copy.
+func TestGCCrashConsistencyYoungOnly(t *testing.T) {
+	snaps, content, live := harnessSweep(t, 300, 120, 1020, 4<<10, true)
 	for _, s := range snaps {
 		verifyLive(t, s.dir, s.when, content, live)
 	}
@@ -184,7 +230,17 @@ func TestGCCrashTornWrites(t *testing.T) {
 	// Enough live bytes per segment (> the 1 MiB write buffer) that
 	// relocations spill to disk before the barrier, leaving a real
 	// tearable tail at the "appended" crash points.
-	snaps, content, live := harnessSweep(t, 500, 6<<10, 10<<10, 8<<20)
+	tearSweep(t, false)
+}
+
+// TestGCCrashTornWritesYoungOnly tears the tails of a young-only
+// sweep's relocations.
+func TestGCCrashTornWritesYoungOnly(t *testing.T) {
+	tearSweep(t, true)
+}
+
+func tearSweep(t *testing.T, young bool) {
+	snaps, content, live := harnessSweep(t, 500, 6<<10, 10<<10, 8<<20, young)
 	rng := rand.New(rand.NewSource(11))
 	tore := 0
 	for _, s := range snaps {
@@ -243,7 +299,7 @@ func TestGCCrashKillsUnflushedRelocations(t *testing.T) {
 		}
 	}
 	fs.BeginGC()
-	if _, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.95); err != nil {
+	if _, _, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.95); err != nil {
 		t.Fatal(err)
 	}
 	fs.EndGC()

@@ -62,6 +62,19 @@ type FileStore struct {
 	gcDepth   int
 	protected map[chunk.ID]struct{}
 	sweeping  bool
+	// Young-only sweeps; see youngSweeper. After a completed sweep,
+	// every index entry in a segment below sealedAt is one that sweep
+	// kept: live in its mark, or in kept, the protected set of its
+	// window. So an entry is young if its segment is at or above
+	// sealedAt or kept holds it, and old otherwise. gen numbers that
+	// sweep among the sweeps counted in sweeps; 0 means none has
+	// completed since open, or the last one failed. kept is the
+	// window's own map: a later window makes a new one and never
+	// clears it. Guarded by mu.
+	gen      uint64
+	sweeps   uint64
+	sealedAt int
+	kept     map[chunk.ID]struct{}
 	// unpinned is set while the active segment holds relocated records
 	// that no fsync has covered: the only bytes of the log some later
 	// unlink may depend on. Guarded by mu.
@@ -537,21 +550,38 @@ type idLoc struct {
 // rotateLocked). The segment the survivors were copied into is sealed
 // at the end. Reads and writes proceed concurrently throughout; only
 // the index swap of each segment takes the write lock.
-func (fs *FileStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, error) {
+func (fs *FileStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, []chunk.ID, error) {
+	stats, dead, _, err := fs.sweepSince(0, live, threshold)
+	return stats, dead, err
+}
+
+// sweepSince implements youngSweeper. A young-only sweep examines the
+// segments that hold a young entry, because the live ratio of any
+// other segment cannot have changed, and keeps every old entry in
+// them. Orphan segments come only from recovery, which a reopened
+// store's first, full, sweep handles, so it leaves them alone.
+func (fs *FileStore) sweepSince(since uint64, live func(chunk.ID) bool, threshold float64) (GCStats, []chunk.ID, uint64, error) {
 	if threshold <= 0 {
 		threshold = DefaultGCThreshold
 	}
 	var stats GCStats
+	var dead []chunk.ID
 	fs.mu.Lock()
 	if fs.gcDepth == 0 {
 		fs.mu.Unlock()
-		return stats, fmt.Errorf("store: Sweep outside a BeginGC window")
+		return stats, nil, 0, fmt.Errorf("store: Sweep outside a BeginGC window")
 	}
 	if fs.sweeping {
 		fs.mu.Unlock()
-		return stats, ErrSweepInProgress
+		return stats, nil, 0, ErrSweepInProgress
+	}
+	if since != 0 && since != fs.gen {
+		fs.mu.Unlock()
+		return stats, nil, 0, errStaleSweep
 	}
 	fs.sweeping = true
+	fs.gen = 0 // until this sweep completes
+	sealedAt, kept := fs.sealedAt, fs.kept
 	defer func() {
 		fs.mu.Lock()
 		fs.sweeping = false
@@ -560,14 +590,24 @@ func (fs *FileStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats
 	if fs.off > 0 {
 		if err := fs.rotateLocked(); err != nil {
 			fs.mu.Unlock()
-			return stats, err
+			return stats, dead, 0, err
 		}
 	}
 	// Snapshot the sealed segments' entries. Writes racing with the
 	// sweep land in the (new) active segment, which is never touched.
+	// A young-only sweep takes the segments holding a young entry:
+	// those from sealedAt on, and those kept's ids live in.
+	keptSegs := make(map[int]bool)
+	if since != 0 {
+		for id := range kept {
+			if loc, ok := fs.index[id]; ok {
+				keptSegs[loc.seg] = true
+			}
+		}
+	}
 	bySeg := make(map[int][]idLoc)
 	for id, loc := range fs.index {
-		if loc.seg == fs.seg {
+		if loc.seg == fs.seg || since != 0 && loc.seg < sealedAt && !keptSegs[loc.seg] {
 			continue
 		}
 		bySeg[loc.seg] = append(bySeg[loc.seg], idLoc{id, loc})
@@ -580,52 +620,69 @@ func (fs *FileStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats
 	}
 	sort.Ints(segs)
 	for _, seg := range segs {
-		if err := fs.sweepSegment(seg, bySeg[seg], live, threshold, &stats); err != nil {
-			return stats, err
+		// In log order: survivors keep their neighbours, and the layout
+		// a sweep leaves does not depend on map iteration.
+		entries := bySeg[seg]
+		sort.Slice(entries, func(i, j int) bool { return entries[i].loc.off < entries[j].loc.off })
+		segLive := live
+		if since != 0 && seg < sealedAt {
+			// Below the watermark only kept's ids are young; every other
+			// entry is old, and so live. sweepSegment asks under fs.mu,
+			// which guards kept.
+			segLive = func(id chunk.ID) bool {
+				_, young := kept[id]
+				return !young || live(id)
+			}
+		}
+		if err := fs.sweepSegment(seg, entries, segLive, threshold, &stats, &dead); err != nil {
+			return stats, dead, 0, err
 		}
 	}
 	// An empty sealed segment holds only unindexed bytes (records whose
 	// cids were re-homed by an earlier crash-recovery); it was handled
 	// above only if it had entries. Remove any segment file with no
 	// index entries at all, active excluded.
-	if err := fs.removeOrphanSegments(bySeg, &stats); err != nil {
-		return stats, err
+	if since == 0 {
+		if err := fs.removeOrphanSegments(bySeg, &stats); err != nil {
+			return stats, dead, 0, err
+		}
 	}
 	// The survivors get a segment of their own. Left in the active one
 	// they would share a file with whatever is written next, most of
 	// which (a dropped branch, a replaced table) is dead by the next
 	// collection: the file falls under the threshold and every survivor
 	// is copied and fsynced again, collection after collection.
-	if stats.Relocated > 0 {
-		fs.mu.Lock()
-		var err error
-		if fs.off > 0 {
-			err = fs.rotateLocked()
-		}
-		fs.mu.Unlock()
-		if err != nil {
-			return stats, err
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if stats.Relocated > 0 && fs.off > 0 {
+		if err := fs.rotateLocked(); err != nil {
+			return stats, dead, 0, err
 		}
 	}
-	return stats, nil
+	// Every entry below the active segment is now one this sweep kept,
+	// or one written during its window, and so protected.
+	fs.sweeps++
+	fs.gen, fs.sealedAt, fs.kept = fs.sweeps, fs.seg, fs.protected
+	return stats, dead, fs.gen, nil
 }
 
-// sweepSegment decides the fate of one sealed segment.
-func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) bool, threshold float64, stats *GCStats) error {
+// sweepSegment decides the fate of one sealed segment, appending every
+// id it deletes to dead. It calls live with fs.mu held.
+func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) bool, threshold float64, stats *GCStats, dead *[]chunk.ID) error {
 	fs.hook("plan", seg)
 	// Provisional liveness under the lock, so the protected set is
 	// read consistently with concurrent Puts.
 	fs.mu.RLock()
 	keep := make(map[chunk.ID]bool, len(entries))
 	var liveBytes int64
-	dead := 0
+	deadEntries := 0
 	for _, e := range entries {
 		k := live(e.id) || fs.protectedLocked(e.id)
 		keep[e.id] = k
 		if k {
 			liveBytes += recordHeader + int64(e.loc.n)
 		} else {
-			dead++
+			deadEntries++
 		}
 	}
 	fs.mu.RUnlock()
@@ -637,7 +694,7 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 	size := fi.Size()
 	compact := liveBytes == 0 || float64(liveBytes) < threshold*float64(size)
 	if !compact {
-		if dead == 0 && liveBytes == size {
+		if deadEntries == 0 && liveBytes == size {
 			return nil // fully live, nothing to do
 		}
 		// Keep the file; just drop dead entries from the index. Their
@@ -654,6 +711,7 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 				fs.stats.Chunks--
 				fs.stats.Bytes -= int64(e.loc.n)
 				stats.Reclaimed++
+				*dead = append(*dead, e.id)
 			}
 		}
 		fs.mu.Unlock()
@@ -724,6 +782,7 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 			fs.stats.Chunks--
 			fs.stats.Bytes -= int64(e.loc.n)
 			stats.Reclaimed++
+			*dead = append(*dead, e.id)
 		}
 	}
 	fs.mu.Unlock()

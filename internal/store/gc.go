@@ -21,6 +21,10 @@ import (
 //	sweep: every Collectable store drops chunks absent from the set,
 //	       compacting its physical layout where worthwhile.
 //
+// A Collector makes the next collection cost what changed since the
+// last: it walks only the chunks written since and sweeps only those,
+// whenever that gives exactly the result of a full collection.
+//
 // Concurrent writes are safe without stopping the world: BeginGC opens
 // a protection window during which every Put — including a Put absorbed
 // by deduplication — shields its cid from the sweep. A version written
@@ -61,22 +65,33 @@ type Collectable interface {
 	// Sweep deletes every chunk that is neither reported live nor
 	// protected by the open window, and compacts physical storage
 	// whose live ratio falls below threshold (see DefaultGCThreshold;
-	// <=0 applies the default). Callers must hold a BeginGC window
-	// spanning the mark phase and the Sweep.
-	Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, error)
+	// <=0 applies the default). It returns the ids it deleted, also on
+	// failure, so that every cache above the store can drop exactly
+	// those. Callers must hold a BeginGC window spanning the mark phase
+	// and the Sweep.
+	Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, []chunk.ID, error)
 	// EndGC closes the protection window opened by BeginGC.
 	EndGC()
 }
 
 // GCStats reports one collection's effect.
 type GCStats struct {
-	Marked            int   // live chunks in the mark set
+	// Marked counts the mark set: every live chunk under a full
+	// collection. Under a young-only one (see Collector) it counts the
+	// chunks its walk reached: the young live chunks, plus the roots
+	// and old chunks where the walk stopped; the old chunks it kept
+	// without reaching are not counted.
+	Marked            int
 	Reclaimed         int   // chunks deleted
 	ReclaimedBytes    int64 // on-disk bytes those chunks occupied
 	Relocated         int   // live chunks rewritten during compaction
 	RelocatedBytes    int64 // on-disk bytes rewritten
 	SegmentsCompacted int   // segment files rewritten and removed
-	SegmentsKept      int   // segment files retained above the threshold
+	// SegmentsKept counts the segment files the sweep examined and
+	// retained above the threshold. A young-only sweep examines only
+	// the segments holding a young chunk, so a segment of old chunks
+	// alone is neither examined nor counted.
+	SegmentsKept int
 }
 
 // Add accumulates o into s (per-member sweeps of a pool or cluster).
@@ -138,12 +153,29 @@ func (l *LiveSet) Len() int {
 	return len(l.ids)
 }
 
+// addAll inserts every id of o.
+func (l *LiveSet) addAll(o *LiveSet) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for id := range o.ids {
+		l.ids[id] = struct{}{}
+	}
+}
+
 // Mark walks the Merkle DAG from roots through s, adding every
 // reachable cid to live. Already-marked subtrees are not re-walked, so
 // marking from many roots that share history costs the shared part
 // once. A missing or corrupt chunk aborts the mark — sweeping with an
 // incomplete mark set would destroy live data.
 func Mark(ctx context.Context, s Store, live *LiveSet, roots []chunk.ID, refs RefsFunc) error {
+	return mark(ctx, s, live, roots, refs, nil)
+}
+
+// mark is Mark that adds, but does not read, a chunk old reports: the
+// walk stops there.
+func mark(ctx context.Context, s Store, live *LiveSet, roots []chunk.ID, refs RefsFunc, old func(chunk.ID) bool) error {
 	stack := make([]chunk.ID, 0, len(roots))
 	for _, r := range roots {
 		if !r.IsNil() {
@@ -158,7 +190,7 @@ func Mark(ctx context.Context, s Store, live *LiveSet, roots []chunk.ID, refs Re
 		}
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !live.Add(id) {
+		if !live.Add(id) || (old != nil && old(id)) {
 			continue
 		}
 		c, err := GetVerified(s, id)
@@ -186,7 +218,7 @@ type unwrapper interface {
 
 // AsCollectable walks a store stack through its wrappers and returns
 // the first Collectable layer, plus every Cache passed on the way
-// (their dead entries must be dropped after a sweep).
+// (each must drop what a sweep reclaims).
 func AsCollectable(s Store) (Collectable, []*Cache, bool) {
 	var caches []*Cache
 	for {
@@ -206,34 +238,135 @@ func AsCollectable(s Store) (Collectable, []*Cache, bool) {
 	}
 }
 
-// Collect runs one full collection against a (possibly wrapped) store:
-// it opens the protection window, enumerates roots, marks, sweeps, and
-// drops dead entries from any cache layer. roots is called after the
-// window opens so heads moved by concurrent writers are covered either
-// by the enumeration or by the window. The engine layer wraps this with
-// its own root enumeration; see core.Engine.GC.
-func Collect(ctx context.Context, s Store, roots func() ([]chunk.ID, error), refs RefsFunc, threshold float64) (GCStats, error) {
+// errStaleSweep is returned by a young-only sweep whose store has swept
+// (or failed a sweep) since the generation the caller named.
+var errStaleSweep = errors.New("store: young-only sweep against a stale generation")
+
+// youngSweeper is a Collectable that can tell old chunks, those its
+// last completed sweep kept, from young ones, written or only protected
+// since, without any per-Put bookkeeping (FileStore does it by segment
+// number and that sweep's protected set).
+type youngSweeper interface {
+	// sweepSince is Sweep that also returns the generation it
+	// completes, a number no other sweep of the store completes. With
+	// since != 0 it examines only the segments holding a young entry
+	// and keeps every old one; it fails with errStaleSweep unless since
+	// is the generation of the last sweep, and that sweep completed.
+	sweepSince(since uint64, live func(chunk.ID) bool, threshold float64) (GCStats, []chunk.ID, uint64, error)
+}
+
+// Collector runs the collections of one store and keeps what makes the
+// next one cost what changed since: the previous completed
+// collection's roots and mark set, and the store's sweep generation
+// that collection completed. The zero value is ready to use.
+//
+// Only a sweep deletes, so after a completed collection every chunk
+// the store holds was marked by it (old) or only protected in its
+// window, or has been written since (young). If every root of that
+// collection is reached again, every old chunk is still live: the next
+// collection walks from the new roots, stops at old chunks, and sweeps
+// the young ones alone, with exactly the result of a full collection.
+// Otherwise, and whenever the store cannot tell old from young
+// (MemStore, Pool) or has swept since, the same call marks and sweeps
+// everything.
+type Collector struct {
+	mu     sync.Mutex  // serializes collections, marks included
+	col    Collectable // the store the last collection swept
+	gen    uint64      // its sweep generation after that; 0: none
+	roots  []chunk.ID
+	marked *LiveSet
+}
+
+// Forget drops the state kept from the last collection, so the next
+// one marks and sweeps everything.
+func (c *Collector) Forget() {
+	c.mu.Lock()
+	c.forgetLocked()
+	c.mu.Unlock()
+}
+
+func (c *Collector) forgetLocked() {
+	c.col, c.gen, c.roots, c.marked = nil, 0, nil, nil
+}
+
+// Collect runs one collection against a (possibly wrapped) store: it
+// opens the protection window, enumerates roots, marks, sweeps, and
+// drops what the sweep reclaimed from every cache layer. roots is
+// called after the window opens so heads moved by concurrent writers
+// are covered either by the enumeration or by the window. A failed,
+// cancelled or refused collection leaves the next one full. The engine
+// layer supplies its own root enumeration; see core.Engine.GC.
+func (c *Collector) Collect(ctx context.Context, s Store, roots func() ([]chunk.ID, error), refs RefsFunc, threshold float64) (GCStats, error) {
 	col, caches, ok := AsCollectable(s)
 	if !ok {
 		return GCStats{}, ErrNotCollectable
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gen, prevRoots, old := c.gen, c.roots, c.marked
+	if col != c.col {
+		gen = 0
+	}
+	c.forgetLocked()
 	col.BeginGC()
 	defer col.EndGC()
 	rs, err := roots()
 	if err != nil {
 		return GCStats{}, err
 	}
-	live := NewLiveSet()
-	if err := Mark(ctx, s, live, rs, refs); err != nil {
-		return GCStats{}, err
+	ys, young := col.(youngSweeper)
+	var (
+		stats GCStats
+		dead  []chunk.ID
+		live  *LiveSet
+	)
+	if gen != 0 {
+		reached := NewLiveSet()
+		if err := mark(ctx, s, reached, rs, refs, old.Contains); err != nil {
+			return GCStats{}, err
+		}
+		// A previous root not reached again may take old chunks with it:
+		// only the full mark can tell.
+		if containsAll(reached, prevRoots) {
+			old.addAll(reached)
+			live = old
+			stats, dead, gen, err = ys.sweepSince(gen, live.Contains, threshold)
+			stats.Marked = reached.Len()
+			if errors.Is(err, errStaleSweep) {
+				live = nil
+			}
+		}
 	}
-	stats, err := col.Sweep(live.Contains, threshold)
+	if live == nil {
+		live = NewLiveSet()
+		if err := mark(ctx, s, live, rs, refs, nil); err != nil {
+			return GCStats{}, err
+		}
+		if young {
+			stats, dead, gen, err = ys.sweepSince(0, live.Contains, threshold)
+		} else {
+			stats, dead, err = col.Sweep(live.Contains, threshold)
+		}
+		stats.Marked = live.Len()
+	}
+	for _, ca := range caches {
+		ca.Drop(dead)
+	}
 	if err != nil {
 		return stats, err
 	}
-	stats.Marked = live.Len()
-	for _, ca := range caches {
-		ca.DropDead(live.Contains)
+	if young {
+		c.col, c.gen, c.roots, c.marked = col, gen, rs, live
 	}
 	return stats, nil
+}
+
+// containsAll reports whether every non-nil id is in l.
+func containsAll(l *LiveSet, ids []chunk.ID) bool {
+	for _, id := range ids {
+		if !id.IsNil() && !l.Contains(id) {
+			return false
+		}
+	}
+	return true
 }

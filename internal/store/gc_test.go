@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -89,7 +90,7 @@ func TestFileStoreGCSweep(t *testing.T) {
 	}
 
 	fs.BeginGC()
-	stats, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.5)
+	stats, _, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.5)
 	fs.EndGC()
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +172,7 @@ func TestFileStoreGCThreshold(t *testing.T) {
 		live[id] = i%10 != 0
 	}
 	fs.BeginGC()
-	stats, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.5)
+	stats, _, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestFileStoreGCThreshold(t *testing.T) {
 	}
 	// Threshold 1.0 compacts anything with garbage: now the dup bytes
 	// of the kept file must be rewritten away.
-	stats, err = fs.Sweep(func(id chunk.ID) bool { return live[id] }, 1.0)
+	stats, _, err = fs.Sweep(func(id chunk.ID) bool { return live[id] }, 1.0)
 	fs.EndGC()
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestGCPutProtectsDuringWindow(t *testing.T) {
 			if dup, err := col.Put(testChunk("old", 300)); err != nil || !dup {
 				t.Fatalf("dup=%v err=%v", dup, err)
 			}
-			stats, err := col.Sweep(func(chunk.ID) bool { return false }, 0)
+			stats, _, err := col.Sweep(func(chunk.ID) bool { return false }, 0)
 			col.EndGC()
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +248,7 @@ func TestGCPutProtectsDuringWindow(t *testing.T) {
 			}
 			// Window closed: the same sweep now reclaims both.
 			col.BeginGC()
-			stats, err = col.Sweep(func(chunk.ID) bool { return false }, 0)
+			stats, _, err = col.Sweep(func(chunk.ID) bool { return false }, 0)
 			col.EndGC()
 			if err != nil {
 				t.Fatal(err)
@@ -263,7 +264,7 @@ func TestGCPutProtectsDuringWindow(t *testing.T) {
 // would race every concurrent writer.
 func TestGCSweepRequiresWindow(t *testing.T) {
 	m := NewMemStore()
-	if _, err := m.Sweep(func(chunk.ID) bool { return true }, 0); err == nil {
+	if _, _, err := m.Sweep(func(chunk.ID) bool { return true }, 0); err == nil {
 		t.Fatal("Sweep outside BeginGC window succeeded")
 	}
 	fs, err := OpenFileStore(t.TempDir(), FileStoreOptions{})
@@ -271,7 +272,7 @@ func TestGCSweepRequiresWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if _, err := fs.Sweep(func(chunk.ID) bool { return true }, 0); err == nil {
+	if _, _, err := fs.Sweep(func(chunk.ID) bool { return true }, 0); err == nil {
 		t.Fatal("Sweep outside BeginGC window succeeded")
 	}
 }
@@ -348,7 +349,7 @@ func TestGCConcurrentReadsDuringSweep(t *testing.T) {
 		}(int64(g))
 	}
 	fs.BeginGC()
-	_, err = fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.9)
+	_, _, err = fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0.9)
 	fs.EndGC()
 	close(stop)
 	wg.Wait()
@@ -367,8 +368,9 @@ func TestGCConcurrentReadsDuringSweep(t *testing.T) {
 	}
 }
 
-// TestGCCacheDropDead: after a sweep, the cache serves live entries
-// and drops dead ones instead of resurrecting collected chunks.
+// TestGCCacheDropDead: after a sweep, the cache drops exactly the ids
+// the sweep reports reclaimed, so it serves live entries from memory
+// and never resurrects a collected chunk.
 func TestGCCacheDropDead(t *testing.T) {
 	mem := NewMemStore()
 	ca := NewCache(mem, 1<<20)
@@ -385,19 +387,26 @@ func TestGCCacheDropDead(t *testing.T) {
 	}
 	isLive := func(id chunk.ID) bool { return id == liveC.ID() }
 	col.BeginGC()
-	if _, err := col.Sweep(isLive, 0); err != nil {
+	_, dead, err := col.Sweep(isLive, 0)
+	col.EndGC()
+	if err != nil {
 		t.Fatal(err)
 	}
-	col.EndGC()
-	caches[0].DropDead(isLive)
+	if len(dead) != 1 || dead[0] != deadC.ID() {
+		t.Fatalf("sweep reported %v reclaimed, want only the dead chunk", dead)
+	}
+	caches[0].Drop(dead)
 	if _, err := ca.Get(deadC.ID()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("dead chunk served after DropDead: %v", err)
+		t.Fatalf("dead chunk served after Drop: %v", err)
 	}
 	if _, err := ca.Get(liveC.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if st := ca.Stats(); st.CacheHits == 0 {
 		t.Fatal("live entry should have stayed cached")
+	}
+	if st := ca.Stats(); st.CacheBytes != int64(liveC.Size()) {
+		t.Fatalf("cache holds %d bytes, want the live chunk's %d", st.CacheBytes, liveC.Size())
 	}
 }
 
@@ -414,7 +423,7 @@ func TestGCPoolSweepReplicas(t *testing.T) {
 		}
 	}
 	p.BeginGC()
-	stats, err := p.Sweep(func(id chunk.ID) bool { return id == liveC.ID() }, 0)
+	stats, _, err := p.Sweep(func(id chunk.ID) bool { return id == liveC.ID() }, 0)
 	p.EndGC()
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +478,7 @@ func TestGCReclaimsOrphanSegments(t *testing.T) {
 		all[id] = true
 	}
 	fs.BeginGC()
-	_, err = fs.Sweep(func(id chunk.ID) bool { return all[id] }, 0.5)
+	_, _, err = fs.Sweep(func(id chunk.ID) bool { return all[id] }, 0.5)
 	fs.EndGC()
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +518,7 @@ func TestGCSurvivorsAreCopiedOnce(t *testing.T) {
 			}
 		}
 		fs.BeginGC()
-		st, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0)
+		st, _, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0)
 		fs.EndGC()
 		if err != nil {
 			t.Fatal(err)
@@ -594,7 +603,7 @@ func TestRotationPinsUncoveredRelocations(t *testing.T) {
 		}
 	}
 	fs.BeginGC()
-	st, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0)
+	st, _, err := fs.Sweep(func(id chunk.ID) bool { return live[id] }, 0)
 	fs.EndGC()
 	if err != nil {
 		t.Fatal(err)
@@ -608,6 +617,53 @@ func TestRotationPinsUncoveredRelocations(t *testing.T) {
 	for id, l := range live {
 		if _, err := fs.Get(id); l && err != nil {
 			t.Fatalf("live chunk %s lost: %v", id.Short(), err)
+		}
+	}
+}
+
+// TestGCCollectorStaleGeneration: a collector reads only what changed
+// since its own last collection, and falls back to the full mark when
+// another collector swept the store in between.
+func TestGCCollectorStaleGeneration(t *testing.T) {
+	fs, err := OpenFileStore(t.TempDir(), FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	parent, child := testChunk("parent", 300), testChunk("child", 300)
+	for _, c := range []*chunk.Chunk{parent, child} {
+		if _, err := fs.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roots := func() ([]chunk.ID, error) { return []chunk.ID{parent.ID()}, nil }
+	refs := func(c *chunk.Chunk) ([]chunk.ID, error) {
+		if c.ID() == parent.ID() {
+			return []chunk.ID{child.ID()}, nil
+		}
+		return nil, nil
+	}
+	reads := func(c *Collector) int64 {
+		t.Helper()
+		before := fs.Stats().Gets
+		if _, err := c.Collect(context.Background(), fs, roots, refs, 0); err != nil {
+			t.Fatal(err)
+		}
+		return fs.Stats().Gets - before
+	}
+	var a, b Collector
+	for i, step := range []struct {
+		c    *Collector
+		want int64
+	}{
+		{&a, 2}, // first: full
+		{&a, 0}, // nothing changed
+		{&b, 2}, // b has no state
+		{&a, 2}, // b swept since a's last collection
+		{&a, 0},
+	} {
+		if got := reads(step.c); got != step.want {
+			t.Fatalf("collection %d read %d chunks, want %d", i, got, step.want)
 		}
 	}
 }

@@ -112,13 +112,14 @@ func (m *MemStore) EndGC() {
 // Sweep implements Collectable: chunks neither live nor written during
 // the GC window are dropped. There is no physical layout to compact,
 // so threshold is ignored and freed bytes return to the heap directly.
-func (m *MemStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, error) {
+func (m *MemStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, []chunk.ID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.gcDepth == 0 {
-		return GCStats{}, fmt.Errorf("store: Sweep outside a BeginGC window")
+		return GCStats{}, nil, fmt.Errorf("store: Sweep outside a BeginGC window")
 	}
 	var stats GCStats
+	var dead []chunk.ID
 	for id, c := range m.chunks {
 		if live(id) {
 			continue
@@ -131,6 +132,7 @@ func (m *MemStore) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, 
 		m.stats.Bytes -= int64(c.Size())
 		stats.Reclaimed++
 		stats.ReclaimedBytes += int64(c.Size())
+		dead = append(dead, id)
 	}
-	return stats, nil
+	return stats, dead, nil
 }

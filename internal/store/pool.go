@@ -144,24 +144,27 @@ func (p *Pool) EndGC() {
 // live set. Replicas hold copies of the same cids, so sweeping each
 // member against one shared mark keeps the replica set consistent: a
 // chunk is either retained on all members that hold it or reclaimed
-// from all of them.
-func (p *Pool) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, error) {
+// from all of them. The ids returned are every member's, so a replicated
+// id appears once per replica.
+func (p *Pool) Sweep(live func(chunk.ID) bool, threshold float64) (GCStats, []chunk.ID, error) {
 	var total GCStats
+	var dead []chunk.ID
 	for i, m := range p.members {
 		col, caches, ok := AsCollectable(m)
 		if !ok {
-			return total, fmt.Errorf("store: pool member %d: %w", i, ErrNotCollectable)
+			return total, dead, fmt.Errorf("store: pool member %d: %w", i, ErrNotCollectable)
 		}
-		s, err := col.Sweep(live, threshold)
+		s, d, err := col.Sweep(live, threshold)
 		total.Add(s)
-		if err != nil {
-			return total, fmt.Errorf("store: pool member %d: %w", i, err)
-		}
+		dead = append(dead, d...)
 		for _, ca := range caches {
-			ca.DropDead(live)
+			ca.Drop(d)
+		}
+		if err != nil {
+			return total, dead, fmt.Errorf("store: pool member %d: %w", i, err)
 		}
 	}
-	return total, nil
+	return total, dead, nil
 }
 
 // Close implements Store.
