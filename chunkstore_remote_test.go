@@ -1,10 +1,11 @@
 package forkbase_test
 
-// The client chunk store is an on-disk log behind an LRU of
-// ChunkCacheBytes: where it lives, that it goes away with the client,
-// and that resident memory is the LRU budget and the log's index, not
-// the history the client has read and written. Also the log's trust
-// rule seen from the public API: WithVerifyReads rehashes every read.
+// The client chunk store is an on-disk log behind a CLOCK ring over an
+// 8-byte cid index, of ChunkCacheBytes: where it lives, that it goes
+// away with the client, and that resident memory is the cache's budget
+// and the log's index, not the history the client has read and
+// written. Also the log's trust rule seen from the public API:
+// WithVerifyReads rehashes every read.
 
 import (
 	"bytes"
@@ -177,7 +178,7 @@ func TestRemoteChunkStoreSweepsDeadOwners(t *testing.T) {
 
 // TestRemoteChunkStoreResidentWithinBudget reads and edits many times
 // the client's ChunkCacheBytes of distinct chunks. The client keeps all
-// of them — the store behind the LRU holds the whole history — yet the
+// of them — the store behind the cache holds the whole history — yet the
 // heap grows by no more than the budget, the on-disk logs' indexes (the
 // client's and the server's) and a fixed allowance.
 func TestRemoteChunkStoreResidentWithinBudget(t *testing.T) {
@@ -252,7 +253,7 @@ func TestRemoteChunkStoreResidentWithinBudget(t *testing.T) {
 
 	st := rc.ChunkCacheStatsForTest()
 	if st.CacheBytes > budget {
-		t.Fatalf("the LRU holds %d bytes over a budget of %d", st.CacheBytes, budget)
+		t.Fatalf("the cache holds %d bytes over a budget of %d", st.CacheBytes, budget)
 	}
 	if st.Bytes < 8*budget {
 		t.Fatalf("the client store holds %d bytes: the workload did not outgrow the %d-byte budget", st.Bytes, budget)

@@ -114,7 +114,9 @@ func (s *pathStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 // TestChunkSyncWarmValueWalksNothing: with the page cached, Value makes
 // its one Want — carrying the user, for the access check — moves no
 // chunk and opens no node of the tree; asking whether the root is held
-// is all it does locally. Reading the page then makes no Want at all.
+// is all it does locally. Reading the page then makes no Want at all,
+// and probes the client store once per node: a read, not a Has and a
+// read.
 func TestChunkSyncWarmValueWalksNothing(t *testing.T) {
 	ctx := context.Background()
 	db, ms, srv, rc := readRig(t)
@@ -132,7 +134,8 @@ func TestChunkSyncWarmValueWalksNothing(t *testing.T) {
 	if w1-w0 != 1 || s1-s0 != 0 {
 		t.Fatalf("a warm Value made %d Wants and streamed %d bytes; want 1 and 0", w1-w0, s1-s0)
 	}
-	if g, h := reads.Gets.Load(), reads.Hases.Load(); g != 0 || h > 1 {
+	g, h := reads.Gets.Load(), reads.Hases.Load()
+	if g != 0 || h > 1 {
 		t.Fatalf("a warm Value of a %d-node tree opened %d chunks and asked about %d; want none and the root", len(treeChunks(t, tr)), g, h)
 	}
 	b, err := forkbase.AsBlob(v)
@@ -144,6 +147,10 @@ func TestChunkSyncWarmValueWalksNothing(t *testing.T) {
 	}
 	if w2, _ := wantTraffic(t, srv); w2 != w1 {
 		t.Fatalf("reading a cached page made %d Wants", w2-w1)
+	}
+	nodes := int64(len(treeChunks(t, tr)))
+	if p := reads.Gets.Load() + reads.Hases.Load() - g - h; p != nodes {
+		t.Fatalf("reading a cached %d-node page probed the client store %d times; want %d", nodes, p, nodes)
 	}
 }
 

@@ -38,6 +38,8 @@ func (s *fillStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 	return c, err
 }
 
+func (s *fillStore) GetLocal(id chunk.ID) (*chunk.Chunk, error) { return s.MemStore.Get(id) }
+
 func (s *fillStore) FillSubtrees(roots []chunk.ID, level int) error {
 	s.fills = append(s.fills, append([]chunk.ID(nil), roots...))
 	s.levels = append(s.levels, level)

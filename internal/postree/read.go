@@ -2,9 +2,11 @@ package postree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/store"
 )
 
 // Get looks up the element with the given key in a sorted tree. For Map
@@ -177,6 +179,9 @@ type Filler interface {
 	// FillSubtrees completes, in the store, the subtrees under roots,
 	// all at level (1 for a leaf), fetching only the chunks it lacks.
 	FillSubtrees(roots []chunk.ID, level int) error
+	// GetLocal reads a chunk the store holds, fetching nothing: a
+	// chunk it lacks is store.ErrNotFound.
+	GetLocal(id chunk.ID) (*chunk.Chunk, error)
 }
 
 // LeafIter walks the leaf chunks of a tree left to right, holding one
@@ -196,6 +201,28 @@ type LeafIter struct {
 func (t *Tree) Leaves() *LeafIter {
 	fill, _ := t.s.(Filler)
 	return &LeafIter{t: t, fill: fill, root: !t.root.IsNil(), stack: make([]indexCursor, 0, t.height)}
+}
+
+// open reads the node id. Over a Filler it reads the store's own copy,
+// one probe when the node is held, and fills on a miss.
+func (it *LeafIter) open(id chunk.ID) (*chunk.Chunk, error) {
+	if it.fill == nil {
+		return it.t.getChunk(id)
+	}
+	c, err := it.fill.GetLocal(id)
+	switch {
+	case errors.Is(err, store.ErrNotFound):
+		if err := it.fillFrom(id); err != nil {
+			return nil, err
+		}
+		return it.t.getChunk(id)
+	case err != nil:
+		return nil, err
+	}
+	if err := c.Verify(id); err != nil {
+		return nil, fmt.Errorf("%w: %v", store.ErrCorrupt, err)
+	}
+	return c, nil
 }
 
 // fillFrom runs on a Filler's miss: the node id the walk is about to
@@ -239,13 +266,7 @@ func (it *LeafIter) Next() bool {
 	}
 	it.root = false
 	for {
-		if it.fill != nil && !it.t.s.Has(id) {
-			if err := it.fillFrom(id); err != nil {
-				it.err = err
-				return false
-			}
-		}
-		c, err := it.t.getChunk(id)
+		c, err := it.open(id)
 		if err != nil {
 			it.err = err
 			return false

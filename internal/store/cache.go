@@ -1,24 +1,24 @@
 package store
 
 import (
-	"container/list"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"forkbase/internal/chunk"
 )
 
-// Cache is a concurrency-safe sharded LRU chunk cache in front of any
-// Store. Chunks are immutable and content-addressed, so a cache never
-// needs invalidation — an entry is either the chunk or absent — which
-// makes it safe at every layer: over the log-structured FileStore it
-// saves the decode + crc + disk round-trip, over the cluster's shared
-// pool it saves the remote hop, and under the POS-Tree read paths it
-// turns repeated traversals of shared subtrees into pointer lookups.
+// Cache is a concurrency-safe sharded chunk cache in front of any
+// Store: a CLOCK ring over an 8-byte cid index. Chunks are immutable and
+// content-addressed, so a cache never needs invalidation — an entry is
+// either the chunk or absent — and is safe at every layer: over the
+// FileStore, the cluster's pool, or the POS-Tree read paths.
 //
-// The byte budget is divided evenly among the shards; each shard
-// maintains its own LRU order under its own mutex, so concurrent
-// readers of distinct chunks rarely contend.
+// The budget is split evenly among the shards, each under its own
+// mutex. A shard indexes cid bytes 8..15, already a uniform hash, into
+// a ring of slots. A hit sets the slot's reference bit; admission
+// sweeps a hand round the ring, clearing set bits and evicting the
+// first entry whose bit is clear.
 type Cache struct {
 	inner  Store
 	shards []cacheShard
@@ -31,36 +31,36 @@ type Cache struct {
 
 type cacheShard struct {
 	mu    sync.Mutex
-	limit int64 // byte budget for this shard
-	bytes int64 // serialized bytes held
-	ll    *list.List
-	index map[chunk.ID]*list.Element
+	limit int64            // byte budget for this shard
+	bytes int64            // serialized bytes held
+	index map[uint64]int32 // cacheKey → slot
+	slots []cacheSlot      // the ring; a nil chunk is a free slot
+	free  []int32          // free slots, reused before the ring grows
+	hand  int
+	drops atomic.Uint64 // Drop calls on the shard, written under mu
 }
 
-type cacheEntry struct {
-	id chunk.ID
-	c  *chunk.Chunk
+type cacheSlot struct {
+	c   *chunk.Chunk
+	ref bool // hit since the hand last passed
 }
 
-// cacheShards is the shard count; a power of two so shard selection is
-// a mask over the (uniformly distributed) cid bytes.
+// cacheShards is the shard count, a power of two so that a mask picks one.
 const cacheShards = 16
 
-// NewCache wraps inner with an LRU chunk cache bounded by maxBytes of
-// serialized chunk payload. The budget is split evenly among the 16
-// shards, and a chunk larger than one shard's share (maxBytes/16) is
-// never cached — so the budget should comfortably exceed 16x the
-// configured chunk size (with the paper-default 4 KB chunks, anything
-// upward of a few hundred KB works; typical budgets are MBs). A
-// non-positive budget still returns a functioning store, just one
-// that caches nothing.
+// cacheKey is a shard's index key; find checks the whole cid behind it.
+func cacheKey(id chunk.ID) uint64 { return binary.LittleEndian.Uint64(id[8:16]) }
+
+// NewCache wraps inner with a CLOCK ring over an 8-byte cid index,
+// bounded by maxBytes of serialized chunk payload. A chunk larger than
+// one shard's share (maxBytes/16) is never cached, so the budget should
+// comfortably exceed 16x the chunk size (a few hundred KB or more for
+// 4 KB chunks). A non-positive budget caches nothing.
 func NewCache(inner Store, maxBytes int64) *Cache {
 	c := &Cache{inner: inner, shards: make([]cacheShard, cacheShards)}
-	per := maxBytes / cacheShards
 	for i := range c.shards {
-		c.shards[i].limit = per
-		c.shards[i].ll = list.New()
-		c.shards[i].index = make(map[chunk.ID]*list.Element)
+		c.shards[i].limit = maxBytes / cacheShards
+		c.shards[i].index = make(map[uint64]int32)
 	}
 	return c
 }
@@ -72,126 +72,130 @@ func (c *Cache) Inner() Store { return c.inner }
 // Collectable at the bottom of a wrapped stack.
 func (c *Cache) Unwrap() Store { return c.inner }
 
-// Drop evicts the given ids, the chunks a sweep reclaimed, so that the
-// cache never serves bytes the backing store no longer holds. Every
-// other entry stays warm: content addressing guarantees it is still
-// bit-identical.
+// Drop evicts the given ids, the chunks a sweep reclaimed, so the cache
+// never serves bytes the backing store no longer holds; every other
+// entry stays warm, as content addressing keeps it bit-identical.
 func (c *Cache) Drop(ids []chunk.ID) {
 	for _, id := range ids {
 		s := c.shard(id)
 		s.mu.Lock()
-		if el, ok := s.index[id]; ok {
-			e := el.Value.(*cacheEntry)
-			s.ll.Remove(el)
-			delete(s.index, id)
-			s.bytes -= int64(e.c.Size())
-			c.bytes.Add(-int64(e.c.Size()))
+		s.drops.Add(1)
+		if i, ok := s.find(id); ok {
+			c.remove(s, i)
 		}
 		s.mu.Unlock()
 	}
 }
 
 func (c *Cache) shard(id chunk.ID) *cacheShard {
-	// The cid is a cryptographic hash; any byte selects uniformly. The
-	// pool's placement uses the tail bytes, so take the head here to
-	// keep shard choice independent of member choice.
+	// Any cid byte selects uniformly; the pool places by the tail
+	// bytes, so the head keeps shard choice independent of placement.
 	return &c.shards[id[0]&(cacheShards-1)]
 }
 
-// lookup returns the cached chunk and bumps its recency.
-func (s *cacheShard) lookup(id chunk.ID) (*chunk.Chunk, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.index[id]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).c, true
+// find returns the slot holding id. The caller holds s.mu.
+func (s *cacheShard) find(id chunk.ID) (int32, bool) {
+	i, ok := s.index[cacheKey(id)]
+	return i, ok && s.slots[i].c.ID() == id
 }
 
-// admit inserts ck, evicting from the cold end to respect the budget.
-// It reports how many entries and bytes were evicted.
-func (s *cacheShard) admit(ck *chunk.Chunk) (evicted int, freed int64, added bool) {
+// remove frees slot i of s. The caller holds s.mu.
+func (c *Cache) remove(s *cacheShard, i int32) {
+	size := int64(s.slots[i].c.Size())
+	delete(s.index, cacheKey(s.slots[i].c.ID()))
+	s.slots[i], s.free = cacheSlot{}, append(s.free, i)
+	s.bytes -= size
+	c.bytes.Add(-size)
+}
+
+// admit caches ck in s unless ck's key is taken or a Drop ran on s since
+// the caller read drops — so a fill that raced a sweep caches nothing
+// the sweep reclaimed — sweeping the hand until ck fits in the budget.
+func (c *Cache) admit(s *cacheShard, ck *chunk.Chunk, drops uint64) {
 	size := int64(ck.Size())
 	if size > s.limit {
-		return 0, 0, false // larger than the whole shard: never cache
+		return // larger than the whole shard: never cache
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[ck.ID()]; ok {
-		return 0, 0, false
+	key := cacheKey(ck.ID())
+	if _, ok := s.index[key]; ok || s.drops.Load() != drops {
+		return
 	}
-	s.index[ck.ID()] = s.ll.PushFront(&cacheEntry{id: ck.ID(), c: ck})
+	for s.bytes+size > s.limit {
+		if sl := &s.slots[s.hand]; sl.ref {
+			sl.ref = false
+		} else if sl.c != nil {
+			c.remove(s, int32(s.hand))
+			c.evictions.Add(1)
+		}
+		s.hand = (s.hand + 1) % len(s.slots)
+	}
+	i := int32(len(s.slots))
+	if n := len(s.free); n > 0 {
+		i, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		s.slots = append(s.slots, cacheSlot{})
+	}
+	s.slots[i] = cacheSlot{c: ck}
+	s.index[key] = i
 	s.bytes += size
-	for s.bytes > s.limit {
-		cold := s.ll.Back()
-		e := cold.Value.(*cacheEntry)
-		s.ll.Remove(cold)
-		delete(s.index, e.id)
-		s.bytes -= int64(e.c.Size())
-		freed += int64(e.c.Size())
-		evicted++
-	}
-	return evicted, freed, true
+	c.bytes.Add(size)
 }
 
 // Get implements Store, serving from the cache when possible and
 // filling it from the backing store on a miss.
 func (c *Cache) Get(id chunk.ID) (*chunk.Chunk, error) {
-	sh := c.shard(id)
-	if ck, ok := sh.lookup(id); ok {
+	s := c.shard(id)
+	s.mu.Lock()
+	if i, ok := s.find(id); ok {
+		if !s.slots[i].ref {
+			s.slots[i].ref = true
+		}
+		ck := s.slots[i].c
+		s.mu.Unlock()
 		c.hits.Add(1)
 		return ck, nil
 	}
+	s.mu.Unlock()
+	drops := s.drops.Load()
 	c.misses.Add(1)
 	ck, err := c.inner.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	c.account(sh, ck)
+	c.admit(s, ck, drops)
 	return ck, nil
 }
 
 // Put implements Store, writing through to the backing store and
 // admitting the chunk so an immediately following read hits.
 func (c *Cache) Put(ck *chunk.Chunk) (bool, error) {
+	s := c.shard(ck.ID())
+	drops := s.drops.Load()
 	dup, err := c.inner.Put(ck)
-	if err != nil {
-		return dup, err
+	if err == nil {
+		c.admit(s, ck, drops)
 	}
-	c.account(c.shard(ck.ID()), ck)
-	return dup, nil
-}
-
-func (c *Cache) account(sh *cacheShard, ck *chunk.Chunk) {
-	evicted, freed, added := sh.admit(ck)
-	if added {
-		c.bytes.Add(int64(ck.Size()) - freed)
-		c.evictions.Add(int64(evicted))
-	}
+	return dup, err
 }
 
 // Has implements Store.
 func (c *Cache) Has(id chunk.ID) bool {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	_, ok := sh.index[id]
-	sh.mu.Unlock()
+	s := c.shard(id)
+	s.mu.Lock()
+	_, ok := s.find(id)
+	s.mu.Unlock()
 	return ok || c.inner.Has(id)
 }
 
 // Stats implements Store: the backing store's counters plus this
-// cache's hit/miss/eviction/occupancy counters.
+// cache's, with hits, which never reach the backing store, folded into
+// Gets so that it keeps meaning "total Get calls" at this layer.
 func (c *Cache) Stats() Stats {
-	s := c.inner.Stats()
-	// Hits never reach the backing store; fold them in so Gets keeps
-	// meaning "total Get calls" at this layer.
-	s.Gets += c.hits.Load()
-	s.CacheHits += c.hits.Load()
-	s.CacheMisses += c.misses.Load()
-	s.CacheEvictions += c.evictions.Load()
-	s.CacheBytes += c.bytes.Load()
+	s, own := c.inner.Stats(), c.CacheCounters()
+	own.Gets = own.CacheHits
+	s.Add(own)
 	return s
 }
 
@@ -199,23 +203,19 @@ func (c *Cache) Stats() Stats {
 // backing store's traffic zeroed — for callers that share the backing
 // store among several caches and must not double-count it.
 func (c *Cache) CacheCounters() Stats {
-	return Stats{
-		CacheHits:      c.hits.Load(),
-		CacheMisses:    c.misses.Load(),
-		CacheEvictions: c.evictions.Load(),
-		CacheBytes:     c.bytes.Load(),
-	}
+	return Stats{CacheHits: c.hits.Load(), CacheMisses: c.misses.Load(),
+		CacheEvictions: c.evictions.Load(), CacheBytes: c.bytes.Load()}
 }
 
 // Close implements Store, releasing the cache and the backing store.
 func (c *Cache) Close() error {
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.ll.Init()
-		sh.index = make(map[chunk.ID]*list.Element)
-		sh.bytes = 0
-		sh.mu.Unlock()
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.drops.Add(1)
+		c.bytes.Add(-s.bytes)
+		s.index, s.slots, s.free, s.hand, s.bytes = make(map[uint64]int32), nil, nil, 0, 0
+		s.mu.Unlock()
 	}
 	return c.inner.Close()
 }

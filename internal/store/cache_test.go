@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestCacheZeroBudget(t *testing.T) {
 
 // TestCacheConcurrent hammers one cache with mixed Put/Get from many
 // goroutines over a shared key set; run under -race this checks the
-// sharded LRU's locking.
+// sharded cache's locking.
 func TestCacheConcurrent(t *testing.T) {
 	for _, inner := range map[string]Store{"mem": NewMemStore()} {
 		cache := NewCache(inner, cacheShards*2048) // small: force eviction churn
@@ -189,4 +190,284 @@ func TestCacheOverVerifiedCatchesTampering(t *testing.T) {
 	if s := cache.Stats(); s.CacheBytes != 0 {
 		t.Fatal("tampered chunk entered the cache")
 	}
+}
+
+// shardChunks returns n distinct chunks of size bytes (type byte
+// included) that all fall in cache shard 0, so a test can fill that
+// shard to its budget and know exactly what it holds.
+func shardChunks(tag string, n, size int) []*chunk.Chunk {
+	var out []*chunk.Chunk
+	for i := 0; len(out) < n; i++ {
+		p := make([]byte, size-1)
+		copy(p, fmt.Sprintf("%s-%d", tag, i))
+		if c := chunk.New(chunk.TypeBlob, p); c.ID()[0]&(cacheShards-1) == 0 {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// sweepOut reclaims id from ms the way a collection does: a sweep
+// that finds it unreachable, then a Drop of what the sweep reported.
+func sweepOut(t testing.TB, ms *MemStore, cache *Cache, id chunk.ID) {
+	t.Helper()
+	ms.BeginGC()
+	_, dead, err := ms.Sweep(func(x chunk.ID) bool { return x != id }, 0)
+	ms.EndGC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Drop(dead)
+}
+
+// parkingStore parks every Get after its read of the backing store
+// until the test releases it.
+type parkingStore struct {
+	*MemStore
+	parked, release chan struct{}
+}
+
+func (p *parkingStore) Get(id chunk.ID) (*chunk.Chunk, error) {
+	c, err := p.MemStore.Get(id)
+	p.parked <- struct{}{}
+	<-p.release
+	return c, err
+}
+
+// TestCacheGetRacingSweepCachesNothingDead: a Get that read a chunk
+// before a sweep reclaimed it, and fills after the sweep's Drop, must
+// not cache it — else Has and Get would serve a chunk gone from disk.
+func TestCacheGetRacingSweepCachesNothingDead(t *testing.T) {
+	ms := NewMemStore()
+	x := chunk.New(chunk.TypeBlob, []byte("reclaimed while read"))
+	ms.Put(x)
+	inner := &parkingStore{MemStore: ms, parked: make(chan struct{}), release: make(chan struct{})}
+	cache := NewCache(inner, 1<<20)
+	done := make(chan error)
+	go func() {
+		_, err := cache.Get(x.ID())
+		done <- err
+	}()
+	<-inner.parked
+	sweepOut(t, ms, cache, x.ID())
+	close(inner.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if cache.Has(x.ID()) {
+		t.Fatal("the chunk the sweep reclaimed is cached after a racing Get")
+	}
+	if b := cache.CacheCounters().CacheBytes; b != 0 {
+		t.Fatalf("cache holds %d bytes; want 0", b)
+	}
+}
+
+// TestCacheScanResistance: a working set hit since the hand last passed
+// survives a one-pass scan of never-reread chunks that overruns the
+// free space — the hand clears the set's bits and evicts scan entries
+// behind them. An LRU evicts the working set first.
+func TestCacheScanResistance(t *testing.T) {
+	const size, limit = 100, 40 * 100 // one shard holds 40 chunks
+	cache := NewCache(NewMemStore(), cacheShards*limit)
+	defer cache.Close()
+	hot := shardChunks("hot", 10, size)
+	for _, c := range hot {
+		cache.Put(c)
+	}
+	for _, c := range hot {
+		cache.Get(c.ID())
+	}
+	for _, c := range shardChunks("scan", 45, size) { // 15 past the free space
+		cache.Put(c)
+	}
+	before := cache.CacheCounters()
+	for _, c := range hot {
+		if _, err := cache.Get(c.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := cache.CacheCounters()
+	if hits := after.CacheHits - before.CacheHits; hits != int64(len(hot)) {
+		t.Fatalf("%d of %d working-set chunks survived the scan", hits, len(hot))
+	}
+	if after.CacheBytes != limit {
+		t.Fatalf("cache holds %d bytes; want the full shard, %d", after.CacheBytes, limit)
+	}
+}
+
+// TestCacheKeyCollision: two chunks whose cids share the index key
+// (bytes 8..15) and the shard. Neither is served under the other's id:
+// while one is cached, a lookup of the other falls through to the
+// backing store, and Drop of one leaves the other.
+func TestCacheKeyCollision(t *testing.T) {
+	idA := chunk.New(chunk.TypeBlob, []byte("base")).ID()
+	idB := idA
+	idB[31] ^= 1
+	a, err := chunk.DecodeStored([]byte{byte(chunk.TypeBlob), 'a'}, idA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := chunk.DecodeStored([]byte{byte(chunk.TypeBlob), 'b', 'b'}, idB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := NewMemStore()
+	ms.Put(a)
+	ms.Put(b)
+	cache := NewCache(ms, 1<<20)
+	defer cache.Close()
+	get := func(want *chunk.Chunk, fromInner bool) {
+		t.Helper()
+		gets := ms.Stats().Gets
+		got, err := cache.Get(want.ID())
+		if err != nil || got.ID() != want.ID() || !bytes.Equal(got.Data(), want.Data()) {
+			t.Fatalf("Get(%s) = %v, %v; want the chunk with that id", want.ID().Short(), got, err)
+		}
+		if inner := ms.Stats().Gets > gets; inner != fromInner {
+			t.Fatalf("Get(%s) reached the backing store: %v, want %v", want.ID().Short(), inner, fromInner)
+		}
+	}
+	get(a, true)  // admitted
+	get(b, true)  // key taken by a: served from the backing store, not cached
+	get(a, false) // still cached
+	get(b, true)
+	if _, err := cache.Put(b); err != nil {
+		t.Fatal(err)
+	}
+	get(b, true) // a Put does not displace a either
+	cache.Drop([]chunk.ID{idB})
+	get(a, false) // a Drop of b leaves a
+	cache.Drop([]chunk.ID{idA})
+	get(b, true) // the key is free: b is admitted
+	get(b, false)
+	get(a, true)
+	if got := cache.CacheCounters().CacheBytes; got != int64(b.Size()) {
+		t.Fatalf("cache holds %d bytes; want b's %d", got, b.Size())
+	}
+}
+
+// nopStore is a backing store that keeps nothing and allocates nothing,
+// so an allocation count over a cache on it is the cache's own.
+type nopStore struct{}
+
+func (nopStore) Put(*chunk.Chunk) (bool, error)     { return false, nil }
+func (nopStore) Get(chunk.ID) (*chunk.Chunk, error) { return nil, ErrNotFound }
+func (nopStore) Has(chunk.ID) bool                  { return false }
+func (nopStore) Stats() Stats                       { return Stats{} }
+func (nopStore) Close() error                       { return nil }
+
+// TestCacheAllocs pins the cache's allocations: none on a hit, and,
+// once a shard is full, almost none to admit a chunk — the evicted
+// entry's slot and index entry are reused.
+func TestCacheAllocs(t *testing.T) {
+	cache := NewCache(nopStore{}, cacheShards*40*100)
+	cs := shardChunks("admit", 400, 100)
+	for _, c := range cs[:80] {
+		cache.Put(c)
+	}
+	hot := cs[79].ID()
+	if n := testing.AllocsPerRun(1000, func() { cache.Get(hot) }); n != 0 {
+		t.Fatalf("a hit allocates %v times; want 0", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		cache.Put(cs[i%len(cs)])
+		i++
+	}); n > 0.1 {
+		t.Fatalf("an admission into a full shard allocates %v times; want at most 0.1", n)
+	}
+	if e := cache.CacheCounters().CacheEvictions; e < 2000 {
+		t.Fatalf("%d evictions; every admission should have evicted", e)
+	}
+}
+
+// FuzzCache runs scripts of Put, Get, Has, sweep-and-Drop and Close
+// against a model — the set of chunks the backing store holds — over a
+// few chunks in two shards, two of them forged twins that share another
+// chunk's index key. After every step the cache's bytes are exactly
+// what its slots hold and within budget, every Get returns the chunk
+// with the asked id, and a swept id is never served.
+func FuzzCache(f *testing.F) {
+	var universe []*chunk.Chunk
+	for i := 0; len(universe) < 10; i++ {
+		c := chunk.New(chunk.TypeBlob, make([]byte, 40+i*57%360))
+		c = chunk.New(chunk.TypeBlob, append(c.Data(), byte(i)))
+		if c.ID()[0]&(cacheShards-1) < 2 {
+			universe = append(universe, c)
+		}
+	}
+	for _, base := range universe[:2] {
+		id := base.ID()
+		id[20] ^= 0xff
+		twin, err := chunk.DecodeStored([]byte{byte(chunk.TypeBlob), 't', 'w', 'i', 'n'}, id)
+		if err != nil {
+			f.Fatal(err)
+		}
+		universe = append(universe, twin)
+	}
+	f.Add([]byte{0x60, 0x61, 0x00, 0x01, 0xa0, 0x00, 0x6a, 0x0a, 0x00})
+	f.Add([]byte{0x60, 0x61, 0x62, 0x63, 0x64, 0x65, 0x66, 0x67, 0x68, 0x69, 0x6b, 0x01, 0xe0, 0x02})
+	f.Add([]byte{0x6a, 0x60, 0x0a, 0x00, 0xa0, 0x0a, 0x00, 0xc0, 0xca})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const limit = 600
+		ms := NewMemStore()
+		cache := NewCache(ms, cacheShards*limit)
+		held := map[chunk.ID]bool{} // the model: what the backing store holds
+		for _, op := range script {
+			c := universe[int(op&31)%len(universe)]
+			id := c.ID()
+			switch op >> 5 {
+			case 0, 1, 2:
+				got, err := cache.Get(id)
+				if held[id] && (err != nil || got.ID() != id || !bytes.Equal(got.Data(), c.Data())) {
+					t.Fatalf("Get(%s) = %v, %v; want the chunk", id.Short(), got, err)
+				}
+				if !held[id] && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get(%s) of a swept chunk = %v, %v", id.Short(), got, err)
+				}
+			case 3, 4:
+				if _, err := cache.Put(c); err != nil {
+					t.Fatal(err)
+				}
+				held[id] = true
+			case 5:
+				sweepOut(t, ms, cache, id)
+				delete(held, id)
+			case 6:
+				if cache.Has(id) != held[id] {
+					t.Fatalf("Has(%s) = %v; want %v", id.Short(), !held[id], held[id])
+				}
+			case 7:
+				cache.Close()
+			}
+			var total int64
+			for i := range cache.shards {
+				s := &cache.shards[i]
+				s.mu.Lock()
+				var n int64
+				entries := 0
+				for j, sl := range s.slots {
+					if sl.c == nil {
+						continue
+					}
+					entries++
+					n += int64(sl.c.Size())
+					if !held[sl.c.ID()] {
+						t.Fatalf("swept chunk %s is cached", sl.c.ID().Short())
+					}
+					if k, ok := s.index[cacheKey(sl.c.ID())]; !ok || int(k) != j {
+						t.Fatalf("slot %d's chunk is indexed at %d (%v)", j, k, ok)
+					}
+				}
+				if n != s.bytes || n > s.limit || entries != len(s.index) {
+					t.Fatalf("shard %d: slots hold %d bytes in %d entries; shard counts %d bytes, %d index entries, limit %d", i, n, entries, s.bytes, len(s.index), s.limit)
+				}
+				total += n
+				s.mu.Unlock()
+			}
+			if got := cache.CacheCounters().CacheBytes; got != total {
+				t.Fatalf("CacheBytes = %d; the slots hold %d", got, total)
+			}
+		}
+	})
 }

@@ -54,12 +54,13 @@ type RemoteConfig struct {
 	// process no longer locks, and the next Dial that makes a private
 	// directory removes it.
 	ChunkCacheDir string
-	// ChunkCacheBytes is the budget of the in-memory LRU tier in front
-	// of the client chunk store; 0 means 64 MiB. The store behind it is
-	// an on-disk log that keeps every chunk it is handed for the life
-	// of the RemoteStore (for good, under ChunkCacheDir) and holds only
-	// its index in memory, so resident chunk bytes stay within this
-	// budget however much history the client reads and writes.
+	// ChunkCacheBytes is the budget of the in-memory tier, a CLOCK ring
+	// over an 8-byte cid index, in front of the client chunk store; 0
+	// means 64 MiB. The store behind it is an on-disk log that keeps
+	// every chunk it is handed for the life of the RemoteStore (for
+	// good, under ChunkCacheDir) and holds only its index in memory, so
+	// resident chunk bytes stay within this budget however much history
+	// the client reads and writes.
 	ChunkCacheBytes int64
 }
 
@@ -1421,6 +1422,10 @@ func (s *remoteChunkStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 	}
 	return s.rs.admitChunk(wire.ChunkFrame{ID: id, Bytes: got[0]})
 }
+
+// GetLocal implements postree.Filler: the local store's copy, never
+// fetched.
+func (s *remoteChunkStore) GetLocal(id chunk.ID) (*chunk.Chunk, error) { return s.rs.local.Get(id) }
 
 // FillSubtrees implements postree.Filler: chunksync's discovery pull
 // into the local store, verified chunk by chunk, moving only what the
