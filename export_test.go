@@ -177,3 +177,22 @@ func (rs *RemoteStore) RecordSocketWritesForTest() *SocketWrites {
 	}
 	return rec
 }
+
+// FrameWriterForTest is a connection's frame writer over w; busy
+// stands in for its owner's report of another request in flight.
+type FrameWriterForTest struct{ fw *frameWriter }
+
+func NewFrameWriterForTest(w io.Writer, busy func() bool) FrameWriterForTest {
+	return FrameWriterForTest{newFrameWriter(w, nil, nil, busy)}
+}
+
+func (f FrameWriterForTest) WriteFrame(reqID uint64, op uint8, payload []byte) error {
+	return f.fw.writeFrame(reqID, op, payload)
+}
+
+// Yields counts the writes that yielded before claiming the flush.
+func (f FrameWriterForTest) Yields() int {
+	f.fw.mu.Lock()
+	defer f.fw.mu.Unlock()
+	return f.fw.yields
+}

@@ -67,6 +67,23 @@ func TestEncWithSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFrameBufCycleAllocs: taking a buffer from the frame pool and
+// handing it back allocates nothing — neither the buffer nor the
+// pointer the pool stores it under.
+func TestFrameBufCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	PutFrameBuf(GetFrameBuf())
+	n := testing.AllocsPerRun(200, func() {
+		b := GetFrameBuf()
+		PutFrameBuf(append(b, "frame"...))
+	})
+	if n != 0 {
+		t.Fatalf("GetFrameBuf/PutFrameBuf cycle: %.1f allocs/op, want 0", n)
+	}
+}
+
 // TestFramePartsMatchesAppendFrame pins the scatter-gather encoding
 // to the canonical one: a reader cannot tell which write path built a
 // frame.

@@ -286,7 +286,7 @@ func EncodeValue(e *Enc, v types.Value) error {
 // (unattached to any store), exactly like a freshly built NewBlob /
 // NewMap / NewList / NewSet — ready to be read, edited and Put.
 func DecodeValue(d *Dec) (types.Value, error) {
-	return decodeValue(d, (*Dec).Blob)
+	return decodeValue(d, false)
 }
 
 // DecodeValueRef is DecodeValue feeding byte fields through BlobRef
@@ -297,10 +297,18 @@ func DecodeValue(d *Dec) (types.Value, error) {
 // before that reuse. This is the server-side decode for pooled frame
 // buffers.
 func DecodeValueRef(d *Dec) (types.Value, error) {
-	return decodeValue(d, (*Dec).BlobRef)
+	return decodeValue(d, true)
 }
 
-func decodeValue(d *Dec, blob func(*Dec) []byte) (types.Value, error) {
+// decodeValue reads byte fields through BlobRef when ref is set, else
+// Blob: a flag, since d passed to a method value would escape.
+func decodeValue(d *Dec, ref bool) (types.Value, error) {
+	blob := func() []byte {
+		if ref {
+			return d.BlobRef()
+		}
+		return d.Blob()
+	}
 	t := types.Type(d.U8())
 	var v types.Value
 	switch t {
@@ -324,12 +332,12 @@ func decodeValue(d *Dec, blob func(*Dec) []byte) (types.Value, error) {
 			v = tup
 		}
 	case types.TypeBlob:
-		v = types.NewBlob(blob(d))
+		v = types.NewBlob(blob())
 	case types.TypeList:
 		n := d.Count(4)
 		l := types.NewList()
 		for i := 0; i < n && d.err == nil; i++ {
-			if err := l.Append(blob(d)); err != nil {
+			if err := l.Append(blob()); err != nil {
 				return nil, err
 			}
 		}
@@ -338,7 +346,7 @@ func decodeValue(d *Dec, blob func(*Dec) []byte) (types.Value, error) {
 		n := d.Count(8)
 		m := types.NewMap()
 		for i := 0; i < n && d.err == nil; i++ {
-			k, val := blob(d), blob(d)
+			k, val := blob(), blob()
 			if d.err == nil {
 				if err := m.Set(k, val); err != nil {
 					return nil, err
@@ -350,7 +358,7 @@ func decodeValue(d *Dec, blob func(*Dec) []byte) (types.Value, error) {
 		n := d.Count(4)
 		s := types.NewSet()
 		for i := 0; i < n && d.err == nil; i++ {
-			if err := s.Add(blob(d)); err != nil {
+			if err := s.Add(blob()); err != nil {
 				return nil, err
 			}
 		}

@@ -213,14 +213,17 @@ func WriteFrame(w io.Writer, reqID uint64, op uint8, payload []byte) error {
 
 // framePool recycles the buffers the hot paths churn through: frame
 // bodies on the read side, request/response encodings on the write
-// side. Entries are *[]byte so returning one does not re-box the
-// slice header on every Put.
-var framePool = sync.Pool{
-	New: func() any {
+// side. Entries are *[]byte, so the pool stores a pointer rather than
+// boxing a slice header; GetFrameBuf hands the emptied pointer to
+// framePtrs and PutFrameBuf takes it back, so a steady-state
+// Get/Put cycle allocates nothing.
+var (
+	framePool = sync.Pool{New: func() any {
 		b := make([]byte, 0, 1024)
 		return &b
-	},
-}
+	}}
+	framePtrs = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // maxPooledBuf caps what PutFrameBuf retains. A rare huge frame (a
 // multi-megabyte blob) would otherwise pin its allocation in the pool
@@ -230,7 +233,11 @@ const maxPooledBuf = 1 << 20
 // GetFrameBuf returns an empty reusable buffer from the frame pool.
 // Pass it back via PutFrameBuf once nothing aliases it any more.
 func GetFrameBuf() []byte {
-	return (*framePool.Get().(*[]byte))[:0]
+	p := framePool.Get().(*[]byte)
+	b := (*p)[:0]
+	*p = nil // the spare pointer must not pin the buffer
+	framePtrs.Put(p)
+	return b
 }
 
 // PutFrameBuf recycles a buffer obtained from GetFrameBuf (or grown
@@ -241,7 +248,9 @@ func PutFrameBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	framePool.Put(&b)
+	p := framePtrs.Get().(*[]byte)
+	*p = b
+	framePool.Put(p)
 }
 
 // ReadFrame reads and verifies one frame from r. maxFrame caps the

@@ -225,3 +225,29 @@ func TestObsSlowOpLog(t *testing.T) {
 		t.Fatalf("slow-op log missing expected lines (ok=%v err=%v): %q", sawOK, sawErr, lines)
 	}
 }
+
+// TestObsInlinePutCountedOnce: a lone Put, answered on the read loop,
+// is counted once and leaves one latency sample — neither lost nor
+// doubled beside the worker path's accounting.
+func TestObsInlinePutCountedOnce(t *testing.T) {
+	ctx := context.Background()
+	addr, srv := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	rs, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	const puts = 5
+	for i := 0; i < puts; i++ {
+		if _, err := rs.Put(ctx, fmt.Sprintf("k%d", i), forkbase.String("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := srv.MetricsSnapshot()
+	if s, _ := sampleValue(samples, "forkbase_server_requests_total", `op="put"`); s.Value != puts {
+		t.Fatalf("put request counter = %d, want %d", s.Value, puts)
+	}
+	if lat, _ := sampleValue(samples, "forkbase_server_latency_ns", `op="put"`); lat.Value != puts {
+		t.Fatalf("put latency histogram holds %d samples, want %d", lat.Value, puts)
+	}
+}

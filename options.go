@@ -18,8 +18,12 @@ type callOpts struct {
 	user      string
 }
 
-// resolveOpts folds opts over the defaults.
+// resolveOpts folds opts over the defaults. The empty list returns
+// before o is taken by address, so the common call allocates nothing.
 func resolveOpts(opts []Option) callOpts {
+	if len(opts) == 0 {
+		return callOpts{}
+	}
 	var o callOpts
 	for _, fn := range opts {
 		fn(&o)

@@ -352,7 +352,7 @@ func (rs *RemoteStore) dial() (*remoteConn, error) {
 	// calls get the error instead of hanging. The frame writer also
 	// counts outbound bytes at the flush syscall — the one chokepoint
 	// every frame passes through.
-	c.fw = newFrameWriter(nc, rs.cm.bytesSent, func(err error) { c.fail(err) })
+	c.fw = newFrameWriter(nc, rs.cm.bytesSent, func(err error) { c.fail(err) }, c.othersPending)
 	// Hello is synchronous: the reader starts only once the handshake
 	// frame has been consumed.
 	start := time.Now()
@@ -459,8 +459,11 @@ func (c *remoteConn) fail(err error) {
 }
 
 func (c *remoteConn) readLoop() {
+	// Each response gets a buffer of its frame's exact size, never a
+	// pooled one: decoders may alias the payload. hdr reads the prefix.
+	hdr := make([]byte, 4)
 	for {
-		reqID, op, payload, err := wire.ReadFrame(c.br, c.maxFrame)
+		reqID, op, payload, _, err := wire.ReadFrameInto(c.br, c.maxFrame, hdr)
 		if err != nil {
 			c.fail(fmt.Errorf("forkbase: remote connection lost: %w", err))
 			return
@@ -541,6 +544,14 @@ func (c *remoteConn) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
+// othersPending reports whether a call besides the writer's own is
+// registered, whose frame may be about to join the flush.
+func (c *remoteConn) othersPending() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending) > 1
+}
+
 func (c *remoteConn) write(id uint64, op uint8, payload []byte) error {
 	return c.fw.writeFrame(id, op, payload)
 }
@@ -554,7 +565,7 @@ func (c *remoteConn) write(id uint64, op uint8, payload []byte) error {
 // them, so a commit arriving on a different connection would not
 // release them (and a mid-upload disconnect could not be told apart
 // from a still-negotiating client).
-func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) (*wire.Dec, *wire.ErrorPayload, error) {
+func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) (wire.Dec, *wire.ErrorPayload, error) {
 	calls := [1]slotCall{{op: op, payload: payload}}
 	rs.callFrames(ctx, slot, calls[:])
 	r := calls[0].callResult
@@ -563,7 +574,7 @@ func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payl
 
 // callResult is one answer of callFrames.
 type callResult struct {
-	d   *wire.Dec
+	d   wire.Dec
 	ep  *wire.ErrorPayload
 	err error
 }
@@ -687,20 +698,21 @@ func (rs *RemoteStore) cancel(c *remoteConn, id uint64) {
 }
 
 // decodeStatus splits a response payload into success decoder or
-// typed error.
-func decodeStatus(payload []byte) (*wire.Dec, *wire.ErrorPayload, error) {
-	d := wire.NewDec(payload)
+// typed error. The decoder comes back by value, so a caller that reads
+// it in place keeps it on the stack.
+func decodeStatus(payload []byte) (wire.Dec, *wire.ErrorPayload, error) {
+	d := *wire.NewDec(payload)
 	switch status := d.U8(); status {
 	case 0:
 		return d, nil, nil
 	case 1:
-		ep, err := wire.DecodeError(d)
+		ep, err := wire.DecodeError(&d)
 		if err != nil {
-			return nil, nil, err
+			return wire.Dec{}, nil, err
 		}
-		return nil, &ep, nil
+		return wire.Dec{}, &ep, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown response status %d", wire.ErrCodec, status)
+		return wire.Dec{}, nil, fmt.Errorf("%w: unknown response status %d", wire.ErrCodec, status)
 	}
 }
 
@@ -753,7 +765,7 @@ func roundTrip[T any](ctx context.Context, rs *RemoteStore, op uint8, opts []Opt
 	if ep != nil {
 		return v, ep, ep.Err
 	}
-	if v, err = dec(d); err == nil {
+	if v, err = dec(&d); err == nil {
 		err = d.Err()
 	}
 	return v, nil, err
@@ -1017,7 +1029,7 @@ func (rs *RemoteStore) chunkHave(ctx context.Context, slot uint64, user, key str
 	if ep != nil {
 		return nil, ep.Err
 	}
-	bits := wire.DecodeBitmap(d, len(ids))
+	bits := wire.DecodeBitmap(&d, len(ids))
 	return bits, d.Err()
 }
 

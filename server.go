@@ -341,7 +341,7 @@ func (s *Server) newConn(c net.Conn) *serverConn {
 		if !sc.isClosed() {
 			s.logf("forkserved: write to %s: %v", c.RemoteAddr(), err)
 		}
-	})
+	}, sc.held)
 	// A deadline that cannot be set is on a socket already dead, which
 	// the read loop finds out on its first read.
 	_ = c.SetReadDeadline(time.Now().Add(helloTimeout))
@@ -562,24 +562,24 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: op %d is not a request this server serves", wire.ErrCodec, f.op), nil, UID{})
 	case !sc.srv.admit():
 		sc.respondErr(f.reqID, f.op, ErrServerClosed, nil, UID{})
-	case sc.srv.db != nil && serverOps[f.op].inline:
+	case sc.srv.db != nil && sc.inline(f):
 		// The small-op fast path: answer right here on the read loop —
 		// no goroutine, no context allocation, no cancel registration
 		// (OpCancel arrives on this same loop, so it cannot race an op
 		// that completes before the next read) — and cork the response
-		// for the burst flush. A Send, the one inline write, still
-		// claims its id, so one reusing an id in flight on a worker is
-		// refused as on the slow path; its cancel is a no-op, since no
-		// OpCancel is read until it returns.
-		send := f.op == wire.OpChunkSend
-		if send && !sc.claim(f.reqID, nopCancel) {
+		// for the burst flush. The inline writes, a Send and a lone
+		// Put, still claim their ids, so one reusing an id in flight on
+		// a worker is refused as on the slow path; the cancel is a
+		// no-op, since no OpCancel is read until the write returns.
+		write := f.op == wire.OpChunkSend || f.op == wire.OpPut
+		if write && !sc.claim(f.reqID, nopCancel) {
 			sc.refuseDuplicate(f)
 			break
 		}
 		start := time.Now()
 		resp := sc.srv.dispatch(sc.ctx, sc, f.reqID, f.op, f.payload)
 		sc.srv.observe(sc, f.op, start, resp)
-		if send {
+		if write {
 			sc.release(f.reqID)
 		}
 		sc.send(f.reqID, f.op, resp)
@@ -590,6 +590,16 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		return sc.slowPath(f), nil, false
 	}
 	return false, nil, false
+}
+
+// inline reports whether f is answered on the read loop (opRow.inline):
+// an inline op, or a small Put with no frame buffered behind it to
+// coalesce with.
+func (sc *serverConn) inline(f rawFrame) bool {
+	if f.op == wire.OpPut {
+		return len(f.payload) < bigPayload && !wire.FrameBuffered(sc.br)
+	}
+	return serverOps[f.op].inline
 }
 
 // slowPath registers the request's cancel func and hands it to the
@@ -630,6 +640,15 @@ func (sc *serverConn) claim(reqID uint64, cancel context.CancelFunc) bool {
 	}
 	sc.inflight[reqID] = cancel
 	return true
+}
+
+// held reports whether a request of this connection still holds its
+// id — on a worker, in a put batch or mid-Send. A response releases
+// its own id before it is written, so any id left is another request.
+func (sc *serverConn) held() bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return len(sc.inflight) > 0
 }
 
 // release unregisters a request id. It runs before the response
@@ -841,11 +860,17 @@ type opRow struct {
 	// local *DB: point reads and metadata listings. Writes, merges,
 	// history walks and value materialization keep the worker path —
 	// they can block, and a blocked read loop stalls the whole
-	// connection. OpChunkSend is the one write here, for ordering: it
-	// is applied before the next frame is read, so a commit pipelined
+	// connection. OpChunkSend is one write here, for ordering: it is
+	// applied before the next frame is read, so a commit pipelined
 	// behind it finds its chunks (wire.FeatureOrderedSend). Requests
 	// multiplexed behind a Send wait for it; one Send is at most the
 	// client's send batch.
+	// OpPut is answered here too when its payload is under bigPayload
+	// and no complete frame is buffered behind it (serverConn.inline):
+	// no worker handoff, and a put never reads its context. The trade
+	// is head of line: a request arriving while the put commits, behind
+	// a contended key stripe or an fsync, waits for it. Puts in a burst
+	// still coalesce, and large ones keep the worker.
 	inline bool
 	// coalesce lets adjacent requests of the op run as one engine batch
 	// when the backend is a local *DB (handlePut).
@@ -934,12 +959,10 @@ func serveGet(s *Server, r request) []byte {
 func servePut(s *Server, r request) []byte {
 	key := r.d.Str()
 	// Zero-copy decode: the value is consumed (its staged bytes copied
-	// on ingest) before the worker recycles the frame buffer. The value
-	// decoder escapes, so it gets a copy and r stays on the stack.
-	d := r.d
-	v, err := wire.DecodeValueRef(&d)
+	// on ingest) before the frame buffer is recycled.
+	v, err := wire.DecodeValueRef(&r.d)
 	if err == nil {
-		err = d.Err()
+		err = r.d.Err()
 	}
 	if err != nil {
 		return fail(err)
@@ -1429,7 +1452,7 @@ func okPayload2(fill func(e *wire.Enc) error) []byte {
 // --- put coalescing ---------------------------------------------------
 
 // nopCancel is the inflight registration of a coalesced put and of
-// an inline Send: neither can be cancelled once it runs.
+// an inline Send or Put: none can be cancelled once it runs.
 var nopCancel context.CancelFunc = func() {}
 
 // maxPutBatch bounds one coalesced batch; past this the marginal
@@ -1480,11 +1503,12 @@ func coalescible(pf putFrame, ok bool) bool {
 // that runs them as one engine batch: one lock hold and one branch
 // update per key, one response flush for the lot, with per-put errors
 // so the batch is observationally identical to dispatching each put
-// alone. A put that cannot join (or has nothing behind it) takes the
-// normal slow path. Each collected put's id is claimed on the
-// connection like a slow-path request's, under a shared no-op cancel
-// (a batch cannot be cancelled put by put), so an id already in
-// flight — or earlier in the same batch — cannot join and the slow
+// alone. A put that cannot join takes the normal slow path, and so
+// does one with nothing behind it (only a large one reaches here; a
+// small one is answered inline). Each collected put's id is claimed
+// on the connection like a slow-path request's, under a shared no-op
+// cancel (a batch cannot be cancelled put by put), so an id already
+// in flight — or earlier in the same batch — cannot join and the slow
 // path refuses it.
 func (sc *serverConn) handlePut(f rawFrame) (keep bool, carry *rawFrame, exit bool) {
 	first, ok := decodePutFrame(f)
