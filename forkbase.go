@@ -238,7 +238,8 @@ type Options struct {
 	MetaSync bool
 	// SnapshotEvery is the number of journaled metadata mutations
 	// between snapshot+truncate compactions of the journal (file-backed
-	// stores only). 0 means the default of 4096; negative disables
+	// stores only). 0 means the default: at least 4096 mutations and a
+	// journal as large as the last snapshot; negative disables
 	// compaction, letting the journal grow until the store is reopened.
 	SnapshotEvery int
 }

@@ -7,9 +7,13 @@
 package branch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"forkbase/internal/types"
@@ -38,31 +42,25 @@ var (
 // mutex, so the journal order equals the apply order). The in-memory
 // mutation stands even when recording fails; the returned error then
 // reports lost durability, not a lost update.
+//
+// The heads live in a heads value: a table with one tagged branch and
+// no untagged head holds that branch inline and allocates no map.
 type Table struct {
-	mu       sync.RWMutex
-	key      string // owning key, for journal records
-	sink     Sink   // nil = no journaling
-	tagged   map[string]types.UID
-	untagged map[types.UID]bool
+	mu   sync.RWMutex
+	key  string // owning key, for journal records
+	sink Sink   // nil = no journaling
+	h    heads
 }
 
 // NewTable returns an empty branch table.
-func NewTable() *Table {
-	return &Table{
-		tagged:   make(map[string]types.UID),
-		untagged: make(map[types.UID]bool),
-	}
-}
+func NewTable() *Table { return &Table{} }
 
-// record journals one applied mutation; callers hold t.mu.
-func (t *Table) record(op Op) error {
-	return t.recordIn(nil, op)
-}
-
-// recordIn is record into an open batch scope: the op takes its place
-// in journal order now, under t.mu, and reaches the file with the
-// scope's End. A nil scope records through the table's own sink.
-func (t *Table) recordIn(b *Batch, op Op) error {
+// apply applies op to the heads and journals it; callers hold t.mu and
+// have checked op's preconditions. In an open batch scope b the op
+// takes its place in journal order now and reaches the file with the
+// scope's End; a nil b records through the table's own sink.
+func (t *Table) apply(b *Batch, op Op) error {
+	t.h.apply(op)
 	if t.sink == nil {
 		return nil
 	}
@@ -77,8 +75,7 @@ func (t *Table) recordIn(b *Batch, op Op) error {
 func (t *Table) Head(branch string) (types.UID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	uid, ok := t.tagged[branch]
-	return uid, ok
+	return t.h.get(branch)
 }
 
 // IsHead reports whether uid is the head of any tagged branch or an
@@ -86,15 +83,7 @@ func (t *Table) Head(branch string) (types.UID, bool) {
 func (t *Table) IsHead(uid types.UID) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.untagged[uid] {
-		return true
-	}
-	for _, head := range t.tagged {
-		if head == uid {
-			return true
-		}
-	}
-	return false
+	return t.h.isHead(uid)
 }
 
 // UpdateTagged moves a tagged branch's head to uid, creating the branch
@@ -107,7 +96,7 @@ func (t *Table) UpdateTagged(branch string, uid types.UID, guard *types.UID) err
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if guard != nil {
-		cur, ok := t.tagged[branch]
+		cur, ok := t.h.get(branch)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrBranchNotFound, branch)
 		}
@@ -115,8 +104,7 @@ func (t *Table) UpdateTagged(branch string, uid types.UID, guard *types.UID) err
 			return ErrGuardFailed
 		}
 	}
-	t.tagged[branch] = uid
-	return t.record(Op{Kind: OpUpdateTagged, Branch: branch, UID: uid})
+	return t.apply(nil, Op{Kind: OpUpdateTagged, Branch: branch, UID: uid})
 }
 
 // UpdateTaggedIn is an unguarded UpdateTagged whose journal record
@@ -125,35 +113,31 @@ func (t *Table) UpdateTagged(branch string, uid types.UID, guard *types.UID) err
 func (t *Table) UpdateTaggedIn(b *Batch, branch string, uid types.UID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tagged[branch] = uid
-	return t.recordIn(b, Op{Kind: OpUpdateTagged, Branch: branch, UID: uid})
+	return t.apply(b, Op{Kind: OpUpdateTagged, Branch: branch, UID: uid})
 }
 
 // Fork creates newBranch pointing at uid. It fails if newBranch exists.
 func (t *Table) Fork(newBranch string, uid types.UID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.tagged[newBranch]; ok {
+	if _, ok := t.h.get(newBranch); ok {
 		return fmt.Errorf("%w: %q", ErrBranchExists, newBranch)
 	}
-	t.tagged[newBranch] = uid
-	return t.record(Op{Kind: OpFork, Branch: newBranch, UID: uid})
+	return t.apply(nil, Op{Kind: OpFork, Branch: newBranch, UID: uid})
 }
 
 // Rename renames a tagged branch.
 func (t *Table) Rename(branch, newName string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	uid, ok := t.tagged[branch]
+	uid, ok := t.h.get(branch)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrBranchNotFound, branch)
 	}
-	if _, ok := t.tagged[newName]; ok {
+	if _, ok := t.h.get(newName); ok {
 		return fmt.Errorf("%w: %q", ErrBranchExists, newName)
 	}
-	delete(t.tagged, branch)
-	t.tagged[newName] = uid
-	return t.record(Op{Kind: OpRename, Branch: branch, Name: newName, UID: uid})
+	return t.apply(nil, Op{Kind: OpRename, Branch: branch, Name: newName, UID: uid})
 }
 
 // Remove deletes a tagged branch. The underlying versions remain in the
@@ -161,11 +145,10 @@ func (t *Table) Rename(branch, newName string) error {
 func (t *Table) Remove(branch string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.tagged[branch]; !ok {
+	if _, ok := t.h.get(branch); !ok {
 		return fmt.Errorf("%w: %q", ErrBranchNotFound, branch)
 	}
-	delete(t.tagged, branch)
-	return t.record(Op{Kind: OpRemove, Branch: branch})
+	return t.apply(nil, Op{Kind: OpRemove, Branch: branch})
 }
 
 // Tagged returns all tagged branch names and their heads, sorted by
@@ -173,12 +156,7 @@ func (t *Table) Remove(branch string) error {
 func (t *Table) Tagged() []TaggedBranch {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]TaggedBranch, 0, len(t.tagged))
-	for name, uid := range t.tagged {
-		out = append(out, TaggedBranch{Name: name, Head: uid})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return t.h.tagged([]TaggedBranch{})
 }
 
 // TaggedBranch pairs a branch name with its head uid.
@@ -196,14 +174,10 @@ type TaggedBranch struct {
 func (t *Table) AddUntagged(uid types.UID, bases []types.UID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.untagged[uid] {
+	if t.h.isUntagged(uid) {
 		return nil
 	}
-	t.untagged[uid] = true
-	for _, b := range bases {
-		delete(t.untagged, b)
-	}
-	return t.record(Op{Kind: OpAddUntagged, UID: uid, Bases: bases})
+	return t.apply(nil, Op{Kind: OpAddUntagged, UID: uid, Bases: bases})
 }
 
 // ReplaceUntagged atomically removes the merged heads and inserts the
@@ -211,26 +185,15 @@ func (t *Table) AddUntagged(uid types.UID, bases []types.UID) error {
 func (t *Table) ReplaceUntagged(result types.UID, merged []types.UID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, u := range merged {
-		delete(t.untagged, u)
-	}
-	t.untagged[result] = true
-	return t.record(Op{Kind: OpReplaceUntagged, UID: result, Bases: merged})
+	return t.apply(nil, Op{Kind: OpReplaceUntagged, UID: result, Bases: merged})
 }
 
-// Untagged returns all untagged heads in unspecified order (M10). A
-// single element means the key has no conflicts.
+// Untagged returns all untagged heads, sorted (M10). A single element
+// means the key has no conflicts.
 func (t *Table) Untagged() []types.UID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]types.UID, 0, len(t.untagged))
-	for uid := range t.untagged {
-		out = append(out, uid)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].String() < out[j].String()
-	})
-	return out
+	return t.h.untaggedHeads([]types.UID{})
 }
 
 // Space tracks the branch tables of all keys managed by one servlet.
@@ -261,8 +224,7 @@ func (s *Space) Table(key []byte) *Table {
 	if t, ok := s.tables[k]; ok {
 		return t
 	}
-	t = NewTable()
-	t.key, t.sink = k, s.sink
+	t = &Table{key: k, sink: s.sink}
 	s.tables[k] = t
 	return t
 }
@@ -285,4 +247,135 @@ func (s *Space) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// heads is one key's TB-table and UB-table, held by Table and by the
+// journal's shadow state alike. Almost every key has one tagged branch
+// and no untagged head, so the first tagged branch sits inline; more is
+// made at a second one, untagged at the first untagged head. Only these
+// methods touch the representation.
+type heads struct {
+	name     string    // the inline tagged branch, valid while has
+	head     types.UID // its head
+	has      bool
+	more     map[string]types.UID // tagged branches beside the inline one
+	untagged map[types.UID]bool
+}
+
+func (h *heads) get(name string) (types.UID, bool) {
+	if h.has && h.name == name {
+		return h.head, true
+	}
+	uid, ok := h.more[name]
+	return uid, ok
+}
+
+// set moves or creates a tagged branch. A name in more stays there
+// even while the inline slot is free, or it would be listed twice.
+func (h *heads) set(name string, uid types.UID) {
+	switch _, inMore := h.more[name]; {
+	case h.has && h.name == name:
+		h.head = uid
+	case !h.has && !inMore:
+		h.name, h.head, h.has = name, uid, true
+	default:
+		if h.more == nil {
+			h.more = make(map[string]types.UID)
+		}
+		h.more[name] = uid
+	}
+}
+
+func (h *heads) del(name string) {
+	if h.has && h.name == name {
+		h.name, h.head, h.has = "", types.UID{}, false
+	}
+	delete(h.more, name)
+}
+
+// count returns the sizes of the TB-table and the UB-table.
+func (h *heads) count() (tagged, untagged int) {
+	if tagged = len(h.more); h.has {
+		tagged++
+	}
+	return tagged, len(h.untagged)
+}
+
+// tagged appends the tagged branches to dst, sorted by name.
+func (h *heads) tagged(dst []TaggedBranch) []TaggedBranch {
+	at := len(dst)
+	if h.has {
+		dst = append(dst, TaggedBranch{Name: h.name, Head: h.head})
+	}
+	for name, uid := range h.more {
+		dst = append(dst, TaggedBranch{Name: name, Head: uid})
+	}
+	slices.SortFunc(dst[at:], func(a, b TaggedBranch) int { return strings.Compare(a.Name, b.Name) })
+	return dst
+}
+
+func (h *heads) isHead(uid types.UID) bool {
+	if h.untagged[uid] || h.has && h.head == uid {
+		return true
+	}
+	for _, head := range h.more {
+		if head == uid {
+			return true
+		}
+	}
+	return false
+}
+
+func (h *heads) isUntagged(uid types.UID) bool { return h.untagged[uid] }
+
+// apply folds one branch-table op into h: the live Table after its
+// precondition checks, and the journal's replay as the ops come.
+func (h *heads) apply(op Op) {
+	switch op.Kind {
+	case OpUpdateTagged, OpFork:
+		h.set(op.Branch, op.UID)
+	case OpRename:
+		h.del(op.Branch)
+		h.set(op.Name, op.UID)
+	case OpRemove:
+		h.del(op.Branch)
+	case OpAddUntagged, OpReplaceUntagged:
+		// An add ends without its bases, a merge with its result. The
+		// add is unconditional, unlike Table.AddUntagged's duplicate
+		// skip: in replay a uid already present means the op is already
+		// in the snapshot, and its bases must still go, or a crash
+		// before the WAL's truncate would resurrect consumed heads.
+		if h.untagged == nil {
+			h.untagged = make(map[types.UID]bool)
+		}
+		h.untagged[op.UID] = true
+		for _, b := range op.Bases {
+			delete(h.untagged, b)
+		}
+		if op.Kind == OpReplaceUntagged {
+			h.untagged[op.UID] = true
+		}
+	}
+}
+
+// untaggedHeads appends the untagged heads to dst, sorted.
+func (h *heads) untaggedHeads(dst []types.UID) []types.UID {
+	at := len(dst)
+	for u := range h.untagged {
+		dst = append(dst, u)
+	}
+	sortUIDs(dst[at:])
+	return dst
+}
+
+// clone copies h; the copy shares no map with it.
+func (h *heads) clone() heads {
+	c := *h
+	c.more, c.untagged = maps.Clone(h.more), maps.Clone(h.untagged)
+	return c
+}
+
+// sortUIDs sorts by bytes, the order of the uids' hex strings.
+func sortUIDs(u []types.UID) {
+	slices.SortFunc(u, func(a, b types.UID) int { return bytes.Compare(a[:], b[:]) })
 }

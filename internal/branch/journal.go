@@ -118,8 +118,8 @@ const (
 
 var snapMagic = [4]byte{'F', 'B', 'M', '1'}
 
-// DefaultSnapshotEvery is the number of journaled ops between
-// snapshot+truncate compactions when JournalOptions.SnapshotEvery is 0.
+// DefaultSnapshotEvery is the fewest records between compactions by
+// default; that cadence also waits for the WAL to match the snapshot.
 const DefaultSnapshotEvery = 4096
 
 // ErrJournalCorrupt reports a snapshot that fails its integrity check.
@@ -136,8 +136,8 @@ type JournalOptions struct {
 	// nothing a caller was told of, only an OS crash can.
 	Sync bool
 	// SnapshotEvery is the number of records between snapshot+truncate
-	// compactions. 0 means DefaultSnapshotEvery; negative disables
-	// compaction (the WAL grows until Compact is called explicitly).
+	// compactions. 0 means DefaultSnapshotEvery records and a WAL as
+	// large as the last snapshot; negative disables compaction.
 	SnapshotEvery int
 	// Barrier, when set, runs before each flush appends its records.
 	// The store layer points it at the chunk log's Flush so the
@@ -189,31 +189,24 @@ type Journal struct {
 }
 
 // journalState is the journal's shadow of the metadata: what a replay
-// of snapshot+WAL reconstructs.
+// of snapshot+WAL reconstructs. Each key's heads are the same value a
+// Table holds: one tagged branch inline, maps only after a fork.
 type journalState struct {
-	keys map[string]*tableState
+	keys map[string]*heads
 	pins map[types.UID]struct{}
-}
-
-type tableState struct {
-	tagged   map[string]types.UID
-	untagged map[types.UID]bool
 }
 
 func newJournalState() journalState {
 	return journalState{
-		keys: make(map[string]*tableState),
+		keys: make(map[string]*heads),
 		pins: make(map[types.UID]struct{}),
 	}
 }
 
-func (st *journalState) table(key string) *tableState {
+func (st *journalState) table(key string) *heads {
 	ts, ok := st.keys[key]
 	if !ok {
-		ts = &tableState{
-			tagged:   make(map[string]types.UID),
-			untagged: make(map[types.UID]bool),
-		}
+		ts = new(heads)
 		st.keys[key] = ts
 	}
 	return ts
@@ -226,36 +219,10 @@ func (st *journalState) apply(op Op) {
 	switch op.Kind {
 	case OpPin:
 		st.pins[op.UID] = struct{}{}
-		return
 	case OpUnpin:
 		delete(st.pins, op.UID)
-		return
-	}
-	ts := st.table(string(op.Key))
-	switch op.Kind {
-	case OpUpdateTagged, OpFork:
-		ts.tagged[op.Branch] = op.UID
-	case OpRename:
-		delete(ts.tagged, op.Branch)
-		ts.tagged[op.Name] = op.UID
-	case OpRemove:
-		delete(ts.tagged, op.Branch)
-	case OpAddUntagged:
-		// Unconditional, unlike Table.AddUntagged's duplicate skip: the
-		// table never journals a skipped duplicate, so during replay a
-		// pre-existing op.UID means the op itself is already folded in
-		// (snapshot written, WAL not yet truncated) — its bases must
-		// still be deleted, or a crash in that window would resurrect
-		// consumed heads.
-		ts.untagged[op.UID] = true
-		for _, b := range op.Bases {
-			delete(ts.untagged, b)
-		}
-	case OpReplaceUntagged:
-		for _, b := range op.Bases {
-			delete(ts.untagged, b)
-		}
-		ts.untagged[op.UID] = true
+	default:
+		st.table(string(op.Key)).apply(op)
 	}
 }
 
@@ -313,23 +280,13 @@ func (j *Journal) Restore() (*Space, []types.UID) {
 	sp := NewSpace()
 	sp.sink = j
 	for k, ts := range j.state.keys {
-		t := NewTable()
-		t.key, t.sink = k, j
-		for name, uid := range ts.tagged {
-			t.tagged[name] = uid
-		}
-		for uid := range ts.untagged {
-			t.untagged[uid] = true
-		}
-		sp.tables[k] = t
+		sp.tables[k] = &Table{key: k, sink: j, h: ts.clone()}
 	}
 	pins := make([]types.UID, 0, len(j.state.pins))
 	for uid := range j.state.pins {
 		pins = append(pins, uid)
 	}
-	sort.Slice(pins, func(a, b int) bool {
-		return pins[a].String() < pins[b].String()
-	})
+	sortUIDs(pins)
 	return sp, pins
 }
 
@@ -413,7 +370,7 @@ func (j *Journal) appendLocked(op Op) {
 
 // flushLocked moves the pending records to the WAL: the Barrier first
 // (write-ahead ordering against the chunk log), then one write, one
-// fsync under Sync, and a compaction every SnapshotEvery records.
+// fsync under Sync, and a compaction on the SnapshotEvery cadence.
 // Whether it succeeds or not the buffer is empty afterwards — records
 // that missed the file live on in the shadow state, and the next
 // snapshot captures them.
@@ -479,7 +436,7 @@ func (j *Journal) writeLocked(frames []byte, n int) error {
 			j.opts.FsyncHist.ObserveSince(start)
 		}
 	}
-	if j.every > 0 && j.sinceSnap >= j.every {
+	if j.every > 0 && j.sinceSnap >= j.every && (j.opts.SnapshotEvery != 0 || j.walBytes >= j.snapBytes) {
 		return j.compactLocked()
 	}
 	return nil
@@ -504,20 +461,19 @@ func (j *Journal) Compact() error {
 // any point leaves either the old snapshot plus the full WAL, or the
 // new snapshot plus a WAL whose records are replay-idempotent over it.
 func (j *Journal) compactLocked() error {
-	body := encodeSnapshot(&j.state)
+	// Sized to the last snapshot, so a state that did not grow encodes
+	// in one allocation, however long the WAL it folds.
+	snap := encodeSnapshot(make([]byte, 12, 12+j.snapBytes), &j.state)
+	body := snap[12:]
+	copy(snap[0:4], snapMagic[:])
+	binary.LittleEndian.PutUint32(snap[4:8], uint32(len(body)))
+	binary.LittleEndian.PutUint32(snap[8:12], crc32.ChecksumIEEE(body))
 	tmp := filepath.Join(j.dir, snapTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("branch: %w", err)
 	}
-	hdr := make([]byte, 12)
-	copy(hdr[0:4], snapMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(body))
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(body)
-	}
-	if err == nil {
+	if _, err = f.Write(snap); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -541,7 +497,7 @@ func (j *Journal) compactLocked() error {
 	}
 	j.walBytes = 0
 	j.sinceSnap = 0
-	j.snapBytes = int64(12 + len(body))
+	j.snapBytes = int64(len(snap))
 	// The snapshot holds the full shadow state and the WAL is empty:
 	// whatever partial frame poisoned the log is gone.
 	j.broken = nil
@@ -609,8 +565,9 @@ func (j *Journal) Stats() JournalStats {
 		Pins:             len(j.state.pins),
 	}
 	for _, ts := range j.state.keys {
-		s.Tagged += len(ts.tagged)
-		s.Untagged += len(ts.untagged)
+		nt, nu := ts.count()
+		s.Tagged += nt
+		s.Untagged += nu
 	}
 	return s
 }
@@ -624,8 +581,8 @@ func (j *Journal) Stats() JournalStats {
 func appendOp(b []byte, op Op) []byte {
 	b = append(b, byte(op.Kind))
 	b = appendBytes(b, op.Key)
-	b = appendBytes(b, []byte(op.Branch))
-	b = appendBytes(b, []byte(op.Name))
+	b = appendBytes(b, op.Branch)
+	b = appendBytes(b, op.Name)
 	b = append(b, op.UID[:]...)
 	b = appendU32(b, uint32(len(op.Bases)))
 	for _, u := range op.Bases {
@@ -682,56 +639,44 @@ func decodeOp(b []byte) (Op, bool) {
 	return op, true
 }
 
-// encodeSnapshot serializes the full state, keys and names sorted so
-// identical states produce identical bytes:
+// encodeSnapshot appends the full state to b, sorted so identical
+// states produce identical bytes; a key allocates nothing of its own:
 //
 //	u32 nkeys | per key: u32 klen | key
 //	                     u32 ntagged   | per branch: u32 nlen | name | uid
 //	                     u32 nuntagged | per head: uid
 //	u32 npins | per pin: uid
-func encodeSnapshot(st *journalState) []byte {
-	var b []byte
+func encodeSnapshot(b []byte, st *journalState) []byte {
 	keys := make([]string, 0, len(st.keys))
 	for k := range st.keys {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var tagged []TaggedBranch
+	var uids []types.UID
 	b = appendU32(b, uint32(len(keys)))
 	for _, k := range keys {
 		ts := st.keys[k]
-		b = appendBytes(b, []byte(k))
-		names := make([]string, 0, len(ts.tagged))
-		for n := range ts.tagged {
-			names = append(names, n)
+		b = appendBytes(b, k)
+		tagged = ts.tagged(tagged[:0])
+		b = appendU32(b, uint32(len(tagged)))
+		for _, tb := range tagged {
+			b = appendBytes(b, tb.Name)
+			b = append(b, tb.Head[:]...)
 		}
-		sort.Strings(names)
-		b = appendU32(b, uint32(len(names)))
-		for _, n := range names {
-			uid := ts.tagged[n]
-			b = appendBytes(b, []byte(n))
-			b = append(b, uid[:]...)
-		}
-		heads := make([]types.UID, 0, len(ts.untagged))
-		for u := range ts.untagged {
-			heads = append(heads, u)
-		}
-		sort.Slice(heads, func(i, j int) bool {
-			return heads[i].String() < heads[j].String()
-		})
-		b = appendU32(b, uint32(len(heads)))
-		for _, u := range heads {
+		uids = ts.untaggedHeads(uids[:0])
+		b = appendU32(b, uint32(len(uids)))
+		for _, u := range uids {
 			b = append(b, u[:]...)
 		}
 	}
-	pins := make([]types.UID, 0, len(st.pins))
+	uids = uids[:0]
 	for u := range st.pins {
-		pins = append(pins, u)
+		uids = append(uids, u)
 	}
-	sort.Slice(pins, func(i, j int) bool {
-		return pins[i].String() < pins[j].String()
-	})
-	b = appendU32(b, uint32(len(pins)))
-	for _, u := range pins {
+	sortUIDs(uids)
+	b = appendU32(b, uint32(len(uids)))
+	for _, u := range uids {
 		b = append(b, u[:]...)
 	}
 	return b
@@ -762,7 +707,7 @@ func decodeSnapshot(b []byte, st *journalState) error {
 				return bad()
 			}
 			copy(uid[:], rest)
-			ts.tagged[string(name)] = uid
+			ts.set(string(name), uid)
 			b = rest[len(uid):]
 		}
 		nuntagged, rest, ok := takeU32(b)
@@ -775,7 +720,7 @@ func decodeSnapshot(b []byte, st *journalState) error {
 				return bad()
 			}
 			copy(uid[:], b)
-			ts.untagged[uid] = true
+			ts.apply(Op{Kind: OpAddUntagged, UID: uid})
 			b = b[len(uid):]
 		}
 	}
@@ -897,7 +842,7 @@ func takeU32(b []byte) (uint32, []byte, bool) {
 	return binary.LittleEndian.Uint32(b), b[4:], true
 }
 
-func appendBytes(b, s []byte) []byte {
+func appendBytes[S string | []byte](b []byte, s S) []byte {
 	b = appendU32(b, uint32(len(s)))
 	return append(b, s...)
 }

@@ -1,6 +1,8 @@
 package branch
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -823,5 +825,58 @@ func TestJournalBatchOneFsync(t *testing.T) {
 	}
 	if got := samples(); got != 2 {
 		t.Fatalf("batch of 20: %d fsync samples in total, want 2 (one per flush)", got)
+	}
+}
+
+// TestJournalDefaultCadenceProportional: under the default cadence a
+// compaction waits for DefaultSnapshotEvery records and for the WAL to
+// reach the last snapshot's size, so a large state is not rewritten
+// for every few records; an explicit SnapshotEvery keeps counting
+// records alone.
+func TestJournalDefaultCadenceProportional(t *testing.T) {
+	dir := t.TempDir()
+	j, sp, _ := openTestJournal(t, dir, JournalOptions{})
+	long := bytes.Repeat([]byte("k"), 200)
+	for i := 0; i < DefaultSnapshotEvery; i++ {
+		key := append(binary.LittleEndian.AppendUint32(nil, uint32(i)), long...)
+		if err := sp.Table(key).UpdateTagged("master", juid(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := j.Stats()
+	if snap.OpsSinceSnapshot != 0 || snap.SnapshotBytes == 0 {
+		t.Fatalf("the first %d records did not compact: %+v", DefaultSnapshotEvery, snap)
+	}
+	tb := sp.Table([]byte("k"))
+	prev := j.Stats()
+	for i := 1; ; i++ {
+		if err := tb.UpdateTagged("master", juid(i), nil); err != nil {
+			t.Fatal(err)
+		}
+		st := j.Stats()
+		if st.OpsSinceSnapshot == 0 {
+			if i <= DefaultSnapshotEvery || prev.WALBytes >= snap.SnapshotBytes {
+				t.Fatalf("compacted after %d records at a %d-byte WAL, want more than %d records and a WAL of %d bytes",
+					i, prev.WALBytes, DefaultSnapshotEvery, snap.SnapshotBytes)
+			}
+			break
+		}
+		if i > 100*DefaultSnapshotEvery {
+			t.Fatalf("never compacted: %+v", st)
+		}
+		prev = st
+	}
+	j.Close()
+
+	j, sp, _ = openTestJournal(t, dir, JournalOptions{SnapshotEvery: DefaultSnapshotEvery})
+	defer j.Close()
+	tb = sp.Table([]byte("k"))
+	for i := 0; i < DefaultSnapshotEvery; i++ {
+		if err := tb.UpdateTagged("master", juid(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := j.Stats(); st.OpsSinceSnapshot != 0 {
+		t.Fatalf("an explicit SnapshotEvery did not compact on the count: %+v", st)
 	}
 }

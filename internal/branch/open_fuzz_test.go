@@ -148,16 +148,16 @@ func restoredState(j *Journal) []byte {
 		tb, _ := sp.Lookup([]byte(k))
 		ts := st.table(k)
 		for _, b := range tb.Tagged() {
-			ts.tagged[b.Name] = b.Head
+			ts.set(b.Name, b.Head)
 		}
 		for _, u := range tb.Untagged() {
-			ts.untagged[u] = true
+			ts.apply(Op{Kind: OpAddUntagged, UID: u})
 		}
 	}
 	for _, u := range pins {
 		st.pins[u] = struct{}{}
 	}
-	return encodeSnapshot(&st)
+	return encodeSnapshot(nil, &st)
 }
 
 // FuzzJournalOpen damages the metadata journal's files as the input
@@ -181,10 +181,10 @@ func FuzzJournalOpen(f *testing.F) {
 	// prefixes[k] is the state the first k ops produce.
 	prefixes := make([][]byte, len(ops)+1)
 	st := newJournalState()
-	prefixes[0] = encodeSnapshot(&st)
+	prefixes[0] = encodeSnapshot(nil, &st)
 	for i, op := range ops {
 		st.apply(op)
-		prefixes[i+1] = encodeSnapshot(&st)
+		prefixes[i+1] = encodeSnapshot(nil, &st)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 2, 0x40})                      // the first frame's crc
@@ -267,7 +267,7 @@ func FuzzJournalOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		want.apply(extra)
-		if !bytes.Equal(restoredState(j2), encodeSnapshot(&want)) {
+		if !bytes.Equal(restoredState(j2), encodeSnapshot(nil, &want)) {
 			t.Fatal("the record made after opening the damaged journal did not survive a reopen over the same state")
 		}
 	})

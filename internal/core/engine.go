@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -644,7 +645,7 @@ func (e *Engine) Pins() []types.UID {
 		out = append(out, uid)
 	}
 	e.pinMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
 	return out
 }
 
