@@ -40,31 +40,20 @@ func (b *Batch) Put(key string, v Value, opts ...Option) *Batch {
 }
 
 // put is Put under an already-resolved option set; the server decodes
-// a wire batch's entries straight into one.
+// a wire batch's entries straight into one. A batched write takes no
+// base: the entry keeps its place, and the batch fails at Apply.
 func (b *Batch) put(key string, v Value, o *callOpts) *Batch {
-	p, err := batchPut(key, v, o)
-	if err != nil && b.err == nil {
-		b.err = err
+	if len(o.bases) > 0 && b.err == nil {
+		b.err = ErrBadOptions
 	}
-	b.puts = append(b.puts, p)
-	return b
-}
-
-// batchPut turns one write and its resolved options into an engine
-// batch entry — the option grammar of a batched write, shared by Batch
-// and the server's put coalescer.
-func batchPut(key string, v Value, o *callOpts) (core.BatchPut, error) {
-	p := core.BatchPut{
+	b.puts = append(b.puts, core.BatchPut{
 		Key:    []byte(key),
 		Branch: o.branchOr(DefaultBranch),
 		Value:  v,
 		Meta:   o.meta,
 		Guard:  o.guard,
-	}
-	if len(o.bases) > 0 {
-		return p, ErrBadOptions
-	}
-	return p, nil
+	})
+	return b
 }
 
 // Len returns the number of writes in the batch.

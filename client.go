@@ -194,7 +194,7 @@ func (db *DB) Put(ctx context.Context, key string, v Value, opts ...Option) (UID
 		return UID{}, err
 	}
 	o := resolveOpts(opts)
-	return putOp(db.eng, db.acl, key, v, &o)
+	return putOp(db.eng, db.acl, nil, key, v, &o)
 }
 
 // Apply implements Store.

@@ -150,7 +150,7 @@ func (cc *ClusterClient) Put(ctx context.Context, key string, v Value, opts ...O
 	o := resolveOpts(opts)
 	var uid UID
 	err := cc.c.Put(ctx, key, v, func(eng *core.Engine) (err error) {
-		uid, err = putOp(eng, cc.acl, key, v, &o)
+		uid, err = putOp(eng, cc.acl, nil, key, v, &o)
 		return err
 	})
 	if err != nil {

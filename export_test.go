@@ -95,6 +95,13 @@ func (db *DB) ChunkStoreForTest() store.Store { return db.eng.Store() }
 // for as long as f runs.
 func (db *DB) SetRootsHookForTest(f func()) { db.eng.SetRootsHookForTest(f) }
 
+// WrapJournalBarrierForTest replaces the metadata journal's
+// write-ahead barrier with wrap applied to the current one: the point
+// of every journal flush before its records reach the file.
+func (db *DB) WrapJournalBarrierForTest(wrap func(barrier func() error) func() error) {
+	db.jrnl.SetBarrierForTest(wrap)
+}
+
 // ForgetGCForTest drops what the collector kept from the last
 // collection, so that the next one marks and sweeps everything.
 func (db *DB) ForgetGCForTest() { db.eng.ForgetGCForTest() }

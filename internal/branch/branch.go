@@ -37,8 +37,8 @@ var (
 // use; tagged-branch updates are serialized, mirroring the servlet's
 // serialization of concurrent Puts (§4.5.1).
 //
-// When the table belongs to a Space with an attached journal Sink,
-// every successful mutation is recorded (still under the table's
+// When the table belongs to a Space with an attached Journal, every
+// successful mutation is recorded (still under the table's
 // mutex, so the journal order equals the apply order). The in-memory
 // mutation stands even when recording fails; the returned error then
 // reports lost durability, not a lost update.
@@ -47,8 +47,8 @@ var (
 // no untagged head holds that branch inline and allocates no map.
 type Table struct {
 	mu   sync.RWMutex
-	key  string // owning key, for journal records
-	sink Sink   // nil = no journaling
+	key  string   // owning key, for journal records
+	sink *Journal // nil = no journaling
 	h    heads
 }
 
@@ -58,17 +58,13 @@ func NewTable() *Table { return &Table{} }
 // apply applies op to the heads and journals it; callers hold t.mu and
 // have checked op's preconditions. In an open batch scope b the op
 // takes its place in journal order now and reaches the file with the
-// scope's End; a nil b records through the table's own sink.
+// scope's End; a nil b flushes it at once.
 func (t *Table) apply(b *Batch, op Op) error {
 	t.h.apply(op)
 	if t.sink == nil {
 		return nil
 	}
-	op.Key = []byte(t.key)
-	if b != nil {
-		return b.Record(op)
-	}
-	return t.sink.Record(op)
+	return t.sink.record(b, t.key, op)
 }
 
 // Head returns the head uid of a tagged branch.
@@ -201,7 +197,7 @@ func (t *Table) Untagged() []types.UID {
 // every table it hands out records its mutations there.
 type Space struct {
 	mu     sync.RWMutex
-	sink   Sink // attached to every table this space creates
+	sink   *Journal // attached to every table this space creates
 	tables map[string]*Table
 }
 
@@ -210,20 +206,21 @@ func NewSpace() *Space {
 	return &Space{tables: make(map[string]*Table)}
 }
 
-// Table returns the branch table for key, creating it if needed.
+// Table returns the branch table for key, creating it if needed. Only
+// a new table copies key.
 func (s *Space) Table(key []byte) *Table {
-	k := string(key)
 	s.mu.RLock()
-	t, ok := s.tables[k]
+	t, ok := s.tables[string(key)]
 	s.mu.RUnlock()
 	if ok {
 		return t
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables[k]; ok {
+	if t, ok := s.tables[string(key)]; ok {
 		return t
 	}
+	k := string(key)
 	t = &Table{key: k, sink: s.sink}
 	s.tables[k] = t
 	return t
@@ -235,6 +232,27 @@ func (s *Space) Lookup(key []byte) (*Table, bool) {
 	defer s.mu.RUnlock()
 	t, ok := s.tables[string(key)]
 	return t, ok
+}
+
+// AppendHeads appends every key's tagged and untagged heads to dst, in
+// no particular order: the collector's roots. The tables are listed
+// first and read after: a table whose writer waits on a journal flush
+// must not hold up, behind the space lock, every call that looks a
+// key up.
+func (s *Space) AppendHeads(dst []types.UID) []types.UID {
+	s.mu.RLock()
+	tables := make([]*Table, 0, len(s.tables))
+	for _, t := range s.tables {
+		tables = append(tables, t)
+	}
+	s.mu.RUnlock()
+	dst = slices.Grow(dst, len(tables))
+	for _, t := range tables {
+		t.mu.RLock()
+		dst = t.h.appendHeads(dst)
+		t.mu.RUnlock()
+	}
+	return dst
 }
 
 // Keys returns all keys that have a branch table, sorted (M8).
@@ -327,6 +345,20 @@ func (h *heads) isHead(uid types.UID) bool {
 }
 
 func (h *heads) isUntagged(uid types.UID) bool { return h.untagged[uid] }
+
+// appendHeads appends the tagged and untagged heads to dst, unsorted.
+func (h *heads) appendHeads(dst []types.UID) []types.UID {
+	if h.has {
+		dst = append(dst, h.head)
+	}
+	for _, uid := range h.more {
+		dst = append(dst, uid)
+	}
+	for uid := range h.untagged {
+		dst = append(dst, uid)
+	}
+	return dst
+}
 
 // apply folds one branch-table op into h: the live Table after its
 // precondition checks, and the journal's replay as the ops come.

@@ -41,7 +41,7 @@ func seededState() journalState {
 		case 5:
 			op.Kind, op.Key, op.Branch = OpPin, nil, ""
 		}
-		st.apply(op)
+		st.apply(string(op.Key), op)
 	}
 	return st
 }
@@ -319,7 +319,7 @@ func TestTableBytesPerKey(t *testing.T) {
 	st := newJournalState()
 	perKey(t, "journal shadow state", 10_000, func() {
 		for i, k := range keys[:10_000] {
-			st.apply(Op{Kind: OpUpdateTagged, Key: k, Branch: DefaultBranch, UID: juid(i)})
+			st.apply(string(k), Op{Kind: OpUpdateTagged, Branch: DefaultBranch, UID: juid(i)})
 		}
 	})
 	runtime.KeepAlive(sp)

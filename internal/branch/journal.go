@@ -86,19 +86,11 @@ const (
 // Op is one journaled metadata mutation.
 type Op struct {
 	Kind   OpKind
-	Key    []byte      // owning key; empty for pin ops
+	Key    []byte      // owning key; empty for pin ops and for a table's records
 	Branch string      // branch operated on (rename source)
 	Name   string      // rename target
 	UID    types.UID   // resulting head / pinned uid
 	Bases  []types.UID // consumed untagged heads
-}
-
-// Sink receives every branch-table and pin mutation, in the order the
-// tables applied them. A nil Sink on a Table/Space disables journaling
-// (the in-memory deployment). Implementations must be safe for
-// concurrent use; the Journal is the production Sink.
-type Sink interface {
-	Record(op Op) error
 }
 
 // walFile is what the journal needs of its WAL handle; tests put a
@@ -151,8 +143,10 @@ type JournalOptions struct {
 	FsyncHist *obs.Histogram
 }
 
-// Journal is the file-backed Sink: an append-only WAL of branch/pin
-// mutations with periodic snapshot compaction. It keeps a shadow copy
+// Journal is the file-backed record of every branch-table and pin
+// mutation, in the order they were applied: an append-only WAL with
+// periodic snapshot compaction. A Table or Space without one (the
+// in-memory deployment) journals nothing. It keeps a shadow copy
 // of the full metadata state so compaction never has to lock the live
 // branch tables (Record is called while a Table's mutex is held).
 type Journal struct {
@@ -212,17 +206,17 @@ func (st *journalState) table(key string) *heads {
 	return ts
 }
 
-// apply folds one op into the state. Replay-idempotent: applying an
-// ordered op sequence over a state that already includes a prefix of
-// it converges to the same final state.
-func (st *journalState) apply(op Op) {
+// apply folds one op of key into the state. Replay-idempotent:
+// applying an ordered op sequence over a state that already includes a
+// prefix of it converges to the same final state.
+func (st *journalState) apply(key string, op Op) {
 	switch op.Kind {
 	case OpPin:
 		st.pins[op.UID] = struct{}{}
 	case OpUnpin:
 		delete(st.pins, op.UID)
 	default:
-		st.table(string(op.Key)).apply(op)
+		st.table(key).apply(op)
 	}
 }
 
@@ -290,24 +284,41 @@ func (j *Journal) Restore() (*Space, []types.UID) {
 	return sp, pins
 }
 
-// Record implements Sink: the op is folded into the shadow state,
-// joins the pending buffer and is flushed to the WAL at once, behind
-// whatever an open Batch left pending. The caller's in-memory mutation
-// stands even when the flush fails — the failure mode equals a crash
-// just before the op, which recovery already tolerates — so the error
-// is purely a durability report.
-func (j *Journal) Record(op Op) error {
+// SetBarrierForTest replaces the write-ahead barrier with wrap applied
+// to the current one, so a test can park or fail a flush at the point
+// before its records reach the file. Tests only.
+func (j *Journal) SetBarrierForTest(wrap func(barrier func() error) func() error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.appendLocked(op)
+	j.opts.Barrier = wrap(j.opts.Barrier)
+}
+
+// Record journals op, a pin or unpin or an op of op.Key: it is folded
+// into the shadow state, joins the pending buffer and is flushed to the
+// WAL at once, behind whatever an open Batch left pending. The caller's
+// in-memory mutation stands even when the flush fails — the failure
+// mode equals a crash just before the op, which recovery already
+// tolerates — so the error is purely a durability report.
+func (j *Journal) Record(op Op) error { return j.record(nil, string(op.Key), op) }
+
+// record is Record for an op of key, which a table passes beside the
+// op rather than copy it into op.Key. In an open batch scope b the op
+// is left pending for b's End; a nil b flushes it at once.
+func (j *Journal) record(b *Batch, key string, op Op) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.appendLocked(key, op)
+	if b != nil {
+		return nil
+	}
 	return j.flushLocked()
 }
 
 // Batch is a group-commit scope: its records join the journal's
 // pending buffer and reach the file with the scope's End — or sooner,
 // carried by another writer's flush — under one barrier, one write and
-// one fsync. The nil Batch, which a nil Journal begins, records
-// through the table's own sink and ends as a no-op.
+// one fsync. A table records an op in the nil Batch, which a nil
+// Journal begins, at once; the nil Batch ends as a no-op.
 type Batch struct {
 	j    *Journal
 	lost uint64 // j.lost at Begin
@@ -322,14 +333,6 @@ func (j *Journal) Begin() *Batch {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return &Batch{j: j, lost: j.lost}
-}
-
-// Record implements Sink: the op is applied and left pending.
-func (b *Batch) Record(op Op) error {
-	b.j.mu.Lock()
-	defer b.j.mu.Unlock()
-	b.j.appendLocked(op)
-	return nil
 }
 
 // End flushes the pending records and reports whether any flush since
@@ -356,12 +359,12 @@ func (b *Batch) End() error {
 // oversized batch must not pin its buffer for the journal's lifetime.
 const maxIdlePending = 64 << 10
 
-// appendLocked folds op into the shadow state and frames it onto the
-// pending buffer.
-func (j *Journal) appendLocked(op Op) {
-	j.state.apply(op)
+// appendLocked folds op of key into the shadow state and frames it
+// onto the pending buffer.
+func (j *Journal) appendLocked(key string, op Op) {
+	j.state.apply(key, op)
 	at := len(j.pending)
-	j.pending = appendOp(append(j.pending, make([]byte, 8)...), op)
+	j.pending = appendOp(append(j.pending, make([]byte, 8)...), key, op)
 	body := j.pending[at+8:]
 	binary.LittleEndian.PutUint32(j.pending[at:], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint32(j.pending[at+4:], uint32(len(body)))
@@ -578,9 +581,9 @@ func (j *Journal) Stats() JournalStats {
 //
 //	u8 kind | u32 klen | key | u32 blen | branch | u32 nlen | name |
 //	uid (32B) | u32 nbases | nbases × 32B
-func appendOp(b []byte, op Op) []byte {
+func appendOp(b []byte, key string, op Op) []byte {
 	b = append(b, byte(op.Kind))
-	b = appendBytes(b, op.Key)
+	b = appendBytes(b, key)
 	b = appendBytes(b, op.Branch)
 	b = appendBytes(b, op.Name)
 	b = append(b, op.UID[:]...)
@@ -810,7 +813,7 @@ func (j *Journal) replayWAL() (valid int64, n int, err error) {
 		if !ok {
 			return valid, n, nil
 		}
-		j.state.apply(op)
+		j.state.apply(string(op.Key), op)
 		valid = r.n
 		n++
 	}

@@ -880,3 +880,46 @@ func TestJournalDefaultCadenceProportional(t *testing.T) {
 		t.Fatalf("an explicit SnapshotEvery did not compact on the count: %+v", st)
 	}
 }
+
+// TestJournaledUpdateAllocs pins what a journaled head move of an
+// existing branch allocates: nothing inside an open batch scope, since
+// the table hands the journal its own key string, which is framed
+// straight into the pending buffer; and the scope itself for a whole
+// Begin-UpdateTaggedIn-End. The key is longer than one byte: the
+// runtime interns one-byte strings, so a copy of one costs nothing.
+func TestJournaledUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	j, sp, _ := openTestJournal(t, t.TempDir(), JournalOptions{SnapshotEvery: -1})
+	defer j.Close()
+	tb := sp.Table([]byte("ledger/key-0001"))
+	if err := tb.UpdateTagged("master", juid(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	update := func(b *Batch) {
+		i++
+		if err := tb.UpdateTaggedIn(b, "master", juid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := j.Begin()
+	inScope := testing.AllocsPerRun(100, func() { update(b) })
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	if inScope != 0 {
+		t.Fatalf("journaled UpdateTaggedIn in an open scope: %.0f allocs/op, want 0", inScope)
+	}
+	scoped := testing.AllocsPerRun(100, func() {
+		b := j.Begin()
+		update(b)
+		if err := b.End(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if scoped != 1 {
+		t.Fatalf("Begin, journaled UpdateTaggedIn, End: %.0f allocs/op, want exactly 1", scoped)
+	}
+}

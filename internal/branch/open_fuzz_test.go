@@ -183,7 +183,7 @@ func FuzzJournalOpen(f *testing.F) {
 	st := newJournalState()
 	prefixes[0] = encodeSnapshot(nil, &st)
 	for i, op := range ops {
-		st.apply(op)
+		st.apply(string(op.Key), op)
 		prefixes[i+1] = encodeSnapshot(nil, &st)
 	}
 	f.Add([]byte{})
@@ -266,7 +266,7 @@ func FuzzJournalOpen(f *testing.F) {
 		if err := decodeSnapshot(got, &want); err != nil {
 			t.Fatal(err)
 		}
-		want.apply(extra)
+		want.apply(string(extra.Key), extra)
 		if !bytes.Equal(restoredState(j2), encodeSnapshot(nil, &want)) {
 			t.Fatal("the record made after opening the damaged journal did not survive a reopen over the same state")
 		}

@@ -56,9 +56,9 @@ type Engine struct {
 	pins  map[types.UID]struct{}
 
 	// meta, when set (Recover), journals every pin mutation and opens
-	// the batch scopes of PutBatch; single branch mutations are
-	// journaled by the tables themselves, which carry the journal as
-	// their sink.
+	// the batch scopes of PutBatch and Begin; single branch mutations
+	// are journaled by the tables themselves, which carry the journal
+	// as their sink.
 	meta *branch.Journal
 
 	// shields are transient, refcounted GC roots protecting chunks that
@@ -168,16 +168,19 @@ func (e *Engine) Value(o *types.FObject) (types.Value, error) {
 // current head. The branch is created on first write. Returns the new
 // uid.
 func (e *Engine) Put(key []byte, branchName string, v types.Value, context []byte) (types.UID, error) {
-	return e.putTagged(key, branchName, v, context, nil)
+	return e.PutIn(nil, key, branchName, v, context, nil)
 }
 
-// PutGuarded is Put that succeeds only if the branch head still equals
-// guard, protecting against lost updates (§4.5.1).
-func (e *Engine) PutGuarded(key []byte, branchName string, v types.Value, context []byte, guard types.UID) (types.UID, error) {
-	return e.putTagged(key, branchName, v, context, &guard)
-}
+// Begin opens a journal scope for PutIn; without a journal it is nil,
+// and ending it costs nothing.
+func (e *Engine) Begin() *branch.Batch { return e.meta.Begin() }
 
-func (e *Engine) putTagged(key []byte, branchName string, v types.Value, context []byte, guard *types.UID) (types.UID, error) {
+// PutIn is Put whose head record joins scope: the head moves now, and
+// its record reaches the journal with scope's End, together with every
+// other record of the scope. A nil scope records alone, before PutIn
+// returns. A non-nil guard makes the put succeed only while the branch
+// head still equals it, protecting against lost updates (§4.5.1).
+func (e *Engine) PutIn(scope *branch.Batch, key []byte, branchName string, v types.Value, context []byte, guard *types.UID) (types.UID, error) {
 	l := e.keyLock(key)
 	l.Lock()
 	defer l.Unlock()
@@ -201,8 +204,8 @@ func (e *Engine) putTagged(key []byte, branchName string, v types.Value, context
 	if err != nil {
 		return types.UID{}, err
 	}
-	if err := t.UpdateTagged(branchName, o.UID(), nil); err != nil {
-		// A guard of nil cannot fail; the error reports lost journal
+	if err := t.UpdateTaggedIn(scope, branchName, o.UID()); err != nil {
+		// The update is unguarded; the error reports lost journal
 		// durability for a head that DID move. Hand the caller the uid
 		// it now owns along with the error, so a retry can observe the
 		// applied update instead of fighting its own write.
@@ -269,53 +272,6 @@ func (e *Engine) putBatch(ctx context.Context, scope *branch.Batch, puts []Batch
 		}
 	}
 	return uids, nil
-}
-
-// PutBatchIndependent is PutBatch with per-put error isolation: each
-// key group commits or fails on its own and the batch always runs to
-// the end. errs[i] is nil exactly when puts[i] committed; a failed
-// group reports its error on every one of its puts (within a key the
-// group is still atomic, so they failed together). The network
-// server's put coalescer depends on this shape — adjacent pipelined
-// puts from independent requests must not abort each other the way
-// one Apply batch would.
-//
-// Like PutBatch it is one journal scope; a failed flush at its end is
-// reported on every put that had committed.
-func (e *Engine) PutBatchIndependent(ctx context.Context, puts []BatchPut) ([]types.UID, []error) {
-	scope := e.meta.Begin()
-	uids := make([]types.UID, len(puts))
-	errs := make([]error, len(puts))
-	var order []string
-	groups := make(map[string][]int)
-	for i, p := range puts {
-		k := string(p.Key)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	for _, k := range order {
-		idxs := groups[k]
-		err := ctx.Err()
-		if err == nil {
-			err = e.putGroup(scope, []byte(k), idxs, puts, uids)
-		}
-		if err != nil {
-			for _, i := range idxs {
-				uids[i] = types.UID{}
-				errs[i] = err
-			}
-		}
-	}
-	if err := scope.End(); err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				uids[i], errs[i] = types.UID{}, err
-			}
-		}
-	}
-	return uids, errs
 }
 
 // putGroup applies one key's batched writes under a single lock hold;
@@ -702,17 +658,7 @@ func (e *Engine) Roots() []types.UID {
 	if e.rootsHook != nil {
 		e.rootsHook()
 	}
-	for _, k := range e.space.Keys() {
-		t, ok := e.space.Lookup([]byte(k))
-		if !ok {
-			continue
-		}
-		for _, tb := range t.Tagged() {
-			roots = append(roots, tb.Head)
-		}
-		roots = append(roots, t.Untagged()...)
-	}
-	return roots
+	return e.space.AppendHeads(roots)
 }
 
 // ShieldUIDs takes transient GC shields on the given chunk ids: each

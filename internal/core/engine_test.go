@@ -306,60 +306,10 @@ func TestDiffHonoursCtxMidWalk(t *testing.T) {
 	}
 }
 
-// TestPutBatchIndependentIsolation: a failing key group zeroes its own
-// uids and reports its error on exactly its own puts; every other
-// group still commits. The network server's put coalescer folds
-// adjacent independent requests into one of these batches, so the
-// isolation IS the per-request semantics.
-func TestPutBatchIndependentIsolation(t *testing.T) {
-	e := newEngine()
-	head, err := e.Put([]byte("a"), "master", types.String("a0"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stale types.UID
-	stale[0] = 0xee // guaranteed not the head of anything
-	puts := []BatchPut{
-		{Key: []byte("a"), Branch: "master", Value: types.String("a1")},
-		{Key: []byte("b"), Branch: "master", Value: types.String("b1"), Guard: &stale}, // fails: no head to guard
-		{Key: []byte("c"), Branch: "master", Value: types.String("c1")},
-		{Key: []byte("b"), Branch: "master", Value: types.String("b2"), Guard: &stale}, // same group, fails with it
-	}
-	uids, errs := e.PutBatchIndependent(context.Background(), puts)
-	if len(uids) != 4 || len(errs) != 4 {
-		t.Fatalf("result lengths %d/%d", len(uids), len(errs))
-	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy puts failed: %v / %v", errs[0], errs[2])
-	}
-	if errs[1] == nil || errs[3] == nil {
-		t.Fatal("guarded puts against a missing branch succeeded")
-	}
-	if uids[1] != (types.UID{}) || uids[3] != (types.UID{}) {
-		t.Fatal("failed puts returned non-zero uids")
-	}
-	// The committed groups are live: a advanced past its old head, c
-	// exists, b never appeared.
-	o, err := e.Get([]byte("a"), "master")
-	if err != nil || o.UID() != uids[0] || o.UID() == head {
-		t.Fatalf("a did not advance: %v", err)
-	}
-	if _, err := e.Get([]byte("c"), "master"); err != nil {
-		t.Fatalf("c missing: %v", err)
-	}
-	// The failed group committed nothing: no version of b is
-	// reachable (its table may exist as a lock-side effect, so either
-	// not-found flavour is fine).
-	if _, err := e.Get([]byte("b"), "master"); !errors.Is(err, ErrKeyNotFound) && !errors.Is(err, branch.ErrBranchNotFound) {
-		t.Fatalf("failed group left state: %v", err)
-	}
-}
-
 // TestPutBatchGroupCommit: on a journaled engine a batch of puts is
 // one journal scope — one write-ahead barrier for all its keys, every
 // head in the WAL by the time the call returns (a reopen that skips
-// Close recovers them), and the same for the coalescer's
-// PutBatchIndependent, failed groups included.
+// Close recovers them).
 func TestPutBatchGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenFileStore(dir, store.FileStoreOptions{})
@@ -389,22 +339,9 @@ func TestPutBatchGroupCommit(t *testing.T) {
 	if barriers != 1 {
 		t.Fatalf("PutBatch over 25 keys ran %d barriers, want 1", barriers)
 	}
-	var stale types.UID
-	stale[0] = 0xee
-	_, errs := e.PutBatchIndependent(context.Background(), []BatchPut{
-		{Key: []byte("x"), Branch: "master", Value: types.String("x1")},
-		{Key: []byte("nope"), Branch: "master", Value: types.String("n"), Guard: &stale},
-		{Key: []byte("y"), Branch: "master", Value: types.String("y1")},
-	})
-	if errs[0] != nil || errs[1] == nil || errs[2] != nil {
-		t.Fatalf("PutBatchIndependent errors: %v", errs)
-	}
-	if barriers != 2 {
-		t.Fatalf("PutBatchIndependent ran %d barriers, want 1", barriers-1)
-	}
 
 	// A second process opening the directory now — no Close, no
-	// Compact here — finds every head the two calls returned.
+	// Compact here — finds every head the call returned.
 	j2, err := branch.OpenJournal(dir, branch.JournalOptions{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -416,11 +353,6 @@ func TestPutBatchGroupCommit(t *testing.T) {
 		o, err := e2.Get(puts[i].Key, "master")
 		if err != nil || o.UID() != uids[i] {
 			t.Fatalf("recovered head of %s: %v, want put %d", puts[i].Key, err, i)
-		}
-	}
-	for _, k := range []string{"x", "y"} {
-		if _, err := e2.Get([]byte(k), "master"); err != nil {
-			t.Fatalf("recovered head of %s: %v", k, err)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -103,5 +105,47 @@ func TestGCSeesAChunkedPutThatOverlapsItsRoots(t *testing.T) {
 	want := append(append(append([]byte{}, data[:40_000]...), ins...), data[40_128:]...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("the committed value reads back wrong")
+	}
+}
+
+// TestRootsAllocs: Roots walks the branch tables in place, so a store
+// of 10 000 single-branch keys costs a few allocations for the root
+// slice, not one or more per key; and the roots are every head — the
+// tagged ones of every key, a fork's and an untagged one included.
+func TestRootsAllocs(t *testing.T) {
+	e := newEngine()
+	want := map[types.UID]bool{}
+	for i := 0; i < 10_000; i++ {
+		uid, err := e.Put([]byte(fmt.Sprintf("key-%05d", i)), "master", types.String(fmt.Sprint(i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[uid] = true
+	}
+	if err := e.Fork([]byte("key-00000"), "master", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := e.Put([]byte("key-00000"), "dev", types.String("dev"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untagged, err := e.PutBase([]byte("key-00001"), types.UID{}, types.String("loose"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[dev], want[untagged] = true, true
+	roots := e.Roots()
+	got := map[types.UID]bool{}
+	for _, uid := range roots {
+		got[uid] = true
+	}
+	if len(roots) != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Roots returned %d uids (%d distinct), want the %d heads", len(roots), len(got), len(want))
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(5, func() { e.Roots() }); allocs > 32 {
+		t.Fatalf("Roots over 10 000 keys: %.0f allocs, want at most 32", allocs)
 	}
 }

@@ -41,7 +41,6 @@ type serverMetrics struct {
 	inflight *obs.Gauge
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
-	putBatch *obs.Histogram
 
 	// chunksync byte counters, one per transfer direction: ids
 	// negotiated (have), chunk bytes admitted on upload (send) and
@@ -62,7 +61,6 @@ func (m *serverMetrics) init(r *obs.Registry) {
 	m.inflight = r.Gauge("forkbase_server_inflight_requests", "")
 	m.bytesIn = r.Counter("forkbase_server_wire_bytes_total", `dir="in"`)
 	m.bytesOut = r.Counter("forkbase_server_wire_bytes_total", `dir="out"`)
-	m.putBatch = r.Histogram("forkbase_server_put_batch_size", "")
 	for i, dir := range []string{"have", "send", "stream"} {
 		m.chunksync[i] = r.Counter("forkbase_server_chunksync_bytes_total", `op="`+dir+`"`)
 	}
@@ -73,13 +71,7 @@ func (m *serverMetrics) init(r *obs.Registry) {
 // and the threshold-gated slow-op log line. Zero allocations unless
 // the slow-op line actually fires.
 func (s *Server) observe(sc *serverConn, op uint8, start time.Time, resp []byte) {
-	s.observeDur(sc, op, time.Since(start), resp)
-}
-
-// observeDur is observe with the duration already taken — the batched
-// put path times the whole batch once instead of calling time.Since
-// per member.
-func (s *Server) observeDur(sc *serverConn, op uint8, d time.Duration, resp []byte) {
+	d := time.Since(start)
 	s.met.reqs[op].Inc()
 	s.met.lat[op].Observe(int64(d))
 	if len(resp) > 0 && resp[0] == 1 {

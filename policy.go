@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"forkbase/internal/branch"
 	"forkbase/internal/core"
 	"forkbase/internal/store"
 )
@@ -18,7 +19,7 @@ import (
 // owning servlet's execution thread; the Server reaches them through
 // whichever Store it wraps and uses allow for its chunk-level side
 // doors. Nothing else in the tree calls ACL.Check or decides which
-// options an op accepts (batch entries excepted: see batchPut).
+// options an op accepts (batch entries excepted: see Batch.put).
 //
 // The rules, in one place:
 //
@@ -84,8 +85,10 @@ func getOp(eng *core.Engine, acl *ACL, key string, o *callOpts) (*FObject, error
 
 // putOp: write on (key, branch); with WithBase, write on (key, "") and
 // read on the base's key — deriving from a version pulls its content
-// into the new one.
-func putOp(eng *core.Engine, acl *ACL, key string, v Value, o *callOpts) (UID, error) {
+// into the new one. A branch write's head record joins scope (nil: it
+// is recorded alone); a fork-on-conflict write is always recorded
+// alone.
+func putOp(eng *core.Engine, acl *ACL, scope *branch.Batch, key string, v Value, o *callOpts) (UID, error) {
 	if base, ok := o.base(); ok {
 		if o.branchSet || o.guard != nil {
 			return UID{}, ErrBadOptions
@@ -102,10 +105,7 @@ func putOp(eng *core.Engine, acl *ACL, key string, v Value, o *callOpts) (UID, e
 	if err := allow(acl, o.user, key, br, PermWrite); err != nil {
 		return UID{}, err
 	}
-	if o.guard != nil {
-		return eng.PutGuarded([]byte(key), br, v, o.meta, *o.guard)
-	}
-	return eng.Put([]byte(key), br, v, o.meta)
+	return eng.PutIn(scope, []byte(key), br, v, o.meta, o.guard)
 }
 
 // batchOp: write on every entry's (key, branch), all checked before

@@ -56,7 +56,7 @@ func TestPolicyOptionGrammar(t *testing.T) {
 			return err
 		}, map[string]bool{"branch+base": true, "branch+two bases": true}},
 		{"put", func(acl *ACL, o *callOpts) error {
-			_, err := putOp(eng, acl, "k", String("v"), o)
+			_, err := putOp(eng, acl, nil, "k", String("v"), o)
 			return err
 		}, map[string]bool{"branch+base": true, "guard+base": true, "branch+two bases": true}},
 		{"batch put", func(acl *ACL, o *callOpts) error {

@@ -1,7 +1,8 @@
 package forkbase_test
 
 // Hot-path behaviour of the network server: duplicate request-id
-// refusal, server-side put coalescing under pipelined bursts, and
+// refusal, runs of Puts under pipelined bursts and their journal
+// scope, and
 // steady-state allocation pins for the client round trip. These are
 // the regression nets for the pooled/batched request path — the
 // conformance suites prove the semantics, these prove the plumbing
@@ -153,24 +154,36 @@ func TestRemoteDuplicateRequestID(t *testing.T) {
 	}
 }
 
-// TestRemotePutCoalescingBurst fires a pipelined burst of Put frames
-// in a single TCP segment — the shape the server coalesces into one
-// engine batch — and proves per-request semantics hold: every request
-// gets its own response, an undecodable value fails only its own put,
-// and a repeated key (which cannot join the batch) still commits.
-func TestRemotePutCoalescingBurst(t *testing.T) {
+// TestRemotePutBurst fires a pipelined burst of Put frames in a single
+// TCP segment — the shape the server answers as one run of Puts under
+// one journal scope — and proves per-request semantics hold: every
+// request gets its own response, an undecodable value and a guarded
+// put against a missing branch fail only their own puts, and a
+// repeated key still commits.
+func TestRemotePutBurst(t *testing.T) {
 	db := forkbase.Open()
 	addr, _ := startServer(t, db, forkbase.ServerOptions{})
 	c := rawHello(t, addr)
 	c.SetDeadline(time.Now().Add(10 * time.Second))
 
-	// ids 100..105: distinct keys, coalescible. id 106: garbage value
-	// bytes (fails decode on the worker). id 107: repeats key ck-0, so
-	// it must break out of the batch and run alone.
+	// ids 100..105: distinct keys. id 108, between 102 and 103: a put
+	// guarded on a branch that does not exist. id 106: garbage value
+	// bytes (fails decode). id 107: repeats key ck-0.
+	var stale types.UID
+	stale[0] = 0xee
 	var burst []byte
 	for i := 0; i < 6; i++ {
 		burst = wire.AppendFrame(burst, uint64(100+i), wire.OpPut,
 			putPayload(t, fmt.Sprintf("ck-%d", i), fmt.Sprintf("v%d", i)))
+		if i == 2 {
+			var gp wire.Enc
+			wire.EncodeCallOptions(&gp, wire.CallOptions{Guard: &stale})
+			gp.Str("ck-guard")
+			if err := wire.EncodeValue(&gp, types.String("vg")); err != nil {
+				t.Fatal(err)
+			}
+			burst = wire.AppendFrame(burst, 108, wire.OpPut, gp.Bytes())
+		}
 	}
 	var ge wire.Enc
 	wire.EncodeCallOptions(&ge, wire.CallOptions{})
@@ -182,10 +195,10 @@ func TestRemotePutCoalescingBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Eight responses, in whatever order the workers finish; key them
-	// by request id.
+	// Nine responses; key them by request id.
 	status := make(map[uint64]byte)
-	for i := 0; i < 8; i++ {
+	var guardErr error
+	for i := 0; i < 9; i++ {
 		reqID, op, payload, err := wire.ReadFrame(c, 0)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
@@ -197,10 +210,17 @@ func TestRemotePutCoalescingBurst(t *testing.T) {
 			t.Fatalf("two responses for id %d", reqID)
 		}
 		status[reqID] = payload[0]
+		if reqID == 108 && payload[0] == 1 {
+			ep, err := wire.DecodeError(wire.NewDec(payload[1:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			guardErr = ep.Err
+		}
 	}
 	for id := uint64(100); id <= 105; id++ {
 		if status[id] != 0 {
-			t.Fatalf("put id %d failed inside the batch", id)
+			t.Fatalf("put id %d failed inside the burst", id)
 		}
 	}
 	if status[106] != 1 {
@@ -208,6 +228,9 @@ func TestRemotePutCoalescingBurst(t *testing.T) {
 	}
 	if status[107] != 0 {
 		t.Fatal("repeated-key put failed")
+	}
+	if status[108] != 1 || !errors.Is(guardErr, forkbase.ErrBranchNotFound) {
+		t.Fatalf("guarded put against a missing branch: status %d, error %v; want ErrBranchNotFound", status[108], guardErr)
 	}
 
 	// Every committed write is visible through the ordinary API.
@@ -231,8 +254,8 @@ func TestRemotePutCoalescingBurst(t *testing.T) {
 			t.Fatalf("%s = %v", key, v)
 		}
 	}
-	// ck-0 was written twice from two racing batches; either order is
-	// legal, but both versions must be in its history.
+	// ck-0 was written twice in one burst; either order is legal, but
+	// both versions must be in its history.
 	o, err := rc.Get(ctx, "ck-0")
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +274,10 @@ func TestRemotePutCoalescingBurst(t *testing.T) {
 	if len(hist) != 2 {
 		t.Fatalf("ck-0 history has %d versions, want 2", len(hist))
 	}
-	if _, err := rc.Get(ctx, "ck-bad"); !errors.Is(err, forkbase.ErrKeyNotFound) {
-		t.Fatalf("failed put left state behind: %v", err)
+	for _, key := range []string{"ck-bad", "ck-guard"} {
+		if _, err := rc.Get(ctx, key); !errors.Is(err, forkbase.ErrKeyNotFound) && !errors.Is(err, forkbase.ErrBranchNotFound) {
+			t.Fatalf("failed put of %s left state behind: %v", key, err)
+		}
 	}
 }
 
@@ -297,6 +322,17 @@ func TestRemoteRoundTripAllocs(t *testing.T) {
 	// read loop, so no per-request context or worker handoff adds to it.
 	if puts != 15 {
 		t.Fatalf("remote Put round trip: %.0f allocs/op, want exactly 15", puts)
+	}
+	// A key of more than one byte adds only its decoded string (a
+	// one-byte string is interned by the runtime): the branch table of
+	// an existing key is found without copying the key.
+	longPuts := testing.AllocsPerRun(100, func() {
+		if _, err := rc.Put(ctx, "key-00000001", forkbase.String("steady")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if longPuts != 16 {
+		t.Fatalf("remote Put round trip of a 12-byte key: %.0f allocs/op, want exactly 16", longPuts)
 	}
 }
 
@@ -370,16 +406,27 @@ func TestEmbeddedGetPutAllocs(t *testing.T) {
 	if puts != 10 {
 		t.Fatalf("embedded Put: %.0f allocs/op, want exactly 10", puts)
 	}
+	// A key of more than one byte costs the same: the branch table of
+	// an existing key is found without copying the key (a one-byte
+	// string is interned by the runtime, so "k" never showed the copy).
+	longPuts := testing.AllocsPerRun(200, func() {
+		if _, err := db.Put(ctx, "key-00000001", v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if longPuts != 10 {
+		t.Fatalf("embedded Put of a 12-byte key: %.0f allocs/op, want exactly 10", longPuts)
+	}
 }
 
-// TestRemoteCoalescedPutDuplicateID: a put whose id is already in
-// flight — here, held by the put ahead of it in a coalescible burst —
-// is refused with ErrDuplicateRequest and writes nothing, exactly as
-// on the slow path; the original and the put after it commit. A chunk
-// Send, answered on the read loop, is refused the same way while its
-// id is held by a request parked on a worker, and so is a lone Put,
-// also answered there.
-func TestRemoteCoalescedPutDuplicateID(t *testing.T) {
+// TestRemotePutBurstDuplicateID: a put whose id is already in flight —
+// here, held by the put ahead of it in the same run of Puts, whose
+// answer waits for the run's end — is refused with ErrDuplicateRequest
+// and writes nothing, exactly as on the slow path; the original and
+// the put after it commit. A chunk Send, answered on the read loop, is
+// refused the same way while its id is held by a request parked on a
+// worker, and so is a lone Put, also answered there.
+func TestRemotePutBurstDuplicateID(t *testing.T) {
 	db := forkbase.Open()
 	addr, _ := startServer(t, db, forkbase.ServerOptions{})
 	c := rawHello(t, addr)
@@ -599,4 +646,178 @@ func TestRemoteLargePutTakesWorker(t *testing.T) {
 	readOK(t, c, 21, wire.OpGet) // times out if the put held the read loop
 	ps.release()
 	readOK(t, c, 20, wire.OpPut)
+}
+
+// metaSyncServer serves a file-backed DB that fsyncs its metadata
+// journal on every flush, on a raw connection.
+func metaSyncServer(t *testing.T) (*forkbase.DB, net.Conn) {
+	t.Helper()
+	db, err := forkbase.OpenPath(t.TempDir(), forkbase.WithMetaSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, db, forkbase.ServerOptions{})
+	c := rawHello(t, addr)
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	return db, c
+}
+
+// putBurstFrames builds n Put frames, ids 1..n, of distinct keys named
+// prefix-i.
+func putBurstFrames(t *testing.T, prefix string, n int) []byte {
+	t.Helper()
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = wire.AppendFrame(burst, uint64(1+i), wire.OpPut, putPayload(t, fmt.Sprintf("%s-%02d", prefix, i), "v"))
+	}
+	return burst
+}
+
+// TestRemotePutBurstOneFsync: a burst of 32 Puts written in one segment
+// is one run on the server, and the run's head records reach the
+// journal in one write with one fsync.
+func TestRemotePutBurstOneFsync(t *testing.T) {
+	db, c := metaSyncServer(t)
+	before := journalFsyncs(db)
+	if _, err := c.Write(putBurstFrames(t, "f", 32)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if _, _, payload, err := wire.ReadFrame(c, 0); err != nil || len(payload) == 0 || payload[0] != 0 {
+			t.Fatalf("response %d: %v", i, err)
+		}
+	}
+	if got := journalFsyncs(db) - before; got != 1 {
+		t.Fatalf("a burst of 32 Puts cost %d journal fsyncs, want 1", got)
+	}
+}
+
+// TestRemotePutBurstAnswersAfterBarrier parks the journal's write-ahead
+// barrier while the server ends a run of Puts: no answer of the run
+// may leave before the barrier returns and the records are written —
+// not even when a worker answers another request of the connection
+// meanwhile, which flushes whatever the frame writer holds — nor may
+// the answer of a Track pipelined behind the run, which reads a head
+// of it. Every one leaves after.
+func TestRemotePutBurstAnswersAfterBarrier(t *testing.T) {
+	db, c := metaSyncServer(t)
+	gcEntered, gcResume := make(chan struct{}), make(chan struct{})
+	entered, resume := make(chan struct{}), make(chan struct{})
+	var gcOnce, resumeOnce sync.Once
+	gcRelease := func() { gcOnce.Do(func() { close(gcResume) }) }
+	release := func() { resumeOnce.Do(func() { close(resume) }) }
+	t.Cleanup(gcRelease) // before the server's Close, which waits for the collection
+	t.Cleanup(release)   // and for the read loop
+	db.SetRootsHookForTest(func() {
+		db.SetRootsHookForTest(nil)
+		close(gcEntered)
+		<-gcResume
+	})
+	var gc wire.Enc
+	wire.EncodeCallOptions(&gc, wire.CallOptions{})
+	if err := wire.WriteFrame(c, 200, wire.OpGC, gc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	<-gcEntered
+	var armed atomic.Bool
+	armed.Store(true)
+	db.WrapJournalBarrierForTest(func(barrier func() error) func() error {
+		return func() error {
+			if armed.CompareAndSwap(true, false) {
+				close(entered)
+				<-resume
+			}
+			return barrier()
+		}
+	})
+	const n = 8
+	var track wire.Enc
+	wire.EncodeCallOptions(&track, wire.CallOptions{})
+	track.Str("p-00")
+	track.I64(0)
+	track.I64(0)
+	burst := wire.AppendFrame(putBurstFrames(t, "p", n), 100, wire.OpTrack, track.Bytes())
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	type answer struct {
+		id  uint64
+		err error
+	}
+	answers := make(chan answer, n+2)
+	go func() {
+		for i := 0; i < n+2; i++ {
+			reqID, _, payload, err := wire.ReadFrame(c, 0)
+			if err == nil && (len(payload) == 0 || payload[0] != 0) {
+				err = fmt.Errorf("request failed")
+			}
+			answers <- answer{reqID, err}
+		}
+	}()
+	// The collection's answer leaves while the barrier is parked, and
+	// nothing with it.
+	gcRelease()
+	if a := <-answers; a.id != 200 || a.err != nil {
+		t.Fatalf("while the barrier was parked, id %d answered (%v); want only the collection", a.id, a.err)
+	}
+	select {
+	case a := <-answers:
+		t.Fatalf("id %d answered while its scope's barrier was parked (%v)", a.id, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	for i := 0; i <= n; i++ {
+		if a := <-answers; a.err != nil {
+			t.Fatalf("id %d: %v", a.id, a.err)
+		}
+	}
+}
+
+// TestRemotePutBurstFailedEnd: when the journal write that ends a run
+// of Puts fails, every Put of the run fails with that error and with
+// the uid its head moved to — the head moved, its record may not be
+// durable — and the connection goes on serving.
+func TestRemotePutBurstFailedEnd(t *testing.T) {
+	db, c := metaSyncServer(t)
+	var armed atomic.Bool
+	armed.Store(true)
+	db.WrapJournalBarrierForTest(func(barrier func() error) func() error {
+		return func() error {
+			if armed.CompareAndSwap(true, false) {
+				return errors.New("barrier refused")
+			}
+			return barrier()
+		}
+	})
+	const n = 8
+	if _, err := c.Write(putBurstFrames(t, "e", n)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		reqID, _, payload, err := wire.ReadFrame(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) == 0 || payload[0] != 1 {
+			t.Fatalf("put id %d succeeded although its journal write failed", reqID)
+		}
+		ep, err := wire.DecodeError(wire.NewDec(payload[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(ep.Err.Error(), "barrier refused") {
+			t.Fatalf("put id %d failed with %v, want the journal's error", reqID, ep.Err)
+		}
+		key := fmt.Sprintf("e-%02d", reqID-1)
+		o, err := db.Get(ctx, key)
+		if err != nil || ep.UID.IsNil() || o.UID() != ep.UID {
+			t.Fatalf("put id %d reported uid %v; the head of %s: %v", reqID, ep.UID, key, err)
+		}
+	}
+	if err := wire.WriteFrame(c, 100, wire.OpPut, putPayload(t, "after", "v")); err != nil {
+		t.Fatal(err)
+	}
+	readOK(t, c, 100, wire.OpPut)
 }

@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"forkbase/internal/branch"
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunksync"
-	"forkbase/internal/core"
 	"forkbase/internal/obs"
 	"forkbase/internal/postree"
 	"forkbase/internal/store"
@@ -83,12 +83,13 @@ type Server struct {
 	// db is st when st is a local embedded *DB, nil for proxy backends
 	// (ClusterClient, RemoteStore). Everything that needs the engine
 	// or chunk store behind the Store API keys off it: a local backend
-	// serves the chunk-granular ops and storage counters, has its
-	// puts coalesced into engine batches, and answers small reads
-	// inline on the read loop. Proxies get none of that — they have no
-	// local chunk store to negotiate against, and their Get may block
-	// on a downstream round-trip, which inline would turn into a stall
-	// for every pipelined request behind it on the connection.
+	// serves the chunk-granular ops and storage counters, and answers
+	// small reads and small Puts inline on the read loop, a run of
+	// Puts under one journal scope. Proxies get none of that — they
+	// have no local chunk store to negotiate against, and their calls
+	// may block on a downstream round-trip, which inline would turn
+	// into a stall for every pipelined request behind it on the
+	// connection.
 	db *DB
 
 	// reg/met are the server's observability spine: reg owns every
@@ -135,8 +136,7 @@ func NewServer(st Store, opts ServerOptions) *Server {
 }
 
 // serverTask is one unit of pooled work: a registered slow-path
-// request, or a coalesced put batch (batch non-nil; the per-request
-// fields unused).
+// request.
 type serverTask struct {
 	sc      *serverConn
 	ctx     context.Context
@@ -145,19 +145,13 @@ type serverTask struct {
 	op      uint8
 	payload []byte
 	buf     []byte // owning frame buffer; payload aliases it
-	user    string
-	batch   []putFrame
 }
 
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for t := range s.tasks {
-		if t.batch != nil {
-			t.sc.runPutBatch(t.user, t.batch)
-		} else {
-			t.sc.handle(t.ctx, t.cancel, t.reqID, t.op, t.payload)
-			wire.PutFrameBuf(t.buf)
-		}
+		t.sc.handle(t.ctx, t.cancel, t.reqID, t.op, t.payload)
+		wire.PutFrameBuf(t.buf)
 	}
 }
 
@@ -310,6 +304,12 @@ type serverConn struct {
 	// is flushed" contract. Read-loop-only, no locking.
 	deferredDone int
 
+	// scope and puts are the open run of small Puts: their head
+	// records join scope, and their answers and ids are held in puts
+	// until scope's End (runPut, endPuts). Read-loop-only.
+	scope *branch.Batch
+	puts  []heldPut
+
 	mu       sync.Mutex
 	inflight map[uint64]context.CancelFunc
 
@@ -459,36 +459,32 @@ type rawFrame struct {
 // The loop is also where response batching is decided: while complete
 // frames are still buffered (a pipelined burst mid-arrival), inline
 // responses are corked in the frame writer; when the burst is spent
-// the loop flushes once and releases the corked requests' inflight
-// slots. One syscall per burst, in each direction.
+// the loop ends the open run of Puts, flushes once and releases the
+// corked requests' inflight slots. One syscall per burst, in each
+// direction, and one journal write.
 func (sc *serverConn) readLoop() {
 	defer sc.srv.connWG.Done()
 	defer sc.close()
 	defer sc.releaseDeferred()
-	var carry *rawFrame
+	defer sc.endPuts()
 	for {
-		var f rawFrame
-		if carry != nil {
-			f, carry = *carry, nil
-		} else {
-			var err error
-			if f, err = sc.readFrame(); err != nil {
-				wire.PutFrameBuf(f.buf)
-				if !errors.Is(err, io.EOF) && !sc.isClosed() {
-					sc.srv.logf("forkserved: %s: %v", sc.c.RemoteAddr(), err)
-				}
-				return
+		f, err := sc.readFrame()
+		if err != nil {
+			wire.PutFrameBuf(f.buf)
+			if !errors.Is(err, io.EOF) && !sc.isClosed() {
+				sc.srv.logf("forkserved: %s: %v", sc.c.RemoteAddr(), err)
 			}
+			return
 		}
-		keep, next, exit := sc.processFrame(f)
+		keep, exit := sc.processFrame(f)
 		if !keep {
 			wire.PutFrameBuf(f.buf)
 		}
 		if exit {
 			return
 		}
-		carry = next
-		if carry == nil && !wire.FrameBuffered(sc.br) {
+		if !wire.FrameBuffered(sc.br) {
+			sc.endPuts()
 			sc.fw.flush()
 			sc.releaseDeferred()
 		}
@@ -531,10 +527,14 @@ func (sc *serverConn) releaseDeferred() {
 }
 
 // processFrame handles one parsed frame. keep reports that ownership
-// of f.buf moved on (worker task or put batch); carry is a follow-up
-// frame the put coalescer read but could not use, to be processed
-// next; exit ends the read loop.
-func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit bool) {
+// of f.buf moved to a worker task; exit ends the read loop.
+func (sc *serverConn) processFrame(f rawFrame) (keep, exit bool) {
+	smallPut := sc.srv.db != nil && f.op == wire.OpPut && len(f.payload) < bigPayload
+	if !smallPut {
+		// No other frame is served inside a run of Puts: a request
+		// behind the run sees its heads only once they are durable.
+		sc.endPuts()
+	}
 	switch {
 	case f.op == wire.OpCancel:
 		// Abort the named request; no response of its own (and no
@@ -551,55 +551,45 @@ func (sc *serverConn) processFrame(f rawFrame) (keep bool, carry *rawFrame, exit
 		}
 	case f.op == wire.OpHello:
 		if !sc.hello(f.reqID, f.payload) {
-			return false, nil, true
+			return false, true
 		}
 	case !sc.isAuthed():
 		// Requests before a successful Hello are a protocol
 		// violation; refuse and hang up.
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: hello required before requests", ErrAccessDenied), nil, UID{})
-		return false, nil, true
+		return false, true
 	case !served(f.op):
 		sc.respondErr(f.reqID, f.op, fmt.Errorf("%w: op %d is not a request this server serves", wire.ErrCodec, f.op), nil, UID{})
 	case !sc.srv.admit():
 		sc.respondErr(f.reqID, f.op, ErrServerClosed, nil, UID{})
-	case sc.srv.db != nil && sc.inline(f):
+	case smallPut:
+		sc.runPut(f)
+	case sc.srv.db != nil && serverOps[f.op].inline:
 		// The small-op fast path: answer right here on the read loop —
 		// no goroutine, no context allocation, no cancel registration
 		// (OpCancel arrives on this same loop, so it cannot race an op
 		// that completes before the next read) — and cork the response
-		// for the burst flush. The inline writes, a Send and a lone
-		// Put, still claim their ids, so one reusing an id in flight on
-		// a worker is refused as on the slow path; the cancel is a
-		// no-op, since no OpCancel is read until the write returns.
-		write := f.op == wire.OpChunkSend || f.op == wire.OpPut
+		// for the burst flush. The inline write, a Send, still claims
+		// its id, so one reusing an id in flight on a worker is refused
+		// as on the slow path; the cancel is a no-op, since no OpCancel
+		// is read until the write returns.
+		write := f.op == wire.OpChunkSend
 		if write && !sc.claim(f.reqID, nopCancel) {
 			sc.refuseDuplicate(f)
 			break
 		}
 		start := time.Now()
-		resp := sc.srv.dispatch(sc.ctx, sc, f.reqID, f.op, f.payload)
+		resp := sc.srv.dispatch(sc.ctx, sc, nil, f.reqID, f.op, f.payload)
 		sc.srv.observe(sc, f.op, start, resp)
 		if write {
 			sc.release(f.reqID)
 		}
 		sc.send(f.reqID, f.op, resp)
 		sc.deferredDone++
-	case sc.srv.db != nil && serverOps[f.op].coalesce:
-		return sc.handlePut(f)
 	default:
-		return sc.slowPath(f), nil, false
+		return sc.slowPath(f), false
 	}
-	return false, nil, false
-}
-
-// inline reports whether f is answered on the read loop (opRow.inline):
-// an inline op, or a small Put with no frame buffered behind it to
-// coalesce with.
-func (sc *serverConn) inline(f rawFrame) bool {
-	if f.op == wire.OpPut {
-		return len(f.payload) < bigPayload && !wire.FrameBuffered(sc.br)
-	}
-	return serverOps[f.op].inline
+	return false, false
 }
 
 // slowPath registers the request's cancel func and hands it to the
@@ -643,8 +633,9 @@ func (sc *serverConn) claim(reqID uint64, cancel context.CancelFunc) bool {
 }
 
 // held reports whether a request of this connection still holds its
-// id — on a worker, in a put batch or mid-Send. A response releases
-// its own id before it is written, so any id left is another request.
+// id — on a worker, in an open run of Puts or mid-Send. A response
+// releases its own id before it is written, so any id left is another
+// request.
 func (sc *serverConn) held() bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -680,18 +671,10 @@ func (sc *serverConn) enqueueTask(t serverTask) {
 // dropTask releases a task that will never run (connection died
 // before the pool accepted it).
 func (sc *serverConn) dropTask(t serverTask) {
-	if t.batch == nil {
-		sc.release(t.reqID)
-		t.cancel()
-		sc.srv.reqDone()
-		wire.PutFrameBuf(t.buf)
-		return
-	}
-	for _, pf := range t.batch {
-		sc.release(pf.reqID)
-		sc.srv.reqDone()
-		wire.PutFrameBuf(pf.buf)
-	}
+	sc.release(t.reqID)
+	t.cancel()
+	sc.srv.reqDone()
+	wire.PutFrameBuf(t.buf)
 }
 
 func (sc *serverConn) isClosed() bool { return sc.closed.Load() }
@@ -750,7 +733,7 @@ func (sc *serverConn) hello(reqID uint64, payload []byte) bool {
 // handle executes one pipelined request on a pool worker.
 func (sc *serverConn) handle(ctx context.Context, cancel context.CancelFunc, reqID uint64, op uint8, payload []byte) {
 	start := time.Now()
-	resp := sc.srv.dispatch(ctx, sc, reqID, op, payload)
+	resp := sc.srv.dispatch(ctx, sc, nil, reqID, op, payload)
 	sc.srv.observe(sc, op, start, resp)
 	sc.release(reqID)
 	cancel()
@@ -841,14 +824,17 @@ func optsFromWire(w wire.CallOptions) (callOpts, error) {
 // value — the decoder included — so the call through the op table
 // allocates nothing. sc is the originating connection: the chunk ops
 // scope their GC shields to it, so a client that disconnects
-// mid-negotiation releases whatever it had protected.
+// mid-negotiation releases whatever it had protected. scope is the
+// journal scope of a Put answered in a run on the read loop, nil
+// anywhere else.
 type request struct {
-	ctx  context.Context
-	sc   *serverConn
-	id   uint64
-	d    wire.Dec
-	co   callOpts
-	opts []Option
+	ctx   context.Context
+	sc    *serverConn
+	scope *branch.Batch
+	id    uint64
+	d     wire.Dec
+	co    callOpts
+	opts  []Option
 }
 
 // opRow is one op of the served surface.
@@ -865,16 +851,12 @@ type opRow struct {
 	// behind it finds its chunks (wire.FeatureOrderedSend). Requests
 	// multiplexed behind a Send wait for it; one Send is at most the
 	// client's send batch.
-	// OpPut is answered here too when its payload is under bigPayload
-	// and no complete frame is buffered behind it (serverConn.inline):
-	// no worker handoff, and a put never reads its context. The trade
-	// is head of line: a request arriving while the put commits, behind
-	// a contended key stripe or an fsync, waits for it. Puts in a burst
-	// still coalesce, and large ones keep the worker.
+	// OpPut needs no flag: one under bigPayload is always answered on
+	// the read loop (runPut), with no worker handoff, and a large one
+	// keeps the worker. The trade is head of line: a request arriving
+	// while a put commits, behind a contended key stripe or an fsync,
+	// waits for it.
 	inline bool
-	// coalesce lets adjacent requests of the op run as one engine batch
-	// when the backend is a local *DB (handlePut).
-	coalesce bool
 	// chunk marks the ops served from the backend's chunk store, which
 	// only a local backend with chunk sync enabled has.
 	chunk bool
@@ -886,7 +868,7 @@ type opRow struct {
 // for an op without one gets a typed CodeProto error.
 var serverOps = [wire.OpMax]opRow{
 	wire.OpGet:          {serve: serveGet, inline: true},
-	wire.OpPut:          {serve: servePut, coalesce: true},
+	wire.OpPut:          {serve: servePut},
 	wire.OpApply:        {serve: serveApply},
 	wire.OpFork:         {serve: serveFork},
 	wire.OpMerge:        {serve: serveMerge},
@@ -916,8 +898,8 @@ func served(op uint8) bool { return wire.KnownOp(op) && serverOps[op].serve != n
 // garbage payloads inside intact frames — fail the request, never the
 // process: every decoder is bounds-checked by construction. op has a
 // row (the read loop refuses those that do not).
-func (s *Server) dispatch(ctx context.Context, sc *serverConn, reqID uint64, op uint8, payload []byte) []byte {
-	r := request{ctx: ctx, sc: sc, id: reqID, d: *wire.NewDec(payload)}
+func (s *Server) dispatch(ctx context.Context, sc *serverConn, scope *branch.Batch, reqID uint64, op uint8, payload []byte) []byte {
+	r := request{ctx: ctx, sc: sc, scope: scope, id: reqID, d: *wire.NewDec(payload)}
 	co, err := optsFromWire(wire.DecodeCallOptions(&r.d))
 	if err == nil {
 		err = r.d.Err()
@@ -967,7 +949,15 @@ func servePut(s *Server, r request) []byte {
 	if err != nil {
 		return fail(err)
 	}
-	uid, err := s.st.Put(r.ctx, key, v, r.opts...)
+	var uid UID
+	if s.db != nil {
+		// DB.Put, with the head record joining the request's scope.
+		if err = r.ctx.Err(); err == nil {
+			uid, err = putOp(s.db.eng, s.db.acl, r.scope, key, v, &r.co)
+		}
+	} else {
+		uid, err = s.st.Put(r.ctx, key, v, r.opts...)
+	}
 	if err != nil {
 		return errPayload(err, nil, uid)
 	}
@@ -1449,182 +1439,70 @@ func okPayload2(fill func(e *wire.Enc) error) []byte {
 	return e.Bytes()
 }
 
-// --- put coalescing ---------------------------------------------------
+// --- runs of small Puts ---------------------------------------------
 
-// nopCancel is the inflight registration of a coalesced put and of
-// an inline Send or Put: none can be cancelled once it runs.
+// nopCancel is the inflight registration of a Put or a Send answered
+// on the read loop: neither can be cancelled once it runs.
 var nopCancel context.CancelFunc = func() {}
 
-// maxPutBatch bounds one coalesced batch; past this the marginal
-// amortization is nil and the per-batch bookkeeping slices grow.
-const maxPutBatch = 64
+// maxPutRun bounds the Puts of one run, and with it how long their
+// answers wait for its End.
+const maxPutRun = 64
 
-// putFrame is one OpPut decoded through its key, awaiting batch
-// execution; the value decode happens on the worker. payload and key
-// context alias buf, which the batch owns until its responses flush.
-type putFrame struct {
-	reqID    uint64
-	key      string
-	co       wire.CallOptions
-	valueOff int
-	payload  []byte
-	buf      []byte
+// heldPut is a Put of the open run whose answer waits for the run's
+// End.
+type heldPut struct {
+	reqID uint64
+	start time.Time
+	resp  []byte
 }
 
-// decodePutFrame splits an OpPut payload into its routing prefix and
-// the offset where the value encoding starts.
-func decodePutFrame(f rawFrame) (putFrame, bool) {
-	d := wire.NewDec(f.payload)
-	co := wire.DecodeCallOptions(d)
-	key := d.Str()
-	if d.Err() != nil {
-		return putFrame{}, false
+// runPut answers one admitted small Put on the read loop, in the
+// connection's open run of Puts, opening one if none is open. Its head
+// record joins the run's journal scope; its answer and its id are held
+// until the scope ends (endPuts), so a later frame reusing the id is
+// refused as a duplicate. The answer is not corked in the frame writer
+// meanwhile: a worker's write on this connection flushes what is
+// corked, and that would show the answer before its record is durable.
+func (sc *serverConn) runPut(f rawFrame) {
+	if !sc.claim(f.reqID, nopCancel) {
+		sc.refuseDuplicate(f)
+		return
 	}
-	return putFrame{
-		reqID:    f.reqID,
-		key:      key,
-		co:       co,
-		valueOff: len(f.payload) - d.Rest(),
-		payload:  f.payload,
-		buf:      f.buf,
-	}, true
-}
-
-// coalescible reports whether a decoded put can join a batch at all:
-// no version bases (base puts have fork semantics the batch engine
-// does not model) and a clean routing decode.
-func coalescible(pf putFrame, ok bool) bool {
-	return ok && len(pf.co.Bases) == 0
-}
-
-// handlePut serves one admitted OpPut. When more complete frames are
-// already buffered behind it, adjacent coalescible puts — same user,
-// distinct keys, no bases — are collected into a single worker task
-// that runs them as one engine batch: one lock hold and one branch
-// update per key, one response flush for the lot, with per-put errors
-// so the batch is observationally identical to dispatching each put
-// alone. A put that cannot join takes the normal slow path, and so
-// does one with nothing behind it (only a large one reaches here; a
-// small one is answered inline). Each collected put's id is claimed
-// on the connection like a slow-path request's, under a shared no-op
-// cancel (a batch cannot be cancelled put by put), so an id already
-// in flight — or earlier in the same batch — cannot join and the slow
-// path refuses it.
-func (sc *serverConn) handlePut(f rawFrame) (keep bool, carry *rawFrame, exit bool) {
-	first, ok := decodePutFrame(f)
-	if !coalescible(first, ok) || !wire.FrameBuffered(sc.br) || !sc.claim(first.reqID, nopCancel) {
-		return sc.slowPath(f), nil, false
+	if len(sc.puts) == 0 {
+		sc.scope = sc.srv.db.eng.Begin()
 	}
-	batch := []putFrame{first}
-	keys := map[string]bool{first.key: true}
-	for len(batch) < maxPutBatch && wire.FrameBuffered(sc.br) {
-		nf, err := sc.readFrame()
-		if err != nil {
-			// A framing violation kills the connection, but the puts
-			// already collected were admitted and must still execute
-			// (and flush) under the drain contract.
-			wire.PutFrameBuf(nf.buf)
-			if !errors.Is(err, io.EOF) && !sc.isClosed() {
-				sc.srv.logf("forkserved: %s: %v", sc.c.RemoteAddr(), err)
-			}
-			exit = true
-			break
-		}
-		if nf.op != wire.OpPut {
-			// Not a put: hand it back to the read loop, in order.
-			carry = &nf
-			break
-		}
-		if !sc.srv.admit() {
-			sc.respondErr(nf.reqID, nf.op, ErrServerClosed, nil, UID{})
-			wire.PutFrameBuf(nf.buf)
-			break
-		}
-		pf, ok := decodePutFrame(nf)
-		if !coalescible(pf, ok) || pf.co.User != first.co.User || keys[pf.key] || !sc.claim(pf.reqID, nopCancel) {
-			// Cannot join (different identity, duplicate key — the
-			// engine batch would chain same-key puts, changing their
-			// guard semantics — base/undecodable put, or an id in
-			// flight): dispatch it alone on the worker pool and stop
-			// collecting.
-			if !sc.slowPath(nf) {
-				wire.PutFrameBuf(nf.buf)
-			}
-			break
-		}
-		keys[pf.key] = true
-		batch = append(batch, pf)
-	}
-	if len(batch) == 1 {
-		sc.release(first.reqID)
-		return sc.slowPath(f), carry, exit
-	}
-	sc.enqueueTask(serverTask{sc: sc, user: first.co.User, batch: batch})
-	return true, carry, exit
-}
-
-// coalescedPut turns one collected OpPut into its engine batch entry
-// exactly as the slow path would treat it alone: resolve the options,
-// decode the value, ask the policy layer for the write verdict.
-func (s *Server) coalescedPut(user string, pf putFrame) (core.BatchPut, error) {
-	o, err := optsFromWire(pf.co)
-	if err != nil {
-		return core.BatchPut{}, err
-	}
-	v, err := wire.DecodeValueRef(wire.NewDec(pf.payload[pf.valueOff:]))
-	if err != nil {
-		return core.BatchPut{}, err
-	}
-	p, err := batchPut(pf.key, v, &o)
-	if err != nil {
-		return core.BatchPut{}, err
-	}
-	return p, allow(s.db.acl, user, pf.key, p.Branch, PermWrite)
-}
-
-// runPutBatch executes one coalesced batch on a pool worker: decode
-// each value (zero-copy — the engine copies on ingest) and check each
-// put's write permission, one batched engine commit of the admitted
-// puts with per-put error isolation, then all responses in one flush.
-func (sc *serverConn) runPutBatch(user string, batch []putFrame) {
 	start := time.Now()
-	sc.srv.met.putBatch.Observe(int64(len(batch)))
-	resp := make([][]byte, len(batch))
-	puts := make([]core.BatchPut, 0, len(batch))
-	idx := make([]int, 0, len(batch))
-	for i, pf := range batch {
-		p, err := sc.srv.coalescedPut(user, pf)
-		if err != nil {
-			resp[i] = errPayload(err, nil, UID{})
-			continue
+	resp := sc.srv.dispatch(sc.ctx, sc, sc.scope, f.reqID, f.op, f.payload)
+	sc.puts = append(sc.puts, heldPut{reqID: f.reqID, start: start, resp: resp})
+	if len(sc.puts) == maxPutRun {
+		sc.endPuts()
+	}
+}
+
+// endPuts ends the open run of Puts, if any: End writes the run's head
+// records (one barrier, one write, one fsync under MetaSync), and only
+// then are its ids released and its answers corked for the burst
+// flush. If End fails, every Put of the run that had succeeded fails
+// with End's error and its uid: the head moved, but its record may not
+// be durable, as a lone Put reports it.
+func (sc *serverConn) endPuts() {
+	if len(sc.puts) == 0 {
+		return
+	}
+	err := sc.scope.End()
+	for i, p := range sc.puts {
+		resp := p.resp
+		if err != nil && resp[0] == 0 {
+			uid := wire.NewDec(resp[1:]).UID()
+			wire.PutFrameBuf(resp)
+			resp = errPayload(err, nil, uid)
 		}
-		puts = append(puts, p)
-		idx = append(idx, i)
+		sc.srv.observe(sc, wire.OpPut, p.start, resp)
+		sc.release(p.reqID)
+		sc.send(p.reqID, wire.OpPut, resp)
+		sc.deferredDone++
+		sc.puts[i] = heldPut{}
 	}
-	// One failing put does not abort the others: each coalesced wire
-	// request gets exactly the result it would have gotten alone.
-	uids, errs := sc.srv.db.eng.PutBatchIndependent(sc.ctx, puts)
-	for j, i := range idx {
-		if errs[j] != nil {
-			resp[i] = errPayload(errs[j], nil, UID{})
-		} else {
-			uid := uids[j]
-			resp[i] = okPayload(func(e *wire.Enc) { e.UID(uid) })
-		}
-	}
-	elapsed := time.Since(start)
-	for i, pf := range batch {
-		// Each coalesced put is observed as its own OpPut — the batch
-		// is an execution detail, invisible in the per-op series — with
-		// the batch's elapsed time as every member's latency (they did
-		// all wait for the batch).
-		sc.srv.observeDur(sc, wire.OpPut, elapsed, resp[i])
-		sc.release(pf.reqID)
-		sc.send(pf.reqID, wire.OpPut, resp[i])
-		wire.PutFrameBuf(pf.buf)
-	}
-	sc.fw.flush()
-	for range batch {
-		sc.srv.reqDone()
-	}
+	sc.puts, sc.scope = sc.puts[:0], nil
 }
