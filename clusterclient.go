@@ -8,62 +8,41 @@ import (
 	"forkbase/internal/core"
 )
 
-// ClusterConfig configures OpenCluster.
+// ClusterConfig configures OpenCluster. Each field names who sets it.
 type ClusterConfig struct {
 	// Nodes is the number of servlet/chunk-storage pairs; 0 means 4.
+	// Figs 8 and 15 sweep it; the conformance suite, forkcli and
+	// forkserved (-cluster n) and the batchput experiment set it.
 	Nodes int
 	// TwoLayer selects 2LP chunk placement (§4.6): ordinary chunks
 	// partitioned across all storage instances by cid, meta chunks
 	// local. False selects 1LP (all chunks on the owning servlet).
+	// Fig 15 compares the two; every other user runs 2LP.
 	TwoLayer bool
-	// Replicas is the chunk replication factor under 2LP.
-	Replicas int
 	// NetLatency, when non-zero, is slept once per dispatched request
-	// to model the client-servlet network hop.
+	// to model the client-servlet network hop. The batchput experiment
+	// sets it at paper scale.
 	NetLatency time.Duration
-	// Rebalance enables forwarding POS-Tree construction away from
-	// overloaded servlets (§4.6.1); requires TwoLayer.
-	Rebalance bool
-	// ChunkSizeLog2 sets the expected POS-Tree chunk size to
-	// 2^ChunkSizeLog2 bytes; 0 means the paper default of 4 KB.
-	ChunkSizeLog2 uint
 	// CacheBytes bounds a per-servlet chunk cache in front of the 2LP
 	// shared pool — the read path that pays the (simulated) network
 	// hop; 0 disables caching. Requires TwoLayer to have any effect.
+	// forkcli and forkserved set it from -cache.
 	CacheBytes int64
 	// VerifyReads re-verifies every chunk read (from a servlet's own
 	// node storage under either placement, and from the shared pool
 	// under TwoLayer) against its cid, so a tampering or corrupting
-	// storage node surfaces as ErrCorrupt — or, where a replica holds
-	// a good copy, is transparently failed over.
+	// storage node surfaces as ErrCorrupt. forkcli and forkserved set
+	// it from -verify.
 	VerifyReads bool
 	// ACL, when set, is the access controller every dispatched request
-	// passes through; pair it with WithUser. Nil means open mode.
+	// passes through; pair it with WithUser. Nil means open mode. The
+	// conformance suite's ACL tests and forkserved (-acl-admin) set it.
 	ACL *ACL
-	// GCThreshold is the live ratio below which GC compacts storage;
-	// 0 means the store default of 0.5. The simulated cluster's nodes
-	// are memory-backed, so the knob matters once nodes gain
-	// file-backed storage, but it is honoured uniformly.
-	GCThreshold float64
 	// AutoGCEvery, when positive, runs a cluster-wide collection after
 	// every AutoGCEvery successful RemoveBranch calls through this
-	// client. 0 leaves collection to explicit GC calls.
+	// client. 0 leaves collection to explicit GC calls. The GC
+	// conformance suite and forkserved (-auto-gc) set it.
 	AutoGCEvery int
-	// Root, when non-empty, makes the simulated cluster durable: each
-	// node persists its chunk storage and its servlet's metadata
-	// journal under Root/node-<i>, and OpenCluster on the same root
-	// (same node count) recovers every servlet's branches, untagged
-	// heads and pins. Empty keeps the cluster in memory.
-	Root string
-	// SyncWrites fsyncs each node's chunk log after every write
-	// (Root only).
-	SyncWrites bool
-	// MetaSync fsyncs each servlet's metadata journal after every
-	// branch/pin mutation (Root only).
-	MetaSync bool
-	// SnapshotEvery is the metadata-journal compaction cadence per
-	// servlet (Root only); 0 means the default, negative disables.
-	SnapshotEvery int
 }
 
 // ClusterClient is the distributed Store implementation: a thin
@@ -73,11 +52,9 @@ type ClusterConfig struct {
 // (§4.1). It serves the same Store API as the embedded DB, so
 // applications move between deployment modes without change.
 type ClusterClient struct {
-	c   *cluster.Cluster
-	acl *ACL
-
-	gcThreshold float64
-	autoGC      autoGC
+	c      *cluster.Cluster
+	acl    *ACL
+	autoGC autoGC
 }
 
 // OpenCluster starts a simulated ForkBase cluster (in-process servlets
@@ -91,27 +68,20 @@ func OpenCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		placement = cluster.TwoLayer
 	}
 	c, err := cluster.New(cluster.Options{
-		Nodes:         cfg.Nodes,
-		Placement:     placement,
-		Replicas:      cfg.Replicas,
-		NetLatency:    cfg.NetLatency,
-		Rebalance:     cfg.Rebalance,
-		Tree:          Options{ChunkSizeLog2: cfg.ChunkSizeLog2}.treeConfig(),
-		CacheBytes:    cfg.CacheBytes,
-		VerifyReads:   cfg.VerifyReads,
-		Root:          cfg.Root,
-		SyncWrites:    cfg.SyncWrites,
-		MetaSync:      cfg.MetaSync,
-		SnapshotEvery: cfg.SnapshotEvery,
+		Nodes:       cfg.Nodes,
+		Placement:   placement,
+		NetLatency:  cfg.NetLatency,
+		CacheBytes:  cfg.CacheBytes,
+		VerifyReads: cfg.VerifyReads,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterClient{c: c, acl: cfg.ACL, gcThreshold: cfg.GCThreshold, autoGC: autoGC{every: cfg.AutoGCEvery}}, nil
+	return &ClusterClient{c: c, acl: cfg.ACL, autoGC: autoGC{every: cfg.AutoGCEvery}}, nil
 }
 
 // Cluster exposes the underlying simulated cluster for instrumentation
-// (storage distribution, per-servlet queue depths, chunk reads).
+// (per-node storage distribution, per-servlet engines and stats).
 func (cc *ClusterClient) Cluster() *cluster.Cluster { return cc.c }
 
 // Close stops all servlets.
@@ -144,19 +114,12 @@ func (cc *ClusterClient) Get(ctx context.Context, key string, opts ...Option) (*
 	})
 }
 
-// Put implements Store. Under ClusterConfig.Rebalance an overloaded
-// owner has the value's POS-Tree built elsewhere first (cluster.Put).
+// Put implements Store.
 func (cc *ClusterClient) Put(ctx context.Context, key string, v Value, opts ...Option) (UID, error) {
 	o := resolveOpts(opts)
-	var uid UID
-	err := cc.c.Put(ctx, key, v, func(eng *core.Engine) (err error) {
-		uid, err = putOp(eng, cc.acl, nil, key, v, &o)
-		return err
+	return onOwner(ctx, cc, key, func(eng *core.Engine) (UID, error) {
+		return putOp(eng, cc.acl, nil, key, v, &o)
 	})
-	if err != nil {
-		return UID{}, err
-	}
-	return uid, nil
 }
 
 // Apply implements Store: batched writes dispatch once per owning
@@ -285,7 +248,7 @@ func (cc *ClusterClient) GC(ctx context.Context, opts ...Option) (GCStats, error
 
 // collect is the one collection every GC — explicit or auto — runs.
 func (cc *ClusterClient) collect(ctx context.Context) (GCStats, error) {
-	return cc.c.GC(ctx, cc.gcThreshold)
+	return cc.c.GC(ctx)
 }
 
 // Value implements Store: the decode reads chunks directly from the

@@ -24,7 +24,7 @@
 //	-verify            re-verify every chunk read against its cid
 //	-sync              fsync the chunk log after every write (-path)
 //	-meta-sync         fsync the metadata journal per mutation (-path)
-//	-gc-threshold r    segment compaction live-ratio threshold
+//	-gc-threshold r    segment compaction live-ratio threshold (-path only)
 //	-auto-gc n         run GC after every n branch removals
 //	-max-frame bytes   largest request/response frame accepted
 //	-chunksync         offer chunk-granular delta transfer (default
@@ -76,7 +76,7 @@ func main() {
 	verify := flag.Bool("verify", false, "re-verify every chunk read against its cid")
 	sync := flag.Bool("sync", false, "fsync the chunk log after every write (-path only)")
 	metaSync := flag.Bool("meta-sync", false, "fsync the metadata journal per mutation (-path only)")
-	gcThreshold := flag.Float64("gc-threshold", 0, "segment compaction live-ratio threshold (0 = default)")
+	gcThreshold := flag.Float64("gc-threshold", 0, "segment compaction live-ratio threshold (-path only; 0 = default)")
 	autoGC := flag.Int("auto-gc", 0, "run GC after every n branch removals (0 = off)")
 	maxFrame := flag.Int("max-frame", 0, "largest request/response frame in bytes (0 = 256 MiB)")
 	chunkSync := flag.Bool("chunksync", true, "offer chunk-granular delta transfer to capable clients")
@@ -103,7 +103,6 @@ func main() {
 			CacheBytes:  *cacheBytes,
 			VerifyReads: *verify,
 			ACL:         acl,
-			GCThreshold: *gcThreshold,
 			AutoGCEvery: *autoGC,
 		})
 	case *path != "":
@@ -121,7 +120,6 @@ func main() {
 			CacheBytes:  *cacheBytes,
 			VerifyReads: *verify,
 			ACL:         acl,
-			GCThreshold: *gcThreshold,
 			AutoGCEvery: *autoGC,
 		})
 	}

@@ -11,9 +11,9 @@ import (
 	"forkbase/internal/store"
 )
 
-// Ablations isolate the design choices DESIGN.md §6 calls out. They are
-// not paper figures but quantify why the POS-Tree is built the way it
-// is.
+// Ablations isolate the design choices behind the POS-Tree (see
+// README, Evaluation). They are not paper figures but quantify why the
+// POS-Tree is built the way it is.
 
 // fixedSizeConfig disables the pattern (it can never fire before the
 // forced max) so every leaf splits at exactly maxBytes — the strawman

@@ -7,21 +7,19 @@
 // The paper evaluates on a 64-node cluster over 1 GbE. This package
 // simulates that cluster in one process: servlets run as independent
 // single-threaded workers connected by channels, and an optional
-// per-request latency models the network hop. Partitioning, routing,
-// re-balancing and the 1LP/2LP placement policies are implemented for
-// real; only the transport is simulated (see DESIGN.md §4).
+// per-request latency models the network hop. Partitioning, routing
+// and the 1LP/2LP placement policies are implemented for real; only
+// the transport is simulated (see README, Architecture).
 package cluster
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
-	"forkbase/internal/branch"
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
 	"forkbase/internal/postree"
@@ -49,46 +47,17 @@ type Options struct {
 	Nodes int
 	// Placement selects 1LP or 2LP chunk placement.
 	Placement Placement
-	// Replicas is the chunk replication factor under 2LP.
-	Replicas int
 	// NetLatency, when non-zero, is slept once per dispatched request
 	// to model the client-servlet network hop.
 	NetLatency time.Duration
-	// Tree is the POS-Tree configuration for all servlets.
-	Tree postree.Config
-	// Rebalance enables forwarding POS-Tree construction away from
-	// overloaded servlets (§4.6.1).
-	Rebalance bool
-	// RebalanceThreshold is the queue depth beyond which construction
-	// is forwarded; 0 means 8.
-	RebalanceThreshold int
 	// CacheBytes bounds a per-servlet chunk cache in front of the 2LP
 	// shared pool, where a miss costs a (simulated) remote hop; 0
 	// disables caching. Meta chunks are already local and bypass it.
 	CacheBytes int64
 	// VerifyReads re-verifies every chunk read — from a servlet's own
 	// node storage (either placement) and from the shared 2LP pool —
-	// against its cid before it is used or cached. Pool members are
-	// verified individually, so a corrupt chunk on one member falls
-	// through the pool's replica failover instead of failing the read.
+	// against its cid before it is used or cached.
 	VerifyReads bool
-	// Root, when non-empty, makes the simulated cluster durable: node
-	// i keeps its chunk storage (a log-structured file store) and its
-	// servlet's metadata journal under Root/node-<i>, and a cluster
-	// reopened on the same root with the same node count recovers
-	// every servlet's branch tables, untagged heads and pins. Empty
-	// (the default) keeps storage in memory, vanishing on Close.
-	Root string
-	// SyncWrites fsyncs each node's chunk log after every write
-	// (Root only).
-	SyncWrites bool
-	// MetaSync fsyncs each servlet's metadata journal after every
-	// branch/pin mutation (Root only).
-	MetaSync bool
-	// SnapshotEvery is the per-servlet metadata-journal compaction
-	// cadence (Root only); 0 means the branch-package default,
-	// negative disables compaction.
-	SnapshotEvery int
 }
 
 // Master maintains cluster runtime information: the member list and the
@@ -104,18 +73,13 @@ func (m *Master) Route(key string) int {
 	return m.members[int(h.Sum32())%len(m.members)]
 }
 
-// Members returns the servlet ids.
-func (m *Master) Members() []int { return append([]int(nil), m.members...) }
-
 // Cluster is a simulated multi-servlet ForkBase deployment.
 type Cluster struct {
 	opts     Options
 	master   *Master
 	servlets []*servlet.Servlet
-	locals   []store.Collectable // per-node local storage (mem or file)
-	journals []*branch.Journal   // per-servlet metadata journals (Root only)
-	pool     *store.Pool         // 2LP shared pool (nil under 1LP)
-	caches   []*store.Cache      // per-servlet pool caches (GC invalidation)
+	nodes    []*store.MemStore // per-node chunk storage
+	caches   []*store.Cache    // per-servlet pool caches (GC invalidation)
 }
 
 // metaLocalStore routes Meta chunks to the servlet's local storage and
@@ -163,130 +127,47 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: need at least 1 node")
 	}
-	if opts.Replicas <= 0 {
-		opts.Replicas = 1
-	}
-	if opts.RebalanceThreshold <= 0 {
-		opts.RebalanceThreshold = 8
-	}
-	if opts.Tree.LeafQ == 0 {
-		opts.Tree = postree.DefaultConfig()
-	}
 	c := &Cluster{opts: opts, master: &Master{}}
-	var files []*store.FileStore
-	for i := 0; i < opts.Nodes; i++ {
-		if opts.Root != "" {
-			fs, err := store.OpenFileStore(nodeDir(opts.Root, i), store.FileStoreOptions{
-				Sync: opts.SyncWrites,
-			})
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("cluster: node %d storage: %w", i, err)
-			}
-			c.locals = append(c.locals, fs)
-			files = append(files, fs)
-		} else {
-			c.locals = append(c.locals, store.NewMemStore())
-		}
+	// Each node's storage is wrapped once: that one view is both its
+	// servlet's local store and, under 2LP, its member of the shared
+	// pool, so a chunk is verified on every read whichever path finds it.
+	views := make([]store.Store, opts.Nodes)
+	for i := range views {
+		node := store.NewMemStore()
+		c.nodes = append(c.nodes, node)
 		c.master.members = append(c.master.members, i)
-	}
-	// barrierFor orders servlet i's metadata journal behind the chunk
-	// logs holding its data: a recorded head must never be more durable
-	// than the chunks it names. Under one-layer placement a servlet's
-	// chunks live only in its own node's log; under two-layer they may
-	// land on any node, so every log is flushed.
-	barrierFor := func(i int) func() error {
-		if opts.Placement == OneLayer && len(files) > 0 {
-			fs := files[i]
-			return fs.Flush
-		}
-		return func() error {
-			for _, fs := range files {
-				if err := fs.Flush(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if opts.Placement == TwoLayer {
-		members := make([]store.Store, opts.Nodes)
-		for i, l := range c.locals {
-			members[i] = l
-			if opts.VerifyReads {
-				// Verify below the pool, per member, so a chunk that
-				// fails its cid check falls through the pool's replica
-				// failover instead of aborting the read.
-				members[i] = store.Verified(l)
-			}
-		}
-		c.pool = store.NewPool(members, opts.Replicas)
-	}
-	for i := 0; i < opts.Nodes; i++ {
-		// The servlet's view of its own node's storage is verified too:
-		// under 2LP the locals double as pool members, and without this
-		// a chunk homed on the reading servlet's node would be served
-		// straight from m.local, skipping the member wrappers; under
-		// 1LP it is the only integrity point there is.
-		local := store.Store(c.locals[i])
+		views[i] = node
 		if opts.VerifyReads {
-			local = store.Verified(local)
+			views[i] = store.Verified(node)
 		}
+	}
+	var pool *store.Pool
+	if opts.Placement == TwoLayer {
+		pool = store.NewPool(views)
+	}
+	for i, local := range views {
 		s := local
-		if opts.Placement == TwoLayer {
+		if pool != nil {
 			// Each servlet gets its own cache over the shared pool (the
 			// simulated network hop is the dominant read cost); chunks
-			// arrive already verified by the member wrappers above.
-			var pool store.Store = c.pool
+			// arrive already verified by the member views.
+			var shared store.Store = pool
 			if opts.CacheBytes > 0 {
-				ca := store.NewCache(pool, opts.CacheBytes)
+				ca := store.NewCache(shared, opts.CacheBytes)
 				c.caches = append(c.caches, ca)
-				pool = ca
+				shared = ca
 			}
-			s = &metaLocalStore{local: local, pool: pool}
+			s = &metaLocalStore{local: local, pool: shared}
 		}
-		sv := servlet.New(i, s, opts.Tree)
-		if opts.Root != "" {
-			// Each servlet keeps its own metadata journal beside its
-			// node's chunk log: branch tables are per-servlet state, so
-			// cluster restart recovers each servlet's space (tagged
-			// heads, UB-tables, pins) independently. The servlet is not
-			// serving yet — New returns before any request dispatches —
-			// so swapping its engine's space here is race-free.
-			j, err := branch.OpenJournal(nodeDir(opts.Root, i), branch.JournalOptions{
-				Sync:          opts.MetaSync,
-				SnapshotEvery: opts.SnapshotEvery,
-				Barrier:       barrierFor(i),
-			})
-			if err != nil {
-				sv.Close()
-				c.Close()
-				return nil, fmt.Errorf("cluster: servlet %d journal: %w", i, err)
-			}
-			sv.Engine().Recover(j)
-			c.journals = append(c.journals, j)
-		}
-		c.servlets = append(c.servlets, sv)
+		c.servlets = append(c.servlets, servlet.New(i, s, postree.DefaultConfig()))
 	}
 	return c, nil
 }
 
-// nodeDir is node i's directory under a durable cluster root.
-func nodeDir(root string, i int) string {
-	return filepath.Join(root, fmt.Sprintf("node-%02d", i))
-}
-
-// Close stops all servlets, then releases the per-node storage and
-// metadata journals (durable clusters flush their chunk logs here).
+// Close stops all servlets.
 func (c *Cluster) Close() {
 	for _, sv := range c.servlets {
 		sv.Close()
-	}
-	for _, j := range c.journals {
-		j.Close()
-	}
-	for _, l := range c.locals {
-		l.Close()
 	}
 }
 
@@ -302,9 +183,9 @@ func (c *Cluster) Nodes() int { return len(c.servlets) }
 // NodeStorageBytes returns the bytes held by each node's local chunk
 // storage; Figure 15 plots its distribution under skew.
 func (c *Cluster) NodeStorageBytes() []int64 {
-	out := make([]int64, len(c.locals))
-	for i, l := range c.locals {
-		out[i] = l.Stats().Bytes
+	out := make([]int64, len(c.nodes))
+	for i, n := range c.nodes {
+		out[i] = n.Stats().Bytes
 	}
 	return out
 }
@@ -319,27 +200,6 @@ func (c *Cluster) Exec(ctx context.Context, key string, fn func(eng *core.Engine
 		time.Sleep(c.opts.NetLatency)
 	}
 	return c.servlets[c.master.Route(key)].ExecCtx(ctx, fn)
-}
-
-// Put is Exec for a request that writes v. When re-balancing is
-// enabled and the owner is overloaded, v's POS-Tree is first built on
-// the least-loaded servlet, so put finds every chunk already stored
-// and only the branch-table update runs on the owner (§4.6.1). The
-// pre-build happens before put — and so before put's access check: a
-// write put then refuses leaves unreferenced chunks for the next GC.
-func (c *Cluster) Put(ctx context.Context, key string, v types.Value, put func(eng *core.Engine) error) error {
-	owner := c.master.Route(key)
-	if c.opts.Rebalance && c.opts.Placement == TwoLayer &&
-		c.servlets[owner].QueueDepth() >= c.opts.RebalanceThreshold {
-		if helper := c.leastLoaded(owner); helper != owner {
-			if err := c.servlets[helper].ExecCtx(ctx, func(eng *core.Engine) error {
-				return types.Persist(eng.Store(), c.opts.Tree, v)
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return c.Exec(ctx, key, put)
 }
 
 // PutBatch applies a group of writes, dispatching once per owning
@@ -397,18 +257,6 @@ func (c *Cluster) PutBatch(ctx context.Context, puts []core.BatchPut) ([]types.U
 	return uids, nil
 }
 
-// leastLoaded returns the servlet with the shortest queue, excluding
-// owner only if another candidate is strictly shorter.
-func (c *Cluster) leastLoaded(owner int) int {
-	best, depth := owner, c.servlets[owner].QueueDepth()
-	for i, sv := range c.servlets {
-		if d := sv.QueueDepth(); d < depth {
-			best, depth = i, d
-		}
-	}
-	return best
-}
-
 // ListKeys returns the union of keys across all servlets (M8), sorted.
 func (c *Cluster) ListKeys(ctx context.Context) ([]string, error) {
 	var all []string
@@ -440,19 +288,18 @@ func (c *Cluster) ListKeys(ctx context.Context) ([]string, error) {
 //     heads, untagged heads, pins) and mark through that servlet's own
 //     store view — meta chunks resolve locally, tree chunks through
 //     the shared pool;
-//  3. sweep every node with the one global live set (replicas of a
-//     chunk are thereby retained or reclaimed consistently), then drop
-//     what the sweeps reclaimed from the per-servlet pool caches.
+//  3. sweep every node with the one global live set, then drop what
+//     the sweeps reclaimed from the per-servlet pool caches.
 //
 // The mark is always full: the servlets' roots move independently, and
 // no node's store knows which of its chunks the global mark found.
-func (c *Cluster) GC(ctx context.Context, threshold float64) (store.GCStats, error) {
-	for _, l := range c.locals {
-		l.BeginGC()
+func (c *Cluster) GC(ctx context.Context) (store.GCStats, error) {
+	for _, n := range c.nodes {
+		n.BeginGC()
 	}
 	defer func() {
-		for _, l := range c.locals {
-			l.EndGC()
+		for _, n := range c.nodes {
+			n.EndGC()
 		}
 	}()
 	live := store.NewLiveSet()
@@ -475,8 +322,8 @@ func (c *Cluster) GC(ctx context.Context, threshold float64) (store.GCStats, err
 			ca.Drop(dead)
 		}
 	}()
-	for i, l := range c.locals {
-		s, d, err := l.Sweep(live.Contains, threshold)
+	for i, n := range c.nodes {
+		s, d, err := n.Sweep(live.Contains, 0)
 		total.Add(s)
 		dead = append(dead, d...)
 		if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,7 +10,10 @@ import (
 	"testing"
 
 	"forkbase/internal/branch"
+	"forkbase/internal/chunk"
 	"forkbase/internal/core"
+	"forkbase/internal/postree"
+	"forkbase/internal/store"
 	"forkbase/internal/types"
 )
 
@@ -21,7 +25,7 @@ var ctx = context.Background()
 // its policy functions.
 
 func put(c *Cluster, key, branchName string, v types.Value) (uid types.UID, err error) {
-	err = c.Put(ctx, key, v, func(eng *core.Engine) (err error) {
+	err = c.Exec(ctx, key, func(eng *core.Engine) (err error) {
 		uid, err = eng.Put([]byte(key), branchName, v, nil)
 		return err
 	})
@@ -239,39 +243,6 @@ func TestClusterPoolCache(t *testing.T) {
 	}
 }
 
-func TestRebalancedPut(t *testing.T) {
-	c, err := New(Options{Nodes: 4, Placement: TwoLayer, Rebalance: true, RebalanceThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	data := make([]byte, 32<<10)
-	rand.New(rand.NewSource(2)).Read(data)
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := put(c, "hot-key", "master", types.NewBlob(data)); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	o, err := get(c, "hot-key", "master")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := value(c, "hot-key", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.(*types.Blob).Bytes()
-	if err != nil || len(got) != len(data) {
-		t.Fatalf("rebalanced value broken: %v len=%d", err, len(got))
-	}
-}
-
 func TestForkAcrossCluster(t *testing.T) {
 	c, err := New(Options{Nodes: 3, Placement: TwoLayer})
 	if err != nil {
@@ -297,112 +268,69 @@ func TestForkAcrossCluster(t *testing.T) {
 	}
 }
 
-// TestClusterReopenRecoversSpaces proves a durable cluster (Root set)
-// restarts whole: every servlet's branch tables, untagged heads and
-// pins come back from its per-node metadata journal, chunk data comes
-// back from its per-node log, and a GC run right after the restart
-// reclaims nothing live — under both placements.
-func TestClusterReopenRecoversSpaces(t *testing.T) {
-	for _, placement := range []Placement{OneLayer, TwoLayer} {
-		root := t.TempDir()
-		opts := Options{Nodes: 3, Placement: placement, Root: root}
-		c, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heads := map[string]types.UID{}
-		for i := 0; i < 40; i++ {
-			k := fmt.Sprintf("key-%d", i)
-			uid, err := put(c, k, "master", types.String(fmt.Sprintf("v-%d", i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			heads[k] = uid
-		}
-		if err := fork(c, "key-3", "master", "dev"); err != nil {
-			t.Fatal(err)
-		}
-		// Pin on the servlet owning key-5, and an untagged head on key-7.
-		var pinned types.UID = heads["key-5"]
-		sv := c.servlets[c.master.Route("key-5")]
-		if err := sv.Exec(func(eng *core.Engine) error {
-			return eng.PinUID(pinned)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var untagged types.UID
-		if err := c.servlets[c.master.Route("key-7")].Exec(func(eng *core.Engine) error {
-			var err error
-			untagged, err = eng.PutBase([]byte("key-7"), heads["key-7"], types.String("fork-on-conflict"), nil)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Garbage: drop key-9's only branch before the restart.
-		if err := c.servlets[c.master.Route("key-9")].Exec(func(eng *core.Engine) error {
-			return eng.RemoveBranch([]byte("key-9"), "master")
-		}); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
+// recorder keeps every chunk put through it.
+type recorder struct {
+	store.Store
+	puts []*chunk.Chunk
+}
 
-		re, err := New(opts)
+func (r *recorder) Put(c *chunk.Chunk) (bool, error) {
+	r.puts = append(r.puts, c)
+	return r.Store.Put(c)
+}
+
+// TestClusterVerifyReadsCatchesForgedChunk: under 2LP with VerifyReads,
+// a chunk whose bytes do not match its cid on its home node surfaces
+// as ErrCorrupt when the value naming it is read, whichever path — the
+// owner's local view or the shared pool — finds it.
+func TestClusterVerifyReadsCatchesForgedChunk(t *testing.T) {
+	c, err := New(Options{Nodes: 4, Placement: TwoLayer, VerifyReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(5)).Read(data)
+	rec := &recorder{Store: store.NewMemStore()}
+	if err := types.Persist(rec, postree.DefaultConfig(), types.NewBlob(data)); err != nil {
+		t.Fatal(err)
+	}
+	real := rec.puts[0]
+	b := real.Bytes()
+	b[len(b)-1] ^= 0xff
+	forged, err := chunk.DecodeStored(b, real.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]store.Store, len(c.nodes))
+	for i, n := range c.nodes {
+		members[i] = n
+	}
+	home := store.NewPool(members).Home(real.ID())
+	if _, err := c.nodes[home].Put(forged); err != nil {
+		t.Fatal(err)
+	}
+	// One key owned by the home node's servlet (its local view finds the
+	// chunk) and one owned elsewhere (only the pool finds it).
+	keys := map[bool]string{}
+	for i := 0; len(keys) < 2; i++ {
+		k := fmt.Sprintf("blob-%d", i)
+		keys[c.master.Route(k) == home] = k
+	}
+	for local, k := range keys {
+		if _, err := put(c, k, "master", types.NewBlob(data)); err != nil {
+			t.Fatal(err)
+		}
+		o, err := get(c, k, "master")
 		if err != nil {
-			t.Fatalf("placement %v: reopen: %v", placement, err)
-		}
-		for i := 0; i < 40; i++ {
-			if i == 9 {
-				continue
-			}
-			k := fmt.Sprintf("key-%d", i)
-			o, err := get(re, k, "master")
-			if err != nil {
-				t.Fatalf("placement %v: %s lost after restart: %v", placement, k, err)
-			}
-			if o.UID() != heads[k] || string(o.Data) != fmt.Sprintf("v-%d", i) {
-				t.Fatalf("placement %v: %s head diverged after restart", placement, k)
-			}
-		}
-		if _, err := get(re, "key-9", "master"); err == nil {
-			t.Fatalf("placement %v: removed branch resurrected", placement)
-		}
-		branches, err := taggedBranches(re, "key-3")
-		if err != nil || len(branches) != 2 {
-			t.Fatalf("placement %v: forked branches after restart: %v %v", placement, branches, err)
-		}
-		// GC on the freshly restarted cluster: the recovered roots must
-		// protect everything live; key-9's exclusive chunks may go.
-		if _, err := re.GC(context.Background(), 0); err != nil {
-			t.Fatalf("placement %v: GC after restart: %v", placement, err)
-		}
-		for i := 0; i < 40; i++ {
-			if i == 9 {
-				continue
-			}
-			k := fmt.Sprintf("key-%d", i)
-			if o, err := get(re, k, "master"); err != nil || string(o.Data) != fmt.Sprintf("v-%d", i) {
-				t.Fatalf("placement %v: %s lost by GC after restart: %v", placement, k, err)
-			}
-		}
-		var gotPins, gotUB []types.UID
-		if err := re.servlets[re.master.Route("key-5")].Exec(func(eng *core.Engine) error {
-			gotPins = eng.Pins()
-			return nil
-		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(gotPins) != 1 || gotPins[0] != pinned {
-			t.Fatalf("placement %v: pins after restart: %v", placement, gotPins)
+		v, err := value(c, k, o)
+		if err == nil {
+			_, err = v.(*types.Blob).Bytes()
 		}
-		if err := re.servlets[re.master.Route("key-7")].Exec(func(eng *core.Engine) error {
-			gotUB = eng.ListUntaggedBranches([]byte("key-7"))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("owner holds the chunk=%v: read over a forged chunk: %v, want ErrCorrupt", local, err)
 		}
-		if len(gotUB) != 1 || gotUB[0] != untagged {
-			t.Fatalf("placement %v: untagged heads after restart: %v", placement, gotUB)
-		}
-		re.Close()
 	}
 }

@@ -166,10 +166,6 @@ func (sv *Servlet) ExecCtx(ctx context.Context, fn func(eng *core.Engine) error)
 	}
 }
 
-// QueueDepth returns the number of requests waiting for execution; the
-// cluster's re-balancer uses it to spot overloaded servlets (§4.6.1).
-func (sv *Servlet) QueueDepth() int { return len(sv.reqs) }
-
 // Close stops the execution loop after draining queued requests.
 func (sv *Servlet) Close() {
 	sv.once.Do(func() { close(sv.reqs) })

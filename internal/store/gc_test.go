@@ -410,37 +410,6 @@ func TestGCCacheDropDead(t *testing.T) {
 	}
 }
 
-// TestGCPoolSweepReplicas: a pool sweep applies one live set to every
-// member, so replicas agree on what survives.
-func TestGCPoolSweepReplicas(t *testing.T) {
-	members := []Store{NewMemStore(), NewMemStore(), NewMemStore()}
-	p := NewPool(members, 2)
-	liveC := testChunk("pool-live", 300)
-	deadC := testChunk("pool-dead", 300)
-	for _, c := range []*chunk.Chunk{liveC, deadC} {
-		if _, err := p.Put(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.BeginGC()
-	stats, _, err := p.Sweep(func(id chunk.ID) bool { return id == liveC.ID() }, 0)
-	p.EndGC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Reclaimed != 2 { // dead chunk had 2 replicas
-		t.Fatalf("want 2 replica copies reclaimed, got %+v", stats)
-	}
-	for i, m := range members {
-		if m.Has(deadC.ID()) {
-			t.Fatalf("member %d still holds dead chunk", i)
-		}
-	}
-	if !p.Has(liveC.ID()) {
-		t.Fatal("live chunk lost from pool")
-	}
-}
-
 // TestGCReclaimsOrphanSegments: a crash that leaves a fully-duplicated
 // segment behind (all its records re-homed to a later segment during
 // recovery) is cleaned up by the next sweep.

@@ -27,7 +27,7 @@ func storeFactories(t *testing.T) map[string]func() Store {
 			return fs
 		},
 		"pool": func() Store {
-			return NewPool([]Store{NewMemStore(), NewMemStore(), NewMemStore()}, 2)
+			return NewPool([]Store{NewMemStore(), NewMemStore(), NewMemStore()})
 		},
 		"cache": func() Store {
 			return NewCache(NewMemStore(), 1<<20)
@@ -294,7 +294,10 @@ func (f *flakyStore) Get(id chunk.ID) (*chunk.Chunk, error) {
 	return f.Store.Get(id)
 }
 
-func TestPoolGetFailsOverOnMemberError(t *testing.T) {
+// TestPoolGetWrapsMemberError: a home member that fails (not one that
+// merely lacks the chunk) surfaces its error wrapped, never as
+// ErrNotFound; a chunk the home member lacks is ErrNotFound.
+func TestPoolGetWrapsMemberError(t *testing.T) {
 	boom := errors.New("member i/o error")
 	members := make([]Store, 3)
 	flaky := make([]*flakyStore, 3)
@@ -302,32 +305,29 @@ func TestPoolGetFailsOverOnMemberError(t *testing.T) {
 		flaky[i] = &flakyStore{Store: NewMemStore(), errIn: boom}
 		members[i] = flaky[i]
 	}
-	p := NewPool(members, 2)
-	c := chunk.New(chunk.TypeBlob, []byte("replicated"))
+	p := NewPool(members)
+	c := chunk.New(chunk.TypeBlob, []byte("placed"))
 	if _, err := p.Put(c); err != nil {
 		t.Fatal(err)
 	}
-	// The home member erroring (not just missing the chunk) must not
-	// abort the read — the replica has it.
 	h := p.Home(c.ID())
 	flaky[h].fail = true
-	got, err := p.Get(c.ID())
-	if err != nil {
-		t.Fatalf("Get with failing home member: %v, want replica failover", err)
+	_, err := p.Get(c.ID())
+	if !errors.Is(err, boom) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get with failing home member: %v, want wrapped member error", err)
 	}
-	if got.ID() != c.ID() {
-		t.Fatal("failover returned wrong chunk")
-	}
-	// When every replica fails, the real fault surfaces, not ErrNotFound.
-	flaky[(h+1)%3].fail = true
-	if _, err := p.Get(c.ID()); !errors.Is(err, boom) {
-		t.Fatalf("Get with all replicas failing: %v, want wrapped member error", err)
+	flaky[h].fail = false
+	missing := chunk.New(chunk.TypeBlob, []byte("never put"))
+	if _, err := p.Get(missing.ID()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a missing chunk: %v, want ErrNotFound", err)
 	}
 }
 
-func TestPoolPlacementAndReplication(t *testing.T) {
+// TestPoolPlacement: each chunk lives on its Home member and nowhere
+// else, and cid placement spreads chunks roughly uniformly.
+func TestPoolPlacement(t *testing.T) {
 	members := []Store{NewMemStore(), NewMemStore(), NewMemStore(), NewMemStore()}
-	p := NewPool(members, 2)
+	p := NewPool(members)
 	var ids []chunk.ID
 	for i := 0; i < 400; i++ {
 		c := chunk.New(chunk.TypeBlob, []byte(fmt.Sprintf("item-%d", i)))
@@ -336,40 +336,23 @@ func TestPoolPlacementAndReplication(t *testing.T) {
 		}
 		ids = append(ids, c.ID())
 	}
-	// Every chunk must live on exactly 2 members.
-	for _, id := range ids {
-		n := 0
-		for _, m := range members {
-			if m.Has(id) {
-				n++
-			}
-		}
-		if n != 2 {
-			t.Fatalf("chunk replicated on %d members, want 2", n)
-		}
-	}
-	// cid-based placement should be roughly uniform.
-	for i, m := range members {
-		got := m.Stats().Chunks
-		if got < 100 || got > 300 {
-			t.Fatalf("member %d holds %d chunks, want around 200", i, got)
-		}
-	}
-	// Reads survive the loss of the home member.
 	for _, id := range ids {
 		h := p.Home(id)
-		members[h].(*MemStore).drop(id)
-		if _, err := p.Get(id); err != nil {
-			t.Fatalf("read after home loss: %v", err)
+		for i, m := range members {
+			if m.Has(id) != (i == h) {
+				t.Fatalf("chunk on member %d: %v, home is %d", i, m.Has(id), h)
+			}
+		}
+		if !p.Has(id) {
+			t.Fatal("pool lost a chunk it placed")
 		}
 	}
-}
-
-// drop removes a chunk, simulating member data loss (test helper).
-func (m *MemStore) drop(id chunk.ID) {
-	m.mu.Lock()
-	delete(m.chunks, id)
-	m.mu.Unlock()
+	for i, m := range members {
+		got := m.Stats().Chunks
+		if got < 50 || got > 150 {
+			t.Fatalf("member %d holds %d chunks, want around 100", i, got)
+		}
+	}
 }
 
 func TestGetVerified(t *testing.T) {

@@ -140,11 +140,10 @@ func Save(s store.Store, cfg postree.Config, key []byte, v Value, bases []*FObje
 	return o, nil
 }
 
-// Persist writes a value's chunks without creating a version. It is the
-// distributable half of a Put: POS-Tree construction can run on any
-// servlet while the owner only updates the FObject and branch table
-// (§4.6.1). After Persist, Save on the same handle reuses the built
-// tree.
+// Persist writes a value's chunks without creating a version: the
+// POS-Tree half of a Put, which a chunk-sync client runs on its own
+// store before committing the tree by its root. After Persist, Save on
+// the same handle reuses the built tree.
 func Persist(s store.Store, cfg postree.Config, v Value) error {
 	_, err := v.persist(s, cfg)
 	return err
