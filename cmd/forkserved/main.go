@@ -22,8 +22,8 @@
 //	-acl-admin user    close the ACL; grant user global admin
 //	-cache bytes       chunk-cache byte budget on the read path
 //	-verify            re-verify every chunk read against its cid
-//	-sync              fsync the chunk log after every write (-path)
-//	-meta-sync         fsync the metadata journal per mutation (-path)
+//	-meta-sync         survive a power loss: fsync the chunk log and the
+//	                   metadata journal once per journal flush (-path)
 //	-gc-threshold r    segment compaction live-ratio threshold (-path only)
 //	-auto-gc n         run GC after every n branch removals
 //	-max-frame bytes   largest request/response frame accepted
@@ -74,8 +74,7 @@ func main() {
 	aclAdmin := flag.String("acl-admin", "", "close the ACL and grant this user global admin")
 	cacheBytes := flag.Int64("cache", 0, "chunk-cache byte budget on the read path (0 = off)")
 	verify := flag.Bool("verify", false, "re-verify every chunk read against its cid")
-	sync := flag.Bool("sync", false, "fsync the chunk log after every write (-path only)")
-	metaSync := flag.Bool("meta-sync", false, "fsync the metadata journal per mutation (-path only)")
+	metaSync := flag.Bool("meta-sync", false, "survive a power loss: fsync the chunk log and the journal per journal flush (-path only)")
 	gcThreshold := flag.Float64("gc-threshold", 0, "segment compaction live-ratio threshold (-path only; 0 = default)")
 	autoGC := flag.Int("auto-gc", 0, "run GC after every n branch removals (0 = off)")
 	maxFrame := flag.Int("max-frame", 0, "largest request/response frame in bytes (0 = 256 MiB)")
@@ -107,7 +106,6 @@ func main() {
 		})
 	case *path != "":
 		st, err = forkbase.OpenPath(*path, forkbase.Options{
-			SyncWrites:  *sync,
 			MetaSync:    *metaSync,
 			CacheBytes:  *cacheBytes,
 			VerifyReads: *verify,

@@ -102,6 +102,15 @@ func (db *DB) WrapJournalBarrierForTest(wrap func(barrier func() error) func() e
 	db.jrnl.SetBarrierForTest(wrap)
 }
 
+// SetCrashHooksForTest installs the crash-consistency hooks of the
+// DB's chunk log and metadata journal (see store.FileStore and
+// branch.Journal). The DB must be file-backed, without a chunk cache
+// or read verification, so that its store is the FileStore itself.
+func (db *DB) SetCrashHooksForTest(chunkLog func(event string, seg int), journal func(event string)) {
+	db.eng.Store().(*store.FileStore).SetCrashHookForTest(chunkLog)
+	db.jrnl.SetCrashHookForTest(journal)
+}
+
 // ForgetGCForTest drops what the collector kept from the last
 // collection, so that the next one marks and sweeps everything.
 func (db *DB) ForgetGCForTest() { db.eng.ForgetGCForTest() }

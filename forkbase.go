@@ -178,9 +178,10 @@ type DB struct {
 	// reg is the engine/store metric registry (see metrics.go); the
 	// two histograms it owns that the engine feeds directly are cached
 	// here so the hot paths skip the registry lookup.
-	reg       *obs.Registry
-	gcPause   *obs.Histogram
-	fsyncHist *obs.Histogram
+	reg        *obs.Registry
+	gcPause    *obs.Histogram
+	fsyncHist  *obs.Histogram
+	chunkFsync *obs.Histogram
 }
 
 // initMetrics builds the DB's registry and its engine-fed histograms.
@@ -190,6 +191,7 @@ func (db *DB) initMetrics() {
 	db.reg = newDBMetrics(db)
 	db.gcPause = db.reg.Histogram("forkbase_gc_pause_ns", "")
 	db.fsyncHist = db.reg.Histogram("forkbase_journal_fsync_ns", "")
+	db.chunkFsync = db.reg.Histogram("forkbase_chunklog_fsync_ns", "")
 }
 
 // Options configures Open/OpenPath. A literal Options value can be
@@ -200,9 +202,6 @@ type Options struct {
 	// ChunkSizeLog2 sets the expected POS-Tree chunk size to
 	// 2^ChunkSizeLog2 bytes; 0 means the paper default of 4 KB.
 	ChunkSizeLog2 uint
-	// SyncWrites fsyncs the chunk log after every write (file-backed
-	// stores only).
-	SyncWrites bool
 	// SegmentSize rotates the chunk log when the active segment
 	// exceeds this many bytes (file-backed stores only); 0 means the
 	// store default of 64 MiB.
@@ -228,13 +227,11 @@ type Options struct {
 	// operation that turns reachable versions into garbage. 0 leaves
 	// collection entirely to explicit GC calls.
 	AutoGCEvery int
-	// MetaSync fsyncs the metadata journal after every branch or pin
-	// mutation, making each head movement power-loss durable
-	// (file-backed stores only). Default false: journal records are
-	// still written unbuffered, so an unclean process stop loses no
-	// metadata — only an OS crash can lose the very last records. Pair
-	// with SyncWrites for full power-loss durability of data AND
-	// metadata.
+	// MetaSync makes every acknowledged write survive a power loss
+	// (file-backed stores only): each journal flush, one per mutation
+	// or batch, fsyncs the chunk log once, then the journal. Default
+	// false: both reach the operating system before a call returns, so
+	// a killed process loses nothing it acknowledged; a power loss can.
 	MetaSync bool
 	// SnapshotEvery is the number of journaled metadata mutations
 	// between snapshot+truncate compactions of the journal (file-backed
@@ -285,8 +282,8 @@ func WithAutoGC(n int) OpenOption {
 	return openOptionFunc(func(o *Options) { o.AutoGCEvery = n })
 }
 
-// WithMetaSync fsyncs the metadata journal after every branch or pin
-// mutation; see Options.MetaSync.
+// WithMetaSync makes every acknowledged write survive a power loss;
+// see Options.MetaSync.
 func WithMetaSync(on bool) OpenOption {
 	return openOptionFunc(func(o *Options) { o.MetaSync = on })
 }
@@ -347,14 +344,11 @@ func Open(opts ...OpenOption) *DB {
 // all tagged branches, untagged heads and pins — and a GC run on the
 // reopened store sees the same roots the previous process did. The
 // journal obeys write-ahead ordering against the chunk log (the log is
-// flushed before a head naming its chunks is recorded), so a recovered
-// head always resolves.
+// flushed, or under MetaSync fsynced, before a head naming its chunks
+// is recorded), so a recovered head always resolves.
 func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 	o := resolveOpenOpts(opts)
-	fs, err := store.OpenFileStore(dir, store.FileStoreOptions{
-		Sync:        o.SyncWrites,
-		SegmentSize: o.SegmentSize,
-	})
+	fs, err := store.OpenFileStore(dir, store.FileStoreOptions{SegmentSize: o.SegmentSize})
 	if err != nil {
 		return nil, err
 	}
@@ -364,10 +358,14 @@ func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
 	db.initMetrics()
+	barrier := fs.Flush
+	if o.MetaSync {
+		barrier = func() error { return fs.Sync(db.chunkFsync) }
+	}
 	j, err := branch.OpenJournal(dir, branch.JournalOptions{
 		Sync:          o.MetaSync,
 		SnapshotEvery: o.SnapshotEvery,
-		Barrier:       fs.Flush,
+		Barrier:       barrier,
 		FsyncHist:     db.fsyncHist,
 	})
 	if err != nil {

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"forkbase/internal/obs"
+	"forkbase/internal/store"
 	"forkbase/internal/types"
 )
 
@@ -121,21 +122,20 @@ var ErrJournalCorrupt = errors.New("branch: metadata snapshot corrupt")
 
 // JournalOptions configures OpenJournal.
 type JournalOptions struct {
-	// Sync fsyncs the WAL after every flush (a record, or a batch of
-	// them), making each metadata mutation power-loss durable before
-	// its caller returns. Default false: records still reach the file
-	// before their caller returns, so an unclean process stop loses
-	// nothing a caller was told of, only an OS crash can.
+	// Sync fsyncs the WAL after every flush, so each metadata mutation
+	// survives a power loss before its caller returns (the Barrier, the
+	// chunk log's Sync, fsyncs the directory both live in). Default
+	// false: records still reach the file before their caller returns,
+	// so an unclean process stop loses nothing a caller was told of.
 	Sync bool
 	// SnapshotEvery is the number of records between snapshot+truncate
 	// compactions. 0 means DefaultSnapshotEvery records and a WAL as
 	// large as the last snapshot; negative disables compaction.
 	SnapshotEvery int
 	// Barrier, when set, runs before each flush appends its records.
-	// The store layer points it at the chunk log's Flush so the
-	// journal obeys write-ahead ordering relative to the data it
-	// names: a head recorded in the WAL always resolves to chunks at
-	// least as durable as the record itself.
+	// The store layer points it at the chunk log's Flush, or under Sync
+	// its Sync, so a head recorded in the WAL always resolves to chunks
+	// at least as durable as the record itself.
 	Barrier func() error
 	// FsyncHist, when set, receives the duration of every fsync (Sync
 	// mode only; one per flush) — the journal's contribution to write
@@ -176,9 +176,10 @@ type Journal struct {
 
 	// crashHook, when set (crash-consistency tests only), fires at
 	// named points of a compaction — "snap-written" (tmp fsynced),
-	// "snap-renamed" (swap done), "truncated" (WAL reset) — so the
-	// harness can snapshot the directory exactly as a kill at that
-	// moment would leave it. Called with j.mu held.
+	// "snap-renamed" (swap and directory fsync done), "truncated" (WAL
+	// reset) — and after a Sync flush's fsync, "synced", so the
+	// harness can rebuild the directory a crash then would leave.
+	// Called with j.mu held.
 	crashHook func(event string)
 }
 
@@ -435,6 +436,7 @@ func (j *Journal) writeLocked(frames []byte, n int) error {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("branch: journal sync: %w", err)
 		}
+		j.hook("synced")
 		if j.opts.FsyncHist != nil {
 			j.opts.FsyncHist.ObserveSince(start)
 		}
@@ -490,7 +492,7 @@ func (j *Journal) compactLocked() error {
 	if err := os.Rename(tmp, filepath.Join(j.dir, snapName)); err != nil {
 		return fmt.Errorf("branch: snapshot swap: %w", err)
 	}
-	syncDir(j.dir)
+	store.SyncDir(j.dir)
 	j.hook("snap-renamed")
 	// The WAL's records are now folded into the snapshot; reset it.
 	// The file is opened O_APPEND, so the next write lands at the new
@@ -508,14 +510,8 @@ func (j *Journal) compactLocked() error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable; best
-// effort, since not every platform supports it.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
+// SetCrashHookForTest installs crashHook. Tests only.
+func (j *Journal) SetCrashHookForTest(h func(event string)) { j.crashHook = h }
 
 func (j *Journal) hook(event string) {
 	if j.crashHook != nil {

@@ -11,8 +11,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"forkbase/internal/chunk"
+	"forkbase/internal/obs"
 )
 
 // FileStore is a log-structured persistent chunk store (§4.4). Chunks are
@@ -45,8 +47,12 @@ type FileStore struct {
 	off     int64 // next write offset in the active segment
 	flushed int64 // bytes of the active segment visible to ReadAt
 	maxSeg  int64
-	sync    bool
 	stats   Stats
+	// The log is fsynced up to offset syncOff of segment syncSeg, and
+	// the directory unless dirDirty; open trusts none. Guarded by mu.
+	syncSeg  int
+	syncOff  int64
+	dirDirty bool
 
 	// rmu guards readers. Lock order: mu may be held when taking rmu
 	// (compaction's under-lock record fetch); never the reverse.
@@ -82,8 +88,8 @@ type FileStore struct {
 
 	// crashHook, when set (crash-consistency tests only), is invoked at
 	// named points of a Sweep so the harness can snapshot the on-disk
-	// state a crash at that moment would leave behind. Called without
-	// fs.mu held.
+	// state a crash at that moment would leave behind; after an fsync
+	// ("synced" seg, "dir-synced") it fires under fs.mu, else without.
 	crashHook func(event string, seg int)
 }
 
@@ -100,9 +106,6 @@ type FileStoreOptions struct {
 	// SegmentSize rotates the log when the active segment exceeds this
 	// many bytes. Default 64 MiB.
 	SegmentSize int64
-	// Sync forces an fsync after every Put. Default false (flush on
-	// Close), mirroring the paper's throughput-oriented configuration.
-	Sync bool
 }
 
 // OpenFileStore opens (creating if necessary) a log-structured store in
@@ -119,7 +122,6 @@ func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 		dir:     dir,
 		index:   make(map[chunk.ID]location),
 		maxSeg:  opts.SegmentSize,
-		sync:    opts.Sync,
 		readers: make(map[int]*os.File),
 	}
 	if err := fs.recover(); err != nil {
@@ -145,6 +147,7 @@ func (fs *FileStore) recover() error {
 		}
 	}
 	sort.Ints(segs)
+	fs.dirDirty = true // so the first Sync covers every segment, from 0
 	for i, seg := range segs {
 		valid, err := fs.replaySegment(seg)
 		if err != nil {
@@ -238,11 +241,6 @@ func (fs *FileStore) Put(c *chunk.Chunk) (bool, error) {
 	}
 	fs.stats.Chunks++
 	fs.stats.Bytes += int64(c.Size())
-	if fs.sync {
-		if err := fs.flushLocked(); err != nil {
-			return false, err
-		}
-	}
 	if fs.off >= fs.maxSeg {
 		if err := fs.rotateLocked(); err != nil {
 			return false, err
@@ -273,19 +271,6 @@ func (fs *FileStore) appendLocked(id chunk.ID, t chunk.Type, payload []byte) err
 	return nil
 }
 
-func (fs *FileStore) flushLocked() error {
-	if err := fs.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	fs.flushed = fs.off
-	if fs.sync {
-		if err := fs.active.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	return nil
-}
-
 func (fs *FileStore) rotateLocked() error {
 	if err := fs.w.Flush(); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -295,14 +280,15 @@ func (fs *FileStore) rotateLocked() error {
 	// relocated records no barrier has covered yet (a rotation in the
 	// middle of a compaction, or a Put's between a compaction's appends
 	// and its barrier) are pinned down before the handle goes. Nothing
-	// else in the segment waits for an fsync — a fresh Put is promised
-	// to the disk only under Sync, which fsyncs it itself — so a
-	// collection that seals a segment of fresh writes does not stall on
-	// the device for them.
+	// else in the segment waits for an fsync here — fresh Puts are made
+	// durable by the next Sync, which fsyncs every segment sealed since
+	// the last one — so a collection that seals a segment of fresh
+	// writes does not stall on the device for them.
 	if fs.unpinned {
 		if err := fs.active.Sync(); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
+		fs.hook("synced", fs.seg)
 		fs.unpinned = false
 	}
 	if err := fs.active.Close(); err != nil {
@@ -316,6 +302,7 @@ func (fs *FileStore) rotateLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	fs.active = f
+	fs.dirDirty = true
 	fs.w.Reset(f) // flushed above: the megabyte of buffer moves to the new file
 	return nil
 }
@@ -360,15 +347,9 @@ func (fs *FileStore) getOnce(id chunk.ID) (c *chunk.Chunk, retry bool, err error
 	// buffered writes to the file first; everything else reads without
 	// the write lock, since committed records are immutable.
 	if loc.seg == seg && loc.off+int64(loc.n) > flushed {
-		fs.mu.Lock()
-		if loc.seg == fs.seg && loc.off+int64(loc.n) > fs.flushed {
-			if err := fs.w.Flush(); err != nil {
-				fs.mu.Unlock()
-				return nil, false, fmt.Errorf("store: %w", err)
-			}
-			fs.flushed = fs.off
+		if err := fs.Flush(); err != nil {
+			return nil, false, fmt.Errorf("store: %w", err)
 		}
-		fs.mu.Unlock()
 	}
 	r, err := fs.reader(loc.seg)
 	if err != nil {
@@ -458,6 +439,65 @@ func (fs *FileStore) Flush() error {
 	return nil
 }
 
+// Sync makes every chunk written so far survive a power loss: it
+// fsyncs each segment written since the last Sync, sealed ones too,
+// and the directory after a segment was created. A Sync that fsyncs
+// is timed into hist; with no chunk written since the last, none does.
+func (fs *FileStore) Sync(hist *obs.Histogram) error {
+	start := time.Now()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.syncSeg == fs.seg && fs.syncOff == fs.off && !fs.dirDirty {
+		return nil
+	}
+	if err := fs.w.Flush(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	fs.flushed = fs.off
+	for seg := fs.syncSeg; seg <= fs.seg; seg++ {
+		f, err := fs.active, error(nil)
+		if seg < fs.seg { // sealed, its handle closed; gone if compacted, under the compaction's own fsync
+			if f, err = os.OpenFile(segName(fs.dir, seg), os.O_WRONLY, 0); os.IsNotExist(err) {
+				continue
+			}
+		}
+		if err == nil {
+			//forkvet:allow lockhold — the write-ahead barrier: no head may be journaled before the chunks it names are on disk, and fs.mu keeps a rotation from moving the log past what this Sync covers
+			err = f.Sync()
+			if f != fs.active {
+				f.Close()
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		fs.hook("synced", seg)
+	}
+	fs.syncDirLocked()
+	fs.syncSeg, fs.syncOff = fs.seg, fs.off
+	hist.ObserveSince(start)
+	return nil
+}
+
+// syncDirLocked fsyncs the directory after a segment was created, so
+// its entry, and the journal's beside it, survive a power loss.
+func (fs *FileStore) syncDirLocked() {
+	if fs.dirDirty {
+		SyncDir(fs.dir) //forkvet:allow lockhold — part of the fsync barrier its caller holds fs.mu for
+		fs.dirDirty = false
+		fs.hook("dir-synced", fs.seg)
+	}
+}
+
+// SyncDir fsyncs a directory so the entries made in it survive a power
+// loss; best effort, since not every platform supports it.
+func SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
 // Close flushes and closes all segment files.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
@@ -523,6 +563,9 @@ func (fs *FileStore) protectedLocked(id chunk.ID) bool {
 	_, ok := fs.protected[id]
 	return ok
 }
+
+// SetCrashHookForTest installs crashHook. Tests only.
+func (fs *FileStore) SetCrashHookForTest(h func(event string, seg int)) { fs.crashHook = h }
 
 // hook fires the crash-consistency test hook, if installed.
 func (fs *FileStore) hook(event string, seg int) {
@@ -803,7 +846,9 @@ func (fs *FileStore) sweepSegment(seg int, entries []idLoc, live func(chunk.ID) 
 		fs.mu.Unlock()
 		return fmt.Errorf("store: %w", err)
 	}
+	fs.hook("synced", fs.seg)
 	fs.unpinned = false
+	fs.syncDirLocked() // the copies' segment may be new: its entry must outlive the unlink
 	fs.mu.Unlock()
 	fs.hook("relocated", seg)
 	fs.dropReader(seg)

@@ -334,6 +334,24 @@ func TestRemoteRoundTripAllocs(t *testing.T) {
 	if longPuts != 16 {
 		t.Fatalf("remote Put round trip of a 12-byte key: %.0f allocs/op, want exactly 16", longPuts)
 	}
+	// With a user option, Get and Put on a local DB read the decoded
+	// option set as it is: the server packs no option list from it.
+	userGets := testing.AllocsPerRun(100, func() {
+		if _, err := rc.Get(ctx, "k", forkbase.WithUser("alice")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if userGets != 13 {
+		t.Fatalf("remote Get round trip WithUser: %.0f allocs/op, want exactly 13", userGets)
+	}
+	userPuts := testing.AllocsPerRun(100, func() {
+		if _, err := rc.Put(ctx, "k", forkbase.String("steady"), forkbase.WithUser("alice")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if userPuts != 17 {
+		t.Fatalf("remote Put round trip WithUser: %.0f allocs/op, want exactly 17", userPuts)
+	}
 }
 
 // TestRemoteGetBytes pins the bytes a small remote Get allocates, both
@@ -675,10 +693,11 @@ func putBurstFrames(t *testing.T, prefix string, n int) []byte {
 
 // TestRemotePutBurstOneFsync: a burst of 32 Puts written in one segment
 // is one run on the server, and the run's head records reach the
-// journal in one write with one fsync.
+// journal in one write with one fsync, behind one fsync of the chunk
+// log.
 func TestRemotePutBurstOneFsync(t *testing.T) {
 	db, c := metaSyncServer(t)
-	before := journalFsyncs(db)
+	before, chunkLogBefore := journalFsyncs(db), chunkLogFsyncs(db)
 	if _, err := c.Write(putBurstFrames(t, "f", 32)); err != nil {
 		t.Fatal(err)
 	}
@@ -689,6 +708,9 @@ func TestRemotePutBurstOneFsync(t *testing.T) {
 	}
 	if got := journalFsyncs(db) - before; got != 1 {
 		t.Fatalf("a burst of 32 Puts cost %d journal fsyncs, want 1", got)
+	}
+	if got := chunkLogFsyncs(db) - chunkLogBefore; got != 1 {
+		t.Fatalf("a burst of 32 Puts cost %d chunk-log fsyncs, want 1", got)
 	}
 }
 

@@ -826,7 +826,7 @@ func optsFromWire(w wire.CallOptions) (callOpts, error) {
 // scope their GC shields to it, so a client that disconnects
 // mid-negotiation releases whatever it had protected. scope is the
 // journal scope of a Put answered in a run on the read loop, nil
-// anywhere else.
+// anywhere else. On a local DB, Get and Put read co without packing it.
 type request struct {
 	ctx   context.Context
 	sc    *serverConn
@@ -834,7 +834,6 @@ type request struct {
 	id    uint64
 	d     wire.Dec
 	co    callOpts
-	opts  []Option
 }
 
 // opRow is one op of the served surface.
@@ -912,7 +911,6 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, scope *branch.Bat
 		return fail(fmt.Errorf("%w: backend %T does not serve chunk-granular transfer", wire.ErrUnsupported, s.st))
 	}
 	r.co = co
-	r.opts = co.options()
 	return row.serve(s, r)
 }
 
@@ -934,7 +932,12 @@ func serveGet(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	o, err := s.st.Get(r.ctx, key, r.opts...)
+	o, err := (*FObject)(nil), r.ctx.Err()
+	if s.db == nil {
+		o, err = s.st.Get(r.ctx, key, r.co.options()...)
+	} else if err == nil {
+		o, err = getOp(s.db.eng, s.db.acl, key, &r.co) // DB.Get, without re-packing r.co
+	}
 	return reply(err, func(e *wire.Enc) { wire.EncodeFObject(e, o) })
 }
 
@@ -956,7 +959,7 @@ func servePut(s *Server, r request) []byte {
 			uid, err = putOp(s.db.eng, s.db.acl, r.scope, key, v, &r.co)
 		}
 	} else {
-		uid, err = s.st.Put(r.ctx, key, v, r.opts...)
+		uid, err = s.st.Put(r.ctx, key, v, r.co.options()...)
 	}
 	if err != nil {
 		return errPayload(err, nil, uid)
@@ -985,7 +988,7 @@ func serveApply(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	uids, err := s.st.Apply(r.ctx, b, r.opts...)
+	uids, err := s.st.Apply(r.ctx, b, r.co.options()...)
 	return reply(err, func(e *wire.Enc) { wire.EncodeUIDs(e, uids) })
 }
 
@@ -994,7 +997,7 @@ func serveFork(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.Fork(r.ctx, key, newBranch, r.opts...), nil)
+	return reply(s.st.Fork(r.ctx, key, newBranch, r.co.options()...), nil)
 }
 
 func serveMerge(s *Server, r request) []byte {
@@ -1002,7 +1005,7 @@ func serveMerge(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	uid, conflicts, err := s.st.Merge(r.ctx, key, tgt, r.opts...)
+	uid, conflicts, err := s.st.Merge(r.ctx, key, tgt, r.co.options()...)
 	if err != nil {
 		return errPayload(err, conflicts, uid)
 	}
@@ -1015,7 +1018,7 @@ func serveTrack(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	hist, err := s.st.Track(r.ctx, key, from, to, r.opts...)
+	hist, err := s.st.Track(r.ctx, key, from, to, r.co.options()...)
 	return reply(err, func(e *wire.Enc) {
 		e.U32(uint32(len(hist)))
 		for _, o := range hist {
@@ -1030,12 +1033,12 @@ func serveDiff(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	df, err := s.st.Diff(r.ctx, key, a, b, r.opts...)
+	df, err := s.st.Diff(r.ctx, key, a, b, r.co.options()...)
 	return reply(err, func(e *wire.Enc) { wire.EncodeDiff(e, df) })
 }
 
 func serveListKeys(s *Server, r request) []byte {
-	keys, err := s.st.ListKeys(r.ctx, r.opts...)
+	keys, err := s.st.ListKeys(r.ctx, r.co.options()...)
 	return reply(err, func(e *wire.Enc) {
 		e.U32(uint32(len(keys)))
 		for _, k := range keys {
@@ -1049,7 +1052,7 @@ func serveListBranches(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	bl, err := s.st.ListBranches(r.ctx, key, r.opts...)
+	bl, err := s.st.ListBranches(r.ctx, key, r.co.options()...)
 	return reply(err, func(e *wire.Enc) {
 		wire.EncodeTaggedBranches(e, bl.Tagged)
 		wire.EncodeUIDs(e, bl.Untagged)
@@ -1061,7 +1064,7 @@ func serveRenameBranch(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.RenameBranch(r.ctx, key, br, newName, r.opts...), nil)
+	return reply(s.st.RenameBranch(r.ctx, key, br, newName, r.co.options()...), nil)
 }
 
 func serveRemoveBranch(s *Server, r request) []byte {
@@ -1069,7 +1072,7 @@ func serveRemoveBranch(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.RemoveBranch(r.ctx, key, br, r.opts...), nil)
+	return reply(s.st.RemoveBranch(r.ctx, key, br, r.co.options()...), nil)
 }
 
 func servePin(s *Server, r request) []byte {
@@ -1077,7 +1080,7 @@ func servePin(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.Pin(r.ctx, key, uid, r.opts...), nil)
+	return reply(s.st.Pin(r.ctx, key, uid, r.co.options()...), nil)
 }
 
 func serveUnpin(s *Server, r request) []byte {
@@ -1085,11 +1088,11 @@ func serveUnpin(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.Unpin(r.ctx, key, uid, r.opts...), nil)
+	return reply(s.st.Unpin(r.ctx, key, uid, r.co.options()...), nil)
 }
 
 func serveGC(s *Server, r request) []byte {
-	stats, err := s.st.GC(r.ctx, r.opts...)
+	stats, err := s.st.GC(r.ctx, r.co.options()...)
 	return reply(err, func(e *wire.Enc) { wire.EncodeGCStats(e, stats) })
 }
 
@@ -1300,7 +1303,7 @@ func servePutChunked(s *Server, r request) []byte {
 		return fail(fmt.Errorf("chunked put of %s: upload incomplete: %w", root.Short(), err))
 	}
 	v, _ := types.AttachValue(vt, tree)
-	uid, err := s.st.Put(r.ctx, key, v, r.opts...)
+	uid, err := s.st.Put(r.ctx, key, v, r.co.options()...)
 	// Success or failure, the negotiation window is over: on success the
 	// new version roots the chunks; on failure the client renegotiates
 	// from OpChunkHave, which re-shields.
