@@ -59,10 +59,6 @@ func BenchmarkFig15SkewBalance(b *testing.B)   { runExperiment(b, bench.RunFig15
 func BenchmarkFig16DatasetMod(b *testing.B)    { runExperiment(b, bench.RunFig16) }
 func BenchmarkFig17DiffAggregate(b *testing.B) { runExperiment(b, bench.RunFig17) }
 
-func BenchmarkBatchPutExperiment(b *testing.B) { runExperiment(b, bench.RunBatchPut) }
-func BenchmarkCacheExperiment(b *testing.B)    { runExperiment(b, bench.RunCache) }
-func BenchmarkGCExperiment(b *testing.B)       { runExperiment(b, bench.RunGC) }
-
 func BenchmarkAblationFixedVsPattern(b *testing.B) { runExperiment(b, bench.RunAblationFixedVsPattern) }
 func BenchmarkAblationChunkSize(b *testing.B)      { runExperiment(b, bench.RunAblationChunkSize) }
 func BenchmarkAblationHash(b *testing.B)           { runExperiment(b, bench.RunAblationHash) }
@@ -77,8 +73,7 @@ func BenchmarkAblationIndexPattern(b *testing.B)   { runExperiment(b, bench.RunA
 // head loading and branch-table updates on the embedded engine, and —
 // the architectural win — collapses per-write servlet dispatches (one
 // channel round-trip each) into one dispatch per owning servlet on the
-// cluster. RunBatchPut (internal/bench) additionally measures the
-// effect with a simulated network hop, where the gap is largest.
+// cluster.
 
 func batchBackends(b *testing.B) map[string]forkbase.Store {
 	b.Helper()

@@ -12,7 +12,7 @@ import (
 type ClusterConfig struct {
 	// Nodes is the number of servlet/chunk-storage pairs; 0 means 4.
 	// Figs 8 and 15 sweep it; the conformance suite, forkcli and
-	// forkserved (-cluster n) and the batchput experiment set it.
+	// forkserved (-cluster n) and BenchmarkBatchPut set it.
 	Nodes int
 	// TwoLayer selects 2LP chunk placement (§4.6): ordinary chunks
 	// partitioned across all storage instances by cid, meta chunks
@@ -20,8 +20,8 @@ type ClusterConfig struct {
 	// Fig 15 compares the two; every other user runs 2LP.
 	TwoLayer bool
 	// NetLatency, when non-zero, is slept once per dispatched request
-	// to model the client-servlet network hop. The batchput experiment
-	// sets it at paper scale.
+	// to model the client-servlet network hop. Nothing in this
+	// repository sets it.
 	NetLatency time.Duration
 	// CacheBytes bounds a per-servlet chunk cache in front of the 2LP
 	// shared pool — the read path that pays the (simulated) network

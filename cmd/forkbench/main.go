@@ -6,24 +6,22 @@
 // Usage:
 //
 //	forkbench [-scale quick|paper] [experiment ...]
-//	forkbench ratchet [-tolerance 0.20] <baseline-dir> <fresh-dir>
 //
 // With no arguments every experiment runs in order. Experiments:
 // table3 table4 fig8 fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig17
-// batchput cache gc recover net chunksync ablations
+// net chunksync ablations
 //
-// The ratchet form compares fresh -json snapshots against committed
-// baselines and exits non-zero when a guarded series degraded past
-// the tolerance — the perf CI job's pass/fail.
+// Beside the paper's tables, figures and §4.3 ablations, net measures
+// loopback serving against pipelining depth and connection count, and
+// chunksync the bytes a delta sync moves plus a cold read over an
+// injected 1 ms round trip.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"forkbase/internal/bench"
@@ -44,10 +42,6 @@ var experiments = []struct {
 	{"fig15", bench.RunFig15},
 	{"fig16", bench.RunFig16},
 	{"fig17", bench.RunFig17},
-	{"batchput", bench.RunBatchPut},
-	{"cache", bench.RunCache},
-	{"gc", bench.RunGC},
-	{"recover", bench.RunRecover},
 	{"net", bench.RunNet},
 	{"chunksync", bench.RunChunkSync},
 	{"ablations", runAblations},
@@ -68,40 +62,8 @@ func runAblations(w io.Writer, s bench.Scale) error {
 	return nil
 }
 
-// runRatchet implements the "ratchet" subcommand: compare fresh
-// snapshot files against baselines and fail on regressions beyond
-// the tolerance.
-func runRatchet(args []string) {
-	fs := flag.NewFlagSet("ratchet", flag.ExitOnError)
-	tolerance := fs.Float64("tolerance", 0.20, "allowed fractional degradation per guarded metric")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: forkbench ratchet [-tolerance 0.20] <baseline-dir> <fresh-dir>")
-	}
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	failures := bench.Ratchet(os.Stdout, fs.Arg(0), fs.Arg(1), *tolerance)
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "\nperf ratchet: %d guarded series regressed:\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  %s\n", f)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("\nperf ratchet: all %d guarded series within tolerance\n", len(bench.GuardedMetrics))
-}
-
 func main() {
-	// The ratchet subcommand has its own flags; detect it before the
-	// experiment flag set parses.
-	if len(os.Args) > 1 && os.Args[1] == "ratchet" {
-		runRatchet(os.Args[2:])
-		return
-	}
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	jsonDir := flag.String("json", "", "also write BENCH_<experiment>.json snapshots into this directory")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: forkbench [-scale quick|paper] [experiment ...]\nexperiments:")
 		for _, e := range experiments {
@@ -119,32 +81,12 @@ func main() {
 	want := flag.Args()
 	run := func(name string, fn func(io.Writer, bench.Scale) error) {
 		fmt.Printf("=== %s ===\n", name)
-		if *jsonDir != "" {
-			bench.Sink = &bench.Metrics{Experiment: name, Scale: scale.String()}
-		}
 		t0 := time.Now()
 		if err := fn(os.Stdout, scale); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("(%s took %.1fs)\n\n", name, time.Since(t0).Seconds())
-		if sink := bench.Sink; sink != nil {
-			bench.Sink = nil
-			if len(sink.Rows) == 0 {
-				return // experiment has no machine-readable series
-			}
-			out, err := json.MarshalIndent(sink, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: snapshot: %v\n", name, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*jsonDir, "BENCH_"+name+".json")
-			if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: snapshot: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
 	}
 	if len(want) == 0 {
 		for _, e := range experiments {

@@ -14,12 +14,21 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"time"
 )
+
+// bgCtx is the root context every benchmark runs under: benchmarks are
+// the outermost caller, so there is no caller context to thread, and a
+// single shared root keeps the measured loops free of per-op context
+// construction.
+//
+//forkvet:allow ctxflow — benchmarks own their lifecycle; there is no caller to inherit a context from
+var bgCtx = context.Background()
 
 // TempDirFunc creates the scratch directories on-disk experiments use.
 // The default prefers TMPDIR, then the working directory: on some

@@ -98,13 +98,6 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 
 		t.row(mib(int64(size)), comma(cold), comma(fullBytes), comma(csBytes),
 			fmt.Sprintf("%.1f%%", 100*float64(csBytes)/float64(size)))
-		record(fmt.Sprintf("reread-1pct-edit %s", mib(int64(size))), map[string]float64{
-			"object_bytes":          float64(size),
-			"cold_wire_bytes":       float64(cold),
-			"fullship_wire_bytes":   float64(fullBytes),
-			"chunksync_wire_bytes":  float64(csBytes),
-			"chunksync_moved_ratio": float64(csBytes) / float64(size),
-		})
 	}
 
 	// Wiki-style stream: a writer commits a run of 1% edits from its
@@ -180,13 +173,6 @@ func RunChunkSync(w io.Writer, scale Scale) error {
 	tw.row("full-ship", comma(fullSent), comma(fullRecv), "1.0x")
 	factor := float64(fullSent+fullRecv) / float64(csSent+csRecv)
 	tw.row("chunk-sync", comma(csSent), comma(csRecv), fmt.Sprintf("%.1fx", factor))
-	record("wiki-stream full-ship", map[string]float64{
-		"writer_sent_bytes": float64(fullSent), "reader_recv_bytes": float64(fullRecv),
-	})
-	record("wiki-stream chunk-sync", map[string]float64{
-		"writer_sent_bytes": float64(csSent), "reader_recv_bytes": float64(csRecv),
-		"wire_savings_factor": factor,
-	})
 
 	return runColdReadLatency(w, scale, backend, addr, rng)
 }
@@ -252,10 +238,6 @@ func runColdReadLatency(w io.Writer, scale Scale, backend *forkbase.DB, addr str
 			return err
 		}
 		t.row(mib(int64(size)), pipelined.Round(time.Microsecond))
-		record(fmt.Sprintf("coldread-%s rtt=1ms", mib(int64(size))), map[string]float64{
-			"object_bytes": float64(size),
-			"pipelined_ms": float64(pipelined.Microseconds()) / 1e3,
-		})
 	}
 	return nil
 }

@@ -55,7 +55,6 @@ func RunNet(w io.Writer, scale Scale) error {
 	}
 	t.row("embedded", rps(base.putRate), rps(base.getRate),
 		apo(base.putAllocs), apo(base.getAllocs), base.put99, base.get99)
-	record("small embedded", base.metrics())
 
 	for _, conns := range []int{1, 4} {
 		for _, depth := range []int{1, 8, 32} {
@@ -71,7 +70,6 @@ func RunNet(w io.Writer, scale Scale) error {
 			name := fmt.Sprintf("remote c=%d depth=%d", conns, depth)
 			t.row(name, rps(m.putRate), rps(m.getRate),
 				apo(m.putAllocs), apo(m.getAllocs), m.put99, m.get99)
-			record("small "+name, m.metrics())
 		}
 	}
 
@@ -84,7 +82,6 @@ func RunNet(w io.Writer, scale Scale) error {
 		return err
 	}
 	tb.row("embedded", fmt.Sprintf("%.1f", putMB), fmt.Sprintf("%.1f", getMB))
-	record("blob64k embedded", map[string]float64{"put_mb_s": putMB, "get_mb_s": getMB})
 	rc, err := forkbase.Dial(ln.Addr().String(), forkbase.RemoteConfig{Conns: 4})
 	if err != nil {
 		return err
@@ -95,7 +92,6 @@ func RunNet(w io.Writer, scale Scale) error {
 		return err
 	}
 	tb.row("remote c=4 depth=8", fmt.Sprintf("%.1f", putMB), fmt.Sprintf("%.1f", getMB))
-	record("blob64k remote c=4 depth=8", map[string]float64{"put_mb_s": putMB, "get_mb_s": getMB})
 	return nil
 }
 
@@ -112,14 +108,6 @@ type netSmallMetrics struct {
 	putRate, getRate     float64
 	putAllocs, getAllocs float64
 	put99, get99         time.Duration
-}
-
-func (m netSmallMetrics) metrics() map[string]float64 {
-	return map[string]float64{
-		"puts_per_s": m.putRate, "gets_per_s": m.getRate,
-		"put_allocs_per_op": m.putAllocs, "get_allocs_per_op": m.getAllocs,
-		"put_p99_ms": ms(m.put99), "get_p99_ms": ms(m.get99),
-	}
 }
 
 // drivePool runs ops calls of fn across depth concurrent workers —

@@ -6,9 +6,9 @@
 // The package is stdlib-only and allocation-free where it matters:
 // Counter.Add, Gauge.Add/Set and Histogram.Observe perform only atomic
 // operations — no locks, no allocations, no time formatting — which is
-// what lets the server instrument every request without moving the
-// perf-ratchet baselines. Snapshotting is the slow path and may
-// allocate freely.
+// what lets the server instrument every request without adding to the
+// allocations per round trip that TestRemoteRoundTripAllocs pins.
+// Snapshotting is the slow path and may allocate freely.
 //
 // Metrics are identified by a name plus an optional pre-rendered tag
 // string (`op="get"` form, no braces). Name and tags are kept separate

@@ -221,7 +221,7 @@ func TestObsQuantile(t *testing.T) {
 
 // TestObsAllocFree pins the hot-path instruments at zero allocations —
 // the contract that lets instrumentation stay on by default without
-// moving the perf ratchet or the wire alloc pins.
+// moving the remote round-trip or wire alloc pins.
 func TestObsAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
