@@ -2,7 +2,6 @@ package forkbase
 
 import (
 	"context"
-	"time"
 
 	"forkbase/internal/cluster"
 	"forkbase/internal/core"
@@ -19,10 +18,6 @@ type ClusterConfig struct {
 	// local. False selects 1LP (all chunks on the owning servlet).
 	// Fig 15 compares the two; every other user runs 2LP.
 	TwoLayer bool
-	// NetLatency, when non-zero, is slept once per dispatched request
-	// to model the client-servlet network hop. Nothing in this
-	// repository sets it.
-	NetLatency time.Duration
 	// CacheBytes bounds a per-servlet chunk cache in front of the 2LP
 	// shared pool — the read path that pays the (simulated) network
 	// hop; 0 disables caching. Requires TwoLayer to have any effect.
@@ -70,7 +65,6 @@ func OpenCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	c, err := cluster.New(cluster.Options{
 		Nodes:       cfg.Nodes,
 		Placement:   placement,
-		NetLatency:  cfg.NetLatency,
 		CacheBytes:  cfg.CacheBytes,
 		VerifyReads: cfg.VerifyReads,
 	})
@@ -123,7 +117,7 @@ func (cc *ClusterClient) Put(ctx context.Context, key string, v Value, opts ...O
 }
 
 // Apply implements Store: batched writes dispatch once per owning
-// servlet, paying the network hop and queue slot once per group.
+// servlet, paying the dispatch and queue slot once per group.
 func (cc *ClusterClient) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
 	o := resolveOpts(opts)
 	puts, err := batchOp(cc.acl, b, &o)

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,51 +63,60 @@ func runAblations(w io.Writer, s bench.Scale) error {
 	return nil
 }
 
-func main() {
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: forkbench [-scale quick|paper] [experiment ...]\nexperiments:")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it checks every experiment name before it runs
+// any, so a typo late in a long list fails at once. It returns the
+// exit status: 2 for a usage error, 1 for a failed experiment.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("forkbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or paper")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: forkbench [-scale quick|paper] [experiment ...]\nexperiments:")
 		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, " %s", e.name)
+			fmt.Fprintf(stderr, " %s", e.name)
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	scale, err := bench.ParseScale(*scaleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	want := flag.Args()
-	run := func(name string, fn func(io.Writer, bench.Scale) error) {
-		fmt.Printf("=== %s ===\n", name)
-		t0 := time.Now()
-		if err := fn(os.Stdout, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s took %.1fs)\n\n", name, time.Since(t0).Seconds())
+	todo := experiments
+	if fs.NArg() > 0 {
+		todo = nil
 	}
-	if len(want) == 0 {
-		for _, e := range experiments {
-			run(e.name, e.run)
-		}
-		return
-	}
-	for _, name := range want {
+	for _, name := range fs.Args() {
 		found := false
 		for _, e := range experiments {
 			if e.name == name {
-				run(e.name, e.run)
+				todo = append(todo, e)
 				found = true
 				break
 			}
 		}
 		if !found {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			flag.Usage()
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown experiment %q\n", name)
+			fs.Usage()
+			return 2
 		}
 	}
+	for _, e := range todo {
+		fmt.Fprintf(stdout, "=== %s ===\n", e.name)
+		t0 := time.Now()
+		if err := e.run(stdout, scale); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "(%s took %.1fs)\n\n", e.name, time.Since(t0).Seconds())
+	}
+	return 0
 }

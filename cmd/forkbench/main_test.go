@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"go/parser"
 	"go/token"
 	"reflect"
@@ -33,5 +34,20 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 	}
 	if got := strings.Fields(list); !reflect.DeepEqual(got, table) {
 		t.Errorf("package doc lists %v\nexperiments table has %v", got, table)
+	}
+}
+
+// TestUnknownExperimentRunsNothing: every name is checked before any
+// experiment runs, so a bad name late in the list costs nothing.
+func TestUnknownExperimentRunsNothing(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"fig15", "nosuch"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit status %d; want 2", code)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("an experiment ran before the bad name was reported:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown experiment "nosuch"`) {
+		t.Fatalf("stderr does not name the bad experiment:\n%s", stderr.String())
 	}
 }

@@ -207,7 +207,11 @@ type Options struct {
 	// store default of 64 MiB.
 	SegmentSize int64
 	// CacheBytes bounds an in-memory chunk cache on the read path; 0
-	// disables caching. See store.Cache for what it saves per backend.
+	// disables caching. The budget charges each entry its bytes plus a
+	// fixed per-entry cost (about 128 bytes), so it bounds memory for
+	// small chunks too, and under the same pressure a small chunk
+	// outlives a leaf-sized one. See store.Cache for what it saves per
+	// backend.
 	CacheBytes int64
 	// VerifyReads rehashes (sha256) every chunk read below the cache
 	// and compares it with its cid, turning substituted or rotted
@@ -254,7 +258,9 @@ type openOptionFunc func(*Options)
 func (f openOptionFunc) applyOpen(o *Options) { f(o) }
 
 // WithCacheBytes enables a chunk cache of up to n bytes in front of
-// the store's read path.
+// the store's read path. The budget charges each entry its bytes plus
+// a fixed per-entry cost (about 128 bytes), and under the same
+// pressure a small chunk outlives a leaf-sized one.
 func WithCacheBytes(n int64) OpenOption {
 	return openOptionFunc(func(o *Options) { o.CacheBytes = n })
 }

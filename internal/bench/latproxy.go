@@ -1,10 +1,9 @@
 package bench
 
 // latencyProxy is a loopback TCP forwarder that injects a fixed
-// one-way delay in each direction — the wire-level counterpart of
-// cluster.Options.NetLatency for experiments that talk to a real
-// forkserved socket, where a time.Sleep inside the server would be
-// invisible to the client's connection pipelining.
+// one-way delay in each direction, for experiments that talk to a
+// real forkserved socket, where a time.Sleep inside the server would
+// be invisible to the client's connection pipelining.
 //
 // The delay is added without throttling bandwidth: a reader goroutine
 // drains the source as fast as bytes arrive and stamps each segment;

@@ -6,8 +6,7 @@
 //
 // The paper evaluates on a 64-node cluster over 1 GbE. This package
 // simulates that cluster in one process: servlets run as independent
-// single-threaded workers connected by channels, and an optional
-// per-request latency models the network hop. Partitioning, routing
+// single-threaded workers connected by channels. Partitioning, routing
 // and the 1LP/2LP placement policies are implemented for real; only
 // the transport is simulated (see README, Architecture).
 package cluster
@@ -18,7 +17,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"time"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/core"
@@ -47,9 +45,6 @@ type Options struct {
 	Nodes int
 	// Placement selects 1LP or 2LP chunk placement.
 	Placement Placement
-	// NetLatency, when non-zero, is slept once per dispatched request
-	// to model the client-servlet network hop.
-	NetLatency time.Duration
 	// CacheBytes bounds a per-servlet chunk cache in front of the 2LP
 	// shared pool, where a miss costs a (simulated) remote hop; 0
 	// disables caching. Meta chunks are already local and bypass it.
@@ -191,21 +186,17 @@ func (c *Cluster) NodeStorageBytes() []int64 {
 }
 
 // Exec is the dispatcher's request path (§4.1): it routes key to the
-// owning servlet, models the client-servlet network hop, and executes
-// fn on the servlet's execution thread. Who may run what is fn's
-// business — the client hands in the Store op's policy function — the
-// cluster only routes.
+// owning servlet and executes fn on the servlet's execution thread.
+// Who may run what is fn's business — the client hands in the Store
+// op's policy function — the cluster only routes.
 func (c *Cluster) Exec(ctx context.Context, key string, fn func(eng *core.Engine) error) error {
-	if c.opts.NetLatency > 0 {
-		time.Sleep(c.opts.NetLatency)
-	}
 	return c.servlets[c.master.Route(key)].ExecCtx(ctx, fn)
 }
 
 // PutBatch applies a group of writes, dispatching once per owning
 // servlet instead of once per write: entries are grouped by route and
-// each servlet executes its group as one engine PutBatch (one network
-// hop and one queue slot per servlet). Returns uids in entry order.
+// each servlet executes its group as one engine PutBatch (one
+// dispatch and one queue slot per servlet). Returns uids in entry order.
 // Atomicity is per key, as in Engine.PutBatch; entries for different
 // servlets may commit even when another servlet's group fails.
 func (c *Cluster) PutBatch(ctx context.Context, puts []core.BatchPut) ([]types.UID, error) {
@@ -220,7 +211,7 @@ func (c *Cluster) PutBatch(ctx context.Context, puts []core.BatchPut) ([]types.U
 	}
 	// The per-servlet groups are independent (atomicity is per key),
 	// so dispatch them concurrently: batch latency is the slowest
-	// group's, not the sum of all hops.
+	// group's, not the sum of all groups.
 	uids := make([]types.UID, len(puts))
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
@@ -233,9 +224,6 @@ func (c *Cluster) PutBatch(ctx context.Context, puts []core.BatchPut) ([]types.U
 		wg.Add(1)
 		go func(gi, owner int, idxs []int, group []core.BatchPut) {
 			defer wg.Done()
-			if c.opts.NetLatency > 0 {
-				time.Sleep(c.opts.NetLatency)
-			}
 			errs[gi] = c.servlets[owner].ExecCtx(ctx, func(eng *core.Engine) error {
 				got, err := eng.PutBatch(ctx, group)
 				if err != nil {
@@ -261,9 +249,6 @@ func (c *Cluster) PutBatch(ctx context.Context, puts []core.BatchPut) ([]types.U
 func (c *Cluster) ListKeys(ctx context.Context) ([]string, error) {
 	var all []string
 	for _, sv := range c.servlets {
-		if c.opts.NetLatency > 0 {
-			time.Sleep(c.opts.NetLatency)
-		}
 		err := sv.ExecCtx(ctx, func(eng *core.Engine) error {
 			all = append(all, eng.ListKeys()...)
 			return nil

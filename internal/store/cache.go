@@ -15,10 +15,21 @@ import (
 // FileStore, the cluster's pool, or the POS-Tree read paths.
 //
 // The budget is split evenly among the shards, each under its own
-// mutex. A shard indexes cid bytes 8..15, already a uniform hash, into
-// a ring of slots. A hit sets the slot's reference bit; admission
-// sweeps a hand round the ring, clearing set bits and evicting the
-// first entry whose bit is clear.
+// mutex, and charges each entry its serialized size plus
+// cacheEntryCost, the memory an entry costs beyond its payload. A
+// shard indexes cid bytes 8..15, already a uniform hash, into a ring
+// of slots. A hit sets the slot's reference bit; admission sweeps a
+// hand round the ring until the new entry fits. At each slot the hand
+// clears a set bit, else spends one of the slot's credits, else evicts
+// the entry.
+//
+// The credits approximate GreedyDual-Size (Cao and Irani, 1997), which
+// keeps the entries that earn the most hits per byte: a slot's credit,
+// set on admission and again when the hand clears its bit, is
+// cacheCredit of its size, several passes for a 200-byte FObject meta
+// or Blob leaf and none for a 4 KiB POS-tree leaf. So under the same
+// pressure a small chunk outlives a leaf-sized one, and a referenced
+// slot still outlives an unreferenced one of the same size.
 type Cache struct {
 	inner  Store
 	shards []cacheShard
@@ -37,12 +48,31 @@ type cacheShard struct {
 	slots []cacheSlot      // the ring; a nil chunk is a free slot
 	free  []int32          // free slots, reused before the ring grows
 	hand  int
+	steps int64         // slots the hand has passed, for tests
 	drops atomic.Uint64 // Drop calls on the shard, written under mu
 }
 
 type cacheSlot struct {
-	c   *chunk.Chunk
-	ref bool // hit since the hand last passed
+	c      *chunk.Chunk
+	ref    bool  // hit since the hand last passed
+	credit uint8 // passes left before the hand evicts, once ref is clear
+	earn   uint8 // cacheCredit of c's size, kept so the hand need not read c
+}
+
+// cacheEntryCost is the memory an entry costs beyond its payload, in
+// bytes: the chunk struct (64), its slot in the ring (16), its index
+// entry, and the slack the ring and the index keep to grow into.
+// TestCacheBudgetBoundsMemory holds the budget to the heap it bounds.
+const cacheEntryCost = 128
+
+// cacheCreditBytes sets a slot's credit: cacheCreditBytes/(size+
+// cacheEntryCost) passes, so a 200-byte chunk earns 6, a chunk of
+// more than 1 920 bytes none, and no chunk more than 15.
+const cacheCreditBytes = 2048
+
+// cacheCredit returns the credit of a chunk of size serialized bytes.
+func cacheCredit(size int) uint8 {
+	return uint8(cacheCreditBytes / (size + cacheEntryCost))
 }
 
 // cacheShards is the shard count, a power of two so that a mask picks one.
@@ -52,10 +82,14 @@ const cacheShards = 16
 func cacheKey(id chunk.ID) uint64 { return binary.LittleEndian.Uint64(id[8:16]) }
 
 // NewCache wraps inner with a CLOCK ring over an 8-byte cid index,
-// bounded by maxBytes of serialized chunk payload. A chunk larger than
-// one shard's share (maxBytes/16) is never cached, so the budget should
-// comfortably exceed 16x the chunk size (a few hundred KB or more for
-// 4 KB chunks). A non-positive budget caches nothing.
+// bounded by maxBytes: each entry is charged its serialized size plus
+// a fixed per-entry cost (the chunk struct, its slot and its index
+// entry), so the budget bounds memory for small chunks as well as
+// large ones. Under the same pressure a small chunk outlives a
+// leaf-sized one. A chunk larger than one shard's share (maxBytes/16)
+// is never cached, so the budget should comfortably exceed 16x the
+// chunk size (a few hundred KB or more for 4 KB chunks). A
+// non-positive budget caches nothing.
 func NewCache(inner Store, maxBytes int64) *Cache {
 	c := &Cache{inner: inner, shards: make([]cacheShard, cacheShards)}
 	for i := range c.shards {
@@ -113,7 +147,7 @@ func (c *Cache) remove(s *cacheShard, i int32) {
 // the sweep reclaimed — sweeping the hand until ck fits in the budget.
 func (c *Cache) admit(s *cacheShard, ck *chunk.Chunk, drops uint64) {
 	size := int64(ck.Size())
-	if size > s.limit {
+	if size+cacheEntryCost > s.limit {
 		return // larger than the whole shard: never cache
 	}
 	s.mu.Lock()
@@ -122,14 +156,19 @@ func (c *Cache) admit(s *cacheShard, ck *chunk.Chunk, drops uint64) {
 	if _, ok := s.index[key]; ok || s.drops.Load() != drops {
 		return
 	}
-	for s.bytes+size > s.limit {
-		if sl := &s.slots[s.hand]; sl.ref {
-			sl.ref = false
-		} else if sl.c != nil {
+	for s.bytes+int64(len(s.index)+1)*cacheEntryCost+size > s.limit {
+		switch sl := &s.slots[s.hand]; {
+		case sl.c == nil:
+		case sl.ref:
+			sl.ref, sl.credit = false, sl.earn
+		case sl.credit > 0:
+			sl.credit--
+		default:
 			c.remove(s, int32(s.hand))
 			c.evictions.Add(1)
 		}
 		s.hand = (s.hand + 1) % len(s.slots)
+		s.steps++
 	}
 	i := int32(len(s.slots))
 	if n := len(s.free); n > 0 {
@@ -137,7 +176,8 @@ func (c *Cache) admit(s *cacheShard, ck *chunk.Chunk, drops uint64) {
 	} else {
 		s.slots = append(s.slots, cacheSlot{})
 	}
-	s.slots[i] = cacheSlot{c: ck}
+	earn := cacheCredit(int(size))
+	s.slots[i] = cacheSlot{c: ck, credit: earn, earn: earn}
 	s.index[key] = i
 	s.bytes += size
 	c.bytes.Add(size)

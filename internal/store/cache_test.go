@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -267,7 +269,7 @@ func TestCacheGetRacingSweepCachesNothingDead(t *testing.T) {
 // free space — the hand clears the set's bits and evicts scan entries
 // behind them. An LRU evicts the working set first.
 func TestCacheScanResistance(t *testing.T) {
-	const size, limit = 100, 40 * 100 // one shard holds 40 chunks
+	const size, limit = 100, 40 * (100 + cacheEntryCost) // one shard holds 40 chunks
 	cache := NewCache(NewMemStore(), cacheShards*limit)
 	defer cache.Close()
 	hot := shardChunks("hot", 10, size)
@@ -290,9 +292,73 @@ func TestCacheScanResistance(t *testing.T) {
 	if hits := after.CacheHits - before.CacheHits; hits != int64(len(hot)) {
 		t.Fatalf("%d of %d working-set chunks survived the scan", hits, len(hot))
 	}
-	if after.CacheBytes != limit {
-		t.Fatalf("cache holds %d bytes; want the full shard, %d", after.CacheBytes, limit)
+	if full := int64(limit - 40*cacheEntryCost); after.CacheBytes != full {
+		t.Fatalf("cache holds %d bytes; want the full shard, %d", after.CacheBytes, full)
 	}
+}
+
+// TestCacheSmallChunkHitCounts runs a fixed trace through shard 0:
+// 4 KiB leaves read once, each beside a 200-byte chunk that is read
+// again 40 pairs later, after the leaves have cycled through the whole
+// shard, and once more 160 pairs after it was first read. Leaves earn
+// no credit and small chunks several, so the hand evicts leaves and
+// the small chunks are still there at the second read; at the third,
+// only those whose credit the hit re-armed are. A plain CLOCK ring
+// evicts in admission order and misses every re-read. The hand's steps
+// stay within (max credit + 1) per eviction plus one pass over the ring.
+func TestCacheSmallChunkHitCounts(t *testing.T) {
+	const pairs, lag, lag2 = 400, 40, 160
+	const limit = 32 * (4096 + cacheEntryCost) // one shard holds 32 leaves
+	leaves, small := shardChunks("leaf", pairs, 4096), shardChunks("small", pairs, 200)
+	ms := NewMemStore()
+	for i := range leaves {
+		ms.Put(leaves[i])
+		ms.Put(small[i])
+	}
+	cache := NewCache(ms, cacheShards*limit)
+	defer cache.Close()
+	for i := range leaves {
+		cache.Get(leaves[i].ID())
+		cache.Get(small[i].ID())
+		if i >= lag {
+			cache.Get(small[i-lag].ID())
+		}
+		if i >= lag2 {
+			cache.Get(small[i-lag2].ID())
+		}
+	}
+	got := cache.CacheCounters()
+	if got.CacheHits != 445 || got.CacheMisses != 955 {
+		t.Errorf("hits=%d misses=%d; want 445/955", got.CacheHits, got.CacheMisses)
+	}
+	s := &cache.shards[0]
+	maxCredit := int64(cacheCredit(1))
+	if bound := (maxCredit+1)*got.CacheEvictions + int64(len(s.slots)); s.steps > bound {
+		t.Errorf("the hand took %d steps for %d evictions over %d slots; want at most %d", s.steps, got.CacheEvictions, len(s.slots), bound)
+	}
+}
+
+// TestCacheBudgetBoundsMemory fills a cache with small chunks, for
+// which the per-entry overhead rivals the payload, and checks that the
+// heap the cache holds stays within its budget.
+func TestCacheBudgetBoundsMemory(t *testing.T) {
+	const budget = 8 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cache := NewCache(nopStore{}, budget)
+	for i := 0; i < 100_000; i++ {
+		p := make([]byte, 199)
+		binary.LittleEndian.PutUint32(p, uint32(i))
+		cache.Put(chunk.New(chunk.TypeBlob, p))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if growth > budget*11/10 {
+		t.Fatalf("the cache holds %d heap bytes (%d of payload) under a budget of %d", growth, cache.CacheCounters().CacheBytes, budget)
+	}
+	runtime.KeepAlive(cache)
 }
 
 // TestCacheKeyCollision: two chunks whose cids share the index key
@@ -385,8 +451,9 @@ func TestCacheAllocs(t *testing.T) {
 // against a model — the set of chunks the backing store holds — over a
 // few chunks in two shards, two of them forged twins that share another
 // chunk's index key. After every step the cache's bytes are exactly
-// what its slots hold and within budget, every Get returns the chunk
-// with the asked id, and a swept id is never served.
+// what its slots hold, those bytes plus the per-entry charge are within
+// budget, no slot's credit exceeds what its size earns, every Get
+// returns the chunk with the asked id, and a swept id is never served.
 func FuzzCache(f *testing.F) {
 	var universe []*chunk.Chunk
 	for i := 0; len(universe) < 10; i++ {
@@ -452,6 +519,9 @@ func FuzzCache(f *testing.F) {
 					}
 					entries++
 					n += int64(sl.c.Size())
+					if sl.earn != cacheCredit(sl.c.Size()) || sl.credit > sl.earn {
+						t.Fatalf("slot %d holds credit %d of %d; a %d-byte chunk earns %d", j, sl.credit, sl.earn, sl.c.Size(), cacheCredit(sl.c.Size()))
+					}
 					if !held[sl.c.ID()] {
 						t.Fatalf("swept chunk %s is cached", sl.c.ID().Short())
 					}
@@ -459,7 +529,7 @@ func FuzzCache(f *testing.F) {
 						t.Fatalf("slot %d's chunk is indexed at %d (%v)", j, k, ok)
 					}
 				}
-				if n != s.bytes || n > s.limit || entries != len(s.index) {
+				if n != s.bytes || n+int64(entries)*cacheEntryCost > s.limit || entries != len(s.index) {
 					t.Fatalf("shard %d: slots hold %d bytes in %d entries; shard counts %d bytes, %d index entries, limit %d", i, n, entries, s.bytes, len(s.index), s.limit)
 				}
 				total += n

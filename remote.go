@@ -56,7 +56,9 @@ type RemoteConfig struct {
 	ChunkCacheDir string
 	// ChunkCacheBytes is the budget of the in-memory tier, a CLOCK ring
 	// over an 8-byte cid index, in front of the client chunk store; 0
-	// means 64 MiB. The store behind it is an on-disk log that keeps
+	// means 64 MiB. The budget charges each entry its bytes plus a fixed
+	// per-entry cost (about 128 bytes), and under the same pressure a
+	// small chunk outlives a leaf-sized one. The store behind it is an on-disk log that keeps
 	// every chunk it is handed for the life of the RemoteStore (for
 	// good, under ChunkCacheDir) and holds only its index in memory, so
 	// resident chunk bytes stay within this budget however much history
