@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"forkbase/internal/chunk"
@@ -422,10 +423,12 @@ func (t *Tree) applySortedOps(ops []mapOp) (*Tree, error) {
 	if len(ops) == 0 {
 		return t, nil
 	}
-	// Sort stably and keep only the last op per key.
-	sort.SliceStable(ops, func(i, j int) bool {
-		return bytes.Compare(ops[i].key, ops[j].key) < 0
-	})
+	// Sort stably, unless the ops already are, and keep only the last
+	// op per key. MapApply's sets and deletes are each usually sorted.
+	byKey := func(a, b mapOp) int { return bytes.Compare(a.key, b.key) }
+	if !slices.IsSortedFunc(ops, byKey) {
+		slices.SortStableFunc(ops, byKey)
+	}
 	dedup := ops[:0]
 	for i, op := range ops {
 		if i+1 < len(ops) && bytes.Equal(ops[i+1].key, op.key) {

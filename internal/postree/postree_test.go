@@ -243,6 +243,38 @@ func TestMapApplyLastWriteWins(t *testing.T) {
 	}
 }
 
+// TestMapApplySetsThenDeletes: MapApply's ops are its sets, then its
+// deletes, so a key in both ends up deleted; sets out of key order still
+// all apply, on an empty tree and on a built one.
+func TestMapApplySetsThenDeletes(t *testing.T) {
+	s := store.NewMemStore()
+	sets := []KV{
+		{Key: []byte("m"), Value: []byte("1")},
+		{Key: []byte("c"), Value: []byte("2")},
+		{Key: []byte("x"), Value: []byte("3")},
+		{Key: []byte("a"), Value: []byte("4")},
+	}
+	dels := [][]byte{[]byte("c"), []byte("z")}
+	want := map[string]string{"m": "1", "x": "3", "a": "4"}
+	for _, base := range []*Tree{Empty(s, testConfig(), KindMap), buildMap(t, s, randomKVs(500, 9))} {
+		tr, err := base.MapApply(sets, dels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok, err := tr.Get([]byte("c")); ok || err != nil {
+			t.Fatalf("Get(c) = %q, %v, %v; a key set and deleted in one batch must be gone", v, ok, err)
+		}
+		for k, v := range want {
+			if got, ok, err := tr.Get([]byte(k)); !ok || err != nil || string(got) != v {
+				t.Fatalf("Get(%s) = %q, %v, %v; want %q", k, got, ok, err, v)
+			}
+		}
+		if got := tr.Count(); got != base.Count()+3 {
+			t.Fatalf("count %d; want %d", got, base.Count()+3)
+		}
+	}
+}
+
 func TestCopyOnWriteSharing(t *testing.T) {
 	s := store.NewMemStore()
 	kvs := randomKVs(3000, 7)

@@ -305,7 +305,8 @@ func TestCacheScanResistance(t *testing.T) {
 // the small chunks are still there at the second read; at the third,
 // only those whose credit the hit re-armed are. A plain CLOCK ring
 // evicts in admission order and misses every re-read. The hand's steps
-// stay within (max credit + 1) per eviction plus one pass over the ring.
+// stay within (max credit + 1) per eviction plus one pass over the ring,
+// and the index reads a pinned number of table entries.
 func TestCacheSmallChunkHitCounts(t *testing.T) {
 	const pairs, lag, lag2 = 400, 40, 160
 	const limit = 32 * (4096 + cacheEntryCost) // one shard holds 32 leaves
@@ -336,6 +337,11 @@ func TestCacheSmallChunkHitCounts(t *testing.T) {
 	if bound := (maxCredit+1)*got.CacheEvictions + int64(len(s.slots)); s.steps > bound {
 		t.Errorf("the hand took %d steps for %d evictions over %d slots; want at most %d", s.steps, got.CacheEvictions, len(s.slots), bound)
 	}
+	// The index's cost on the same trace: the table entries that 1 400
+	// lookups and 955 admission checks read, with the hand's exact path.
+	if s.probes != 3643 || s.steps != 5120 || got.CacheEvictions != 710 {
+		t.Errorf("probes=%d steps=%d evictions=%d; want 3643/5120/710", s.probes, s.steps, got.CacheEvictions)
+	}
 }
 
 // TestCacheBudgetBoundsMemory fills a cache with small chunks, for
@@ -361,14 +367,16 @@ func TestCacheBudgetBoundsMemory(t *testing.T) {
 	runtime.KeepAlive(cache)
 }
 
-// TestCacheKeyCollision: two chunks whose cids share the index key
-// (bytes 8..15) and the shard. Neither is served under the other's id:
-// while one is cached, a lookup of the other falls through to the
-// backing store, and Drop of one leaves the other.
+// TestCacheKeyCollision: chunks whose cids share the shard and the
+// index key (bytes 8..15), or only the key's fragment (bytes 11..15).
+// None is served under another's id: while one is cached, a lookup of
+// another falls through to the backing store, and Drop of one leaves
+// the other.
 func TestCacheKeyCollision(t *testing.T) {
 	idA := chunk.New(chunk.TypeBlob, []byte("base")).ID()
-	idB := idA
+	idB, idC := idA, idA
 	idB[31] ^= 1
+	idC[8] ^= 1
 	a, err := chunk.DecodeStored([]byte{byte(chunk.TypeBlob), 'a'}, idA)
 	if err != nil {
 		t.Fatal(err)
@@ -377,9 +385,14 @@ func TestCacheKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := chunk.DecodeStored([]byte{byte(chunk.TypeBlob), 'c', 'c', 'c'}, idC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ms := NewMemStore()
 	ms.Put(a)
 	ms.Put(b)
+	ms.Put(c)
 	cache := NewCache(ms, 1<<20)
 	defer cache.Close()
 	get := func(want *chunk.Chunk, fromInner bool) {
@@ -401,14 +414,92 @@ func TestCacheKeyCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	get(b, true) // a Put does not displace a either
-	cache.Drop([]chunk.ID{idB})
-	get(a, false) // a Drop of b leaves a
+	get(c, true) // c shares a's fragment: not admitted either
+	get(c, true)
+	get(a, false)
+	cache.Drop([]chunk.ID{idB, idC})
+	get(a, false) // a Drop of b or c leaves a
 	cache.Drop([]chunk.ID{idA})
 	get(b, true) // the key is free: b is admitted
 	get(b, false)
 	get(a, true)
+	get(c, true)
+	get(b, false)
 	if got := cache.CacheCounters().CacheBytes; got != int64(b.Size()) {
 		t.Fatalf("cache holds %d bytes; want b's %d", got, b.Size())
+	}
+}
+
+// TestCacheSlotCap: a shard's ring never grows past cacheMaxSlots, so
+// slot + 1 always fits an entry's 24-bit field. At the cap, admission
+// evicts to free a slot even when the byte budget has room. The test
+// lowers the cap rather than filling 16 M slots.
+func TestCacheSlotCap(t *testing.T) {
+	if cacheMaxSlots+1 > cacheSlotMask {
+		t.Fatalf("a cap of %d slots overflows the %d-bit slot field", cacheMaxSlots, cacheSlotBits)
+	}
+	defer func(n int) { cacheMaxSlots = n }(cacheMaxSlots)
+	cacheMaxSlots = 5
+	cache := NewCache(NewMemStore(), 1<<20) // the bytes never bind
+	s := &cache.shards[0]
+	cs := shardChunks("cap", 40, 100)
+	for i, c := range cs {
+		if _, err := cache.Put(c); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		_, ok := s.find(c.ID())
+		checkIndex(t, s)
+		s.mu.Unlock()
+		if !ok || len(s.slots) > cacheMaxSlots {
+			t.Fatalf("Put %d: cached %v, ring of %d slots; want cached in at most %d", i, ok, len(s.slots), cacheMaxSlots)
+		}
+	}
+	if e := cache.CacheCounters().CacheEvictions; e != int64(len(cs)-cacheMaxSlots) {
+		t.Fatalf("%d evictions; want %d", e, len(cs)-cacheMaxSlots)
+	}
+}
+
+// checkIndex checks s's table against its ring: each occupied slot's
+// position names an entry that carries its chunk's fragment, points
+// back to the slot and is reachable from the fragment's probe start;
+// every entry names an occupied slot, so the entry count is the
+// occupied-slot count, none is a tombstone, and the table, a power of
+// two, is at most half full. The caller holds s.mu.
+func checkIndex(t testing.TB, s *cacheShard) {
+	t.Helper()
+	if n := len(s.table); n < cacheTableMin || n&(n-1) != 0 {
+		t.Fatalf("table of %d entries; want a power of two, at least %d", n, cacheTableMin)
+	}
+	mask := uint32(len(s.table) - 1)
+	occupied := 0
+	for j, sl := range s.slots {
+		if sl.c == nil {
+			continue
+		}
+		occupied++
+		key := cacheKey(sl.c.ID())
+		if sl.pos > mask || s.table[sl.pos] != key&^cacheSlotMask|uint64(j+1) {
+			t.Fatalf("slot %d records table position %d, which holds %#x", j, sl.pos, s.table[sl.pos&mask])
+		}
+		for p := uint32(key>>cacheSlotBits) & mask; p != sl.pos; p = (p + 1) & mask {
+			if s.table[p] == 0 {
+				t.Fatalf("slot %d's entry at %d is past an empty position %d of its probe", j, sl.pos, p)
+			}
+		}
+	}
+	entries := 0
+	for p, e := range s.table {
+		if e == 0 {
+			continue
+		}
+		entries++
+		if i := int(e&cacheSlotMask) - 1; i < 0 || i >= len(s.slots) || s.slots[i].c == nil || s.slots[i].pos != uint32(p) {
+			t.Fatalf("table entry %#x at %d names no occupied slot that points back", e, p)
+		}
+	}
+	if entries != occupied || entries != s.used || 2*entries > len(s.table) || len(s.slots) > cacheMaxSlots {
+		t.Fatalf("%d table entries (%d counted) of %d for %d occupied slots of %d (cap %d)", entries, s.used, len(s.table), occupied, len(s.slots), cacheMaxSlots)
 	}
 }
 
@@ -449,10 +540,12 @@ func TestCacheAllocs(t *testing.T) {
 
 // FuzzCache runs scripts of Put, Get, Has, sweep-and-Drop and Close
 // against a model — the set of chunks the backing store holds — over a
-// few chunks in two shards, two of them forged twins that share another
-// chunk's index key. After every step the cache's bytes are exactly
-// what its slots hold, those bytes plus the per-entry charge are within
-// budget, no slot's credit exceeds what its size earns, every Get
+// few chunks in two shards, four of them forged twins that share
+// another chunk's index key or only its fragment. After every step and
+// after a final Close the cache's bytes are exactly what its slots
+// hold, those bytes plus the per-entry charge are within budget, each
+// slot records its chunk's size and no more credit than that earns,
+// the index holds exactly the occupied slots (checkIndex), every Get
 // returns the chunk with the asked id, and a swept id is never served.
 func FuzzCache(f *testing.F) {
 	var universe []*chunk.Chunk
@@ -463,9 +556,9 @@ func FuzzCache(f *testing.F) {
 			universe = append(universe, c)
 		}
 	}
-	for _, base := range universe[:2] {
+	for i, base := range universe[:4] {
 		id := base.ID()
-		id[20] ^= 0xff
+		id[20-i/2*12] ^= 0xff // bytes 8..15 shared, or only their fragment
 		twin, err := chunk.DecodeStored([]byte{byte(chunk.TypeBlob), 't', 'w', 'i', 'n'}, id)
 		if err != nil {
 			f.Fatal(err)
@@ -480,6 +573,38 @@ func FuzzCache(f *testing.F) {
 		ms := NewMemStore()
 		cache := NewCache(ms, cacheShards*limit)
 		held := map[chunk.ID]bool{} // the model: what the backing store holds
+		check := func() {
+			t.Helper()
+			var total int64
+			for i := range cache.shards {
+				s := &cache.shards[i]
+				s.mu.Lock()
+				var n int64
+				entries := 0
+				for j, sl := range s.slots {
+					if sl.c == nil {
+						continue
+					}
+					entries++
+					n += int64(sl.c.Size())
+					if sl.size != sl.c.Size() || sl.earn != cacheCredit(sl.c.Size()) || sl.credit > sl.earn {
+						t.Fatalf("slot %d records size %d and credit %d of %d; its %d-byte chunk earns %d", j, sl.size, sl.credit, sl.earn, sl.c.Size(), cacheCredit(sl.c.Size()))
+					}
+					if !held[sl.c.ID()] {
+						t.Fatalf("swept chunk %s is cached", sl.c.ID().Short())
+					}
+				}
+				checkIndex(t, s)
+				if n != s.bytes || n+int64(entries)*cacheEntryCost > s.limit {
+					t.Fatalf("shard %d: slots hold %d bytes in %d entries; shard counts %d bytes, limit %d", i, n, entries, s.bytes, s.limit)
+				}
+				total += n
+				s.mu.Unlock()
+			}
+			if got := cache.CacheCounters().CacheBytes; got != total {
+				t.Fatalf("CacheBytes = %d; the slots hold %d", got, total)
+			}
+		}
 		for _, op := range script {
 			c := universe[int(op&31)%len(universe)]
 			id := c.ID()
@@ -507,37 +632,9 @@ func FuzzCache(f *testing.F) {
 			case 7:
 				cache.Close()
 			}
-			var total int64
-			for i := range cache.shards {
-				s := &cache.shards[i]
-				s.mu.Lock()
-				var n int64
-				entries := 0
-				for j, sl := range s.slots {
-					if sl.c == nil {
-						continue
-					}
-					entries++
-					n += int64(sl.c.Size())
-					if sl.earn != cacheCredit(sl.c.Size()) || sl.credit > sl.earn {
-						t.Fatalf("slot %d holds credit %d of %d; a %d-byte chunk earns %d", j, sl.credit, sl.earn, sl.c.Size(), cacheCredit(sl.c.Size()))
-					}
-					if !held[sl.c.ID()] {
-						t.Fatalf("swept chunk %s is cached", sl.c.ID().Short())
-					}
-					if k, ok := s.index[cacheKey(sl.c.ID())]; !ok || int(k) != j {
-						t.Fatalf("slot %d's chunk is indexed at %d (%v)", j, k, ok)
-					}
-				}
-				if n != s.bytes || n+int64(entries)*cacheEntryCost > s.limit || entries != len(s.index) {
-					t.Fatalf("shard %d: slots hold %d bytes in %d entries; shard counts %d bytes, %d index entries, limit %d", i, n, entries, s.bytes, len(s.index), s.limit)
-				}
-				total += n
-				s.mu.Unlock()
-			}
-			if got := cache.CacheCounters().CacheBytes; got != total {
-				t.Fatalf("CacheBytes = %d; the slots hold %d", got, total)
-			}
+			check()
 		}
+		cache.Close()
+		check()
 	})
 }

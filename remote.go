@@ -748,6 +748,12 @@ func roundTrip[T any](ctx context.Context, rs *RemoteStore, op uint8, opts []Opt
 	if err != nil {
 		return v, nil, err
 	}
+	return roundTripWith(ctx, rs, op, co, enc, dec)
+}
+
+// roundTripWith is roundTrip with the options already resolved, for a
+// caller that checks the response against them.
+func roundTripWith[T any](ctx context.Context, rs *RemoteStore, op uint8, co wire.CallOptions, enc func(e *wire.Enc) error, dec func(d *wire.Dec) (T, error)) (v T, ep *wire.ErrorPayload, err error) {
 	// The request encoding rides a pooled buffer: the frame writer
 	// consumes the payload before writeFrame returns, so it is free
 	// for reuse once the call has been sent.
@@ -794,9 +800,18 @@ func noBody(*wire.Dec) (struct{}, error) { return struct{}{}, nil }
 
 func decUID(d *wire.Dec) (UID, error) { return d.UID(), nil }
 
-// Get implements Store.
+// Get implements Store. A version read by WithBase must be the one
+// asked for: its uid commits to its content and derivation, so any
+// other uid in the response fails with ErrCorrupt.
 func (rs *RemoteStore) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
-	o, _, err := roundTrip(ctx, rs, wire.OpGet, opts, encKey(key), wire.DecodeFObject)
+	co, err := wireOpts(resolveOpts(opts))
+	if err != nil {
+		return nil, err
+	}
+	o, _, err := roundTripWith(ctx, rs, wire.OpGet, co, encKey(key), wire.DecodeFObject)
+	if err == nil && len(co.Bases) > 0 && o.UID() != co.Bases[0] {
+		return nil, fmt.Errorf("forkbase: Get of version %s received %s: %w", co.Bases[0].Short(), o.UID().Short(), ErrCorrupt)
+	}
 	return o, err
 }
 

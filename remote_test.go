@@ -672,3 +672,40 @@ func TestRemoteServerOfCluster(t *testing.T) {
 		t.Fatalf("cluster behind server: %d keys, %v", len(keys), err)
 	}
 }
+
+// headOnlyStore answers every Get with the head of the default branch,
+// whatever version the call asked for: a server that swaps versions.
+type headOnlyStore struct{ forkbase.Store }
+
+func (s headOnlyStore) Get(ctx context.Context, key string, _ ...forkbase.Option) (*forkbase.FObject, error) {
+	return s.Store.Get(ctx, key)
+}
+
+// TestRemoteGetWithBaseChecksUID: a version read by WithBase must hash
+// to the uid asked for; another version from the server is ErrCorrupt,
+// not wrong data.
+func TestRemoteGetWithBaseChecksUID(t *testing.T) {
+	addr, _ := startServer(t, headOnlyStore{forkbase.Open()}, forkbase.ServerOptions{})
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ctx := context.Background()
+	old, err := rc.Put(ctx, "k", forkbase.String("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := rc.Put(ctx, "k", forkbase.String("new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, err := rc.Get(ctx, "k", forkbase.WithBase(old)); !errors.Is(err, forkbase.ErrCorrupt) {
+		t.Fatalf("Get(WithBase(old)) answered with the head = %v, %v; want ErrCorrupt", o, err)
+	}
+	for _, opts := range [][]forkbase.Option{{forkbase.WithBase(head)}, nil} {
+		if o, err := rc.Get(ctx, "k", opts...); err != nil || o.UID() != head {
+			t.Fatalf("Get(%d options) = %v, %v; want the head %s", len(opts), o, err, head.Short())
+		}
+	}
+}
