@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"forkbase/internal/branch"
 	"forkbase/internal/core"
 	"forkbase/internal/servlet"
 )
@@ -174,32 +175,201 @@ func AsSet(v Value) (*Set, error) {
 	return s, nil
 }
 
-// --- embedded implementation ----------------------------------------
-//
-// Every method is the context check, the option fold and the op's
-// policy function (policy.go) on the embedded engine.
+// --- one Store surface over three backends ----------------------------
+
+// backend is a deployment mode's implementation of the Store ops, each
+// called with its options already resolved: *DB runs the op's policy
+// function (policy.go) on the embedded engine, *ClusterClient on the
+// owning servlet's, and *RemoteStore sends it over the wire. The Store
+// methods are written once, on frontend, and the Server calls a
+// backend with the options it decoded, so neither folds an option list
+// a second time. Options travel by value: a pointer through the
+// interface would move the server's decoded request to the heap.
+type backend interface {
+	get(ctx context.Context, key string, o callOpts) (*FObject, error)
+	// put's scope is the journal scope of a run of Puts the server
+	// answers on a local DB's read loop, and nil anywhere else.
+	put(ctx context.Context, key string, v Value, scope *branch.Batch, o callOpts) (UID, error)
+	apply(ctx context.Context, b *Batch, o callOpts) ([]UID, error)
+	fork(ctx context.Context, key, newBranch string, o callOpts) error
+	merge(ctx context.Context, key, tgtBranch string, o callOpts) (UID, []Conflict, error)
+	track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error)
+	diff(ctx context.Context, key string, a, b UID, o callOpts) (*Diff, error)
+	listKeys(ctx context.Context, o callOpts) ([]string, error)
+	listBranches(ctx context.Context, key string, o callOpts) (BranchList, error)
+	renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error
+	removeBranch(ctx context.Context, key, branchName string, o callOpts) error
+	// pin is Pin with on and Unpin without.
+	pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error
+	gc(ctx context.Context, o callOpts) (GCStats, error)
+	value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error)
+}
+
+// frontend is the Store API, written once for every deployment mode:
+// each method folds its options and makes one backend call. *DB,
+// *ClusterClient and *RemoteStore embed it over themselves.
+type frontend struct{ be backend }
 
 // Get implements Store.
-func (db *DB) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	o := resolveOpts(opts)
-	return getOp(db.eng, db.acl, key, &o)
+func (f *frontend) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
+	return f.be.get(ctx, key, resolveOpts(opts))
 }
 
 // Put implements Store.
-func (db *DB) Put(ctx context.Context, key string, v Value, opts ...Option) (UID, error) {
-	if err := ctx.Err(); err != nil {
-		return UID{}, err
-	}
-	o := resolveOpts(opts)
-	return putOp(db.eng, db.acl, nil, key, v, &o)
+func (f *frontend) Put(ctx context.Context, key string, v Value, opts ...Option) (UID, error) {
+	return f.be.put(ctx, key, v, nil, resolveOpts(opts))
 }
 
 // Apply implements Store.
-func (db *DB) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
-	o := resolveOpts(opts)
+func (f *frontend) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
+	return f.be.apply(ctx, b, resolveOpts(opts))
+}
+
+// Fork implements Store.
+func (f *frontend) Fork(ctx context.Context, key, newBranch string, opts ...Option) error {
+	return f.be.fork(ctx, key, newBranch, resolveOpts(opts))
+}
+
+// Merge implements Store.
+func (f *frontend) Merge(ctx context.Context, key, tgtBranch string, opts ...Option) (UID, []Conflict, error) {
+	return f.be.merge(ctx, key, tgtBranch, resolveOpts(opts))
+}
+
+// Track implements Store.
+func (f *frontend) Track(ctx context.Context, key string, from, to int, opts ...Option) ([]*FObject, error) {
+	return f.be.track(ctx, key, from, to, resolveOpts(opts))
+}
+
+// Diff implements Store.
+func (f *frontend) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*Diff, error) {
+	return f.be.diff(ctx, key, a, b, resolveOpts(opts))
+}
+
+// ListKeys implements Store.
+func (f *frontend) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
+	return f.be.listKeys(ctx, resolveOpts(opts))
+}
+
+// ListBranches implements Store.
+func (f *frontend) ListBranches(ctx context.Context, key string, opts ...Option) (BranchList, error) {
+	return f.be.listBranches(ctx, key, resolveOpts(opts))
+}
+
+// RenameBranch implements Store.
+func (f *frontend) RenameBranch(ctx context.Context, key, branchName, newName string, opts ...Option) error {
+	return f.be.renameBranch(ctx, key, branchName, newName, resolveOpts(opts))
+}
+
+// RemoveBranch implements Store. With automatic collection configured,
+// every n-th successful removal runs a collection before returning.
+func (f *frontend) RemoveBranch(ctx context.Context, key, branchName string, opts ...Option) error {
+	return f.be.removeBranch(ctx, key, branchName, resolveOpts(opts))
+}
+
+// Pin implements Store.
+func (f *frontend) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
+	return f.be.pin(ctx, key, uid, true, resolveOpts(opts))
+}
+
+// Unpin implements Store.
+func (f *frontend) Unpin(ctx context.Context, key string, uid UID, opts ...Option) error {
+	return f.be.pin(ctx, key, uid, false, resolveOpts(opts))
+}
+
+// GC implements Store.
+func (f *frontend) GC(ctx context.Context, opts ...Option) (GCStats, error) {
+	return f.be.gc(ctx, resolveOpts(opts))
+}
+
+// Value implements Store.
+func (f *frontend) Value(ctx context.Context, key string, o *FObject, opts ...Option) (Value, error) {
+	return f.be.value(ctx, key, o, resolveOpts(opts))
+}
+
+// storeBackend adapts a Store of any other type — a wrapper, a test
+// double — to backend by re-packing the resolved options as the list
+// its methods take.
+type storeBackend struct{ st Store }
+
+func (b storeBackend) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
+	return b.st.Get(ctx, key, o.options()...)
+}
+
+func (b storeBackend) put(ctx context.Context, key string, v Value, _ *branch.Batch, o callOpts) (UID, error) {
+	return b.st.Put(ctx, key, v, o.options()...)
+}
+
+func (b storeBackend) apply(ctx context.Context, bt *Batch, o callOpts) ([]UID, error) {
+	return b.st.Apply(ctx, bt, o.options()...)
+}
+
+func (b storeBackend) fork(ctx context.Context, key, nb string, o callOpts) error {
+	return b.st.Fork(ctx, key, nb, o.options()...)
+}
+
+func (b storeBackend) merge(ctx context.Context, key, tgt string, o callOpts) (UID, []Conflict, error) {
+	return b.st.Merge(ctx, key, tgt, o.options()...)
+}
+
+func (b storeBackend) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
+	return b.st.Track(ctx, key, from, to, o.options()...)
+}
+
+func (b storeBackend) diff(ctx context.Context, key string, x, y UID, o callOpts) (*Diff, error) {
+	return b.st.Diff(ctx, key, x, y, o.options()...)
+}
+
+func (b storeBackend) listKeys(ctx context.Context, o callOpts) ([]string, error) {
+	return b.st.ListKeys(ctx, o.options()...)
+}
+
+func (b storeBackend) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
+	return b.st.ListBranches(ctx, key, o.options()...)
+}
+
+func (b storeBackend) renameBranch(ctx context.Context, key, br, nb string, o callOpts) error {
+	return b.st.RenameBranch(ctx, key, br, nb, o.options()...)
+}
+
+func (b storeBackend) removeBranch(ctx context.Context, key, br string, o callOpts) error {
+	return b.st.RemoveBranch(ctx, key, br, o.options()...)
+}
+
+func (b storeBackend) gc(ctx context.Context, o callOpts) (GCStats, error) {
+	return b.st.GC(ctx, o.options()...)
+}
+
+func (b storeBackend) value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error) {
+	return b.st.Value(ctx, key, obj, o.options()...)
+}
+
+func (b storeBackend) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
+	if on {
+		return b.st.Pin(ctx, key, uid, o.options()...)
+	}
+	return b.st.Unpin(ctx, key, uid, o.options()...)
+}
+
+// --- embedded implementation ----------------------------------------
+//
+// Every op is the context check and the op's policy function
+// (policy.go) on the embedded engine.
+
+func (db *DB) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return getOp(db.eng, db.acl, key, &o)
+}
+
+func (db *DB) put(ctx context.Context, key string, v Value, scope *branch.Batch, o callOpts) (UID, error) {
+	if err := ctx.Err(); err != nil {
+		return UID{}, err
+	}
+	return putOp(db.eng, db.acl, scope, key, v, &o)
+}
+
+func (db *DB) apply(ctx context.Context, b *Batch, o callOpts) ([]UID, error) {
 	puts, err := batchOp(db.acl, b, &o)
 	if err != nil {
 		return nil, err
@@ -207,111 +377,84 @@ func (db *DB) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error
 	return db.eng.PutBatch(ctx, puts)
 }
 
-// Fork implements Store.
-func (db *DB) Fork(ctx context.Context, key, newBranch string, opts ...Option) error {
+func (db *DB) fork(ctx context.Context, key, newBranch string, o callOpts) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	o := resolveOpts(opts)
 	return forkOp(db.eng, db.acl, key, newBranch, &o)
 }
 
-// Merge implements Store.
-func (db *DB) Merge(ctx context.Context, key, tgtBranch string, opts ...Option) (UID, []Conflict, error) {
+func (db *DB) merge(ctx context.Context, key, tgtBranch string, o callOpts) (UID, []Conflict, error) {
 	if err := ctx.Err(); err != nil {
 		return UID{}, nil, err
 	}
-	o := resolveOpts(opts)
 	return mergeOp(ctx, db.eng, db.acl, key, tgtBranch, &o)
 }
 
-// Track implements Store.
-func (db *DB) Track(ctx context.Context, key string, from, to int, opts ...Option) ([]*FObject, error) {
+func (db *DB) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	o := resolveOpts(opts)
 	return trackOp(ctx, db.eng, db.acl, key, from, to, &o)
 }
 
-// Diff implements Store.
-func (db *DB) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*Diff, error) {
+func (db *DB) diff(ctx context.Context, key string, a, b UID, o callOpts) (*Diff, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	o := resolveOpts(opts)
 	return diffOp(ctx, db.eng, db.acl, a, b, &o)
 }
 
-// ListKeys implements Store.
-func (db *DB) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
+func (db *DB) listKeys(ctx context.Context, o callOpts) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	o := resolveOpts(opts)
 	if err := allowListKeys(db.acl, &o); err != nil {
 		return nil, err
 	}
 	return db.eng.ListKeys(), nil
 }
 
-// ListBranches implements Store.
-func (db *DB) ListBranches(ctx context.Context, key string, opts ...Option) (BranchList, error) {
+func (db *DB) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
 	if err := ctx.Err(); err != nil {
 		return BranchList{}, err
 	}
-	o := resolveOpts(opts)
 	return listBranchesOp(db.eng, db.acl, key, &o)
 }
 
-// RenameBranch implements Store.
-func (db *DB) RenameBranch(ctx context.Context, key, branchName, newName string, opts ...Option) error {
+func (db *DB) renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	o := resolveOpts(opts)
 	return renameBranchOp(db.eng, db.acl, key, branchName, newName, &o)
 }
 
-// RemoveBranch implements Store. With WithAutoGC configured, every
-// n-th successful removal triggers a full collection before returning.
-func (db *DB) RemoveBranch(ctx context.Context, key, branchName string, opts ...Option) error {
+// removeBranch runs a collection after every n-th successful removal
+// under WithAutoGC.
+func (db *DB) removeBranch(ctx context.Context, key, branchName string, o callOpts) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	o := resolveOpts(opts)
 	if err := removeBranchOp(db.eng, db.acl, key, branchName, &o); err != nil {
 		return err
 	}
 	return db.autoGC.removed(ctx, db.runGC)
 }
 
-// Pin implements Store.
-func (db *DB) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
+func (db *DB) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	o := resolveOpts(opts)
-	return pinOp(db.eng, db.acl, key, uid, true, &o)
+	return pinOp(db.eng, db.acl, key, uid, on, &o)
 }
 
-// Unpin implements Store.
-func (db *DB) Unpin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	o := resolveOpts(opts)
-	return pinOp(db.eng, db.acl, key, uid, false, &o)
-}
-
-// GC implements Store: one mark-and-sweep collection over the embedded
-// engine. The compaction threshold is the open-time WithGCThreshold
-// (store default when unset).
-func (db *DB) GC(ctx context.Context, opts ...Option) (GCStats, error) {
+// gc is one mark-and-sweep collection over the embedded engine. The
+// compaction threshold is the open-time WithGCThreshold (store default
+// when unset).
+func (db *DB) gc(ctx context.Context, o callOpts) (GCStats, error) {
 	if err := ctx.Err(); err != nil {
 		return GCStats{}, err
 	}
-	o := resolveOpts(opts)
 	if err := allowGC(db.acl, &o); err != nil {
 		return GCStats{}, err
 	}
@@ -327,13 +470,11 @@ func (db *DB) runGC(ctx context.Context) (GCStats, error) {
 	return stats, err
 }
 
-// Value implements Store.
-func (db *DB) Value(ctx context.Context, key string, o *FObject, opts ...Option) (Value, error) {
+func (db *DB) value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	co := resolveOpts(opts)
-	return valueOp(db.eng, db.acl, o, &co)
+	return valueOp(db.eng, db.acl, obj, &o)
 }
 
 var _ Store = (*DB)(nil)

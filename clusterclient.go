@@ -3,6 +3,7 @@ package forkbase
 import (
 	"context"
 
+	"forkbase/internal/branch"
 	"forkbase/internal/cluster"
 	"forkbase/internal/core"
 )
@@ -47,6 +48,8 @@ type ClusterConfig struct {
 // (§4.1). It serves the same Store API as the embedded DB, so
 // applications move between deployment modes without change.
 type ClusterClient struct {
+	frontend // the Store methods, over cc itself
+
 	c      *cluster.Cluster
 	acl    *ACL
 	autoGC autoGC
@@ -71,7 +74,9 @@ func OpenCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterClient{c: c, acl: cfg.ACL, autoGC: autoGC{every: cfg.AutoGCEvery}}, nil
+	cc := &ClusterClient{c: c, acl: cfg.ACL, autoGC: autoGC{every: cfg.AutoGCEvery}}
+	cc.frontend = frontend{cc}
+	return cc, nil
 }
 
 // Cluster exposes the underlying simulated cluster for instrumentation
@@ -100,26 +105,21 @@ func onOwner[T any](ctx context.Context, cc *ClusterClient, key string, op func(
 	return out, nil
 }
 
-// Get implements Store.
-func (cc *ClusterClient) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (*FObject, error) {
 		return getOp(eng, cc.acl, key, &o)
 	})
 }
 
-// Put implements Store.
-func (cc *ClusterClient) Put(ctx context.Context, key string, v Value, opts ...Option) (UID, error) {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) put(ctx context.Context, key string, v Value, _ *branch.Batch, o callOpts) (UID, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (UID, error) {
 		return putOp(eng, cc.acl, nil, key, v, &o)
 	})
 }
 
-// Apply implements Store: batched writes dispatch once per owning
-// servlet, paying the dispatch and queue slot once per group.
-func (cc *ClusterClient) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
-	o := resolveOpts(opts)
+// apply dispatches batched writes once per owning servlet, paying the
+// dispatch and queue slot once per group.
+func (cc *ClusterClient) apply(ctx context.Context, b *Batch, o callOpts) ([]UID, error) {
 	puts, err := batchOp(cc.acl, b, &o)
 	if err != nil {
 		return nil, err
@@ -127,17 +127,13 @@ func (cc *ClusterClient) Apply(ctx context.Context, b *Batch, opts ...Option) ([
 	return cc.c.PutBatch(ctx, puts)
 }
 
-// Fork implements Store.
-func (cc *ClusterClient) Fork(ctx context.Context, key, newBranch string, opts ...Option) error {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) fork(ctx context.Context, key, newBranch string, o callOpts) error {
 	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
 		return forkOp(eng, cc.acl, key, newBranch, &o)
 	})
 }
 
-// Merge implements Store.
-func (cc *ClusterClient) Merge(ctx context.Context, key, tgtBranch string, opts ...Option) (UID, []Conflict, error) {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) merge(ctx context.Context, key, tgtBranch string, o callOpts) (UID, []Conflict, error) {
 	var uid UID
 	var conflicts []Conflict
 	err := cc.c.Exec(ctx, key, func(eng *core.Engine) (err error) {
@@ -151,54 +147,43 @@ func (cc *ClusterClient) Merge(ctx context.Context, key, tgtBranch string, opts 
 	return uid, conflicts, err
 }
 
-// Track implements Store.
-func (cc *ClusterClient) Track(ctx context.Context, key string, from, to int, opts ...Option) ([]*FObject, error) {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) ([]*FObject, error) {
 		return trackOp(ctx, eng, cc.acl, key, from, to, &o)
 	})
 }
 
-// Diff implements Store; key only routes the call to the servlet that
-// holds both versions.
-func (cc *ClusterClient) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*Diff, error) {
-	o := resolveOpts(opts)
+// diff's key only routes the call to the servlet that holds both
+// versions.
+func (cc *ClusterClient) diff(ctx context.Context, key string, a, b UID, o callOpts) (*Diff, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (*Diff, error) {
 		return diffOp(ctx, eng, cc.acl, a, b, &o)
 	})
 }
 
-// ListKeys implements Store; it aggregates keys across all servlets
-// (M8).
-func (cc *ClusterClient) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
-	o := resolveOpts(opts)
+// listKeys aggregates keys across all servlets (M8).
+func (cc *ClusterClient) listKeys(ctx context.Context, o callOpts) ([]string, error) {
 	if err := allowListKeys(cc.acl, &o); err != nil {
 		return nil, err
 	}
 	return cc.c.ListKeys(ctx)
 }
 
-// ListBranches implements Store.
-func (cc *ClusterClient) ListBranches(ctx context.Context, key string, opts ...Option) (BranchList, error) {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (BranchList, error) {
 		return listBranchesOp(eng, cc.acl, key, &o)
 	})
 }
 
-// RenameBranch implements Store.
-func (cc *ClusterClient) RenameBranch(ctx context.Context, key, branchName, newName string, opts ...Option) error {
-	o := resolveOpts(opts)
+func (cc *ClusterClient) renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error {
 	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
 		return renameBranchOp(eng, cc.acl, key, branchName, newName, &o)
 	})
 }
 
-// RemoveBranch implements Store. With AutoGCEvery configured, every
-// n-th successful removal triggers a cluster-wide collection before
-// returning.
-func (cc *ClusterClient) RemoveBranch(ctx context.Context, key, branchName string, opts ...Option) error {
-	o := resolveOpts(opts)
+// removeBranch runs a cluster-wide collection after every n-th
+// successful removal under AutoGCEvery.
+func (cc *ClusterClient) removeBranch(ctx context.Context, key, branchName string, o callOpts) error {
 	err := cc.c.Exec(ctx, key, func(eng *core.Engine) error {
 		return removeBranchOp(eng, cc.acl, key, branchName, &o)
 	})
@@ -208,32 +193,22 @@ func (cc *ClusterClient) RemoveBranch(ctx context.Context, key, branchName strin
 	return cc.autoGC.removed(ctx, cc.collect)
 }
 
-// Pin implements Store. key routes the pin to the servlet owning it:
-// pins are enumerated as GC roots by the owning servlet's engine, and
-// the version's meta chunk lives in that servlet's local storage.
-func (cc *ClusterClient) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	o := resolveOpts(opts)
+// pin routes the (un)pin to the servlet owning key: pins are
+// enumerated as GC roots by the owning servlet's engine, and the
+// version's meta chunk lives in that servlet's local storage.
+func (cc *ClusterClient) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
 	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
-		return pinOp(eng, cc.acl, key, uid, true, &o)
+		return pinOp(eng, cc.acl, key, uid, on, &o)
 	})
 }
 
-// Unpin implements Store.
-func (cc *ClusterClient) Unpin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	o := resolveOpts(opts)
-	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
-		return pinOp(eng, cc.acl, key, uid, false, &o)
-	})
-}
-
-// GC implements Store: one mark-and-sweep collection across every
-// servlet and storage node of the cluster (global mark, per-node
-// sweep; see cluster.Cluster.GC).
-func (cc *ClusterClient) GC(ctx context.Context, opts ...Option) (GCStats, error) {
+// gc is one mark-and-sweep collection across every servlet and storage
+// node of the cluster (global mark, per-node sweep; see
+// cluster.Cluster.GC).
+func (cc *ClusterClient) gc(ctx context.Context, o callOpts) (GCStats, error) {
 	if err := ctx.Err(); err != nil {
 		return GCStats{}, err
 	}
-	o := resolveOpts(opts)
 	if err := allowGC(cc.acl, &o); err != nil {
 		return GCStats{}, err
 	}
@@ -245,16 +220,15 @@ func (cc *ClusterClient) collect(ctx context.Context) (GCStats, error) {
 	return cc.c.GC(ctx)
 }
 
-// Value implements Store: the decode reads chunks directly from the
-// storage visible to the servlet owning key, off its execution thread,
-// the way dispatchers forward Get-Chunk requests straight to chunk
-// storage (§4.6).
-func (cc *ClusterClient) Value(ctx context.Context, key string, o *FObject, opts ...Option) (Value, error) {
+// value decodes reading chunks directly from the storage visible to
+// the servlet owning key, off its execution thread, the way
+// dispatchers forward Get-Chunk requests straight to chunk storage
+// (§4.6).
+func (cc *ClusterClient) value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	co := resolveOpts(opts)
-	return valueOp(cc.c.Servlet(cc.c.Master().Route(key)).Engine(), cc.acl, o, &co)
+	return valueOp(cc.c.Servlet(cc.c.Master().Route(key)).Engine(), cc.acl, obj, &o)
 }
 
 var _ Store = (*ClusterClient)(nil)

@@ -168,6 +168,8 @@ const DefaultBranch = branch.DefaultBranch
 // DB is an embedded ForkBase instance. It implements Store; see
 // client.go for the unified API surface.
 type DB struct {
+	frontend // the Store methods, over db itself
+
 	eng  *core.Engine
 	acl  *ACL
 	jrnl *branch.Journal // metadata journal; nil for in-memory stores
@@ -339,6 +341,7 @@ func Open(opts ...OpenOption) *DB {
 		gcThreshold: o.GCThreshold,
 		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
+	db.frontend = frontend{db}
 	db.initMetrics()
 	return db
 }
@@ -363,6 +366,7 @@ func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 		gcThreshold: o.GCThreshold,
 		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
+	db.frontend = frontend{db}
 	db.initMetrics()
 	barrier := fs.Flush
 	if o.MetaSync {
@@ -388,6 +392,7 @@ func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 // cluster layer and by tests.
 func NewDBOn(s store.Store, cfg postree.Config) *DB {
 	db := &DB{eng: core.NewEngine(s, cfg)}
+	db.frontend = frontend{db}
 	db.initMetrics()
 	return db
 }

@@ -396,6 +396,28 @@ func DecodeFObject(d *Dec) (*types.FObject, error) {
 	return o, nil
 }
 
+// EncodeFObjects serializes a version list (a Track answer).
+func EncodeFObjects(e *Enc, objs []*types.FObject) {
+	e.U32(uint32(len(objs)))
+	for _, o := range objs {
+		EncodeFObject(e, o)
+	}
+}
+
+// DecodeFObjects parses a version list, recomputing each uid.
+func DecodeFObjects(d *Dec) ([]*types.FObject, error) {
+	n := d.Count(4)
+	out := make([]*types.FObject, 0, n)
+	for i := 0; i < n; i++ {
+		o, err := DecodeFObject(d)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, o)
+	}
+	return out, nil
+}
+
 // --- conflicts, diffs, branch lists, stats ---------------------------
 
 // EncodeConflicts serializes a merge conflict list.
@@ -495,23 +517,46 @@ func DecodeDiff(d *Dec) (*core.Diff, error) {
 	return df, nil
 }
 
-// EncodeTaggedBranches serializes a branch table's tagged half.
-func EncodeTaggedBranches(e *Enc, tagged []branch.TaggedBranch) {
+// EncodeBranchList serializes a key's branch table: its tagged
+// branches, then its untagged heads.
+func EncodeBranchList(e *Enc, tagged []branch.TaggedBranch, untagged []types.UID) {
 	e.U32(uint32(len(tagged)))
 	for _, tb := range tagged {
 		e.Str(tb.Name)
 		e.UID(tb.Head)
 	}
+	EncodeUIDs(e, untagged)
 }
 
-// DecodeTaggedBranches parses a tagged-branch list.
-func DecodeTaggedBranches(d *Dec) []branch.TaggedBranch {
+// DecodeBranchList parses a branch table.
+func DecodeBranchList(d *Dec) ([]branch.TaggedBranch, []types.UID) {
 	n := d.Count(4 + chunk.IDSize)
-	var out []branch.TaggedBranch
+	var tagged []branch.TaggedBranch
 	for i := 0; i < n && d.err == nil; i++ {
 		tb := branch.TaggedBranch{Name: d.Str(), Head: d.UID()}
 		if d.err == nil {
-			out = append(out, tb)
+			tagged = append(tagged, tb)
+		}
+	}
+	return tagged, DecodeUIDs(d)
+}
+
+// EncodeStrings serializes a string list (a key listing).
+func EncodeStrings(e *Enc, ss []string) {
+	e.U32(uint32(len(ss)))
+	for _, s := range ss {
+		e.Str(s)
+	}
+}
+
+// DecodeStrings parses a string list.
+func DecodeStrings(d *Dec) []string {
+	n := d.Count(4)
+	out := make([]string, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		s := d.Str()
+		if d.err == nil {
+			out = append(out, s)
 		}
 	}
 	return out

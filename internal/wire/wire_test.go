@@ -169,6 +169,62 @@ func TestFObjectRoundTrip(t *testing.T) {
 	}
 }
 
+// TestListCodecsRoundTrip: the response lists of Track, ListKeys and
+// ListBranches come back as they went, empty ones included, and a
+// list cut short fails the decode instead of coming back shorter.
+func TestListCodecsRoundTrip(t *testing.T) {
+	s := store.NewMemStore()
+	cfg := postree.DefaultConfig()
+	base, err := types.Save(s, cfg, []byte("k"), types.String("v1"), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := types.Save(s, cfg, []byte("k"), types.String("v2"), []*types.FObject{base}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hist := range [][]*types.FObject{{head, base}, {}} {
+		var e Enc
+		EncodeFObjects(&e, hist)
+		got, err := DecodeFObjects(NewDec(e.Bytes()))
+		if err != nil || len(got) != len(hist) {
+			t.Fatalf("versions: %d of %d, %v", len(got), len(hist), err)
+		}
+		for i := range hist {
+			if got[i].UID() != hist[i].UID() {
+				t.Fatalf("version %d: %s, want %s", i, got[i].UID().Short(), hist[i].UID().Short())
+			}
+		}
+		if len(hist) > 0 {
+			if _, err := DecodeFObjects(NewDec(e.Bytes()[:len(e.Bytes())-1])); err == nil {
+				t.Fatal("a cut version list decoded")
+			}
+		}
+	}
+	for _, keys := range [][]string{{"a", "", "long key"}, {}} {
+		var e Enc
+		EncodeStrings(&e, keys)
+		d := NewDec(e.Bytes())
+		if got := DecodeStrings(d); d.Err() != nil || !reflect.DeepEqual(got, keys) {
+			t.Fatalf("strings: %q, %v; want %q", got, d.Err(), keys)
+		}
+	}
+	tagged := []branch.TaggedBranch{{Name: "master", Head: head.UID()}, {Name: "dev", Head: base.UID()}}
+	for _, untagged := range [][]types.UID{{base.UID(), head.UID()}, nil} {
+		var e Enc
+		EncodeBranchList(&e, tagged, untagged)
+		d := NewDec(e.Bytes())
+		gotT, gotU := DecodeBranchList(d)
+		if d.Err() != nil || !reflect.DeepEqual(gotT, tagged) || !reflect.DeepEqual(gotU, untagged) {
+			t.Fatalf("branch list: %v %v, %v; want %v %v", gotT, gotU, d.Err(), tagged, untagged)
+		}
+		d = NewDec(e.Bytes()[:len(e.Bytes())-1])
+		if DecodeBranchList(d); d.Err() == nil {
+			t.Fatal("a cut branch list decoded")
+		}
+	}
+}
+
 // roundTripError sends err through the error codec as a server would.
 func roundTripError(t *testing.T, err error) ErrorPayload {
 	t.Helper()
@@ -360,8 +416,10 @@ func decodeAnything(b []byte) {
 	DecodeCallOptions(NewDec(b))
 	DecodeDiff(NewDec(b))
 	DecodeConflicts(NewDec(b))
-	DecodeTaggedBranches(NewDec(b))
 	DecodeUIDs(NewDec(b))
+	DecodeFObjects(NewDec(b))
+	DecodeStrings(NewDec(b))
+	DecodeBranchList(NewDec(b))
 	DecodeGCStats(NewDec(b))
 	DecodeStats(NewDec(b))
 	DecodeBitmap(NewDec(b), 64)

@@ -32,9 +32,9 @@ func resolveOpts(opts []Option) callOpts {
 }
 
 // options re-packs a resolved set as the option list a Store call
-// takes — how the server hands a decoded request's options to whatever
-// store it wraps. The empty set is no options at all, so the common
-// request allocates nothing here.
+// takes — how storeBackend hands a decoded request's options to a
+// store the server can only reach through its methods. The empty set
+// is no options at all, so the common request allocates nothing here.
 func (o *callOpts) options() []Option {
 	if o.user == "" && !o.branchSet && len(o.bases) == 0 && o.guard == nil && o.meta == nil && o.resolver == nil {
 		return nil

@@ -17,8 +17,8 @@ import (
 // verdict and only then calls the engine. The embedded DB calls these
 // functions directly; the ClusterClient runs the same functions on the
 // owning servlet's execution thread; the Server reaches them through
-// whichever Store it wraps and uses allow for its chunk-level side
-// doors. Nothing else in the tree calls ACL.Check or decides which
+// the backend it serves (client.go) and uses allow for its chunk-level
+// side doors. Nothing else in the tree calls ACL.Check or decides which
 // options an op accepts (batch entries excepted: see Batch.put).
 //
 // The rules, in one place:

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"forkbase/internal/branch"
 	"forkbase/internal/chunk"
 	"forkbase/internal/chunksync"
 	"forkbase/internal/obs"
@@ -129,7 +130,13 @@ func (m *clientMetrics) observe(op uint8, start time.Time, isErr bool) {
 // embedded). Either way the value is ready to edit and Put back.
 // Custom merge resolvers cannot cross the wire; the built-ins
 // (ChooseA, ChooseB, AppendResolve, Aggregate) are translated by code.
+//
+// Versions are checked against the uids that name them: a Get with
+// WithBase must return that version, and a Track answer must be a
+// derivation chain, or the call fails with ErrCorrupt.
 type RemoteStore struct {
+	frontend // the Store methods, over rs itself
+
 	addr string
 	cfg  RemoteConfig
 
@@ -186,6 +193,7 @@ func Dial(addr string, cfg RemoteConfig) (*RemoteStore, error) {
 		cfg.DialTimeout = 10 * time.Second
 	}
 	rs := &RemoteStore{addr: addr, cfg: cfg, conns: make([]*remoteConn, cfg.Conns), treeCfg: postree.DefaultConfig()}
+	rs.frontend = frontend{rs}
 	rs.reg = obs.NewRegistry()
 	rs.cm.init(rs.reg)
 	if cfg.ChunkSync || cfg.ChunkCacheDir != "" {
@@ -240,7 +248,7 @@ func (rs *RemoteStore) ServerStats(ctx context.Context) ([]MetricSample, error) 
 	if rs.features.Load()&wire.FeatureServerStats == 0 {
 		return nil, fmt.Errorf("forkbase: server does not advertise per-op metrics (pre-stats forkserved): %w", wire.ErrUnsupported)
 	}
-	samples, _, err := roundTrip(ctx, rs, wire.OpServerStats, nil, nil, func(d *wire.Dec) ([]MetricSample, error) {
+	samples, _, err := roundTrip(ctx, rs, wire.OpServerStats, callOpts{}, nil, func(d *wire.Dec) ([]MetricSample, error) {
 		return wire.DecodeSamples(d), nil
 	})
 	return samples, err
@@ -743,17 +751,11 @@ func wireOpts(o callOpts) (wire.CallOptions, error) {
 // body and the decoder's error is the call's. A typed server error is
 // returned as err with its payload in ep — Put and Merge hand back the
 // uid and conflicts it carries.
-func roundTrip[T any](ctx context.Context, rs *RemoteStore, op uint8, opts []Option, enc func(e *wire.Enc) error, dec func(d *wire.Dec) (T, error)) (v T, ep *wire.ErrorPayload, err error) {
-	co, err := wireOpts(resolveOpts(opts))
+func roundTrip[T any](ctx context.Context, rs *RemoteStore, op uint8, o callOpts, enc func(e *wire.Enc) error, dec func(d *wire.Dec) (T, error)) (v T, ep *wire.ErrorPayload, err error) {
+	co, err := wireOpts(o)
 	if err != nil {
 		return v, nil, err
 	}
-	return roundTripWith(ctx, rs, op, co, enc, dec)
-}
-
-// roundTripWith is roundTrip with the options already resolved, for a
-// caller that checks the response against them.
-func roundTripWith[T any](ctx context.Context, rs *RemoteStore, op uint8, co wire.CallOptions, enc func(e *wire.Enc) error, dec func(d *wire.Dec) (T, error)) (v T, ep *wire.ErrorPayload, err error) {
 	// The request encoding rides a pooled buffer: the frame writer
 	// consumes the payload before writeFrame returns, so it is free
 	// for reuse once the call has been sent.
@@ -779,10 +781,12 @@ func roundTripWith[T any](ctx context.Context, rs *RemoteStore, op uint8, co wir
 	return v, nil, err
 }
 
-// encKey and encKeyUID are the request bodies several ops share.
-func encKey(key string) func(e *wire.Enc) error {
+// encStrs and encKeyUID are the request bodies several ops share.
+func encStrs(ss ...string) func(e *wire.Enc) error {
 	return func(e *wire.Enc) error {
-		e.Str(key)
+		for _, s := range ss {
+			e.Str(s)
+		}
 		return nil
 	}
 }
@@ -800,35 +804,31 @@ func noBody(*wire.Dec) (struct{}, error) { return struct{}{}, nil }
 
 func decUID(d *wire.Dec) (UID, error) { return d.UID(), nil }
 
-// Get implements Store. A version read by WithBase must be the one
-// asked for: its uid commits to its content and derivation, so any
-// other uid in the response fails with ErrCorrupt.
-func (rs *RemoteStore) Get(ctx context.Context, key string, opts ...Option) (*FObject, error) {
-	co, err := wireOpts(resolveOpts(opts))
-	if err != nil {
-		return nil, err
+// get checks a version read by WithBase is the one asked for: its uid
+// commits to its content and derivation, so any other uid in the
+// response fails with ErrCorrupt.
+func (rs *RemoteStore) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
+	obj, _, err := roundTrip(ctx, rs, wire.OpGet, o, encStrs(key), wire.DecodeFObject)
+	if base, ok := o.base(); err == nil && ok && obj.UID() != base {
+		return nil, fmt.Errorf("forkbase: Get of version %s received %s: %w", base.Short(), obj.UID().Short(), ErrCorrupt)
 	}
-	o, _, err := roundTripWith(ctx, rs, wire.OpGet, co, encKey(key), wire.DecodeFObject)
-	if err == nil && len(co.Bases) > 0 && o.UID() != co.Bases[0] {
-		return nil, fmt.Errorf("forkbase: Get of version %s received %s: %w", co.Bases[0].Short(), o.UID().Short(), ErrCorrupt)
-	}
-	return o, err
+	return obj, err
 }
 
-// Put implements Store. With chunk sync active, chunkable values take
-// the delta path: build the POS-Tree locally, negotiate which chunks
-// the server is missing, upload only those, and commit by tree root —
-// a 1% edit to a large object ships roughly 1% of its bytes.
-func (rs *RemoteStore) Put(ctx context.Context, key string, v Value, opts ...Option) (UID, error) {
+// put sends a chunkable value over chunk sync when it is active: build
+// the POS-Tree locally, negotiate which chunks the server is missing,
+// upload only those, and commit by tree root — a 1% edit to a large
+// object ships roughly 1% of its bytes.
+func (rs *RemoteStore) put(ctx context.Context, key string, v Value, _ *branch.Batch, o callOpts) (UID, error) {
 	if rs.chunkSyncOn() && !v.Type().Primitive() {
-		uid, err := rs.putChunked(ctx, key, v, opts)
+		uid, err := rs.putChunked(ctx, key, v, o)
 		if err == nil || !errors.Is(err, wire.ErrUnsupported) {
 			return uid, err
 		}
 		// The server stopped serving chunk ops (e.g. failed over to a
 		// proxy backend); full-ship still works.
 	}
-	uid, ep, err := roundTrip(ctx, rs, wire.OpPut, opts, func(e *wire.Enc) error {
+	uid, ep, err := roundTrip(ctx, rs, wire.OpPut, o, func(e *wire.Enc) error {
 		e.Str(key)
 		return wire.EncodeValue(e, v)
 	}, decUID)
@@ -838,14 +838,14 @@ func (rs *RemoteStore) Put(ctx context.Context, key string, v Value, opts ...Opt
 	return uid, err
 }
 
-// Apply implements Store: the whole batch travels as one request and
-// executes as one batched apply on the server, keeping the
-// per-servlet grouping benefits.
-func (rs *RemoteStore) Apply(ctx context.Context, b *Batch, opts ...Option) ([]UID, error) {
+// apply sends the whole batch as one request, which executes as one
+// batched apply on the server, keeping the per-servlet grouping
+// benefits.
+func (rs *RemoteStore) apply(ctx context.Context, b *Batch, o callOpts) ([]UID, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	uids, _, err := roundTrip(ctx, rs, wire.OpApply, opts, func(e *wire.Enc) error {
+	uids, _, err := roundTrip(ctx, rs, wire.OpApply, o, func(e *wire.Enc) error {
 		e.U32(uint32(len(b.puts)))
 		for _, p := range b.puts {
 			e.Str(string(p.Key))
@@ -864,56 +864,63 @@ func (rs *RemoteStore) Apply(ctx context.Context, b *Batch, opts ...Option) ([]U
 	return uids, err
 }
 
-// Fork implements Store.
-func (rs *RemoteStore) Fork(ctx context.Context, key, newBranch string, opts ...Option) error {
-	_, _, err := roundTrip(ctx, rs, wire.OpFork, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		e.Str(newBranch)
-		return nil
-	}, noBody)
+func (rs *RemoteStore) fork(ctx context.Context, key, newBranch string, o callOpts) error {
+	_, _, err := roundTrip(ctx, rs, wire.OpFork, o, encStrs(key, newBranch), noBody)
 	return err
 }
 
-// Merge implements Store. Conflict lists — and the uid of a merge
-// that applied but failed a durability report — round-trip inside
-// error responses.
-func (rs *RemoteStore) Merge(ctx context.Context, key, tgtBranch string, opts ...Option) (UID, []Conflict, error) {
-	uid, ep, err := roundTrip(ctx, rs, wire.OpMerge, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		e.Str(tgtBranch)
-		return nil
-	}, decUID)
+// merge: conflict lists — and the uid of a merge that applied but
+// failed a durability report — round-trip inside error responses.
+func (rs *RemoteStore) merge(ctx context.Context, key, tgtBranch string, o callOpts) (UID, []Conflict, error) {
+	uid, ep, err := roundTrip(ctx, rs, wire.OpMerge, o, encStrs(key, tgtBranch), decUID)
 	if ep != nil {
 		return ep.UID, ep.Conflicts, err
 	}
 	return uid, nil, err
 }
 
-// Track implements Store.
-func (rs *RemoteStore) Track(ctx context.Context, key string, from, to int, opts ...Option) ([]*FObject, error) {
-	hist, _, err := roundTrip(ctx, rs, wire.OpTrack, opts, func(e *wire.Enc) error {
+// track checks that the history it receives is a derivation chain
+// (checkChain) and fails with ErrCorrupt otherwise.
+func (rs *RemoteStore) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
+	hist, _, err := roundTrip(ctx, rs, wire.OpTrack, o, func(e *wire.Enc) error {
 		e.Str(key)
 		e.I64(int64(from))
 		e.I64(int64(to))
 		return nil
-	}, func(d *wire.Dec) ([]*FObject, error) {
-		n := d.Count(4)
-		out := make([]*FObject, 0, n)
-		for i := 0; i < n; i++ {
-			o, err := wire.DecodeFObject(d)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, o)
-		}
-		return out, nil
-	})
-	return hist, err
+	}, wire.DecodeFObjects)
+	if err == nil {
+		err = checkChain(hist, from, to, &o)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return hist, nil
 }
 
-// Diff implements Store.
-func (rs *RemoteStore) Diff(ctx context.Context, key string, a, b UID, opts ...Option) (*Diff, error) {
-	df, _, err := roundTrip(ctx, rs, wire.OpDiff, opts, func(e *wire.Enc) error {
+// checkChain checks a Track answer against what the uids in it commit
+// to: each version is the first base of the one before it; a walk from
+// distance 0 behind WithBase(u) starts at u; and an answer shorter than
+// [from, to] ends where the history does, at a version without bases
+// (an empty one only if from is past the end). Each check is a uid
+// compare.
+func checkChain(hist []*FObject, from, to int, o *callOpts) error {
+	for i := 1; i < len(hist); i++ {
+		if prev := hist[i-1]; len(prev.Bases) == 0 || prev.Bases[0] != hist[i].UID() {
+			return fmt.Errorf("forkbase: Track received %s after %s, which does not derive from it: %w",
+				hist[i].UID().Short(), prev.UID().Short(), ErrCorrupt)
+		}
+	}
+	if base, ok := o.base(); ok && from == 0 && (len(hist) == 0 || hist[0].UID() != base) {
+		return fmt.Errorf("forkbase: Track behind version %s did not start at it: %w", base.Short(), ErrCorrupt)
+	}
+	if n := len(hist); n <= to-from && (n == 0 && from == 0 || n > 0 && len(hist[n-1].Bases) > 0) {
+		return fmt.Errorf("forkbase: Track received %d of %d versions, ending before the first: %w", n, to-from+1, ErrCorrupt)
+	}
+	return nil
+}
+
+func (rs *RemoteStore) diff(ctx context.Context, key string, a, b UID, o callOpts) (*Diff, error) {
+	df, _, err := roundTrip(ctx, rs, wire.OpDiff, o, func(e *wire.Enc) error {
 		e.Str(key)
 		e.UID(a)
 		e.UID(b)
@@ -922,94 +929,71 @@ func (rs *RemoteStore) Diff(ctx context.Context, key string, a, b UID, opts ...O
 	return df, err
 }
 
-// ListKeys implements Store.
-func (rs *RemoteStore) ListKeys(ctx context.Context, opts ...Option) ([]string, error) {
-	keys, _, err := roundTrip(ctx, rs, wire.OpListKeys, opts, nil, func(d *wire.Dec) ([]string, error) {
-		n := d.Count(4)
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, d.Str())
-		}
-		return out, nil
+func (rs *RemoteStore) listKeys(ctx context.Context, o callOpts) ([]string, error) {
+	keys, _, err := roundTrip(ctx, rs, wire.OpListKeys, o, nil, func(d *wire.Dec) ([]string, error) {
+		return wire.DecodeStrings(d), nil
 	})
 	return keys, err
 }
 
-// ListBranches implements Store.
-func (rs *RemoteStore) ListBranches(ctx context.Context, key string, opts ...Option) (BranchList, error) {
-	bl, _, err := roundTrip(ctx, rs, wire.OpListBranches, opts, encKey(key), func(d *wire.Dec) (BranchList, error) {
-		return BranchList{
-			Tagged:   wire.DecodeTaggedBranches(d),
-			Untagged: wire.DecodeUIDs(d),
-		}, nil
+func (rs *RemoteStore) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
+	bl, _, err := roundTrip(ctx, rs, wire.OpListBranches, o, encStrs(key), func(d *wire.Dec) (BranchList, error) {
+		tagged, untagged := wire.DecodeBranchList(d)
+		return BranchList{Tagged: tagged, Untagged: untagged}, nil
 	})
 	return bl, err
 }
 
-// RenameBranch implements Store.
-func (rs *RemoteStore) RenameBranch(ctx context.Context, key, branchName, newName string, opts ...Option) error {
-	_, _, err := roundTrip(ctx, rs, wire.OpRenameBranch, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		e.Str(branchName)
-		e.Str(newName)
-		return nil
-	}, noBody)
+func (rs *RemoteStore) renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error {
+	_, _, err := roundTrip(ctx, rs, wire.OpRenameBranch, o, encStrs(key, branchName, newName), noBody)
 	return err
 }
 
-// RemoveBranch implements Store.
-func (rs *RemoteStore) RemoveBranch(ctx context.Context, key, branchName string, opts ...Option) error {
-	_, _, err := roundTrip(ctx, rs, wire.OpRemoveBranch, opts, func(e *wire.Enc) error {
-		e.Str(key)
-		e.Str(branchName)
-		return nil
-	}, noBody)
+func (rs *RemoteStore) removeBranch(ctx context.Context, key, branchName string, o callOpts) error {
+	_, _, err := roundTrip(ctx, rs, wire.OpRemoveBranch, o, encStrs(key, branchName), noBody)
 	return err
 }
 
-// Pin implements Store.
-func (rs *RemoteStore) Pin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	_, _, err := roundTrip(ctx, rs, wire.OpPin, opts, encKeyUID(key, uid), noBody)
+func (rs *RemoteStore) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
+	op := wire.OpUnpin
+	if on {
+		op = wire.OpPin
+	}
+	_, _, err := roundTrip(ctx, rs, op, o, encKeyUID(key, uid), noBody)
 	return err
 }
 
-// Unpin implements Store.
-func (rs *RemoteStore) Unpin(ctx context.Context, key string, uid UID, opts ...Option) error {
-	_, _, err := roundTrip(ctx, rs, wire.OpUnpin, opts, encKeyUID(key, uid), noBody)
-	return err
-}
-
-// GC implements Store: the collection runs on the server against
-// whatever backend forkserved wraps.
-func (rs *RemoteStore) GC(ctx context.Context, opts ...Option) (GCStats, error) {
-	stats, _, err := roundTrip(ctx, rs, wire.OpGC, opts, nil, func(d *wire.Dec) (GCStats, error) {
+// gc runs the collection on the server against whatever backend
+// forkserved wraps.
+func (rs *RemoteStore) gc(ctx context.Context, o callOpts) (GCStats, error) {
+	stats, _, err := roundTrip(ctx, rs, wire.OpGC, o, nil, func(d *wire.Dec) (GCStats, error) {
 		return wire.DecodeGCStats(d), nil
 	})
 	return stats, err
 }
 
-// Value implements Store. Without chunk sync the value is materialized
-// by the server and comes back staged. With it, a chunkable value costs
-// one Want and comes back as a handle whose reads fetch what they touch
-// within ctx, as the caller's user (see RemoteStore). Either way one
-// round trip is made even when nothing needs to move — primitives
-// could decode locally from o.Data — so the server-side ACL check runs
-// exactly as it would embedded: deployment modes must not diverge on
-// who may decode what.
-func (rs *RemoteStore) Value(ctx context.Context, key string, o *FObject, opts ...Option) (Value, error) {
+// value: without chunk sync the value is materialized by the server
+// and comes back staged. With it, a chunkable value costs one Want and
+// comes back as a handle whose reads fetch what they touch within ctx,
+// as the caller's user (see RemoteStore). Either way one round trip is
+// made even when nothing needs to move — primitives could decode
+// locally from obj.Data — so the server-side ACL check runs exactly as
+// it would embedded: deployment modes must not diverge on who may
+// decode what.
+func (rs *RemoteStore) value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if o.UID().IsNil() {
+	if obj.UID().IsNil() {
 		return nil, fmt.Errorf("%w: Value needs a version fetched from the store", ErrBadOptions)
 	}
-	if rs.chunkSyncOn() && !o.VType.Primitive() {
-		v, err := rs.valueChunked(ctx, key, o, opts)
+	if rs.chunkSyncOn() && !obj.VType.Primitive() {
+		v, err := rs.valueChunked(ctx, key, obj, o.user)
 		if err == nil || !errors.Is(err, wire.ErrUnsupported) {
 			return v, err
 		}
 	}
-	v, _, err := roundTrip(ctx, rs, wire.OpValue, opts, encKeyUID(key, o.UID()), wire.DecodeValue)
+	v, _, err := roundTrip(ctx, rs, wire.OpValue, o, encKeyUID(key, obj.UID()), wire.DecodeValue)
 	return v, err
 }
 
@@ -1017,7 +1001,7 @@ func (rs *RemoteStore) Value(ctx context.Context, key string, o *FObject, opts .
 // not part of the Store interface — backends without counters return
 // an error).
 func (rs *RemoteStore) Stats(ctx context.Context) (StoreStats, error) {
-	stats, _, err := roundTrip(ctx, rs, wire.OpStats, nil, nil, func(d *wire.Dec) (StoreStats, error) {
+	stats, _, err := roundTrip(ctx, rs, wire.OpStats, callOpts{}, nil, func(d *wire.Dec) (StoreStats, error) {
 		return wire.DecodeStats(d), nil
 	})
 	return stats, err
@@ -1218,7 +1202,7 @@ func (rs *RemoteStore) sendBytes() int {
 // reads' fills move only the delta.
 //
 // Edits stage copy-on-write chunks in the store, ready for a delta Put.
-func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject, opts []Option) (Value, error) {
+func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject, user string) (Value, error) {
 	kind, ok := types.KindOfType(o.VType)
 	if !ok {
 		return nil, fmt.Errorf("forkbase: cannot decode value of type %v", o.VType)
@@ -1227,7 +1211,6 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 	if err != nil {
 		return nil, err
 	}
-	user := resolveOpts(opts).user
 	var want []chunk.ID
 	if !root.IsNil() && !rs.local.Has(root) {
 		want = []chunk.ID{root}
@@ -1262,8 +1245,8 @@ func (rs *RemoteStore) valueChunked(ctx context.Context, key string, o *FObject,
 // client took part of it for granted, that knowledge was stale (the
 // branch was removed and collected since the value was fetched) and
 // the same pass runs once more taking nothing for granted.
-func (rs *RemoteStore) putChunked(ctx context.Context, key string, v Value, opts []Option) (UID, error) {
-	co, err := wireOpts(resolveOpts(opts))
+func (rs *RemoteStore) putChunked(ctx context.Context, key string, v Value, o callOpts) (UID, error) {
+	co, err := wireOpts(o)
 	if err != nil {
 		return UID{}, err
 	}

@@ -334,8 +334,8 @@ func TestRemoteRoundTripAllocs(t *testing.T) {
 	if longPuts != 16 {
 		t.Fatalf("remote Put round trip of a 12-byte key: %.0f allocs/op, want exactly 16", longPuts)
 	}
-	// With a user option, Get and Put on a local DB read the decoded
-	// option set as it is: the server packs no option list from it.
+	// With a user option, the server hands the backend the option set
+	// it decoded as it is, whatever the op: it packs no option list.
 	userGets := testing.AllocsPerRun(100, func() {
 		if _, err := rc.Get(ctx, "k", forkbase.WithUser("alice")); err != nil {
 			t.Fatal(err)
@@ -842,4 +842,56 @@ func TestRemotePutBurstFailedEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	readOK(t, c, 100, wire.OpPut)
+}
+
+// TestRemoteOptionAllocs pins what a call option costs a remote
+// metadata op, both ends together. The server hands a local DB the
+// options it decoded as they are, with no option list packed and
+// folded again, so a user adds two allocations per call: the option
+// set the client folds, which escapes because each option is called
+// through a func value, and the user string the server decodes from
+// the request. The option closure itself is built once, outside the
+// measured calls.
+func TestRemoteOptionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ctx := context.Background()
+	if _, err := rc.Put(ctx, "k", forkbase.String("warm")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name            string
+		opts            []forkbase.Option
+		lists, forkRems float64
+	}{
+		{"without a user", nil, 7, 14},
+		{"WithUser", []forkbase.Option{forkbase.WithUser("alice")}, 9, 18},
+	} {
+		lists := testing.AllocsPerRun(100, func() {
+			if _, err := rc.ListBranches(ctx, "k", tc.opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		forkRems := testing.AllocsPerRun(100, func() {
+			if err := rc.Fork(ctx, "k", "b", tc.opts...); err != nil {
+				t.Fatal(err)
+			}
+			if err := rc.RemoveBranch(ctx, "k", "b", tc.opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if lists != tc.lists {
+			t.Errorf("remote ListBranches %s: %.0f allocs/op, want exactly %.0f", tc.name, lists, tc.lists)
+		}
+		if forkRems != tc.forkRems {
+			t.Errorf("remote Fork + RemoveBranch %s: %.0f allocs/op, want exactly %.0f", tc.name, forkRems, tc.forkRems)
+		}
+	}
 }

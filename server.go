@@ -69,7 +69,9 @@ type ServerOptions struct {
 // paper's dispatcher made real (§4.1): requests arrive over TCP,
 // carry the user identity the access controller checks, and execute
 // against the wrapped store with full pipelining — many in-flight
-// requests per connection, each answered as it completes.
+// requests per connection, each answered as it completes. A *DB,
+// ClusterClient or RemoteStore is called with the options each request
+// decoded, as they are; any other Store through its public methods.
 //
 //	srv := forkbase.NewServer(db, forkbase.ServerOptions{})
 //	ln, _ := net.Listen("tcp", ":7707")
@@ -77,15 +79,18 @@ type ServerOptions struct {
 //	...
 //	srv.Shutdown(ctx) // graceful: drain in-flight, refuse new work
 type Server struct {
+	// be is the served store, which every store op calls; st is the
+	// same store as NewServer was given, which error messages name.
+	be   backend
 	st   Store
 	opts ServerOptions
 
-	// db is st when st is a local embedded *DB, nil for proxy backends
-	// (ClusterClient, RemoteStore). Everything that needs the engine
-	// or chunk store behind the Store API keys off it: a local backend
-	// serves the chunk-granular ops and storage counters, and answers
-	// small reads and small Puts inline on the read loop, a run of
-	// Puts under one journal scope. Proxies get none of that — they
+	// db is the served store when it is a local embedded *DB, nil for
+	// any other (ClusterClient, RemoteStore, a wrapper). What needs the
+	// engine or chunk store behind the Store API keys off it: a local
+	// backend serves the chunk-granular ops and storage counters, and
+	// answers small reads and small Puts inline on the read loop, a run
+	// of Puts under one journal scope. Proxies get none of that — they
 	// have no local chunk store to negotiate against, and their calls
 	// may block on a downstream round-trip, which inline would turn
 	// into a stall for every pipelined request behind it on the
@@ -116,9 +121,24 @@ type Server struct {
 // caller: Shutdown/Close never close it, so one store can outlive —
 // or be shared by — several listeners. The worker pool starts here,
 // so a Server must be Shutdown or Closed even if Serve never ran.
+//
+// A *DB, *ClusterClient or *RemoteStore is served directly, with no
+// option list packed per request. The match is on the exact type: a
+// Store that embeds one of them and overrides a method is any other
+// Store, adapted once and reached through its methods, overrides
+// included.
 func NewServer(st Store, opts ServerOptions) *Server {
 	s := &Server{st: st, opts: opts, conns: make(map[*serverConn]struct{})}
-	s.db, _ = st.(*DB)
+	switch b := st.(type) {
+	case *DB:
+		s.be, s.db = b, b
+	case *ClusterClient:
+		s.be = b
+	case *RemoteStore:
+		s.be = b
+	default:
+		s.be = storeBackend{st}
+	}
 	// The pool is shared by every connection and sizes against slow
 	// requests (deep Track walks, big Values): small reads on a local
 	// backend are answered inline on the read loop. A saturated pool
@@ -826,12 +846,13 @@ func optsFromWire(w wire.CallOptions) (callOpts, error) {
 // scope their GC shields to it, so a client that disconnects
 // mid-negotiation releases whatever it had protected. scope is the
 // journal scope of a Put answered in a run on the read loop, nil
-// anywhere else. On a local DB, Get and Put read co without packing it.
+// anywhere else.
 type request struct {
 	ctx   context.Context
 	sc    *serverConn
 	scope *branch.Batch
 	id    uint64
+	op    uint8
 	d     wire.Dec
 	co    callOpts
 }
@@ -878,7 +899,7 @@ var serverOps = [wire.OpMax]opRow{
 	wire.OpRenameBranch: {serve: serveRenameBranch},
 	wire.OpRemoveBranch: {serve: serveRemoveBranch},
 	wire.OpPin:          {serve: servePin},
-	wire.OpUnpin:        {serve: serveUnpin},
+	wire.OpUnpin:        {serve: servePin},
 	wire.OpGC:           {serve: serveGC},
 	wire.OpValue:        {serve: serveValue},
 	wire.OpStats:        {serve: serveStats, inline: true},
@@ -898,7 +919,7 @@ func served(op uint8) bool { return wire.KnownOp(op) && serverOps[op].serve != n
 // process: every decoder is bounds-checked by construction. op has a
 // row (the read loop refuses those that do not).
 func (s *Server) dispatch(ctx context.Context, sc *serverConn, scope *branch.Batch, reqID uint64, op uint8, payload []byte) []byte {
-	r := request{ctx: ctx, sc: sc, scope: scope, id: reqID, d: *wire.NewDec(payload)}
+	r := request{ctx: ctx, sc: sc, scope: scope, id: reqID, op: op, d: *wire.NewDec(payload)}
 	co, err := optsFromWire(wire.DecodeCallOptions(&r.d))
 	if err == nil {
 		err = r.d.Err()
@@ -932,12 +953,7 @@ func serveGet(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	o, err := (*FObject)(nil), r.ctx.Err()
-	if s.db == nil {
-		o, err = s.st.Get(r.ctx, key, r.co.options()...)
-	} else if err == nil {
-		o, err = getOp(s.db.eng, s.db.acl, key, &r.co) // DB.Get, without re-packing r.co
-	}
+	o, err := s.be.get(r.ctx, key, r.co)
 	return reply(err, func(e *wire.Enc) { wire.EncodeFObject(e, o) })
 }
 
@@ -952,15 +968,7 @@ func servePut(s *Server, r request) []byte {
 	if err != nil {
 		return fail(err)
 	}
-	var uid UID
-	if s.db != nil {
-		// DB.Put, with the head record joining the request's scope.
-		if err = r.ctx.Err(); err == nil {
-			uid, err = putOp(s.db.eng, s.db.acl, r.scope, key, v, &r.co)
-		}
-	} else {
-		uid, err = s.st.Put(r.ctx, key, v, r.co.options()...)
-	}
+	uid, err := s.be.put(r.ctx, key, v, r.scope, r.co)
 	if err != nil {
 		return errPayload(err, nil, uid)
 	}
@@ -988,7 +996,7 @@ func serveApply(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	uids, err := s.st.Apply(r.ctx, b, r.co.options()...)
+	uids, err := s.be.apply(r.ctx, b, r.co)
 	return reply(err, func(e *wire.Enc) { wire.EncodeUIDs(e, uids) })
 }
 
@@ -997,7 +1005,7 @@ func serveFork(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.Fork(r.ctx, key, newBranch, r.co.options()...), nil)
+	return reply(s.be.fork(r.ctx, key, newBranch, r.co), nil)
 }
 
 func serveMerge(s *Server, r request) []byte {
@@ -1005,7 +1013,7 @@ func serveMerge(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	uid, conflicts, err := s.st.Merge(r.ctx, key, tgt, r.co.options()...)
+	uid, conflicts, err := s.be.merge(r.ctx, key, tgt, r.co)
 	if err != nil {
 		return errPayload(err, conflicts, uid)
 	}
@@ -1018,13 +1026,8 @@ func serveTrack(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	hist, err := s.st.Track(r.ctx, key, from, to, r.co.options()...)
-	return reply(err, func(e *wire.Enc) {
-		e.U32(uint32(len(hist)))
-		for _, o := range hist {
-			wire.EncodeFObject(e, o)
-		}
-	})
+	hist, err := s.be.track(r.ctx, key, from, to, r.co)
+	return reply(err, func(e *wire.Enc) { wire.EncodeFObjects(e, hist) })
 }
 
 func serveDiff(s *Server, r request) []byte {
@@ -1033,18 +1036,13 @@ func serveDiff(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	df, err := s.st.Diff(r.ctx, key, a, b, r.co.options()...)
+	df, err := s.be.diff(r.ctx, key, a, b, r.co)
 	return reply(err, func(e *wire.Enc) { wire.EncodeDiff(e, df) })
 }
 
 func serveListKeys(s *Server, r request) []byte {
-	keys, err := s.st.ListKeys(r.ctx, r.co.options()...)
-	return reply(err, func(e *wire.Enc) {
-		e.U32(uint32(len(keys)))
-		for _, k := range keys {
-			e.Str(k)
-		}
-	})
+	keys, err := s.be.listKeys(r.ctx, r.co)
+	return reply(err, func(e *wire.Enc) { wire.EncodeStrings(e, keys) })
 }
 
 func serveListBranches(s *Server, r request) []byte {
@@ -1052,11 +1050,8 @@ func serveListBranches(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	bl, err := s.st.ListBranches(r.ctx, key, r.co.options()...)
-	return reply(err, func(e *wire.Enc) {
-		wire.EncodeTaggedBranches(e, bl.Tagged)
-		wire.EncodeUIDs(e, bl.Untagged)
-	})
+	bl, err := s.be.listBranches(r.ctx, key, r.co)
+	return reply(err, func(e *wire.Enc) { wire.EncodeBranchList(e, bl.Tagged, bl.Untagged) })
 }
 
 func serveRenameBranch(s *Server, r request) []byte {
@@ -1064,7 +1059,7 @@ func serveRenameBranch(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.RenameBranch(r.ctx, key, br, newName, r.co.options()...), nil)
+	return reply(s.be.renameBranch(r.ctx, key, br, newName, r.co), nil)
 }
 
 func serveRemoveBranch(s *Server, r request) []byte {
@@ -1072,27 +1067,20 @@ func serveRemoveBranch(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.RemoveBranch(r.ctx, key, br, r.co.options()...), nil)
+	return reply(s.be.removeBranch(r.ctx, key, br, r.co), nil)
 }
 
+// servePin serves OpPin and OpUnpin.
 func servePin(s *Server, r request) []byte {
 	key, uid := r.d.Str(), r.d.UID()
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	return reply(s.st.Pin(r.ctx, key, uid, r.co.options()...), nil)
-}
-
-func serveUnpin(s *Server, r request) []byte {
-	key, uid := r.d.Str(), r.d.UID()
-	if err := r.d.Err(); err != nil {
-		return fail(err)
-	}
-	return reply(s.st.Unpin(r.ctx, key, uid, r.co.options()...), nil)
+	return reply(s.be.pin(r.ctx, key, uid, r.op == wire.OpPin, r.co), nil)
 }
 
 func serveGC(s *Server, r request) []byte {
-	stats, err := s.st.GC(r.ctx, r.co.options()...)
+	stats, err := s.be.gc(r.ctx, r.co)
 	return reply(err, func(e *wire.Enc) { wire.EncodeGCStats(e, stats) })
 }
 
@@ -1105,17 +1093,23 @@ func serveValue(s *Server, r request) []byte {
 	// and forwarding the caller's branch/base options into the internal
 	// Get would redirect it to a different version (or trip
 	// ErrBadOptions) — semantics the embedded Value does not have.
-	asUser := callOpts{user: r.co.user}
-	pinned := callOpts{user: r.co.user, bases: []UID{uid}}
-	obj, err := s.st.Get(r.ctx, key, pinned.options()...)
+	obj, err := s.be.get(r.ctx, key, callOpts{user: r.co.user, bases: []UID{uid}})
 	if err != nil {
 		return fail(err)
 	}
-	v, err := s.st.Value(r.ctx, key, obj, asUser.options()...)
+	v, err := s.be.value(r.ctx, key, obj, callOpts{user: r.co.user})
 	if err != nil {
 		return fail(err)
 	}
-	return okPayload2(func(e *wire.Enc) error { return wire.EncodeValue(e, v) })
+	// Encoding materializes the value, which reads chunks and can fail
+	// mid-way; the response is then the error.
+	e := wire.EncWith(wire.GetFrameBuf())
+	e.U8(0)
+	if err := wire.EncodeValue(&e, v); err != nil {
+		wire.PutFrameBuf(e.Bytes())
+		return fail(err)
+	}
+	return e.Bytes()
 }
 
 func serveStats(s *Server, r request) []byte {
@@ -1303,7 +1297,7 @@ func servePutChunked(s *Server, r request) []byte {
 		return fail(fmt.Errorf("chunked put of %s: upload incomplete: %w", root.Short(), err))
 	}
 	v, _ := types.AttachValue(vt, tree)
-	uid, err := s.st.Put(r.ctx, key, v, r.co.options()...)
+	uid, err := s.be.put(r.ctx, key, v, nil, r.co)
 	// Success or failure, the negotiation window is over: on success the
 	// new version roots the chunks; on failure the client renegotiates
 	// from OpChunkHave, which re-shields.
@@ -1427,19 +1421,6 @@ func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Sto
 	}
 	flushPart()
 	return okPayload(func(e *wire.Enc) { e.U32(streamed) })
-}
-
-// okPayload2 is okPayload for encoders that can fail mid-way (value
-// materialization reads chunks); the failure downgrades the response
-// to an error payload.
-func okPayload2(fill func(e *wire.Enc) error) []byte {
-	e := wire.EncWith(wire.GetFrameBuf())
-	e.U8(0)
-	if err := fill(&e); err != nil {
-		wire.PutFrameBuf(e.Bytes())
-		return errPayload(err, nil, UID{})
-	}
-	return e.Bytes()
 }
 
 // --- runs of small Puts ---------------------------------------------
