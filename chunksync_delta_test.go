@@ -969,65 +969,60 @@ func TestChunkSyncFailedPipelinedSendKeepsEditStaged(t *testing.T) {
 	}
 }
 
-// TestChunkSyncUnorderedServerGetsSequentialCommit: a server that does
-// not advertise wire.FeatureOrderedSend may run a Send and the commit
-// behind it on different workers, so the client writes the commit only
-// once the Send has answered. An edit's put still skips the Have and
-// succeeds.
-func TestChunkSyncUnorderedServerGetsSequentialCommit(t *testing.T) {
-	ctx := context.Background()
+// TestChunkSyncSendAppliesBeforeNextFrame: a chunk-sync server applies
+// a Send before it reads the next frame on the connection, so a commit
+// written right behind it, in the same socket write, finds every chunk
+// it relies on. Fifty fresh trees, each uploaded whole and committed in
+// one write: every Send and every commit must succeed. A server that
+// handed the Send to a worker would let some commit overtake its upload
+// and answer it incomplete.
+func TestChunkSyncSendAppliesBeforeNextFrame(t *testing.T) {
 	db := forkbase.Open()
 	addr, srv := startServer(t, db, forkbase.ServerOptions{})
-	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	rc.DropOrderedSendFeatureForTest()
-	data := randBytes(95, 300<<10)
-	if _, err := db.Put(ctx, "doc", forkbase.NewBlob(data)); err != nil {
-		t.Fatal(err)
-	}
-	o, err := rc.Get(ctx, "doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := rc.Value(ctx, "doc", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := forkbase.AsBlob(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := randBytes(96, 128)
-	if err := b.Splice(70_000, 128, ins); err != nil {
-		t.Fatal(err)
-	}
-	writes := rc.RecordSocketWritesForTest()
-	haves := clientCalls(rc, "chunk_have")
-	uid, err := rc.Put(ctx, "doc", b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := writes.Take()
-	if fmt.Sprint(w) != fmt.Sprint([][]uint8{{wire.OpChunkSend}, {wire.OpPutChunked}}) {
-		t.Fatalf("the put's socket writes carried ops %v; want the Send (%d), then the commit (%d) on its own",
-			w, wire.OpChunkSend, wire.OpPutChunked)
-	}
-	if got := clientCalls(rc, "chunk_have") - haves; got != 0 {
-		t.Fatalf("the put made %d Have calls; want 0", got)
-	}
-	head, err := db.Get(ctx, "doc")
-	if err != nil || head.UID() != uid {
-		t.Fatalf("server head after the put: %v", err)
-	}
-	sb, err := db.BlobOf(head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := sb.Bytes(); err != nil || !bytes.Equal(got, spliceAt(data, ins, 70_000)) {
-		t.Fatalf("server content after the put: %v", err)
+	c := rawChunkConn(t, addr)
+	scratch := store.NewMemStore()
+	for i := 0; i < 50; i++ {
+		key, data := fmt.Sprintf("doc%d", i), randBytes(int64(1000+i), 256<<10)
+		tr := scratchTree(t, scratch, forkbase.NewBlob(data))
+		index, leaves := splitLevels(t, tr)
+		var send, commit wire.Enc
+		wire.EncodeCallOptions(&send, wire.CallOptions{})
+		send.Str(key)
+		wire.EncodeChunkUpload(&send, append(leaves, index...))
+		wire.EncodeCallOptions(&commit, wire.CallOptions{})
+		commit.Str(key)
+		commit.U8(uint8(types.TypeBlob))
+		commit.UID(tr.Root())
+		sendID, commitID := uint64(2*i+100), uint64(2*i+101)
+		frames := wire.AppendFrame(nil, sendID, wire.OpChunkSend, send.Bytes())
+		frames = wire.AppendFrame(frames, commitID, wire.OpPutChunked, commit.Bytes())
+		if _, err := c.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			id, op, payload, err := wire.ReadFrame(c, 0)
+			if err != nil {
+				t.Fatalf("tree %d: %v", i, err)
+			}
+			if len(payload) == 0 || (id != sendID && id != commitID) {
+				t.Fatalf("tree %d: unexpected answer to request %d (op %d)", i, id, op)
+			}
+			if payload[0] != 0 {
+				ep, _ := wire.DecodeError(wire.NewDec(payload[1:]))
+				t.Fatalf("tree %d: op %s failed: %v", i, wire.OpName(op), ep.Err)
+			}
+		}
+		head, err := db.Get(context.Background(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := db.BlobOf(head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sb.Bytes(); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("tree %d: server content after the commit: %v", i, err)
+		}
 	}
 	if n := srv.ConnShieldsForTest(); n != 0 {
 		t.Fatalf("%d shields left", n)

@@ -494,11 +494,16 @@ func TestChunkSyncTortureWireOps(t *testing.T) {
 	})
 }
 
-// TestChunkSyncDisabled: a server that does not offer the feature
-// still serves a chunk-sync-configured client (which falls back to
-// full-ship), and a direct chunk op gets the typed unsupported error.
+// TestChunkSyncDisabled: a server whose backend has no local chunk
+// store (a cluster) does not offer the feature, still serves a
+// chunk-sync-configured client (which falls back to full-ship), and
+// answers a direct chunk op with the typed unsupported error.
 func TestChunkSyncDisabled(t *testing.T) {
-	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{DisableChunkSync: true})
+	cc, err := forkbase.OpenCluster(forkbase.ClusterConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, cc, forkbase.ServerOptions{})
 	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{ChunkSync: true, ChunkCacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

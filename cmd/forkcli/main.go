@@ -57,7 +57,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -380,9 +379,6 @@ func (sh *shell) serverStats(ctx context.Context, args []string) error {
 	}
 	prev, err := rs.ServerStats(ctx)
 	if err != nil {
-		if errors.Is(err, forkbase.ErrUnsupported) {
-			return fmt.Errorf("this forkserved predates per-op metrics (no server_stats op); upgrade the daemon to use stats -server")
-		}
 		return err
 	}
 	printServerStats(prev, nil)

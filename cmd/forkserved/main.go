@@ -26,10 +26,8 @@
 //	                   metadata journal once per journal flush (-path)
 //	-gc-threshold r    segment compaction live-ratio threshold (-path only)
 //	-auto-gc n         run GC after every n branch removals
-//	-max-frame bytes   largest request/response frame accepted
-//	-chunksync         offer chunk-granular delta transfer (default
-//	                   true; capable clients then move only chunks
-//	                   the other side is missing)
+//	-max-frame bytes   largest request/response frame accepted (each
+//	                   client learns it in the Hello)
 //	-drain d           graceful-shutdown drain budget (default 30s)
 //	-debug-addr addr   serve /metrics (Prometheus text) and
 //	                   /debug/pprof on this HTTP address (off by
@@ -78,7 +76,6 @@ func main() {
 	gcThreshold := flag.Float64("gc-threshold", 0, "segment compaction live-ratio threshold (-path only; 0 = default)")
 	autoGC := flag.Int("auto-gc", 0, "run GC after every n branch removals (0 = off)")
 	maxFrame := flag.Int("max-frame", 0, "largest request/response frame in bytes (0 = 256 MiB)")
-	chunkSync := flag.Bool("chunksync", true, "offer chunk-granular delta transfer to capable clients")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this HTTP address (unauthenticated; keep it on loopback)")
 	slowOp := flag.Duration("slow-op", 0, "log every op dispatched slower than this (0 = off)")
@@ -130,11 +127,10 @@ func main() {
 		log.Fatalf("forkserved: listen: %v", err)
 	}
 	srv := forkbase.NewServer(st, forkbase.ServerOptions{
-		AuthToken:        *auth,
-		MaxFrame:         *maxFrame,
-		DisableChunkSync: !*chunkSync,
-		Logf:             log.Printf,
-		SlowOpThreshold:  *slowOp,
+		AuthToken:       *auth,
+		MaxFrame:        *maxFrame,
+		Logf:            log.Printf,
+		SlowOpThreshold: *slowOp,
 	})
 
 	if *debugAddr != "" {

@@ -9,7 +9,6 @@ import (
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/store"
-	"forkbase/internal/wire"
 )
 
 // DropChunkCacheForTest replaces the client chunk cache with an empty
@@ -50,22 +49,6 @@ func (rs *RemoteStore) CountChunkStoreReadsForTest() *ChunkStoreReads {
 	c := &ChunkStoreReads{Store: rs.local}
 	rs.local = c
 	return c
-}
-
-// DropServerStatsFeatureForTest clears FeatureServerStats from the
-// client's view of the server's Hello, simulating a peer that predates
-// the stats op. ServerStats must then degrade gracefully: a local
-// ErrUnsupported, no bytes on the wire.
-func (rs *RemoteStore) DropServerStatsFeatureForTest() {
-	rs.features.Store(rs.features.Load() &^ wire.FeatureServerStats)
-}
-
-// DropOrderedSendFeatureForTest clears FeatureOrderedSend from the
-// client's view of the server's Hello, simulating a peer that predates
-// the bit: the client must then wait for a Send's answer before it
-// writes the commit behind it.
-func (rs *RemoteStore) DropOrderedSendFeatureForTest() {
-	rs.features.Store(rs.features.Load() &^ wire.FeatureOrderedSend)
 }
 
 // ConnShieldsForTest counts the chunk ids the server's live

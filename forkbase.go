@@ -156,9 +156,9 @@ var (
 	// ErrBadOptions reports an option combination a call cannot satisfy
 	// (e.g. Put with both WithBranch and WithBase).
 	ErrBadOptions = core.ErrBadOptions
-	// ErrUnsupported reports a request the remote peer does not serve
-	// (a pre-stats server asked for ServerStats, a proxy backend asked
-	// for chunk ops).
+	// ErrUnsupported reports a request the remote peer does not serve:
+	// a proxy backend (a cluster, another RemoteStore) asked for chunk
+	// ops, or for the storage counters RemoteStore.Stats reads.
 	ErrUnsupported = wire.ErrUnsupported
 )
 

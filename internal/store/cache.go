@@ -121,9 +121,6 @@ func NewCache(inner Store, maxBytes int64) *Cache {
 	return c
 }
 
-// Inner returns the backing store.
-func (c *Cache) Inner() Store { return c.inner }
-
 // Unwrap returns the backing store, letting the collector find the
 // Collectable at the bottom of a wrapped stack.
 func (c *Cache) Unwrap() Store { return c.inner }

@@ -224,7 +224,7 @@ func AsCollectable(s Store) (Collectable, []*Cache, bool) {
 	for {
 		if ca, ok := s.(*Cache); ok {
 			caches = append(caches, ca)
-			s = ca.Inner()
+			s = ca.Unwrap()
 			continue
 		}
 		if col, ok := s.(Collectable); ok {

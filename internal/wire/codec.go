@@ -105,9 +105,6 @@ func NewDec(b []byte) *Dec { return &Dec{buf: b} }
 // Err returns the first decoding violation, if any.
 func (d *Dec) Err() error { return d.err }
 
-// Rest returns the undecoded remainder (diagnostics only).
-func (d *Dec) Rest() int { return len(d.buf) - d.off }
-
 // fail records the first violation.
 func (d *Dec) fail(what string) {
 	if d.err == nil {
@@ -201,14 +198,21 @@ func (d *Dec) BlobRef() []byte {
 	return d.take(int(n))
 }
 
-// Str reads a length-prefixed string.
-func (d *Dec) Str() string {
+// Str reads a length-prefixed string. When the bytes spell one of
+// reuse, that string comes back itself instead of a fresh copy.
+func (d *Dec) Str(reuse ...string) string {
 	n := d.U32()
 	if n == nilLen {
 		d.fail("nil sentinel in string")
 		return ""
 	}
-	return string(d.take(int(n)))
+	b := d.take(int(n))
+	for _, s := range reuse {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
 }
 
 // Count reads a u32 element count for elements of at least elemMin
@@ -607,38 +611,6 @@ func DecodeGCStats(d *Dec) store.GCStats {
 	}
 }
 
-// EncodeStats serializes chunk-storage counters.
-func EncodeStats(e *Enc, s store.Stats) {
-	e.I64(int64(s.Chunks))
-	e.I64(s.Bytes)
-	e.I64(s.Puts)
-	e.I64(s.Dups)
-	e.I64(s.Gets)
-	e.I64(s.DupBytes)
-	e.I64(s.ReadBytes)
-	e.I64(s.CacheHits)
-	e.I64(s.CacheMisses)
-	e.I64(s.CacheEvictions)
-	e.I64(s.CacheBytes)
-}
-
-// DecodeStats parses chunk-storage counters.
-func DecodeStats(d *Dec) store.Stats {
-	return store.Stats{
-		Chunks:         int(d.I64()),
-		Bytes:          d.I64(),
-		Puts:           d.I64(),
-		Dups:           d.I64(),
-		Gets:           d.I64(),
-		DupBytes:       d.I64(),
-		ReadBytes:      d.I64(),
-		CacheHits:      d.I64(),
-		CacheMisses:    d.I64(),
-		CacheEvictions: d.I64(),
-		CacheBytes:     d.I64(),
-	}
-}
-
 // --- call options -----------------------------------------------------
 
 // CallOptions is the wire form of a call's resolved option set — the
@@ -713,10 +685,13 @@ func EncodeCallOptions(e *Enc, o CallOptions) {
 	e.U8(o.Resolver)
 }
 
-// DecodeCallOptions parses a call's option set.
-func DecodeCallOptions(d *Dec) CallOptions {
+// DecodeCallOptions parses a call's option set. last, when given, is
+// the user an earlier request on the same connection decoded: a request
+// naming the same user gets that string back rather than a fresh copy,
+// so a connection that keeps to one user decodes it without allocating.
+func DecodeCallOptions(d *Dec, last ...string) CallOptions {
 	o := CallOptions{
-		User:      d.Str(),
+		User:      d.Str(last...),
 		BranchSet: d.Bool(),
 		Branch:    d.Str(),
 		Bases:     DecodeUIDs(d),

@@ -18,7 +18,8 @@ import (
 var ErrShutdown = errors.New("wire: server shutting down")
 
 // ErrUnsupported reports a request the server understood but cannot
-// serve (e.g. Stats against a backend without counters).
+// serve (e.g. a chunk op against a backend without a local chunk
+// store).
 var ErrUnsupported = errors.New("wire: operation not supported by this server")
 
 // ErrDuplicateRequest reports a request id that is already in flight

@@ -38,8 +38,10 @@ import (
 )
 
 // ProtoVersion is the protocol revision spoken by this build. The
-// Hello exchange rejects mismatched peers before any data moves.
-const ProtoVersion = 1
+// Hello rejects mismatched peers before any data moves: its request
+// carries the version and the auth token (u32, str), its answer a
+// banner (str), the feature mask and the server's frame cap (u32 each).
+const ProtoVersion = 2
 
 // frameOverhead is the fixed byte cost beyond the payload: reqID (8),
 // op (1) and crc (4). The leading length field is not counted by n.
@@ -80,9 +82,6 @@ const (
 	OpUnpin
 	OpGC
 	OpValue
-	// OpStats reports the backend's chunk-storage counters (admin /
-	// tooling; not part of the Store interface).
-	OpStats
 	// Chunk-granular transfer (the chunksync subsystem). These ops move
 	// individual POS-Tree chunks instead of materialized values, which
 	// is what lets a client that already holds 99% of a large object's
@@ -117,39 +116,20 @@ const (
 	OpChunkWantPart
 	// OpServerStats returns the server's observability snapshot — the
 	// per-op request counters, latency histograms and engine metrics of
-	// internal/obs, encoded with EncodeSamples. Feature-gated behind
-	// FeatureServerStats; pre-feature servers answer ErrUnsupported.
+	// internal/obs, encoded with EncodeSamples. Every server answers it.
 	OpServerStats
 	// OpMax is one past the highest assigned code — the bound both ends
 	// use to size per-op metric tables.
 	OpMax
 )
 
-// Hello feature bits. The server's Hello response advertises a bitmask
-// of optional capabilities after its banner; clients that predate the
-// field simply ignore the trailing bytes.
-const (
-	// FeatureChunkSync marks a server that accepts the chunk-granular
-	// transfer ops (OpChunkHave/OpChunkWant/OpChunkSend/OpPutChunked).
-	FeatureChunkSync uint32 = 1 << 0
-	// Bit 1 is retired: peers built before the Want protocol was made
-	// unconditional set and test it. Do not reassign it.
-
-	// FeatureServerStats marks a server that answers OpServerStats with
-	// its observability snapshot. Clients without the bit never send the
-	// op; clients seeing a server without it fail the call locally with
-	// ErrUnsupported instead of burning a round trip.
-	FeatureServerStats uint32 = 1 << 2
-	// FeatureOrderedSend marks a server that applies an OpChunkSend —
-	// verifies, shields and admits its chunks — before it reads the next
-	// frame on the connection. A client seeing the bit may write its
-	// last Send and the OpPutChunked that relies on it back to back, in
-	// one flush, and wait for both answers: the commit cannot overtake
-	// the upload. Without the bit the server may run the two on
-	// different workers, and the client waits for the Send's answer
-	// before it writes the commit.
-	FeatureOrderedSend uint32 = 1 << 3
-)
+// FeatureChunkSync, the one bit of the Hello's feature mask, marks a
+// server that serves the chunk-granular transfer ops, and applies each
+// OpChunkSend — verifies, shields and admits its chunks — before it
+// reads the next frame on the connection: a client may write its last
+// Send and the OpPutChunked that relies on it in one flush, and the
+// commit cannot overtake the upload.
+const FeatureChunkSync uint32 = 1 << 0
 
 // KnownOp reports whether op names an operation this protocol version
 // understands.

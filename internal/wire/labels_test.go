@@ -14,7 +14,7 @@ func TestMetricLabelsGolden(t *testing.T) {
 	wantOps := []string{
 		"hello", "cancel", "get", "put", "apply", "fork", "merge", "track",
 		"diff", "list_keys", "list_branches", "rename_branch",
-		"remove_branch", "pin", "unpin", "gc", "value", "stats",
+		"remove_branch", "pin", "unpin", "gc", "value",
 		"chunk_have", "chunk_want", "chunk_send", "put_chunked",
 		"chunk_want_part", "server_stats",
 	}
@@ -25,7 +25,7 @@ func TestMetricLabelsGolden(t *testing.T) {
 	if !reflect.DeepEqual(ops, wantOps) {
 		t.Fatalf("op labels changed:\n got %q\nwant %q", ops, wantOps)
 	}
-	if got := OpName(OpMax); got != "op25" {
+	if got := OpName(OpMax); got != "op24" {
 		t.Fatalf("OpName(OpMax) = %q, want the op<n> fallback", got)
 	}
 

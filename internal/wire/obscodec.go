@@ -25,7 +25,6 @@ var opNames = [OpMax]string{
 	OpUnpin:         "unpin",
 	OpGC:            "gc",
 	OpValue:         "value",
-	OpStats:         "stats",
 	OpChunkHave:     "chunk_have",
 	OpChunkWant:     "chunk_want",
 	OpChunkSend:     "chunk_send",

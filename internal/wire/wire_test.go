@@ -421,7 +421,6 @@ func decodeAnything(b []byte) {
 	DecodeStrings(NewDec(b))
 	DecodeBranchList(NewDec(b))
 	DecodeGCStats(NewDec(b))
-	DecodeStats(NewDec(b))
 	DecodeBitmap(NewDec(b), 64)
 	DecodeChunkUpload(NewDec(b))
 	decodeWantRequest(b)

@@ -9,6 +9,8 @@ package forkbase
 // and the engine together.
 
 import (
+	"reflect"
+	"strings"
 	"time"
 
 	"forkbase/internal/obs"
@@ -118,26 +120,39 @@ func (s *Server) MetricsSnapshot() []MetricSample {
 	return s.reg.Snapshot()
 }
 
+// storeSeries maps each series of a DB's store counters to the
+// StoreStats field it samples. newDBMetrics registers the series from
+// it, and RemoteStore.Stats reads a server's snapshot back through it.
+// A series named *_total is a counter, any other a gauge.
+var storeSeries = map[string]string{
+	"forkbase_store_puts_total":            "Puts",
+	"forkbase_store_gets_total":            "Gets",
+	"forkbase_store_dup_chunks_total":      "Dups",
+	"forkbase_store_dup_bytes_total":       "DupBytes",
+	"forkbase_store_read_bytes_total":      "ReadBytes",
+	"forkbase_store_cache_hits_total":      "CacheHits",
+	"forkbase_store_cache_misses_total":    "CacheMisses",
+	"forkbase_store_cache_evictions_total": "CacheEvictions",
+	"forkbase_store_cache_bytes":           "CacheBytes",
+	"forkbase_store_chunks":                "Chunks",
+	"forkbase_store_bytes":                 "Bytes",
+}
+
 // newDBMetrics builds a DB's registry: engine and store gauges
 // re-homed from the ad-hoc stat structs (sampled at snapshot time, so
 // the hot path pays nothing it was not already paying), plus the GC
 // pause and journal fsync histograms the engine feeds directly.
 func newDBMetrics(db *DB) *obs.Registry {
 	r := obs.NewRegistry()
-	stat := func(f func(StoreStats) int64) func() int64 {
-		return func() int64 { return f(db.Stats()) }
+	for name, field := range storeSeries {
+		field := field
+		sample := func() int64 { return reflect.ValueOf(db.Stats()).FieldByName(field).Int() }
+		if strings.HasSuffix(name, "_total") {
+			r.CounterFunc(name, "", sample)
+		} else {
+			r.GaugeFunc(name, "", sample)
+		}
 	}
-	r.CounterFunc("forkbase_store_puts_total", "", stat(func(s StoreStats) int64 { return s.Puts }))
-	r.CounterFunc("forkbase_store_gets_total", "", stat(func(s StoreStats) int64 { return s.Gets }))
-	r.CounterFunc("forkbase_store_dup_chunks_total", "", stat(func(s StoreStats) int64 { return s.Dups }))
-	r.CounterFunc("forkbase_store_dup_bytes_total", "", stat(func(s StoreStats) int64 { return s.DupBytes }))
-	r.CounterFunc("forkbase_store_read_bytes_total", "", stat(func(s StoreStats) int64 { return s.ReadBytes }))
-	r.CounterFunc("forkbase_store_cache_hits_total", "", stat(func(s StoreStats) int64 { return s.CacheHits }))
-	r.CounterFunc("forkbase_store_cache_misses_total", "", stat(func(s StoreStats) int64 { return s.CacheMisses }))
-	r.CounterFunc("forkbase_store_cache_evictions_total", "", stat(func(s StoreStats) int64 { return s.CacheEvictions }))
-	r.GaugeFunc("forkbase_store_cache_bytes", "", stat(func(s StoreStats) int64 { return s.CacheBytes }))
-	r.GaugeFunc("forkbase_store_chunks", "", stat(func(s StoreStats) int64 { return int64(s.Chunks) }))
-	r.GaugeFunc("forkbase_store_bytes", "", stat(func(s StoreStats) int64 { return s.Bytes }))
 	r.GaugeFunc("forkbase_meta_wal_bytes", "", func() int64 {
 		ms, ok := db.MetaStats()
 		if !ok {

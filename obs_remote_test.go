@@ -1,10 +1,11 @@
 package forkbase_test
 
-// Observability end-to-end: the OpServerStats round trip, graceful
-// degradation against pre-stats peers, the wire byte counters'
-// agreement across the socket, and the slow-op log.
+// Observability end-to-end: the OpServerStats round trip on every kind
+// of backend, Stats read from it, the wire byte counters' agreement
+// across the socket, and the slow-op log.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -103,25 +104,102 @@ func TestObsServerStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObsServerStatsPreFeature simulates a peer that predates the
-// stats op: the call must fail locally with ErrUnsupported, without
-// touching the wire.
-func TestObsServerStatsPreFeature(t *testing.T) {
+// TestObsServerStatsEveryBackend: every server answers ServerStats,
+// whatever it serves — an embedded DB, a cluster, or a Store that
+// wraps a DB and is reached through its methods. The server's own
+// per-op series are in each snapshot; the DB's store series only where
+// the server holds the DB itself.
+func TestObsServerStatsEveryBackend(t *testing.T) {
 	ctx := context.Background()
-	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	for _, tc := range []struct {
+		name        string
+		open        func(t *testing.T) forkbase.Store
+		storeSeries bool
+	}{
+		{"db", func(*testing.T) forkbase.Store { return forkbase.Open() }, true},
+		{"cluster", func(t *testing.T) forkbase.Store {
+			cc, err := forkbase.OpenCluster(forkbase.ClusterConfig{Nodes: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cc
+		}, false},
+		{"wrapper", func(*testing.T) forkbase.Store { return &overrideStore{DB: forkbase.Open()} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, _ := startServer(t, tc.open(t), forkbase.ServerOptions{})
+			rs, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			if _, err := rs.Put(ctx, "k", forkbase.String("v")); err != nil {
+				t.Fatal(err)
+			}
+			samples, err := rs.ServerStats(ctx)
+			if err != nil {
+				t.Fatalf("ServerStats: %v", err)
+			}
+			if s, ok := sampleValue(samples, "forkbase_server_requests_total", `op="put"`); !ok || s.Value != 1 {
+				t.Fatalf("put request counter = %+v (present=%v), want 1", s, ok)
+			}
+			if _, ok := sampleValue(samples, "forkbase_store_puts_total", ""); ok != tc.storeSeries {
+				t.Fatalf("store puts series present = %v, want %v", ok, tc.storeSeries)
+			}
+		})
+	}
+}
+
+// TestRemoteStatsReadsStoreSeries: RemoteStore.Stats answers, field by
+// field, what the served DB's Stats does, through the store series of
+// the server's snapshot. A server without a DB of its own has none of
+// them, and Stats fails with ErrUnsupported.
+func TestRemoteStatsReadsStoreSeries(t *testing.T) {
+	ctx := context.Background()
+	db := forkbase.Open(forkbase.Options{CacheBytes: 1 << 20})
+	addr, _ := startServer(t, db, forkbase.ServerOptions{})
 	rs, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-
-	rs.DropServerStatsFeatureForTest()
-	before := wireBytes(rs, "out")
-	if _, err := rs.ServerStats(ctx); !errors.Is(err, forkbase.ErrUnsupported) {
-		t.Fatalf("ServerStats against a pre-stats peer: err = %v, want ErrUnsupported", err)
+	blob := forkbase.NewBlob(bytes.Repeat([]byte("stats series "), 8<<10))
+	for _, key := range []string{"a", "b"} { // b's chunks are all dups
+		if _, err := rs.Put(ctx, key, blob); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after := wireBytes(rs, "out"); after != before {
-		t.Fatalf("ServerStats moved %d bytes against a pre-stats peer; must fail locally", after-before)
+	o, err := rs.Get(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Value(ctx, "a", o); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rs.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := db.Stats()
+	if want.Dups == 0 || want.CacheHits+want.CacheMisses == 0 {
+		t.Fatalf("the traffic left fields at zero: %+v", want)
+	}
+	if got != want {
+		t.Fatalf("RemoteStore.Stats = %+v\nserved DB's Stats = %+v", got, want)
+	}
+
+	cc, err := forkbase.OpenCluster(forkbase.ClusterConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ = startServer(t, cc, forkbase.ServerOptions{})
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := rc.Stats(ctx); !errors.Is(err, forkbase.ErrUnsupported) {
+		t.Fatalf("Stats against a cluster-served backend: err = %v, want ErrUnsupported", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,9 @@ import (
 // ErrRemoteClosed is returned by calls on a RemoteStore after Close.
 var ErrRemoteClosed = errors.New("forkbase: remote store is closed")
 
-// RemoteConfig configures Dial.
+// RemoteConfig configures Dial. The frame cap is the server's
+// (ServerOptions.MaxFrame), which each connection's Hello carries: a
+// request larger than it fails alone, before any of its bytes are sent.
 type RemoteConfig struct {
 	// Conns is the connection-pool size; requests round-robin across
 	// it. Each connection multiplexes any number of in-flight
@@ -36,8 +39,6 @@ type RemoteConfig struct {
 	AuthToken string
 	// DialTimeout bounds each TCP connect; 0 means 10s.
 	DialTimeout time.Duration
-	// MaxFrame caps response frames (0 = wire.DefaultMaxFrame).
-	MaxFrame int
 	// ChunkSync opts into chunk-granular transfer when the server
 	// advertises FeatureChunkSync: chunkable values are read by
 	// fetching only the POS-Tree chunks missing from a local chunk
@@ -143,9 +144,10 @@ type RemoteStore struct {
 	reqID atomic.Uint64
 	next  atomic.Uint64 // round-robin cursor over the pool
 
-	// features is the capability bitmask from the most recent Hello;
-	// chunk sync engages only when the server advertises it.
+	// features and maxFrame are what the last Hello answered: chunk sync
+	// engages only under its feature bit, and requests are sized by its cap.
 	features atomic.Uint32
+	maxFrame atomic.Uint32
 
 	// local is the client-side chunk cache stack, a Cache over a
 	// FileStore; nil unless chunk sync was requested. privateDir is the
@@ -241,13 +243,7 @@ func (rs *RemoteStore) MetricsSnapshot() []MetricSample { return rs.reg.Snapshot
 // ServerStats fetches the server's live observability snapshot — per-op
 // request counts and latency histograms, wire and chunksync byte
 // counters, and (for embedded-DB backends) engine and store metrics.
-// Servers predating the stats op do not advertise wire.FeatureServerStats
-// in their Hello; the call then fails locally with ErrUnsupported,
-// before any bytes move.
 func (rs *RemoteStore) ServerStats(ctx context.Context) ([]MetricSample, error) {
-	if rs.features.Load()&wire.FeatureServerStats == 0 {
-		return nil, fmt.Errorf("forkbase: server does not advertise per-op metrics (pre-stats forkserved): %w", wire.ErrUnsupported)
-	}
 	samples, _, err := roundTrip(ctx, rs, wire.OpServerStats, callOpts{}, nil, func(d *wire.Dec) ([]MetricSample, error) {
 		return wire.DecodeSamples(d), nil
 	})
@@ -352,11 +348,10 @@ func (rs *RemoteStore) dial() (*remoteConn, error) {
 		return nil, err
 	}
 	c := &remoteConn{
-		c:        nc,
-		br:       bufio.NewReaderSize(nc, connBufSize),
-		maxFrame: rs.cfg.MaxFrame,
-		pending:  make(map[uint64]pendingCall),
-		recv:     rs.cm.bytesRecv,
+		c:       nc,
+		br:      bufio.NewReaderSize(nc, connBufSize),
+		pending: make(map[uint64]pendingCall),
+		recv:    rs.cm.bytesRecv,
 	}
 	// A write failure anywhere fails the whole connection: pending
 	// calls get the error instead of hanging. The frame writer also
@@ -366,43 +361,44 @@ func (rs *RemoteStore) dial() (*remoteConn, error) {
 	// Hello is synchronous: the reader starts only once the handshake
 	// frame has been consumed.
 	start := time.Now()
+	features, maxFrame, err := rs.hello(c)
+	if err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("forkbase: dial %s: %w", rs.addr, err)
+	}
+	c.maxFrame = int(maxFrame)
+	rs.features.Store(features)
+	rs.maxFrame.Store(maxFrame)
+	rs.cm.observe(wire.OpHello, start, false)
+	go c.readLoop()
+	return c, nil
+}
+
+// hello sends the connection's Hello and reads the answer, under
+// helloMaxFrame, for the server's feature mask and frame cap.
+func (rs *RemoteStore) hello(c *remoteConn) (features, maxFrame uint32, err error) {
 	var e wire.Enc
 	e.U32(wire.ProtoVersion)
 	e.Str(rs.cfg.AuthToken)
 	id := rs.reqID.Add(1)
 	if err := c.write(id, wire.OpHello, e.Bytes()); err != nil {
-		nc.Close()
-		return nil, err
+		return 0, 0, err
 	}
-	respID, op, payload, err := wire.ReadFrame(c.br, rs.cfg.MaxFrame)
+	respID, op, payload, err := wire.ReadFrame(c.br, helloMaxFrame)
 	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("forkbase: dial %s: %w", rs.addr, err)
+		return 0, 0, err
 	}
 	c.recv.Add(frameWireBytes + int64(len(payload)))
 	if respID != id || op != wire.OpHello {
-		nc.Close()
-		return nil, fmt.Errorf("forkbase: dial %s: out-of-order hello response", rs.addr)
+		return 0, 0, errors.New("out-of-order hello response")
 	}
-	d, ep, err := decodeStatus(payload)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	} else if ep != nil {
-		nc.Close()
-		return nil, fmt.Errorf("forkbase: dial %s: %w", rs.addr, ep.Err)
+	r := decodeStatus(payload)
+	if err := r.failure(); err != nil {
+		return 0, 0, err
 	}
-	// Banner, then the optional capability bitmask (absent on older
-	// servers — the trailing bytes simply aren't there).
-	d.Str()
-	var features uint32
-	if d.Err() == nil && d.Rest() >= 4 {
-		features = d.U32()
-	}
-	rs.features.Store(features)
-	rs.cm.observe(wire.OpHello, start, false)
-	go c.readLoop()
-	return c, nil
+	r.d.Str() // the banner
+	features, maxFrame = r.d.U32(), r.d.U32()
+	return features, maxFrame, r.d.Err()
 }
 
 // frameWireBytes is the fixed per-frame cost beyond the payload: the
@@ -411,7 +407,8 @@ const frameWireBytes = 4 + 8 + 1 + 4
 
 // remoteConn is one pooled connection: a batching frame writer
 // coalescing concurrent callers' frames into shared syscalls, and a
-// pending map matching responses to waiting calls.
+// pending map matching responses to waiting calls. maxFrame is the
+// server's frame cap, from this connection's Hello.
 type remoteConn struct {
 	c        net.Conn
 	br       *bufio.Reader
@@ -567,19 +564,18 @@ func (c *remoteConn) write(id uint64, op uint8, payload []byte) error {
 }
 
 // callSlot performs one request/response exchange on a pool slot.
-// Exactly one of the three results is meaningful: a decoder positioned
-// after the status byte (success), the server's typed error payload,
-// or a local / transport error. The chunk-sync ops of one logical Put
+// Exactly one of the answer's three parts is meaningful: a decoder
+// positioned after the status byte (success), the server's typed error
+// payload, or a local / transport error. The chunk-sync ops of one logical Put
 // must all travel on the same connection: the server scopes the GC
 // shields taken during negotiation to the connection that negotiated
 // them, so a commit arriving on a different connection would not
 // release them (and a mid-upload disconnect could not be told apart
 // from a still-negotiating client).
-func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) (wire.Dec, *wire.ErrorPayload, error) {
+func (rs *RemoteStore) callSlot(ctx context.Context, slot uint64, op uint8, payload []byte) callResult {
 	calls := [1]slotCall{{op: op, payload: payload}}
 	rs.callFrames(ctx, slot, calls[:])
-	r := calls[0].callResult
-	return r.d, r.ep, r.err
+	return calls[0].callResult
 }
 
 // callResult is one answer of callFrames.
@@ -616,8 +612,8 @@ type slotCall struct {
 // waits for every answer, in request order, leaving each in its call.
 // Each call is observed under its own op, timed to when its answer is
 // taken. More than one call costs one round trip only against a server
-// that applies each request before it reads the next
-// (wire.FeatureOrderedSend).
+// that applies each request before it reads the next, as a chunk-sync
+// server applies a Send (wire.FeatureChunkSync).
 func (rs *RemoteStore) callFrames(ctx context.Context, slot uint64, calls []slotCall) {
 	start := time.Now()
 	finish := func(i int, r callResult) {
@@ -633,13 +629,9 @@ func (rs *RemoteStore) callFrames(ctx context.Context, slot uint64, calls []slot
 		failFrom(0, err)
 		return
 	}
-	max := wire.MaxPayload(rs.cfg.MaxFrame)
 	for i := range calls {
-		if n := len(calls[i].payload); n > max {
-			// An oversized frame would desynchronize the stream and
-			// kill every request multiplexed on the connection; fail
-			// only these, before any bytes move.
-			failFrom(0, fmt.Errorf("forkbase: request of %d bytes exceeds the %d-byte frame cap (RemoteConfig.MaxFrame)", n, max))
+		if err := rs.fits(len(calls[i].payload)); err != nil {
+			failFrom(0, err)
 			return
 		}
 	}
@@ -681,8 +673,7 @@ func (rs *RemoteStore) callFrames(ctx context.Context, slot uint64, calls []slot
 				finish(i, callResult{err: r.err})
 				continue
 			}
-			d, ep, err := decodeStatus(r.payload)
-			finish(i, callResult{d: d, ep: ep, err: err})
+			finish(i, decodeStatus(r.payload))
 		case <-ctx.Done():
 			// Abandon locally at once; tell the server so it stops
 			// paying for the walk. A response that still arrives is
@@ -695,6 +686,20 @@ func (rs *RemoteStore) callFrames(ctx context.Context, slot uint64, calls []slot
 			return
 		}
 	}
+}
+
+// maxPayload is the largest request payload the server's frame cap
+// admits.
+func (rs *RemoteStore) maxPayload() int { return wire.MaxPayload(int(rs.maxFrame.Load())) }
+
+// fits fails a request payload the server's frame cap cannot carry,
+// which sent would make the server drop the connection and every
+// request on it.
+func (rs *RemoteStore) fits(n int) error {
+	if max := rs.maxPayload(); n > max {
+		return fmt.Errorf("forkbase: request of %d bytes exceeds the server's frame cap of %d bytes (%d of payload)", n, rs.maxFrame.Load(), max)
+	}
+	return nil
 }
 
 // cancel tells the server, best effort, to stop working on request id:
@@ -710,19 +715,19 @@ func (rs *RemoteStore) cancel(c *remoteConn, id uint64) {
 // decodeStatus splits a response payload into success decoder or
 // typed error. The decoder comes back by value, so a caller that reads
 // it in place keeps it on the stack.
-func decodeStatus(payload []byte) (wire.Dec, *wire.ErrorPayload, error) {
+func decodeStatus(payload []byte) callResult {
 	d := *wire.NewDec(payload)
 	switch status := d.U8(); status {
 	case 0:
-		return d, nil, nil
+		return callResult{d: d}
 	case 1:
 		ep, err := wire.DecodeError(&d)
 		if err != nil {
-			return wire.Dec{}, nil, err
+			return callResult{err: err}
 		}
-		return wire.Dec{}, &ep, nil
+		return callResult{ep: &ep}
 	default:
-		return wire.Dec{}, nil, fmt.Errorf("%w: unknown response status %d", wire.ErrCodec, status)
+		return callResult{err: fmt.Errorf("%w: unknown response status %d", wire.ErrCodec, status)}
 	}
 }
 
@@ -767,16 +772,16 @@ func roundTrip[T any](ctx context.Context, rs *RemoteStore, op uint8, o callOpts
 			return v, nil, err
 		}
 	}
-	d, ep, err := rs.callSlot(ctx, rs.next.Add(1), op, e.Bytes())
+	r := rs.callSlot(ctx, rs.next.Add(1), op, e.Bytes())
 	wire.PutFrameBuf(e.Bytes())
-	if err != nil {
-		return v, nil, err
+	if r.err != nil {
+		return v, nil, r.err
 	}
-	if ep != nil {
-		return v, ep, ep.Err
+	if r.ep != nil {
+		return v, r.ep, r.ep.Err
 	}
-	if v, err = dec(&d); err == nil {
-		err = d.Err()
+	if v, err = dec(&r.d); err == nil {
+		err = r.d.Err()
 	}
 	return v, nil, err
 }
@@ -998,13 +1003,26 @@ func (rs *RemoteStore) value(ctx context.Context, key string, obj *FObject, o ca
 }
 
 // Stats reports the server backend's chunk-storage counters (tooling;
-// not part of the Store interface — backends without counters return
-// an error).
+// not part of the Store interface), read from the forkbase_store_*
+// series of its ServerStats snapshot. A backend without those series,
+// such as a cluster, answers ErrUnsupported.
 func (rs *RemoteStore) Stats(ctx context.Context) (StoreStats, error) {
-	stats, _, err := roundTrip(ctx, rs, wire.OpStats, callOpts{}, nil, func(d *wire.Dec) (StoreStats, error) {
-		return wire.DecodeStats(d), nil
-	})
-	return stats, err
+	samples, err := rs.ServerStats(ctx)
+	if err != nil {
+		return StoreStats{}, err
+	}
+	var stats StoreStats
+	fields, found := reflect.ValueOf(&stats).Elem(), 0
+	for _, s := range samples {
+		if field, ok := storeSeries[s.Name]; ok && s.Tags == "" {
+			fields.FieldByName(field).SetInt(s.Value)
+			found++
+		}
+	}
+	if found != len(storeSeries) {
+		return StoreStats{}, fmt.Errorf("forkbase: server backend reports no storage counters: %w", wire.ErrUnsupported)
+	}
+	return stats, nil
 }
 
 // --- chunk-granular transfer (chunksync) ----------------------------
@@ -1023,15 +1041,12 @@ func chunkOpts(user, key string) *wire.Enc {
 func (rs *RemoteStore) chunkHave(ctx context.Context, slot uint64, user, key string, ids []chunk.ID) ([]bool, error) {
 	e := chunkOpts(user, key)
 	wire.EncodeUIDs(e, ids)
-	d, ep, err := rs.callSlot(ctx, slot, wire.OpChunkHave, e.Bytes())
-	if err != nil {
+	r := rs.callSlot(ctx, slot, wire.OpChunkHave, e.Bytes())
+	if err := r.failure(); err != nil {
 		return nil, err
 	}
-	if ep != nil {
-		return nil, ep.Err
-	}
-	bits := wire.DecodeBitmap(&d, len(ids))
-	return bits, d.Err()
+	bits := wire.DecodeBitmap(&r.d, len(ids))
+	return bits, r.d.Err()
 }
 
 // chunkWantStream performs one Want: the server ships chunks in
@@ -1056,8 +1071,8 @@ func (rs *RemoteStore) chunkWantStream(ctx context.Context, user, key string, id
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if max := wire.MaxPayload(rs.cfg.MaxFrame); len(payload) > max {
-		return 0, fmt.Errorf("forkbase: request of %d bytes exceeds the %d-byte frame cap (RemoteConfig.MaxFrame)", len(payload), max)
+	if err := rs.fits(len(payload)); err != nil {
+		return 0, err
 	}
 	c, err := rs.conn(rs.next.Add(1))
 	if err != nil {
@@ -1106,15 +1121,12 @@ func (rs *RemoteStore) chunkWantStream(ctx context.Context, user, key string, id
 			}
 			// The final frame carries the usual status payload; its
 			// count is advisory (got tracks actual arrivals).
-			d, ep, err := decodeStatus(r.payload)
-			if err != nil {
+			res := decodeStatus(r.payload)
+			if err := res.failure(); err != nil {
 				return got, err
 			}
-			if ep != nil {
-				return got, ep.Err
-			}
-			d.U32()
-			return got, d.Err()
+			res.d.U32()
+			return got, res.d.Err()
 		}
 	}
 }
@@ -1159,30 +1171,17 @@ func (rs *RemoteStore) admitChunk(f wire.ChunkFrame) (*chunk.Chunk, error) {
 func (rs *RemoteStore) chunkSend(ctx context.Context, slot uint64, user, key string, chunks []*chunk.Chunk) error {
 	e := chunkOpts(user, key)
 	wire.EncodeChunkUpload(e, chunks)
-	_, ep, err := rs.callSlot(ctx, slot, wire.OpChunkSend, e.Bytes())
-	if err != nil {
-		return err
-	}
-	if ep != nil {
-		return ep.Err
-	}
-	return nil
+	return rs.callSlot(ctx, slot, wire.OpChunkSend, e.Bytes()).failure()
 }
 
 // haveBatch caps ids per Have request so the request fits the frame.
 func (rs *RemoteStore) haveBatch() int {
-	if n := (wire.MaxPayload(rs.cfg.MaxFrame) - 1024) / (chunk.IDSize + 1); n < chunksync.DefaultHaveBatch {
-		return n
-	}
-	return chunksync.DefaultHaveBatch
+	return min((rs.maxPayload()-1024)/(chunk.IDSize+1), chunksync.DefaultHaveBatch)
 }
 
 // sendBytes caps cumulative chunk payload per Send request.
 func (rs *RemoteStore) sendBytes() int {
-	if n := wire.MaxPayload(rs.cfg.MaxFrame) / 2; n < chunksync.DefaultSendBytes {
-		return n
-	}
-	return chunksync.DefaultSendBytes
+	return min(rs.maxPayload()/2, chunksync.DefaultSendBytes)
 }
 
 // valueChunked is Value over chunk sync: one Want, and a handle over
@@ -1282,8 +1281,8 @@ func (rs *RemoteStore) putChunked(ctx context.Context, key string, v Value, o ca
 // retry — a Have first finds which of them the server already holds,
 // so content it has under another key crosses as ids, not bytes.
 //
-// A server that applies a Send before it reads the next frame
-// (wire.FeatureOrderedSend) gets the last Send and the commit in one
+// The server applies a Send before it reads the next frame
+// (wire.FeatureChunkSync), so the last Send and the commit leave in one
 // flush (callFrames), which makes an edit's put one round trip. A Send's
 // error is the put's, whatever the commit answered. Chunks are
 // unstaged only once every Send that carried them has succeeded.
@@ -1327,7 +1326,7 @@ func (rs *RemoteStore) pushTree(ctx context.Context, slot uint64, key string, vt
 	var res callResult // the commit's answer
 	pipelined := false
 	send := func(ctx context.Context, chunks []*chunk.Chunk, last bool) error {
-		if !last || rs.features.Load()&wire.FeatureOrderedSend == 0 {
+		if !last {
 			return rs.chunkSend(ctx, slot, co.User, key, chunks)
 		}
 		pipelined = true
@@ -1346,7 +1345,7 @@ func (rs *RemoteStore) pushTree(ctx context.Context, slot uint64, key string, vt
 	// earlier — a Send that failed must find them staged next time.
 	rs.unstage(ids)
 	if !pipelined {
-		res.d, res.ep, res.err = rs.callSlot(ctx, slot, wire.OpPutChunked, commit)
+		res = rs.callSlot(ctx, slot, wire.OpPutChunked, commit)
 	}
 	if res.err != nil {
 		return UID{}, false, res.err

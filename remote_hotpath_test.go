@@ -335,22 +335,23 @@ func TestRemoteRoundTripAllocs(t *testing.T) {
 		t.Fatalf("remote Put round trip of a 12-byte key: %.0f allocs/op, want exactly 16", longPuts)
 	}
 	// With a user option, the server hands the backend the option set
-	// it decoded as it is, whatever the op: it packs no option list.
+	// it decoded as it is, whatever the op: it packs no option list. The
+	// user string itself is decoded once per connection, not per call.
 	userGets := testing.AllocsPerRun(100, func() {
 		if _, err := rc.Get(ctx, "k", forkbase.WithUser("alice")); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if userGets != 13 {
-		t.Fatalf("remote Get round trip WithUser: %.0f allocs/op, want exactly 13", userGets)
+	if userGets != 12 {
+		t.Fatalf("remote Get round trip WithUser: %.0f allocs/op, want exactly 12", userGets)
 	}
 	userPuts := testing.AllocsPerRun(100, func() {
 		if _, err := rc.Put(ctx, "k", forkbase.String("steady"), forkbase.WithUser("alice")); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if userPuts != 17 {
-		t.Fatalf("remote Put round trip WithUser: %.0f allocs/op, want exactly 17", userPuts)
+	if userPuts != 16 {
+		t.Fatalf("remote Put round trip WithUser: %.0f allocs/op, want exactly 16", userPuts)
 	}
 }
 
@@ -847,11 +848,11 @@ func TestRemotePutBurstFailedEnd(t *testing.T) {
 // TestRemoteOptionAllocs pins what a call option costs a remote
 // metadata op, both ends together. The server hands a local DB the
 // options it decoded as they are, with no option list packed and
-// folded again, so a user adds two allocations per call: the option
-// set the client folds, which escapes because each option is called
-// through a func value, and the user string the server decodes from
-// the request. The option closure itself is built once, outside the
-// measured calls.
+// folded again, so a user adds one allocation per call: the option set
+// the client folds, which escapes because each option is called through
+// a func value. The server decodes the user once per connection and
+// reuses the string while requests keep naming it. The option closure
+// itself is built once, outside the measured calls.
 func TestRemoteOptionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -872,7 +873,7 @@ func TestRemoteOptionAllocs(t *testing.T) {
 		lists, forkRems float64
 	}{
 		{"without a user", nil, 7, 14},
-		{"WithUser", []forkbase.Option{forkbase.WithUser("alice")}, 9, 18},
+		{"WithUser", []forkbase.Option{forkbase.WithUser("alice")}, 8, 16},
 	} {
 		lists := testing.AllocsPerRun(100, func() {
 			if _, err := rc.ListBranches(ctx, "k", tc.opts...); err != nil {

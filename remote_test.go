@@ -7,6 +7,7 @@ package forkbase_test
 // suites, which run every scenario against a live loopback server.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -327,6 +328,187 @@ func TestRemotePreHelloFrameCap(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > wire.DefaultMaxFrame/8 {
 		t.Fatalf("server allocated %d bytes on a pre-hello length prefix", grew)
+	}
+}
+
+// TestRemoteHelloRejectsOldVersion: a Hello of protocol version 1 is
+// answered with ErrCodec, and the server hangs up.
+func TestRemoteHelloRejectsOldVersion(t *testing.T) {
+	const oldVersion = 1 // before the Hello answer carried the frame cap
+	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var e wire.Enc
+	e.U32(oldVersion)
+	e.Str("")
+	if err := wire.WriteFrame(c, 1, wire.OpHello, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, op, payload, err := wire.ReadFrame(c, 0)
+	if err != nil || op != wire.OpHello || len(payload) == 0 || payload[0] != 1 {
+		t.Fatalf("version %d Hello: op %d, answer %v, err %v; want an error answer", oldVersion, op, payload, err)
+	}
+	if ep, err := wire.DecodeError(wire.NewDec(payload[1:])); err != nil || !errors.Is(ep.Err, wire.ErrCodec) {
+		t.Fatalf("version %d Hello answered %v (decode: %v), want ErrCodec", oldVersion, ep.Err, err)
+	}
+	if _, err := c.Read(make([]byte, 16)); !errors.Is(err, io.EOF) && (err == nil || !strings.Contains(err.Error(), "reset")) {
+		t.Fatalf("after refusing the Hello: read = %v, want the server to hang up", err)
+	}
+}
+
+// TestDialRejectsShortHelloAnswer: a Hello answer must carry the
+// feature mask and the frame cap after its banner; one that stops at the
+// banner fails Dial with ErrCodec.
+func TestDialRejectsShortHelloAnswer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		id, _, _, err := wire.ReadFrame(c, 0)
+		if err != nil {
+			return
+		}
+		var e wire.Enc
+		e.U8(0)
+		e.Str("forkbase/1")
+		wire.WriteFrame(c, id, wire.OpHello, e.Bytes())
+		c.Read(make([]byte, 1)) // until the client hangs up
+	}()
+	rs, err := forkbase.Dial(ln.Addr().String(), forkbase.RemoteConfig{})
+	if err == nil {
+		rs.Close()
+	}
+	if !errors.Is(err, wire.ErrCodec) {
+		t.Fatalf("Dial against a banner-only Hello answer: err = %v, want ErrCodec", err)
+	}
+}
+
+// TestRemoteUserReuseKeepsEachRequestsUser: the server reuses the user
+// string a connection decoded last, on its read loop and its workers
+// alike. Requests of two users interleaved on one connection, from
+// several goroutines, must each be checked as their own user: the
+// writer's Puts succeed, the reader's Puts are denied, and the reader's
+// Gets (answered on the read loop) and Tracks (on a worker) succeed.
+func TestRemoteUserReuseKeepsEachRequestsUser(t *testing.T) {
+	acl := forkbase.NewACL(false)
+	acl.Grant("writer", "doc", "", forkbase.PermWrite)
+	acl.Grant("reader", "doc", "", forkbase.PermRead)
+	addr, _ := startServer(t, forkbase.Open(forkbase.Options{ACL: acl}), forkbase.ServerOptions{})
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ctx := context.Background()
+	writer, reader := forkbase.WithUser("writer"), forkbase.WithUser("reader")
+	if _, err := rc.Put(ctx, "doc", forkbase.String("v0"), writer); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := rc.Put(ctx, "doc", forkbase.String("v"), writer); err != nil {
+					t.Errorf("writer's Put: %v", err)
+					return
+				}
+				if _, err := rc.Put(ctx, "doc", forkbase.String("x"), reader); !errors.Is(err, forkbase.ErrAccessDenied) {
+					t.Errorf("reader's Put: err = %v, want ErrAccessDenied", err)
+					return
+				}
+				if _, err := rc.Get(ctx, "doc", reader); err != nil {
+					t.Errorf("reader's Get: %v", err)
+					return
+				}
+				if _, err := rc.Track(ctx, "doc", 0, 1, reader); err != nil {
+					t.Errorf("reader's Track: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRemoteRequestOverServerFrameCap: the server's frame cap reaches
+// the client in the Hello. A full-ship Put too large for it fails alone
+// and before any of its bytes leave, naming the cap, so the Puts
+// multiplexed beside it on the one connection go on; and a chunk-sync
+// client sizes its uploads to the cap, so a value three times the cap
+// round-trips.
+func TestRemoteRequestOverServerFrameCap(t *testing.T) {
+	const frameCap = 1 << 20
+	ctx := context.Background()
+	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{MaxFrame: frameCap})
+	data := randBytes(31, 3<<20)
+	rs, err := forkbase.Dial(addr, forkbase.RemoteConfig{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+
+	out := wireBytes(rs, "out")
+	_, err = rs.Put(ctx, "big", forkbase.NewBlob(data))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(frameCap)) {
+		t.Fatalf("a %d-byte full-ship Put under a %d-byte cap: err = %v, want one naming the cap", len(data), frameCap, err)
+	}
+	if sent := wireBytes(rs, "out") - out; sent != 0 {
+		t.Fatalf("the refused Put sent %d bytes", sent)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := rs.Put(ctx, fmt.Sprintf("small-%d-%d", g, i), forkbase.String("beside")); err != nil {
+					errs <- fmt.Errorf("small Put %d of goroutine %d: %w", i, g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := rs.Put(ctx, "big", forkbase.NewBlob(data)); err == nil {
+			t.Fatal("an oversized full-ship Put succeeded")
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	rc, err := forkbase.Dial(addr, forkbase.RemoteConfig{Conns: 1, ChunkSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := rc.Put(ctx, "big", forkbase.NewBlob(data)); err != nil {
+		t.Fatalf("chunk-sync Put of %d bytes under a %d-byte cap: %v", len(data), frameCap, err)
+	}
+	fresh, err := forkbase.Dial(addr, forkbase.RemoteConfig{Conns: 1, ChunkSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if got := readDoc(t, fresh, "big"); !bytes.Equal(got, data) {
+		t.Fatalf("the value read back differs: %d bytes, want %d", len(got), len(data))
 	}
 }
 

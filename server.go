@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -45,17 +46,13 @@ type ServerOptions struct {
 	// network").
 	AuthToken string
 	// MaxFrame caps a single request or response frame in bytes; 0
-	// means wire.DefaultMaxFrame (256 MiB). Values a client ships in
-	// one Put must fit in one frame.
+	// means wire.DefaultMaxFrame (256 MiB). Each client learns it in the
+	// Hello and fails a larger request before sending it, so a value
+	// shipped whole in one Put must fit in one frame.
 	MaxFrame int
 	// Logf, when set, receives connection-level diagnostics (framing
 	// violations, disconnects). Nil discards them.
 	Logf func(format string, args ...any)
-	// DisableChunkSync turns off the chunk-granular transfer ops even
-	// when the backend could serve them: the server stops advertising
-	// FeatureChunkSync and answers the chunk ops with ErrUnsupported,
-	// forcing clients onto the full-ship path.
-	DisableChunkSync bool
 	// SlowOpThreshold, when positive, logs (via Logf) every dispatched
 	// request whose execution exceeds it — op name, peer address,
 	// duration and error class — so tail-latency outliers in the
@@ -128,6 +125,9 @@ type Server struct {
 // Store, adapted once and reached through its methods, overrides
 // included.
 func NewServer(st Store, opts ServerOptions) *Server {
+	if opts.MaxFrame <= 0 || opts.MaxFrame > math.MaxUint32 {
+		opts.MaxFrame = wire.DefaultMaxFrame
+	}
 	s := &Server{st: st, opts: opts, conns: make(map[*serverConn]struct{})}
 	switch b := st.(type) {
 	case *DB:
@@ -318,6 +318,10 @@ type serverConn struct {
 	authed atomic.Bool
 	closed atomic.Bool
 
+	// user is the user string the connection's last request decoded,
+	// which the next one naming it reuses (read loop and workers alike).
+	user atomic.Value
+
 	// deferredDone counts inline responses enqueued but not yet
 	// flushed; their inflight slots are released only after the burst
 	// flush, preserving Shutdown's "every admitted request's response
@@ -366,21 +370,6 @@ func (s *Server) newConn(c net.Conn) *serverConn {
 	// the read loop finds out on its first read.
 	_ = c.SetReadDeadline(time.Now().Add(helloTimeout))
 	return sc
-}
-
-// chunkSync reports whether the chunk-granular transfer ops are
-// served: a local backend, and not switched off.
-func (s *Server) chunkSync() bool { return s.db != nil && !s.opts.DisableChunkSync }
-
-// features is the capability bitmask advertised in the Hello response.
-func (s *Server) features() uint32 {
-	// Every server answers OpServerStats: the snapshot surface has no
-	// backend requirement, unlike the chunk ops.
-	f := wire.FeatureServerStats
-	if s.chunkSync() {
-		f |= wire.FeatureChunkSync | wire.FeatureOrderedSend
-	}
-	return f
 }
 
 // addShields shields ids on the backend for this connection's
@@ -511,12 +500,11 @@ func (sc *serverConn) readLoop() {
 	}
 }
 
-// preHelloMaxFrame caps what a connection may announce before its
-// Hello succeeds. The frame buffer is allocated from the length prefix
-// alone, so without this an unauthenticated peer could make the server
-// allocate ServerOptions.MaxFrame with four bytes; a Hello carries a
-// version and a token.
-const preHelloMaxFrame = 64 << 10
+// helloMaxFrame caps both frames of a Hello. The frame buffer is
+// allocated from the length prefix alone, so without it a peer that
+// has not said Hello could make the server allocate
+// ServerOptions.MaxFrame with four bytes.
+const helloMaxFrame = 64 << 10
 
 // helloTimeout bounds how long an accepted connection may take to
 // complete its Hello. Without it a peer that connects and never speaks
@@ -528,8 +516,8 @@ func (sc *serverConn) readFrame() (rawFrame, error) {
 	var f rawFrame
 	var err error
 	maxFrame := sc.srv.opts.MaxFrame
-	if !sc.isAuthed() && (maxFrame <= 0 || maxFrame > preHelloMaxFrame) {
-		maxFrame = preHelloMaxFrame
+	if !sc.isAuthed() {
+		maxFrame = min(maxFrame, helloMaxFrame)
 	}
 	f.reqID, f.op, f.payload, f.buf, err = wire.ReadFrameInto(sc.br, maxFrame, wire.GetFrameBuf())
 	if err == nil {
@@ -718,35 +706,36 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// hello performs the version/auth handshake. Returns false when the
+// hello performs the version/auth handshake and answers it with the
+// banner, the feature mask and the frame cap. Returns false when the
 // connection must close (bad version or bad token).
 func (sc *serverConn) hello(reqID uint64, payload []byte) bool {
 	d := wire.NewDec(payload)
-	version := d.U32()
-	token := d.Str()
-	if err := d.Err(); err != nil {
+	version, token := d.U32(), d.Str()
+	err := d.Err()
+	switch {
+	case err != nil:
+	case version != wire.ProtoVersion:
+		err = fmt.Errorf("%w: protocol version %d, server speaks %d", wire.ErrCodec, version, wire.ProtoVersion)
+	case sc.srv.opts.AuthToken != "" && token != sc.srv.opts.AuthToken:
+		err = fmt.Errorf("%w: bad auth token", ErrAccessDenied)
+	}
+	if err != nil {
 		sc.respondErr(reqID, wire.OpHello, err, nil, UID{})
-		return false
-	}
-	if version != wire.ProtoVersion {
-		sc.respondErr(reqID, wire.OpHello,
-			fmt.Errorf("%w: protocol version %d, server speaks %d", wire.ErrCodec, version, wire.ProtoVersion), nil, UID{})
-		return false
-	}
-	if sc.srv.opts.AuthToken != "" && token != sc.srv.opts.AuthToken {
-		sc.respondErr(reqID, wire.OpHello, fmt.Errorf("%w: bad auth token", ErrAccessDenied), nil, UID{})
 		return false
 	}
 	_ = sc.c.SetReadDeadline(time.Time{}) // as in newConn
 	sc.authed.Store(true)
 	sc.srv.met.reqs[wire.OpHello].Inc()
-	e := wire.EncWith(wire.GetFrameBuf())
-	e.U8(0)
-	e.Str("forkbase/1")
-	// Optional-capability bitmask; clients that predate it ignore the
-	// trailing bytes, so this is compatible with ProtoVersion 1 peers.
-	e.U32(sc.srv.features())
-	sc.write(reqID, wire.OpHello, e.Bytes())
+	var features uint32
+	if sc.srv.db != nil {
+		features = wire.FeatureChunkSync
+	}
+	sc.write(reqID, wire.OpHello, okPayload(func(e *wire.Enc) {
+		e.Str("forkbase/2")
+		e.U32(features)
+		e.U32(uint32(sc.srv.opts.MaxFrame))
+	}))
 	return true
 }
 
@@ -868,7 +857,7 @@ type opRow struct {
 	// they can block, and a blocked read loop stalls the whole
 	// connection. OpChunkSend is one write here, for ordering: it is
 	// applied before the next frame is read, so a commit pipelined
-	// behind it finds its chunks (wire.FeatureOrderedSend). Requests
+	// behind it finds its chunks (wire.FeatureChunkSync). Requests
 	// multiplexed behind a Send wait for it; one Send is at most the
 	// client's send batch.
 	// OpPut needs no flag: one under bigPayload is always answered on
@@ -878,7 +867,7 @@ type opRow struct {
 	// waits for it.
 	inline bool
 	// chunk marks the ops served from the backend's chunk store, which
-	// only a local backend with chunk sync enabled has.
+	// only a local backend has.
 	chunk bool
 }
 
@@ -902,7 +891,6 @@ var serverOps = [wire.OpMax]opRow{
 	wire.OpUnpin:        {serve: servePin},
 	wire.OpGC:           {serve: serveGC},
 	wire.OpValue:        {serve: serveValue},
-	wire.OpStats:        {serve: serveStats, inline: true},
 	wire.OpChunkHave:    {serve: serveChunkHave, chunk: true},
 	wire.OpChunkWant:    {serve: serveChunkWant, chunk: true},
 	wire.OpChunkSend:    {serve: serveChunkSend, inline: true, chunk: true},
@@ -920,7 +908,12 @@ func served(op uint8) bool { return wire.KnownOp(op) && serverOps[op].serve != n
 // row (the read loop refuses those that do not).
 func (s *Server) dispatch(ctx context.Context, sc *serverConn, scope *branch.Batch, reqID uint64, op uint8, payload []byte) []byte {
 	r := request{ctx: ctx, sc: sc, scope: scope, id: reqID, op: op, d: *wire.NewDec(payload)}
-	co, err := optsFromWire(wire.DecodeCallOptions(&r.d))
+	last, _ := sc.user.Load().(string)
+	w := wire.DecodeCallOptions(&r.d, last)
+	if w.User != last {
+		sc.user.Store(w.User)
+	}
+	co, err := optsFromWire(w)
 	if err == nil {
 		err = r.d.Err()
 	}
@@ -928,7 +921,7 @@ func (s *Server) dispatch(ctx context.Context, sc *serverConn, scope *branch.Bat
 		return fail(err)
 	}
 	row := &serverOps[op]
-	if row.chunk && !s.chunkSync() {
+	if row.chunk && s.db == nil {
 		return fail(fmt.Errorf("%w: backend %T does not serve chunk-granular transfer", wire.ErrUnsupported, s.st))
 	}
 	r.co = co
@@ -1110,14 +1103,6 @@ func serveValue(s *Server, r request) []byte {
 		return fail(err)
 	}
 	return e.Bytes()
-}
-
-func serveStats(s *Server, r request) []byte {
-	if s.db == nil {
-		return fail(fmt.Errorf("%w: backend %T has no storage counters", wire.ErrUnsupported, s.st))
-	}
-	stats := s.db.Stats()
-	return okPayload(func(e *wire.Enc) { wire.EncodeStats(e, stats) })
 }
 
 func serveServerStats(s *Server, r request) []byte {
@@ -1362,10 +1347,7 @@ const wantPartTarget = 256 << 10
 // does not hold are skipped either way (the client's pull sweep owns
 // completeness).
 func (sc *serverConn) streamWant(ctx context.Context, reqID uint64, cs store.Store, ids []chunk.ID, deep bool) []byte {
-	target := wantPartTarget
-	if max := wire.MaxPayload(sc.srv.opts.MaxFrame) / 2; max < target {
-		target = max
-	}
+	target := min(wantPartTarget, wire.MaxPayload(sc.srv.opts.MaxFrame)/2)
 	var (
 		part     []*chunk.Chunk
 		partSize int
