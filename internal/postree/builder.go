@@ -3,6 +3,8 @@ package postree
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"forkbase/internal/chunk"
 	"forkbase/internal/rollsum"
@@ -11,20 +13,53 @@ import (
 
 // Builder constructs a POS-Tree bottom-up from a stream of elements
 // (Algorithm 1 in the paper). Elements must arrive pre-encoded and, for
-// sorted kinds, in strictly increasing key order. The builder commits a
-// leaf chunk whenever the rolling-hash pattern fires (extended to the
-// element boundary) or the max chunk size is reached, and hands it to
-// the index levels above, which grow by the cid pattern as the leaves
-// arrive until Finish leaves a single root.
+// sorted kinds, in strictly increasing key order. The builder cuts a
+// leaf whenever the rolling-hash pattern fires (extended to the element
+// boundary) or the max chunk size is reached. Sealing a leaf — hashing
+// it into a chunk, putting it in the store and handing its entry to the
+// index levels, which grow by the cid pattern until Finish leaves a
+// single root — needs nothing from the next cut (§4.3.2). So once
+// sealBatch leaves are cut, one helper goroutine seals them, batch by
+// batch in stream order, while the caller keeps rolling and cutting; a
+// smaller build seals inline at Finish. One sealer in stream order
+// makes the chunks, and puts them in the order, that sealing each leaf
+// as it is cut would. Every Builder must end in Finish, which joins the
+// helper.
 type Builder struct {
 	s       store.Store
 	kind    Kind
 	chunker *rollsum.Chunker
 	buf     []byte
 	n       uint64 // elements in the current leaf
+	lastOff int    // where the current leaf's last element starts in buf
 	lastKey []byte // last key seen (sorted kinds)
-	up      indexLevels
+	batch   leafBatch
 	err     error
+
+	// The helper's side. sealing is nil until the first batch fills;
+	// up belongs to the helper from then until Finish has joined it.
+	sealing chan leafBatch
+	sealed  sync.WaitGroup
+	failed  atomic.Bool // sealErr is set
+	sealErr error
+	up      indexLevels
+}
+
+// sealBatch is how many cut leaves the caller hands over at a time.
+const sealBatch = 16
+
+// leaf is a cut leaf on its way to be sealed: its payload, its element
+// count and, for sorted kinds, its last key, sliced from the payload.
+type leaf struct {
+	payload []byte
+	count   uint64
+	key     []byte
+}
+
+// leafBatch holds the cut leaves not yet handed over.
+type leafBatch struct {
+	n      int
+	leaves [sealBatch]leaf
 }
 
 // NewBuilder returns a builder for a tree of the given kind.
@@ -55,11 +90,12 @@ func (b *Builder) Append(encoded []byte) {
 		}
 		b.lastKey = append(b.lastKey[:0], k...)
 	}
+	b.lastOff = len(b.buf)
 	b.buf = append(b.buf, encoded...)
 	b.n++
 	b.chunker.Feed(encoded)
 	if b.chunker.Boundary() {
-		b.commitLeaf()
+		b.cut()
 	}
 }
 
@@ -79,42 +115,93 @@ func (b *Builder) AppendBytes(p []byte) {
 		b.n += uint64(n)
 		p = p[n:]
 		if boundary {
-			b.commitLeaf()
+			b.cut()
 		}
 	}
 }
 
-// commitLeaf seals the current buffer into a leaf chunk and records its
-// index entry.
-func (b *Builder) commitLeaf() {
+// cut ends the current leaf and queues it to be sealed, unless the
+// helper has failed: then the build stops with its error.
+func (b *Builder) cut() {
 	if b.n == 0 {
 		return
 	}
-	payload := make([]byte, len(b.buf))
-	copy(payload, b.buf)
-	c := chunk.New(b.kind.leafType(), payload)
-	if _, err := b.s.Put(c); err != nil {
-		b.err = err
+	if b.failed.Load() {
+		b.err = b.sealErr
 		return
 	}
-	e := entry{count: b.n, id: c.ID()}
+	l := leaf{payload: bytes.Clone(b.buf), count: b.n}
 	if b.kind.Sorted() {
-		e.key = b.lastKey
+		l.key = elemKey(b.kind, l.payload[b.lastOff:])
 	}
-	if b.err = b.up.add(1, e); b.err != nil {
-		return
-	}
+	b.batch.leaves[b.batch.n] = l
+	b.batch.n++
 	b.buf = b.buf[:0]
 	b.n = 0
 	b.chunker.Next()
+	if b.batch.n < sealBatch {
+		return
+	}
+	if b.sealing == nil {
+		b.sealing = make(chan leafBatch, 1)
+		b.sealed.Add(1)
+		go b.sealLoop()
+	}
+	b.sealing <- b.batch
+	b.batch.n = 0
 }
 
-// Finish seals the final leaf (which, as the paper notes, may not end
-// with a pattern), builds the index levels, and returns the completed
-// tree.
+// sealLoop is the helper: it seals the batches as they come and, after
+// an error, drops the rest.
+func (b *Builder) sealLoop() {
+	defer b.sealed.Done()
+	for batch := range b.sealing {
+		if b.sealErr != nil {
+			continue
+		}
+		if err := b.seal(batch.leaves[:batch.n]); err != nil {
+			b.sealErr = err
+			b.failed.Store(true)
+		}
+	}
+}
+
+// seal turns each leaf into a chunk, puts it and records its index
+// entry.
+func (b *Builder) seal(leaves []leaf) error {
+	for _, l := range leaves {
+		c := chunk.New(b.kind.leafType(), l.payload)
+		if _, err := b.s.Put(c); err != nil {
+			return err
+		}
+		if err := b.up.add(1, entry{count: l.count, id: c.ID(), key: l.key}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Finish cuts the final leaf (which, as the paper notes, may not end
+// with a pattern), seals what is left — inline if the helper never
+// started, else by handing it over and joining the helper — builds the
+// index levels, and returns the completed tree.
 func (b *Builder) Finish() (*Tree, error) {
 	if b.err == nil {
-		b.commitLeaf()
+		b.cut()
+	}
+	if b.sealing == nil {
+		if b.err == nil {
+			b.err = b.seal(b.batch.leaves[:b.batch.n])
+		}
+	} else {
+		if b.err == nil {
+			b.sealing <- b.batch
+		}
+		close(b.sealing)
+		b.sealed.Wait()
+		if b.sealErr != nil {
+			b.err = b.sealErr
+		}
 	}
 	if b.err != nil {
 		return nil, b.err
@@ -170,6 +257,14 @@ func (x *indexLevels) add(lvl int, e entry) error {
 		}
 	}
 	nd := &x.lv[k]
+	if need := len(nd.buf) + entrySize(e); need > cap(nd.buf) {
+		// The open node is scratch, copied out at its size when sealed:
+		// doubling it spares each level's first node the dozen steps by
+		// which append grows a slice of kilobytes.
+		buf := make([]byte, len(nd.buf), max(need, 2*cap(nd.buf)))
+		copy(buf, nd.buf)
+		nd.buf = buf
+	}
 	nd.keyOff, nd.keyLen = len(nd.buf)+4, len(e.key)
 	nd.buf = appendEntry(nd.buf, e)
 	nd.n++

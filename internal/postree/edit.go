@@ -549,7 +549,8 @@ func (t *Tree) spliceAt(at, del uint64, ins []byte) (*Tree, error) {
 		for len(ins) > 0 {
 			_, n, err := elementAt(t.kind, ins)
 			if err != nil {
-				return nil, err
+				b.err = err // Finish joins what the build started
+				break
 			}
 			b.Append(ins[:n])
 			ins = ins[n:]

@@ -219,6 +219,9 @@ type entry struct {
 	id    chunk.ID
 }
 
+// entrySize is the length of e's encoding.
+func entrySize(e entry) int { return 4 + len(e.key) + 8 + len(e.id) }
+
 func appendEntry(dst []byte, e entry) []byte {
 	var b [12]byte
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(e.key)))

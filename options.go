@@ -4,8 +4,27 @@ package forkbase
 // method zoo of paper Table 1 into a handful of orthogonal calls: the
 // operation names the verb (Get, Put, Fork, Merge, Track, …) and the
 // options select the variant — which branch, which base version, which
-// guard, which resolver, and on whose behalf the call runs.
-type Option func(*callOpts)
+// guard, which resolver, and on whose behalf the call runs. An Option is
+// a plain value, built by the With… functions and folded by the call.
+type Option struct {
+	kind     optKind
+	str      string // the branch, meta or user
+	uid      UID    // the base or guard
+	resolver Resolver
+	set      *callOpts // a whole resolved set (callOpts.options)
+}
+
+type optKind uint8
+
+const (
+	optBranch optKind = iota + 1
+	optBase
+	optGuard
+	optMeta
+	optResolver
+	optUser
+	optSet
+)
 
 // callOpts is the resolved option set for one call.
 type callOpts struct {
@@ -18,29 +37,45 @@ type callOpts struct {
 	user      string
 }
 
-// resolveOpts folds opts over the defaults. The empty list returns
-// before o is taken by address, so the common call allocates nothing.
+// resolveOpts folds opts over the defaults. The fold is a switch over
+// values, so the set stays on the caller's stack: a call allocates only
+// what an option carries into it (a base list, a guard, a meta copy).
 func resolveOpts(opts []Option) callOpts {
-	if len(opts) == 0 {
-		return callOpts{}
-	}
 	var o callOpts
-	for _, fn := range opts {
-		fn(&o)
+	for i := range opts {
+		op := &opts[i]
+		switch op.kind {
+		case optBranch:
+			o.branch, o.branchSet = op.str, true
+		case optBase:
+			o.bases = append(o.bases, op.uid)
+		case optGuard:
+			u := op.uid
+			o.guard = &u
+		case optMeta:
+			o.meta = []byte(op.str)
+		case optResolver:
+			o.resolver = op.resolver
+		case optUser:
+			o.user = op.str
+		case optSet:
+			o = *op.set
+		}
 	}
 	return o
 }
 
 // options re-packs a resolved set as the option list a Store call
 // takes — how storeBackend hands a decoded request's options to a
-// store the server can only reach through its methods. The empty set
-// is no options at all, so the common request allocates nothing here.
+// store the server can only reach through its methods: one option that
+// carries the whole set. The empty set is no options at all, so the
+// common request allocates nothing here.
 func (o *callOpts) options() []Option {
 	if o.user == "" && !o.branchSet && len(o.bases) == 0 && o.guard == nil && o.meta == nil && o.resolver == nil {
 		return nil
 	}
 	set := *o
-	return []Option{func(dst *callOpts) { *dst = set }}
+	return []Option{{kind: optSet, set: &set}}
 }
 
 // branchOr returns the selected branch, or def when none was chosen.
@@ -64,7 +99,7 @@ func (o *callOpts) base() (UID, bool) {
 // Fork and Merge it names the reference branch the new branch or merge
 // derives from.
 func WithBranch(name string) Option {
-	return func(o *callOpts) { o.branch, o.branchSet = name, true }
+	return Option{kind: optBranch, str: name}
 }
 
 // WithBase pins a call to an explicit version instead of a branch head:
@@ -74,7 +109,7 @@ func WithBranch(name string) Option {
 // accumulates versions; Merge with two or more bases and an empty
 // target branch merges untagged heads (M7).
 func WithBase(uid UID) Option {
-	return func(o *callOpts) { o.bases = append(o.bases, uid) }
+	return Option{kind: optBase, uid: uid}
 }
 
 // WithGuard makes a Put conditional: it succeeds only while the branch
@@ -84,20 +119,20 @@ func WithBase(uid UID) Option {
 // branch is gone". Protects read-modify-write cycles against lost
 // updates.
 func WithGuard(uid UID) Option {
-	return func(o *callOpts) { u := uid; o.guard = &u }
+	return Option{kind: optGuard, uid: uid}
 }
 
 // WithMeta attaches application metadata (e.g. a commit message) to the
 // version a write creates; it is stored in the version's context field.
 func WithMeta(msg string) Option {
-	return func(o *callOpts) { o.meta = []byte(msg) }
+	return Option{kind: optMeta, str: msg}
 }
 
 // WithResolver sets the conflict resolver a Merge uses (§4.5.2). See
 // ChooseA, ChooseB, AppendResolve, Aggregate for built-ins. Without a
 // resolver, differing values surface as ErrConflict.
 func WithResolver(r Resolver) Option {
-	return func(o *callOpts) { o.resolver = r }
+	return Option{kind: optResolver, resolver: r}
 }
 
 // WithUser runs the call on behalf of a user; the access controller
@@ -105,5 +140,5 @@ func WithResolver(r Resolver) Option {
 // with ErrAccessDenied otherwise. Without it the call is anonymous,
 // which open-mode stores (the embedded default) accept.
 func WithUser(u string) Option {
-	return func(o *callOpts) { o.user = u }
+	return Option{kind: optUser, str: u}
 }

@@ -336,22 +336,23 @@ func TestRemoteRoundTripAllocs(t *testing.T) {
 	}
 	// With a user option, the server hands the backend the option set
 	// it decoded as it is, whatever the op: it packs no option list. The
-	// user string itself is decoded once per connection, not per call.
+	// user string itself is decoded once per connection, not per call,
+	// and the client's fold of its options allocates nothing.
 	userGets := testing.AllocsPerRun(100, func() {
 		if _, err := rc.Get(ctx, "k", forkbase.WithUser("alice")); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if userGets != 12 {
-		t.Fatalf("remote Get round trip WithUser: %.0f allocs/op, want exactly 12", userGets)
+	if userGets != 11 {
+		t.Fatalf("remote Get round trip WithUser: %.0f allocs/op, want exactly 11", userGets)
 	}
 	userPuts := testing.AllocsPerRun(100, func() {
 		if _, err := rc.Put(ctx, "k", forkbase.String("steady"), forkbase.WithUser("alice")); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if userPuts != 16 {
-		t.Fatalf("remote Put round trip WithUser: %.0f allocs/op, want exactly 16", userPuts)
+	if userPuts != 15 {
+		t.Fatalf("remote Put round trip WithUser: %.0f allocs/op, want exactly 15", userPuts)
 	}
 }
 
@@ -848,11 +849,10 @@ func TestRemotePutBurstFailedEnd(t *testing.T) {
 // TestRemoteOptionAllocs pins what a call option costs a remote
 // metadata op, both ends together. The server hands a local DB the
 // options it decoded as they are, with no option list packed and
-// folded again, so a user adds one allocation per call: the option set
-// the client folds, which escapes because each option is called through
-// a func value. The server decodes the user once per connection and
-// reuses the string while requests keep naming it. The option closure
-// itself is built once, outside the measured calls.
+// folded again, and the client folds its options by value on its own
+// stack, so a user costs a call nothing: the server decodes the user
+// once per connection and reuses the string while requests keep naming
+// it.
 func TestRemoteOptionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -873,7 +873,7 @@ func TestRemoteOptionAllocs(t *testing.T) {
 		lists, forkRems float64
 	}{
 		{"without a user", nil, 7, 14},
-		{"WithUser", []forkbase.Option{forkbase.WithUser("alice")}, 8, 16},
+		{"WithUser", []forkbase.Option{forkbase.WithUser("alice")}, 7, 14},
 	} {
 		lists := testing.AllocsPerRun(100, func() {
 			if _, err := rc.ListBranches(ctx, "k", tc.opts...); err != nil {
