@@ -43,15 +43,15 @@ func (b *Batch) Put(key string, v Value, opts ...Option) *Batch {
 // a wire batch's entries straight into one. A batched write takes no
 // base: the entry keeps its place, and the batch fails at Apply.
 func (b *Batch) put(key string, v Value, o *callOpts) *Batch {
-	if len(o.bases) > 0 && b.err == nil {
+	if len(o.Bases) > 0 && b.err == nil {
 		b.err = ErrBadOptions
 	}
 	b.puts = append(b.puts, core.BatchPut{
 		Key:    []byte(key),
 		Branch: o.branchOr(DefaultBranch),
 		Value:  v,
-		Meta:   o.meta,
-		Guard:  o.guard,
+		Meta:   o.Meta,
+		Guard:  o.Guard,
 	})
 	return b
 }

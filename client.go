@@ -178,9 +178,9 @@ func AsSet(v Value) (*Set, error) {
 // --- one Store surface over three backends ----------------------------
 
 // backend is a deployment mode's implementation of the Store ops, each
-// called with its options already resolved: *DB runs the op's policy
-// function (policy.go) on the embedded engine, *ClusterClient on the
-// owning servlet's, and *RemoteStore sends it over the wire. The Store
+// called with its options already resolved: *DB runs the contract
+// (policy.go) on the embedded engine, *ClusterClient on the owning
+// servlet's, and *RemoteStore sends the op over the wire. The Store
 // methods are written once, on frontend, and the Server calls a
 // backend with the options it decoded, so neither folds an option list
 // a second time. Options travel by value: a pointer through the
@@ -352,110 +352,39 @@ func (b storeBackend) pin(ctx context.Context, key string, uid UID, on bool, o c
 
 // --- embedded implementation ----------------------------------------
 //
-// Every op is the context check and the op's policy function
-// (policy.go) on the embedded engine.
-
-func (db *DB) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return getOp(db.eng, db.acl, key, &o)
-}
-
-func (db *DB) put(ctx context.Context, key string, v Value, scope *branch.Batch, o callOpts) (UID, error) {
-	if err := ctx.Err(); err != nil {
-		return UID{}, err
-	}
-	return putOp(db.eng, db.acl, scope, key, v, &o)
-}
+// *DB serves get, put, fork, merge, track, diff, listBranches,
+// renameBranch, pin and value straight from its embedded contract
+// (policy.go); the ops below add what only the embedded engine does.
 
 func (db *DB) apply(ctx context.Context, b *Batch, o callOpts) ([]UID, error) {
-	puts, err := batchOp(db.acl, b, &o)
+	puts, err := db.batch(ctx, b, o)
 	if err != nil {
 		return nil, err
 	}
 	return db.eng.PutBatch(ctx, puts)
 }
 
-func (db *DB) fork(ctx context.Context, key, newBranch string, o callOpts) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return forkOp(db.eng, db.acl, key, newBranch, &o)
-}
-
-func (db *DB) merge(ctx context.Context, key, tgtBranch string, o callOpts) (UID, []Conflict, error) {
-	if err := ctx.Err(); err != nil {
-		return UID{}, nil, err
-	}
-	return mergeOp(ctx, db.eng, db.acl, key, tgtBranch, &o)
-}
-
-func (db *DB) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return trackOp(ctx, db.eng, db.acl, key, from, to, &o)
-}
-
-func (db *DB) diff(ctx context.Context, key string, a, b UID, o callOpts) (*Diff, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return diffOp(ctx, db.eng, db.acl, a, b, &o)
-}
-
 func (db *DB) listKeys(ctx context.Context, o callOpts) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := allowListKeys(db.acl, &o); err != nil {
+	if err := db.allowAll(ctx, o.User, PermRead); err != nil {
 		return nil, err
 	}
 	return db.eng.ListKeys(), nil
 }
 
-func (db *DB) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
-	if err := ctx.Err(); err != nil {
-		return BranchList{}, err
-	}
-	return listBranchesOp(db.eng, db.acl, key, &o)
-}
-
-func (db *DB) renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return renameBranchOp(db.eng, db.acl, key, branchName, newName, &o)
-}
-
 // removeBranch runs a collection after every n-th successful removal
 // under WithAutoGC.
 func (db *DB) removeBranch(ctx context.Context, key, branchName string, o callOpts) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := removeBranchOp(db.eng, db.acl, key, branchName, &o); err != nil {
+	if err := db.contract.removeBranch(ctx, key, branchName, o); err != nil {
 		return err
 	}
 	return db.autoGC.removed(ctx, db.runGC)
-}
-
-func (db *DB) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return pinOp(db.eng, db.acl, key, uid, on, &o)
 }
 
 // gc is one mark-and-sweep collection over the embedded engine. The
 // compaction threshold is the open-time WithGCThreshold (store default
 // when unset).
 func (db *DB) gc(ctx context.Context, o callOpts) (GCStats, error) {
-	if err := ctx.Err(); err != nil {
-		return GCStats{}, err
-	}
-	if err := allowGC(db.acl, &o); err != nil {
+	if err := db.allowAll(ctx, o.User, PermAdmin); err != nil {
 		return GCStats{}, err
 	}
 	return db.runGC(ctx)
@@ -468,13 +397,6 @@ func (db *DB) runGC(ctx context.Context) (GCStats, error) {
 	stats, err := db.eng.GC(ctx, db.gcThreshold)
 	db.gcPause.ObserveSince(start)
 	return stats, err
-}
-
-func (db *DB) value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return valueOp(db.eng, db.acl, obj, &o)
 }
 
 var _ Store = (*DB)(nil)

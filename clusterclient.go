@@ -43,9 +43,9 @@ type ClusterConfig struct {
 
 // ClusterClient is the distributed Store implementation: a thin
 // adapter that has the cluster master route each call to the servlet
-// owning the key and runs the op's policy function (policy.go) — the
-// same one the embedded DB calls — on that servlet's execution thread
-// (§4.1). It serves the same Store API as the embedded DB, so
+// owning the key and runs the contract (policy.go) — the one the
+// embedded DB embeds — over that servlet's engine on its execution
+// thread (§4.1). It serves the same Store API as the embedded DB, so
 // applications move between deployment modes without change.
 type ClusterClient struct {
 	frontend // the Store methods, over cc itself
@@ -107,20 +107,20 @@ func onOwner[T any](ctx context.Context, cc *ClusterClient, key string, op func(
 
 func (cc *ClusterClient) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (*FObject, error) {
-		return getOp(eng, cc.acl, key, &o)
+		return contract{eng, cc.acl}.get(ctx, key, o)
 	})
 }
 
 func (cc *ClusterClient) put(ctx context.Context, key string, v Value, _ *branch.Batch, o callOpts) (UID, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (UID, error) {
-		return putOp(eng, cc.acl, nil, key, v, &o)
+		return contract{eng, cc.acl}.put(ctx, key, v, nil, o)
 	})
 }
 
 // apply dispatches batched writes once per owning servlet, paying the
 // dispatch and queue slot once per group.
 func (cc *ClusterClient) apply(ctx context.Context, b *Batch, o callOpts) ([]UID, error) {
-	puts, err := batchOp(cc.acl, b, &o)
+	puts, err := contract{acl: cc.acl}.batch(ctx, b, o)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func (cc *ClusterClient) apply(ctx context.Context, b *Batch, o callOpts) ([]UID
 
 func (cc *ClusterClient) fork(ctx context.Context, key, newBranch string, o callOpts) error {
 	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
-		return forkOp(eng, cc.acl, key, newBranch, &o)
+		return contract{eng, cc.acl}.fork(ctx, key, newBranch, o)
 	})
 }
 
@@ -137,7 +137,7 @@ func (cc *ClusterClient) merge(ctx context.Context, key, tgtBranch string, o cal
 	var uid UID
 	var conflicts []Conflict
 	err := cc.c.Exec(ctx, key, func(eng *core.Engine) (err error) {
-		uid, conflicts, err = mergeOp(ctx, eng, cc.acl, key, tgtBranch, &o)
+		uid, conflicts, err = contract{eng, cc.acl}.merge(ctx, key, tgtBranch, o)
 		return err
 	})
 	if err != nil && ctx.Err() != nil {
@@ -149,7 +149,7 @@ func (cc *ClusterClient) merge(ctx context.Context, key, tgtBranch string, o cal
 
 func (cc *ClusterClient) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) ([]*FObject, error) {
-		return trackOp(ctx, eng, cc.acl, key, from, to, &o)
+		return contract{eng, cc.acl}.track(ctx, key, from, to, o)
 	})
 }
 
@@ -157,13 +157,13 @@ func (cc *ClusterClient) track(ctx context.Context, key string, from, to int, o 
 // versions.
 func (cc *ClusterClient) diff(ctx context.Context, key string, a, b UID, o callOpts) (*Diff, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (*Diff, error) {
-		return diffOp(ctx, eng, cc.acl, a, b, &o)
+		return contract{eng, cc.acl}.diff(ctx, key, a, b, o)
 	})
 }
 
 // listKeys aggregates keys across all servlets (M8).
 func (cc *ClusterClient) listKeys(ctx context.Context, o callOpts) ([]string, error) {
-	if err := allowListKeys(cc.acl, &o); err != nil {
+	if err := (contract{acl: cc.acl}).allowAll(ctx, o.User, PermRead); err != nil {
 		return nil, err
 	}
 	return cc.c.ListKeys(ctx)
@@ -171,13 +171,13 @@ func (cc *ClusterClient) listKeys(ctx context.Context, o callOpts) ([]string, er
 
 func (cc *ClusterClient) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
 	return onOwner(ctx, cc, key, func(eng *core.Engine) (BranchList, error) {
-		return listBranchesOp(eng, cc.acl, key, &o)
+		return contract{eng, cc.acl}.listBranches(ctx, key, o)
 	})
 }
 
 func (cc *ClusterClient) renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error {
 	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
-		return renameBranchOp(eng, cc.acl, key, branchName, newName, &o)
+		return contract{eng, cc.acl}.renameBranch(ctx, key, branchName, newName, o)
 	})
 }
 
@@ -185,7 +185,7 @@ func (cc *ClusterClient) renameBranch(ctx context.Context, key, branchName, newN
 // successful removal under AutoGCEvery.
 func (cc *ClusterClient) removeBranch(ctx context.Context, key, branchName string, o callOpts) error {
 	err := cc.c.Exec(ctx, key, func(eng *core.Engine) error {
-		return removeBranchOp(eng, cc.acl, key, branchName, &o)
+		return contract{eng, cc.acl}.removeBranch(ctx, key, branchName, o)
 	})
 	if err != nil {
 		return err
@@ -198,7 +198,7 @@ func (cc *ClusterClient) removeBranch(ctx context.Context, key, branchName strin
 // version's meta chunk lives in that servlet's local storage.
 func (cc *ClusterClient) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
 	return cc.c.Exec(ctx, key, func(eng *core.Engine) error {
-		return pinOp(eng, cc.acl, key, uid, on, &o)
+		return contract{eng, cc.acl}.pin(ctx, key, uid, on, o)
 	})
 }
 
@@ -206,10 +206,7 @@ func (cc *ClusterClient) pin(ctx context.Context, key string, uid UID, on bool, 
 // node of the cluster (global mark, per-node sweep; see
 // cluster.Cluster.GC).
 func (cc *ClusterClient) gc(ctx context.Context, o callOpts) (GCStats, error) {
-	if err := ctx.Err(); err != nil {
-		return GCStats{}, err
-	}
-	if err := allowGC(cc.acl, &o); err != nil {
+	if err := (contract{acl: cc.acl}).allowAll(ctx, o.User, PermAdmin); err != nil {
 		return GCStats{}, err
 	}
 	return cc.collect(ctx)
@@ -225,10 +222,7 @@ func (cc *ClusterClient) collect(ctx context.Context) (GCStats, error) {
 // dispatchers forward Get-Chunk requests straight to chunk storage
 // (§4.6).
 func (cc *ClusterClient) value(ctx context.Context, key string, obj *FObject, o callOpts) (Value, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return valueOp(cc.c.Servlet(cc.c.Master().Route(key)).Engine(), cc.acl, obj, &o)
+	return contract{cc.c.Servlet(cc.c.Master().Route(key)).Engine(), cc.acl}.value(ctx, key, obj, o)
 }
 
 var _ Store = (*ClusterClient)(nil)

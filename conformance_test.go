@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -622,24 +623,61 @@ func TestStoreConformanceACL(t *testing.T) {
 }
 
 // TestStoreContextCancellation verifies that an already-cancelled
-// context aborts calls on both implementations.
+// context aborts every call on every backend, and that the cancelled
+// writes leave the branch table as it was.
 func TestStoreContextCancellation(t *testing.T) {
 	for name, st := range stores(t, nil) {
 		t.Run(name, func(t *testing.T) {
 			defer st.Close()
-			if _, err := st.Put(context.Background(), "k", forkbase.String("v")); err != nil {
+			live := context.Background()
+			uid, err := st.Put(live, "k", forkbase.String("v"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
+			if err := st.Fork(live, "k", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			obj, err := st.Get(live, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := st.ListBranches(live, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(live)
 			cancel()
-			if _, err := st.Get(ctx, "k"); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled get: %v", err)
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"get", func() error { _, err := st.Get(ctx, "k"); return err }},
+				{"put", func() error { _, err := st.Put(ctx, "k", forkbase.String("v2")); return err }},
+				{"batch", func() error {
+					_, err := st.Apply(ctx, forkbase.NewBatch().Put("k", forkbase.String("v3")))
+					return err
+				}},
+				{"fork", func() error { return st.Fork(ctx, "k", "nb") }},
+				{"list keys", func() error { _, err := st.ListKeys(ctx); return err }},
+				{"list branches", func() error { _, err := st.ListBranches(ctx, "k"); return err }},
+				{"rename branch", func() error { return st.RenameBranch(ctx, "k", "dev", "renamed") }},
+				{"remove branch", func() error { return st.RemoveBranch(ctx, "k", "dev") }},
+				{"pin", func() error { return st.Pin(ctx, "k", uid) }},
+				{"unpin", func() error { return st.Unpin(ctx, "k", uid) }},
+				{"gc", func() error { _, err := st.GC(ctx); return err }},
+				{"value", func() error { _, err := st.Value(ctx, "k", obj); return err }},
 			}
-			if _, err := st.Put(ctx, "k", forkbase.String("v2")); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled put: %v", err)
+			for _, c := range calls {
+				if err := c.call(); !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled %s: %v", c.name, err)
+				}
 			}
-			if _, err := st.Apply(ctx, forkbase.NewBatch().Put("k", forkbase.String("v3"))); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled batch: %v", err)
+			after, err := st.ListBranches(live, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("cancelled writes changed the branch table:\n got %+v\nwant %+v", after, before)
 			}
 		})
 	}

@@ -169,9 +169,8 @@ const DefaultBranch = branch.DefaultBranch
 // client.go for the unified API surface.
 type DB struct {
 	frontend // the Store methods, over db itself
+	contract // the engine and ACL most ops run on (policy.go)
 
-	eng  *core.Engine
-	acl  *ACL
 	jrnl *branch.Journal // metadata journal; nil for in-memory stores
 
 	gcThreshold float64 // segment compaction threshold (0 = default)
@@ -336,8 +335,7 @@ func (o Options) wrapStore(s store.Store) store.Store {
 func Open(opts ...OpenOption) *DB {
 	o := resolveOpenOpts(opts)
 	db := &DB{
-		eng:         core.NewEngine(o.wrapStore(store.NewMemStore()), o.treeConfig()),
-		acl:         o.ACL,
+		contract:    contract{core.NewEngine(o.wrapStore(store.NewMemStore()), o.treeConfig()), o.ACL},
 		gcThreshold: o.GCThreshold,
 		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
@@ -362,7 +360,7 @@ func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		acl:         o.ACL,
+		contract:    contract{acl: o.ACL},
 		gcThreshold: o.GCThreshold,
 		autoGC:      autoGC{every: o.AutoGCEvery},
 	}
@@ -391,7 +389,7 @@ func OpenPath(dir string, opts ...OpenOption) (*DB, error) {
 // NewDBOn builds a DB over an arbitrary chunk store; used by the
 // cluster layer and by tests.
 func NewDBOn(s store.Store, cfg postree.Config) *DB {
-	db := &DB{eng: core.NewEngine(s, cfg)}
+	db := &DB{contract: contract{eng: core.NewEngine(s, cfg)}}
 	db.frontend = frontend{db}
 	db.initMetrics()
 	return db

@@ -188,7 +188,7 @@ func (c *Cluster) NodeStorageBytes() []int64 {
 // Exec is the dispatcher's request path (§4.1): it routes key to the
 // owning servlet and executes fn on the servlet's execution thread.
 // Who may run what is fn's business — the client hands in the Store
-// op's policy function — the cluster only routes.
+// op's contract method — the cluster only routes.
 func (c *Cluster) Exec(ctx context.Context, key string, fn func(eng *core.Engine) error) error {
 	return c.servlets[c.master.Route(key)].ExecCtx(ctx, fn)
 }

@@ -22,7 +22,7 @@ var ctx = context.Background()
 
 // The cluster only routes: these helpers are the requests the tests
 // send through it, the way the root package's ClusterClient hands in
-// its policy functions.
+// its contract methods.
 
 func put(c *Cluster, key, branchName string, v types.Value) (uid types.UID, err error) {
 	err = c.Exec(ctx, key, func(eng *core.Engine) (err error) {

@@ -1,12 +1,12 @@
 package forkbase
 
-// Server-side observability: every request the server dispatches is
-// counted, timed and classified through internal/obs instruments that
-// are resolved once at construction and indexed by op code — the hot
-// path does array loads and atomic adds, nothing else. The snapshot
-// surface (OpServerStats, forkserved -debug-addr) merges the server's
-// registry with its backend DB's, so one scrape sees the wire layer
-// and the engine together.
+// Wire observability: every request the server dispatches, and every
+// call a RemoteStore makes, is counted, timed and classified through
+// internal/obs instruments that are resolved once at construction and
+// indexed by op code — the hot path does array loads and atomic adds,
+// nothing else. The snapshot surface (OpServerStats, forkserved
+// -debug-addr) merges the server's registry with its backend DB's, so
+// one scrape sees the wire layer and the engine together.
 
 import (
 	"reflect"
@@ -31,18 +31,53 @@ const (
 	csOps
 )
 
-// serverMetrics is the server's instrument table: per-op arrays sized
-// by wire.OpMax so the dispatch path indexes by op code without a map
-// lookup or allocation.
-type serverMetrics struct {
-	reqs    [wire.OpMax]*obs.Counter
-	errs    [wire.OpMax]*obs.Counter
-	lat     [wire.OpMax]*obs.Histogram
-	errCode [wire.NumErrorCodes]*obs.Counter
+// opMetrics is the per-op instrument table both ends of the wire keep:
+// arrays sized by wire.OpMax, so a call or a dispatch indexes by op
+// code without a map lookup or allocation, and the wire byte counters.
+// Every series is prefixed by the side that keeps it (forkbase_server_
+// or forkbase_client_).
+type opMetrics struct {
+	reqs [wire.OpMax]*obs.Counter
+	errs [wire.OpMax]*obs.Counter
+	lat  [wire.OpMax]*obs.Histogram
 
-	inflight *obs.Gauge
+	// bytesIn and bytesOut count every byte on the side's sockets,
+	// framing included. Outbound is counted by the frame writer at the
+	// flush syscall — the one chokepoint all frames pass through,
+	// including streamed want parts — and inbound by the read loop, so
+	// the pair cannot drift from what actually moved.
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
+}
+
+func (m *opMetrics) init(r *obs.Registry, side string) {
+	prefix := "forkbase_" + side + "_"
+	for op := wire.OpHello; op < wire.OpMax; op++ {
+		tag := `op="` + wire.OpName(op) + `"`
+		m.reqs[op] = r.Counter(prefix+"requests_total", tag)
+		m.errs[op] = r.Counter(prefix+"request_errors_total", tag)
+		m.lat[op] = r.Histogram(prefix+"latency_ns", tag)
+	}
+	m.bytesIn = r.Counter(prefix+"wire_bytes_total", `dir="in"`)
+	m.bytesOut = r.Counter(prefix+"wire_bytes_total", `dir="out"`)
+}
+
+// observe records one finished request: its count, its latency d and,
+// when it failed, an error.
+func (m *opMetrics) observe(op uint8, d time.Duration, failed bool) {
+	m.reqs[op].Inc()
+	m.lat[op].Observe(int64(d))
+	if failed {
+		m.errs[op].Inc()
+	}
+}
+
+// serverMetrics is the server's instrument table: the per-op table
+// plus what only a server counts.
+type serverMetrics struct {
+	opMetrics
+	errCode  [wire.NumErrorCodes]*obs.Counter
+	inflight *obs.Gauge
 
 	// chunksync byte counters, one per transfer direction: ids
 	// negotiated (have), chunk bytes admitted on upload (send) and
@@ -51,18 +86,11 @@ type serverMetrics struct {
 }
 
 func (m *serverMetrics) init(r *obs.Registry) {
-	for op := wire.OpHello; op < wire.OpMax; op++ {
-		tag := `op="` + wire.OpName(op) + `"`
-		m.reqs[op] = r.Counter("forkbase_server_requests_total", tag)
-		m.errs[op] = r.Counter("forkbase_server_request_errors_total", tag)
-		m.lat[op] = r.Histogram("forkbase_server_latency_ns", tag)
-	}
+	m.opMetrics.init(r, "server")
 	for code := uint8(0); code < wire.NumErrorCodes; code++ {
 		m.errCode[code] = r.Counter("forkbase_server_errors_by_code_total", `code="`+wire.CodeName(code)+`"`)
 	}
 	m.inflight = r.Gauge("forkbase_server_inflight_requests", "")
-	m.bytesIn = r.Counter("forkbase_server_wire_bytes_total", `dir="in"`)
-	m.bytesOut = r.Counter("forkbase_server_wire_bytes_total", `dir="out"`)
 	for i, dir := range []string{"have", "send", "stream"} {
 		m.chunksync[i] = r.Counter("forkbase_server_chunksync_bytes_total", `op="`+dir+`"`)
 	}
@@ -74,13 +102,10 @@ func (m *serverMetrics) init(r *obs.Registry) {
 // the slow-op line actually fires.
 func (s *Server) observe(sc *serverConn, op uint8, start time.Time, resp []byte) {
 	d := time.Since(start)
-	s.met.reqs[op].Inc()
-	s.met.lat[op].Observe(int64(d))
-	if len(resp) > 0 && resp[0] == 1 {
-		s.met.errs[op].Inc()
-		if len(resp) > 1 && resp[1] < wire.NumErrorCodes {
-			s.met.errCode[resp[1]].Inc()
-		}
+	failed := len(resp) > 0 && resp[0] == 1
+	s.met.observe(op, d, failed)
+	if failed && len(resp) > 1 && resp[1] < wire.NumErrorCodes {
+		s.met.errCode[resp[1]].Inc()
 	}
 	if t := s.opts.SlowOpThreshold; t > 0 && d >= t {
 		status := "ok"

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"forkbase"
 	"forkbase/internal/obs"
+	"forkbase/internal/wire"
 )
 
 // wireBytes reads one direction ("in" or "out") of a client's wire byte
@@ -327,5 +329,90 @@ func TestObsInlinePutCountedOnce(t *testing.T) {
 	}
 	if lat, _ := sampleValue(samples, "forkbase_server_latency_ns", `op="put"`); lat.Value != puts {
 		t.Fatalf("put latency histogram holds %d samples, want %d", lat.Value, puts)
+	}
+}
+
+// TestMetricSeriesGolden pins every series a Server over an embedded
+// DB and a RemoteStore register: name, kind and labels, and how many
+// series share them. A wire op or error-code label is written op=* or
+// code=* (TestMetricLabelsGolden pins those values). Dashboards,
+// forkcli stats -server and the benchmark's layer table read these
+// names.
+func TestMetricSeriesGolden(t *testing.T) {
+	addr, srv := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	rs, err := forkbase.Dial(addr, forkbase.RemoteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	wild := map[string]string{}
+	for op := wire.OpHello; op < wire.OpMax; op++ {
+		wild[`op="`+wire.OpName(op)+`"`] = "op=*"
+	}
+	for code := uint8(0); code < wire.NumErrorCodes; code++ {
+		wild[`code="`+wire.CodeName(code)+`"`] = "code=*"
+	}
+	kinds := map[obs.Kind]string{obs.KindCounter: "counter", obs.KindGauge: "gauge", obs.KindHistogram: "histogram"}
+	series := func(samples []forkbase.MetricSample) []string {
+		n := map[string]int{}
+		for _, s := range samples {
+			tags := s.Tags
+			if w, ok := wild[tags]; ok {
+				tags = w
+			}
+			n[fmt.Sprintf("%s %s{%s}", kinds[s.Kind], s.Name, tags)]++
+		}
+		var out []string
+		for k, c := range n {
+			out = append(out, fmt.Sprintf("%s x%d", k, c))
+		}
+		sort.Strings(out)
+		return out
+	}
+	wantServer := []string{
+		"counter forkbase_server_chunksync_bytes_total{op=\"have\"} x1",
+		"counter forkbase_server_chunksync_bytes_total{op=\"send\"} x1",
+		"counter forkbase_server_chunksync_bytes_total{op=\"stream\"} x1",
+		"counter forkbase_server_errors_by_code_total{code=*} x19",
+		"counter forkbase_server_request_errors_total{op=*} x23",
+		"counter forkbase_server_requests_total{op=*} x23",
+		"counter forkbase_server_wire_bytes_total{dir=\"in\"} x1",
+		"counter forkbase_server_wire_bytes_total{dir=\"out\"} x1",
+		"counter forkbase_store_cache_evictions_total{} x1",
+		"counter forkbase_store_cache_hits_total{} x1",
+		"counter forkbase_store_cache_misses_total{} x1",
+		"counter forkbase_store_dup_bytes_total{} x1",
+		"counter forkbase_store_dup_chunks_total{} x1",
+		"counter forkbase_store_gets_total{} x1",
+		"counter forkbase_store_puts_total{} x1",
+		"counter forkbase_store_read_bytes_total{} x1",
+		"gauge forkbase_meta_wal_bytes{} x1",
+		"gauge forkbase_server_inflight_requests{} x1",
+		"gauge forkbase_server_queue_depth{} x1",
+		"gauge forkbase_store_bytes{} x1",
+		"gauge forkbase_store_cache_bytes{} x1",
+		"gauge forkbase_store_chunks{} x1",
+		"histogram forkbase_chunklog_fsync_ns{} x1",
+		"histogram forkbase_gc_pause_ns{} x1",
+		"histogram forkbase_journal_fsync_ns{} x1",
+		"histogram forkbase_server_latency_ns{op=*} x23",
+	}
+	wantClient := []string{
+		"counter forkbase_client_request_errors_total{op=*} x23",
+		"counter forkbase_client_requests_total{op=*} x23",
+		"counter forkbase_client_wire_bytes_total{dir=\"in\"} x1",
+		"counter forkbase_client_wire_bytes_total{dir=\"out\"} x1",
+		"histogram forkbase_client_latency_ns{op=*} x23",
+	}
+	for _, c := range []struct {
+		side      string
+		got, want []string
+	}{
+		{"server", series(srv.MetricsSnapshot()), wantServer},
+		{"client", series(rs.MetricsSnapshot()), wantClient},
+	} {
+		if strings.Join(c.got, "\n") != strings.Join(c.want, "\n") {
+			t.Errorf("%s series changed:\n got %q\nwant %q", c.side, c.got, c.want)
+		}
 	}
 }

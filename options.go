@@ -1,5 +1,7 @@
 package forkbase
 
+import "forkbase/internal/wire"
+
 // Option customizes a single Store call. Options compose the M1–M17
 // method zoo of paper Table 1 into a handful of orthogonal calls: the
 // operation names the verb (Get, Put, Fork, Merge, Track, …) and the
@@ -26,15 +28,12 @@ const (
 	optSet
 )
 
-// callOpts is the resolved option set for one call.
+// callOpts is the resolved option set for one call: its wire form,
+// and beside it the merge resolver, a function the wire carries only
+// as a built-in's code (wireOpts, optsFromWire).
 type callOpts struct {
-	branch    string
-	branchSet bool
-	bases     []UID
-	guard     *UID
-	meta      []byte
-	resolver  Resolver
-	user      string
+	wire.CallOptions
+	resolver Resolver
 }
 
 // resolveOpts folds opts over the defaults. The fold is a switch over
@@ -46,18 +45,18 @@ func resolveOpts(opts []Option) callOpts {
 		op := &opts[i]
 		switch op.kind {
 		case optBranch:
-			o.branch, o.branchSet = op.str, true
+			o.Branch, o.BranchSet = op.str, true
 		case optBase:
-			o.bases = append(o.bases, op.uid)
+			o.Bases = append(o.Bases, op.uid)
 		case optGuard:
 			u := op.uid
-			o.guard = &u
+			o.Guard = &u
 		case optMeta:
-			o.meta = []byte(op.str)
+			o.Meta = []byte(op.str)
 		case optResolver:
 			o.resolver = op.resolver
 		case optUser:
-			o.user = op.str
+			o.User = op.str
 		case optSet:
 			o = *op.set
 		}
@@ -71,7 +70,7 @@ func resolveOpts(opts []Option) callOpts {
 // carries the whole set. The empty set is no options at all, so the
 // common request allocates nothing here.
 func (o *callOpts) options() []Option {
-	if o.user == "" && !o.branchSet && len(o.bases) == 0 && o.guard == nil && o.meta == nil && o.resolver == nil {
+	if o.User == "" && !o.BranchSet && len(o.Bases) == 0 && o.Guard == nil && o.Meta == nil && o.resolver == nil {
 		return nil
 	}
 	set := *o
@@ -80,18 +79,18 @@ func (o *callOpts) options() []Option {
 
 // branchOr returns the selected branch, or def when none was chosen.
 func (o *callOpts) branchOr(def string) string {
-	if o.branchSet {
-		return o.branch
+	if o.BranchSet {
+		return o.Branch
 	}
 	return def
 }
 
 // base returns the single selected base version, if any.
 func (o *callOpts) base() (UID, bool) {
-	if len(o.bases) == 0 {
+	if len(o.Bases) == 0 {
 		return UID{}, false
 	}
-	return o.bases[0], true
+	return o.Bases[0], true
 }
 
 // WithBranch selects the branch a call operates on. For Get/Put/Track

@@ -12,17 +12,20 @@ import (
 )
 
 // This file is the Store contract, written once (§4.1: one access
-// controller in front of one request executor). Every op is a single
-// function that validates the option combination, obtains the ACL
-// verdict and only then calls the engine. The embedded DB calls these
-// functions directly; the ClusterClient runs the same functions on the
-// owning servlet's execution thread; the Server reaches them through
-// the backend it serves (client.go) and uses allow for its chunk-level
-// side doors. Nothing else in the tree calls ACL.Check or decides which
-// options an op accepts (batch entries excepted: see Batch.put).
+// controller in front of one request executor): contract is one
+// engine and its access controller, and each of its methods checks
+// the context, validates the option combination, obtains the ACL
+// verdict and only then calls the engine. *DB embeds a contract over
+// its engine and serves most ops straight from it; the ClusterClient
+// runs one over the owning servlet's engine on that servlet's
+// execution thread; the Server reaches it through the backend it
+// serves (client.go) and uses allow for its chunk-level side doors.
+// Nothing else in the tree calls ACL.Check or decides which options an
+// op accepts (batch entries excepted: see Batch.put).
 //
 // The rules, in one place:
 //
+//   - A cancelled context fails the call before anything else runs.
 //   - Options are validated before the ACL is consulted, so a malformed
 //     call fails with ErrBadOptions whoever makes it.
 //   - A call on a branch needs its permission on (key, branch); a call
@@ -42,230 +45,276 @@ func allow(acl *ACL, user, key, branchName string, need Permission) error {
 	return acl.Check(user, key, branchName, need)
 }
 
-// closed reports whether acl can deny anything at all, so the checks
-// that must first load a version to learn its key skip the load in
-// open mode.
-func closed(acl *ACL) bool { return acl != nil && !acl.IsOpen() }
+// contract is the Store contract over one engine and the access
+// controller in front of it (nil: open mode).
+type contract struct {
+	eng *core.Engine
+	acl *ACL
+}
+
+// closed reports whether the ACL can deny anything at all, so the
+// checks that must first load a version to learn its key skip the load
+// in open mode.
+func (c contract) closed() bool { return c.acl != nil && !c.acl.IsOpen() }
 
 // allowVersion requires read permission on the key uid's version
 // belongs to. The nil uid (a first write's base) names no version.
-func allowVersion(eng *core.Engine, acl *ACL, user string, uid UID) error {
-	if !closed(acl) || uid.IsNil() {
+func (c contract) allowVersion(user string, uid UID) error {
+	if !c.closed() || uid.IsNil() {
 		return nil
 	}
-	obj, err := eng.GetUID(uid)
+	obj, err := c.eng.GetUID(uid)
 	if err != nil {
 		return err
 	}
-	return allow(acl, user, string(obj.Key), "", PermRead)
+	return allow(c.acl, user, string(obj.Key), "", PermRead)
 }
 
-// getOp: read on (key, branch); with WithBase, read on the version's
-// own key.
-func getOp(eng *core.Engine, acl *ACL, key string, o *callOpts) (*FObject, error) {
+// allowAll checks the context and need on the global wildcard
+// ("", ""): listing the key space needs read there, and collection,
+// which deletes data store-wide, needs admin like the other
+// destructive ops.
+func (c contract) allowAll(ctx context.Context, user string, need Permission) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return allow(c.acl, user, "", "", need)
+}
+
+// get: read on (key, branch); with WithBase, read on the version's own
+// key.
+func (c contract) get(ctx context.Context, key string, o callOpts) (*FObject, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if uid, ok := o.base(); ok {
-		if o.branchSet {
+		if o.BranchSet {
 			return nil, ErrBadOptions
 		}
-		obj, err := eng.GetUID(uid)
+		obj, err := c.eng.GetUID(uid)
 		if err != nil {
 			return nil, err
 		}
-		if err := allow(acl, o.user, string(obj.Key), "", PermRead); err != nil {
+		if err := allow(c.acl, o.User, string(obj.Key), "", PermRead); err != nil {
 			return nil, err
 		}
 		return obj, nil
 	}
 	br := o.branchOr(DefaultBranch)
-	if err := allow(acl, o.user, key, br, PermRead); err != nil {
+	if err := allow(c.acl, o.User, key, br, PermRead); err != nil {
 		return nil, err
 	}
-	return eng.Get([]byte(key), br)
+	return c.eng.Get([]byte(key), br)
 }
 
-// putOp: write on (key, branch); with WithBase, write on (key, "") and
+// put: write on (key, branch); with WithBase, write on (key, "") and
 // read on the base's key — deriving from a version pulls its content
 // into the new one. A branch write's head record joins scope (nil: it
 // is recorded alone); a fork-on-conflict write is always recorded
 // alone.
-func putOp(eng *core.Engine, acl *ACL, scope *branch.Batch, key string, v Value, o *callOpts) (UID, error) {
-	if base, ok := o.base(); ok {
-		if o.branchSet || o.guard != nil {
-			return UID{}, ErrBadOptions
-		}
-		if err := allow(acl, o.user, key, "", PermWrite); err != nil {
-			return UID{}, err
-		}
-		if err := allowVersion(eng, acl, o.user, base); err != nil {
-			return UID{}, err
-		}
-		return eng.PutBase([]byte(key), base, v, o.meta)
-	}
-	br := o.branchOr(DefaultBranch)
-	if err := allow(acl, o.user, key, br, PermWrite); err != nil {
+func (c contract) put(ctx context.Context, key string, v Value, scope *branch.Batch, o callOpts) (UID, error) {
+	if err := ctx.Err(); err != nil {
 		return UID{}, err
 	}
-	return eng.PutIn(scope, []byte(key), br, v, o.meta, o.guard)
+	if base, ok := o.base(); ok {
+		if o.BranchSet || o.Guard != nil {
+			return UID{}, ErrBadOptions
+		}
+		if err := allow(c.acl, o.User, key, "", PermWrite); err != nil {
+			return UID{}, err
+		}
+		if err := c.allowVersion(o.User, base); err != nil {
+			return UID{}, err
+		}
+		return c.eng.PutBase([]byte(key), base, v, o.Meta)
+	}
+	br := o.branchOr(DefaultBranch)
+	if err := allow(c.acl, o.User, key, br, PermWrite); err != nil {
+		return UID{}, err
+	}
+	return c.eng.PutIn(scope, []byte(key), br, v, o.Meta, o.Guard)
 }
 
-// batchOp: write on every entry's (key, branch), all checked before
-// any write lands. It returns the entries for the caller to commit —
-// one engine batch embedded, one group per owning servlet clustered.
-func batchOp(acl *ACL, b *Batch, o *callOpts) ([]core.BatchPut, error) {
+// batch: write on every entry's (key, branch), all checked before any
+// write lands. It returns the entries for the caller to commit — one
+// engine batch embedded, one group per owning servlet clustered — and
+// reads only the ACL, so the ClusterClient runs it with no engine.
+func (c contract) batch(ctx context.Context, b *Batch, o callOpts) ([]core.BatchPut, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if b.err != nil {
 		return nil, b.err
 	}
 	for _, p := range b.puts {
-		if err := allow(acl, o.user, string(p.Key), p.Branch, PermWrite); err != nil {
+		if err := allow(c.acl, o.User, string(p.Key), p.Branch, PermWrite); err != nil {
 			return nil, err
 		}
 	}
 	return b.puts, nil
 }
 
-// forkOp: write on (key, newBranch); with WithBase, also read on the
+// fork: write on (key, newBranch); with WithBase, also read on the
 // version's key — tagging a version makes it readable under this key's
 // branches.
-func forkOp(eng *core.Engine, acl *ACL, key, newBranch string, o *callOpts) error {
+func (c contract) fork(ctx context.Context, key, newBranch string, o callOpts) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	uid, pinned := o.base()
-	if pinned && o.branchSet {
+	if pinned && o.BranchSet {
 		return ErrBadOptions
 	}
-	if err := allow(acl, o.user, key, newBranch, PermWrite); err != nil {
+	if err := allow(c.acl, o.User, key, newBranch, PermWrite); err != nil {
 		return err
 	}
 	if !pinned {
-		return eng.Fork([]byte(key), o.branchOr(DefaultBranch), newBranch)
+		return c.eng.Fork([]byte(key), o.branchOr(DefaultBranch), newBranch)
 	}
-	if err := allowVersion(eng, acl, o.user, uid); err != nil {
+	if err := c.allowVersion(o.User, uid); err != nil {
 		return err
 	}
-	return eng.ForkUID([]byte(key), uid, newBranch)
+	return c.eng.ForkUID([]byte(key), uid, newBranch)
 }
 
-// mergeOp: write on (key, tgtBranch) and read on the key of every
+// merge: write on (key, tgtBranch) and read on the key of every
 // WithBase version folded in. An empty tgtBranch merges untagged heads
 // and needs two or more bases.
-func mergeOp(ctx context.Context, eng *core.Engine, acl *ACL, key, tgtBranch string, o *callOpts) (UID, []Conflict, error) {
+func (c contract) merge(ctx context.Context, key, tgtBranch string, o callOpts) (UID, []Conflict, error) {
+	if err := ctx.Err(); err != nil {
+		return UID{}, nil, err
+	}
 	// The reference is one branch or one version; untagged heads are
 	// two or more versions and no branch.
-	bad := len(o.bases) > 1 || len(o.bases) == 1 && o.branchSet
+	bad := len(o.Bases) > 1 || len(o.Bases) == 1 && o.BranchSet
 	if tgtBranch == "" {
-		bad = len(o.bases) < 2 || o.branchSet
+		bad = len(o.Bases) < 2 || o.BranchSet
 	}
 	if bad {
 		return UID{}, nil, ErrBadOptions
 	}
-	if err := allow(acl, o.user, key, tgtBranch, PermWrite); err != nil {
+	if err := allow(c.acl, o.User, key, tgtBranch, PermWrite); err != nil {
 		return UID{}, nil, err
 	}
-	for _, uid := range o.bases {
-		if err := allowVersion(eng, acl, o.user, uid); err != nil {
+	for _, uid := range o.Bases {
+		if err := c.allowVersion(o.User, uid); err != nil {
 			return UID{}, nil, err
 		}
 	}
 	if tgtBranch == "" {
-		return eng.MergeUntagged(ctx, []byte(key), o.resolver, o.meta, o.bases...)
+		return c.eng.MergeUntagged(ctx, []byte(key), o.resolver, o.Meta, o.Bases...)
 	}
 	if ref, ok := o.base(); ok {
-		return eng.MergeUID(ctx, []byte(key), tgtBranch, ref, o.resolver, o.meta)
+		return c.eng.MergeUID(ctx, []byte(key), tgtBranch, ref, o.resolver, o.Meta)
 	}
-	return eng.MergeBranches(ctx, []byte(key), tgtBranch, o.branchOr(DefaultBranch), o.resolver, o.meta)
+	return c.eng.MergeBranches(ctx, []byte(key), tgtBranch, o.branchOr(DefaultBranch), o.resolver, o.Meta)
 }
 
-// trackOp: read on (key, branch); with WithBase, read on the version's
+// track: read on (key, branch); with WithBase, read on the version's
 // own key (derivation chains never cross keys).
-func trackOp(ctx context.Context, eng *core.Engine, acl *ACL, key string, from, to int, o *callOpts) ([]*FObject, error) {
-	if uid, ok := o.base(); ok {
-		if o.branchSet {
-			return nil, ErrBadOptions
-		}
-		if err := allowVersion(eng, acl, o.user, uid); err != nil {
-			return nil, err
-		}
-		return eng.TrackUID(ctx, uid, from, to)
-	}
-	br := o.branchOr(DefaultBranch)
-	if err := allow(acl, o.user, key, br, PermRead); err != nil {
+func (c contract) track(ctx context.Context, key string, from, to int, o callOpts) ([]*FObject, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return eng.Track(ctx, []byte(key), br, from, to)
+	if uid, ok := o.base(); ok {
+		if o.BranchSet {
+			return nil, ErrBadOptions
+		}
+		if err := c.allowVersion(o.User, uid); err != nil {
+			return nil, err
+		}
+		return c.eng.TrackUID(ctx, uid, from, to)
+	}
+	br := o.branchOr(DefaultBranch)
+	if err := allow(c.acl, o.User, key, br, PermRead); err != nil {
+		return nil, err
+	}
+	return c.eng.Track(ctx, []byte(key), br, from, to)
 }
 
-// diffOp: read on the keys the two versions belong to.
-func diffOp(ctx context.Context, eng *core.Engine, acl *ACL, a, b UID, o *callOpts) (*Diff, error) {
+// diff: read on the keys the two versions belong to; key only routes
+// the call.
+func (c contract) diff(ctx context.Context, _ string, a, b UID, o callOpts) (*Diff, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	for _, uid := range [...]UID{a, b} {
-		if err := allowVersion(eng, acl, o.user, uid); err != nil {
+		if err := c.allowVersion(o.User, uid); err != nil {
 			return nil, err
 		}
 	}
-	return eng.Diff(ctx, a, b)
+	return c.eng.Diff(ctx, a, b)
 }
 
-// allowListKeys: listing the key space needs read on the global
-// wildcard ("", "").
-func allowListKeys(acl *ACL, o *callOpts) error {
-	return allow(acl, o.user, "", "", PermRead)
-}
-
-// listBranchesOp: read on (key, "").
-func listBranchesOp(eng *core.Engine, acl *ACL, key string, o *callOpts) (BranchList, error) {
-	if err := allow(acl, o.user, key, "", PermRead); err != nil {
+// listBranches: read on (key, "").
+func (c contract) listBranches(ctx context.Context, key string, o callOpts) (BranchList, error) {
+	if err := ctx.Err(); err != nil {
+		return BranchList{}, err
+	}
+	if err := allow(c.acl, o.User, key, "", PermRead); err != nil {
 		return BranchList{}, err
 	}
 	return BranchList{
-		Tagged:   eng.ListTaggedBranches([]byte(key)),
-		Untagged: eng.ListUntaggedBranches([]byte(key)),
+		Tagged:   c.eng.ListTaggedBranches([]byte(key)),
+		Untagged: c.eng.ListUntaggedBranches([]byte(key)),
 	}, nil
 }
 
-// renameBranchOp: admin on (key, branch).
-func renameBranchOp(eng *core.Engine, acl *ACL, key, branchName, newName string, o *callOpts) error {
-	if err := allow(acl, o.user, key, branchName, PermAdmin); err != nil {
+// renameBranch: admin on (key, branch).
+func (c contract) renameBranch(ctx context.Context, key, branchName, newName string, o callOpts) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return eng.Rename([]byte(key), branchName, newName)
-}
-
-// removeBranchOp: admin on (key, branch).
-func removeBranchOp(eng *core.Engine, acl *ACL, key, branchName string, o *callOpts) error {
-	if err := allow(acl, o.user, key, branchName, PermAdmin); err != nil {
+	if err := allow(c.acl, o.User, key, branchName, PermAdmin); err != nil {
 		return err
 	}
-	return eng.RemoveBranch([]byte(key), branchName)
+	return c.eng.Rename([]byte(key), branchName, newName)
 }
 
-// pinOp places (pin) or removes a GC root: write on (key, ""), and uid
+// removeBranch: admin on (key, branch). The backends add their
+// automatic collection around it.
+func (c contract) removeBranch(ctx context.Context, key, branchName string, o callOpts) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := allow(c.acl, o.User, key, branchName, PermAdmin); err != nil {
+		return err
+	}
+	return c.eng.RemoveBranch([]byte(key), branchName)
+}
+
+// pin places (on) or removes a GC root: write on (key, ""), and uid
 // must not name another key's version — write on one key is not a
 // licence to root, or un-root, the rest of the store. A uid that does
 // not resolve (pin-ahead of the write) names no key yet and passes.
-func pinOp(eng *core.Engine, acl *ACL, key string, uid UID, pin bool, o *callOpts) error {
-	if err := allow(acl, o.user, key, "", PermWrite); err != nil {
+func (c contract) pin(ctx context.Context, key string, uid UID, on bool, o callOpts) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if closed(acl) {
-		if obj, err := eng.GetUID(uid); err == nil && string(obj.Key) != key {
+	if err := allow(c.acl, o.User, key, "", PermWrite); err != nil {
+		return err
+	}
+	if c.closed() {
+		if obj, err := c.eng.GetUID(uid); err == nil && string(obj.Key) != key {
 			return fmt.Errorf("%w: version %s belongs to another key than %q", ErrAccessDenied, uid.Short(), key)
 		}
 	}
-	if pin {
-		return eng.PinUID(uid)
+	if on {
+		return c.eng.PinUID(uid)
 	}
-	return eng.UnpinUID(uid)
+	return c.eng.UnpinUID(uid)
 }
 
-// allowGC: collection deletes data store-wide, so like the other
-// destructive admin ops it needs admin — on the global wildcard.
-func allowGC(acl *ACL, o *callOpts) error {
-	return allow(acl, o.user, "", "", PermAdmin)
-}
-
-// valueOp: read on the key the fetched object names.
-func valueOp(eng *core.Engine, acl *ACL, obj *FObject, o *callOpts) (Value, error) {
-	if err := allow(acl, o.user, string(obj.Key), "", PermRead); err != nil {
+// value: read on the key the fetched object names; key only routes the
+// call.
+func (c contract) value(ctx context.Context, _ string, obj *FObject, o callOpts) (Value, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return eng.Value(obj)
+	if err := allow(c.acl, o.User, string(obj.Key), "", PermRead); err != nil {
+		return nil, err
+	}
+	return c.eng.Value(obj)
 }
 
 // autoGC is the collect-after-every-n-th-removal trigger (WithAutoGC,

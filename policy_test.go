@@ -8,10 +8,11 @@ import (
 	"forkbase/internal/core"
 	"forkbase/internal/postree"
 	"forkbase/internal/store"
+	"forkbase/internal/wire"
 )
 
 // TestPolicyOptionGrammar asserts the option grammar of the Store ops
-// once, on the policy functions every backend runs: which combinations
+// once, on the contract every backend runs: which combinations
 // of WithBranch / WithBase / WithGuard an op refuses with
 // ErrBadOptions. It runs twice — open, and under a closed ACL that
 // grants the caller nothing — because validation precedes the verdict:
@@ -52,30 +53,30 @@ func TestPolicyOptionGrammar(t *testing.T) {
 		bad  map[string]bool // shapes the op refuses
 	}{
 		{"get", func(acl *ACL, o *callOpts) error {
-			_, err := getOp(eng, acl, "k", o)
+			_, err := contract{eng, acl}.get(ctx, "k", *o)
 			return err
 		}, map[string]bool{"branch+base": true, "branch+two bases": true}},
 		{"put", func(acl *ACL, o *callOpts) error {
-			_, err := putOp(eng, acl, nil, "k", String("v"), o)
+			_, err := contract{eng, acl}.put(ctx, "k", String("v"), nil, *o)
 			return err
 		}, map[string]bool{"branch+base": true, "guard+base": true, "branch+two bases": true}},
 		{"batch put", func(acl *ACL, o *callOpts) error {
-			_, err := batchOp(acl, NewBatch().put("k", String("v"), o), &callOpts{user: o.user})
+			_, err := contract{eng, acl}.batch(ctx, NewBatch().put("k", String("v"), o), callOpts{CallOptions: wire.CallOptions{User: o.User}})
 			return err
 		}, map[string]bool{"base": true, "branch+base": true, "guard+base": true, "two bases": true, "branch+two bases": true}},
 		{"fork", func(acl *ACL, o *callOpts) error {
-			return forkOp(eng, acl, "k", "nb", o)
+			return contract{eng, acl}.fork(ctx, "k", "nb", *o)
 		}, map[string]bool{"branch+base": true, "branch+two bases": true}},
 		{"track", func(acl *ACL, o *callOpts) error {
-			_, err := trackOp(ctx, eng, acl, "k", 0, 1, o)
+			_, err := contract{eng, acl}.track(ctx, "k", 0, 1, *o)
 			return err
 		}, map[string]bool{"branch+base": true, "branch+two bases": true}},
 		{"merge into a branch", func(acl *ACL, o *callOpts) error {
-			_, _, err := mergeOp(ctx, eng, acl, "k", DefaultBranch, o)
+			_, _, err := contract{eng, acl}.merge(ctx, "k", DefaultBranch, *o)
 			return err
 		}, map[string]bool{"branch+base": true, "two bases": true, "branch+two bases": true}},
 		{"merge untagged (empty target)", func(acl *ACL, o *callOpts) error {
-			_, _, err := mergeOp(ctx, eng, acl, "k", "", o)
+			_, _, err := contract{eng, acl}.merge(ctx, "k", "", *o)
 			return err
 		}, map[string]bool{"none": true, "branch": true, "base": true, "branch+base": true, "guard+base": true, "branch+two bases": true}},
 	}
@@ -84,7 +85,7 @@ func TestPolicyOptionGrammar(t *testing.T) {
 		for _, op := range ops {
 			for _, sh := range shapes {
 				o := resolveOpts(sh.opts)
-				o.user = "stranger"
+				o.User = "stranger"
 				o.resolver = ChooseA
 				err := op.run(acl, &o)
 				if got := errors.Is(err, ErrBadOptions); got != op.bad[sh.name] {
@@ -102,6 +103,7 @@ func TestPolicyOptionGrammar(t *testing.T) {
 // its holder pin that key's versions and not-yet-written uids, never
 // another key's version; open mode admits everything.
 func TestPolicyPinForeignVersion(t *testing.T) {
+	ctx := context.Background()
 	eng := core.NewEngine(store.NewMemStore(), postree.DefaultConfig())
 	mine, err := eng.Put([]byte("mine"), DefaultBranch, String("v"), nil)
 	if err != nil {
@@ -113,18 +115,18 @@ func TestPolicyPinForeignVersion(t *testing.T) {
 	}
 	acl := NewACL(false)
 	acl.Grant("tenant", "mine", "", PermWrite)
-	o := &callOpts{user: "tenant"}
+	o := callOpts{CallOptions: wire.CallOptions{User: "tenant"}}
 	for _, pin := range []bool{true, false} {
-		if err := pinOp(eng, acl, "mine", theirs, pin, o); !errors.Is(err, ErrAccessDenied) {
+		if err := (contract{eng, acl}).pin(ctx, "mine", theirs, pin, o); !errors.Is(err, ErrAccessDenied) {
 			t.Errorf("pin=%v of another key's version: %v, want ErrAccessDenied", pin, err)
 		}
-		if err := pinOp(eng, nil, "mine", theirs, pin, o); err != nil {
+		if err := (contract{eng, nil}).pin(ctx, "mine", theirs, pin, o); err != nil {
 			t.Errorf("pin=%v of another key's version in open mode: %v", pin, err)
 		}
-		if err := pinOp(eng, acl, "mine", mine, pin, o); err != nil {
+		if err := (contract{eng, acl}).pin(ctx, "mine", mine, pin, o); err != nil {
 			t.Errorf("pin=%v of own version: %v", pin, err)
 		}
-		if err := pinOp(eng, acl, "mine", UID{0xAB}, pin, o); err != nil {
+		if err := (contract{eng, acl}).pin(ctx, "mine", UID{0xAB}, pin, o); err != nil {
 			t.Errorf("pin=%v ahead of the write: %v", pin, err)
 		}
 	}

@@ -68,45 +68,6 @@ type RemoteConfig struct {
 	ChunkCacheBytes int64
 }
 
-// clientMetrics is the client's instrument table, the mirror of the
-// server's serverMetrics: per-op arrays sized by wire.OpMax so the
-// call path indexes by op code without a map lookup or allocation.
-type clientMetrics struct {
-	reqs [wire.OpMax]*obs.Counter
-	errs [wire.OpMax]*obs.Counter
-	lat  [wire.OpMax]*obs.Histogram
-
-	// bytesSent/bytesRecv count every byte on the pool's sockets,
-	// framing included. Outbound is counted by the frame writer at the
-	// flush syscall — the one chokepoint all frames pass through,
-	// including streamed want parts — and inbound by the read loop, so
-	// the pair cannot drift from what actually moved.
-	bytesSent *obs.Counter
-	bytesRecv *obs.Counter
-}
-
-func (m *clientMetrics) init(r *obs.Registry) {
-	for op := wire.OpHello; op < wire.OpMax; op++ {
-		tag := `op="` + wire.OpName(op) + `"`
-		m.reqs[op] = r.Counter("forkbase_client_requests_total", tag)
-		m.errs[op] = r.Counter("forkbase_client_request_errors_total", tag)
-		m.lat[op] = r.Histogram("forkbase_client_latency_ns", tag)
-	}
-	m.bytesSent = r.Counter("forkbase_client_wire_bytes_total", `dir="out"`)
-	m.bytesRecv = r.Counter("forkbase_client_wire_bytes_total", `dir="in"`)
-}
-
-// observe records one finished call attempt: local failures (dial,
-// cancellation, frame-cap rejections) count as errors exactly like
-// server-typed ones — from the caller's seat both are failed calls.
-func (m *clientMetrics) observe(op uint8, start time.Time, isErr bool) {
-	m.reqs[op].Inc()
-	m.lat[op].ObserveSince(start)
-	if isErr {
-		m.errs[op].Inc()
-	}
-}
-
 // RemoteStore is the network Store implementation: the same client
 // API as the embedded DB and the ClusterClient, executed by a
 // forkserved daemon on the other end of a TCP connection. Because it
@@ -177,7 +138,7 @@ type RemoteStore struct {
 	// reg holds the client-side instruments (cm resolves into it once
 	// at Dial); see Metrics and MetricsSnapshot.
 	reg *obs.Registry
-	cm  clientMetrics
+	cm  opMetrics
 
 	mu     sync.Mutex
 	conns  []*remoteConn // fixed-size pool; nil slots dial lazily
@@ -197,7 +158,7 @@ func Dial(addr string, cfg RemoteConfig) (*RemoteStore, error) {
 	rs := &RemoteStore{addr: addr, cfg: cfg, conns: make([]*remoteConn, cfg.Conns), treeCfg: postree.DefaultConfig()}
 	rs.frontend = frontend{rs}
 	rs.reg = obs.NewRegistry()
-	rs.cm.init(rs.reg)
+	rs.cm.init(rs.reg, "client")
 	if cfg.ChunkSync || cfg.ChunkCacheDir != "" {
 		cacheBytes := cfg.ChunkCacheBytes
 		if cacheBytes <= 0 {
@@ -351,13 +312,13 @@ func (rs *RemoteStore) dial() (*remoteConn, error) {
 		c:       nc,
 		br:      bufio.NewReaderSize(nc, connBufSize),
 		pending: make(map[uint64]pendingCall),
-		recv:    rs.cm.bytesRecv,
+		recv:    rs.cm.bytesIn,
 	}
 	// A write failure anywhere fails the whole connection: pending
 	// calls get the error instead of hanging. The frame writer also
 	// counts outbound bytes at the flush syscall — the one chokepoint
 	// every frame passes through.
-	c.fw = newFrameWriter(nc, rs.cm.bytesSent, func(err error) { c.fail(err) }, c.othersPending)
+	c.fw = newFrameWriter(nc, rs.cm.bytesOut, func(err error) { c.fail(err) }, c.othersPending)
 	// Hello is synchronous: the reader starts only once the handshake
 	// frame has been consumed.
 	start := time.Now()
@@ -369,7 +330,7 @@ func (rs *RemoteStore) dial() (*remoteConn, error) {
 	c.maxFrame = int(maxFrame)
 	rs.features.Store(features)
 	rs.maxFrame.Store(maxFrame)
-	rs.cm.observe(wire.OpHello, start, false)
+	rs.cm.observe(wire.OpHello, time.Since(start), false)
 	go c.readLoop()
 	return c, nil
 }
@@ -618,7 +579,9 @@ func (rs *RemoteStore) callFrames(ctx context.Context, slot uint64, calls []slot
 	start := time.Now()
 	finish := func(i int, r callResult) {
 		calls[i].callResult = r
-		rs.cm.observe(calls[i].op, start, r.err != nil || r.ep != nil)
+		// A local failure (dial, cancellation, a frame-cap refusal) is
+		// a failed call from the caller's seat, like a server's error.
+		rs.cm.observe(calls[i].op, time.Since(start), r.err != nil || r.ep != nil)
 	}
 	failFrom := func(i int, err error) {
 		for ; i < len(calls); i++ {
@@ -731,7 +694,7 @@ func decodeStatus(payload []byte) callResult {
 	}
 }
 
-// wireOpts converts a resolved option set to its wire form; custom
+// wireOpts returns a resolved option set's wire form; custom
 // resolvers cannot be serialized and are rejected before any bytes
 // move.
 func wireOpts(o callOpts) (wire.CallOptions, error) {
@@ -740,15 +703,8 @@ func wireOpts(o callOpts) (wire.CallOptions, error) {
 		return wire.CallOptions{}, fmt.Errorf(
 			"%w: custom resolvers cannot cross the wire; use ChooseA/ChooseB/AppendResolve/Aggregate", ErrBadOptions)
 	}
-	return wire.CallOptions{
-		User:      o.user,
-		Branch:    o.branch,
-		BranchSet: o.branchSet,
-		Bases:     o.bases,
-		Guard:     o.guard,
-		Meta:      o.meta,
-		Resolver:  code,
-	}, nil
+	o.Resolver = code
+	return o.CallOptions, nil
 }
 
 // roundTrip performs one Store call on the next pool slot: the option
@@ -993,7 +949,7 @@ func (rs *RemoteStore) value(ctx context.Context, key string, obj *FObject, o ca
 		return nil, fmt.Errorf("%w: Value needs a version fetched from the store", ErrBadOptions)
 	}
 	if rs.chunkSyncOn() && !obj.VType.Primitive() {
-		v, err := rs.valueChunked(ctx, key, obj, o.user)
+		v, err := rs.valueChunked(ctx, key, obj, o.User)
 		if err == nil || !errors.Is(err, wire.ErrUnsupported) {
 			return v, err
 		}
@@ -1059,7 +1015,7 @@ func (rs *RemoteStore) chunkWantStream(ctx context.Context, user, key string, id
 	// Stream calls bypass callSlot, so they record their own per-op
 	// sample; the whole stream is one logical OpChunkWant call.
 	start := time.Now()
-	defer func() { rs.cm.observe(wire.OpChunkWant, start, retErr != nil) }()
+	defer func() { rs.cm.observe(wire.OpChunkWant, time.Since(start), retErr != nil) }()
 	e := chunkOpts(user, key)
 	wire.EncodeUIDs(e, ids)
 	var flags uint8

@@ -891,3 +891,72 @@ func TestRemoteGetWithBaseChecksUID(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteUnknownResolverCode: an option prefix naming a resolver
+// code no build knows — on a Merge, and on an Apply entry — is refused
+// with ErrBadOptions, writes nothing, and leaves the connection
+// serving.
+func TestRemoteUnknownResolverCode(t *testing.T) {
+	addr, _ := startServer(t, forkbase.Open(), forkbase.ServerOptions{})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	call := func(id uint64, op uint8, body func(e *wire.Enc)) *wire.Dec {
+		t.Helper()
+		var e wire.Enc
+		body(&e)
+		if err := wire.WriteFrame(c, id, op, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		gotID, _, payload, err := wire.ReadFrame(c, 0)
+		if err != nil || gotID != id {
+			t.Fatalf("request %d: answer %d, %v", id, gotID, err)
+		}
+		return wire.NewDec(payload)
+	}
+	call(1, wire.OpHello, func(e *wire.Enc) {
+		e.U32(wire.ProtoVersion)
+		e.Str("")
+	})
+	const unknown = 9
+	refused := []struct {
+		name string
+		op   uint8
+		body func(e *wire.Enc)
+	}{
+		{"merge", wire.OpMerge, func(e *wire.Enc) {
+			wire.EncodeCallOptions(e, wire.CallOptions{Resolver: unknown})
+			e.Str("k")
+			e.Str(forkbase.DefaultBranch)
+		}},
+		{"apply entry", wire.OpApply, func(e *wire.Enc) {
+			wire.EncodeCallOptions(e, wire.CallOptions{})
+			e.U32(1)
+			e.Str("k")
+			wire.EncodeCallOptions(e, wire.CallOptions{Branch: forkbase.DefaultBranch, BranchSet: true, Resolver: unknown})
+			if err := wire.EncodeValue(e, forkbase.String("v")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for i, r := range refused {
+		d := call(uint64(2+i), r.op, r.body)
+		if status := d.U8(); status != 1 {
+			t.Fatalf("%s with resolver code %d: status %d, want an error", r.name, unknown, status)
+		}
+		ep, err := wire.DecodeError(d)
+		if err != nil || !errors.Is(ep.Err, forkbase.ErrBadOptions) {
+			t.Fatalf("%s with resolver code %d: %v, %v; want ErrBadOptions", r.name, unknown, ep.Err, err)
+		}
+	}
+	d := call(9, wire.OpListKeys, func(e *wire.Enc) { wire.EncodeCallOptions(e, wire.CallOptions{}) })
+	if status := d.U8(); status != 0 {
+		t.Fatalf("list keys after the refusals: status %d", status)
+	}
+	if keys := wire.DecodeStrings(d); d.Err() != nil || len(keys) != 0 {
+		t.Fatalf("list keys after the refusals = %q, %v; want none", keys, d.Err())
+	}
+}

@@ -809,17 +809,10 @@ func errPayload(err error, conflicts []Conflict, uid UID) []byte {
 }
 
 // optsFromWire resolves a request's CallOptions into the option set
-// the policy layer reads — including the user, which is what routes
-// the request through the access controller.
+// the contract reads: the wire form as it came, and the built-in
+// resolver its code names.
 func optsFromWire(w wire.CallOptions) (callOpts, error) {
-	o := callOpts{
-		branch:    w.Branch,
-		branchSet: w.BranchSet,
-		bases:     w.Bases,
-		guard:     w.Guard,
-		meta:      w.Meta,
-		user:      w.User,
-	}
+	o := callOpts{CallOptions: w}
 	if w.Resolver != wire.ResolverNone {
 		if o.resolver = wire.ResolverFromCode(w.Resolver); o.resolver == nil {
 			return callOpts{}, fmt.Errorf("%w: unknown resolver code %d", ErrBadOptions, w.Resolver)
@@ -1086,11 +1079,11 @@ func serveValue(s *Server, r request) []byte {
 	// and forwarding the caller's branch/base options into the internal
 	// Get would redirect it to a different version (or trip
 	// ErrBadOptions) — semantics the embedded Value does not have.
-	obj, err := s.be.get(r.ctx, key, callOpts{user: r.co.user, bases: []UID{uid}})
+	obj, err := s.be.get(r.ctx, key, callOpts{CallOptions: wire.CallOptions{User: r.co.User, Bases: []UID{uid}}})
 	if err != nil {
 		return fail(err)
 	}
-	v, err := s.be.value(r.ctx, key, obj, callOpts{user: r.co.user})
+	v, err := s.be.value(r.ctx, key, obj, callOpts{CallOptions: wire.CallOptions{User: r.co.User}})
 	if err != nil {
 		return fail(err)
 	}
@@ -1139,7 +1132,7 @@ func serveChunkHave(s *Server, r request) []byte {
 	}
 	// Have is the upload negotiation, so it needs write intent — a
 	// read-only user learns nothing about what the store holds.
-	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
+	if err := allow(s.db.acl, r.co.User, key, "", PermWrite); err != nil {
 		return fail(err)
 	}
 	// "Present" tells the client not to send the chunk, so it must hold
@@ -1188,7 +1181,7 @@ func serveChunkWant(s *Server, r request) []byte {
 	if flags&^wire.WantFlagDeep != 0 {
 		return fail(fmt.Errorf("%w: unknown want flags %#x", ErrBadOptions, flags))
 	}
-	if err := allow(s.db.acl, r.co.user, key, "", PermRead); err != nil {
+	if err := allow(s.db.acl, r.co.User, key, "", PermRead); err != nil {
 		return fail(err)
 	}
 	return r.sc.streamWant(r.ctx, r.id, s.db.eng.Store(), ids, flags&wire.WantFlagDeep != 0)
@@ -1200,7 +1193,7 @@ func serveChunkSend(s *Server, r request) []byte {
 	if err := r.d.Err(); err != nil {
 		return fail(err)
 	}
-	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
+	if err := allow(s.db.acl, r.co.User, key, "", PermWrite); err != nil {
 		return fail(err)
 	}
 	// Verify the whole batch before admitting any of it.
@@ -1257,7 +1250,7 @@ func servePutChunked(s *Server, r request) []byte {
 	if !ok {
 		return fail(fmt.Errorf("%w: type %v is not chunkable", ErrBadOptions, vt))
 	}
-	if err := allow(s.db.acl, r.co.user, key, "", PermWrite); err != nil {
+	if err := allow(s.db.acl, r.co.User, key, "", PermWrite); err != nil {
 		return fail(err)
 	}
 	// Load derives count and height by walking the root path — trusting
