@@ -402,6 +402,23 @@ func TestStoreConformance(t *testing.T) {
 			if _, err := st.Apply(ctx, b); !errors.Is(err, forkbase.ErrBranchNotFound) {
 				t.Fatalf("batched guard on missing branch: %v, want ErrBranchNotFound", err)
 			}
+			b = forkbase.NewBatch().
+				Put("neverwritten", forkbase.String("x"), forkbase.WithGuard(head))
+			if _, err := st.Apply(ctx, b); !errors.Is(err, forkbase.ErrBranchNotFound) {
+				t.Fatalf("batched guard on missing key: %v, want ErrBranchNotFound", err)
+			}
+			// A merge into a branch of a missing key fails the same way.
+			if _, _, err := st.Merge(ctx, "neverwritten", "master", forkbase.WithBase(head)); !errors.Is(err, forkbase.ErrBranchNotFound) {
+				t.Fatalf("merge into missing key: %v, want ErrBranchNotFound", err)
+			}
+			// None of the failed writes leaves the missing key behind.
+			keys, err := st.ListKeys(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != 1 || keys[0] != "guarded" {
+				t.Fatalf("keys after failed writes: %v, want [guarded]", keys)
+			}
 		}},
 		{"RenameRemoveBranch", func(t *testing.T, st forkbase.Store) {
 			st.Put(ctx, "k", forkbase.String("v"))

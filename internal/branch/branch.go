@@ -67,8 +67,12 @@ func (t *Table) apply(b *Batch, op Op) error {
 	return t.sink.record(b, t.key, op)
 }
 
-// Head returns the head uid of a tagged branch.
+// Head returns the head uid of a tagged branch. A nil table, the
+// table of a key never written, has no branches.
 func (t *Table) Head(branch string) (types.UID, bool) {
+	if t == nil {
+		return types.UID{}, false
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.h.get(branch)

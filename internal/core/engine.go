@@ -179,39 +179,12 @@ func (e *Engine) Begin() *branch.Batch { return e.meta.Begin() }
 // its record reaches the journal with scope's End, together with every
 // other record of the scope. A nil scope records alone, before PutIn
 // returns. A non-nil guard makes the put succeed only while the branch
-// head still equals it, protecting against lost updates (§4.5.1).
+// head still equals it, protecting against lost updates (§4.5.1). It
+// is a one-write putGroup.
 func (e *Engine) PutIn(scope *branch.Batch, key []byte, branchName string, v types.Value, context []byte, guard *types.UID) (types.UID, error) {
-	l := e.keyLock(key)
-	l.Lock()
-	defer l.Unlock()
-	t := e.space.Table(key)
-	var bases []*types.FObject
-	if head, ok := t.Head(branchName); ok {
-		if guard != nil && head != *guard {
-			return types.UID{}, branch.ErrGuardFailed
-		}
-		base, err := types.LoadFObject(e.s, head)
-		if err != nil {
-			return types.UID{}, err
-		}
-		bases = append(bases, base)
-	} else if guard != nil {
-		// No head to compare against: the branch is missing, which is
-		// a different failure than losing a guard race.
-		return types.UID{}, fmt.Errorf("%w: %q", branch.ErrBranchNotFound, branchName)
-	}
-	o, err := types.Save(e.s, e.cfg, key, v, bases, context)
-	if err != nil {
-		return types.UID{}, err
-	}
-	if err := t.UpdateTaggedIn(scope, branchName, o.UID()); err != nil {
-		// The update is unguarded; the error reports lost journal
-		// durability for a head that DID move. Hand the caller the uid
-		// it now owns along with the error, so a retry can observe the
-		// applied update instead of fighting its own write.
-		return o.UID(), err
-	}
-	return o.UID(), nil
+	var uid [1]types.UID
+	err := e.putGroup(scope, key, []int{0}, []BatchPut{{Key: key, Branch: branchName, Value: v, Meta: context, Guard: guard}}, uid[:])
+	return uid[0], err
 }
 
 // BatchPut is one write of a batched put group (the client Batch API).
@@ -275,29 +248,43 @@ func (e *Engine) putBatch(ctx context.Context, scope *branch.Batch, puts []Batch
 }
 
 // putGroup applies one key's batched writes under a single lock hold;
-// the head records join scope.
+// the head records join scope. A guard is checked against the head as
+// the group has moved it so far: a missing branch is ErrBranchNotFound,
+// another head ErrGuardFailed. The key's branch table is created only
+// once every write is saved, so a failed write leaves no empty key.
+// When a head record cannot be journaled the head has still moved, and
+// uids holds the new versions beside the error: a retry can observe the
+// applied update instead of fighting its own write.
 func (e *Engine) putGroup(scope *branch.Batch, key []byte, idxs []int, puts []BatchPut, uids []types.UID) error {
 	l := e.keyLock(key)
 	l.Lock()
 	defer l.Unlock()
-	t := e.space.Table(key)
-	// heads holds each written branch's pending head; loaded tracks
-	// branches whose pre-batch head has been read (nil = new branch).
-	heads := make(map[string]*types.FObject)
-	loaded := make(map[string]bool)
+	t, _ := e.space.Lookup(key)
+	// heads holds each written branch's pending head, in first-write
+	// order; head is nil while a new branch has none.
+	type pending struct {
+		branch string
+		head   *types.FObject
+	}
+	heads := make([]pending, 0, 1)
 	for _, i := range idxs {
 		p := puts[i]
-		if !loaded[p.Branch] {
+		h := 0
+		for h < len(heads) && heads[h].branch != p.Branch {
+			h++
+		}
+		if h == len(heads) {
+			var head *types.FObject
 			if uid, ok := t.Head(p.Branch); ok {
 				o, err := types.LoadFObject(e.s, uid)
 				if err != nil {
 					return err
 				}
-				heads[p.Branch] = o
+				head = o
 			}
-			loaded[p.Branch] = true
+			heads = append(heads, pending{branch: p.Branch, head: head})
 		}
-		base := heads[p.Branch]
+		base := heads[h].head
 		if p.Guard != nil {
 			if base == nil {
 				return fmt.Errorf("%w: %q", branch.ErrBranchNotFound, p.Branch)
@@ -315,10 +302,13 @@ func (e *Engine) putGroup(scope *branch.Batch, key []byte, idxs []int, puts []Ba
 			return err
 		}
 		uids[i] = o.UID()
-		heads[p.Branch] = o
+		heads[h].head = o
 	}
-	for br, o := range heads {
-		if err := t.UpdateTaggedIn(scope, br, o.UID()); err != nil {
+	if t == nil {
+		t = e.space.Table(key)
+	}
+	for _, h := range heads {
+		if err := t.UpdateTaggedIn(scope, h.branch, h.head.UID()); err != nil {
 			return err
 		}
 	}
@@ -474,94 +464,72 @@ func (e *Engine) LCA(ctx context.Context, uid1, uid2 types.UID) (*types.FObject,
 	return merge.LCA(ctx, e.s, uid1, uid2)
 }
 
-// MergeBranches merges refBranch into tgtBranch (M5): the target's head
-// is replaced by a version containing data from both branches and
-// deriving from both heads.
-func (e *Engine) MergeBranches(ctx context.Context, key []byte, tgtBranch, refBranch string, res merge.Resolver, meta []byte) (types.UID, []merge.Conflict, error) {
-	t, ok := e.space.Lookup(key)
-	if !ok {
-		return types.UID{}, nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
-	}
-	refHead, ok := t.Head(refBranch)
-	if !ok {
-		return types.UID{}, nil, fmt.Errorf("%w: %q", branch.ErrBranchNotFound, refBranch)
-	}
-	return e.MergeUID(ctx, key, tgtBranch, refHead, res, meta)
-}
-
-// MergeUID merges a specific version into tgtBranch (M6).
-func (e *Engine) MergeUID(ctx context.Context, key []byte, tgtBranch string, ref types.UID, res merge.Resolver, meta []byte) (types.UID, []merge.Conflict, error) {
-	l := e.keyLock(key)
-	l.Lock()
-	defer l.Unlock()
-	t := e.space.Table(key)
-	tgtHead, ok := t.Head(tgtBranch)
-	if !ok {
-		return types.UID{}, nil, fmt.Errorf("%w: %q", branch.ErrBranchNotFound, tgtBranch)
-	}
-	merged, conflicts, err := e.merge(ctx, tgtHead, ref, res)
-	if err != nil {
-		return types.UID{}, conflicts, err
-	}
-	a, err := types.LoadFObject(e.s, tgtHead)
-	if err != nil {
-		return types.UID{}, nil, err
-	}
-	b, err := types.LoadFObject(e.s, ref)
-	if err != nil {
-		return types.UID{}, nil, err
-	}
-	o, err := types.Save(e.s, e.cfg, key, merged, []*types.FObject{a, b}, meta)
-	if err != nil {
-		return types.UID{}, nil, err
-	}
-	if err := t.UpdateTagged(tgtBranch, o.UID(), nil); err != nil {
-		// Merge applied, journal append failed: durability report only.
-		return o.UID(), nil, err
-	}
-	return o.UID(), nil, nil
-}
-
-// MergeUntagged merges a collection of untagged heads (M7); the inputs
-// are logically replaced by the merge result in the UB-table.
-func (e *Engine) MergeUntagged(ctx context.Context, key []byte, res merge.Resolver, meta []byte, uids ...types.UID) (types.UID, []merge.Conflict, error) {
-	if len(uids) < 2 {
-		return types.UID{}, nil, fmt.Errorf("core: MergeUntagged needs at least 2 versions")
+// Merge three-way merges versions of key, each fold step against the
+// least common ancestor of its two inputs (the ancestor search honours
+// ctx), and returns the result, which derives from both inputs.
+//
+// With tgtBranch set, the result replaces that branch's head (M5, M6);
+// it merges in the version refs[0] when refs is not empty, else the
+// head of refBranch, read under the key's update lock. With tgtBranch
+// empty it folds two or more untagged heads refs, which the result
+// replaces in the UB-table (M7).
+//
+// A conflict moves no head. A returned uid beside an error reports a
+// merge whose head moved but whose journal record was lost.
+func (e *Engine) Merge(ctx context.Context, key []byte, tgtBranch, refBranch string, refs []types.UID, res merge.Resolver, meta []byte) (types.UID, []merge.Conflict, error) {
+	if tgtBranch == "" && len(refs) < 2 {
+		return types.UID{}, nil, fmt.Errorf("core: an untagged merge needs at least 2 versions")
 	}
 	l := e.keyLock(key)
 	l.Lock()
 	defer l.Unlock()
-	// Fold the heads pairwise; bases of the final object are all inputs.
-	cur := uids[0]
-	var mergedVal types.Value
-	for _, next := range uids[1:] {
-		v, conflicts, err := e.merge(ctx, cur, next, res)
+	t, _ := e.space.Lookup(key)
+	inputs := refs
+	if tgtBranch != "" {
+		var ref types.UID
+		var ok bool
+		if len(refs) > 0 {
+			ref = refs[0]
+		} else if t == nil {
+			return types.UID{}, nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+		} else if ref, ok = t.Head(refBranch); !ok {
+			return types.UID{}, nil, fmt.Errorf("%w: %q", branch.ErrBranchNotFound, refBranch)
+		}
+		tgt, ok := t.Head(tgtBranch)
+		if !ok {
+			return types.UID{}, nil, fmt.Errorf("%w: %q", branch.ErrBranchNotFound, tgtBranch)
+		}
+		inputs = []types.UID{tgt, ref}
+	}
+	cur, err := types.LoadFObject(e.s, inputs[0])
+	if err != nil {
+		return types.UID{}, nil, err
+	}
+	for _, uid := range inputs[1:] {
+		next, err := types.LoadFObject(e.s, uid)
+		if err != nil {
+			return types.UID{}, nil, err
+		}
+		base, err := merge.LCA(ctx, e.s, cur.UID(), uid)
+		if err != nil {
+			return types.UID{}, nil, err
+		}
+		v, conflicts, err := merge.ThreeWay(ctx, e.s, e.cfg, base, cur, next, res)
 		if err != nil {
 			return types.UID{}, conflicts, err
 		}
-		mergedVal = v
-		// Persist each fold step so the next iteration has a uid to
-		// merge against; only the final result enters the UB-table.
-		a, err := types.LoadFObject(e.s, cur)
-		if err != nil {
+		// Each fold step is saved, so the next one has a version to
+		// merge against; only the last is published.
+		if cur, err = types.Save(e.s, e.cfg, key, v, []*types.FObject{cur, next}, meta); err != nil {
 			return types.UID{}, nil, err
 		}
-		b, err := types.LoadFObject(e.s, next)
-		if err != nil {
-			return types.UID{}, nil, err
-		}
-		o, err := types.Save(e.s, e.cfg, key, mergedVal, []*types.FObject{a, b}, meta)
-		if err != nil {
-			return types.UID{}, nil, err
-		}
-		cur = o.UID()
 	}
-	t := e.space.Table(key)
-	if err := t.ReplaceUntagged(cur, uids); err != nil {
-		// Replacement applied in memory; the error reports durability.
-		return cur, nil, err
+	if tgtBranch != "" {
+		err = t.UpdateTaggedIn(nil, tgtBranch, cur.UID())
+	} else {
+		err = e.space.Table(key).ReplaceUntagged(cur.UID(), inputs)
 	}
-	return cur, nil, nil
+	return cur.UID(), nil, err
 }
 
 // PinUID protects a version (and everything it reaches — its value
@@ -720,24 +688,6 @@ func (e *Engine) GC(ctx context.Context, threshold float64) (store.GCStats, erro
 	}, types.ChunkRefs, threshold)
 }
 
-// merge three-way merges two versions using their LCA as base; the
-// ancestor search honours ctx.
-func (e *Engine) merge(ctx context.Context, u1, u2 types.UID, res merge.Resolver) (types.Value, []merge.Conflict, error) {
-	a, err := types.LoadFObject(e.s, u1)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := types.LoadFObject(e.s, u2)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := merge.LCA(ctx, e.s, u1, u2)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merge.ThreeWay(ctx, e.s, e.cfg, base, a, b, res)
-}
-
 // Diff compares two versions of the same type (the Diff operation of
 // §3.2). The result depends on the value type: element-wise for sorted
 // chunkables, chunk-level summary for unsorted ones, byte equality for
@@ -758,49 +708,27 @@ func (e *Engine) Diff(ctx context.Context, u1, u2 types.UID) (*Diff, error) {
 		return nil, fmt.Errorf("%w: %v vs %v", ErrTypeMismatch, a.VType, b.VType)
 	}
 	d := &Diff{Type: a.VType}
-	switch a.VType {
-	case types.TypeMap, types.TypeSet:
-		av, err := a.Value(e.s, e.cfg)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := b.Value(e.s, e.cfg)
-		if err != nil {
-			return nil, err
-		}
-		var ta, tb *postree.Tree
-		if a.VType == types.TypeMap {
-			ta, tb = av.(*types.Map).Tree(), bv.(*types.Map).Tree()
-		} else {
-			ta, tb = av.(*types.Set).Tree(), bv.(*types.Set).Tree()
-		}
-		sd, err := postree.DiffSorted(ctx, ta, tb)
-		if err != nil {
-			return nil, err
-		}
-		d.Sorted = sd
-	case types.TypeBlob, types.TypeList:
-		av, err := a.Value(e.s, e.cfg)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := b.Value(e.s, e.cfg)
-		if err != nil {
-			return nil, err
-		}
-		var ta, tb *postree.Tree
-		if a.VType == types.TypeBlob {
-			ta, tb = av.(*types.Blob).Tree(), bv.(*types.Blob).Tree()
-		} else {
-			ta, tb = av.(*types.List).Tree(), bv.(*types.List).Tree()
-		}
-		ud, err := postree.DiffUnsorted(ctx, ta, tb)
-		if err != nil {
-			return nil, err
-		}
-		d.Unsorted = ud
-	default:
+	kind, chunkable := types.KindOfType(a.VType)
+	if !chunkable {
 		d.PrimitiveEqual = string(a.Data) == string(b.Data)
+		return d, nil
+	}
+	av, err := a.Value(e.s, e.cfg)
+	if err != nil {
+		return nil, err
+	}
+	bv, err := b.Value(e.s, e.cfg)
+	if err != nil {
+		return nil, err
+	}
+	ta, tb := types.TreeOf(av), types.TreeOf(bv)
+	if kind.Sorted() {
+		d.Sorted, err = postree.DiffSorted(ctx, ta, tb)
+	} else {
+		d.Unsorted, err = postree.DiffUnsorted(ctx, ta, tb)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }

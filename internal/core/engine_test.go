@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"forkbase/internal/branch"
@@ -75,7 +76,7 @@ func TestForkUIDUnknownVersion(t *testing.T) {
 func TestMergeUntaggedNeedsTwo(t *testing.T) {
 	e := newEngine()
 	uid, _ := e.PutBase([]byte("k"), types.UID{}, types.String("v"), nil)
-	if _, _, err := e.MergeUntagged(context.Background(), []byte("k"), nil, nil, uid); err == nil {
+	if _, _, err := e.Merge(context.Background(), []byte("k"), "", "", []types.UID{uid}, nil, nil); err == nil {
 		t.Fatal("single-input untagged merge accepted")
 	}
 }
@@ -97,7 +98,7 @@ func TestMergeUntaggedThreeWayFold(t *testing.T) {
 	u1 := mk(map[string]string{"shared": "x", "a": "1"}, base)
 	u2 := mk(map[string]string{"shared": "x", "b": "2"}, base)
 	u3 := mk(map[string]string{"shared": "x", "c": "3"}, base)
-	merged, _, err := e.MergeUntagged(context.Background(), []byte("k"), nil, nil, u1, u2, u3)
+	merged, _, err := e.Merge(context.Background(), []byte("k"), "", "", []types.UID{u1, u2, u3}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestMergeConflictDoesNotMoveHead(t *testing.T) {
 	e.Put([]byte("k"), "master", types.String("left"), nil)
 	e.Put([]byte("k"), "other", types.String("right"), nil)
 	before, _ := e.Get([]byte("k"), "master")
-	_, _, err := e.MergeBranches(context.Background(), []byte("k"), "master", "other", nil, nil)
+	_, _, err := e.Merge(context.Background(), []byte("k"), "master", "other", nil, nil, nil)
 	if !errors.Is(err, merge.ErrConflict) {
 		t.Fatalf("expected conflict, got %v", err)
 	}
@@ -269,7 +270,7 @@ func TestHistoryWalksHonourCtx(t *testing.T) {
 	}
 	// The merge entry points abort through the same search.
 	ctx = &countdownCtx{Context: context.Background(), n: 5}
-	if _, _, err := e.MergeBranches(ctx, []byte("k"), "master", "side", merge.ChooseB, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.Merge(ctx, []byte("k"), "master", "side", nil, merge.ChooseB, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-walk Merge: %v", err)
 	}
 }
@@ -353,6 +354,96 @@ func TestPutBatchGroupCommit(t *testing.T) {
 		o, err := e2.Get(puts[i].Key, "master")
 		if err != nil || o.UID() != uids[i] {
 			t.Fatalf("recovered head of %s: %v, want put %d", puts[i].Key, err, i)
+		}
+	}
+}
+
+// TestMergeRacesPuts: merges of side into master run beside Puts to
+// both branches. Each merge reads both heads under the key's lock, so
+// its result derives first from the master head it replaces, and
+// master's first-base history stays one chain holding every master
+// write, Puts and merges alike.
+func TestMergeRacesPuts(t *testing.T) {
+	e := newEngine()
+	ctx := context.Background()
+	key := []byte("k")
+	root, err := e.Put(key, "master", types.String("root"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Fork(key, "master", "side"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	var mu sync.Mutex
+	written := map[string]map[types.UID]bool{"master": {}, "side": {}}
+	var merges []types.UID
+	record := func(br string, uid types.UID) {
+		mu.Lock()
+		defer mu.Unlock()
+		written[br][uid] = true
+	}
+	var wg sync.WaitGroup
+	for _, br := range []string{"master", "side"} {
+		wg.Add(1)
+		go func(br string) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				uid, err := e.Put(key, br, types.String(fmt.Sprintf("%s-%d", br, i)), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				record(br, uid)
+			}
+		}(br)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			uid, _, err := e.Merge(ctx, key, "master", "side", nil, merge.ChooseA, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			record("master", uid)
+			merges = append(merges, uid)
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Walk master's first bases back to the fork point. Every version on
+	// the way is a master write and, versions being distinct, counting
+	// them shows the walk meets every master write: a merge that
+	// derived from any head but the one it replaced would drop a write.
+	o, err := e.Get(key, "master")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := 0
+	for o.UID() != root {
+		if !written["master"][o.UID()] || len(o.Bases) == 0 {
+			t.Fatalf("master's history holds %s, which no master write made", o.UID().Short())
+		}
+		chain++
+		if o, err = e.GetUID(o.Bases[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if chain != len(written["master"]) {
+		t.Fatalf("master's first-base history holds %d writes; %d master writes were made", chain, len(written["master"]))
+	}
+	for _, uid := range merges {
+		o, err := e.GetUID(uid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(o.Bases) != 2 || (o.Bases[1] != root && !written["side"][o.Bases[1]]) {
+			t.Fatalf("merge %s derives from %v; want a master head, then a side head", uid.Short(), o.Bases)
 		}
 	}
 }

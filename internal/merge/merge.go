@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"forkbase/internal/postree"
 	"forkbase/internal/store"
@@ -168,10 +167,8 @@ func ThreeWay(ctx context.Context, s store.Store, cfg postree.Config, base, a, b
 		return nil, []Conflict{{Message: fmt.Sprintf("type mismatch: %v vs %v", a.VType, b.VType)}}, ErrConflict
 	}
 	switch a.VType {
-	case types.TypeMap:
-		return mergeMap(ctx, s, cfg, base, a, b, res)
-	case types.TypeSet:
-		return mergeSet(ctx, s, cfg, base, a, b, res)
+	case types.TypeMap, types.TypeSet:
+		return mergeKeyed(ctx, s, cfg, base, a, b, res)
 	default:
 		return mergeOpaque(s, cfg, base, a, b, res)
 	}
@@ -198,7 +195,17 @@ func mergeOpaque(s store.Store, cfg postree.Config, base, a, b *types.FObject, r
 	case base != nil && bytes.Equal(bData, baseData):
 		return pick(a)
 	}
-	c := Conflict{Base: rawValueBytes(s, cfg, base), A: rawValueBytes(s, cfg, a), B: rawValueBytes(s, cfg, b)}
+	var c Conflict
+	var err error
+	if c.Base, err = rawValueBytes(s, cfg, base); err != nil {
+		return nil, nil, err
+	}
+	if c.A, err = rawValueBytes(s, cfg, a); err != nil {
+		return nil, nil, err
+	}
+	if c.B, err = rawValueBytes(s, cfg, b); err != nil {
+		return nil, nil, err
+	}
 	if res != nil {
 		if resolved, ok := res(c); ok {
 			return materialize(a.VType, resolved)
@@ -208,25 +215,20 @@ func mergeOpaque(s store.Store, cfg postree.Config, base, a, b *types.FObject, r
 }
 
 // rawValueBytes extracts comparable/resolvable bytes for a value: the
-// full content for String/Blob, the inline encoding otherwise.
-func rawValueBytes(s store.Store, cfg postree.Config, o *types.FObject) []byte {
-	if o == nil {
-		return nil
+// full content for a Blob, the inline encoding otherwise, nil for no
+// value. A Blob that cannot be read is an error, not empty content.
+func rawValueBytes(s store.Store, cfg postree.Config, o *types.FObject) ([]byte, error) {
+	switch {
+	case o == nil:
+		return nil, nil
+	case o.VType != types.TypeBlob:
+		return o.Data, nil
 	}
-	switch o.VType {
-	case types.TypeBlob:
-		v, err := o.Value(s, cfg)
-		if err != nil {
-			return nil
-		}
-		data, err := v.(*types.Blob).Bytes()
-		if err != nil {
-			return nil
-		}
-		return data
-	default:
-		return o.Data
+	v, err := o.Value(s, cfg)
+	if err != nil {
+		return nil, err
 	}
+	return v.(*types.Blob).Bytes()
 }
 
 // materialize turns resolved bytes back into a value of the right type.
@@ -247,227 +249,119 @@ func materialize(t types.Type, data []byte) (types.Value, []Conflict, error) {
 	}
 }
 
-// change records one side's element-level delta from the base.
-type change struct {
-	value []byte // nil for delete
-	del   bool
+// keyedChange is one side's delta from the base at one key: the side's
+// element, or its removal. kv.Value is nil for a removal and for a Set
+// element.
+type keyedChange struct {
+	kv      postree.KV
+	removed bool
 }
 
-// mapChanges computes the key-level delta base -> o.
-func mapChanges(ctx context.Context, s store.Store, cfg postree.Config, base, o *types.FObject) (map[string]change, error) {
-	var baseTree, tree *postree.Tree
+// sortedTree returns the POS-Tree of a Map or Set version.
+func sortedTree(s store.Store, cfg postree.Config, o *types.FObject) (*postree.Tree, error) {
 	v, err := o.Value(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tree = v.(*types.Map).Tree()
-	if base != nil {
-		bv, err := base.Value(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		baseTree = bv.(*types.Map).Tree()
-	} else {
-		baseTree = postree.Empty(tree.Store(), cfg, postree.KindMap)
-	}
-	out := make(map[string]change)
-	err = postree.EachDiff(ctx, baseTree, tree, func(op postree.DiffOp, kv postree.KV) error {
-		if op == postree.DiffRemoved {
-			out[string(kv.Key)] = change{del: true}
-		} else {
-			out[string(kv.Key)] = change{value: kv.Value}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return types.TreeOf(v), nil
 }
 
-// mergeMap performs key-wise three-way merge of Map objects: changes
-// from both sides are combined; a key changed on both sides to
-// different results is a conflict.
-func mergeMap(ctx context.Context, s store.Store, cfg postree.Config, base, a, b *types.FObject, res Resolver) (types.Value, []Conflict, error) {
-	ca, err := mapChanges(ctx, s, cfg, base, a)
+// changes lists the keys where tree differs from base, in key order.
+func changes(ctx context.Context, base, tree *postree.Tree) ([]keyedChange, error) {
+	var out []keyedChange
+	err := postree.EachDiff(ctx, base, tree, func(op postree.DiffOp, kv postree.KV) error {
+		removed := op == postree.DiffRemoved
+		if removed {
+			kv.Value = nil
+		}
+		out = append(out, keyedChange{kv: kv, removed: removed})
+		return nil
+	})
+	return out, err
+}
+
+// mergeKeyed merges Maps and Sets key by key. Each side's changes from
+// the base are walked together in key order: a key one side changed
+// takes that change, a key both sides changed the same way takes it
+// once, and a key they changed differently is a conflict, reported in
+// key order. Against one base a Set element can only be added on both
+// sides or removed on both, so a Set merge never conflicts. With no
+// base (disjoint histories) both sides are changes from the empty tree.
+func mergeKeyed(ctx context.Context, s store.Store, cfg postree.Config, base, a, b *types.FObject, res Resolver) (types.Value, []Conflict, error) {
+	ta, err := sortedTree(s, cfg, a)
 	if err != nil {
 		return nil, nil, err
 	}
-	cb, err := mapChanges(ctx, s, cfg, base, b)
+	tb, err := sortedTree(s, cfg, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	var baseMap *types.Map
+	tbase := postree.Empty(ta.Store(), cfg, ta.Kind())
 	if base != nil {
-		bv, err := base.Value(s, cfg)
-		if err != nil {
+		if tbase, err = sortedTree(s, cfg, base); err != nil {
 			return nil, nil, err
 		}
-		baseMap = bv.(*types.Map)
-	} else {
-		av, err := a.Value(s, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Start from an empty tree in the same store.
-		empty := postree.Empty(av.(*types.Map).Tree().Store(), cfg, postree.KindMap)
-		baseMap = types.AttachMap(empty)
+	}
+	ca, err := changes(ctx, tbase, ta)
+	if err != nil {
+		return nil, nil, err
+	}
+	cb, err := changes(ctx, tbase, tb)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	var sets []postree.KV
 	var deletes [][]byte
 	var conflicts []Conflict
-	apply := func(key string, ch change) {
-		if ch.del {
-			deletes = append(deletes, []byte(key))
+	take := func(c keyedChange) {
+		if c.removed {
+			deletes = append(deletes, c.kv.Key)
 		} else {
-			sets = append(sets, postree.KV{Key: []byte(key), Value: ch.value})
+			sets = append(sets, c.kv)
 		}
 	}
-	for key, cha := range ca {
-		chb, both := cb[key]
-		if !both {
-			apply(key, cha)
-			continue
+	for len(ca) > 0 || len(cb) > 0 {
+		// cmp orders the two lists' next keys; a used-up list is last.
+		cmp := -1
+		switch {
+		case len(ca) == 0:
+			cmp = 1
+		case len(cb) > 0:
+			cmp = bytes.Compare(ca[0].kv.Key, cb[0].kv.Key)
 		}
-		if cha.del == chb.del && bytes.Equal(cha.value, chb.value) {
-			apply(key, cha) // both sides agree
-			continue
-		}
-		baseVal, _, err := baseMap.Get([]byte(key))
-		if err != nil {
-			return nil, nil, err
-		}
-		c := Conflict{Key: []byte(key), Base: baseVal, A: cha.value, B: chb.value}
-		if res != nil {
-			if resolved, ok := res(c); ok {
-				apply(key, change{value: resolved})
-				continue
-			}
-		}
-		conflicts = append(conflicts, c)
-	}
-	for key, chb := range cb {
-		if _, both := ca[key]; !both {
-			apply(key, chb)
-		}
-	}
-	if len(conflicts) > 0 {
-		return nil, sortConflicts(conflicts), ErrConflict
-	}
-	merged := types.CloneMap(baseMap)
-	if err := merged.Apply(sets, deletes); err != nil {
-		return nil, nil, err
-	}
-	return merged, nil, nil
-}
-
-// sortConflicts puts conflicts found ranging over a map of changes in
-// key order, so that a merge reports them the same way every time.
-func sortConflicts(cs []Conflict) []Conflict {
-	sort.Slice(cs, func(i, j int) bool { return bytes.Compare(cs[i].Key, cs[j].Key) < 0 })
-	return cs
-}
-
-// mergeSet merges Set objects: additions and removals from both sides
-// union together; add-vs-remove of the same element conflicts.
-func mergeSet(ctx context.Context, s store.Store, cfg postree.Config, base, a, b *types.FObject, res Resolver) (types.Value, []Conflict, error) {
-	changes := func(o *types.FObject) (map[string]change, *types.Set, error) {
-		v, err := o.Value(s, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		set := v.(*types.Set)
-		var baseTree *postree.Tree
-		if base != nil {
-			bv, err := base.Value(s, cfg)
-			if err != nil {
+		switch {
+		case cmp < 0:
+			take(ca[0])
+			ca = ca[1:]
+		case cmp > 0:
+			take(cb[0])
+			cb = cb[1:]
+		case ca[0].removed == cb[0].removed && bytes.Equal(ca[0].kv.Value, cb[0].kv.Value):
+			take(ca[0]) // both sides made the same change
+			ca, cb = ca[1:], cb[1:]
+		default:
+			c := Conflict{Key: bytes.Clone(ca[0].kv.Key), A: ca[0].kv.Value, B: cb[0].kv.Value}
+			ca, cb = ca[1:], cb[1:]
+			if c.Base, _, err = tbase.Get(c.Key); err != nil {
 				return nil, nil, err
 			}
-			baseTree = bv.(*types.Set).Tree()
-		} else {
-			baseTree = postree.Empty(set.Tree().Store(), cfg, postree.KindSet)
-		}
-		out := make(map[string]change)
-		err = postree.EachDiff(ctx, baseTree, set.Tree(), func(op postree.DiffOp, kv postree.KV) error {
-			if op == postree.DiffRemoved {
-				out[string(kv.Key)] = change{del: true}
-			} else {
-				out[string(kv.Key)] = change{value: kv.Key}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, set, nil
-	}
-	ca, _, err := changes(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	cb, setB, err := changes(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	_ = setB
-	var add, remove [][]byte
-	var conflicts []Conflict
-	for key, cha := range ca {
-		chb, both := cb[key]
-		if both && cha.del != chb.del {
-			c := Conflict{Key: []byte(key), A: cha.value, B: chb.value,
-				Message: "element added on one side and removed on the other"}
 			if res != nil {
 				if resolved, ok := res(c); ok {
-					if resolved != nil {
-						add = append(add, resolved)
-					}
+					sets = append(sets, postree.KV{Key: c.Key, Value: resolved})
 					continue
 				}
 			}
 			conflicts = append(conflicts, c)
-			continue
-		}
-		if cha.del {
-			remove = append(remove, []byte(key))
-		} else {
-			add = append(add, []byte(key))
-		}
-	}
-	for key, chb := range cb {
-		if _, both := ca[key]; both {
-			continue
-		}
-		if chb.del {
-			remove = append(remove, []byte(key))
-		} else {
-			add = append(add, []byte(key))
 		}
 	}
 	if len(conflicts) > 0 {
-		return nil, sortConflicts(conflicts), ErrConflict
+		return nil, conflicts, ErrConflict
 	}
-	var baseSet *types.Set
-	if base != nil {
-		bv, err := base.Value(s, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		baseSet = bv.(*types.Set)
-	} else {
-		av, err := a.Value(s, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		baseSet = types.AttachSet(postree.Empty(av.(*types.Set).Tree().Store(), cfg, postree.KindSet))
-	}
-	merged := types.CloneSet(baseSet)
-	if err := merged.Add(add...); err != nil {
+	merged, err := tbase.MapApply(sets, deletes)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := merged.Remove(remove...); err != nil {
-		return nil, nil, err
-	}
-	return merged, nil, nil
+	v, _ := types.AttachValue(a.VType, merged)
+	return v, nil, nil
 }

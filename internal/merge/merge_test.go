@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"forkbase/internal/chunk"
@@ -440,8 +441,7 @@ func TestMergeMapDiffsCostTheChangedPaths(t *testing.T) {
 	}
 }
 
-// A merge reports its conflicts in key order, the same every time,
-// although it finds them ranging over maps of changes.
+// A merge reports its conflicts in key order, the same every time.
 func TestMergeMapConflictsInKeyOrder(t *testing.T) {
 	e := newEnv()
 	base, left, right := map[string]string{}, map[string]string{}, map[string]string{}
@@ -461,5 +461,179 @@ func TestMergeMapConflictsInKeyOrder(t *testing.T) {
 				t.Fatalf("run %d: conflict %d is %q after %q", run, i, conflicts[i].Key, conflicts[i-1].Key)
 			}
 		}
+	}
+}
+
+// corruptStore reads one chunk as corrupt.
+type corruptStore struct {
+	*store.MemStore
+	bad chunk.ID
+}
+
+func (s *corruptStore) Get(id chunk.ID) (*chunk.Chunk, error) {
+	if id == s.bad {
+		return nil, store.ErrCorrupt
+	}
+	return s.MemStore.Get(id)
+}
+
+// A conflicting Blob merge whose side cannot be read fails with the read
+// error; a resolver never answers over content that was not read.
+func TestMergeBlobReadErrorFails(t *testing.T) {
+	s := &corruptStore{MemStore: store.NewMemStore()}
+	e := &env{s: s, cfg: postree.Config{LeafQ: 8, IndexR: 3}}
+	blob := func(fill byte, bases ...*types.FObject) *types.FObject {
+		return e.save(t, types.NewBlob(bytes.Repeat([]byte{fill}, 4096)), bases...)
+	}
+	base := blob('b')
+	a, b := blob('a', base), blob('c', base)
+	av, err := a.Value(s, e.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.bad = types.TreeOf(av).Root()
+	v, conflicts, err := ThreeWay(context.Background(), s, e.cfg, base, a, b, ChooseA)
+	if !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("ThreeWay over an unreadable side = %v, %v, %v; want ErrCorrupt", v, conflicts, err)
+	}
+}
+
+// TestKeyedMergeMatchesModel merges seeded random Maps and Sets, both
+// ways and also with no base, against a plain-map model of the per-key
+// rule: a key one side changed takes that change, a key both changed
+// the same way takes it, and a key changed differently is a conflict.
+// Conflicts come in key order, a Set merge never conflicts, choosing a
+// side does not depend on the argument order, and the merged tree is
+// the one a fresh build of the model's result makes.
+func TestKeyedMergeMatchesModel(t *testing.T) {
+	ctx := context.Background()
+	e := newEnv()
+	rng := rand.New(rand.NewSource(7))
+	const universe = 60
+	// randomEdit changes each key of from with probability rate: it
+	// removes the key or sets one of three values (always "" in a Set).
+	randomEdit := func(from map[string]string, set bool, rate float64) map[string]string {
+		out := make(map[string]string)
+		for i := 0; i < universe; i++ {
+			k := fmt.Sprintf("key-%03d", i)
+			v, ok := from[k]
+			if rng.Float64() < rate {
+				v, ok = fmt.Sprintf("v%d", rng.Intn(3)), rng.Intn(2) == 0
+			}
+			if set {
+				v = ""
+			}
+			if ok {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	save := func(m map[string]string, set bool, bases ...*types.FObject) *types.FObject {
+		if set {
+			s := types.NewSet()
+			for k := range m {
+				s.Add([]byte(k))
+			}
+			return e.save(t, s, bases...)
+		}
+		return e.mapOf(t, m, bases...)
+	}
+	lookup := func(m map[string]string, k string) []byte {
+		if v, ok := m[k]; ok {
+			return []byte(v)
+		}
+		return nil
+	}
+	same := func(x, y []byte) bool { return (x == nil) == (y == nil) && bytes.Equal(x, y) }
+	root := func(v types.Value) chunk.ID { return types.TreeOf(v).Root() }
+	var clean, conflicting int // Map merges of each outcome
+	for round := 0; round < 120; round++ {
+		set := round%2 == 1
+		rate := []float64{0.02, 0.1, 0.4}[round/2%3]
+		var baseModel map[string]string
+		var base *types.FObject
+		models := [2]map[string]string{randomEdit(nil, set, rate), randomEdit(nil, set, rate)}
+		if round/6%4 != 0 {
+			baseModel = randomEdit(nil, set, 0.8)
+			base = save(baseModel, set)
+			models = [2]map[string]string{randomEdit(baseModel, set, rate), randomEdit(baseModel, set, rate)}
+		}
+		var sides [2]*types.FObject
+		for i, m := range models {
+			if base != nil {
+				sides[i] = save(m, set, base)
+			} else {
+				sides[i] = save(m, set)
+			}
+		}
+		for order := 0; order < 2; order++ {
+			am, bm := models[order], models[1-order]
+			a, b := sides[order], sides[1-order]
+			want := make(map[string]string)
+			var wantConflicts []Conflict
+			for i := 0; i < universe; i++ {
+				k := fmt.Sprintf("key-%03d", i)
+				bv, av, rv := lookup(baseModel, k), lookup(am, k), lookup(bm, k)
+				merged := av
+				switch {
+				case same(av, bv):
+					merged = rv
+				case same(rv, bv), same(av, rv):
+				default:
+					wantConflicts = append(wantConflicts, Conflict{Key: []byte(k), Base: bv, A: av, B: rv})
+					continue
+				}
+				if merged != nil {
+					want[k] = string(merged)
+				}
+			}
+			if set && len(wantConflicts) > 0 {
+				t.Fatalf("round %d: the model finds %d Set conflicts", round, len(wantConflicts))
+			}
+			v, conflicts, err := ThreeWay(ctx, e.s, e.cfg, base, a, b, nil)
+			if !set && len(wantConflicts) > 0 {
+				conflicting++
+			} else if !set {
+				clean++
+			}
+			if len(wantConflicts) > 0 {
+				if !errors.Is(err, ErrConflict) || len(conflicts) != len(wantConflicts) {
+					t.Fatalf("round %d order %d: %d conflicts, %v; want %d, ErrConflict", round, order, len(conflicts), err, len(wantConflicts))
+				}
+				for i, c := range conflicts {
+					w := wantConflicts[i]
+					if !bytes.Equal(c.Key, w.Key) || !same(c.Base, w.Base) || !same(c.A, w.A) || !same(c.B, w.B) {
+						t.Fatalf("round %d order %d: conflict %d = %q base %q a %q b %q; want %q base %q a %q b %q",
+							round, order, i, c.Key, c.Base, c.A, c.B, w.Key, w.Base, w.A, w.B)
+					}
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("round %d order %d (set %v): %v, conflicts %v", round, order, set, err, conflicts)
+				}
+				fresh, err := save(want, set).Value(e.s, e.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if root(v) != root(fresh) {
+					t.Fatalf("round %d order %d: merged root %s, a fresh build of the model %s", round, order, root(v).Short(), root(fresh).Short())
+				}
+			}
+			va, _, err := ThreeWay(ctx, e.s, e.cfg, base, a, b, ChooseA)
+			if err != nil {
+				t.Fatalf("round %d order %d: ChooseA: %v", round, order, err)
+			}
+			vb, _, err := ThreeWay(ctx, e.s, e.cfg, base, b, a, ChooseB)
+			if err != nil {
+				t.Fatalf("round %d order %d: ChooseB: %v", round, order, err)
+			}
+			if root(va) != root(vb) {
+				t.Fatalf("round %d order %d: ThreeWay(a, b, ChooseA) = %s, ThreeWay(b, a, ChooseB) = %s", round, order, root(va).Short(), root(vb).Short())
+			}
+		}
+	}
+	if clean == 0 || conflicting == 0 {
+		t.Fatalf("Map merges: %d clean, %d conflicting; the rounds should cover both", clean, conflicting)
 	}
 }

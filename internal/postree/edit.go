@@ -311,9 +311,10 @@ func (t *Tree) MapDelete(key []byte) (*Tree, error) {
 }
 
 // MapApply returns a tree with all sets and deletes applied in one pass.
-// Later entries win when a key appears twice.
+// Later entries win when a key appears twice. It edits Maps and Sets
+// alike: on a Set tree a set adds its key and ignores its value.
 func (t *Tree) MapApply(sets []KV, deletes [][]byte) (*Tree, error) {
-	if t.kind != KindMap {
+	if !t.kind.Sorted() {
 		return nil, fmt.Errorf("postree: MapApply on %v tree", t.kind)
 	}
 	ops := make([]mapOp, 0, len(sets)+len(deletes))
@@ -331,11 +332,11 @@ func (t *Tree) SetAdd(elems ...[]byte) (*Tree, error) {
 	if t.kind != KindSet {
 		return nil, fmt.Errorf("postree: SetAdd on %v tree", t.kind)
 	}
-	ops := make([]mapOp, len(elems))
+	sets := make([]KV, len(elems))
 	for i, e := range elems {
-		ops[i] = mapOp{key: e}
+		sets[i].Key = e
 	}
-	return t.applySortedOps(ops)
+	return t.MapApply(sets, nil)
 }
 
 // SetRemove returns a tree with the elements removed.
@@ -343,11 +344,7 @@ func (t *Tree) SetRemove(elems ...[]byte) (*Tree, error) {
 	if t.kind != KindSet {
 		return nil, fmt.Errorf("postree: SetRemove on %v tree", t.kind)
 	}
-	ops := make([]mapOp, len(elems))
-	for i, e := range elems {
-		ops[i] = mapOp{key: e, del: true}
-	}
-	return t.applySortedOps(ops)
+	return t.MapApply(nil, elems)
 }
 
 // opSize is the size of op's leaf element.

@@ -600,18 +600,6 @@ func CloneMap(m *Map) *Map {
 	return &Map{staged: staged}
 }
 
-// CloneSet returns an independent handle on the same content.
-func CloneSet(s *Set) *Set {
-	if s.tree != nil {
-		return &Set{tree: s.tree}
-	}
-	staged := make(map[string]bool, len(s.staged))
-	for k := range s.staged {
-		staged[k] = true
-	}
-	return &Set{staged: staged}
-}
-
 // ParseChunkRef decodes the meta-chunk data of a chunkable value into
 // its POS-Tree shape parameters. It is the exported face of the
 // chunkRef layout for transports that move trees by reference (chunk

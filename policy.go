@@ -201,13 +201,7 @@ func (c contract) merge(ctx context.Context, key, tgtBranch string, o callOpts) 
 			return UID{}, nil, err
 		}
 	}
-	if tgtBranch == "" {
-		return c.eng.MergeUntagged(ctx, []byte(key), o.resolver, o.Meta, o.Bases...)
-	}
-	if ref, ok := o.base(); ok {
-		return c.eng.MergeUID(ctx, []byte(key), tgtBranch, ref, o.resolver, o.Meta)
-	}
-	return c.eng.MergeBranches(ctx, []byte(key), tgtBranch, o.branchOr(DefaultBranch), o.resolver, o.Meta)
+	return c.eng.Merge(ctx, []byte(key), tgtBranch, o.branchOr(DefaultBranch), o.Bases, o.resolver, o.Meta)
 }
 
 // track: read on (key, branch); with WithBase, read on the version's
