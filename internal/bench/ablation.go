@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"forkbase/internal/postree"
+	"forkbase/internal/rollsum"
 	"forkbase/internal/store"
 )
 
@@ -163,19 +164,12 @@ func RunAblationIndexPattern(w io.Writer, scale Scale) error {
 	// again, as P-over-entries would.
 	t0 = time.Now()
 	it := tree.Leaves()
-	ch := fixedRoller()
+	var cuts []int
 	for it.Next() {
-		ch(it.Payload())
+		cuts = rollsum.ScanBoundaries(cfg.LeafQ, 8<<cfg.LeafQ, it.Payload(), cuts[:0])
 	}
 	rollCost := time.Since(t0)
 	t.row("P' (cid bits)", fmt.Sprintf("%.1fms (whole build, %d nodes)", ms(build), st.Leaves+st.IndexNodes))
 	t.row("P (rolling)", fmt.Sprintf("+%.1fms extra rolling-hash pass", ms(rollCost)))
 	return nil
-}
-
-// fixedRoller returns a closure that feeds bytes through a rolling hash
-// discarding the result — the marginal cost of P.
-func fixedRoller() func([]byte) {
-	ch := newRollerSink()
-	return ch
 }

@@ -251,16 +251,9 @@ func RunTable4(w io.Writer, scale Scale) error {
 
 		// RollingHash: the POS-Tree chunking pass (Blob only).
 		t0 = time.Now()
+		var cuts []int
 		for i := 0; i < iters; i++ {
-			ch := rollsum.NewChunker(cfg.LeafQ, 8<<cfg.LeafQ)
-			rem := data
-			for len(rem) > 0 {
-				n, boundary := ch.FindBoundary(rem)
-				rem = rem[n:]
-				if boundary {
-					ch.Next()
-				}
-			}
+			cuts = rollsum.ScanBoundaries(cfg.LeafQ, 8<<cfg.LeafQ, data, cuts[:0])
 		}
 		record("RollingHash", blobCol, time.Since(t0))
 

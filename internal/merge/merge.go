@@ -33,7 +33,9 @@ type Conflict struct {
 }
 
 // Resolver turns a conflict into a resolved value. ok=false leaves the
-// conflict unresolved. Applications can hook custom strategies; the
+// conflict unresolved. As in Conflict, nil means absent: a nil answer
+// to a Map conflict deletes the key, and an empty, non-nil one stores
+// an empty value. Applications can hook custom strategies; the
 // built-ins below cover the paper's append / aggregate / choose-one.
 type Resolver func(c Conflict) (resolved []byte, ok bool)
 
@@ -348,7 +350,7 @@ func mergeKeyed(ctx context.Context, s store.Store, cfg postree.Config, base, a,
 			}
 			if res != nil {
 				if resolved, ok := res(c); ok {
-					sets = append(sets, postree.KV{Key: c.Key, Value: resolved})
+					take(keyedChange{kv: postree.KV{Key: c.Key, Value: resolved}, removed: resolved == nil})
 					continue
 				}
 			}

@@ -292,6 +292,65 @@ func TestAggregateResolver(t *testing.T) {
 	}
 }
 
+// TestMergeResolverNilDeletesKey: a resolver's nil answer to a Map
+// conflict deletes the key, as Conflict's nil means absent; an empty,
+// non-nil answer stores an empty value. Here one side deleted a and
+// the other set it.
+func TestMergeResolverNilDeletesKey(t *testing.T) {
+	e := newEnv()
+	base := e.mapOf(t, map[string]string{"a": "1", "b": "2"})
+	deleted := e.mapOf(t, map[string]string{"b": "2"}, base)
+	set := e.mapOf(t, map[string]string{"a": "x", "b": "2"}, base)
+	empty := func(Conflict) ([]byte, bool) { return []byte{}, true }
+	cases := []struct {
+		name       string
+		a, b       *types.FObject
+		res        Resolver
+		want       string
+		wantAbsent bool
+	}{
+		{"ChooseA of the deletion", deleted, set, ChooseA, "", true},
+		{"ChooseB of the deletion", set, deleted, ChooseB, "", true},
+		{"ChooseA of the value", set, deleted, ChooseA, "x", false},
+		{"Append", deleted, set, Append, "x", false},
+		{"empty answer", deleted, set, empty, "", false},
+	}
+	for _, tc := range cases {
+		merged, _, err := ThreeWay(context.Background(), e.s, e.cfg, base, tc.a, tc.b, tc.res)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m := merged.(*types.Map)
+		v, ok, err := m.Get([]byte("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLen := uint64(2)
+		if tc.wantAbsent {
+			wantLen = 1
+		}
+		if ok == tc.wantAbsent || string(v) != tc.want || m.Len() != wantLen {
+			t.Errorf("%s: a = %q (present %v), %d keys; want %q (present %v), %d keys",
+				tc.name, v, ok, m.Len(), tc.want, !tc.wantAbsent, wantLen)
+		}
+	}
+
+	// The built-ins keep nil apart from a value.
+	c := Conflict{Key: []byte("a"), Base: encodeInt(5), B: encodeInt(7)}
+	if v, _ := ChooseA(c); v != nil {
+		t.Errorf("ChooseA of a deletion = %q, want nil", v)
+	}
+	if v, _ := ChooseB(Conflict{A: c.B}); v != nil {
+		t.Errorf("ChooseB of a deletion = %q, want nil", v)
+	}
+	if v, _ := Append(Conflict{B: []byte("x")}); string(v) != "x" {
+		t.Errorf("Append of nil and x = %q, want x", v)
+	}
+	if v, ok := Aggregate(c); !ok || !bytes.Equal(v, encodeInt(2)) {
+		t.Errorf("Aggregate of 5, nil, 7 = %v, want 5 + (0-5) + (7-5) = 2", v)
+	}
+}
+
 func TestMergeMapNoBase(t *testing.T) {
 	e := newEnv()
 	left := e.mapOf(t, map[string]string{"a": "1"})

@@ -90,11 +90,11 @@ func (b *Builder) Append(encoded []byte) {
 		}
 		b.lastKey = append(b.lastKey[:0], k...)
 	}
+	_, cut := b.chunker.Scan(b.buf, encoded)
 	b.lastOff = len(b.buf)
 	b.buf = append(b.buf, encoded...)
 	b.n++
-	b.chunker.Feed(encoded)
-	if b.chunker.Boundary() {
+	if cut {
 		b.cut()
 	}
 }
@@ -110,11 +110,11 @@ func (b *Builder) AppendBytes(p []byte) {
 		return
 	}
 	for len(p) > 0 && b.err == nil {
-		n, boundary := b.chunker.FindBoundary(p)
+		n, cut := b.chunker.Scan(b.buf, p)
 		b.buf = append(b.buf, p[:n]...)
 		b.n += uint64(n)
 		p = p[n:]
-		if boundary {
+		if cut {
 			b.cut()
 		}
 	}

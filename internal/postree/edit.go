@@ -43,8 +43,9 @@ import (
 // no window at all, for the bytes before the first edit of a leaf the
 // new stream enters at a boundary: they replay the old chunk from its
 // start. What remains for the hash is each edit plus WindowSize bytes
-// after it, entered by resuming the chunker from the WindowSize bytes
-// before it (rollsum.Chunker.Resume).
+// after it; the window in front of an edit is the open leaf's last
+// WindowSize bytes, which rollsum.Chunker.Scan hashes again when the
+// leaf grew by a copied run.
 //
 // The argument needs the old leaf to have ended on the pattern and the
 // new one to stay below the forced cut, so the tree's last leaf, a
@@ -80,9 +81,8 @@ type leafWriter struct {
 	max     int
 	buf     []byte // the open leaf's payload; the pattern fires nowhere in it
 	n       uint64 // its element count
-	lastOff int    // offset in buf of its last element; -1 after a copied run
-	stale   bool   // buf ends in a copied run the chunker has not seen
-	rolled  int    // bytes pushed through the rolling hash, Resume tails included
+	lastOff int    // offset in buf of its last rolled element (Blob: run); -1 after a copied run
+	rolled  int    // bytes pushed through the rolling hash, re-hashed windows included
 	up      indexLevels
 	sp      []splice // scratch: the splices of the leaf being edited
 	elems   []byte   // scratch: the elements those splices insert
@@ -109,27 +109,22 @@ func (w *leafWriter) reserve(size int) {
 // open leaf and cuts the leaf if the pattern fired. It returns the
 // bytes and elements consumed.
 func (w *leafWriter) roll(p []byte) (n int, elems uint64, cut bool, err error) {
-	if w.stale {
-		tail := w.buf
-		if len(tail) > rollsum.WindowSize {
-			tail = tail[len(tail)-rollsum.WindowSize:]
-		}
-		w.chunker.Resume(tail, len(w.buf))
-		w.stale = false
-		w.rolled += len(tail)
+	if w.lastOff < 0 {
+		// After a copied run Scan first hashes the leaf's last
+		// WindowSize bytes again.
+		w.rolled += min(len(w.buf), rollsum.WindowSize)
 	}
 	if w.kind == KindBlob {
-		n, cut = w.chunker.FindBoundary(p)
+		n, cut = w.chunker.Scan(w.buf, p)
 		elems = uint64(n)
 	} else {
 		if _, n, err = elementAt(w.kind, p); err != nil {
 			return 0, 0, false, err
 		}
-		w.chunker.Feed(p[:n])
-		cut = w.chunker.Boundary()
+		_, cut = w.chunker.Scan(w.buf, p[:n])
 		elems = 1
-		w.lastOff = len(w.buf)
 	}
+	w.lastOff = len(w.buf)
 	w.buf = append(w.buf, p[:n]...)
 	w.n += elems
 	w.rolled += n
@@ -167,7 +162,7 @@ func (w *leafWriter) keep(p []byte, count uint64, settle *int) (copied bool, err
 	}
 	w.buf = append(w.buf, p...)
 	w.n += count
-	w.lastOff, w.stale = -1, true
+	w.lastOff = -1
 	return true, nil
 }
 
@@ -272,7 +267,7 @@ func (w *leafWriter) commit(key []byte) error {
 		return err
 	}
 	e := entry{key: key, count: w.n, id: c.ID()}
-	w.n, w.lastOff, w.stale = 0, -1, false
+	w.n, w.lastOff = 0, -1
 	w.chunker.Next()
 	return w.up.add(1, e)
 }

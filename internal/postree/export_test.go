@@ -12,7 +12,8 @@ import (
 )
 
 // rolledDuring runs f and returns the bytes its edits pushed through
-// the rolling hash (Resume tails included), as opposed to copied.
+// the rolling hash (windows hashed again after a copied run
+// included), as opposed to copied.
 func rolledDuring(f func()) int {
 	total := 0
 	onRolled = func(n int) { total += n }

@@ -723,3 +723,66 @@ func TestEditDownToOneSubtreeEqualsRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestEditAfterCutForgetsTheHash: once an edit has cut a leaf, the
+// copied prefix of the next edited leaf can come out exactly as long as
+// the bytes the chunker last hashed. The chunker tells a copied run
+// from bytes it has hashed by length alone, so only the Next at every
+// cut keeps the old leaf's hash out of the new one. Each edit here
+// rewrites the first element of one leaf and inserts a run of elements
+// at one element offset of the next, over every offset, with all
+// elements of one size, so that one of the offsets is that length.
+func TestEditAfterCutForgetsTheHash(t *testing.T) {
+	cfg := Config{LeafQ: 8, IndexR: 4}
+	s := store.NewMemStore()
+	rng := rand.New(rand.NewSource(71))
+	elem := func(k int) KV {
+		v := make([]byte, 16)
+		rng.Read(v)
+		return KV{Key: []byte(fmt.Sprintf("k%07d", k)), Value: v}
+	}
+	var base []KV // keys 100 apart, room for a run between two
+	for i := 0; i < 600; i++ {
+		base = append(base, elem(100*i))
+	}
+	build := func(kvs []KV) *Tree {
+		elems := make([][]byte, len(kvs))
+		for i, kv := range kvs {
+			elems[i] = EncodeMapElem(kv.Key, kv.Value)
+		}
+		return rebuildElems(t, s, cfg, KindMap, elems)
+	}
+	tr := build(base)
+	leaves, err := tr.leafEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leaves) < 20 {
+		t.Fatalf("only %d leaves", len(leaves))
+	}
+	edits, start := 0, 0
+	for a := 0; a < 16; a++ {
+		b := start + int(leaves[a].count) // the next leaf's first element
+		for j := 1; j < int(leaves[a+1].count); j++ {
+			sets := []KV{elem(100 * start)} // a new value for the leaf's first key
+			at := 100*(b+j) - 50            // between elements b+j-1 and b+j
+			for k := 0; k < 40; k++ {
+				sets = append(sets, elem(at+k))
+			}
+			got, err := tr.MapApply(sets, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(append(append([]KV(nil), base[:start]...), sets[0]), base[start+1:b+j]...)
+			want = append(append(want, sets[1:]...), base[b+j:]...)
+			if got.Root() != build(want).Root() {
+				t.Fatalf("leaf %d rewritten, run inserted at element %d of the next: root differs from a rebuild", a, j)
+			}
+			edits++
+		}
+		start = b
+	}
+	if edits < 50 {
+		t.Fatalf("only %d edits", edits)
+	}
+}

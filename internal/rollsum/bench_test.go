@@ -13,7 +13,8 @@ func benchData() []byte {
 	return data
 }
 
-// BenchmarkFindBoundary is the Blob path: whole chunks per call.
+// BenchmarkFindBoundary is the Blob path: whole chunks per Scan call,
+// through ScanBoundaries.
 func BenchmarkFindBoundary(b *testing.B) {
 	data := benchData()
 	b.SetBytes(int64(len(data)))
@@ -23,20 +24,20 @@ func BenchmarkFindBoundary(b *testing.B) {
 	}
 }
 
-// BenchmarkFeed is the element path every Map, List and Set build or
-// edit takes, fed 100-byte elements.
-func BenchmarkFeed(b *testing.B) {
+// BenchmarkScanElements is the element path every Map, List and Set
+// build or edit takes: 100-byte elements, each scanned after the open
+// chunk that holds the ones before it.
+func BenchmarkScanElements(b *testing.B) {
 	data := benchData()
 	b.SetBytes(int64(len(data)))
 	c := NewChunker(12, 8<<12)
 	for i := 0; i < b.N; i++ {
+		c.Next()
+		start := 0
 		for off := 0; off < len(data); off += 100 {
-			end := off + 100
-			if end > len(data) {
-				end = len(data)
-			}
-			c.Feed(data[off:end])
-			if c.Boundary() {
+			end := min(off+100, len(data))
+			if _, cut := c.Scan(data[start:off], data[off:end]); cut {
+				start = end
 				c.Next()
 			}
 		}

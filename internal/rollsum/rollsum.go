@@ -52,79 +52,6 @@ func init() {
 	}
 }
 
-// Roller maintains the cyclic-polynomial hash over a sliding window of
-// WindowSize bytes. The zero value is not usable; call NewRoller.
-type Roller struct {
-	window [WindowSize]byte
-	pos    int
-	sum    uint64
-	n      int // bytes consumed since last Reset, saturating at WindowSize
-}
-
-// NewRoller returns a Roller with an empty window.
-func NewRoller() *Roller {
-	return &Roller{}
-}
-
-// Reset clears the window. POS-Tree construction resets the roller at
-// every chunk boundary so that boundary decisions depend only on content
-// after the previous boundary; this is what lets an edited tree re-align
-// with the old chunk sequence.
-func (r *Roller) Reset() {
-	*r = Roller{}
-}
-
-// Roll consumes one byte and returns the updated hash value.
-//
-// The recurrence from the paper is
-//
-//	P(b_1..b_k) = s(P(b_0..b_{k-1})) XOR s^k(h(b_0)) XOR s^0(h(b_k))
-//
-// with s a one-bit cyclic left shift; bits.RotateLeft64 implements s on a
-// 64-bit word, and s^k is rotation by k mod 64.
-func (r *Roller) Roll(b byte) uint64 {
-	old := r.window[r.pos]
-	r.window[r.pos] = b
-	r.pos++
-	if r.pos == WindowSize {
-		r.pos = 0
-	}
-	r.sum = bits.RotateLeft64(r.sum, 1) ^ byteTable[b]
-	if r.n == WindowSize {
-		// The byte leaving the window was rotated WindowSize times
-		// since insertion; cancel its term. Before the window fills
-		// there is nothing to remove.
-		r.sum ^= exitTable[old]
-	} else {
-		r.n++
-	}
-	return r.sum
-}
-
-// Sum returns the current hash value without consuming input.
-func (r *Roller) Sum() uint64 { return r.sum }
-
-// Primed reports whether a full window has been consumed since Reset.
-// Boundary checks before the window fills would act on mostly-zero
-// state, so the chunker ignores them.
-func (r *Roller) Primed() bool { return r.n == WindowSize }
-
-// LeafPattern decides leaf-chunk boundaries: the pattern occurs when the
-// q least significant bits of the rolling hash are zero, giving an
-// expected chunk size of 2^q bytes.
-type LeafPattern struct {
-	mask uint64
-}
-
-// NewLeafPattern returns a leaf pattern with 2^q expected bytes between
-// boundaries.
-func NewLeafPattern(q uint) LeafPattern {
-	return LeafPattern{mask: (uint64(1) << q) - 1}
-}
-
-// Match reports whether hash value v is a boundary.
-func (p LeafPattern) Match(v uint64) bool { return v&p.mask == 0 }
-
 // IndexPattern decides index-chunk boundaries from child cids: the
 // pattern occurs when the r least significant bits of the cid are zero,
 // giving an expected fan-out of 2^r entries per index node (§4.3.3).

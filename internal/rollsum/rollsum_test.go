@@ -86,22 +86,27 @@ func TestLeafPatternFrequency(t *testing.T) {
 	}
 }
 
-func TestChunkerSizes(t *testing.T) {
-	const q = 10 // 1 KiB expected
-	c := NewChunker(q, 8<<q)
-	rng := rand.New(rand.NewSource(4))
-	data := make([]byte, 1<<20)
-	rng.Read(data)
-	var sizes []int
-	rem := data
-	for len(rem) > 0 {
-		n, boundary := c.FindBoundary(rem)
-		rem = rem[n:]
-		if boundary {
-			sizes = append(sizes, c.Size())
+// scanCuts drives Scan over data on the Blob path, the input arriving
+// in one call, and returns the size of every chunk it closes.
+func scanCuts(c *Chunker, data []byte) (sizes []int) {
+	for start, off := 0, 0; off < len(data); {
+		n, cut := c.Scan(data[start:off], data[off:])
+		off += n
+		if cut {
+			sizes = append(sizes, off-start)
+			start = off
 			c.Next()
 		}
 	}
+	return sizes
+}
+
+func TestChunkerSizes(t *testing.T) {
+	const q = 10 // 1 KiB expected
+	rng := rand.New(rand.NewSource(4))
+	data := make([]byte, 1<<20)
+	rng.Read(data)
+	sizes := scanCuts(NewChunker(q, 8<<q), data)
 	if len(sizes) == 0 {
 		t.Fatal("no chunks produced")
 	}
@@ -119,77 +124,48 @@ func TestChunkerSizes(t *testing.T) {
 }
 
 // Chunk boundaries must be content-defined: the same data yields the
-// same boundaries regardless of how it is sliced into Feed calls.
+// same boundaries regardless of how it is sliced into Scan calls.
 func TestChunkerSliceInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 1<<16)
 	rng.Read(data)
 
-	boundariesOf := func(step int) []int {
-		c := NewChunker(10, 8<<10)
-		var out []int
-		pos := 0
-		for off := 0; off < len(data); {
-			end := off + step
-			if end > len(data) {
-				end = len(data)
-			}
-			rem := data[off:end]
-			for len(rem) > 0 {
-				n, boundary := c.FindBoundary(rem)
-				pos += n
-				rem = rem[n:]
-				if boundary {
-					out = append(out, pos)
-					c.Next()
-				}
-			}
-			off = end
-		}
-		return out
-	}
-	a := boundariesOf(1 << 16)
-	b := boundariesOf(7)
-	if len(a) != len(b) {
-		t.Fatalf("boundary count differs: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("boundary %d differs: %d vs %d", i, a[i], b[i])
-		}
+	a, _ := scanPieces(10, 8<<10, data, []int{1 << 16})
+	b, _ := scanPieces(10, 8<<10, data, []int{7})
+	if len(a) == 0 || !slices.Equal(a, b) {
+		t.Fatalf("boundaries differ with the slicing: %v vs %v", head(a), head(b))
 	}
 }
 
 func TestChunkerMaxSizeForced(t *testing.T) {
 	// Repeated content has no patterns (§4.3.3): every chunk must be
 	// forced at max size.
-	c := NewChunker(10, 4096)
 	zeros := make([]byte, 64<<10)
-	rem := zeros
-	for len(rem) > 0 {
-		n, boundary := c.FindBoundary(rem)
-		rem = rem[n:]
-		if boundary {
-			if c.Size() != 4096 {
-				t.Fatalf("forced chunk size %d, want 4096", c.Size())
-			}
-			c.Next()
+	for _, s := range scanCuts(NewChunker(10, 4096), zeros) {
+		if s != 4096 {
+			t.Fatalf("forced chunk size %d, want 4096", s)
 		}
 	}
 }
 
 func TestChunkerElementExtension(t *testing.T) {
-	// Feeding whole elements: boundary is only reported after an
-	// element even if the pattern fired inside it.
+	// Scanning whole elements: a boundary inside an element ends the
+	// chunk at the element's end.
 	c := NewChunker(6, 1<<12) // tiny chunks so patterns fire often
 	rng := rand.New(rand.NewSource(6))
 	elem := make([]byte, 500)
 	rng.Read(elem)
+	var leaf []byte
 	boundaries := 0
 	for i := 0; i < 100; i++ {
-		c.Feed(elem)
-		if c.Boundary() {
+		n, cut := c.Scan(leaf, elem)
+		if !cut && n != len(elem) {
+			t.Fatalf("no boundary, but only %d of %d bytes taken", n, len(elem))
+		}
+		leaf = append(leaf, elem...)
+		if cut {
 			boundaries++
+			leaf = leaf[:0]
 			c.Next()
 		}
 	}
@@ -234,31 +210,33 @@ func oracleElems(q uint, maxSize int, data []byte, splits []int) (ends, sizes []
 	return ends, sizes
 }
 
-// feedElems drives Feed with elements cut by splits.
-func feedElems(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
+// scanElems drives Scan with elements cut by splits, each passed
+// whole: a boundary inside one ends the chunk at the element's end.
+func scanElems(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
 	c := NewChunker(q, maxSize)
+	start := 0
 	eachPiece(data, splits, func(off, end int) {
-		c.Feed(data[off:end])
-		if c.Boundary() {
-			ends, sizes = append(ends, end), append(sizes, c.Size())
+		if _, cut := c.Scan(data[start:off], data[off:end]); cut {
+			ends, sizes = append(ends, end), append(sizes, end-start)
+			start = end
 			c.Next()
 		}
 	})
 	return ends, sizes
 }
 
-// findPieces drives FindBoundary with the input arriving in calls cut
-// by splits, so that the window straddles calls.
-func findPieces(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
+// scanPieces drives Scan on the Blob path with the input arriving in
+// calls cut by splits, so that the window straddles calls.
+func scanPieces(q uint, maxSize int, data []byte, splits []int) (ends, sizes []int) {
 	c := NewChunker(q, maxSize)
-	pos := 0
+	start, pos := 0, 0
 	eachPiece(data, splits, func(off, end int) {
-		for rem := data[off:end]; len(rem) > 0; {
-			n, boundary := c.FindBoundary(rem)
+		for pos < end {
+			n, cut := c.Scan(data[start:pos], data[pos:end])
 			pos += n
-			rem = rem[n:]
-			if boundary {
-				ends, sizes = append(ends, pos), append(sizes, c.Size())
+			if cut {
+				ends, sizes = append(ends, pos), append(sizes, pos-start)
+				start = pos
 				c.Next()
 			}
 		}
@@ -266,19 +244,19 @@ func findPieces(q uint, maxSize int, data []byte, splits []int) (ends, sizes []i
 	return ends, sizes
 }
 
-// checkAgainstOracle compares both chunker paths with the byte-at-a-time
+// checkAgainstOracle compares both Scan paths with the byte-at-a-time
 // oracle for one input cut by splits.
 func checkAgainstOracle(t *testing.T, name string, q uint, maxSize int, data []byte, splits []int) {
 	t.Helper()
 	wantEnds, wantSizes := oracleElems(q, maxSize, data, splits)
-	if ends, sizes := feedElems(q, maxSize, data, splits); !slices.Equal(ends, wantEnds) || !slices.Equal(sizes, wantSizes) {
-		t.Errorf("%s: Feed in elements of %v bytes cut at %v (sizes %v), oracle at %v (sizes %v)",
+	if ends, sizes := scanElems(q, maxSize, data, splits); !slices.Equal(ends, wantEnds) || !slices.Equal(sizes, wantSizes) {
+		t.Errorf("%s: Scan in elements of %v bytes cut at %v (sizes %v), oracle at %v (sizes %v)",
 			name, splits, head(ends), head(sizes), head(wantEnds), head(wantSizes))
 	}
 	// A Blob is a stream of one-byte elements however its calls fall.
 	wantEnds, wantSizes = oracleElems(q, maxSize, data, []int{1})
-	if ends, sizes := findPieces(q, maxSize, data, splits); !slices.Equal(ends, wantEnds) || !slices.Equal(sizes, wantSizes) {
-		t.Errorf("%s: FindBoundary over calls of %v bytes cut at %v (sizes %v), oracle at %v (sizes %v)",
+	if ends, sizes := scanPieces(q, maxSize, data, splits); !slices.Equal(ends, wantEnds) || !slices.Equal(sizes, wantSizes) {
+		t.Errorf("%s: Scan over calls of %v bytes cut at %v (sizes %v), oracle at %v (sizes %v)",
 			name, splits, head(ends), head(sizes), head(wantEnds), head(wantSizes))
 	}
 }
@@ -291,8 +269,8 @@ func head(a []int) []int {
 	return a
 }
 
-// Feed and FindBoundary must place boundaries exactly where the paper's
-// byte-at-a-time algorithm (Roller.Roll, Primed, Match) does, however
+// Scan must place boundaries exactly where the paper's byte-at-a-time
+// algorithm (Roller.Roll, Primed, Match) does, on both paths, however
 // the input is cut into elements or calls — in particular when a call
 // ends inside the first WindowSize bytes of a chunk, on the window's
 // edge, or just past it.
@@ -328,7 +306,7 @@ func TestChunkerMatchesRoller(t *testing.T) {
 	}
 }
 
-// FuzzChunkerSplits checks both chunker paths against the oracle for
+// FuzzChunkerSplits checks both Scan paths against the oracle for
 // arbitrary bytes, split points and leaf parameters.
 func FuzzChunkerSplits(f *testing.F) {
 	rng := rand.New(rand.NewSource(8))
@@ -374,52 +352,48 @@ func TestIndexPattern(t *testing.T) {
 	}
 }
 
-// resumeAgrees feeds data[:at] to one chunker, resumes another at that
-// point from the tail alone, then drives both over data[at:] — by
-// element-sized Feeds and by FindBoundary — and reports whether every
-// decision agreed. data must place no boundary in its first at bytes.
-func resumeAgrees(t *testing.T, q uint, max int, data []byte, at, elem int) bool {
+// resumeAgrees scans data[:seen] into one chunker and data[:at] into
+// another, then hands both the leaf data[:at] — for the first it ends
+// in data[seen:at], a copied run it has not seen — and drives them over
+// data[at:], by element-sized Scans and on the Blob path. It reports
+// whether every decision agreed. data must place no boundary in its
+// first at bytes.
+func resumeAgrees(t *testing.T, q uint, max int, data []byte, seen, at, elem int) bool {
 	t.Helper()
 	full, res := NewChunker(q, max), NewChunker(q, max)
-	full.Feed(data[:at])
-	if full.Boundary() {
+	if n, cut := full.Scan(nil, data[:at]); n != at || cut {
 		t.Fatalf("precondition: boundary inside the first %d bytes", at)
 	}
-	tail := data[:at]
-	if len(tail) > WindowSize {
-		tail = tail[len(tail)-WindowSize:]
-	}
-	res.Resume(tail, at)
-	fullB, resB := NewChunker(q, max), NewChunker(q, max)
-	fullB.Feed(data[:at])
-	resB.Resume(tail, at)
+	res.Scan(nil, data[:seen])
+	fullB, resB := *full, *res
 
+	start := 0
 	for off := at; off < len(data); off += elem {
-		end := off + elem
-		if end > len(data) {
-			end = len(data)
-		}
-		full.Feed(data[off:end])
-		res.Feed(data[off:end])
-		if full.Boundary() != res.Boundary() || full.Size() != res.Size() {
+		end := min(off+elem, len(data))
+		n1, cut1 := full.Scan(data[start:off], data[off:end])
+		n2, cut2 := res.Scan(data[start:off], data[off:end])
+		if n1 != n2 || cut1 != cut2 {
 			return false
 		}
-		if full.Boundary() {
+		if cut1 {
 			full.Next()
 			res.Next()
+			start = end
 		}
 	}
-	for rest := data[at:]; len(rest) > 0; {
-		n1, b1 := fullB.FindBoundary(rest)
-		n2, b2 := resB.FindBoundary(rest)
-		if n1 != n2 || b1 != b2 {
+	start = 0
+	for off := at; off < len(data); {
+		n1, cut1 := fullB.Scan(data[start:off], data[off:])
+		n2, cut2 := resB.Scan(data[start:off], data[off:])
+		if n1 != n2 || cut1 != cut2 {
 			return false
 		}
-		if b1 {
+		off += n1
+		if cut1 {
 			fullB.Next()
 			resB.Next()
+			start = off
 		}
-		rest = rest[n1:]
 	}
 	return true
 }
@@ -427,10 +401,13 @@ func resumeAgrees(t *testing.T, q uint, max int, data []byte, at, elem int) bool
 // firstBoundary returns how many bytes of data a fresh chunker takes
 // before placing its first boundary (len(data) if it places none).
 func firstBoundary(q uint, max int, data []byte) int {
-	n, _ := NewChunker(q, max).FindBoundary(data)
+	n, _ := NewChunker(q, max).Scan(nil, data)
 	return n
 }
 
+// A Scan that resumes after a copied run of any length — the leaf grew
+// by bytes the chunker never saw — decides as one scan over the whole
+// leaf does.
 func TestChunkerResumeTable(t *testing.T) {
 	data := make([]byte, 4096)
 	rand.New(rand.NewSource(11)).Read(data)
@@ -440,22 +417,41 @@ func TestChunkerResumeTable(t *testing.T) {
 		t.Fatalf("seed gives only %d quiet bytes", quiet)
 	}
 	for _, at := range []int{0, 1, WindowSize - 1, WindowSize, WindowSize + 1, 2 * WindowSize, quiet} {
-		for _, elem := range []int{1, 7, WindowSize, 100} {
-			if !resumeAgrees(t, q, max, data, at, elem) {
-				t.Errorf("Resume at %d (elements of %d bytes) decided differently from a replay", at, elem)
+		for _, seen := range []int{0, 1, at / 2, at - WindowSize, at - 1, at} {
+			if seen < 0 {
+				continue
+			}
+			for _, elem := range []int{1, 7, WindowSize, 100} {
+				if !resumeAgrees(t, q, max, data, seen, at, elem) {
+					t.Errorf("Scan after a copied run [%d, %d) (elements of %d bytes) decided differently from one scan", seen, at, elem)
+				}
 			}
 		}
 	}
-	// The forced cut counts the resumed size.
-	c := NewChunker(20, 100)
-	c.Resume(data[10:58], 58)
-	if n, cut := c.FindBoundary(data[58:]); n != 42 || !cut {
-		t.Errorf("forced cut after resume at 58 of 100: consumed %d, cut %v", n, cut)
+	// The forced cut counts the copied run.
+	if n, cut := NewChunker(20, 100).Scan(data[:58], data[58:]); n != 42 || !cut {
+		t.Errorf("forced cut after a copied run of 58 of 100: consumed %d, cut %v", n, cut)
+	}
+	// After Next, a copied run as long as the chunk the chunker last
+	// scanned must not revive that chunk's hash.
+	other := make([]byte, quiet)
+	rand.New(rand.NewSource(12)).Read(other)
+	for _, at := range []int{1, WindowSize - 1, WindowSize, WindowSize + 1, quiet} {
+		c := NewChunker(q, max)
+		c.Scan(nil, other[:at])
+		c.Next()
+		fresh := NewChunker(q, max)
+		fresh.Scan(nil, data[:at])
+		n1, cut1 := c.Scan(data[:at], data[at:])
+		n2, cut2 := fresh.Scan(data[:at], data[at:])
+		if n1 != n2 || cut1 != cut2 {
+			t.Errorf("copied run of %d bytes after Next, the old chunk's size: cut at %d (%v), one scan at %d (%v)", at, n1, cut1, n2, cut2)
+		}
 	}
 }
 
 func TestQuickChunkerResume(t *testing.T) {
-	f := func(seed int64, at16 uint16, elem8 uint8, q3 uint8) bool {
+	f := func(seed int64, at16, seen16 uint16, elem8 uint8, q3 uint8) bool {
 		data := make([]byte, 2048)
 		rand.New(rand.NewSource(seed)).Read(data)
 		q := uint(5 + q3%6)
@@ -464,9 +460,28 @@ func TestQuickChunkerResume(t *testing.T) {
 		if quiet <= 0 {
 			return true
 		}
-		return resumeAgrees(t, q, max, data, int(at16)%(quiet+1), 1+int(elem8)%200)
+		at := int(at16) % (quiet + 1)
+		return resumeAgrees(t, q, max, data, int(seen16)%(at+1), at, 1+int(elem8)%200)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChunkerScanAllocs: a Scan allocates nothing, on either path and
+// whether or not it rebuilds the hash after a copied run.
+func TestChunkerScanAllocs(t *testing.T) {
+	data := make([]byte, 8<<10)
+	rand.New(rand.NewSource(13)).Read(data)
+	c := NewChunker(12, 8<<12)
+	at := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Scan(data[:at], data[at:at+100])
+		c.Scan(data[:at+100], data[at+100:])
+		c.Next()
+		at = (at + 37) % (4 << 10)
+	})
+	if allocs != 0 {
+		t.Fatalf("Scan: %v allocations per call pair, want 0", allocs)
 	}
 }
