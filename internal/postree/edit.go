@@ -81,8 +81,13 @@ type leafWriter struct {
 	max     int
 	buf     []byte // the open leaf's payload; the pattern fires nowhere in it
 	n       uint64 // its element count
-	lastOff int    // offset in buf of its last rolled element (Blob: run); -1 after a copied run
-	rolled  int    // bytes pushed through the rolling hash, re-hashed windows included
+	// lastOff is the offset in buf of its last rolled element (Blob:
+	// run), -1 after a copied run or a cut. With a non-empty buf,
+	// lastOff < 0 holds exactly when buf ends in a copied run, so that
+	// len(buf) differs from the size the chunker's hash covers: the
+	// condition under which Scan re-hashes buf's last WindowSize bytes.
+	lastOff int
+	rolled  int // bytes pushed through the rolling hash, re-hashed windows included
 	up      indexLevels
 	sp      []splice // scratch: the splices of the leaf being edited
 	elems   []byte   // scratch: the elements those splices insert
@@ -110,8 +115,7 @@ func (w *leafWriter) reserve(size int) {
 // bytes and elements consumed.
 func (w *leafWriter) roll(p []byte) (n int, elems uint64, cut bool, err error) {
 	if w.lastOff < 0 {
-		// After a copied run Scan first hashes the leaf's last
-		// WindowSize bytes again.
+		// Scan re-hashes the leaf's last WindowSize bytes (see lastOff).
 		w.rolled += min(len(w.buf), rollsum.WindowSize)
 	}
 	if w.kind == KindBlob {

@@ -77,18 +77,27 @@ func (c *Chunker) Scan(leaf, p []byte) (n int, cut bool) {
 			return c.took(leaf, i+1, sum), true
 		}
 	}
-	// The window straddles leaf and p.
-	for ; i < len(q) && i < WindowSize; i++ {
-		sum = bits.RotateLeft64(sum, 1) ^ byteTable[q[i]] ^ exitTable[leaf[len(leaf)-WindowSize+i]]
-		if sum&mask == 0 {
-			return c.took(leaf, i+1, sum), true
+	// The window straddles leaf and p: the leaving byte is in leaf.
+	if i < len(q) && i < WindowSize {
+		in := q[i:min(len(q), WindowSize)]
+		out := leaf[len(leaf)-WindowSize+i:][:len(in)]
+		for k, b := range in {
+			sum = bits.RotateLeft64(sum, 1) ^ byteTable[b] ^ exitTable[out[k]]
+			if sum&mask == 0 {
+				return c.took(leaf, i+k+1, sum), true
+			}
 		}
+		i += len(in)
 	}
-	// The window lies inside p.
-	for ; i < len(q); i++ {
-		sum = bits.RotateLeft64(sum, 1) ^ byteTable[q[i]] ^ exitTable[q[i-WindowSize]]
-		if sum&mask == 0 {
-			return c.took(leaf, i+1, sum), true
+	// The window lies inside p. Bytes are left only if the loops above
+	// stopped at i == WindowSize.
+	if i < len(q) {
+		in, out := q[WindowSize:], q[:len(q)-WindowSize]
+		for k, b := range in {
+			sum = bits.RotateLeft64(sum, 1) ^ byteTable[b] ^ exitTable[out[k]]
+			if sum&mask == 0 {
+				return c.took(leaf, WindowSize+k+1, sum), true
+			}
 		}
 	}
 	return c.took(leaf, len(q), sum), forced
